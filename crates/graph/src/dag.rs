@@ -191,6 +191,15 @@ impl CompGraph {
             + (self.fwd_idx.len() + self.rev_idx.len()) * std::mem::size_of::<u32>()
     }
 
+    /// The forward CSR arrays `(fwd_ptr, fwd_idx)`: vertex `v`'s children
+    /// are `fwd_idx[fwd_ptr[v]..fwd_ptr[v + 1]]`. Together with the op
+    /// table they determine the labelled graph exactly (the reverse CSR is
+    /// derived from them), which is what the fingerprint memo's content
+    /// key hashes.
+    pub(crate) fn children_csr(&self) -> (&[usize], &[u32]) {
+        (&self.fwd_ptr, &self.fwd_idx)
+    }
+
     /// Portable edge-list representation (see [`crate::json`] for the JSON
     /// form).
     pub fn to_edge_list(&self) -> EdgeListGraph {

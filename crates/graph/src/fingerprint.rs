@@ -26,10 +26,19 @@
 //! analyzes, refinement separates non-isomorphic graphs in practice (this
 //! is property-tested against the spectral bounds in `tests/fingerprint.rs`
 //! at the workspace root).
+//!
+//! Refinement costs `O((n + m) log n)` with a sort per vertex per round,
+//! which dominates a warm service request. [`FingerprintMemo`] skips it
+//! for graphs seen before *with the same labelling*: a bounded map from a
+//! cheap one-pass content key of the labelled graph to its fingerprint.
 
 use crate::dag::CompGraph;
 use crate::ops::OpKind;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// A 128-bit order-independent structural hash of a [`CompGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -192,6 +201,133 @@ pub fn fingerprint(g: &CompGraph) -> Fingerprint {
     Fingerprint(((acc.0 as u128) << 64) | acc.1 as u128)
 }
 
+/// Entries a [`FingerprintMemo`] holds before it resets. A full memo's
+/// table (32-byte entries in 8192 buckets) is ≈270 KB.
+pub const FINGERPRINT_MEMO_CAPACITY: usize = 4096;
+
+/// Point-in-time counters of a [`FingerprintMemo`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FingerprintMemoStats {
+    /// Content keys currently memoized.
+    pub entries: usize,
+    /// The fixed bound on `entries` ([`FINGERPRINT_MEMO_CAPACITY`]).
+    pub capacity: usize,
+    /// Lookups answered from the memo (no refinement ran).
+    pub hits: u64,
+    /// Lookups that ran Weisfeiler–Leman refinement.
+    pub misses: u64,
+    /// Times the memo was full and was cleared to admit a new key.
+    pub resets: u64,
+}
+
+/// A bounded memo from the labelled graph to its [`fingerprint`].
+///
+/// The key is a 128-bit hash of the labelled graph — `n`, `m`, the op
+/// table and the forward CSR — in one `O(n + m)` pass with no sorting.
+/// Its two 64-bit lanes start from secret per-process seeds (drawn from
+/// the standard library's randomly keyed hasher), so a client cannot
+/// craft two labelled graphs that share a key; collision odds are then
+/// those of a 128-bit hash, no worse than those of the fingerprint
+/// itself. Isomorphic graphs under different labellings get different
+/// keys and each pays one refinement; they still resolve to the same
+/// fingerprint.
+///
+/// The memo holds at most [`FINGERPRINT_MEMO_CAPACITY`] keys. Admitting a
+/// key into a full memo clears it first (counted in
+/// [`FingerprintMemoStats::resets`]) — cheaper than LRU bookkeeping on
+/// every hit, and a reset only costs one refinement per graph still in
+/// use.
+#[derive(Debug)]
+pub struct FingerprintMemo {
+    seeds: [u64; 2],
+    map: Mutex<HashMap<u128, Fingerprint>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    resets: AtomicU64,
+}
+
+impl Default for FingerprintMemo {
+    fn default() -> Self {
+        FingerprintMemo::new()
+    }
+}
+
+impl FingerprintMemo {
+    /// An empty memo with fresh random seeds.
+    pub fn new() -> FingerprintMemo {
+        let state = std::collections::hash_map::RandomState::new();
+        let seed = |lane: u64| {
+            let mut h = state.build_hasher();
+            h.write_u64(lane);
+            h.finish()
+        };
+        FingerprintMemo {
+            seeds: [seed(LANE0), seed(LANE1)],
+            map: Mutex::new(HashMap::new()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            resets: AtomicU64::new(0),
+        }
+    }
+
+    /// The seeded content key of the labelled graph `g` (see the type
+    /// docs). Equal labelled graphs always share a key within one memo.
+    fn content_key(&self, g: &CompGraph) -> u128 {
+        let (ptr, idx) = g.children_csr();
+        let [mut a, mut b] = self.seeds;
+        let mut eat = |w: u64| {
+            a = mix(a ^ w);
+            b = mix(b ^ w.rotate_left(29));
+        };
+        // The counts fix every section's length, so the word stream
+        // parses one way only.
+        eat(g.n() as u64);
+        eat(idx.len() as u64);
+        for &op in g.ops() {
+            eat(op_tag(op));
+        }
+        for &p in &ptr[1..] {
+            eat(p as u64);
+        }
+        for pair in idx.chunks(2) {
+            eat(pair[0] as u64 | (pair.get(1).copied().unwrap_or(0) as u64) << 32);
+        }
+        ((a as u128) << 64) | b as u128
+    }
+
+    /// The fingerprint of `g`: memoized under its content key, refined
+    /// (and memoized) on a miss.
+    pub fn fingerprint(&self, g: &CompGraph) -> Fingerprint {
+        let key = self.content_key(g);
+        if let Some(&fp) = self.map.lock().expect("fingerprint memo lock").get(&key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return fp;
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        // Refine outside the lock: concurrent misses on one graph may
+        // both refine, and agree.
+        let fp = fingerprint(g);
+        let mut map = self.map.lock().expect("fingerprint memo lock");
+        if map.len() >= FINGERPRINT_MEMO_CAPACITY && !map.contains_key(&key) {
+            map.clear();
+            self.resets.fetch_add(1, Ordering::Relaxed);
+        }
+        map.insert(key, fp);
+        fp
+    }
+
+    /// Point-in-time counters.
+    pub fn stats(&self) -> FingerprintMemoStats {
+        FingerprintMemoStats {
+            entries: self.map.lock().expect("fingerprint memo lock").len(),
+            capacity: FINGERPRINT_MEMO_CAPACITY,
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            resets: self.resets.load(Ordering::Relaxed),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,11 +441,70 @@ mod tests {
     }
 
     #[test]
+    fn memo_agrees_with_refinement_and_skips_it_on_repeats() {
+        let memo = FingerprintMemo::new();
+        let g = naive_matmul(3);
+        assert_eq!(memo.fingerprint(&g), fingerprint(&g));
+        assert_eq!(memo.fingerprint(&g.clone()), fingerprint(&g));
+        let s = memo.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1), "{s:?}");
+    }
+
+    #[test]
+    fn memo_keys_the_labelling_but_resolves_isomorphic_graphs_alike() {
+        let memo = FingerprintMemo::new();
+        let g = naive_matmul(3);
+        let rev: Vec<u32> = (0..g.n() as u32).rev().collect();
+        let relabelled = relabel(&g, &rev);
+        assert_ne!(memo.content_key(&g), memo.content_key(&relabelled));
+        assert_eq!(memo.fingerprint(&g), memo.fingerprint(&relabelled));
+        assert_eq!(memo.stats().misses, 2, "a new labelling refines once");
+
+        // One edge more: a memo miss with its own fingerprint.
+        let mut el = g.to_edge_list();
+        let (u, v) = el.edges[0];
+        el.edges.push((u, v));
+        let denser = CompGraph::try_from(el).unwrap();
+        assert_ne!(memo.content_key(&g), memo.content_key(&denser));
+        assert_eq!(memo.fingerprint(&denser), fingerprint(&denser));
+        assert_ne!(memo.fingerprint(&denser), fingerprint(&g));
+        let s = memo.stats();
+        assert_eq!((s.hits, s.misses), (1, 3), "{s:?}");
+    }
+
+    #[test]
+    fn memo_keys_are_seeded_per_memo() {
+        let g = fft_butterfly(3);
+        let (a, b) = (FingerprintMemo::new(), FingerprintMemo::new());
+        assert_eq!(a.content_key(&g), a.content_key(&g));
+        assert_ne!(a.content_key(&g), b.content_key(&g), "keys are seeded");
+    }
+
+    #[test]
+    fn memo_stays_within_capacity() {
+        let memo = FingerprintMemo::new();
+        let graphs = 10 * FINGERPRINT_MEMO_CAPACITY;
+        for tag in 0..graphs as u32 {
+            let mut b = GraphBuilder::new();
+            let x = b.add_vertex(OpKind::Input);
+            let y = b.add_vertex(OpKind::Custom(tag));
+            b.add_edge(x, y);
+            memo.fingerprint(&b.build().unwrap());
+            assert!(memo.stats().entries <= FINGERPRINT_MEMO_CAPACITY);
+        }
+        let s = memo.stats();
+        assert_eq!(s.misses, graphs as u64);
+        assert_eq!(s.resets, 9, "{s:?}");
+        assert_eq!(s.entries, FINGERPRINT_MEMO_CAPACITY);
+    }
+
+    #[test]
     fn empty_graph_is_fingerprintable() {
         let g = GraphBuilder::new().build().unwrap();
         assert_eq!(
             fingerprint(&g),
             fingerprint(&GraphBuilder::new().build().unwrap())
         );
+        assert_eq!(FingerprintMemo::new().fingerprint(&g), fingerprint(&g));
     }
 }

@@ -18,7 +18,8 @@
 //! * [`dot`] — Graphviz export.
 //! * [`json`] — the JSON edge-list interchange format used by the CLI.
 //! * [`fingerprint`] — relabeling-invariant structural hashes, the cache
-//!   key of the analysis service.
+//!   key of the analysis service, and [`FingerprintMemo`], their bounded
+//!   per-labelling memo.
 
 pub mod dag;
 pub mod decompose;
@@ -32,6 +33,8 @@ pub mod trace;
 
 pub use dag::{CompGraph, EdgeListGraph, GraphBuilder, GraphError};
 pub use decompose::{decompose, induced_subgraph, DecomposeOptions, Decomposition};
-pub use fingerprint::{fingerprint, Fingerprint};
+pub use fingerprint::{
+    fingerprint, Fingerprint, FingerprintMemo, FingerprintMemoStats, FINGERPRINT_MEMO_CAPACITY,
+};
 pub use ops::OpKind;
 pub use trace::{Tracer, Tv};

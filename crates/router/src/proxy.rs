@@ -52,7 +52,7 @@ use crate::batch::{batch_body, gather, remap_blame, split, split_bodies, Group};
 use crate::ring::Ring;
 use crate::upstream::Upstream;
 use graphio_graph::json::JsonValue;
-use graphio_graph::{fingerprint, DecomposeOptions, Fingerprint};
+use graphio_graph::{fingerprint, DecomposeOptions, Fingerprint, FingerprintMemo};
 use graphio_obs::recorder;
 use graphio_service::analysis::{
     component_from_doc, compose_doc, parse_graph_doc, parse_request_json, parse_spec,
@@ -65,7 +65,10 @@ use graphio_service::http::{
     MAX_REQUESTS_PER_CONNECTION, READ_TIMEOUT,
 };
 use graphio_service::pool::{SubmitError, WorkerPool};
-use graphio_service::{parse_traces_query, traced_request, SlowLog, SlowLogConfig};
+use graphio_service::{
+    fingerprint_memo_doc, parse_traces_query, render_fingerprint_memo, traced_request, SlowLog,
+    SlowLogConfig,
+};
 use graphio_spectral::{ComponentAnalysis, ComposePlan};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -122,6 +125,9 @@ impl RouterConfig {
 pub(crate) struct RouterState {
     pub(crate) ring: Ring,
     pub(crate) upstreams: Vec<Upstream>,
+    /// Labelled graph → fingerprint for routing inline graphs, so a
+    /// repeated graph skips Weisfeiler–Leman refinement here too.
+    pub(crate) fp_memo: FingerprintMemo,
     pub(crate) requests: AtomicU64,
     pub(crate) analyze_ok: AtomicU64,
     pub(crate) batch_ok: AtomicU64,
@@ -246,6 +252,7 @@ pub fn serve_router(config: &RouterConfig) -> io::Result<RouterServer> {
     let state = Arc::new(RouterState {
         ring,
         upstreams,
+        fp_memo: FingerprintMemo::new(),
         requests: AtomicU64::new(0),
         analyze_ok: AtomicU64::new(0),
         batch_ok: AtomicU64::new(0),
@@ -486,13 +493,14 @@ fn fallback_fp(body: &[u8]) -> Fingerprint {
 /// The routing key of an analyze/graphs body, when it can be extracted.
 /// Field precedence mirrors the server's `parse_analyze` exactly —
 /// `"graph"` wins over `"fingerprint"` — so a body carrying both routes
-/// to the backend that will actually cache the analysis.
-fn route_key(doc: &JsonValue, is_analyze: bool) -> Option<Fingerprint> {
+/// to the backend that will actually cache the analysis. Inline graphs
+/// are fingerprinted through `memo`.
+fn route_key(doc: &JsonValue, is_analyze: bool, memo: &FingerprintMemo) -> Option<Fingerprint> {
     if is_analyze && doc.get("graph").is_none() {
         let hex = doc.get("fingerprint").and_then(JsonValue::as_str)?;
         return Fingerprint::from_hex(hex);
     }
-    parse_graph_doc(doc).ok().map(|g| fingerprint(&g))
+    parse_graph_doc(doc).ok().map(|g| memo.fingerprint(&g))
 }
 
 /// Relays an upstream response to the client, preserving the
@@ -549,7 +557,7 @@ fn handle_passthrough(
     }
     let fp = parsed
         .as_ref()
-        .and_then(|doc| route_key(doc, is_analyze))
+        .and_then(|doc| route_key(doc, is_analyze, &state.fp_memo))
         .unwrap_or_else(|| fallback_fp(&request.body));
     let trace = graphio_obs::current_trace_id();
     match state.forward_with_failover(fp, "POST", &request.path, Some(text), trace) {
@@ -1228,6 +1236,7 @@ fn handle_metrics(stream: &mut TcpStream, state: &Arc<RouterState>, keep: bool) 
         &[],
         state.errors.load(Ordering::Relaxed),
     );
+    render_fingerprint_memo(&mut m, &state.fp_memo.stats());
     let healthy = state.upstreams.iter().filter(|u| u.is_healthy()).count();
     m.gauge("graphio_router_backends", &[], state.upstreams.len() as f64);
     m.gauge("graphio_router_backends_healthy", &[], healthy as f64);
@@ -1393,6 +1402,10 @@ fn handle_stats(stream: &mut TcpStream, state: &Arc<RouterState>, keep: bool) {
                 ("ejections".to_string(), num(ejections)),
                 ("ring_rebalances".to_string(), num(rebalances)),
                 (
+                    "fingerprint_memo".to_string(),
+                    fingerprint_memo_doc(&state.fp_memo.stats()),
+                ),
+                (
                     "replicas".to_string(),
                     JsonValue::Number(state.ring.replicas() as f64),
                 ),
@@ -1432,14 +1445,21 @@ mod tests {
             g.to_edge_list().to_json()
         );
         let doc = graphio_graph::json::parse(&body).unwrap();
-        assert_eq!(route_key(&doc, true), Some(fingerprint(&g)));
+        let memo = FingerprintMemo::new();
+        assert_eq!(route_key(&doc, true, &memo), Some(fingerprint(&g)));
+        assert_eq!(route_key(&doc, true, &memo), Some(fingerprint(&g)));
+        assert_eq!(
+            memo.stats().hits,
+            1,
+            "a repeated graph routes from the memo"
+        );
         // Without a graph, the fingerprint field routes.
         let fp_only = format!(
             "{{\"fingerprint\":\"{}\",\"memories\":[2]}}",
             fingerprint(&other).to_hex()
         );
         let doc = graphio_graph::json::parse(&fp_only).unwrap();
-        assert_eq!(route_key(&doc, true), Some(fingerprint(&other)));
+        assert_eq!(route_key(&doc, true, &memo), Some(fingerprint(&other)));
     }
 
     #[test]

@@ -17,6 +17,18 @@
 //! analysis *requires* — i.e. the eigensolves a cold session performs —
 //! rather than a live counter, precisely so a warm server cache cannot
 //! change the bytes.
+//!
+//! Every figure in a monolithic row is a fixed property of the graph and
+//! the memory size, and the session memoizes all of them: the spectra
+//! behind `thm4`/`thm5`/`thm6`, the min-cut sweep behind `mincut`, and
+//! the `sim_upper` simulation per memory. A warm [`analysis_doc`] is
+//! therefore bound arithmetic plus serialization — no eigensolve, no
+//! min-cut sweep, no simulation. Compose-mode documents still simulate
+//! inline.
+//!
+//! In debug builds [`analyze_rows`] checks the served-row invariant on
+//! the certified tiers (`dense`/`lanczos`): every lower bound in a row is
+//! at most that row's simulated upper bound.
 
 use graphio_baselines::convex_mincut::ConvexMinCutOptions;
 use graphio_graph::json::JsonValue;
@@ -230,20 +242,47 @@ pub struct AnalyzeRow {
     pub sim_upper: Option<u64>,
 }
 
+impl AnalyzeRow {
+    /// The row's lower bounds that its `sim_upper` falls below, by name —
+    /// empty for every row on the certified tiers (a bound is ≤ the I/O of
+    /// any schedule, the simulated ones included). Rows without a
+    /// simulation have nothing to violate.
+    pub fn bounds_above_sim(&self) -> Vec<&'static str> {
+        let Some(sim) = self.sim_upper else {
+            return Vec::new();
+        };
+        let sim = sim as f64;
+        [
+            ("thm4", self.thm4.map(|(b, _)| b)),
+            ("thm5", self.thm5),
+            ("thm6", self.thm6),
+            ("mincut", Some(self.mincut as f64)),
+        ]
+        .into_iter()
+        .filter(|&(_, bound)| bound.is_some_and(|b| b > sim))
+        .map(|(name, _)| name)
+        .collect()
+    }
+}
+
 /// Runs the sweep against `analyzer` (cold or cached — same bits either
-/// way) and returns the per-memory rows.
+/// way) and returns the per-memory rows. Simulated upper bounds come from
+/// the session's per-memory memo, so only memories the session has never
+/// simulated cost a simulation.
 pub fn analyze_rows(analyzer: &OwnedAnalyzer, spec: &AnalyzeSpec) -> Vec<AnalyzeRow> {
-    let g = analyzer.graph();
-    let opts = BoundOptions::for_graph_size(g.n());
-    let mc_opts = ConvexMinCutOptions::for_graph_size(g.n());
-    let order = if spec.no_sim {
-        Vec::new()
+    let n = analyzer.graph().n();
+    let opts = BoundOptions::for_graph_size(n);
+    let mc_opts = ConvexMinCutOptions::for_graph_size(n);
+    let sims = if spec.no_sim {
+        vec![None; spec.memories.len()]
     } else {
-        natural_order(g)
+        analyzer.sim_uppers(&spec.memories)
     };
-    spec.memories
+    let rows: Vec<AnalyzeRow> = spec
+        .memories
         .iter()
-        .map(|&m| {
+        .zip(sims)
+        .map(|(&m, sim_upper)| {
             let thm4 = analyzer.bound(m, &opts).ok().map(|b| (b.bound, b.best_k));
             let thm5 = analyzer.bound_original(m, &opts).ok().map(|b| b.bound);
             let thm6 = (spec.processors > 1)
@@ -251,15 +290,6 @@ pub fn analyze_rows(analyzer: &OwnedAnalyzer, spec: &AnalyzeSpec) -> Vec<Analyze
                 .flatten()
                 .map(|b| b.bound);
             let mincut = analyzer.min_cut_bound(m, &mc_opts);
-            let sim_upper = (!spec.no_sim)
-                .then(|| {
-                    let _span = graphio_obs::span!("simulate");
-                    [Policy::Lru, Policy::Belady]
-                        .iter()
-                        .filter_map(|&p| simulate(g, &order, m, p, 0).ok().map(|r| r.io()))
-                        .min()
-                })
-                .flatten();
             AnalyzeRow {
                 memory: m,
                 thm4,
@@ -269,7 +299,24 @@ pub fn analyze_rows(analyzer: &OwnedAnalyzer, spec: &AnalyzeSpec) -> Vec<Analyze
                 sim_upper,
             }
         })
-        .collect()
+        .collect();
+    if cfg!(debug_assertions) && is_certified(n) {
+        for row in &rows {
+            let broken = row.bounds_above_sim();
+            debug_assert!(
+                broken.is_empty(),
+                "served lower bounds {broken:?} exceed sim_upper in {row:?} (n = {n})"
+            );
+        }
+    }
+    rows
+}
+
+/// Whether an `n`-vertex monolithic analysis runs on a certified
+/// eigensolver tier (`dense` or `lanczos`), whose bounds are proven lower
+/// bounds; the `ritz_sweep` tier serves estimates.
+pub fn is_certified(n: usize) -> bool {
+    resolved_method_name(n) != "ritz_sweep"
 }
 
 /// Number of distinct Laplacian spectra the analysis requires — the
@@ -670,6 +717,26 @@ mod tests {
         assert_eq!(first, again);
         assert_eq!(first, cold);
         assert!(first.ends_with('\n'));
+    }
+
+    #[test]
+    fn overlapping_sweeps_simulate_each_memory_once() {
+        let g = fft_butterfly(4);
+        let warm = OwnedAnalyzer::from_graph(g.clone());
+        for memories in [vec![4, 8], vec![8, 16]] {
+            let spec = AnalyzeSpec::sweep(memories);
+            let cold = analysis_body(&OwnedAnalyzer::from_graph(g.clone()), &spec);
+            assert_eq!(analysis_body(&warm, &spec), cold);
+        }
+        let stats = warm.stats();
+        assert_eq!((stats.sim_misses, stats.sim_hits), (3, 1), "{stats:?}");
+        // `no_sim` leaves the memo alone.
+        let spec = AnalyzeSpec {
+            no_sim: true,
+            ..AnalyzeSpec::sweep(vec![32])
+        };
+        analysis_body(&warm, &spec);
+        assert_eq!(warm.stats().sim_misses, 3);
     }
 
     #[test]

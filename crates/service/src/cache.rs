@@ -271,6 +271,8 @@ impl SessionCache {
                 engine.spectrum_hits += s.spectrum_hits;
                 engine.mincut_misses += s.mincut_misses;
                 engine.mincut_hits += s.mincut_hits;
+                engine.sim_misses += s.sim_misses;
+                engine.sim_hits += s.sim_hits;
             }
             bytes += this_shard;
             shard_bytes.push(this_shard);

@@ -58,7 +58,7 @@ pub use client::{Client, ClientError, Response};
 pub use loadgen::{LoadgenConfig, LoadgenReport};
 pub use pool::{PoolSnapshot, SubmitError, WorkerPool};
 pub use server::{
-    endpoint_label, parse_traces_query, process_stats_doc, push_obs_headers, serve,
-    trace_record_json, traced_request, PersistenceConfig, Server, ServiceConfig, SlowLog,
-    SlowLogConfig, SlowLogTarget, MAX_BATCH_GRAPHS, REQUEST_FAMILY,
+    endpoint_label, fingerprint_memo_doc, parse_traces_query, process_stats_doc, push_obs_headers,
+    render_fingerprint_memo, serve, trace_record_json, traced_request, PersistenceConfig, Server,
+    ServiceConfig, SlowLog, SlowLogConfig, SlowLogTarget, MAX_BATCH_GRAPHS, REQUEST_FAMILY,
 };

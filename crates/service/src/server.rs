@@ -80,7 +80,7 @@ use crate::http::{
 };
 use crate::pool::{SubmitError, WorkerPool};
 use graphio_graph::json::JsonValue;
-use graphio_graph::{fingerprint, CompGraph, Fingerprint};
+use graphio_graph::{CompGraph, Fingerprint, FingerprintMemo, FingerprintMemoStats};
 use graphio_linalg::stats::{
     dense_eigensolve_count, scalar_fallback_count, scale_tier_solve_count, simd_kernel_call_count,
     sparse_matvec_count,
@@ -307,14 +307,17 @@ impl Default for ServiceConfig {
 /// Shared server state: the session cache plus request counters.
 pub(crate) struct ServiceState {
     pub(crate) cache: SessionCache,
+    /// Labelled graph → fingerprint, so a repeated inline graph skips
+    /// Weisfeiler–Leman refinement.
+    pub(crate) fp_memo: FingerprintMemo,
     /// The persistent second cache tier, if configured.
     pub(crate) store: Option<Arc<Store>>,
     /// Per-fingerprint mark of the session state last persisted (the
-    /// session's cumulative `spectrum_misses + mincut_misses` — exactly
-    /// the count of artifacts computed locally). A hot session serving
-    /// pure cache hits matches its mark, so steady-state requests skip
-    /// the whole encode-then-discover-identical path, not just the disk
-    /// append.
+    /// session's cumulative `spectrum_misses + mincut_misses +
+    /// compose_plans + sim_misses` — exactly the count of artifacts
+    /// computed locally). A hot session serving pure cache hits matches
+    /// its mark, so steady-state requests skip the whole
+    /// encode-then-discover-identical path, not just the disk append.
     pub(crate) persist_marks: std::sync::Mutex<std::collections::HashMap<u128, u64>>,
     /// Connections accepted. With keep-alive, `requests > connections` is
     /// the server-side evidence that connection reuse is happening — the
@@ -395,6 +398,7 @@ pub fn serve(config: &ServiceConfig) -> io::Result<Server> {
         .map(Arc::new);
     let state = Arc::new(ServiceState {
         cache: SessionCache::new(&config.cache),
+        fp_memo: FingerprintMemo::new(),
         store,
         persist_marks: std::sync::Mutex::new(std::collections::HashMap::new()),
         connections: AtomicU64::new(0),
@@ -941,7 +945,13 @@ fn handle_stats(stream: &mut TcpStream, state: &Arc<ServiceState>, keep: bool) {
                 ("spectrum_hits".to_string(), num(cache.engine.spectrum_hits)),
                 ("mincut_misses".to_string(), num(cache.engine.mincut_misses)),
                 ("mincut_hits".to_string(), num(cache.engine.mincut_hits)),
+                ("sim_misses".to_string(), num(cache.engine.sim_misses)),
+                ("sim_hits".to_string(), num(cache.engine.sim_hits)),
             ]),
+        ),
+        (
+            "fingerprint_memo".to_string(),
+            fingerprint_memo_doc(&state.fp_memo.stats()),
         ),
         (
             "linalg".to_string(),
@@ -965,6 +975,19 @@ fn handle_stats(stream: &mut TcpStream, state: &Arc<ServiceState>, keep: bool) {
         ("process".to_string(), process_stats_doc()),
     ]);
     respond_json(stream, 200, keep, &[], &doc);
+}
+
+/// The `"fingerprint_memo"` sub-document of `GET /stats` — shared with
+/// the cluster router, which keeps its own memo for routing.
+pub fn fingerprint_memo_doc(s: &FingerprintMemoStats) -> JsonValue {
+    let num = |v: u64| JsonValue::Number(v as f64);
+    JsonValue::Object(vec![
+        ("entries".to_string(), num(s.entries as u64)),
+        ("capacity".to_string(), num(s.capacity as u64)),
+        ("hits".to_string(), num(s.hits)),
+        ("misses".to_string(), num(s.misses)),
+        ("resets".to_string(), num(s.resets)),
+    ])
 }
 
 /// The `"process"` sub-document of `GET /stats`, read live from `/proc`:
@@ -1073,6 +1096,13 @@ fn handle_metrics(stream: &mut TcpStream, state: &Arc<ServiceState>, keep: bool)
         &[],
         cache.engine.mincut_misses,
     );
+    m.counter("graphio_engine_sim_hits_total", &[], cache.engine.sim_hits);
+    m.counter(
+        "graphio_engine_sim_misses_total",
+        &[],
+        cache.engine.sim_misses,
+    );
+    render_fingerprint_memo(&mut m, &state.fp_memo.stats());
 
     m.counter(
         "graphio_linalg_dense_eigensolves_total",
@@ -1116,6 +1146,16 @@ fn handle_metrics(stream: &mut TcpStream, state: &Arc<ServiceState>, keep: bool)
         &extra,
         body.as_bytes(),
     );
+}
+
+/// The fingerprint memo's `/metrics` families — shared with the cluster
+/// router.
+pub fn render_fingerprint_memo(m: &mut graphio_obs::MetricsText, s: &FingerprintMemoStats) {
+    m.gauge("graphio_fingerprint_memo_entries", &[], s.entries as f64);
+    m.gauge("graphio_fingerprint_memo_capacity", &[], s.capacity as f64);
+    m.counter("graphio_fingerprint_memo_hits_total", &[], s.hits);
+    m.counter("graphio_fingerprint_memo_misses_total", &[], s.misses);
+    m.counter("graphio_fingerprint_memo_resets_total", &[], s.resets);
 }
 
 /// Writes a response whose JSON body is already serialized (the trace
@@ -1281,8 +1321,9 @@ fn write_through(state: &Arc<ServiceState>, fp: Fingerprint, analyzer: &OwnedAna
     let s = analyzer.stats();
     // compose_plans counts built (not imported/replayed) plans, so a cold
     // compose moves the mark — and with it the save — even when every
-    // component spectrum was already warm.
-    let mark = s.spectrum_misses + s.mincut_misses + s.compose_plans;
+    // component spectrum was already warm. sim_misses does the same for a
+    // newly simulated memory size: it is saved once, not on every hit.
+    let mark = s.spectrum_misses + s.mincut_misses + s.compose_plans + s.sim_misses;
     {
         let marks = state.persist_marks.lock().expect("persist marks lock");
         // The mark alone is not enough: the store's byte budget may have
@@ -1379,19 +1420,33 @@ fn annotate_session(fp: Fingerprint, source: SessionSource) {
     });
 }
 
+/// The cached session for `fp`: RAM first, then the persistent store
+/// (the warm-restart path), under one `session_lookup` span.
+fn cached_session(
+    state: &Arc<ServiceState>,
+    fp: Fingerprint,
+) -> Option<(Arc<OwnedAnalyzer>, SessionSource)> {
+    let _span = graphio_obs::span!("session_lookup");
+    if let Some(analyzer) = state.cache.get(fp) {
+        return Some((analyzer, SessionSource::Ram));
+    }
+    session_from_store(state, fp).map(|analyzer| (analyzer, SessionSource::Disk))
+}
+
 /// Resolves the session for a request that carried a full graph:
-/// RAM → disk → fresh. Exactly one hit-or-miss counter moves (in
-/// [`SessionCache::get`]); the back-fill inserts are counter-silent.
+/// fingerprint (memoized per labelled graph), then RAM → disk → fresh.
+/// Exactly one hit-or-miss counter moves (in [`SessionCache::get`]); the
+/// back-fill inserts are counter-silent.
 fn session_for_graph(
     state: &Arc<ServiceState>,
     graph: CompGraph,
 ) -> (Arc<OwnedAnalyzer>, Fingerprint, SessionSource) {
-    let fp = fingerprint(&graph);
-    if let Some(analyzer) = state.cache.get(fp) {
-        return (analyzer, fp, SessionSource::Ram);
-    }
-    if let Some(analyzer) = session_from_store(state, fp) {
-        return (analyzer, fp, SessionSource::Disk);
+    let fp = {
+        let _span = graphio_obs::span!("fingerprint");
+        state.fp_memo.fingerprint(&graph)
+    };
+    if let Some((analyzer, source)) = cached_session(state, fp) {
+        return (analyzer, fp, source);
     }
     let (analyzer, raced) = state
         .cache
@@ -1416,11 +1471,8 @@ fn lookup_session(
 ) -> Result<(Arc<OwnedAnalyzer>, Fingerprint, SessionSource), (u16, String)> {
     let fp = Fingerprint::from_hex(hex)
         .ok_or_else(|| (400, format!("malformed fingerprint {hex:?}")))?;
-    if let Some(analyzer) = state.cache.get(fp) {
-        return Ok((analyzer, fp, SessionSource::Ram));
-    }
-    if let Some(analyzer) = session_from_store(state, fp) {
-        return Ok((analyzer, fp, SessionSource::Disk));
+    if let Some((analyzer, source)) = cached_session(state, fp) {
+        return Ok((analyzer, fp, source));
     }
     Err((
         404,

@@ -322,6 +322,35 @@ fn trace_endpoints_serve_recorded_requests() {
     server.shutdown();
 }
 
+/// A traced cache hit names the phases between `parse` and the body:
+/// `fingerprint` (memo lookup, refinement on a miss) and
+/// `session_lookup` (RAM, then store) — and no `simulate`, because a hit
+/// replays the session's memoized simulations.
+#[test]
+fn traced_hits_name_fingerprint_and_session_lookup() {
+    let server = test_server();
+    let g = fft_butterfly(4);
+    let body = format!("{{\"graph\":{},\"memories\":[2,4]}}", graph_json(&g));
+    let r = client::request("POST", &server.url(), "/analyze", Some(&body)).unwrap();
+    assert_eq!(r.status, 200);
+    let trace = "1f2e3d4c5b6a79880796a5b4c3d2e1f0";
+    let (status, record) = send_until_recorded(&server, "POST", "/analyze", &body, trace);
+    assert_eq!(status, 200);
+    let doc = parse(&record).expect("trace record is valid JSON");
+    let names: Vec<&str> = doc
+        .get("spans")
+        .and_then(JsonValue::as_array)
+        .expect("spans array")
+        .iter()
+        .filter_map(|s| s.get("name").and_then(JsonValue::as_str))
+        .collect();
+    for phase in ["fingerprint", "session_lookup"] {
+        assert!(names.contains(&phase), "{phase} missing from {names:?}");
+    }
+    assert!(!names.contains(&"simulate"), "a hit simulated: {names:?}");
+    server.shutdown();
+}
+
 /// Acceptance bar: recording must never perturb responses. The body a
 /// server with the flight recorder attached (every `serve()` attaches
 /// it) returns for `POST /analyze` is byte-identical to the analysis

@@ -222,6 +222,87 @@ fn sessions_amortize_eigensolves_across_requests_and_relabelings() {
     assert!(stats.engine.spectrum_hits >= 2 * 5);
 }
 
+/// `/stats` → (`engine.sim_misses`, `engine.sim_hits`,
+/// `fingerprint_memo.misses`, `fingerprint_memo.hits`).
+fn memo_counters(url: &str) -> (f64, f64, f64, f64) {
+    let r = client::request("GET", url, "/stats", None).unwrap();
+    let doc = parse(&r.body).unwrap();
+    let field = |section: &str, key: &str| {
+        doc.get(section)
+            .and_then(|s| s.get(key))
+            .and_then(JsonValue::as_f64)
+            .unwrap()
+    };
+    (
+        field("engine", "sim_misses"),
+        field("engine", "sim_hits"),
+        field("fingerprint_memo", "misses"),
+        field("fingerprint_memo", "hits"),
+    )
+}
+
+/// A warm `/analyze` hit does no simulation and no Weisfeiler–Leman
+/// refinement; overlapping sweeps simulate only the new memories; and
+/// the bytes stay the cold session's throughout.
+#[test]
+fn warm_hits_run_no_simulation_and_no_refinement() {
+    let server = test_server(2, 16);
+    let url = server.url();
+    let g = fft_butterfly(4);
+    let json = graph_json(&g);
+    let r = client::analyze(&url, &json, &[4, 8], 1, false).unwrap();
+    assert_eq!(r.body, offline_body(&g, &[4, 8]));
+    assert_eq!(memo_counters(&url), (2.0, 0.0, 1.0, 0.0));
+    let r = client::analyze(&url, &json, &[4, 8], 1, false).unwrap();
+    assert_eq!(r.header("x-graphio-session"), Some("hit"));
+    assert_eq!(r.body, offline_body(&g, &[4, 8]));
+    assert_eq!(
+        memo_counters(&url),
+        (2.0, 2.0, 1.0, 1.0),
+        "a warm hit neither simulates nor refines"
+    );
+    let r = client::analyze(&url, &json, &[8, 16], 1, false).unwrap();
+    assert_eq!(r.body, offline_body(&g, &[8, 16]));
+    assert_eq!(memo_counters(&url).0, 3.0, "only M = 16 is new");
+    server.shutdown();
+}
+
+/// The fingerprint memo is keyed by the labelled graph: a relabelled
+/// isomorphic copy misses the memo but refines to the same fingerprint
+/// and hits the same session; a graph one edge away misses the memo and
+/// gets its own fingerprint and session.
+#[test]
+fn fingerprint_memo_resolves_relabellings_and_near_misses() {
+    let server = test_server(2, 16);
+    let url = server.url();
+    let g = naive_matmul(3);
+    let r = client::analyze(&url, &graph_json(&g), &[4], 1, true).unwrap();
+    let fp = r.header("x-graphio-fingerprint").unwrap().to_string();
+    assert_eq!(fp, fingerprint(&g).to_hex());
+
+    let mut relabelled = g.to_edge_list();
+    let n = relabelled.ops.len() as u32;
+    relabelled.ops.reverse();
+    for e in &mut relabelled.edges {
+        *e = (n - 1 - e.0, n - 1 - e.1);
+    }
+    let r = client::analyze(&url, &relabelled.to_json(), &[4], 1, true).unwrap();
+    assert_eq!(r.header("x-graphio-fingerprint"), Some(fp.as_str()));
+    assert_eq!(r.header("x-graphio-session"), Some("hit"));
+    assert_eq!(memo_counters(&url).2, 2.0, "a new labelling refines once");
+
+    let mut denser = g.to_edge_list();
+    let first = denser.edges[0];
+    denser.edges.push(first);
+    let r = client::analyze(&url, &denser.to_json(), &[4], 1, true).unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    assert_ne!(r.header("x-graphio-fingerprint"), Some(fp.as_str()));
+    assert_eq!(r.header("x-graphio-session"), Some("miss"));
+    assert_eq!(memo_counters(&url).2, 3.0);
+    assert_eq!(server.cache_stats().sessions, 2);
+    server.shutdown();
+}
+
 #[test]
 fn register_then_analyze_by_fingerprint() {
     let server = test_server(2, 32);

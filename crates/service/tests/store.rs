@@ -214,3 +214,92 @@ fn torn_store_tail_degrades_to_recompute() {
     server.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// `/stats` → (`engine.sim_misses`, `store.puts`).
+fn sims_and_puts(server: &Server) -> (f64, f64) {
+    let r = client::request("GET", &server.url(), "/stats", None).unwrap();
+    let doc = parse(&r.body).unwrap();
+    let field = |section: &str, key: &str| {
+        doc.get(section)
+            .and_then(|s| s.get(key))
+            .and_then(JsonValue::as_f64)
+            .unwrap()
+    };
+    (field("engine", "sim_misses"), field("store", "puts"))
+}
+
+/// Simulated upper bounds persist with the session (codec v3): a session
+/// restored from the store serves `/analyze` with zero simulations and
+/// the offline bytes, and a newly simulated memory is written through
+/// once, not on every later hit.
+#[test]
+fn restored_sessions_serve_without_simulating() {
+    let dir = tmp_dir("sims_v3");
+    let g = bhk_hypercube(4);
+    {
+        let server = store_server(&dir);
+        let r = client::analyze(&server.url(), &graph_json(&g), &[4, 8], 1, false).unwrap();
+        assert_eq!(r.status, 200, "{}", r.body);
+        assert_eq!(sims_and_puts(&server), (2.0, 1.0));
+        // Pure hits move neither the simulation count nor the store.
+        for _ in 0..3 {
+            client::analyze(&server.url(), &graph_json(&g), &[8, 4], 1, false).unwrap();
+        }
+        assert_eq!(sims_and_puts(&server), (2.0, 1.0));
+        // A new memory simulates once and is saved once.
+        client::analyze(&server.url(), &graph_json(&g), &[4, 16], 1, false).unwrap();
+        client::analyze(&server.url(), &graph_json(&g), &[4, 16], 1, false).unwrap();
+        assert_eq!(sims_and_puts(&server), (3.0, 2.0));
+    }
+    let server = store_server(&dir);
+    let r = client::analyze(&server.url(), &graph_json(&g), &[4, 8, 16], 1, false).unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    assert_eq!(r.header("x-graphio-session"), Some("store"));
+    assert_eq!(r.body, offline_body(&g, &[4, 8, 16]));
+    assert_eq!(
+        sims_and_puts(&server).0,
+        0.0,
+        "restored sims are not recomputed"
+    );
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A version-2 record (no simulated-bounds section) still restores: the
+/// response bytes are the offline bytes, its simulations are recomputed
+/// lazily, and the record is rewritten once in the current version.
+#[test]
+fn version_2_records_restore_and_recompute_simulations() {
+    use graphio_store::{decode_session, encode_session, Store, StoreConfig, SESSION_VERSION};
+    let dir = tmp_dir("sims_v2");
+    let g = fft_butterfly(4);
+    let fp = graphio_graph::fingerprint(&g);
+    {
+        let warm = OwnedAnalyzer::from_graph(g.clone());
+        analysis_body(&warm, &AnalyzeSpec::sweep(vec![4, 8]));
+        let mut export = warm.export();
+        export.sims.clear();
+        // A v3 document with no sims is the v2 document plus an empty
+        // trailing section (pinned by the codec's golden tests).
+        let mut doc = encode_session(&g, &export);
+        doc[0] = 2;
+        doc.truncate(doc.len() - 4);
+        assert!(decode_session(&doc).unwrap().export.sims.is_empty());
+        let store = Store::open(&dir, StoreConfig::default()).unwrap();
+        store.put(fp, &doc).unwrap();
+    }
+    {
+        let server = store_server(&dir);
+        let r = client::analyze(&server.url(), &graph_json(&g), &[4, 8], 1, false).unwrap();
+        assert_eq!(r.status, 200, "{}", r.body);
+        assert_eq!(r.header("x-graphio-session"), Some("store"));
+        assert_eq!(r.body, offline_body(&g, &[4, 8]));
+        assert_eq!(sims_and_puts(&server), (2.0, 1.0));
+    }
+    let store = Store::open(&dir, StoreConfig::default()).unwrap();
+    let doc = store.get(fp).unwrap().expect("record present");
+    assert_eq!(doc[0], SESSION_VERSION);
+    assert_eq!(decode_session(&doc).unwrap().export.sims.len(), 2);
+    drop(store);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -27,6 +27,9 @@
 //!   how many threads hit it (solver errors are not cached and retry),
 //! * the maximum wavefront cut of the convex min-cut baseline (also
 //!   `M`-independent) is cached the same way keyed by its sweep strategy,
+//! * the simulated upper bound — the better of LRU and Bélády over the
+//!   graph's natural topological order — is cached the same way keyed by
+//!   the memory size `M`, so a warm request re-simulates nothing,
 //!
 //! and every downstream consumer — Theorem 4/5/6 bounds across arbitrary
 //! memory sweeps, closed-form comparisons, the CLI's `analyze` command,
@@ -51,8 +54,10 @@ use crate::laplacian::{normalized_laplacian, unnormalized_laplacian};
 use graphio_baselines::convex_mincut::{
     convex_min_cut_bound, ConvexMinCutOptions, ConvexMinCutResult, VertexSweep,
 };
+use graphio_graph::topo::natural_order;
 use graphio_graph::{CompGraph, DecomposeOptions};
 use graphio_linalg::{CsrMatrix, LinalgError};
+use graphio_pebble::{simulate, Policy};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -193,9 +198,10 @@ impl CutKey {
 }
 
 /// A serializable snapshot of everything expensive a session has computed:
-/// the cached spectra (keyed by [`SpectrumKey`]) and min-cut sweep results
-/// (keyed by [`CutKey`]). The graph itself is *not* included — the caller
-/// owns it (and the persistence layer stores it alongside).
+/// the cached spectra (keyed by [`SpectrumKey`]), min-cut sweep results
+/// (keyed by [`CutKey`]) and simulated upper bounds (keyed by memory). The
+/// graph itself is *not* included — the caller owns it (and the
+/// persistence layer stores it alongside).
 ///
 /// Entries are sorted by key, so exporting an unchanged session always
 /// yields the same value (and, downstream, the same encoded bytes — which
@@ -204,7 +210,7 @@ impl CutKey {
 /// Produced by [`OwnedAnalyzer::export`]; consumed by
 /// [`OwnedAnalyzer::import`], which seeds a fresh session's caches so
 /// later bound requests are pure cache hits — zero eigensolves, zero
-/// min-cut sweeps.
+/// min-cut sweeps, zero simulations.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SessionExport {
     /// Cached spectra: the `h` smallest eigenvalues per key, ascending.
@@ -216,12 +222,18 @@ pub struct SessionExport {
     /// session; each component's spectra live in that component's own
     /// fingerprint-keyed store record.
     pub decompositions: Vec<DecompositionRecord>,
+    /// Cached simulated upper bounds per memory size, sorted by memory;
+    /// `None` where no policy could run at that memory.
+    pub sims: Vec<(usize, Option<u64>)>,
 }
 
 impl SessionExport {
     /// True when the snapshot carries no computed artifacts.
     pub fn is_empty(&self) -> bool {
-        self.spectra.is_empty() && self.cuts.is_empty() && self.decompositions.is_empty()
+        self.spectra.is_empty()
+            && self.cuts.is_empty()
+            && self.decompositions.is_empty()
+            && self.sims.is_empty()
     }
 }
 
@@ -239,6 +251,10 @@ pub struct EngineStats {
     /// Compose plans (decomposition + component fingerprinting) actually
     /// built; plans replayed from cache or seeded by import don't count.
     pub compose_plans: u64,
+    /// Simulated upper bounds actually computed (one per memory size).
+    pub sim_misses: u64,
+    /// Simulated upper bounds served from cache.
+    pub sim_hits: u64,
 }
 
 /// A single-flight cache slot: the outer map hands every caller the same
@@ -271,11 +287,15 @@ struct EngineCore {
     /// component fingerprint to a sub-session whose own spectra cache is
     /// keyed by `(kind, h, method)`.
     compose: SlotMap<usize, Arc<ComposePlan>>,
+    /// Simulated upper bounds keyed by memory size.
+    sims: SlotMap<usize, Option<u64>>,
     spectrum_hits: AtomicU64,
     spectrum_misses: AtomicU64,
     mincut_hits: AtomicU64,
     mincut_misses: AtomicU64,
     compose_plans: AtomicU64,
+    sim_hits: AtomicU64,
+    sim_misses: AtomicU64,
 }
 
 impl EngineCore {
@@ -285,11 +305,14 @@ impl EngineCore {
             spectra: Mutex::new(HashMap::new()),
             cuts: Mutex::new(HashMap::new()),
             compose: Mutex::new(HashMap::new()),
+            sims: Mutex::new(HashMap::new()),
             spectrum_hits: AtomicU64::new(0),
             spectrum_misses: AtomicU64::new(0),
             mincut_hits: AtomicU64::new(0),
             mincut_misses: AtomicU64::new(0),
             compose_plans: AtomicU64::new(0),
+            sim_hits: AtomicU64::new(0),
+            sim_misses: AtomicU64::new(0),
         }
     }
 
@@ -413,6 +436,42 @@ impl EngineCore {
         result
     }
 
+    /// The simulated upper bound at each of `memories`: the fewer I/Os of
+    /// LRU and Bélády over [`natural_order`], or `None` when neither
+    /// policy can run at that memory. Each memory is a single-flight slot
+    /// like a min-cut's, so concurrent first requests for one `M`
+    /// simulate once; the order is built once per call, on its first
+    /// miss.
+    fn sim_uppers(&self, g: &CompGraph, memories: &[usize]) -> Vec<Option<u64>> {
+        let mut order: Option<Vec<usize>> = None;
+        memories
+            .iter()
+            .map(|&m| {
+                let slot = Arc::clone(
+                    self.sims
+                        .lock()
+                        .expect("sims lock")
+                        .entry(m)
+                        .or_insert_with(Slot::new),
+                );
+                let mut value = slot.0.lock().expect("sim slot lock");
+                if let Some(hit) = *value {
+                    self.sim_hits.fetch_add(1, Ordering::Relaxed);
+                    return hit;
+                }
+                self.sim_misses.fetch_add(1, Ordering::Relaxed);
+                let _span = graphio_obs::span!("simulate");
+                let order = order.get_or_insert_with(|| natural_order(g));
+                let best = [Policy::Lru, Policy::Belady]
+                    .iter()
+                    .filter_map(|&p| simulate(g, order, m, p, 0).ok().map(|r| r.io()))
+                    .min();
+                *value = Some(best);
+                best
+            })
+            .collect()
+    }
+
     /// The cached compose plan for `opts.target`, built on first use with
     /// the same single-flight discipline as spectra: concurrent compose
     /// requests for one graph share one decomposition + fingerprint pass.
@@ -471,13 +530,23 @@ impl EngineCore {
                 })
                 .collect()
         };
+        let mut sims: Vec<(usize, Option<u64>)> = {
+            let map = self.sims.lock().expect("sims lock");
+            map.iter()
+                .filter_map(|(&m, slot)| {
+                    slot.0.try_lock().ok().and_then(|v| v.map(|best| (m, best)))
+                })
+                .collect()
+        };
         spectra.sort_by(|a, b| a.0.cmp(&b.0));
         cuts.sort_by(|a, b| a.0.cmp(&b.0));
         decompositions.sort_by_key(|d| d.target);
+        sims.sort_unstable_by_key(|&(m, _)| m);
         SessionExport {
             spectra,
             cuts,
             decompositions,
+            sims,
         }
     }
 
@@ -524,6 +593,19 @@ impl EngineCore {
                 *value = Some(Arc::new(ComposePlan::from_record(g, record)));
             }
         }
+        for &(m, best) in &snapshot.sims {
+            let slot = Arc::clone(
+                self.sims
+                    .lock()
+                    .expect("sims lock")
+                    .entry(m)
+                    .or_insert_with(Slot::new),
+            );
+            let mut value = slot.0.lock().expect("sim slot lock");
+            if value.is_none() {
+                *value = Some(best);
+            }
+        }
     }
 
     fn stats(&self) -> EngineStats {
@@ -533,10 +615,13 @@ impl EngineCore {
             mincut_misses: self.mincut_misses.load(Ordering::Relaxed),
             mincut_hits: self.mincut_hits.load(Ordering::Relaxed),
             compose_plans: self.compose_plans.load(Ordering::Relaxed),
+            sim_misses: self.sim_misses.load(Ordering::Relaxed),
+            sim_hits: self.sim_hits.load(Ordering::Relaxed),
         }
     }
 
-    /// Approximate heap bytes held by the caches (Laplacians + spectra).
+    /// Approximate heap bytes held by the caches (Laplacians, spectra,
+    /// compose plans and the simulation memo).
     fn approx_bytes(&self) -> usize {
         let lap_bytes: usize = self
             .laplacians
@@ -568,7 +653,10 @@ impl EngineCore {
                 })
                 .sum()
         };
-        lap_bytes + spec_bytes + compose_bytes
+        // Per memoized memory: the map entry, its `Arc<Slot>` and the
+        // slot's mutex — the same flat overhead a spectrum entry carries.
+        let sim_bytes = self.sims.lock().expect("sims lock").len() * 64;
+        lap_bytes + spec_bytes + compose_bytes + sim_bytes
     }
 }
 
@@ -818,6 +906,13 @@ impl OwnedAnalyzer {
         2 * self.min_cut(opts).max_cut.saturating_sub(memory as u64)
     }
 
+    /// The simulated upper bound at each of `memories` — the fewer I/Os
+    /// of LRU and Bélády over [`natural_order`], `None` where neither
+    /// policy fits in memory — simulated once per memory size and cached.
+    pub fn sim_uppers(&self, memories: &[usize]) -> Vec<Option<u64>> {
+        self.core.sim_uppers(&self.graph, memories)
+    }
+
     /// The compose plan (decomposition + per-component sub-sessions) for
     /// `opts.target`, built once per target and cached with single-flight
     /// de-duplication. Component sub-sessions are themselves cached
@@ -826,11 +921,11 @@ impl OwnedAnalyzer {
         self.core.compose_plan(&self.graph, opts)
     }
 
-    /// Snapshots every cached spectrum and min-cut result into a
-    /// serializable [`SessionExport`] (sorted by key; in-flight solves are
-    /// skipped). The persistence layer stores this next to the graph so a
-    /// future process can [`OwnedAnalyzer::import`] it instead of
-    /// re-solving.
+    /// Snapshots every cached spectrum, min-cut result and simulated upper
+    /// bound into a serializable [`SessionExport`] (sorted by key;
+    /// in-flight solves are skipped). The persistence layer stores this
+    /// next to the graph so a future process can [`OwnedAnalyzer::import`]
+    /// it instead of re-solving.
     pub fn export(&self) -> SessionExport {
         self.core.export()
     }
@@ -838,8 +933,8 @@ impl OwnedAnalyzer {
     /// Seeds this session's caches from a previously exported snapshot.
     /// Slots already computed locally are kept; hit/miss counters do not
     /// move. After importing a snapshot produced by an identical graph,
-    /// bound requests covered by the snapshot perform **zero** eigensolves
-    /// and **zero** min-cut sweeps.
+    /// bound requests covered by the snapshot perform **zero** eigensolves,
+    /// **zero** min-cut sweeps and **zero** simulations.
     ///
     /// The caller is responsible for pairing snapshots with the right
     /// graph (the store keys both by the same structural fingerprint);
@@ -854,7 +949,7 @@ impl OwnedAnalyzer {
     }
 
     /// Approximate heap footprint of the session: the graph plus every
-    /// cached Laplacian and spectrum. The service's session cache charges
+    /// cached Laplacian, spectrum, compose plan and simulated bound. The service's session cache charges
     /// this against its byte budget; it grows as caches fill, so the cache
     /// re-reads it on every touch.
     pub fn approx_bytes(&self) -> usize {
@@ -1019,9 +1114,15 @@ mod tests {
                 )
             })
             .collect();
+        let sims = warm.sim_uppers(&[8, 2, 4]);
         let snapshot = warm.export();
         assert_eq!(snapshot.spectra.len(), 2, "both Laplacian kinds cached");
         assert_eq!(snapshot.cuts.len(), 1);
+        assert_eq!(
+            snapshot.sims.iter().map(|&(m, _)| m).collect::<Vec<_>>(),
+            vec![2, 4, 8],
+            "sims export sorted by memory"
+        );
         assert!(!snapshot.is_empty());
         // A second export of the unchanged session is identical (the
         // determinism the store's skip-if-unchanged write-through needs).
@@ -1037,12 +1138,47 @@ mod tests {
             assert_eq!(b5.bound.to_bits(), r5.bound.to_bits());
             assert_eq!(*mc_bound, restored.min_cut_bound(m, &mc));
         }
+        assert_eq!(restored.sim_uppers(&[8, 2, 4]), sims);
         let stats = restored.stats();
         assert_eq!(
-            (stats.spectrum_misses, stats.mincut_misses),
-            (0, 0),
+            (stats.spectrum_misses, stats.mincut_misses, stats.sim_misses),
+            (0, 0, 0),
             "imported session must not recompute: {stats:?}"
         );
+    }
+
+    #[test]
+    fn sim_uppers_match_direct_simulation_and_are_memoized_per_memory() {
+        let g = fft_butterfly(4);
+        let an = OwnedAnalyzer::from_graph(g.clone());
+        let order = natural_order(&g);
+        let direct = |m: usize| {
+            [Policy::Lru, Policy::Belady]
+                .iter()
+                .filter_map(|&p| simulate(&g, &order, m, p, 0).ok().map(|r| r.io()))
+                .min()
+        };
+        // M = 1 fits no vertex with two parents: both policies fail.
+        assert_eq!(an.sim_uppers(&[1, 4, 8]), vec![None, direct(4), direct(8)]);
+        assert_eq!(an.sim_uppers(&[8, 16]), vec![direct(8), direct(16)]);
+        let stats = an.stats();
+        assert_eq!((stats.sim_misses, stats.sim_hits), (4, 1), "{stats:?}");
+        let bytes = an.approx_bytes();
+        an.sim_uppers(&[32]);
+        assert!(an.approx_bytes() > bytes, "the memo is charged");
+    }
+
+    #[test]
+    fn concurrent_same_memory_simulations_single_flight() {
+        let an = OwnedAnalyzer::from_graph(fft_butterfly(5));
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                let an = &an;
+                s.spawn(move || an.sim_uppers(&[8]));
+            }
+        });
+        let stats = an.stats();
+        assert_eq!((stats.sim_misses, stats.sim_hits), (1, 7), "{stats:?}");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The versioned compact binary codec for stored analysis artifacts.
 //!
 //! Everything the store persists — computation graphs, Laplacian spectra,
-//! min-cut sweep results, whole session snapshots — is encoded by this
+//! min-cut sweep results, simulated upper bounds, whole session
+//! snapshots — is encoded by this
 //! module into a byte layout that is:
 //!
 //! * **explicitly little-endian**: every multi-byte integer and every
@@ -23,9 +24,10 @@
 //!
 //! ```text
 //! session  := ver:u8  graph  nspec:u32 [spectrum]*  ncuts:u32 [cut]*
-//!             ndec:u32 [dec]*            (ndec section: ver 2 only;
-//!                                         ver 1 documents end after cuts
-//!                                         and decode as ndec = 0)
+//!             ndec:u32 [dec]*            (ver ≥ 2; ver 1 documents end
+//!                                         after cuts: ndec = 0)
+//!             nsim:u32 [sim]*            (ver ≥ 3; ver 1–2 documents
+//!                                         decode as nsim = 0)
 //! graph    := n:u32 [op]*n  m:u32 [from:u32 to:u32]*m
 //! op       := tag:u8            (0..=7: Input,Add,Sub,Mul,Div,Sum,
 //!                                Butterfly,BhkUpdate)
@@ -37,6 +39,9 @@
 //!             bound:u64 best_vertex:u64 max_cut:u64 evaluated:u64
 //! dec      := target:u64 cut_edges:u64 invariant:u8 ncomp:u32
 //!             [fp:u128 len:u32 [v:u32]*len]*ncomp
+//! sim      := memory:u64 (0:u8 | 1:u8 io:u64)   (strictly ascending
+//!                                                memories; 0 = no policy
+//!                                                fits in memory)
 //! ```
 //!
 //! Floats round-trip by bit pattern, so a restored spectrum reproduces
@@ -51,9 +56,10 @@ use graphio_spectral::{
 use std::fmt;
 
 /// Version byte of the session document format. Version 2 appended the
-/// compose-mode decompositions section; version-1 documents (which end
-/// after the cuts section) still decode, with no decompositions.
-pub const SESSION_VERSION: u8 = 2;
+/// compose-mode decompositions section and version 3 the simulated upper
+/// bounds; older documents still decode, with those sections empty (a
+/// restored session recomputes its simulations lazily).
+pub const SESSION_VERSION: u8 = 3;
 
 /// A malformed or unsupported encoded document.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -550,13 +556,35 @@ fn get_decomposition(r: &mut Reader<'_>, n: usize) -> Result<DecompositionRecord
     })
 }
 
+fn put_sim(w: &mut Writer, memory: usize, best: Option<u64>) {
+    w.put_u64(memory as u64);
+    match best {
+        None => w.put_u8(0),
+        Some(io) => {
+            w.put_u8(1);
+            w.put_u64(io);
+        }
+    }
+}
+
+fn get_sim(r: &mut Reader<'_>) -> Result<(usize, Option<u64>), CodecError> {
+    let memory = r.get_u64()? as usize;
+    let best = match r.get_u8()? {
+        0 => None,
+        1 => Some(r.get_u64()?),
+        tag => return Err(CodecError::BadTag { what: "sim", tag }),
+    };
+    Ok((memory, best))
+}
+
 /// A decoded store document: the graph plus its session snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoredSession {
     /// The graph under analysis (the first-seen representative of its
     /// fingerprint class).
     pub graph: CompGraph,
-    /// The computed artifacts: spectra and min-cut sweeps.
+    /// The computed artifacts: spectra, min-cut sweeps, decompositions and
+    /// simulated upper bounds.
     pub export: SessionExport,
 }
 
@@ -584,6 +612,10 @@ pub fn encode_session(graph: &CompGraph, export: &SessionExport) -> Vec<u8> {
     w.put_u32(export.decompositions.len() as u32);
     for dec in &export.decompositions {
         put_decomposition(&mut w, dec);
+    }
+    w.put_u32(export.sims.len() as u32);
+    for &(memory, best) in &export.sims {
+        put_sim(&mut w, memory, best);
     }
     w.into_bytes()
 }
@@ -627,6 +659,21 @@ pub fn decode_session(bytes: &[u8]) -> Result<StoredSession, CodecError> {
             decompositions.push(get_decomposition(&mut r, graph.n())?);
         }
     }
+    // The simulated upper bounds arrived with version 3.
+    let mut sims: Vec<(usize, Option<u64>)> = Vec::new();
+    if version >= 3 {
+        let nsim = r.get_u32()? as usize;
+        sims.reserve(nsim.min(r.remaining() / 9));
+        for _ in 0..nsim {
+            let sim = get_sim(&mut r)?;
+            if sims.last().is_some_and(|&(prev, _)| prev >= sim.0) {
+                return Err(CodecError::Invalid(
+                    "simulated bounds not strictly ascending by memory".into(),
+                ));
+            }
+            sims.push(sim);
+        }
+    }
     if r.remaining() != 0 {
         return Err(CodecError::Invalid(format!(
             "{} trailing bytes after document",
@@ -639,6 +686,7 @@ pub fn decode_session(bytes: &[u8]) -> Result<StoredSession, CodecError> {
             spectra,
             cuts,
             decompositions,
+            sims,
         },
     })
 }
@@ -997,6 +1045,7 @@ mod tests {
                     (Fingerprint(0xFEED_FACE), vec![1, 3]),
                 ],
             }],
+            sims: vec![(1, None), (2, Some(6)), (64, Some(4))],
         }
     }
 
@@ -1062,13 +1111,14 @@ mod tests {
                 invariant: true,
                 components: vec![(Fingerprint(0xA5), vec![0]), (Fingerprint(0x5A), vec![1])],
             }],
+            sims: vec![(2, Some(3)), (4, None)],
         };
         let bytes = encode_session(&g, &export);
         let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(
             hex,
             concat!(
-                "02",                               // session version
+                "03",                               // session version
                 "02000000",                         // n = 2
                 "00",                               // op[0] = Input
                 "0804030201",                       // op[1] = Custom(0x01020304)
@@ -1099,13 +1149,77 @@ mod tests {
                 "5a000000000000000000000000000000", // fp = 0x5A
                 "01000000",                         // 1 vertex
                 "01000000",                         // vertex 1
+                "02000000",                         // 2 simulated bounds
+                "0200000000000000",                 // memory = 2
+                "01",                               // simulated
+                "0300000000000000",                 // io = 3
+                "0400000000000000",                 // memory = 4
+                "00",                               // no policy fits
             ),
             "codec layout changed — bump SESSION_VERSION and migrate"
         );
         // The CRC of the golden bytes is part of the contract too: it is
         // what an existing store's records carry. (Value pinned from the
         // implementation validated against the standard vectors above.)
+        assert_eq!(crc32(&bytes), 0x322C_077B);
+    }
+
+    /// Version-2 documents (everything a store written before the
+    /// simulated-bounds section holds) keep decoding. These bytes are the
+    /// version-2 golden pin verbatim.
+    #[test]
+    fn version_2_documents_still_decode() {
+        let hex = concat!(
+            "02",                               // session version
+            "02000000",                         // n = 2
+            "00",                               // op[0] = Input
+            "0804030201",                       // op[1] = Custom(0x01020304)
+            "01000000",                         // m = 1
+            "00000000",                         // edge from 0
+            "01000000",                         // edge to 1
+            "01000000",                         // 1 spectrum
+            "00",                               // kind = Normalized
+            "0200000000000000",                 // h = 2
+            "00",                               // method = Dense
+            "02000000",                         // 2 eigenvalues
+            "000000000000e03f",                 // 0.5
+            "000000000000f83f",                 // 1.5
+            "01000000",                         // 1 cut
+            "00",                               // CutKey::All
+            "0200000000000000",                 // bound = 2
+            "0100000000000000",                 // best_vertex = 1
+            "0100000000000000",                 // max_cut = 1
+            "0200000000000000",                 // vertices_evaluated = 2
+            "01000000",                         // 1 decomposition
+            "0200000000000000",                 // target = 2
+            "0100000000000000",                 // cut_edges = 1
+            "01",                               // invariant = true
+            "02000000",                         // 2 components
+            "a5000000000000000000000000000000", // fp = 0xA5
+            "01000000",                         // 1 vertex
+            "00000000",                         // vertex 0
+            "5a000000000000000000000000000000", // fp = 0x5A
+            "01000000",                         // 1 vertex
+            "01000000",                         // vertex 1
+        );
+        let bytes: Vec<u8> = (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect();
+        // The version-2 record CRC as existing stores carry it.
         assert_eq!(crc32(&bytes), 0xFF6C_CEED);
+        let back = decode_session(&bytes).unwrap();
+        assert_eq!(back.graph.n(), 2);
+        assert_eq!(back.export.spectra.len(), 1);
+        assert_eq!(back.export.cuts.len(), 1);
+        assert_eq!(back.export.decompositions.len(), 1);
+        assert!(back.export.sims.is_empty());
+        // Re-encoding upgrades it: the v3 layout is the v2 bytes under the
+        // new version byte plus an empty simulated-bounds section.
+        let upgraded = encode_session(&back.graph, &back.export);
+        assert_eq!(upgraded[0], 3);
+        assert_eq!(&upgraded[1..bytes.len()], &bytes[1..]);
+        assert_eq!(&upgraded[bytes.len()..], &[0, 0, 0, 0]);
     }
 
     /// Version-1 documents — everything an existing store holds — must
@@ -1147,6 +1261,7 @@ mod tests {
         assert_eq!(back.export.spectra.len(), 1);
         assert_eq!(back.export.cuts.len(), 1);
         assert!(back.export.decompositions.is_empty());
+        assert!(back.export.sims.is_empty());
     }
 
     #[test]
@@ -1177,6 +1292,35 @@ mod tests {
             decode_session(&bytes),
             Err(CodecError::Invalid(_))
         ));
+    }
+
+    #[test]
+    fn corrupt_sims_are_rejected() {
+        let g = tiny_graph();
+        let mut unsorted = tiny_export();
+        unsorted.sims.swap(0, 1);
+        assert!(matches!(
+            decode_session(&encode_session(&g, &unsorted)),
+            Err(CodecError::Invalid(_))
+        ));
+        let mut duplicate = tiny_export();
+        duplicate.sims[1].0 = duplicate.sims[0].0;
+        assert!(matches!(
+            decode_session(&encode_session(&g, &duplicate)),
+            Err(CodecError::Invalid(_))
+        ));
+        // The last sim is `64, Some(4)`: its tag byte sits 9 bytes from
+        // the end.
+        let mut bad_tag = encode_session(&g, &tiny_export());
+        let at = bad_tag.len() - 9;
+        bad_tag[at] = 7;
+        assert_eq!(
+            decode_session(&bad_tag),
+            Err(CodecError::BadTag {
+                what: "sim",
+                tag: 7
+            })
+        );
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! crate makes that amortization survive process death:
 //!
 //! * [`codec`] — a versioned, explicitly little-endian binary encoding of
-//!   graphs, spectra, min-cut results and whole session snapshots, CRC32
+//!   graphs, spectra, min-cut results, simulated upper bounds and whole
+//!   session snapshots, CRC32
 //!   per record, pinned by a golden-bytes test;
 //! * [`segment`] — an append-only segment log keyed by the 128-bit
 //!   relabeling-invariant WL fingerprint, with an in-memory index,
@@ -85,9 +86,11 @@ pub fn save_session(store: &Store, fp: Fingerprint, analyzer: &OwnedAnalyzer) ->
 }
 
 /// Restores the session stored under `fp`, if any: decodes the graph,
-/// opens a fresh [`OwnedAnalyzer`] on it and imports the stored spectra
-/// and min-cut results, so bound requests covered by the snapshot perform
-/// zero eigensolves. A record that fails to decode is surfaced as
+/// opens a fresh [`OwnedAnalyzer`] on it and imports the stored spectra,
+/// min-cut results and simulated upper bounds, so requests covered by the
+/// snapshot perform zero eigensolves and zero simulations (records
+/// written before codec version 3 carry no simulations; those are
+/// recomputed on first use). A record that fails to decode is surfaced as
 /// [`io::ErrorKind::InvalidData`], not panicked on — the store is a
 /// cache, and the caller can always recompute.
 ///
