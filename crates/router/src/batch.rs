@@ -26,7 +26,7 @@
 
 use crate::ring::Ring;
 use graphio_graph::json::JsonValue;
-use graphio_graph::{fingerprint, Fingerprint};
+use graphio_graph::{Fingerprint, FingerprintMemo};
 use graphio_service::analysis::{parse_graph_doc, AnalyzeSpec};
 use graphio_service::client::batch_blame_index;
 
@@ -53,7 +53,13 @@ pub type LocalError = (usize, u16, String);
 /// [`LocalError`]s instead of being grouped; the caller still scatters
 /// the valid groups so an *earlier* server-side failure (e.g. an unknown
 /// fingerprint) can win the blame race exactly as it would single-node.
-pub fn split(entries: &[JsonValue], ring: &Ring) -> (Vec<Group>, Vec<LocalError>) {
+/// Inline graphs are fingerprinted through `memo`, as `/analyze` routing
+/// does.
+pub fn split(
+    entries: &[JsonValue],
+    ring: &Ring,
+    memo: &FingerprintMemo,
+) -> (Vec<Group>, Vec<LocalError>) {
     let mut groups: Vec<Group> = Vec::new();
     let mut errors = Vec::new();
     for (i, entry) in entries.iter().enumerate() {
@@ -71,7 +77,7 @@ pub fn split(entries: &[JsonValue], ring: &Ring) -> (Vec<Group>, Vec<LocalError>
             }
         } else {
             match parse_graph_doc(entry) {
-                Ok(graph) => fingerprint(&graph),
+                Ok(graph) => memo.fingerprint(&graph),
                 Err(m) => {
                     errors.push((i, 400, format!("graphs[{i}]: {m}")));
                     continue;
@@ -203,7 +209,7 @@ mod tests {
             parse("{\"ops\":[\"Input\",\"Input\",\"Mul\"],\"edges\":[[0,2],[1,2]]}").unwrap(),
             parse("{\"ops\":[\"Input\"],\"edges\":[[0,9]]}").unwrap(), // invalid graph
         ];
-        let (groups, errors) = split(&entries, &ring3());
+        let (groups, errors) = split(&entries, &ring3(), &FingerprintMemo::new());
         let grouped: usize = groups.iter().map(|g| g.entries.len()).sum();
         assert_eq!(grouped, 2);
         for g in &groups {

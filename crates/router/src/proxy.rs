@@ -1,5 +1,5 @@
-//! The router server: accept loop → worker pool → affinity routing with
-//! failover.
+//! The router tier on the [`graphio_service::skeleton`]: affinity
+//! routing with failover.
 //!
 //! ```text
 //!                        ┌────────────────────────┐
@@ -18,6 +18,12 @@
 //! repeat of a graph lands on the backend that already holds its session
 //! (RAM or store tier), and the cluster's aggregate hit rate matches a
 //! single node's.
+//!
+//! The skeleton owns the accept loop, the connection lifecycle and the
+//! admin routes; this tier owns `POST /analyze`, `/graphs` and `/batch`,
+//! the health loop, the per-backend `/stats` rows and `/metrics` series,
+//! and one backend fan-out ([`RouterState::fan_out`]) behind the
+//! cluster-wide `/stats`, `/trace/{id}` and `/debug/profile`.
 //!
 //! ## Forwarding policy
 //!
@@ -59,21 +65,15 @@ use graphio_service::analysis::{
     validate_batch_entries,
 };
 use graphio_service::client::Response;
-use graphio_service::http::{
-    reason, respond_error, respond_error_with, serve_connection, write_response,
-    write_response_typed, ConnectionLimits, Request, IDLE_TIMEOUT, IO_TIMEOUT,
-    MAX_REQUESTS_PER_CONNECTION, READ_TIMEOUT,
+use graphio_service::http::{ConnectionLimits, IDLE_TIMEOUT, MAX_REQUESTS_PER_CONNECTION};
+use graphio_service::skeleton::{
+    sample, Counters, Exchange, HttpServer, Listen, PathMatch, Report, Route, Tier,
 };
-use graphio_service::pool::{SubmitError, WorkerPool};
-use graphio_service::{
-    fingerprint_memo_doc, parse_traces_query, render_fingerprint_memo, traced_request, SlowLog,
-    SlowLogConfig,
-};
+use graphio_service::SlowLogConfig;
 use graphio_spectral::{ComponentAnalysis, ComposePlan};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -121,22 +121,27 @@ impl RouterConfig {
     }
 }
 
-/// Shared router state.
-pub(crate) struct RouterState {
+/// The router tier's state: the ring and its backends.
+pub struct RouterState {
     pub(crate) ring: Ring,
     pub(crate) upstreams: Vec<Upstream>,
     /// Labelled graph → fingerprint for routing inline graphs, so a
     /// repeated graph skips Weisfeiler–Leman refinement here too.
     pub(crate) fp_memo: FingerprintMemo,
-    pub(crate) requests: AtomicU64,
-    pub(crate) analyze_ok: AtomicU64,
-    pub(crate) batch_ok: AtomicU64,
-    pub(crate) errors: AtomicU64,
-    pub(crate) started: Instant,
-    pub(crate) slow_log: Option<SlowLog>,
+    health: Mutex<Option<JoinHandle<()>>>,
+    health_stop: AtomicBool,
 }
 
+/// One backend's answer to a [`RouterState::fan_out`]: the response (or
+/// the transport error) and the wall time it took, in µs (≥ 1).
+type Scrape = (Result<Response, String>, u64);
+
 impl RouterState {
+    /// The backend that currently owns `fp` (healthy or not), by address.
+    pub fn owner_of(&self, fp: Fingerprint) -> Option<&str> {
+        self.ring.owner(fp).map(|b| self.upstreams[b].addr())
+    }
+
     /// Failover order for `fp` under current health: the ring sequence
     /// with healthy backends first (in ring order), ejected ones demoted
     /// to last-resort — a router degrades to *trying*, never to refusing
@@ -207,17 +212,55 @@ impl RouterState {
             None => Err((503, "no backend available".to_string())),
         }
     }
+
+    /// `GET path` from every backend at once, each on a throwaway
+    /// connection, while `local` runs on the calling thread. Fan-outs are
+    /// observability: they must not touch the pooled request connections
+    /// or the per-backend request counters, and one hung backend must
+    /// cost one read timeout, not one per backend. Returns `local`'s
+    /// value and one [`Scrape`] per backend, in backend order.
+    fn fan_out<R>(&self, path: &str, local: impl FnOnce() -> R) -> (R, Vec<Scrape>) {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = self
+                .upstreams
+                .iter()
+                .map(|up| {
+                    let url = format!("http://{}", up.addr());
+                    scope.spawn(move || {
+                        let started = Instant::now();
+                        let result = graphio_service::client::request("GET", &url, path, None)
+                            .map_err(|e| e.to_string());
+                        let us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+                        (result, us.max(1))
+                    })
+                })
+                .collect();
+            let local = local();
+            let scrapes = handles
+                .into_iter()
+                .map(|h| h.join().expect("backend fan-out thread"))
+                .collect();
+            (local, scrapes)
+        })
+    }
+
+    /// [`RouterState::fan_out`] reduced to the backends that answered
+    /// 200, as `(addr, body)`.
+    fn fan_out_ok<R>(&self, path: &str, local: impl FnOnce() -> R) -> (R, Vec<(String, String)>) {
+        let (local, scrapes) = self.fan_out(path, local);
+        let ok = self.upstreams.iter().zip(scrapes);
+        let bodies = ok
+            .filter_map(|(up, (result, _))| {
+                let response = result.ok().filter(|r| r.status == 200)?;
+                Some((up.addr().to_string(), response.body))
+            })
+            .collect();
+        (local, bodies)
+    }
 }
 
 /// A running router. Dropping the handle shuts it down.
-pub struct RouterServer {
-    addr: SocketAddr,
-    state: Arc<RouterState>,
-    pool: Arc<WorkerPool>,
-    stop: Arc<AtomicBool>,
-    acceptor: std::sync::Mutex<Option<JoinHandle<()>>>,
-    health: std::sync::Mutex<Option<JoinHandle<()>>>,
-}
+pub type RouterServer = HttpServer<RouterState>;
 
 /// Binds the router and starts serving in background threads.
 ///
@@ -230,171 +273,35 @@ pub fn serve_router(config: &RouterConfig) -> io::Result<RouterServer> {
             "router needs at least one backend",
         ));
     }
-    // Serving turns span collection on process-wide, exactly like the
-    // analysis server: the router records per-endpoint request
-    // histograms for `GET /metrics` and per-request phase trees for the
-    // slow log — and its own flight recorder, so `GET /trace/{id}`
-    // answers with the router-side tree joined to the backends'.
-    recorder::attach(recorder::DEFAULT_CAPACITY);
-    graphio_obs::set_enabled(true);
-    // Same second switch as the analysis server: under the CLI's counting
-    // allocator this attributes router-side allocations (body buffers,
-    // scatter/gather assembly) to their phases; without it, it's inert.
-    graphio_obs::alloc::set_enabled(true);
-    let listener = TcpListener::bind((config.host.as_str(), config.port))?;
-    let addr = listener.local_addr()?;
     let ring = Ring::new(&config.backends, config.replicas);
-    let upstreams = ring
-        .backends()
-        .iter()
-        .map(|a| Upstream::new(a))
-        .collect::<Vec<_>>();
+    let upstreams = ring.backends().iter().map(|a| Upstream::new(a)).collect();
     let state = Arc::new(RouterState {
         ring,
         upstreams,
         fp_memo: FingerprintMemo::new(),
-        requests: AtomicU64::new(0),
-        analyze_ok: AtomicU64::new(0),
-        batch_ok: AtomicU64::new(0),
-        errors: AtomicU64::new(0),
-        started: Instant::now(),
-        slow_log: config.slow_log.as_ref().map(SlowLog::open).transpose()?,
+        health: Mutex::new(None),
+        health_stop: AtomicBool::new(false),
     });
-    let pool = Arc::new(WorkerPool::new(config.workers, config.queue_capacity));
-    let stop = Arc::new(AtomicBool::new(false));
-
-    let limits = ConnectionLimits {
-        idle_timeout: config.idle_timeout,
-        max_requests: config.max_requests_per_connection,
+    let listen = Listen {
+        host: &config.host,
+        port: config.port,
+        workers: config.workers,
+        queue_capacity: config.queue_capacity,
+        limits: ConnectionLimits {
+            idle_timeout: config.idle_timeout,
+            max_requests: config.max_requests_per_connection,
+        },
+        slow_log: config.slow_log.as_ref(),
+        trace_store: None,
     };
-    let acceptor = {
-        let state = Arc::clone(&state);
-        let pool = Arc::clone(&pool);
-        let stop = Arc::clone(&stop);
-        std::thread::Builder::new()
-            .name("graphio-router-acceptor".to_string())
-            .spawn(move || accept_loop(&listener, &state, &pool, &stop, limits))
-            .expect("spawn router acceptor")
-    };
-    let health = {
-        let state = Arc::clone(&state);
-        let stop = Arc::clone(&stop);
-        let interval = config.health_interval;
-        std::thread::Builder::new()
-            .name("graphio-router-health".to_string())
-            .spawn(move || health_loop(&state, &stop, interval))
-            .expect("spawn router health checker")
-    };
-
-    Ok(RouterServer {
-        addr,
-        state,
-        pool,
-        stop,
-        acceptor: std::sync::Mutex::new(Some(acceptor)),
-        health: std::sync::Mutex::new(Some(health)),
-    })
-}
-
-impl RouterServer {
-    /// The bound address (resolves `port: 0` to the real port).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// `http://host:port`, ready to hand to a client.
-    pub fn url(&self) -> String {
-        format!("http://{}", self.addr)
-    }
-
-    /// The backend that currently owns `fp` (healthy or not), by address.
-    pub fn owner_of(&self, fp: Fingerprint) -> Option<&str> {
-        self.state
-            .ring
-            .owner(fp)
-            .map(|b| self.state.upstreams[b].addr())
-    }
-
-    /// Stops accepting, joins all threads. Idempotent; callable from any
-    /// thread.
-    pub fn shutdown(&self) {
-        if self.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.acceptor.lock().expect("acceptor lock").take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.health.lock().expect("health lock").take() {
-            let _ = h.join();
-        }
-        self.pool.shutdown();
-    }
-
-    /// Blocks until [`RouterServer::shutdown`] is called from another
-    /// thread (the CLI's foreground mode).
-    pub fn join(&self) {
-        let handle = self.acceptor.lock().expect("acceptor lock").take();
-        if let Some(handle) = handle {
-            let _ = handle.join();
-        }
-        if let Some(h) = self.health.lock().expect("health lock").take() {
-            let _ = h.join();
-        }
-        self.pool.shutdown();
-    }
-}
-
-impl Drop for RouterServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    state: &Arc<RouterState>,
-    pool: &Arc<WorkerPool>,
-    stop: &AtomicBool,
-    limits: ConnectionLimits,
-) {
-    for stream in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let Ok(stream) = stream else {
-            std::thread::sleep(Duration::from_millis(10));
-            continue;
-        };
-        let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-        let cell = Arc::new(std::sync::Mutex::new(Some(stream)));
-        let job_cell = Arc::clone(&cell);
-        let job_state = Arc::clone(state);
-        let submitted = pool.submit(move || {
-            if let Some(stream) = job_cell.lock().expect("stream cell").take() {
-                handle_connection(stream, &job_state, limits);
-            }
-        });
-        match submitted {
-            Ok(()) => {}
-            Err(SubmitError::Full) => {
-                if let Some(mut stream) = cell.lock().expect("stream cell").take() {
-                    let body = b"{\"error\":\"router busy, retry later\"}\n";
-                    let _ = write_response(
-                        &mut stream,
-                        503,
-                        reason(503),
-                        false,
-                        &[("Retry-After", "1".to_string())],
-                        body,
-                    );
-                }
-            }
-            Err(SubmitError::ShuttingDown) => return,
-        }
-    }
+    let server = HttpServer::start(&listen, Arc::clone(&state))?;
+    let interval = config.health_interval;
+    let health = std::thread::Builder::new()
+        .name("graphio-router-health".to_string())
+        .spawn(move || health_loop(&state, interval))
+        .expect("spawn router health checker");
+    *server.health.lock().expect("health lock") = Some(health);
+    Ok(server)
 }
 
 /// Active health checking: probe every backend on the cadence — ejected
@@ -402,16 +309,17 @@ fn accept_loop(
 /// connect attempt per backoff period, not per interval. The first round
 /// runs one interval *after* boot (backends start optimistically
 /// healthy; the request path discovers failures immediately either way).
-fn health_loop(state: &Arc<RouterState>, stop: &AtomicBool, interval: Duration) {
+fn health_loop(state: &RouterState, interval: Duration) {
+    let stopped = || state.health_stop.load(Ordering::SeqCst);
     loop {
         // Sleep in short slices so shutdown stays prompt.
         let mut remaining = interval;
-        while !remaining.is_zero() && !stop.load(Ordering::SeqCst) {
+        while !remaining.is_zero() && !stopped() {
             let step = remaining.min(Duration::from_millis(50));
             std::thread::sleep(step);
             remaining = remaining.saturating_sub(step);
         }
-        if stop.load(Ordering::SeqCst) {
+        if stopped() {
             return;
         }
         for up in &state.upstreams {
@@ -422,55 +330,154 @@ fn health_loop(state: &Arc<RouterState>, stop: &AtomicBool, interval: Duration) 
     }
 }
 
-fn handle_connection(stream: TcpStream, state: &Arc<RouterState>, limits: ConnectionLimits) {
-    serve_connection(
-        stream,
-        &limits,
-        |stream, request, keep| {
-            state.requests.fetch_add(1, Ordering::Relaxed);
-            traced_request(
-                request,
-                &request.path,
-                state.slow_log.as_ref(),
-                None,
-                || {
-                    route(stream, request, state, keep);
-                },
-            );
-        },
-        |_| {
-            state.errors.fetch_add(1, Ordering::Relaxed);
-        },
-    );
-}
+impl Tier for RouterState {
+    const NAME: &'static str = "router";
+    const BUSY: &'static str = "router busy";
+    const ROUTES: &'static [Route<Self>] = &[
+        Route::new("POST", PathMatch::Exact("/analyze"), handle_passthrough),
+        Route::new("POST", PathMatch::Exact("/graphs"), handle_passthrough),
+        Route::new("POST", PathMatch::Exact("/batch"), handle_batch),
+    ];
 
-fn route(stream: &mut TcpStream, request: &Request, state: &Arc<RouterState>, keep: bool) {
-    match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => handle_healthz(stream, state, keep),
-        ("GET", "/stats") => handle_stats(stream, state, keep),
-        ("GET", "/metrics") => handle_metrics(stream, state, keep),
-        ("GET", p) if p.starts_with("/trace/") => handle_trace(stream, request, state, keep),
-        ("GET", p) if p == "/traces" || p.starts_with("/traces?") => {
-            handle_traces(stream, request, state, keep)
+    fn healthz(&self) -> JsonValue {
+        let healthy = self.upstreams.iter().filter(|u| u.is_healthy()).count();
+        JsonValue::Object(vec![
+            (
+                "status".to_string(),
+                JsonValue::String(if healthy > 0 { "ok" } else { "degraded" }.to_string()),
+            ),
+            ("role".to_string(), JsonValue::String("router".to_string())),
+            (
+                "backends".to_string(),
+                JsonValue::Number(self.upstreams.len() as f64),
+            ),
+            ("healthy".to_string(), JsonValue::Number(healthy as f64)),
+        ])
+    }
+
+    /// The `router` section (request counters, failover totals, the
+    /// routing memo), then the fleet: `/stats` embeds every backend's own
+    /// `/stats` document with cross-backend version digests (a
+    /// mixed-version ring or a freshly restarted backend is what this
+    /// endpoint exists to surface), `/metrics` one labeled series per
+    /// backend.
+    fn report(&self, counters: &Counters, out: &mut Report) {
+        let num = |v: u64| JsonValue::Number(v as f64);
+        let total = |pick: fn(&Upstream) -> u64| self.upstreams.iter().map(pick).sum::<u64>();
+        out.section("router", |out| {
+            counters.report(out);
+            let ejections = total(|u| u.ejections.load(Ordering::Relaxed));
+            out.stat("retries", || {
+                num(total(|u| u.retries.load(Ordering::Relaxed)))
+            });
+            out.stat("ejections", || num(ejections));
+            out.stat("ring_rebalances", || {
+                num(ejections + total(|u| u.restorations.load(Ordering::Relaxed)))
+            });
+            out.fingerprint_memo(&self.fp_memo);
+            out.stat("replicas", || num(self.ring.replicas() as u64));
+            let healthy = self.upstreams.iter().filter(|u| u.is_healthy()).count();
+            out.metric_gauge("backends", self.upstreams.len() as f64);
+            out.metric_gauge("backends_healthy", healthy as f64);
+        });
+        out.process();
+        // Only `/stats` scrapes the backends: per backend, the scrape wall
+        // time and the entry it ends with — its own `/stats` document, or
+        // the error (an unparsable 200 ends with neither).
+        let scraped: Vec<(u64, Option<(&str, JsonValue)>)> = out
+            .for_stats(|| self.fan_out("/stats", || ()).1)
+            .unwrap_or_default()
+            .into_iter()
+            .map(|(result, scrape_us)| {
+                let tail = match result {
+                    Ok(r) if r.status == 200 => graphio_graph::json::parse(&r.body)
+                        .ok()
+                        .map(|doc| ("stats", doc)),
+                    Ok(r) => Some(("error", JsonValue::String(format!("status {}", r.status)))),
+                    Err(e) => Some(("error", JsonValue::String(e))),
+                };
+                (scrape_us, tail)
+            })
+            .collect();
+        let mut versions: Vec<String> = scraped
+            .iter()
+            .filter_map(|(_, tail)| match tail {
+                Some(("stats", doc)) => doc.get("version")?.as_str().map(str::to_string),
+                _ => None,
+            })
+            .collect();
+        versions.sort();
+        versions.dedup();
+        out.stat("mixed_versions", || JsonValue::Bool(versions.len() > 1));
+        out.stat("backend_versions", || {
+            JsonValue::Array(versions.into_iter().map(JsonValue::String).collect())
+        });
+        let mut scraped = scraped.into_iter();
+        let rows = self.upstreams.iter().map(|up| {
+            let (scrape_us, tail) = scraped.next().unwrap_or_default();
+            let row = move |out: &mut Report| {
+                let load = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
+                out.stat("addr", || JsonValue::String(up.addr().to_string()));
+                out.flag("healthy", up.is_healthy());
+                out.stat("scrape_us", || num(scrape_us));
+                out.counter("requests", load(&up.requests));
+                out.counter("retries", load(&up.retries));
+                out.counter("ejections", load(&up.ejections));
+                out.metric_counter("restorations", load(&up.restorations));
+                if let Some((key, value)) = tail {
+                    out.stat(key, || value);
+                }
+            };
+            (up.addr().to_string(), row)
+        });
+        out.rows("backends", "backend", rows);
+    }
+
+    /// The distributed view: the router's own record plus every
+    /// backend's record for the same ID (fetched by one fan-out), joined
+    /// into one tree by [`assemble_trace`]. When the router's own ring no
+    /// longer has the record but a backend does, the first backend record
+    /// stands in as the assembly root, so the trace stays queryable as
+    /// long as *any* tier remembers it.
+    fn trace(&self, trace: u128, _: impl FnOnce() -> Option<String>) -> Option<String> {
+        let path = format!("/trace/{}", graphio_obs::trace_hex(trace));
+        let (local, fetched) = self.fan_out_ok(&path, || local_router_record(trace));
+        let mut backends: Vec<(String, JsonValue)> = fetched
+            .into_iter()
+            .filter_map(|(addr, body)| Some((addr, graphio_graph::json::parse(&body).ok()?)))
+            .collect();
+        let root = match local.and_then(|s| graphio_graph::json::parse(&s).ok()) {
+            Some(doc) => doc,
+            None if !backends.is_empty() => backends.remove(0).1,
+            None => return None,
+        };
+        Some(assemble_trace(&root, &backends).to_string())
+    }
+
+    /// The cluster-wide flamegraph: every backend samples itself for the
+    /// same window (one fan-out) while the router samples its own stacks
+    /// on the handler thread; backend stacks merge under a
+    /// `backend <addr>` root frame, the shape [`assemble_trace`] gives
+    /// the distributed span tree. `seconds` is capped well under the
+    /// scrape client's read timeout, so the fan-out cannot hang.
+    fn profile(&self, seconds: u64) -> String {
+        let path = format!("/debug/profile?seconds={seconds}");
+        let (local, fetched) = self.fan_out_ok(&path, || sample(seconds));
+        let mut body = local.to_collapsed();
+        for (addr, backend_body) in fetched {
+            body.push_str(&graphio_obs::profile::prefix_collapsed(
+                &backend_body,
+                &format!("backend {addr}"),
+            ));
         }
-        ("GET", p) if p == "/debug/profile" || p.starts_with("/debug/profile?") => {
-            handle_profile(stream, request, state, keep)
-        }
-        ("POST", "/analyze") => handle_passthrough(stream, request, state, keep, true),
-        ("POST", "/graphs") => handle_passthrough(stream, request, state, keep, false),
-        ("POST", "/batch") => handle_batch(stream, request, state, keep),
-        ("GET" | "POST", _) => {
-            state.errors.fetch_add(1, Ordering::Relaxed);
-            respond_error(stream, 404, keep, &format!("no route for {}", request.path));
-        }
-        _ => {
-            state.errors.fetch_add(1, Ordering::Relaxed);
-            respond_error(
-                stream,
-                405,
-                keep,
-                &format!("method {} not supported", request.method),
-            );
+        body
+    }
+
+    /// Stops and joins the health loop.
+    fn drain(&self) {
+        self.health_stop.store(true, Ordering::SeqCst);
+        if let Some(h) = self.health.lock().expect("health lock").take() {
+            let _ = h.join();
         }
     }
 }
@@ -506,7 +513,7 @@ fn route_key(doc: &JsonValue, is_analyze: bool, memo: &FingerprintMemo) -> Optio
 /// Relays an upstream response to the client, preserving the
 /// `X-Graphio-*` metadata and `Retry-After`, and naming the backend that
 /// answered.
-fn relay(stream: &mut TcpStream, response: &Response, backend: &str, keep: bool) {
+fn relay(ex: &mut Exchange<'_>, response: &Response, backend: &str) {
     let mut extra: Vec<(&str, String)> = response
         .headers
         .iter()
@@ -514,31 +521,26 @@ fn relay(stream: &mut TcpStream, response: &Response, backend: &str, keep: bool)
         .map(|(k, v)| (k.as_str(), v.clone()))
         .collect();
     extra.push(("X-Graphio-Backend", backend.to_string()));
-    let _ = write_response(
-        stream,
-        response.status,
-        reason(response.status),
-        keep,
-        &extra,
-        response.body.as_bytes(),
-    );
+    ex.send(response.status, &extra, &response.body);
+}
+
+/// Answers a failure the fleet reported, asking the client to retry in a
+/// second when it was backpressure (503).
+fn fail_upstream(ex: &mut Exchange<'_>, status: u16, message: &str) {
+    let retry = [("Retry-After", "1".to_string())];
+    let extra: &[(&str, String)] = if status == 503 { &retry } else { &[] };
+    ex.fail_with(status, extra, message);
 }
 
 /// `POST /analyze` and `POST /graphs`: key, forward untouched, relay.
-fn handle_passthrough(
-    stream: &mut TcpStream,
-    request: &Request,
-    state: &Arc<RouterState>,
-    keep: bool,
-    is_analyze: bool,
-) {
+fn handle_passthrough(state: &Arc<RouterState>, ex: &mut Exchange<'_>) {
+    let request = ex.request;
+    let is_analyze = request.path == "/analyze";
     // The one validation the router must do itself: a client body that
     // is not UTF-8 cannot be forwarded through the text client (the
     // single node answers exactly this message).
     let Ok(text) = std::str::from_utf8(&request.body) else {
-        state.errors.fetch_add(1, Ordering::Relaxed);
-        respond_error(stream, 400, keep, "body is not UTF-8");
-        return;
+        return ex.fail(400, "body is not UTF-8");
     };
     let parsed = graphio_graph::json::parse(text).ok();
     // Compose-mode analyzes with an inline graph scatter per component
@@ -550,8 +552,7 @@ fn handle_passthrough(
             if doc.get("mode").and_then(JsonValue::as_str) == Some("compose")
                 && doc.get("graph").is_some()
             {
-                handle_compose(stream, doc, state, keep);
-                return;
+                return handle_compose(state, ex, doc);
             }
         }
     }
@@ -562,25 +563,16 @@ fn handle_passthrough(
     let trace = graphio_obs::current_trace_id();
     match state.forward_with_failover(fp, "POST", &request.path, Some(text), trace) {
         Ok((response, b)) => {
+            let counters = ex.counters();
             if response.status == 200 && is_analyze {
-                state.analyze_ok.fetch_add(1, Ordering::Relaxed);
+                counters.analyze_ok.fetch_add(1, Ordering::Relaxed);
             }
             if response.status >= 400 {
-                state.errors.fetch_add(1, Ordering::Relaxed);
+                counters.errors.fetch_add(1, Ordering::Relaxed);
             }
-            let addr = state.upstreams[b].addr().to_string();
-            relay(stream, &response, &addr, keep);
+            relay(ex, &response, state.upstreams[b].addr());
         }
-        Err((status, msg)) => {
-            state.errors.fetch_add(1, Ordering::Relaxed);
-            respond_error_with(
-                stream,
-                status,
-                keep,
-                &[("Retry-After", "1".to_string())],
-                &msg,
-            );
-        }
+        Err((status, msg)) => fail_upstream(ex, status, &msg),
     }
 }
 
@@ -638,25 +630,17 @@ fn fetch_component(
 /// so the composed body is byte-identical however it was sharded. The
 /// cache-data simulation upper bound needs the whole graph, so it runs
 /// on the router inside [`compose_doc`].
-fn handle_compose(stream: &mut TcpStream, doc: &JsonValue, state: &Arc<RouterState>, keep: bool) {
+fn handle_compose(state: &RouterState, ex: &mut Exchange<'_>, doc: &JsonValue) {
     // Same validation order as a single node: spec errors before graph
     // errors, with the single-node wording (shared `parse_spec`) — this
     // is where compose + processors>1 is rejected.
     let (spec, warnings) = match parse_spec(doc) {
         Ok(v) => v,
-        Err((status, msg)) => {
-            state.errors.fetch_add(1, Ordering::Relaxed);
-            respond_error(stream, status, keep, &msg);
-            return;
-        }
+        Err((status, msg)) => return ex.fail(status, &msg),
     };
     let graph = match parse_graph_doc(doc) {
         Ok(g) => g,
-        Err(msg) => {
-            state.errors.fetch_add(1, Ordering::Relaxed);
-            respond_error(stream, 400, keep, &msg);
-            return;
-        }
+        Err(msg) => return ex.fail(400, &msg),
     };
     let whole_fp = fingerprint(&graph);
     let plan = ComposePlan::build(&graph, &DecomposeOptions::for_graph_size(graph.n()));
@@ -704,16 +688,7 @@ fn handle_compose(stream: &mut TcpStream, doc: &JsonValue, state: &Arc<RouterSta
                 }
                 by_fp.insert(*fp, part);
             }
-            Err((status, msg)) => {
-                state.errors.fetch_add(1, Ordering::Relaxed);
-                let extra: &[(&str, String)] = if status == 503 {
-                    &[("Retry-After", "1".to_string())][..]
-                } else {
-                    &[]
-                };
-                respond_error_with(stream, status, keep, extra, &msg);
-                return;
-            }
+            Err((status, msg)) => return fail_upstream(ex, status, &msg),
         }
     }
     let parts: Vec<ComponentAnalysis> = plan
@@ -723,7 +698,7 @@ fn handle_compose(stream: &mut TcpStream, doc: &JsonValue, state: &Arc<RouterSta
         .collect();
     let mut body = compose_doc(&graph, &spec, &record, &parts).to_string();
     body.push('\n');
-    state.analyze_ok.fetch_add(1, Ordering::Relaxed);
+    ex.counters().analyze_ok.fetch_add(1, Ordering::Relaxed);
     let mut extra = vec![
         ("X-Graphio-Fingerprint", whole_fp.to_hex()),
         ("X-Graphio-Compose", record.components.len().to_string()),
@@ -732,12 +707,7 @@ fn handle_compose(stream: &mut TcpStream, doc: &JsonValue, state: &Arc<RouterSta
     if !warnings.is_empty() {
         extra.push(("X-Graphio-Warnings", warnings.join("; ")));
     }
-    if let Some(trace) = trace {
-        extra.push(("X-Graphio-Trace", graphio_obs::trace_hex(trace)));
-    }
-    let gather_us = u64::try_from(gather_started.elapsed().as_micros()).unwrap_or(u64::MAX);
-    extra.push(("X-Graphio-Elapsed-Us", gather_us.max(1).to_string()));
-    let _ = write_response(stream, 200, "OK", keep, &extra, body.as_bytes());
+    ex.ok_gathered(extra, gather_started, &body);
 }
 
 /// What one scattered group came back with.
@@ -793,8 +763,8 @@ fn run_group(state: &RouterState, group: &Group, body: &str, trace: Option<u128>
 
 /// `POST /batch`: validate exactly like a single node, split by owner,
 /// scatter, reassemble (see [`crate::batch`] for the contracts).
-fn handle_batch(stream: &mut TcpStream, request: &Request, state: &Arc<RouterState>, keep: bool) {
-    let validated = parse_request_json(&request.body)
+fn handle_batch(state: &Arc<RouterState>, ex: &mut Exchange<'_>) {
+    let validated = parse_request_json(&ex.request.body)
         .map_err(|m| (400u16, m))
         .and_then(|doc| {
             let entries = validate_batch_entries(&doc)?.to_vec();
@@ -803,15 +773,11 @@ fn handle_batch(stream: &mut TcpStream, request: &Request, state: &Arc<RouterSta
         });
     let (entries, spec, warnings) = match validated {
         Ok(v) => v,
-        Err((status, msg)) => {
-            state.errors.fetch_add(1, Ordering::Relaxed);
-            respond_error(stream, status, keep, &msg);
-            return;
-        }
+        Err((status, msg)) => return ex.fail(status, &msg),
     };
 
     let total = entries.len();
-    let (groups, local_errors) = split(&entries, &state.ring);
+    let (groups, local_errors) = split(&entries, &state.ring, &state.fp_memo);
 
     // Scatter: one thread per owner group (bounded by the backend
     // count), each forwarding with failover. Scoped threads, not the
@@ -855,22 +821,13 @@ fn handle_batch(stream: &mut TcpStream, request: &Request, state: &Arc<RouterSta
         }
     }
     if let Some((_, status, message)) = first_blame {
-        state.errors.fetch_add(1, Ordering::Relaxed);
-        respond_error(stream, status, keep, &message);
-        return;
+        return ex.fail(status, &message);
     }
     if let Some(GroupOutcome::Failed(status, msg)) = outcomes
         .iter()
         .find(|o| matches!(o, GroupOutcome::Failed(..)))
     {
-        state.errors.fetch_add(1, Ordering::Relaxed);
-        let extra: &[(&str, String)] = if *status == 503 {
-            &[("Retry-After", "1".to_string())][..]
-        } else {
-            &[]
-        };
-        respond_error_with(stream, *status, keep, extra, msg);
-        return;
+        return fail_upstream(ex, *status, msg);
     }
 
     let mut parts = Vec::with_capacity(total);
@@ -883,14 +840,13 @@ fn handle_batch(stream: &mut TcpStream, request: &Request, state: &Arc<RouterSta
     }
     let body = match gather(total, parts) {
         Ok(body) => body,
-        Err(msg) => {
-            state.errors.fetch_add(1, Ordering::Relaxed);
-            respond_error(stream, 502, keep, &msg);
-            return;
-        }
+        Err(msg) => return ex.fail(502, &msg),
     };
-    state.analyze_ok.fetch_add(total as u64, Ordering::Relaxed);
-    state.batch_ok.fetch_add(1, Ordering::Relaxed);
+    let counters = ex.counters();
+    counters
+        .analyze_ok
+        .fetch_add(total as u64, Ordering::Relaxed);
+    counters.batch_ok.fetch_add(1, Ordering::Relaxed);
     sessions.sort_unstable_by_key(|(i, _)| *i);
     let mut extra = vec![("X-Graphio-Batch", total.to_string())];
     // Positional header: emit only when every entry is accounted for —
@@ -906,14 +862,7 @@ fn handle_batch(stream: &mut TcpStream, request: &Request, state: &Arc<RouterSta
     if !warnings.is_empty() {
         extra.push(("X-Graphio-Warnings", warnings.join("; ")));
     }
-    if let Some(trace) = trace {
-        extra.push(("X-Graphio-Trace", graphio_obs::trace_hex(trace)));
-    }
-    // The batch contract: elapsed is the scatter/gather wall time, the
-    // figure a client tuning batch sizes actually wants.
-    let gather_us = u64::try_from(gather_started.elapsed().as_micros()).unwrap_or(u64::MAX);
-    extra.push(("X-Graphio-Elapsed-Us", gather_us.max(1).to_string()));
-    let _ = write_response(stream, 200, "OK", keep, &extra, body.as_bytes());
+    ex.ok_gathered(extra, gather_started, &body);
 }
 
 /// Splices each backend's phase tree into the router's own trace record,
@@ -1019,19 +968,11 @@ pub fn assemble_trace(router: &JsonValue, backends: &[(String, JsonValue)]) -> J
     JsonValue::Object(assembled)
 }
 
-/// `GET /trace/{id}` at the router: the distributed view. Fetches the
-/// same path from every backend concurrently on throwaway connections
-/// (like the `/stats` scrape — observability must not touch the pooled
-/// request connections), then joins whatever answered into one assembled
-/// tree via [`assemble_trace`]. When the router's own ring no longer has
-/// the record but a backend does, the first backend record stands in as
-/// the assembly root, so the trace remains queryable as long as *any*
-/// tier remembers it.
 /// The router's own record for `trace`. When several records share the
 /// ring (in-process cluster: router and backends share one recorder, and
 /// a backend's post-response work can out-sequence the router), the one
 /// holding a `*_scatter` span is the router's viewpoint; otherwise the
-/// newest wins, matching [`graphio_service::trace_record_json`].
+/// newest wins, as a service's own `GET /trace/{id}` picks.
 fn local_router_record(trace: u128) -> Option<String> {
     let records = recorder::recorder()?.records_for(trace);
     let chosen = records
@@ -1039,391 +980,6 @@ fn local_router_record(trace: u128) -> Option<String> {
         .find(|r| r.nodes().iter().any(|n| n.name.ends_with("_scatter")))
         .or_else(|| records.iter().max_by_key(|r| r.seq))?;
     Some(chosen.to_json())
-}
-
-fn handle_trace(stream: &mut TcpStream, request: &Request, state: &Arc<RouterState>, keep: bool) {
-    let hex = request.path["/trace/".len()..]
-        .split('?')
-        .next()
-        .unwrap_or("")
-        .to_string();
-    let Some(trace) = graphio_obs::parse_trace_hex(&hex) else {
-        state.errors.fetch_add(1, Ordering::Relaxed);
-        respond_error(stream, 400, keep, &format!("malformed trace id {hex:?}"));
-        return;
-    };
-    let local = local_router_record(trace).and_then(|s| graphio_graph::json::parse(&s).ok());
-    let fetched: Vec<Option<(String, JsonValue)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = state
-            .upstreams
-            .iter()
-            .map(|up| {
-                let url = format!("http://{}", up.addr());
-                let path = format!("/trace/{hex}");
-                let addr = up.addr().to_string();
-                scope.spawn(move || {
-                    let response =
-                        graphio_service::client::request("GET", &url, &path, None).ok()?;
-                    if response.status != 200 {
-                        return None;
-                    }
-                    Some((addr, graphio_graph::json::parse(&response.body).ok()?))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("trace scrape thread"))
-            .collect()
-    });
-    let mut backends: Vec<(String, JsonValue)> = fetched.into_iter().flatten().collect();
-    let root = match local {
-        Some(doc) => doc,
-        None if !backends.is_empty() => backends.remove(0).1,
-        None => {
-            state.errors.fetch_add(1, Ordering::Relaxed);
-            respond_error(stream, 404, keep, &format!("no record of trace {hex}"));
-            return;
-        }
-    };
-    let body = assemble_trace(&root, &backends).to_string() + "\n";
-    let mut extra: Vec<(&str, String)> = Vec::new();
-    graphio_service::push_obs_headers(&mut extra);
-    let _ = write_response(stream, 200, "OK", keep, &extra, body.as_bytes());
-}
-
-/// `GET /debug/profile?seconds=S` at the router: the cluster-wide
-/// flamegraph. Every backend's `/debug/profile` is fetched concurrently
-/// on throwaway connections (like `/stats` and `/trace/{id}` — never the
-/// pooled request connections) while the router samples its *own* thread
-/// stacks for the same window; backend stacks merge under a
-/// `backend <addr>` root frame, exactly the shape `assemble_trace` gives
-/// the distributed span tree. S is capped at
-/// [`graphio_obs::profile::MAX_SECONDS`], well under the scrape client's
-/// read timeout, so the fan-out cannot hang the handler.
-fn handle_profile(stream: &mut TcpStream, request: &Request, state: &Arc<RouterState>, keep: bool) {
-    let query = request.path.split_once('?').map_or("", |x| x.1);
-    let seconds = match graphio_obs::profile::parse_profile_query(query) {
-        Ok(s) => s,
-        Err(msg) => {
-            state.errors.fetch_add(1, Ordering::Relaxed);
-            respond_error(stream, 400, keep, &msg);
-            return;
-        }
-    };
-    let path = format!("/debug/profile?seconds={seconds}");
-    let (local, fetched): (graphio_obs::Profile, Vec<Option<(String, String)>>) =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = state
-                .upstreams
-                .iter()
-                .map(|up| {
-                    let url = format!("http://{}", up.addr());
-                    let path = path.clone();
-                    let addr = up.addr().to_string();
-                    scope.spawn(move || {
-                        let response =
-                            graphio_service::client::request("GET", &url, &path, None).ok()?;
-                        if response.status != 200 {
-                            return None;
-                        }
-                        Some((addr, response.body))
-                    })
-                })
-                .collect();
-            // Sample the router itself on the handler thread while the
-            // backends sample themselves: one S-second window, whole
-            // cluster.
-            let local = graphio_obs::profile::sample_for(
-                Duration::from_secs(seconds),
-                graphio_obs::profile::DEFAULT_HZ,
-            );
-            let fetched = handles
-                .into_iter()
-                .map(|h| h.join().expect("profile scrape thread"))
-                .collect();
-            (local, fetched)
-        });
-    let mut body = local.to_collapsed();
-    for (addr, backend_body) in fetched.into_iter().flatten() {
-        body.push_str(&graphio_obs::profile::prefix_collapsed(
-            &backend_body,
-            &format!("backend {addr}"),
-        ));
-    }
-    let mut extra: Vec<(&str, String)> = Vec::new();
-    graphio_service::push_obs_headers(&mut extra);
-    let _ = write_response_typed(
-        stream,
-        200,
-        "OK",
-        keep,
-        "text/plain; charset=utf-8",
-        &extra,
-        body.as_bytes(),
-    );
-}
-
-/// `GET /traces` at the router: the router's own recent flight-recorder
-/// records (each one a distributed request the router fronted), same
-/// query vocabulary as the backends'.
-fn handle_traces(stream: &mut TcpStream, request: &Request, state: &Arc<RouterState>, keep: bool) {
-    let (n, min_us, status) = match parse_traces_query(&request.path) {
-        Ok(parsed) => parsed,
-        Err(msg) => {
-            state.errors.fetch_add(1, Ordering::Relaxed);
-            respond_error(stream, 400, keep, &msg);
-            return;
-        }
-    };
-    let records = recorder::recorder()
-        .map(|r| r.recent(n, min_us, status))
-        .unwrap_or_default();
-    let summaries: Vec<String> = records.iter().map(|r| r.to_summary_json()).collect();
-    let body = format!("[{}]\n", summaries.join(","));
-    let mut extra: Vec<(&str, String)> = Vec::new();
-    graphio_service::push_obs_headers(&mut extra);
-    let _ = write_response(stream, 200, "OK", keep, &extra, body.as_bytes());
-}
-
-fn handle_healthz(stream: &mut TcpStream, state: &Arc<RouterState>, keep: bool) {
-    let healthy = state.upstreams.iter().filter(|u| u.is_healthy()).count();
-    let doc = JsonValue::Object(vec![
-        (
-            "status".to_string(),
-            JsonValue::String(if healthy > 0 { "ok" } else { "degraded" }.to_string()),
-        ),
-        ("role".to_string(), JsonValue::String("router".to_string())),
-        (
-            "backends".to_string(),
-            JsonValue::Number(state.upstreams.len() as f64),
-        ),
-        ("healthy".to_string(), JsonValue::Number(healthy as f64)),
-    ]);
-    let body = doc.to_string() + "\n";
-    let _ = write_response(stream, 200, "OK", keep, &[], body.as_bytes());
-}
-
-/// `GET /metrics`: Prometheus text exposition of the router's counters,
-/// per-backend health/traffic gauges, and every latency histogram in the
-/// process-wide registry (request durations per endpoint; the router has
-/// no analysis phases of its own, so phase series here come from the
-/// registry being shared when backends run in-process, e.g. under test).
-fn handle_metrics(stream: &mut TcpStream, state: &Arc<RouterState>, keep: bool) {
-    let mut m = graphio_obs::MetricsText::new();
-    m.gauge(
-        "graphio_router_uptime_seconds",
-        &[],
-        state.started.elapsed().as_secs_f64(),
-    );
-    m.counter(
-        "graphio_router_requests_total",
-        &[],
-        state.requests.load(Ordering::Relaxed),
-    );
-    m.counter(
-        "graphio_router_analyze_ok_total",
-        &[],
-        state.analyze_ok.load(Ordering::Relaxed),
-    );
-    m.counter(
-        "graphio_router_batch_ok_total",
-        &[],
-        state.batch_ok.load(Ordering::Relaxed),
-    );
-    m.counter(
-        "graphio_router_errors_total",
-        &[],
-        state.errors.load(Ordering::Relaxed),
-    );
-    render_fingerprint_memo(&mut m, &state.fp_memo.stats());
-    let healthy = state.upstreams.iter().filter(|u| u.is_healthy()).count();
-    m.gauge("graphio_router_backends", &[], state.upstreams.len() as f64);
-    m.gauge("graphio_router_backends_healthy", &[], healthy as f64);
-    for up in &state.upstreams {
-        let labels = [("backend", up.addr())];
-        m.gauge(
-            "graphio_router_backend_healthy",
-            &labels,
-            f64::from(u8::from(up.is_healthy())),
-        );
-        m.counter(
-            "graphio_router_backend_requests_total",
-            &labels,
-            up.requests.load(Ordering::Relaxed),
-        );
-        m.counter(
-            "graphio_router_backend_retries_total",
-            &labels,
-            up.retries.load(Ordering::Relaxed),
-        );
-        m.counter(
-            "graphio_router_backend_ejections_total",
-            &labels,
-            up.ejections.load(Ordering::Relaxed),
-        );
-        m.counter(
-            "graphio_router_backend_restorations_total",
-            &labels,
-            up.restorations.load(Ordering::Relaxed),
-        );
-    }
-    graphio_obs::render_registered(&mut m);
-    recorder::render(&mut m);
-    graphio_obs::alloc::render(&mut m);
-    graphio_obs::procfs::render(&mut m);
-    let body = m.into_string();
-    let mut extra: Vec<(&str, String)> = Vec::new();
-    graphio_service::push_obs_headers(&mut extra);
-    let _ = write_response_typed(
-        stream,
-        200,
-        "OK",
-        keep,
-        "text/plain; version=0.0.4",
-        &extra,
-        body.as_bytes(),
-    );
-}
-
-/// `GET /stats`: router-local counters plus every backend's own `/stats`
-/// document, with cross-backend version/uptime digests (a mixed-version
-/// ring or a freshly-restarted backend is exactly what this endpoint
-/// exists to surface). Each backend entry carries `scrape_us`, the wall
-/// time its `/stats` scrape took from the router's vantage point.
-fn handle_stats(stream: &mut TcpStream, state: &Arc<RouterState>, keep: bool) {
-    let num = |v: u64| JsonValue::Number(v as f64);
-    // Scrape every backend's /stats concurrently on throwaway
-    // connections: the scrape is observability, so it must not touch the
-    // pooled request connections or the per-backend request counters,
-    // and one hung backend must cost one read timeout — not one per
-    // backend, serially.
-    let scraped: Vec<(Result<graphio_service::client::Response, String>, u64)> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = state
-                .upstreams
-                .iter()
-                .map(|up| {
-                    let url = format!("http://{}", up.addr());
-                    scope.spawn(move || {
-                        let started = Instant::now();
-                        let result = graphio_service::client::request("GET", &url, "/stats", None)
-                            .map_err(|e| e.to_string());
-                        // Per-backend scrape wall time (µs): the figure
-                        // that spots the one slow/hung backend hiding
-                        // behind the concurrent scatter.
-                        let scrape_us =
-                            u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-                        (result, scrape_us.max(1))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("stats scrape thread"))
-                .collect()
-        });
-    let mut backend_docs = Vec::new();
-    let mut versions: Vec<String> = Vec::new();
-    let mut retries = 0u64;
-    let mut ejections = 0u64;
-    let mut rebalances = 0u64;
-    for (up, (scrape, scrape_us)) in state.upstreams.iter().zip(scraped) {
-        let mut entry = vec![
-            ("addr".to_string(), JsonValue::String(up.addr().to_string())),
-            ("healthy".to_string(), JsonValue::Bool(up.is_healthy())),
-            ("scrape_us".to_string(), num(scrape_us)),
-            (
-                "requests".to_string(),
-                num(up.requests.load(Ordering::Relaxed)),
-            ),
-            (
-                "retries".to_string(),
-                num(up.retries.load(Ordering::Relaxed)),
-            ),
-            (
-                "ejections".to_string(),
-                num(up.ejections.load(Ordering::Relaxed)),
-            ),
-        ];
-        retries += up.retries.load(Ordering::Relaxed);
-        ejections += up.ejections.load(Ordering::Relaxed);
-        rebalances +=
-            up.ejections.load(Ordering::Relaxed) + up.restorations.load(Ordering::Relaxed);
-        match scrape {
-            Ok(r) if r.status == 200 => {
-                if let Ok(doc) = graphio_graph::json::parse(&r.body) {
-                    if let Some(v) = doc.get("version").and_then(JsonValue::as_str) {
-                        if !versions.iter().any(|existing| existing == v) {
-                            versions.push(v.to_string());
-                        }
-                    }
-                    entry.push(("stats".to_string(), doc));
-                }
-            }
-            Ok(r) => entry.push((
-                "error".to_string(),
-                JsonValue::String(format!("status {}", r.status)),
-            )),
-            Err(e) => entry.push(("error".to_string(), JsonValue::String(e))),
-        }
-        backend_docs.push(JsonValue::Object(entry));
-    }
-    versions.sort();
-    let doc = JsonValue::Object(vec![
-        (
-            "version".to_string(),
-            JsonValue::String(env!("CARGO_PKG_VERSION").to_string()),
-        ),
-        (
-            "uptime_seconds".to_string(),
-            num(state.started.elapsed().as_secs()),
-        ),
-        (
-            "router".to_string(),
-            JsonValue::Object(vec![
-                (
-                    "requests".to_string(),
-                    num(state.requests.load(Ordering::Relaxed)),
-                ),
-                (
-                    "analyze_ok".to_string(),
-                    num(state.analyze_ok.load(Ordering::Relaxed)),
-                ),
-                (
-                    "batch_ok".to_string(),
-                    num(state.batch_ok.load(Ordering::Relaxed)),
-                ),
-                (
-                    "errors".to_string(),
-                    num(state.errors.load(Ordering::Relaxed)),
-                ),
-                ("retries".to_string(), num(retries)),
-                ("ejections".to_string(), num(ejections)),
-                ("ring_rebalances".to_string(), num(rebalances)),
-                (
-                    "fingerprint_memo".to_string(),
-                    fingerprint_memo_doc(&state.fp_memo.stats()),
-                ),
-                (
-                    "replicas".to_string(),
-                    JsonValue::Number(state.ring.replicas() as f64),
-                ),
-            ]),
-        ),
-        ("process".to_string(), graphio_service::process_stats_doc()),
-        (
-            "mixed_versions".to_string(),
-            JsonValue::Bool(versions.len() > 1),
-        ),
-        (
-            "backend_versions".to_string(),
-            JsonValue::Array(versions.into_iter().map(JsonValue::String).collect()),
-        ),
-        ("backends".to_string(), JsonValue::Array(backend_docs)),
-    ]);
-    let body = doc.to_string() + "\n";
-    let _ = write_response(stream, 200, "OK", keep, &[], body.as_bytes());
 }
 
 #[cfg(test)]

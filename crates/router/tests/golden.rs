@@ -193,7 +193,8 @@ fn service_with_store_admin_surface_is_pinned() {
 
 const ROUTER_STATS: &str = "
 version uptime_seconds
-router router.requests router.analyze_ok router.batch_ok router.errors
+router router.connections router.requests router.rejected router.analyze_ok
+router.batch_ok router.errors
 router.retries router.ejections router.ring_rebalances
 router.fingerprint_memo router.fingerprint_memo.entries router.fingerprint_memo.capacity
 router.fingerprint_memo.hits router.fingerprint_memo.misses router.fingerprint_memo.resets
@@ -205,7 +206,8 @@ backends[].addr backends[].healthy backends[].scrape_us backends[].requests
 backends[].retries backends[].ejections backends[].stats";
 
 const ROUTER_FAMILIES: &str = "
-graphio_router_uptime_seconds graphio_router_requests_total
+graphio_router_uptime_seconds graphio_router_connections_total
+graphio_router_requests_total graphio_router_rejected_total
 graphio_router_analyze_ok_total graphio_router_batch_ok_total
 graphio_router_errors_total
 graphio_fingerprint_memo_entries graphio_fingerprint_memo_capacity

@@ -550,3 +550,74 @@ fn health_checker_ejects_and_restores() {
         std::thread::sleep(Duration::from_millis(50));
     }
 }
+
+/// The router's accept loop is the service's: a full queue answers 503
+/// with `Retry-After` and the router's busy text, and `/stats` counts
+/// both the rejection and every accepted connection.
+#[test]
+fn full_router_queue_answers_503_and_counts_it() {
+    use std::io::Read as _;
+    use std::net::TcpStream;
+    let backend = serve(&ServiceConfig::default()).unwrap();
+    let router = serve_router(&RouterConfig {
+        workers: 1,
+        queue_capacity: 1,
+        ..RouterConfig::over(vec![backend.addr().to_string()])
+    })
+    .unwrap();
+    // An idle connection holds the only worker; a second one holds the
+    // only queue slot.
+    let hold_worker = TcpStream::connect(router.addr()).unwrap();
+    std::thread::sleep(Duration::from_millis(200));
+    let hold_queue = TcpStream::connect(router.addr()).unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    let mut third = TcpStream::connect(router.addr()).unwrap();
+    third
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut response = String::new();
+    third.read_to_string(&mut response).unwrap();
+    assert!(response.starts_with("HTTP/1.1 503 "), "{response}");
+    assert!(response.contains("\r\nRetry-After: 1\r\n"), "{response}");
+    assert!(
+        response.ends_with("\r\n\r\n{\"error\":\"router busy, retry later\"}\n"),
+        "{response}"
+    );
+    drop((hold_worker, hold_queue));
+    std::thread::sleep(Duration::from_millis(300));
+    let stats = client::request("GET", &router.url(), "/stats", None).unwrap();
+    assert_eq!(stats.status, 200, "{}", stats.body);
+    let doc = parse(&stats.body).unwrap();
+    let counter = |key: &str| doc.get("router").and_then(|r| r.get(key)?.as_f64());
+    assert_eq!(counter("rejected"), Some(1.0));
+    assert_eq!(counter("connections"), Some(4.0), "3 held + this scrape");
+    let metrics = client::request("GET", &router.url(), "/metrics", None).unwrap();
+    let expo = graphio_obs::parse_metrics(&metrics.body).unwrap();
+    assert_eq!(expo.value("graphio_router_rejected_total", &[]), Some(1.0));
+}
+
+/// `/batch` routes its inline graphs through the router's fingerprint
+/// memo, as `/analyze` does: replaying a batch of N inline graphs is N
+/// memo hits, and the bytes do not change.
+#[test]
+fn batch_split_fingerprints_inline_graphs_through_the_memo() {
+    let c = cluster(2);
+    let entries: Vec<String> = graph_zoo()
+        .iter()
+        .map(|g| graph_json(g).trim().to_string())
+        .collect();
+    let memo_hits = || {
+        let stats = client::request("GET", &c.router.url(), "/stats", None).unwrap();
+        let doc = parse(&stats.body).unwrap();
+        let memo = doc.get("router").and_then(|r| r.get("fingerprint_memo"));
+        memo.and_then(|m| m.get("hits")?.as_f64()).unwrap()
+    };
+    let first = client::batch(&c.router.url(), &entries, &[2, 4], 1, false).unwrap();
+    assert_eq!(first.status, 200, "{}", first.body);
+    let before = memo_hits();
+    let replay = client::batch(&c.router.url(), &entries, &[2, 4], 1, false).unwrap();
+    assert_eq!(memo_hits() - before, entries.len() as f64);
+    assert_eq!(replay.body, first.body);
+    let single = client::batch(&c.reference.url(), &entries, &[2, 4], 1, false).unwrap();
+    assert_eq!(replay.body, single.body);
+}

@@ -276,15 +276,6 @@ pub struct ConnectionLimits {
     pub max_requests: usize,
 }
 
-impl Default for ConnectionLimits {
-    fn default() -> Self {
-        ConnectionLimits {
-            idle_timeout: IDLE_TIMEOUT,
-            max_requests: MAX_REQUESTS_PER_CONNECTION,
-        }
-    }
-}
-
 /// The persistent-connection request loop shared by every HTTP front in
 /// the workspace (the analysis server and the cluster router): serve
 /// requests until the peer closes, asks for `Connection: close`, idles
@@ -342,7 +333,7 @@ pub fn serve_connection(
                     HttpError::TooLarge(m) => (413, m.clone()),
                     HttpError::Closed | HttpError::Io(_) => unreachable!("handled above"),
                 };
-                respond_error(reader.get_mut(), status, false, &msg);
+                respond_error(reader.get_mut(), status, false, &[], &msg);
                 return;
             }
         };
@@ -355,16 +346,11 @@ pub fn serve_connection(
     }
 }
 
-/// Writes the service's standard JSON error body
-/// (`{"error": message}\n`) with the given status.
-pub fn respond_error(stream: &mut TcpStream, status: u16, keep: bool, message: &str) {
-    respond_error_with(stream, status, keep, &[], message);
-}
-
-/// [`respond_error`] with extra headers (e.g. `Retry-After`). The one
-/// place the `{"error": ...}` body shape is built — the message goes
-/// through the JSON serializer, so embedded quotes stay valid JSON.
-pub fn respond_error_with(
+/// Writes the standard JSON error body (`{"error": message}\n`) with the
+/// given status and `extra` headers (e.g. `Retry-After`). The one place
+/// the `{"error": ...}` body shape is built — the message goes through
+/// the JSON serializer, so embedded quotes stay valid JSON.
+pub fn respond_error(
     stream: &mut TcpStream,
     status: u16,
     keep: bool,
@@ -377,7 +363,8 @@ pub fn respond_error_with(
     )])
     .to_string()
         + "\n";
-    let _ = write_response(stream, status, reason(status), keep, extra, body.as_bytes());
+    let body = body.as_bytes();
+    let _ = write_response(stream, status, keep, "application/json", extra, body);
 }
 
 /// Writes a complete response (status line, standard headers, any `extra`
@@ -391,31 +378,6 @@ pub fn respond_error_with(
 pub fn write_response(
     stream: &mut TcpStream,
     status: u16,
-    reason: &str,
-    keep: bool,
-    extra: &[(&str, String)],
-    body: &[u8],
-) -> std::io::Result<()> {
-    write_response_typed(
-        stream,
-        status,
-        reason,
-        keep,
-        "application/json",
-        extra,
-        body,
-    )
-}
-
-/// [`write_response`] with an explicit `Content-Type` (the `/metrics`
-/// endpoint serves Prometheus text, not JSON).
-///
-/// # Errors
-/// Propagates socket write failures.
-pub fn write_response_typed(
-    stream: &mut TcpStream,
-    status: u16,
-    reason: &str,
     keep: bool,
     content_type: &str,
     extra: &[(&str, String)],
@@ -427,7 +389,8 @@ pub fn write_response_typed(
     graphio_obs::recorder::annotate_status(status);
     let connection = if keep { "keep-alive" } else { "close" };
     let mut head = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
+        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
+        reason(status),
         body.len()
     );
     for (name, value) in extra {

@@ -26,7 +26,14 @@
 //! * [`analysis`] — the deterministic analysis document shared with the
 //!   offline CLI (`POST /analyze` responses are bit-identical to
 //!   `graphio analyze --json`),
-//! * [`server`] — the listener/router tying it together,
+//! * [`skeleton`] — the server skeleton this tier and the cluster router
+//!   both mount: accept loop, connection lifecycle, the admin routes
+//!   (`/healthz`, `/stats`, `/metrics`, `/trace/{id}`, `/traces`,
+//!   `/debug/profile`) with the 404/405 fallbacks, and the declarative
+//!   counter set behind `/stats` and `/metrics`,
+//! * [`server`] — the service tier on that skeleton: it owns
+//!   `POST /analyze`, `/batch`, `/component` and `/graphs`, the
+//!   `cache`/`store`/`engine` counters, and the store flush on shutdown,
 //! * [`client`] — a minimal blocking client (`graphio client ...`, CI
 //!   driver, integration tests).
 //!
@@ -48,6 +55,7 @@ pub mod http;
 pub mod loadgen;
 pub mod pool;
 pub mod server;
+pub mod skeleton;
 
 pub use analysis::{
     analysis_body, analysis_doc, parse_graph_doc, parse_request_json, parse_spec,
@@ -57,8 +65,5 @@ pub use cache::{CacheConfig, CacheStats, SessionCache};
 pub use client::{Client, ClientError, Response};
 pub use loadgen::{LoadgenConfig, LoadgenReport};
 pub use pool::{PoolSnapshot, SubmitError, WorkerPool};
-pub use server::{
-    endpoint_label, fingerprint_memo_doc, parse_traces_query, process_stats_doc, push_obs_headers,
-    render_fingerprint_memo, serve, trace_record_json, traced_request, PersistenceConfig, Server,
-    ServiceConfig, SlowLog, SlowLogConfig, SlowLogTarget, MAX_BATCH_GRAPHS, REQUEST_FAMILY,
-};
+pub use server::{serve, PersistenceConfig, Server, ServiceConfig, MAX_BATCH_GRAPHS};
+pub use skeleton::{SlowLogConfig, SlowLogTarget, REQUEST_FAMILY};

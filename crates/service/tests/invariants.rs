@@ -5,13 +5,18 @@
 //! bug in a bound (or in the simulator), never in the graph.
 //!
 //! `analyze_rows` also checks this with a `debug_assert!`; the property
-//! test below sweeps the generator zoo so that check actually runs.
+//! test below sweeps the generator zoo so that check actually runs. The
+//! compose-mode document (`compose_doc`) gets the same check on every
+//! row it does not label `"estimated"`.
 
 use graphio_graph::generators::{
     bhk_hypercube, diamond_dag, erdos_renyi_dag, fft_butterfly, naive_matmul,
 };
+use graphio_graph::json::JsonValue;
 use graphio_graph::CompGraph;
-use graphio_service::analysis::{analyze_rows, is_certified, AnalyzeSpec};
+use graphio_service::analysis::{
+    analyze_rows, compose_doc, compose_parts, compose_plan_for, is_certified, AnalyzeSpec,
+};
 use graphio_spectral::OwnedAnalyzer;
 use proptest::prelude::*;
 
@@ -45,6 +50,43 @@ fn check(g: CompGraph, memories: Vec<usize>, processors: usize) -> Result<(), St
     Ok(())
 }
 
+/// The compose-mode rows at p = 1: unless the document is labelled an
+/// estimate, `thm4`, `thm5` and `mincut` are each at most `sim_upper`.
+fn check_compose(g: CompGraph, memories: Vec<usize>) -> Result<(), String> {
+    let n = g.n();
+    let an = OwnedAnalyzer::from_graph(g);
+    let spec = AnalyzeSpec {
+        compose: true,
+        ..AnalyzeSpec::sweep(memories)
+    };
+    let plan = compose_plan_for(&an);
+    let doc = compose_doc(an.graph(), &spec, &plan.record(), &compose_parts(&plan));
+    if doc.get("estimated") != Some(&JsonValue::Bool(false)) {
+        return Ok(());
+    }
+    let rows = doc
+        .get("sweep")
+        .and_then(JsonValue::as_array)
+        .expect("sweep rows");
+    for row in rows {
+        let field = |key: &str| row.get(key).and_then(JsonValue::as_f64);
+        // A memory too small to pebble the graph has no simulation, and
+        // so nothing to violate.
+        let Some(sim) = field("sim_upper") else {
+            continue;
+        };
+        for key in ["thm4", "thm5", "mincut"] {
+            let bound = field(key).expect("composed bound");
+            if bound > sim {
+                return Err(format!(
+                    "n = {n}: compose {key} = {bound} > sim {sim} in {row}"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -57,6 +99,15 @@ proptest! {
         prop_assert!(is_certified(g.n()));
         let memories = vec![m, 2 * m, 4 * m];
         let result = check(g, memories, processors);
+        prop_assert!(result.is_ok(), "{}", result.unwrap_err());
+    }
+
+    #[test]
+    fn composed_lower_bounds_never_exceed_the_simulation(
+        g in zoo_graph(),
+        m in 1usize..48,
+    ) {
+        let result = check_compose(g, vec![m, 2 * m, 4 * m]);
         prop_assert!(result.is_ok(), "{}", result.unwrap_err());
     }
 }

@@ -472,7 +472,7 @@ fn serve_and_client_round_trip_matches_offline_analyze() {
     let result = std::panic::catch_unwind(|| {
         let mut offline_all = String::new();
         let mut graphs_ndjson = String::new();
-        for family in ["fft", "bhk", "inner"] {
+        for family in ["fft", "bhk", "inner", "matmul"] {
             let json = generate(family, 4);
             let (offline, stderr, ok) =
                 run_with_stdin(&["analyze", "--memory-sweep", "2,4,8", "--json"], &json);
@@ -497,7 +497,7 @@ fn serve_and_client_round_trip_matches_offline_analyze() {
             graphs_ndjson.push('\n');
         }
 
-        // `client batch`: all three graphs in one request, response
+        // `client batch`: all four graphs in one request, response
         // bit-identical to the concatenated per-graph offline outputs.
         let (batched, stderr, ok) = run_with_stdin(
             &["client", "batch", "--url", &url, "--memory-sweep", "2,4,8"],
@@ -537,14 +537,30 @@ fn serve_and_client_round_trip_matches_offline_analyze() {
             .and_then(|e| e.get("spectrum_misses"))
             .and_then(|v| v.as_f64())
             .unwrap();
-        // 3 cached sessions × 2 Laplacian kinds, across every analyze
+        // 4 cached sessions × 2 Laplacian kinds, across every analyze
         // and batch call above (fft/4 repeats an already-cached graph).
-        assert_eq!(misses, 6.0, "{stats}");
+        assert_eq!(misses, 8.0, "{stats}");
         let requests = doc.get("requests").and_then(|v| v.as_f64()).unwrap();
         let connections = doc.get("connections").and_then(|v| v.as_f64()).unwrap();
         assert!(
             requests > connections,
             "keep-alive must show reuse: {requests} requests / {connections} connections"
+        );
+
+        let (health, stderr, ok) = run_with_stdin(&["client", "health", "--url", &url], "");
+        assert!(ok, "client health failed: {stderr}");
+        assert!(health.contains("\"status\":\"ok\""), "{health}");
+        // Two `/healthz` requests over one kept-alive connection.
+        let mut conn = graphio::service::Client::new(&url).unwrap();
+        for _ in 0..2 {
+            let r = conn.request("GET", "/healthz", None).unwrap();
+            assert_eq!(r.status, 200);
+            assert!(r.body.contains("\"status\":\"ok\""), "{}", r.body);
+        }
+        assert_eq!(
+            conn.connects(),
+            1,
+            "both /healthz requests share a connection"
         );
     });
     let _ = server.kill();
