@@ -17,10 +17,15 @@
 //! * [`batch`] — `POST /batch` scatter/gather: split by owner, forward,
 //!   reassemble the byte-exact single-node concatenation with per-index
 //!   blame remapped to the caller's indices,
-//! * [`proxy`] — the server tying it together, including failover
+//! * [`proxy`] — the router tier on the server skeleton it shares with
+//!   the service ([`graphio_service::skeleton`], which owns the accept
+//!   loop, the connection lifecycle and the admin routes `/healthz`,
+//!   `/stats`, `/metrics`, `/trace/{id}`, `/traces`, `/debug/profile`).
+//!   The router owns `POST /analyze`, `/graphs` and `/batch`, failover
 //!   (connect failure or 503 → next distinct replica clockwise,
-//!   `Retry-After` honored as the ejection backoff) and `GET /stats`
-//!   aggregation across the fleet.
+//!   `Retry-After` honored as the ejection backoff), the health loop,
+//!   and the fleet view behind its admin routes: `/stats` aggregation,
+//!   the assembled `/trace/{id}` and the merged `/debug/profile`.
 //!
 //! The contract with clients is transparency: every response body the
 //! router produces — analyze, fingerprint-only analyze, batch, and their

@@ -22,7 +22,7 @@
 //! The skeleton owns the accept loop, the connection lifecycle and the
 //! admin routes; this tier owns `POST /analyze`, `/graphs` and `/batch`,
 //! the health loop, the per-backend `/stats` rows and `/metrics` series,
-//! and one backend fan-out ([`RouterState::fan_out`]) behind the
+//! and one backend fan-out (`RouterState::fan_out`) behind the
 //! cluster-wide `/stats`, `/trace/{id}` and `/debug/profile`.
 //!
 //! ## Forwarding policy

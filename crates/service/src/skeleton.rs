@@ -130,16 +130,14 @@ impl PathMatch {
 
 /// One row of a route table.
 pub struct Route<T> {
-    /// The HTTP method (`GET`, `POST`).
-    pub method: &'static str,
-    /// Which paths the row serves.
-    pub path: PathMatch,
-    /// Answers the request: writes exactly one response on `Exchange`.
-    pub handler: fn(&Arc<T>, &mut Exchange<'_>),
+    method: &'static str,
+    path: PathMatch,
+    handler: fn(&Arc<T>, &mut Exchange<'_>),
 }
 
 impl<T> Route<T> {
-    /// A row serving `method` on `path`.
+    /// A row serving `method` on `path` with `handler`, which writes
+    /// exactly one response on its [`Exchange`].
     pub const fn new(
         method: &'static str,
         path: PathMatch,
