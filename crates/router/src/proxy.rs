@@ -248,8 +248,7 @@ impl RouterState {
     /// 200, as `(addr, body)`.
     fn fan_out_ok<R>(&self, path: &str, local: impl FnOnce() -> R) -> (R, Vec<(String, String)>) {
         let (local, scrapes) = self.fan_out(path, local);
-        let ok = self.upstreams.iter().zip(scrapes);
-        let bodies = ok
+        let bodies = (self.upstreams.iter().zip(scrapes))
             .filter_map(|(up, (result, _))| {
                 let response = result.ok().filter(|r| r.status == 200)?;
                 Some((up.addr().to_string(), response.body))
