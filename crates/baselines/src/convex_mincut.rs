@@ -132,28 +132,29 @@ pub fn convex_min_cut_bound(
         }
     };
 
+    // Each worker builds one network and reuses it for every vertex of
+    // its chunk; chunks are concatenated in order, so the results (and
+    // `best_vertex`'s tie-breaking) do not depend on the thread count.
+    let sweep = |vs: &[usize]| -> Vec<(usize, u64)> {
+        let mut net = CutNetwork::new(g);
+        vs.iter().map(|&v| (v, net.cut(v))).collect()
+    };
     let threads = opts.threads.max(1).min(vertices.len().max(1));
     let results: Vec<(usize, u64)> = if threads == 1 {
-        vertices.iter().map(|&v| (v, wavefront_cut(g, v))).collect()
+        sweep(&vertices)
     } else {
         let chunk = vertices.len().div_ceil(threads);
-        let mut out: Vec<(usize, u64)> = Vec::with_capacity(vertices.len());
+        let sweep = &sweep;
         std::thread::scope(|s| {
             let handles: Vec<_> = vertices
                 .chunks(chunk)
-                .map(|vs| {
-                    s.spawn(move || {
-                        vs.iter()
-                            .map(|&v| (v, wavefront_cut(g, v)))
-                            .collect::<Vec<_>>()
-                    })
-                })
+                .map(|vs| s.spawn(move || sweep(vs)))
                 .collect();
-            for h in handles {
-                out.extend(h.join().expect("min-cut worker panicked"));
-            }
-        });
-        out
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("min-cut worker panicked"))
+                .collect()
+        })
     };
 
     let mut best_vertex = results[0].0;
@@ -201,45 +202,131 @@ pub fn convex_min_cut_bound(
 /// a pure function of the graph size, so results stay deterministic per
 /// graph and cache keys need no new fields.
 pub fn wavefront_cut(g: &CompGraph, v: usize) -> u64 {
-    let desc = g.descendants(v);
-    if desc.is_empty() {
-        return 0;
-    }
-    let anc = g.ancestors(v);
-    let n = g.n();
-    // Node layout: vertex u -> u, gadget c_u -> n + u, s -> 2n, t -> 2n+1.
-    let s = 2 * n;
-    let t = 2 * n + 1;
-    let mut net = FlowNetwork::new(2 * n + 2);
-    for u in 0..n {
-        if g.out_degree(u) > 0 {
-            net.add_edge(u, n + u, 1);
+    CutNetwork::new(g).cut(v)
+}
+
+/// The split-vertex network behind [`wavefront_cut`], built once per graph
+/// and reused for every vertex a sweep worker evaluates.
+///
+/// Node layout: vertex `u` → `u`, gadget `c_u` → `n + u`, `s` → `2n`,
+/// `t` → `2n + 1`. The static arcs (unit gadget arcs, gadget → child arcs,
+/// implication arcs) never change; per vertex the network is reset and
+/// only the pins `s → v`, `s → a`, `d → t` are added, in the room each
+/// vertex node, `s` and `t` keep for them. Every node lists its arcs in
+/// the same order a network built from scratch for that vertex would, so
+/// Dinic runs the same phases and finds the same augmenting paths.
+struct CutNetwork<'g> {
+    g: &'g CompGraph,
+    net: FlowNetwork,
+    reach: Reach,
+    anc: Vec<u32>,
+    desc: Vec<u32>,
+    flow_cap: u64,
+}
+
+impl<'g> CutNetwork<'g> {
+    fn new(g: &'g CompGraph) -> Self {
+        let n = g.n();
+        let units = (0..n)
+            .filter(move |&u| g.out_degree(u) > 0)
+            .map(move |u| (u, n + u, 1));
+        let edges = (0..n).flat_map(move |u| {
+            g.children(u).iter().flat_map(move |&w| {
+                let w = w as usize;
+                // Penalty gadget reaches the child; down-closure implication.
+                [(n + u, w, INF), (w, u, INF)]
+            })
+        });
+        // Each vertex takes one pin (`s → v`, `s → a` or `d → t`); `s` and
+        // `t` take up to one per vertex.
+        let room = move |x: usize| match x {
+            x if x < n => 1,
+            x if x < 2 * n => 0,
+            _ => n,
+        };
+        CutNetwork {
+            g,
+            net: FlowNetwork::new(2 * n + 2, units.chain(edges), room),
+            reach: Reach {
+                marks: vec![0; n],
+                epoch: 0,
+                stack: Vec::new(),
+            },
+            anc: Vec::new(),
+            desc: Vec::new(),
+            flow_cap: if n > HUGE_SWEEP_CUTOFF {
+                HUGE_FLOW_CAP
+            } else {
+                u64::MAX
+            },
         }
     }
-    for (u, w) in g.edges() {
-        net.add_edge(n + u, w, INF); // penalty gadget reaches the child
-        net.add_edge(w, u, INF); // down-closure implication
+
+    fn cut(&mut self, v: usize) -> u64 {
+        self.reach.run(self.g, v, false, &mut self.desc);
+        if self.desc.is_empty() {
+            return 0;
+        }
+        self.reach.run(self.g, v, true, &mut self.anc);
+
+        let n = self.g.n();
+        let (s, t) = (2 * n, 2 * n + 1);
+        self.net.reset();
+        self.net.add_edge(s, v, INF);
+        for &a in &self.anc {
+            self.net.add_edge(s, a as usize, INF);
+        }
+        for &d in &self.desc {
+            self.net.add_edge(d as usize, t, INF);
+        }
+        self.net.max_flow_capped(s, t, self.flow_cap)
     }
-    net.add_edge(s, v, INF);
-    for &a in &anc {
-        net.add_edge(s, a, INF);
+}
+
+/// Traversal scratch shared by every reachability set a worker computes:
+/// `marks[u] == epoch` iff `u` was visited by the current traversal.
+struct Reach {
+    marks: Vec<u32>,
+    epoch: u32,
+    stack: Vec<u32>,
+}
+
+impl Reach {
+    /// Strict descendants (or ancestors, if `backwards`) of `v` into `out`,
+    /// in the order [`CompGraph::descendants`] / [`CompGraph::ancestors`]
+    /// list them, so the pins go in as they always have.
+    fn run(&mut self, g: &CompGraph, v: usize, backwards: bool, out: &mut Vec<u32>) {
+        if self.epoch == u32::MAX {
+            self.marks.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        out.clear();
+        self.stack.clear();
+        self.marks[v] = self.epoch;
+        self.stack.push(v as u32);
+        while let Some(u) = self.stack.pop() {
+            let next = if backwards {
+                g.parents(u as usize)
+            } else {
+                g.children(u as usize)
+            };
+            for &w in next {
+                if self.marks[w as usize] != self.epoch {
+                    self.marks[w as usize] = self.epoch;
+                    out.push(w);
+                    self.stack.push(w);
+                }
+            }
+        }
     }
-    for &d in &desc {
-        net.add_edge(d, t, INF);
-    }
-    let cap = if n > HUGE_SWEEP_CUTOFF {
-        HUGE_FLOW_CAP
-    } else {
-        u64::MAX
-    };
-    net.max_flow_capped(s, t, cap)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use graphio_graph::generators::{
-        bhk_hypercube, fft_butterfly, inner_product, naive_matmul, path_dag,
+        bhk_hypercube, diamond_dag, fft_butterfly, inner_product, naive_matmul, path_dag,
     };
 
     #[test]
@@ -338,25 +425,23 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_sweeps_agree() {
-        let g = bhk_hypercube(4);
-        let serial = convex_min_cut_bound(
-            &g,
-            1,
-            &ConvexMinCutOptions {
-                threads: 1,
-                sweep: VertexSweep::All,
-            },
-        );
-        let parallel = convex_min_cut_bound(
-            &g,
-            1,
-            &ConvexMinCutOptions {
-                threads: 4,
-                sweep: VertexSweep::All,
-            },
-        );
-        assert_eq!(serial.bound, parallel.bound);
-        assert_eq!(serial.max_cut, parallel.max_cut);
+        // n = 35 and a 13-vertex sample split unevenly over 2 and 3
+        // workers, each reusing one network across its chunk.
+        let g = diamond_dag(5, 7);
+        for sweep in [VertexSweep::All, VertexSweep::Sample { count: 13, seed: 5 }] {
+            let run = |threads| {
+                let opts = ConvexMinCutOptions {
+                    threads,
+                    sweep: sweep.clone(),
+                };
+                convex_min_cut_bound(&g, 1, &opts)
+            };
+            let serial = run(1);
+            assert!(serial.max_cut > 1, "{sweep:?}: {serial:?}");
+            for threads in [2, 3] {
+                assert_eq!(run(threads), serial, "{sweep:?}, {threads} threads");
+            }
+        }
     }
 
     #[test]

@@ -10,6 +10,37 @@ use graphio_graph::CompGraph;
 use graphio_pebble::{simulate, Policy};
 use proptest::prelude::*;
 
+/// Random DAGs with at most 12 vertices: few enough to enumerate every
+/// vertex subset.
+fn tiny_random_dag() -> impl Strategy<Value = CompGraph> {
+    (0u64..1000, 1usize..=12, 0usize..4).prop_map(|(seed, n, kind)| match kind {
+        0 => layered_random_dag(2 + n % 3, 2 + n % 2, 0.5, seed),
+        _ => erdos_renyi_dag(n, [0.2, 0.35, 0.6][kind - 1], seed),
+    })
+}
+
+/// `min |W(S)|` over every down-closed `S` with `Anc(v) ∪ {v} ⊆ S` and
+/// `S ∩ Desc(v) = ∅`, where `W(S)` is the set of members of `S` with a
+/// child outside `S` — by enumerating all vertex subsets.
+fn brute_force_wavefront(g: &CompGraph, v: usize) -> u64 {
+    let n = g.n();
+    let bit = |set: u32, u: usize| set >> u & 1 == 1;
+    let pinned = g.ancestors(v).iter().fold(1u32 << v, |m, &a| m | 1 << a);
+    let barred = g.descendants(v).iter().fold(0u32, |m, &d| m | 1 << d);
+    (0u32..1 << n)
+        .filter(|&set| set & pinned == pinned && set & barred == 0)
+        .filter(|&set| {
+            (0..n).all(|u| !bit(set, u) || g.parents(u).iter().all(|&p| bit(set, p as usize)))
+        })
+        .map(|set| {
+            (0..n)
+                .filter(|&u| bit(set, u) && g.children(u).iter().any(|&w| !bit(set, w as usize)))
+                .count() as u64
+        })
+        .min()
+        .expect("Anc(v) ∪ {v} is itself such a prefix")
+}
+
 fn small_random_dag() -> impl Strategy<Value = CompGraph> {
     (0u64..400, 0usize..2).prop_map(|(seed, kind)| match kind {
         0 => layered_random_dag(2 + (seed as usize % 3), 2 + (seed as usize % 3), 0.6, seed),
@@ -34,6 +65,17 @@ proptest! {
         prop_assert!(cut <= g.n() as u64);
         if g.descendants(v).is_empty() {
             prop_assert_eq!(cut, 0);
+        }
+    }
+
+    #[test]
+    fn wavefront_cut_is_the_minimum_convex_wavefront(g in tiny_random_dag()) {
+        // The gadget network's min cut is exactly the smallest wavefront of
+        // any convex prefix that has finished v and none of its
+        // descendants — not merely a bound on it.
+        for v in 0..g.n() {
+            let (cut, brute) = (wavefront_cut(&g, v), brute_force_wavefront(&g, v));
+            prop_assert_eq!(cut, brute, "v={}: cut {} != brute force {}", v, cut, brute);
         }
     }
 
