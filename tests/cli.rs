@@ -138,6 +138,31 @@ fn analyze_json_output_is_parseable_and_complete() {
 }
 
 #[test]
+fn sparse_tier_analyze_is_identical_across_thread_counts() {
+    // fft(7) has n = 1,024, past the dense tier: the Lanczos solves (and
+    // their helper threads) run, and the bytes must not depend on them.
+    let json = generate("fft", 7);
+    let analyze = |threads: &str| {
+        let (stdout, stderr, ok) = run_with_stdin(
+            &[
+                "analyze",
+                "--memory-sweep",
+                "2,4,8,16",
+                "--threads",
+                threads,
+                "--json",
+            ],
+            &json,
+        );
+        assert!(ok, "--threads {threads}: {stderr}");
+        stdout
+    };
+    let serial = analyze("1");
+    assert!(serial.contains("\"eigensolves\":2"), "{serial}");
+    assert_eq!(analyze("2"), serial);
+}
+
+#[test]
 fn dot_pipeline_renders_graphviz() {
     let json = generate("inner", 2);
     let (stdout, _, ok) = run_with_stdin(&["dot"], &json);
