@@ -5,15 +5,17 @@
 //! For each (family, size) the example builds the normalized Laplacian,
 //! times one mat-vec under the default `Strict` SIMD policy and again
 //! with SIMD forced `Off` (same bits either way — that's the Strict
-//! contract), and runs the full analysis document (spectra for Theorems
-//! 4/5, min-cut sweep, LRU simulation) through the production scale-tier
-//! schedule.
+//! contract), times the convex min-cut sweep alone (`mincut_s`, on its own
+//! cold session), and runs the full analysis document (spectra for
+//! Theorems 4/5, min-cut sweep, LRU simulation) through the production
+//! scale-tier schedule.
 //!
 //! ```text
 //! cargo run --release --example linalg_sweep > BENCH_linalg.json
 //! cargo run --release --example linalg_sweep -- quick   # small sizes only
 //! ```
 
+use graphio::baselines::ConvexMinCutOptions;
 use graphio::graph::generators::{bhk_hypercube, fft_butterfly};
 use graphio::graph::CompGraph;
 use graphio::linalg::simd::{avx2_available, set_policy};
@@ -89,6 +91,14 @@ fn main() {
         let (simd_s, scalar_s) = time_matvec_pair(&lap, reps);
         let speedup = scalar_s / simd_s;
 
+        // On its own session, so the analyze below still sweeps cold.
+        let mincut_s = {
+            let session = OwnedAnalyzer::from_graph(g.clone());
+            let t = Instant::now();
+            session.min_cut(&ConvexMinCutOptions::for_graph_size(n));
+            t.elapsed().as_secs_f64()
+        };
+
         let t = Instant::now();
         let analyzer = OwnedAnalyzer::from_graph(g);
         let body = analysis_body(&analyzer, &AnalyzeSpec::sweep(vec![4, 16]));
@@ -97,7 +107,7 @@ fn main() {
 
         eprintln!(
             "{name}: n={n} nnz={nnz} matvec {simd:.1}us vs {scalar:.1}us ({speedup:.2}x), \
-             analyze {analyze_s:.1}s [{tier}]",
+             mincut {mincut_s:.2}s, analyze {analyze_s:.1}s [{tier}]",
             simd = simd_s * 1e6,
             scalar = scalar_s * 1e6,
             tier = tier_name(n),
@@ -105,7 +115,7 @@ fn main() {
         rows.push(format!(
             "    {{\"graph\": \"{name}\", \"n\": {n}, \"nnz\": {nnz}, \"tier\": \"{tier}\", \
              \"matvec_simd_us\": {simd:.2}, \"matvec_scalar_us\": {scalar:.2}, \
-             \"matvec_speedup\": {speedup:.2}, \"analyze_s\": {analyze_s:.2}}}",
+             \"matvec_speedup\": {speedup:.2}, \"mincut_s\": {mincut_s:.3}, \"analyze_s\": {analyze_s:.2}}}",
             tier = tier_name(n),
             simd = simd_s * 1e6,
             scalar = scalar_s * 1e6,
@@ -115,8 +125,9 @@ fn main() {
     println!("{{");
     println!("  \"bench\": \"linalg_sweep\",");
     println!(
-        "  \"description\": \"CSR mat-vec SIMD (strict) vs forced-scalar, and end-to-end \
-         analyze (memories 4,16: spectra + min-cut + simulation) across the scale tiers\","
+        "  \"description\": \"CSR mat-vec SIMD (strict) vs forced-scalar, the convex \
+         min-cut sweep alone, and end-to-end analyze (memories 4,16: spectra + min-cut + \
+         simulation) across the scale tiers\","
     );
     println!("  \"avx2\": {},", avx2_available());
     println!("  \"rows\": [");
