@@ -248,8 +248,7 @@ impl<'g> CutNetwork<'g> {
             g,
             net: FlowNetwork::new(2 * n + 2, units.chain(edges), room),
             reach: Reach {
-                marks: vec![0; n],
-                epoch: 0,
+                seen: vec![false; n],
                 stack: Vec::new(),
             },
             anc: Vec::new(),
@@ -283,11 +282,10 @@ impl<'g> CutNetwork<'g> {
     }
 }
 
-/// Traversal scratch shared by every reachability set a worker computes:
-/// `marks[u] == epoch` iff `u` was visited by the current traversal.
+/// Traversal scratch shared by every reachability set a worker computes;
+/// `seen` is all `false` between traversals.
 struct Reach {
-    marks: Vec<u32>,
-    epoch: u32,
+    seen: Vec<bool>,
     stack: Vec<u32>,
 }
 
@@ -296,14 +294,8 @@ impl Reach {
     /// in the order [`CompGraph::descendants`] / [`CompGraph::ancestors`]
     /// list them, so the pins go in as they always have.
     fn run(&mut self, g: &CompGraph, v: usize, backwards: bool, out: &mut Vec<u32>) {
-        if self.epoch == u32::MAX {
-            self.marks.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
         out.clear();
-        self.stack.clear();
-        self.marks[v] = self.epoch;
+        self.seen[v] = true;
         self.stack.push(v as u32);
         while let Some(u) = self.stack.pop() {
             let next = if backwards {
@@ -312,12 +304,16 @@ impl Reach {
                 g.children(u as usize)
             };
             for &w in next {
-                if self.marks[w as usize] != self.epoch {
-                    self.marks[w as usize] = self.epoch;
+                if !self.seen[w as usize] {
+                    self.seen[w as usize] = true;
                     out.push(w);
                     self.stack.push(w);
                 }
             }
+        }
+        self.seen[v] = false;
+        for &w in out.iter() {
+            self.seen[w as usize] = false;
         }
     }
 }
