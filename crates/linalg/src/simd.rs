@@ -1,7 +1,8 @@
 //! Runtime-dispatched AVX2 kernels with an always-compiled scalar fallback.
 //!
-//! Every hot loop in this crate — dot products, `axpy`/`axpby`/`scal`,
-//! the CSR mat-vec, and the Householder rank-2 row update — funnels
+//! Every hot loop in this crate — dot products (single and 4-wide),
+//! `axpy`/`axpby`/`scal` and the fused 4-vector update, the CSR mat-vec,
+//! the Householder rank-2 row update and the QL row rotation — funnels
 //! through this module. Dispatch is decided per kernel entry from the
 //! process-global [`SimdPolicy`] knob and cached
 //! `is_x86_feature_detected!` probes (AVX2, plus AVX-512F where the
@@ -11,8 +12,9 @@
 //!
 //! # Determinism contract
 //!
-//! * **Element-wise kernels** (`axpy`, `axpby`, `scal`, the rank-2 row
-//!   update) perform exactly the same multiply/add sequence per element in
+//! * **Element-wise kernels** (`axpy`, `axpby`, `scal`, the fused
+//!   4-vector update `axpy4`, the rank-2 row update, the QL row rotation)
+//!   perform exactly the same multiply/add sequence per element in
 //!   scalar and vector form — no FMA contraction (a fused multiply-add
 //!   rounds once where `mul` + `add` round twice, so `Strict` never emits
 //!   it). These are bit-identical under every policy.
@@ -24,6 +26,9 @@
 //!   bit-identical results whether or not AVX2 ran — and stay
 //!   chunk-deterministic across thread counts, because the per-element
 //!   operation sequence does not depend on how callers partition work.
+//!   The 4-wide multi-dot `dot4` shares one pass over `x` between four
+//!   products but gives each its own 4-lane accumulator and tail, so each
+//!   result is `dot(x, q_j)` bit for bit.
 //! * **CSR mat-vec** vectorizes *across* rows, not within them: graph
 //!   Laplacian rows are a handful of scattered entries, far too short for
 //!   in-row lanes to pay. [`crate::CsrMatrix`] stores an interleaved
@@ -239,9 +244,50 @@ pub(crate) fn sell_matvec_scalar(
     }
 }
 
+/// Four canonical dot products `⟨x, q_j⟩` in one pass over `x`. Each keeps
+/// its own lanes and tail, so result `j` equals `dot_scalar(x, q[j])` bit
+/// for bit.
+fn dot4_scalar(x: &[f64], q: [&[f64]; 4]) -> [f64; 4] {
+    let n = x.len();
+    let quads = n - n % 4;
+    let mut l = [[0.0f64; 4]; 4];
+    let mut i = 0;
+    while i < quads {
+        for (lj, qj) in l.iter_mut().zip(q) {
+            lj[0] += x[i] * qj[i];
+            lj[1] += x[i + 1] * qj[i + 1];
+            lj[2] += x[i + 2] * qj[i + 2];
+            lj[3] += x[i + 3] * qj[i + 3];
+        }
+        i += 4;
+    }
+    let mut out = [0.0f64; 4];
+    for ((o, lj), qj) in out.iter_mut().zip(l).zip(q) {
+        let mut tail = 0.0;
+        for k in quads..n {
+            tail += x[k] * qj[k];
+        }
+        *o = ((lj[0] + lj[1]) + (lj[2] + lj[3])) + tail;
+    }
+    out
+}
+
 fn axpy_scalar(alpha: f64, x: &[f64], y: &mut [f64]) {
     for (yi, xi) in y.iter_mut().zip(x.iter()) {
         *yi += alpha * xi;
+    }
+}
+
+/// `y ← y + a_0·x_0 + a_1·x_1 + a_2·x_2 + a_3·x_3`, terms added in
+/// ascending `j` — per element exactly four sequential `axpy` calls.
+fn axpy4_scalar(a: [f64; 4], x: [&[f64]; 4], y: &mut [f64]) {
+    for (i, yi) in y.iter_mut().enumerate() {
+        let mut acc = *yi;
+        acc += a[0] * x[0][i];
+        acc += a[1] * x[1][i];
+        acc += a[2] * x[2][i];
+        acc += a[3] * x[3][i];
+        *yi = acc;
     }
 }
 
@@ -260,6 +306,16 @@ fn scal_scalar(alpha: f64, x: &mut [f64]) {
 fn rank2_row_scalar(row: &mut [f64], uj: f64, ej: f64, e: &[f64], u: &[f64]) {
     for ((rk, ek), uk) in row.iter_mut().zip(e.iter()).zip(u.iter()) {
         *rk -= uj * ek + ej * uk;
+    }
+}
+
+/// The QL Givens rotation on two rows: `hi ← s·lo + c·hi`,
+/// `lo ← c·lo − s·hi` (with the old `hi`).
+fn rotate_rows_scalar(s: f64, c: f64, lo: &mut [f64], hi: &mut [f64]) {
+    for (l, h) in lo.iter_mut().zip(hi.iter_mut()) {
+        let f = *h;
+        *h = s * *l + c * f;
+        *l = c * *l - s * f;
     }
 }
 
@@ -295,6 +351,39 @@ mod avx2 {
             tail += x[k] * y[k];
         }
         ((l[0] + l[1]) + (l[2] + l[3])) + tail
+    }
+
+    /// `Strict` 4-wide multi-dot: one load of `x` per quad feeds four
+    /// 4-lane accumulators, each combined exactly like
+    /// [`super::dot_scalar`], so result `j` equals `dot_strict(x, q[j])`.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2 is available and every `q[j].len() == x.len()`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn dot4_strict(x: &[f64], q: [&[f64]; 4]) -> [f64; 4] {
+        let n = x.len();
+        let quads = n - n % 4;
+        let mut acc = [_mm256_setzero_pd(); 4];
+        let mut i = 0;
+        while i < quads {
+            let xv = _mm256_loadu_pd(x.as_ptr().add(i));
+            for (a, qj) in acc.iter_mut().zip(q) {
+                let qv = _mm256_loadu_pd(qj.as_ptr().add(i));
+                *a = _mm256_add_pd(*a, _mm256_mul_pd(xv, qv));
+            }
+            i += 4;
+        }
+        let mut out = [0.0f64; 4];
+        for ((o, a), qj) in out.iter_mut().zip(acc).zip(q) {
+            let mut l = [0.0f64; 4];
+            _mm256_storeu_pd(l.as_mut_ptr(), a);
+            let mut tail = 0.0;
+            for k in quads..n {
+                tail += x[k] * qj[k];
+            }
+            *o = ((l[0] + l[1]) + (l[2] + l[3])) + tail;
+        }
+        out
     }
 
     /// `Fast` dot: two 4-lane accumulators striped over 8 elements, folded
@@ -411,6 +500,37 @@ mod avx2 {
         }
     }
 
+    /// `y ← y + Σ_j a_j·x_j`, ascending `j`, one load/store of `y` per
+    /// quad (element-wise; bit-identical to four sequential `axpy` calls).
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2 is available and every
+    /// `x[j].len() >= y.len()`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn axpy4(a: [f64; 4], x: [&[f64]; 4], y: &mut [f64]) {
+        let n = y.len();
+        let quads = n - n % 4;
+        let av = a.map(|aj| _mm256_set1_pd(aj));
+        let mut i = 0;
+        while i < quads {
+            let mut yv = _mm256_loadu_pd(y.as_ptr().add(i));
+            for (aj, xj) in av.iter().zip(x) {
+                let xv = _mm256_loadu_pd(xj.as_ptr().add(i));
+                yv = _mm256_add_pd(yv, _mm256_mul_pd(*aj, xv));
+            }
+            _mm256_storeu_pd(y.as_mut_ptr().add(i), yv);
+            i += 4;
+        }
+        for k in quads..n {
+            let mut acc = y[k];
+            acc += a[0] * x[0][k];
+            acc += a[1] * x[1][k];
+            acc += a[2] * x[2][k];
+            acc += a[3] * x[3][k];
+            y[k] = acc;
+        }
+    }
+
     /// `y ← alpha·x + beta·y` (element-wise; bit-identical to scalar).
     ///
     /// # Safety
@@ -479,6 +599,34 @@ mod avx2 {
         }
         for k in quads..n {
             row[k] -= uj * e[k] + ej * u[k];
+        }
+    }
+
+    /// The QL row rotation `hi ← s·lo + c·hi`, `lo ← c·lo − s·hi`
+    /// (element-wise; bit-identical to [`super::rotate_rows_scalar`]).
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2 is available and `lo.len() == hi.len()`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn rotate_rows(s: f64, c: f64, lo: &mut [f64], hi: &mut [f64]) {
+        let n = lo.len();
+        let quads = n - n % 4;
+        let sv = _mm256_set1_pd(s);
+        let cv = _mm256_set1_pd(c);
+        let mut i = 0;
+        while i < quads {
+            let lv = _mm256_loadu_pd(lo.as_ptr().add(i));
+            let hv = _mm256_loadu_pd(hi.as_ptr().add(i));
+            let new_hi = _mm256_add_pd(_mm256_mul_pd(sv, lv), _mm256_mul_pd(cv, hv));
+            let new_lo = _mm256_sub_pd(_mm256_mul_pd(cv, lv), _mm256_mul_pd(sv, hv));
+            _mm256_storeu_pd(hi.as_mut_ptr().add(i), new_hi);
+            _mm256_storeu_pd(lo.as_mut_ptr().add(i), new_lo);
+            i += 4;
+        }
+        for k in quads..n {
+            let f = hi[k];
+            hi[k] = s * lo[k] + c * f;
+            lo[k] = c * lo[k] - s * f;
         }
     }
 }
@@ -551,6 +699,34 @@ pub(crate) fn dot(x: &[f64], y: &[f64]) -> f64 {
     }
 }
 
+/// Four dot products `⟨x, q_j⟩` under the active policy, bit-identical to
+/// four [`dot`] calls. `Fast` runs its (reassociated) dot per vector.
+pub(crate) fn dot4(x: &[f64], q: [&[f64]; 4]) -> [f64; 4] {
+    match route(x.len()) {
+        Route::Scalar => dot4_scalar(x, q),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `dot`.
+        Route::Strict => unsafe { avx2::dot4_strict(x, q) },
+        #[cfg(target_arch = "x86_64")]
+        Route::Fast => q.map(|qj| unsafe { avx2::dot_fast(x, qj) }),
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => dot4_scalar(x, q),
+    }
+}
+
+/// `y ← y + Σ_j a_j·x_j` (ascending `j`) under the active policy,
+/// bit-identical to four sequential [`axpy`] calls.
+pub(crate) fn axpy4(a: [f64; 4], x: [&[f64]; 4], y: &mut [f64]) {
+    match route(y.len()) {
+        Route::Scalar => axpy4_scalar(a, x, y),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `dot`.
+        _ => unsafe { avx2::axpy4(a, x, y) },
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => axpy4_scalar(a, x, y),
+    }
+}
+
 /// `y ← y + alpha·x` under the active policy.
 pub(crate) fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     match route(y.len()) {
@@ -605,6 +781,19 @@ pub(crate) fn rank2_row_routed(
         _ => unsafe { avx2::rank2_row(row, uj, ej, e, u) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => rank2_row_scalar(row, uj, ej, e, u),
+    }
+}
+
+/// The QL row rotation under a pre-resolved route (the QL iteration
+/// resolves once per call, not once per rotation).
+pub(crate) fn rotate_rows_routed(route: Route, s: f64, c: f64, lo: &mut [f64], hi: &mut [f64]) {
+    match route {
+        Route::Scalar => rotate_rows_scalar(s, c, lo, hi),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `rank2_row_routed`.
+        _ => unsafe { avx2::rotate_rows(s, c, lo, hi) },
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => rotate_rows_scalar(s, c, lo, hi),
     }
 }
 
@@ -697,6 +886,49 @@ mod tests {
                 rank2_row_scalar(&mut y, 0.9, -1.1, &e, &x);
                 avx2::rank2_row(&mut y2, 0.9, -1.1, &e, &x);
                 assert_eq!(y, y2, "rank2 n={n}");
+                let mut e2 = e.clone();
+                rotate_rows_scalar(0.6, -0.8, &mut y, &mut e2);
+                let mut e3 = e.clone();
+                avx2::rotate_rows(0.6, -0.8, &mut y2, &mut e3);
+                assert_eq!((&y, &e2), (&y2, &e3), "rotate n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn four_wide_kernels_match_the_single_vector_kernels() {
+        // Every remainder class of the 4-lane loops; the scalar twins must
+        // equal per-vector `dot_scalar` / sequential `axpy_scalar` exactly,
+        // and (where AVX2 runs) so must the vector bodies.
+        for n in 0..40usize {
+            let (x, y0) = vecs(n);
+            let q: Vec<Vec<f64>> = (0..4)
+                .map(|j| {
+                    (0..n)
+                        .map(|i| ((i * (j + 2)) as f64 * 0.29).sin())
+                        .collect()
+                })
+                .collect();
+            let qs = [&q[0][..], &q[1][..], &q[2][..], &q[3][..]];
+            let per_vector = qs.map(|qj| dot_scalar(&x, qj));
+            assert_eq!(dot4_scalar(&x, qs), per_vector, "dot4 n={n}");
+            let a = [0.37, -1.25, 2.5e-3, -0.81];
+            let mut sequential = y0.clone();
+            for (aj, qj) in a.iter().zip(qs) {
+                axpy_scalar(*aj, qj, &mut sequential);
+            }
+            let mut fused = y0.clone();
+            axpy4_scalar(a, qs, &mut fused);
+            assert_eq!(fused, sequential, "axpy4 n={n}");
+            #[cfg(target_arch = "x86_64")]
+            if avx2_available() {
+                // SAFETY: guarded by avx2_available().
+                unsafe {
+                    assert_eq!(avx2::dot4_strict(&x, qs), per_vector, "avx2 dot4 n={n}");
+                    let mut fused = y0.clone();
+                    avx2::axpy4(a, qs, &mut fused);
+                    assert_eq!(fused, sequential, "avx2 axpy4 n={n}");
+                }
             }
         }
     }

@@ -83,8 +83,19 @@ fn ql_iterate(d: &mut [f64], e: &[f64], z: Option<&mut DenseMatrix>) -> Result<(
     ql_iterate_shifted(d, &mut work, z)
 }
 
-fn ql_iterate_shifted(d: &mut [f64], e: &mut [f64], mut z: Option<&mut DenseMatrix>) -> Result<()> {
+/// The QL sweep proper. Eigenvectors are accumulated in the *transpose*
+/// of `z`: each Givens rotation then combines two contiguous rows instead
+/// of walking two columns at a stride of `n`. Every element still gets
+/// `s·a + c·b` / `c·a − s·b` in the same order, so the result is
+/// bit-identical to rotating `z` in place.
+fn ql_iterate_shifted(d: &mut [f64], e: &mut [f64], z: Option<&mut DenseMatrix>) -> Result<()> {
     let n = d.len();
+    let mut zt = z.as_deref().map(DenseMatrix::transpose);
+    let route = if zt.is_some() {
+        crate::simd::route(n)
+    } else {
+        crate::simd::Route::Scalar
+    };
     for l in 0..n {
         let mut iter = 0usize;
         loop {
@@ -115,7 +126,7 @@ fn ql_iterate_shifted(d: &mut [f64], e: &mut [f64], mut z: Option<&mut DenseMatr
             let (mut s, mut c, mut p) = (1.0, 1.0, 0.0);
             let mut underflow = false;
             for i in (l..m).rev() {
-                let mut f = s * e[i];
+                let f = s * e[i];
                 let b = c * e[i];
                 r = pythag(f, g);
                 e[i + 1] = r;
@@ -133,12 +144,15 @@ fn ql_iterate_shifted(d: &mut [f64], e: &mut [f64], mut z: Option<&mut DenseMatr
                 p = s * r;
                 d[i + 1] = g + p;
                 g = c * r - b;
-                if let Some(zm) = z.as_deref_mut() {
-                    for k in 0..n {
-                        f = zm[(k, i + 1)];
-                        zm[(k, i + 1)] = s * zm[(k, i)] + c * f;
-                        zm[(k, i)] = c * zm[(k, i)] - s * f;
-                    }
+                if let Some(zt) = zt.as_mut() {
+                    let (head, rest) = zt.data_mut().split_at_mut((i + 1) * n);
+                    crate::simd::rotate_rows_routed(
+                        route,
+                        s,
+                        c,
+                        &mut head[i * n..],
+                        &mut rest[..n],
+                    );
                 }
             }
             if underflow {
@@ -149,7 +163,12 @@ fn ql_iterate_shifted(d: &mut [f64], e: &mut [f64], mut z: Option<&mut DenseMatr
             e[m] = 0.0;
         }
     }
-    sort_ascending(d, z);
+    if let (Some(zm), Some(zt)) = (z, zt) {
+        *zm = zt.transpose();
+        sort_ascending(d, Some(zm));
+    } else {
+        sort_ascending(d, None);
+    }
     Ok(())
 }
 

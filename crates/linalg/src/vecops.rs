@@ -86,8 +86,16 @@ const PARALLEL_ORTHO_THRESHOLD: usize = 1 << 16;
 
 /// Parallelizable re-orthogonalization: one *classical* Gram–Schmidt pass
 /// with all coefficients taken against the incoming `v`, then a blocked
-/// subtraction. Callers that need full orthogonality run two passes
-/// ("twice is enough", CGS2) — exactly what the Lanczos sweep already does.
+/// subtraction. Callers that need full orthogonality run a second pass
+/// ("twice is enough", CGS2) — the Lanczos sweep runs it when the first
+/// pass cancelled enough of `v` to need it (the DGKS test).
+///
+/// Both phases handle four basis vectors per pass over `v`: the
+/// coefficients come from a 4-wide multi-dot whose every result equals
+/// [`dot`] bit for bit, and the subtraction from a fused update that
+/// applies `−c_j·q_j` to each element in ascending `j`, exactly like
+/// sequential [`axpy`] calls. Leftover vectors (fewer than four) use
+/// `dot`/`axpy` themselves.
 ///
 /// Determinism: the CGS algorithm runs at **every** thread count
 /// (`threads == 1` and small inputs execute the same two phases inline,
@@ -108,51 +116,73 @@ pub fn orthogonalize_against_parallel(v: &mut [f64], basis: &[Vec<f64>], threads
     // Phase 1: coefficients c_j = <v, q_j>, parallel over basis vectors.
     let mut coeffs = vec![0.0f64; basis.len()];
     if threads == 1 {
-        for (c, q) in coeffs.iter_mut().zip(basis.iter()) {
-            *c = dot(v, q);
-        }
+        dots_into(v, basis, &mut coeffs);
     } else {
         let v_read: &[f64] = v;
         std::thread::scope(|s| {
             let mut rest = coeffs.as_mut_slice();
-            let mut offset = 0;
             for range in crate::threads::even_ranges(basis.len(), threads) {
                 let (chunk, tail) = rest.split_at_mut(range.len());
                 rest = tail;
-                let start = offset;
-                offset += range.len();
-                s.spawn(move || {
-                    for (k, c) in chunk.iter_mut().enumerate() {
-                        *c = dot(v_read, &basis[start + k]);
-                    }
-                });
+                s.spawn(move || dots_into(v_read, &basis[range], chunk));
             }
         });
+    }
+    for c in &mut coeffs {
+        *c = -*c;
     }
     // Phase 2: v -= Σ_j c_j q_j, parallel over segments of v; every element
     // accumulates its terms in ascending j order regardless of chunking.
     if threads == 1 {
-        for (c, q) in coeffs.iter().zip(basis.iter()) {
-            axpy(-c, q, v);
-        }
+        axpy_many(&coeffs, basis, 0, v);
         return;
     }
     std::thread::scope(|s| {
         let mut rest = &mut *v;
-        let mut lo = 0;
         for range in crate::threads::even_ranges(n, threads) {
             let (seg, tail) = rest.split_at_mut(range.len());
             rest = tail;
-            let seg_lo = lo;
-            lo += range.len();
             let coeffs = &coeffs;
-            s.spawn(move || {
-                for (c, q) in coeffs.iter().zip(basis.iter()) {
-                    axpy(-c, &q[seg_lo..seg_lo + seg.len()], seg);
-                }
-            });
+            s.spawn(move || axpy_many(coeffs, basis, range.start, seg));
         }
     });
+}
+
+/// `out[j] = dot(v, basis[j])` for every basis vector, four vectors per
+/// pass over `v` (each result bit-identical to [`dot`]).
+fn dots_into(v: &[f64], basis: &[Vec<f64>], out: &mut [f64]) {
+    let mut blocks = basis.chunks_exact(4);
+    let mut outs = out.chunks_exact_mut(4);
+    for (q, c) in (&mut blocks).zip(&mut outs) {
+        assert!(q.iter().all(|q| q.len() == v.len()), "dot: length mismatch");
+        c.copy_from_slice(&crate::simd::dot4(v, [&q[0], &q[1], &q[2], &q[3]]));
+    }
+    for (q, c) in blocks.remainder().iter().zip(outs.into_remainder()) {
+        *c = dot(v, q);
+    }
+}
+
+/// `y ← y + Σ_j alphas[j]·basis[j][lo .. lo + y.len()]`, the terms of every
+/// element added in ascending `j` — bit-identical to one [`axpy`] per basis
+/// vector, but four basis vectors per pass over `y`.
+///
+/// # Panics
+/// Panics if a basis vector is shorter than `lo + y.len()`.
+pub(crate) fn axpy_many(alphas: &[f64], basis: &[Vec<f64>], lo: usize, y: &mut [f64]) {
+    debug_assert_eq!(alphas.len(), basis.len());
+    let hi = lo + y.len();
+    let mut blocks = basis.chunks_exact(4);
+    let mut coeffs = alphas.chunks_exact(4);
+    for (q, a) in (&mut blocks).zip(&mut coeffs) {
+        crate::simd::axpy4(
+            [a[0], a[1], a[2], a[3]],
+            [&q[0][lo..hi], &q[1][lo..hi], &q[2][lo..hi], &q[3][lo..hi]],
+            y,
+        );
+    }
+    for (q, &a) in blocks.remainder().iter().zip(coeffs.remainder()) {
+        axpy(a, &q[lo..hi], y);
+    }
 }
 
 /// Numerically robust `hypot` specialized to the QL iteration's needs:

@@ -6,8 +6,10 @@ use graphio_linalg::csr::CsrMatrix;
 use graphio_linalg::dense::DenseMatrix;
 use graphio_linalg::lanczos::{smallest_eigenvalues, LanczosOptions};
 use graphio_linalg::orthogonal::{is_orthogonal, random_orthogonal};
+use graphio_linalg::simd::{policy, set_policy, SimdPolicy};
 use graphio_linalg::symeig::{eigenvalues_symmetric, eigh};
 use graphio_linalg::tridiag::{tridiagonal_eigenvalues, tridiagonal_eigenvalues_bisect};
+use graphio_linalg::vecops::{axpy, dot, orthogonalize_against_parallel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -52,8 +54,54 @@ fn random_laplacian() -> impl Strategy<Value = DenseMatrix> {
     })
 }
 
+/// Strategy: a vector of length 0..=67 and a basis of 0..=11 vectors of
+/// the same length — every remainder of the 4-lane loops and of 4-vector
+/// blocking.
+fn cgs_case() -> impl Strategy<Value = (Vec<f64>, Vec<Vec<f64>>)> {
+    (0usize..=67, 0usize..=11).prop_flat_map(|(n, k)| {
+        (
+            proptest::collection::vec(-1.0f64..1.0, n),
+            proptest::collection::vec(proptest::collection::vec(-1.0f64..1.0, n), k),
+        )
+    })
+}
+
+/// Restores the process-global SIMD policy when dropped (also when a
+/// property fails part-way).
+struct RestorePolicy(SimdPolicy);
+
+impl Drop for RestorePolicy {
+    fn drop(&mut self) {
+        set_policy(self.0);
+    }
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn blocked_cgs_pass_equals_per_vector_dot_and_axpy((v, basis) in cgs_case()) {
+        let _restore = RestorePolicy(policy());
+        for p in [SimdPolicy::Strict, SimdPolicy::Off] {
+            set_policy(p);
+            // The reference: every coefficient against the incoming `v`,
+            // then one `axpy` per basis vector in ascending order.
+            let coeffs: Vec<f64> = basis.iter().map(|q| dot(&v, q)).collect();
+            let mut reference = v.clone();
+            for (c, q) in coeffs.iter().zip(&basis) {
+                axpy(-c, q, &mut reference);
+            }
+            for threads in [1usize, 2] {
+                let mut got = v.clone();
+                orthogonalize_against_parallel(&mut got, &basis, threads);
+                prop_assert_eq!(bits(&got), bits(&reference), "{:?} threads={}", p, threads);
+            }
+        }
+    }
 
     #[test]
     fn eigenvalue_sum_equals_trace(a in symmetric_matrix()) {
