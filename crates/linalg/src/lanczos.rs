@@ -7,10 +7,19 @@
 //! a single Krylov subspace can represent at most one Ritz pair per distinct
 //! eigenvalue. The spectral bound of Theorem 4 sums the `k` smallest
 //! eigenvalues *counting multiplicity*, so we must recover copies. Each
-//! sweep locks every converged Ritz pair at the bottom of the remaining
+//! sweep locks the converged Ritz pairs at the bottom of the remaining
 //! spectrum, then restarts against the orthogonal complement of everything
 //! locked; repeated eigenvalues re-appear in later sweeps until their
-//! eigenspaces are exhausted.
+//! eigenspaces are exhausted. Locking is capped at what the answer can
+//! use: once `h` values are locked, a sweep stops locking at the first
+//! candidate at or above the h-th smallest locked value (candidates come
+//! in ascending order, so nothing it skips could enter the answer).
+//!
+//! Orthogonality is kept by classical Gram–Schmidt against the locked set
+//! and the basis. The second pass of CGS2 is gated by the DGKS test: it
+//! runs only when the first pass shrank the residual below `1/√2` of its
+//! norm, which the three-term recurrence makes rare — it has already
+//! removed the large components.
 //!
 //! The smallest eigenvalues of `A` are obtained as the *largest* of
 //! `σI − A` (σ = Gershgorin or power-iteration bound), where Lanczos
@@ -23,7 +32,8 @@ use crate::linop::{LinOp, ShiftedNegated};
 use crate::power::power_iteration;
 use crate::tridiag::tql_in_place;
 use crate::vecops::{
-    axpy, dot, norm2, normalize, orthogonalize_against, orthogonalize_against_parallel, scal,
+    axpy, axpy_many, dot, norm2, normalize, orthogonalize_against, orthogonalize_against_parallel,
+    scal,
 };
 use crate::Result;
 use rand::rngs::StdRng;
@@ -71,6 +81,13 @@ fn reorth_window_for(n: usize) -> usize {
         usize::MAX
     }
 }
+
+/// DGKS threshold (Daniel, Gragg, Kaufman & Stewart, 1976) for the second
+/// CGS pass of [`lanczos_sweep`]. If the first pass kept at least `1/√2`
+/// of `‖w‖`, the components it removed were small against `w` and what
+/// remains along the basis is rounding; a larger drop means cancellation,
+/// and a second pass restores orthogonality. A constant, never an option.
+const DGKS_RATIO: f64 = std::f64::consts::FRAC_1_SQRT_2;
 
 /// Options for [`extreme_ritz_values`] — the fixed-cost single-sweep path
 /// the huge-`n` scale tier uses.
@@ -282,6 +299,7 @@ pub fn smallest_eigenvalues<A: LinOp + ?Sized>(
             &sweep,
             &analysis,
             tol,
+            h,
             &shifted,
             &mut locked_vecs,
             &mut locked_vals,
@@ -328,8 +346,21 @@ struct Sweep {
     /// Whether the sweep terminated with an (numerically) invariant
     /// subspace, making every Ritz pair exact.
     invariant: bool,
+    /// Steps whose DGKS test ran the second CGS pass (read by the tests).
+    #[cfg_attr(not(test), allow(dead_code))]
+    second_passes: usize,
 }
 
+/// One Lanczos sweep of at most `budget` steps from the unit vector `v0`,
+/// kept orthogonal to `locked` and (within the trailing `window` vectors)
+/// to its own basis.
+///
+/// Each step's residual `w` is re-orthogonalized by one CGS pass against
+/// `locked`, then the window. A second pass runs only when the first left
+/// `‖w‖` below [`DGKS_RATIO`] (`1/√2`) of its value before the pass, and
+/// `β` is the norm after the last pass that ran. The decision compares two
+/// serial `norm2` values of a vector that is itself bit-identical at every
+/// thread count, so the sweep stays bit-identical across thread counts.
 fn lanczos_sweep<A: LinOp + ?Sized>(
     op: &A,
     v0: Vec<f64>,
@@ -345,6 +376,7 @@ fn lanczos_sweep<A: LinOp + ?Sized>(
     let mut v = v0;
     let mut w = vec![0.0; n];
     let mut invariant = false;
+    let mut second_passes = 0usize;
 
     for j in 0..budget {
         basis.push(v.clone());
@@ -357,19 +389,24 @@ fn lanczos_sweep<A: LinOp + ?Sized>(
             let beta_prev = betas[j - 1];
             axpy(-beta_prev, &basis[j - 1], &mut w);
         }
-        // Re-orthogonalization, two passes ("twice is enough"). The
-        // parallel variant is one classical GS pass; two of them (CGS2)
-        // restore orthogonality to machine precision, and this O(m·n) sweep
-        // is the Lanczos bottleneck on large graphs — which is why huge
-        // operators bound the window to the trailing basis vectors (locked
-        // vectors are always swept in full; there are at most `h`).
+        // Re-orthogonalization: one classical GS pass against the locked
+        // set and the window, and a second pass (CGS2, "twice is enough")
+        // only when the DGKS test asks for it. This O(m·n) step is the
+        // Lanczos bottleneck on large graphs — which is why huge operators
+        // bound the window to the trailing basis vectors (locked vectors
+        // are always swept in full; there are at most `h` of them).
         let threads = crate::threads::effective_threads();
         let w0 = basis.len().saturating_sub(window);
-        for _ in 0..2 {
+        let before = norm2(&w);
+        orthogonalize_against_parallel(&mut w, locked, threads);
+        orthogonalize_against_parallel(&mut w, &basis[w0..], threads);
+        let mut beta = norm2(&w);
+        if beta < DGKS_RATIO * before {
             orthogonalize_against_parallel(&mut w, locked, threads);
             orthogonalize_against_parallel(&mut w, &basis[w0..], threads);
+            beta = norm2(&w);
+            second_passes += 1;
         }
-        let beta = norm2(&w);
         betas.push(beta);
         if beta <= f64::EPSILON * 64.0 * (1.0 + alpha.abs()) {
             invariant = true;
@@ -383,6 +420,7 @@ fn lanczos_sweep<A: LinOp + ?Sized>(
         alphas,
         betas,
         invariant,
+        second_passes,
     }
 }
 
@@ -449,10 +487,17 @@ impl RitzAnalysis {
 /// Locks converged Ritz pairs from the *top* of the shifted spectrum (the
 /// bottom of the original), stopping at the first unconverged pair so the
 /// locked set never skips an eigenvalue. Returns the number locked.
+///
+/// Locking is capped by what the answer can use: once `h` values are
+/// locked, it also stops at the first candidate at or above the current
+/// h-th smallest locked value. Candidates arrive in ascending order, so
+/// nothing after that one can enter the `h` smallest either — and every
+/// vector it does not lock is one fewer to re-orthogonalize against.
 fn lock_converged<A: LinOp + ?Sized>(
     sweep: &Sweep,
     analysis: &RitzAnalysis,
     tol: f64,
+    h: usize,
     shifted: &ShiftedNegated<'_, A>,
     locked_vecs: &mut Vec<Vec<f64>>,
     locked_vals: &mut Vec<f64>,
@@ -468,18 +513,21 @@ fn lock_converged<A: LinOp + ?Sized>(
         if analysis.residual(idx) > tol && !analysis.invariant {
             break;
         }
-        // Assemble the Ritz vector y = V z_idx.
-        let mut y = vec![0.0; n];
-        for (jj, basis_v) in sweep.basis.iter().enumerate() {
-            axpy(z[(jj, idx)], basis_v, &mut y);
+        let value = shifted.unshift(analysis.theta[idx]);
+        if locked_vals.len() >= h && value >= kth_smallest(locked_vals, h) {
+            break;
         }
+        // Assemble the Ritz vector y = V z_idx.
+        let coeffs: Vec<f64> = (0..m).map(|jj| z[(jj, idx)]).collect();
+        let mut y = vec![0.0; n];
+        axpy_many(&coeffs, &sweep.basis, 0, &mut y);
         orthogonalize_against(&mut y, locked_vecs);
         if normalize(&mut y) < 1e-6 {
             // Numerically dependent on already-locked vectors; skip it.
             continue;
         }
         locked_vecs.push(y);
-        locked_vals.push(shifted.unshift(analysis.theta[idx]));
+        locked_vals.push(value);
         newly += 1;
     }
     newly
@@ -521,6 +569,136 @@ mod tests {
             }
         }
         CsrMatrix::from_triplets(n, &trips).unwrap()
+    }
+
+    /// Laplacian of a random sparse graph: each vertex joined to three
+    /// random others (distinct eigenvalues, so sweeps run their budget).
+    fn random_laplacian(n: usize, seed: u64) -> CsrMatrix {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut deg = vec![0.0; n];
+        let mut trips = Vec::new();
+        for u in 0..n {
+            for _ in 0..3 {
+                let v = rng.gen_range(0..n);
+                if v != u {
+                    trips.push((u, v, -1.0));
+                    trips.push((v, u, -1.0));
+                    deg[u] += 1.0;
+                    deg[v] += 1.0;
+                }
+            }
+        }
+        trips.extend(deg.iter().enumerate().map(|(u, &d)| (u, u, d)));
+        CsrMatrix::from_triplets(n, &trips).unwrap()
+    }
+
+    /// `max |VᵀV − I|` over a sweep's basis and `max |Vᵀ·locked|`.
+    fn orthogonality(sweep: &Sweep, locked: &[Vec<f64>]) -> (f64, f64) {
+        let mut self_dev = 0.0f64;
+        for (i, a) in sweep.basis.iter().enumerate() {
+            for (j, b) in sweep.basis.iter().enumerate() {
+                let target = if i == j { 1.0 } else { 0.0 };
+                self_dev = self_dev.max((dot(a, b) - target).abs());
+            }
+        }
+        let locked_dev = sweep
+            .basis
+            .iter()
+            .flat_map(|a| locked.iter().map(move |y| dot(a, y).abs()))
+            .fold(0.0, f64::max);
+        (self_dev, locked_dev)
+    }
+
+    /// A locked set the way the solver builds one: the converged Ritz
+    /// vectors of a first sweep of `σI − A`.
+    fn locked_after_first_sweep<A: LinOp + ?Sized>(
+        shifted: &ShiftedNegated<'_, A>,
+        rng: &mut StdRng,
+    ) -> Vec<Vec<f64>> {
+        let n = shifted.dim();
+        let v0 = random_orthogonal_start(n, &[], rng).unwrap();
+        let sweep = lanczos_sweep(shifted, v0, 96.min(n), &[], usize::MAX, &mut 0);
+        let analysis = RitzAnalysis::of(&sweep).unwrap();
+        let (mut vecs, mut vals) = (Vec::new(), Vec::new());
+        lock_converged(&sweep, &analysis, 1e-9, 8, shifted, &mut vecs, &mut vals);
+        assert!(!vecs.is_empty(), "first sweep locked nothing");
+        vecs
+    }
+
+    #[test]
+    fn dgks_gate_skips_most_second_passes_and_keeps_the_basis_orthogonal() {
+        let mut rng = StdRng::seed_from_u64(0xd6c5);
+        for (name, a) in [
+            ("Q_8", hypercube_laplacian(8)),
+            ("random", random_laplacian(300, 5)),
+        ] {
+            let shifted = ShiftedNegated::new(&a, a.eigen_upper_bound().unwrap());
+            let locked = locked_after_first_sweep(&shifted, &mut rng);
+            let v0 = random_orthogonal_start(a.dim(), &locked, &mut rng).unwrap();
+            let sweep = lanczos_sweep(&shifted, v0, 96, &locked, usize::MAX, &mut 0);
+            let (self_dev, locked_dev) = orthogonality(&sweep, &locked);
+            assert!(self_dev <= 1e-12, "{name}: |VᵀV − I| = {self_dev:e}");
+            assert!(locked_dev <= 1e-12, "{name}: |Vᵀ·locked| = {locked_dev:e}");
+            let steps = sweep.alphas.len();
+            assert!(
+                2 * sweep.second_passes < steps,
+                "{name}: second pass on {} of {steps} steps",
+                sweep.second_passes
+            );
+        }
+    }
+
+    #[test]
+    fn dgks_gate_fires_near_breakdown() {
+        // Start within 1e-10 of the invariant subspace spanned by two
+        // hypercube characters (exact eigenvectors of Q_8, eigenvalues 2
+        // and 4), against a locked vector that — like any locked Ritz
+        // vector — is an eigenvector only to about the locking tolerance
+        // (a third character perturbed by 1e-8). After one step the true
+        // residual is ~1e-10, smaller than what the locked vector's own
+        // residual feeds into `w`, so the first pass cancels most of `w`
+        // and the second pass must run.
+        let a = hypercube_laplacian(8);
+        let n = a.dim();
+        let chi = |mask: usize| -> Vec<f64> {
+            (0..n)
+                .map(|u| {
+                    if (u & mask).count_ones().is_multiple_of(2) {
+                        1.0
+                    } else {
+                        -1.0
+                    }
+                })
+                .collect()
+        };
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut noise = |v: &[f64], size: f64| -> Vec<f64> {
+            let mut out: Vec<f64> = v
+                .iter()
+                .map(|x| x + size * (rng.gen::<f64>() * 2.0 - 1.0))
+                .collect();
+            normalize(&mut out);
+            out
+        };
+        let locked = vec![noise(&chi(0b1000), 1e-8)];
+        let (c1, c2) = (chi(0b1), chi(0b110));
+        let sum: Vec<f64> = c1.iter().zip(&c2).map(|(x, y)| x + y).collect();
+        let mut v0 = noise(&sum, 1e-10);
+        for _ in 0..2 {
+            orthogonalize_against(&mut v0, &locked);
+        }
+        normalize(&mut v0);
+        let shifted = ShiftedNegated::new(&a, a.eigen_upper_bound().unwrap());
+        let sweep = lanczos_sweep(&shifted, v0, 96, &locked, usize::MAX, &mut 0);
+        assert!(
+            sweep.betas[1] < 1e-8,
+            "not near breakdown: {:?}",
+            &sweep.betas[..2]
+        );
+        assert!(sweep.second_passes >= 1, "the gate never fired");
+        let (self_dev, locked_dev) = orthogonality(&sweep, &locked);
+        assert!(self_dev <= 1e-12, "|VᵀV − I| = {self_dev:e}");
+        assert!(locked_dev <= 1e-12, "|Vᵀ·locked| = {locked_dev:e}");
     }
 
     #[test]
@@ -567,6 +745,27 @@ mod tests {
         }
         for i in 6..16 {
             assert!((r.values[i] - 4.0).abs() < 1e-7, "{}", r.values[i]);
+        }
+
+        // Q_10 (eigenvalue 2i with multiplicity C(10, i)) with `h` cutting
+        // through, then at the end of, the 45-fold eigenvalue 4 — the
+        // capped locking must still deliver every copy the answer needs.
+        let a = hypercube_laplacian(10);
+        for (h, expect) in [
+            (48, [(0.0, 1), (2.0, 10), (4.0, 37)].as_slice()),
+            (56, [(0.0, 1), (2.0, 10), (4.0, 45)].as_slice()),
+            (57, [(0.0, 1), (2.0, 10), (4.0, 45), (6.0, 1)].as_slice()),
+        ] {
+            let r = smallest_eigenvalues(&a, h, &LanczosOptions::default()).unwrap();
+            assert!(r.converged);
+            let expected: Vec<f64> = expect
+                .iter()
+                .flat_map(|&(value, copies)| std::iter::repeat_n(value, copies))
+                .collect();
+            assert_eq!(r.values.len(), h);
+            for (i, (got, want)) in r.values.iter().zip(&expected).enumerate() {
+                assert!((got - want).abs() < 1e-7, "h={h} i={i}: {got} vs {want}");
+            }
         }
     }
 
