@@ -96,8 +96,8 @@ pub struct RitzSweepOptions {
     /// Lanczos steps (= Krylov dimension = the exact mat-vec budget).
     pub steps: usize,
     /// CGS2 re-orthogonalization window: each new basis vector is
-    /// orthogonalized (two passes) against only the trailing `window`
-    /// basis vectors.
+    /// orthogonalized (one pass, and a second when the DGKS test asks for
+    /// it) against only the trailing `window` basis vectors.
     pub reorth_window: usize,
     /// RNG seed for the start vector.
     pub seed: u64,

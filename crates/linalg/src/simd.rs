@@ -701,13 +701,22 @@ pub(crate) fn dot(x: &[f64], y: &[f64]) -> f64 {
 
 /// Four dot products `⟨x, q_j⟩` under the active policy, bit-identical to
 /// four [`dot`] calls. `Fast` runs its (reassociated) dot per vector.
+///
+/// # Panics
+/// Panics if any `q[j]` differs in length from `x`.
 pub(crate) fn dot4(x: &[f64], q: [&[f64]; 4]) -> [f64; 4] {
+    assert!(
+        q.iter().all(|qj| qj.len() == x.len()),
+        "dot4: length mismatch"
+    );
     match route(x.len()) {
         Route::Scalar => dot4_scalar(x, q),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `dot`.
+        // SAFETY: route() returned a SIMD lane only after the AVX2 probe,
+        // and the lengths were checked above.
         Route::Strict => unsafe { avx2::dot4_strict(x, q) },
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: as for `Strict`.
         Route::Fast => q.map(|qj| unsafe { avx2::dot_fast(x, qj) }),
         #[cfg(not(target_arch = "x86_64"))]
         _ => dot4_scalar(x, q),
@@ -716,11 +725,19 @@ pub(crate) fn dot4(x: &[f64], q: [&[f64]; 4]) -> [f64; 4] {
 
 /// `y ← y + Σ_j a_j·x_j` (ascending `j`) under the active policy,
 /// bit-identical to four sequential [`axpy`] calls.
+///
+/// # Panics
+/// Panics if any `x[j]` differs in length from `y`.
 pub(crate) fn axpy4(a: [f64; 4], x: [&[f64]; 4], y: &mut [f64]) {
+    assert!(
+        x.iter().all(|xj| xj.len() == y.len()),
+        "axpy4: length mismatch"
+    );
     match route(y.len()) {
         Route::Scalar => axpy4_scalar(a, x, y),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `dot`.
+        // SAFETY: route() returned a SIMD lane only after the AVX2 probe,
+        // and the lengths were checked above.
         _ => unsafe { avx2::axpy4(a, x, y) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => axpy4_scalar(a, x, y),
@@ -786,11 +803,16 @@ pub(crate) fn rank2_row_routed(
 
 /// The QL row rotation under a pre-resolved route (the QL iteration
 /// resolves once per call, not once per rotation).
+///
+/// # Panics
+/// Panics if the rows differ in length.
 pub(crate) fn rotate_rows_routed(route: Route, s: f64, c: f64, lo: &mut [f64], hi: &mut [f64]) {
+    assert_eq!(lo.len(), hi.len(), "rotate_rows: length mismatch");
     match route {
         Route::Scalar => rotate_rows_scalar(s, c, lo, hi),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `rank2_row_routed`.
+        // SAFETY: the caller resolved the route via `route()`, which only
+        // returns a SIMD lane after the AVX2 probe; lengths checked above.
         _ => unsafe { avx2::rotate_rows(s, c, lo, hi) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => rotate_rows_scalar(s, c, lo, hi),

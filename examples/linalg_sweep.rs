@@ -6,9 +6,11 @@
 //! times one mat-vec under the default `Strict` SIMD policy and again
 //! with SIMD forced `Off` (same bits either way — that's the Strict
 //! contract), times the convex min-cut sweep alone (`mincut_s`, on its own
-//! cold session), and runs the full analysis document (spectra for
-//! Theorems 4/5, min-cut sweep, LRU simulation) through the production
-//! scale-tier schedule.
+//! cold session), times both Laplacian spectra alone (`eigensolve_s`,
+//! through `BoundOptions::for_graph_size`, on their own cold session with
+//! the Laplacians already built), and runs the full analysis document
+//! (spectra for Theorems 4/5, min-cut sweep, LRU simulation) through the
+//! production scale-tier schedule.
 //!
 //! ```text
 //! cargo run --release --example linalg_sweep > BENCH_linalg.json
@@ -21,7 +23,9 @@ use graphio::graph::CompGraph;
 use graphio::linalg::simd::{avx2_available, set_policy};
 use graphio::linalg::SimdPolicy;
 use graphio::service::analysis::{analysis_body, AnalyzeSpec};
-use graphio::spectral::{normalized_laplacian, BoundOptions, EigenMethod, OwnedAnalyzer};
+use graphio::spectral::{
+    normalized_laplacian, BoundOptions, EigenMethod, LaplacianKind, OwnedAnalyzer,
+};
 use std::time::Instant;
 
 /// Seconds per mat-vec for (Strict, forced-scalar), each the best of five
@@ -99,6 +103,21 @@ fn main() {
             t.elapsed().as_secs_f64()
         };
 
+        // Both spectra on their own session, timed without the Laplacian
+        // builds.
+        let eigensolve_s = {
+            let session = OwnedAnalyzer::from_graph(g.clone());
+            let opts = BoundOptions::for_graph_size(n);
+            for kind in LaplacianKind::ALL {
+                session.laplacian(kind);
+            }
+            let t = Instant::now();
+            for kind in LaplacianKind::ALL {
+                session.spectrum(kind, &opts).expect("eigensolve failed");
+            }
+            t.elapsed().as_secs_f64()
+        };
+
         let t = Instant::now();
         let analyzer = OwnedAnalyzer::from_graph(g);
         let body = analysis_body(&analyzer, &AnalyzeSpec::sweep(vec![4, 16]));
@@ -107,7 +126,7 @@ fn main() {
 
         eprintln!(
             "{name}: n={n} nnz={nnz} matvec {simd:.1}us vs {scalar:.1}us ({speedup:.2}x), \
-             mincut {mincut_s:.2}s, analyze {analyze_s:.1}s [{tier}]",
+             eigensolve {eigensolve_s:.2}s, mincut {mincut_s:.2}s, analyze {analyze_s:.1}s [{tier}]",
             simd = simd_s * 1e6,
             scalar = scalar_s * 1e6,
             tier = tier_name(n),
@@ -115,7 +134,8 @@ fn main() {
         rows.push(format!(
             "    {{\"graph\": \"{name}\", \"n\": {n}, \"nnz\": {nnz}, \"tier\": \"{tier}\", \
              \"matvec_simd_us\": {simd:.2}, \"matvec_scalar_us\": {scalar:.2}, \
-             \"matvec_speedup\": {speedup:.2}, \"mincut_s\": {mincut_s:.3}, \"analyze_s\": {analyze_s:.2}}}",
+             \"matvec_speedup\": {speedup:.2}, \"eigensolve_s\": {eigensolve_s:.3}, \"mincut_s\": {mincut_s:.3}, \
+             \"analyze_s\": {analyze_s:.2}}}",
             tier = tier_name(n),
             simd = simd_s * 1e6,
             scalar = scalar_s * 1e6,
@@ -125,9 +145,9 @@ fn main() {
     println!("{{");
     println!("  \"bench\": \"linalg_sweep\",");
     println!(
-        "  \"description\": \"CSR mat-vec SIMD (strict) vs forced-scalar, the convex \
-         min-cut sweep alone, and end-to-end analyze (memories 4,16: spectra + min-cut + \
-         simulation) across the scale tiers\","
+        "  \"description\": \"CSR mat-vec SIMD (strict) vs forced-scalar, both Laplacian \
+         spectra alone, the convex min-cut sweep alone, and end-to-end analyze (memories \
+         4,16: spectra + min-cut + simulation) across the scale tiers\","
     );
     println!("  \"avx2\": {},", avx2_available());
     println!("  \"rows\": [");
