@@ -88,7 +88,7 @@ fn ql_iterate(d: &mut [f64], e: &[f64], z: Option<&mut DenseMatrix>) -> Result<(
 /// of walking two columns at a stride of `n`. Every element still gets
 /// `s·a + c·b` / `c·a − s·b` in the same order, so the result is
 /// bit-identical to rotating `z` in place.
-fn ql_iterate_shifted(d: &mut [f64], e: &mut [f64], z: Option<&mut DenseMatrix>) -> Result<()> {
+fn ql_iterate_shifted(d: &mut [f64], e: &mut [f64], mut z: Option<&mut DenseMatrix>) -> Result<()> {
     let n = d.len();
     let mut zt = z.as_deref().map(DenseMatrix::transpose);
     let route = if zt.is_some() {
@@ -163,12 +163,10 @@ fn ql_iterate_shifted(d: &mut [f64], e: &mut [f64], z: Option<&mut DenseMatrix>)
             e[m] = 0.0;
         }
     }
-    if let (Some(zm), Some(zt)) = (z, zt) {
+    if let (Some(zm), Some(zt)) = (z.as_deref_mut(), zt) {
         *zm = zt.transpose();
-        sort_ascending(d, Some(zm));
-    } else {
-        sort_ascending(d, None);
     }
+    sort_ascending(d, z);
     Ok(())
 }
 
