@@ -13,8 +13,6 @@
 //! * [`trace`] — the §6.1 "solver" frontend: operator-overloaded values
 //!   that record an ordinary Rust computation into a `CompGraph`.
 //! * [`topo`] — topological evaluation orders (deterministic and random).
-//! * [`decompose`] — balanced recursive bisection into convex components,
-//!   the partition driver of the compose analysis mode.
 //! * [`dot`] — Graphviz export.
 //! * [`json`] — the JSON edge-list interchange format used by the CLI.
 //! * [`fingerprint`] — relabeling-invariant structural hashes, the cache
@@ -22,7 +20,6 @@
 //!   per-labelling memo.
 
 pub mod dag;
-pub mod decompose;
 pub mod dot;
 pub mod fingerprint;
 pub mod generators;
@@ -32,7 +29,6 @@ pub mod topo;
 pub mod trace;
 
 pub use dag::{CompGraph, EdgeListGraph, GraphBuilder, GraphError};
-pub use decompose::{decompose, induced_subgraph, DecomposeOptions, Decomposition};
 pub use fingerprint::{
     fingerprint, Fingerprint, FingerprintMemo, FingerprintMemoStats, FINGERPRINT_MEMO_CAPACITY,
 };

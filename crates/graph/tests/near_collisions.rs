@@ -10,14 +10,8 @@ use graphio_graph::generators::{
     bhk_hypercube, binary_reduction_tree, diamond_dag, erdos_renyi_dag, fft_butterfly,
     inner_product, layered_random_dag, naive_matmul, naive_matmul_binary_tree, strassen_matmul,
 };
-use graphio_graph::{
-    decompose, fingerprint, induced_subgraph, CompGraph, DecomposeOptions, EdgeListGraph,
-    Fingerprint, OpKind,
-};
+use graphio_graph::{fingerprint, CompGraph, EdgeListGraph, OpKind};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
 fn any_generated_graph() -> impl Strategy<Value = CompGraph> {
     (0usize..10, 0u64..1000).prop_map(|(which, seed)| match which {
@@ -114,144 +108,6 @@ proptest! {
         dedup.dedup();
         prop_assert_eq!(dedup.len(), fps.len(), "near-miss collision: {:?}", fps);
     }
-}
-
-/// Renumbers every vertex of `g` through the bijection `perm`.
-fn relabel(g: &CompGraph, perm: &[u32]) -> CompGraph {
-    let mut ops = vec![OpKind::Input; g.n()];
-    for v in 0..g.n() {
-        ops[perm[v] as usize] = g.op(v);
-    }
-    let edges = g
-        .edges()
-        .map(|(u, v)| (perm[u], perm[v]))
-        .collect::<Vec<_>>();
-    CompGraph::try_from(EdgeListGraph { ops, edges }).expect("relabeling preserves the DAG")
-}
-
-fn random_perm(n: usize, seed: u64) -> Vec<u32> {
-    let mut perm: Vec<u32> = (0..n as u32).collect();
-    perm.shuffle(&mut StdRng::seed_from_u64(seed));
-    perm
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// Compose-mode trust anchor: the per-component fingerprints the
-    /// decomposition produces are pure functions of component structure.
-    /// Renumbering the whole graph must keep every component's own
-    /// fingerprint, and — for invariant decompositions — the component
-    /// fingerprint *multiset* of the whole plan.
-    #[test]
-    fn decomposition_sub_fingerprints_survive_relabeling(
-        g in any_generated_graph(),
-        seed in 0u64..10_000,
-    ) {
-        if g.n() < 2 {
-            return Ok(());
-        }
-        let opts = DecomposeOptions { target: (g.n() / 4).max(3) };
-        let d = decompose(&g, &opts);
-        // Each component's fingerprint is relabeling-invariant in its own
-        // right (this is what lets a scattered backend recompute and
-        // cross-check it from the subgraph alone).
-        for comp in &d.components {
-            let sub = induced_subgraph(&g, comp);
-            let shuffled = relabel(&sub, &random_perm(sub.n(), seed));
-            prop_assert_eq!(fingerprint(&sub), fingerprint(&shuffled));
-        }
-        let h = relabel(&g, &random_perm(g.n(), seed.wrapping_add(1)));
-        let dh = decompose(&h, &opts);
-        prop_assert_eq!(d.invariant, dh.invariant, "invariance flag must not depend on ids");
-        if d.invariant {
-            let fps = |g: &CompGraph, d: &graphio_graph::Decomposition| -> Vec<Fingerprint> {
-                let mut f: Vec<Fingerprint> = d
-                    .components
-                    .iter()
-                    .map(|c| fingerprint(&induced_subgraph(g, c)))
-                    .collect();
-                f.sort_unstable();
-                f
-            };
-            prop_assert_eq!(fps(&g, &d), fps(&h, &dh));
-            prop_assert_eq!(d.cut_edges, dh.cut_edges);
-        }
-    }
-}
-
-/// Cheap canonical invariants of a component: anything two subgraphs
-/// sharing a fingerprint must also share. Disagreement here under an
-/// equal fingerprint is a PROVEN collision (the subgraphs cannot be
-/// isomorphic); agreement is consistent with the honest case — e.g.
-/// `naive_matmul` and `naive_matmul_binary_tree` genuinely share their
-/// input/product layers, and those components hashing together is the
-/// compose cache's cross-graph dedup working as intended.
-fn component_invariants(g: &CompGraph) -> (usize, usize, Vec<(String, usize, usize)>) {
-    let mut profile: Vec<(String, usize, usize)> = (0..g.n())
-        .map(|v| (g.op(v).mnemonic(), g.in_degree(v), g.children(v).len()))
-        .collect();
-    profile.sort_unstable();
-    (g.n(), g.num_edges(), profile)
-}
-
-/// The compose cache and the router's ring both key sub-analyses by
-/// component fingerprint, so structurally different components across
-/// the generator zoo must never hash together — a collision would let
-/// one family's cached spectra answer for another's. Fingerprint-equal
-/// components are allowed only when every canonical invariant agrees
-/// (isomorphic layers shared between families), and the corpus as a
-/// whole must still spread over many distinct fingerprints.
-#[test]
-fn decomposition_corpus_sub_fingerprints_are_pairwise_distinct_across_families() {
-    let zoo: Vec<(&str, CompGraph)> = vec![
-        ("fft", fft_butterfly(5)),
-        ("bhk", bhk_hypercube(4)),
-        ("matmul", naive_matmul(3)),
-        ("matmul_tree", naive_matmul_binary_tree(3)),
-        ("strassen", strassen_matmul(2)),
-        ("inner", inner_product(24)),
-        ("diamond", diamond_dag(6, 8)),
-        ("tree", binary_reduction_tree(6)),
-    ];
-    type Invariants = (usize, usize, Vec<(String, usize, usize)>);
-    let mut seen: Vec<(Fingerprint, &str, Invariants)> = Vec::new();
-    for (family, g) in &zoo {
-        let d = decompose(
-            g,
-            &DecomposeOptions {
-                target: (g.n() / 6).max(4),
-            },
-        );
-        assert!(d.components.len() >= 2, "{family}: corpus graph too small");
-        for comp in &d.components {
-            let sub = induced_subgraph(g, comp);
-            let fp = fingerprint(&sub);
-            let inv = component_invariants(&sub);
-            if let Some((_, other, prior)) = seen.iter().find(|(f, _, _)| *f == fp) {
-                assert_eq!(
-                    prior, &inv,
-                    "proven sub-fingerprint collision: {family} vs {other} on {fp:?}"
-                );
-            } else {
-                seen.push((fp, family, inv));
-            }
-        }
-    }
-    // No mass collapse: the zoo's components overwhelmingly get their
-    // own addresses (shared layers between the two matmul variants are
-    // the only expected overlap).
-    let families_hit: std::collections::HashSet<&str> = seen.iter().map(|(_, f, _)| *f).collect();
-    assert_eq!(
-        families_hit.len(),
-        zoo.len(),
-        "every family contributes fresh fingerprints"
-    );
-    assert!(
-        seen.len() >= 2 * zoo.len(),
-        "only {} distinct sub-fingerprints across the corpus",
-        seen.len()
-    );
 }
 
 /// Deterministic spot checks of the classic traps, independent of the

@@ -147,8 +147,8 @@ impl CsrMatrix {
     /// from the interleaved mirror. `start` must be a multiple of
     /// [`crate::simd::SELL_ROWS`]; every row accumulates left to right in
     /// column order under every `route`, so results are bit-identical for
-    /// every chunking and every SIMD policy (`Fast` shares the `Strict`
-    /// kernel — see [`crate::simd::sell_matvec_routed`]).
+    /// every chunking and every SIMD policy (see
+    /// [`crate::simd::sell_matvec_routed`]).
     fn matvec_rows(&self, x: &[f64], y_chunk: &mut [f64], start: usize, route: crate::simd::Route) {
         debug_assert_eq!(start % crate::simd::SELL_ROWS, 0);
         crate::simd::sell_matvec_routed(
@@ -444,15 +444,13 @@ mod tests {
             let mut y_off = vec![0.0; n];
             crate::simd::set_policy(crate::SimdPolicy::Off);
             m.matvec(&x, &mut y_off);
-            for policy in [crate::SimdPolicy::Strict, crate::SimdPolicy::Fast] {
-                crate::simd::set_policy(policy);
-                let mut y = vec![0.0; n];
-                m.matvec(&x, &mut y);
-                assert_eq!(y_off, y, "n={n} policy={policy:?}");
-                let mut y_par = vec![0.0; n];
-                m.matvec_parallel(&x, &mut y_par, 3);
-                assert_eq!(y_off, y_par, "n={n} policy={policy:?} parallel");
-            }
+            crate::simd::set_policy(crate::SimdPolicy::Strict);
+            let mut y = vec![0.0; n];
+            m.matvec(&x, &mut y);
+            assert_eq!(y_off, y, "n={n}");
+            let mut y_par = vec![0.0; n];
+            m.matvec_parallel(&x, &mut y_par, 3);
+            assert_eq!(y_off, y_par, "n={n} parallel");
         }
         crate::simd::set_policy(before);
     }

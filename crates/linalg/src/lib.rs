@@ -8,8 +8,8 @@
 //! * [`DenseMatrix`] with a Householder-tridiagonalization + implicit-shift
 //!   QL symmetric eigensolver ([`symeig`]) — exact O(n³) reference path used
 //!   for small/medium graphs and as the test oracle.
-//! * [`CsrMatrix`] sparse symmetric storage with serial and
-//!   crossbeam-parallel mat-vec, feeding a full-reorthogonalization,
+//! * [`CsrMatrix`] sparse symmetric storage with serial and parallel
+//!   (`std::thread::scope`) mat-vec, feeding a full-reorthogonalization,
 //!   deflation-based Lanczos solver ([`lanczos`]) that recovers repeated
 //!   eigenvalues with multiplicity — the O(h·n·nnz) path the paper's §6.5
 //!   scalability claims rely on.
@@ -49,7 +49,7 @@ pub use orthogonal::random_orthogonal;
 pub use power::{power_iteration, PowerResult};
 pub use simd::SimdPolicy;
 pub use symeig::{eigenvalues_symmetric, eigh};
-pub use threads::{set_threads, Threads};
+pub use threads::set_threads;
 pub use tridiag::{tridiagonal_eigenvalues, tridiagonal_eigenvalues_bisect};
 
 /// Result alias used throughout the crate.

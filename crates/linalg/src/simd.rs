@@ -39,15 +39,9 @@
 //!   with `(col 0, value 0.0)` steps, and the scalar twin walks the same
 //!   padded layout, so all three bodies are structurally bit-identical at
 //!   every thread count.
-//! * [`SimdPolicy::Fast`] widens dot reductions to eight striped lanes
-//!   (two registers). That reassociates the horizontal sum, so `Fast`
-//!   results may differ from `Strict` in the last bits; the relative error
-//!   is bounded by the usual `O(n·ε)` dot-product analysis and pinned to
-//!   `≤ 1e-12` by the property tests. The mat-vec has no horizontal
-//!   reduction to reassociate, so `Fast` and `Strict` share its kernel.
 //!
 //! The knob is settable programmatically ([`set_policy`]) and via the
-//! `GRAPHIO_SIMD` environment variable (`off` | `strict` | `fast`), which
+//! `GRAPHIO_SIMD` environment variable (`off` | `strict`), which
 //! CI uses to run the whole suite with vector code disabled.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -62,9 +56,6 @@ pub enum SimdPolicy {
     /// (element-wise ops + the canonical striped reduction). The default.
     #[default]
     Strict,
-    /// Additionally allow reassociated (wider) reduction trees; results
-    /// may differ from `Strict` within a tested `1e-12` relative bound.
-    Fast,
 }
 
 impl SimdPolicy {
@@ -73,22 +64,20 @@ impl SimdPolicy {
         match s {
             "off" => Some(SimdPolicy::Off),
             "strict" => Some(SimdPolicy::Strict),
-            "fast" => Some(SimdPolicy::Fast),
             _ => None,
         }
     }
 
-    /// The CLI spelling (`off` | `strict` | `fast`).
+    /// The CLI spelling (`off` | `strict`).
     pub fn as_str(self) -> &'static str {
         match self {
             SimdPolicy::Off => "off",
             SimdPolicy::Strict => "strict",
-            SimdPolicy::Fast => "fast",
         }
     }
 }
 
-/// 0 = unset (defer to `GRAPHIO_SIMD` / default); 1..=3 map to the policy.
+/// 0 = unset (defer to `GRAPHIO_SIMD` / default); 1..=2 map to the policy.
 static GLOBAL: AtomicUsize = AtomicUsize::new(0);
 
 fn env_default() -> SimdPolicy {
@@ -106,7 +95,6 @@ pub fn set_policy(policy: SimdPolicy) {
     let enc = match policy {
         SimdPolicy::Off => 1,
         SimdPolicy::Strict => 2,
-        SimdPolicy::Fast => 3,
     };
     GLOBAL.store(enc, Ordering::Relaxed);
 }
@@ -116,7 +104,6 @@ pub fn policy() -> SimdPolicy {
     match GLOBAL.load(Ordering::Relaxed) {
         1 => SimdPolicy::Off,
         2 => SimdPolicy::Strict,
-        3 => SimdPolicy::Fast,
         _ => env_default(),
     }
 }
@@ -163,7 +150,6 @@ const MIN_SIMD_LEN: usize = 8;
 pub(crate) enum Route {
     Scalar,
     Strict,
-    Fast,
 }
 
 /// Decides the route for a kernel entry over `len` elements, ticking the
@@ -180,10 +166,7 @@ pub(crate) fn route(len: usize) -> Route {
         return Route::Scalar;
     }
     crate::stats::record_simd_kernel_call();
-    match policy {
-        SimdPolicy::Fast => Route::Fast,
-        _ => Route::Strict,
-    }
+    Route::Strict
 }
 
 // ---------------------------------------------------------------------------
@@ -384,38 +367,6 @@ mod avx2 {
             *o = ((l[0] + l[1]) + (l[2] + l[3])) + tail;
         }
         out
-    }
-
-    /// `Fast` dot: two 4-lane accumulators striped over 8 elements, folded
-    /// register-wise before the lane combine — a reassociated (wider)
-    /// reduction that is *not* bit-identical to [`super::dot_scalar`].
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2 is available and `x.len() == y.len()`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dot_fast(x: &[f64], y: &[f64]) -> f64 {
-        let n = x.len();
-        let octs = n - n % 8;
-        let mut acc0 = _mm256_setzero_pd();
-        let mut acc1 = _mm256_setzero_pd();
-        let mut i = 0;
-        while i < octs {
-            let x0 = _mm256_loadu_pd(x.as_ptr().add(i));
-            let y0 = _mm256_loadu_pd(y.as_ptr().add(i));
-            acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(x0, y0));
-            let x1 = _mm256_loadu_pd(x.as_ptr().add(i + 4));
-            let y1 = _mm256_loadu_pd(y.as_ptr().add(i + 4));
-            acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(x1, y1));
-            i += 8;
-        }
-        let acc = _mm256_add_pd(acc0, acc1);
-        let mut l = [0.0f64; 4];
-        _mm256_storeu_pd(l.as_mut_ptr(), acc);
-        let mut tail = 0.0;
-        for k in octs..n {
-            tail += x[k] * y[k];
-        }
-        ((l[0] + l[1]) + (l[2] + l[3])) + tail
     }
 
     /// Interleaved mat-vec, two 4-lane registers per 8-row block — the
@@ -692,15 +643,13 @@ pub(crate) fn dot(x: &[f64], y: &[f64]) -> f64 {
         // SAFETY: route() returned a SIMD lane only after the AVX2 probe,
         // and callers checked the lengths.
         Route::Strict => unsafe { avx2::dot_strict(x, y) },
-        #[cfg(target_arch = "x86_64")]
-        Route::Fast => unsafe { avx2::dot_fast(x, y) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => dot_scalar(x, y),
     }
 }
 
 /// Four dot products `⟨x, q_j⟩` under the active policy, bit-identical to
-/// four [`dot`] calls. `Fast` runs its (reassociated) dot per vector.
+/// four [`dot`] calls.
 ///
 /// # Panics
 /// Panics if any `q[j]` differs in length from `x`.
@@ -715,9 +664,6 @@ pub(crate) fn dot4(x: &[f64], q: [&[f64]; 4]) -> [f64; 4] {
         // SAFETY: route() returned a SIMD lane only after the AVX2 probe,
         // and the lengths were checked above.
         Route::Strict => unsafe { avx2::dot4_strict(x, q) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as for `Strict`.
-        Route::Fast => q.map(|qj| unsafe { avx2::dot_fast(x, qj) }),
         #[cfg(not(target_arch = "x86_64"))]
         _ => dot4_scalar(x, q),
     }
@@ -832,10 +778,9 @@ pub(crate) fn axpy_routed(route: Route, alpha: f64, x: &[f64], y: &mut [f64]) {
 }
 
 /// Interleaved mat-vec under a pre-resolved route (the mat-vec resolves
-/// once per call, then every block runs the same body). `Fast` shares the
-/// `Strict` kernel: lanes are rows, so there is no horizontal reduction
-/// to reassociate. The widest available body wins — AVX-512F when the
-/// CPU has it, else AVX2.
+/// once per call, then every block runs the same body). Lanes are rows,
+/// so there is no horizontal reduction. The widest available body wins —
+/// AVX-512F when the CPU has it, else AVX2.
 pub(crate) fn sell_matvec_routed(
     route: Route,
     sell_ptr: &[usize],
@@ -876,7 +821,7 @@ mod tests {
 
     #[test]
     fn policy_parse_round_trips() {
-        for p in [SimdPolicy::Off, SimdPolicy::Strict, SimdPolicy::Fast] {
+        for p in [SimdPolicy::Off, SimdPolicy::Strict] {
             assert_eq!(SimdPolicy::parse(p.as_str()), Some(p));
         }
         assert_eq!(SimdPolicy::parse("avx512"), None);
@@ -952,30 +897,6 @@ mod tests {
                     assert_eq!(fused, sequential, "avx2 axpy4 n={n}");
                 }
             }
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn fast_dot_within_relative_tolerance() {
-        if !avx2_available() {
-            return;
-        }
-        for n in [0usize, 1, 7, 8, 9, 63, 64, 65, 1000, 4096] {
-            let (x, y) = vecs(n);
-            let strict = dot_scalar(&x, &y);
-            // SAFETY: guarded by avx2_available() above.
-            let fast = unsafe { avx2::dot_fast(&x, &y) };
-            let scale = x
-                .iter()
-                .zip(&y)
-                .map(|(a, b)| (a * b).abs())
-                .sum::<f64>()
-                .max(1.0);
-            assert!(
-                (strict - fast).abs() <= 1e-12 * scale,
-                "n={n}: strict={strict} fast={fast}"
-            );
         }
     }
 

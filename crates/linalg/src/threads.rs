@@ -2,9 +2,9 @@
 //!
 //! Every parallel kernel in this crate (sparse mat-vec, Householder panel
 //! updates, blocked Gram–Schmidt) takes an explicit thread count; callers
-//! that don't care use the process-global [`Threads`] knob, which defaults
-//! to the machine's available parallelism. The CLI's `--threads N` and the
-//! bench harness both set it via [`set_threads`].
+//! that don't care use the process-global knob ([`effective_threads`]),
+//! which defaults to the machine's available parallelism. The CLI's
+//! `--threads N` and the bench harness both set it via [`set_threads`].
 //!
 //! All kernels are *chunk-deterministic*: for a fixed input they produce
 //! bit-identical results regardless of the thread count, because each
@@ -14,27 +14,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// Thread-count selection for the parallel kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Threads {
-    /// Use [`std::thread::available_parallelism`] (the default).
-    #[default]
-    Auto,
-    /// Use exactly this many worker threads (clamped to ≥ 1).
-    Fixed(usize),
-}
-
-impl Threads {
-    /// Resolves to a concrete thread count (≥ 1).
-    pub fn get(self) -> usize {
-        match self {
-            Threads::Auto => available(),
-            Threads::Fixed(n) => n.max(1),
-        }
-    }
-}
-
-/// 0 encodes `Auto`; any other value is `Fixed`.
+/// 0 means "available parallelism"; any other value is the thread count.
 static GLOBAL: AtomicUsize = AtomicUsize::new(0);
 
 fn available() -> usize {
@@ -42,30 +22,18 @@ fn available() -> usize {
     *CACHED.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
 }
 
-/// Sets the process-global thread count; `0` restores `Auto`.
+/// Sets the process-global thread count; `0` restores the default, the
+/// machine's available parallelism.
 pub fn set_threads(n: usize) {
     GLOBAL.store(n, Ordering::Relaxed);
 }
 
-/// Sets the process-global knob from a [`Threads`] value.
-pub fn set_global(threads: Threads) {
-    match threads {
-        Threads::Auto => set_threads(0),
-        Threads::Fixed(n) => set_threads(n.max(1)),
-    }
-}
-
-/// The currently configured global knob.
-pub fn global() -> Threads {
-    match GLOBAL.load(Ordering::Relaxed) {
-        0 => Threads::Auto,
-        n => Threads::Fixed(n),
-    }
-}
-
 /// The concrete thread count kernels should use right now (≥ 1).
 pub fn effective_threads() -> usize {
-    global().get()
+    match GLOBAL.load(Ordering::Relaxed) {
+        0 => available(),
+        n => n,
+    }
 }
 
 /// Splits `0..total` into at most `parts` contiguous, non-empty ranges.
@@ -134,8 +102,12 @@ mod tests {
 
     #[test]
     fn fixed_and_auto_resolve() {
-        assert_eq!(Threads::Fixed(4).get(), 4);
-        assert_eq!(Threads::Fixed(0).get(), 1);
-        assert!(Threads::Auto.get() >= 1);
+        let before = GLOBAL.load(Ordering::Relaxed);
+        set_threads(4);
+        assert_eq!(effective_threads(), 4);
+        set_threads(0);
+        assert_eq!(effective_threads(), available());
+        assert!(available() >= 1);
+        set_threads(before);
     }
 }

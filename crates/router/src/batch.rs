@@ -123,9 +123,6 @@ pub fn batch_body(entries: &[(usize, String)], spec: &AnalyzeSpec) -> String {
     if spec.no_sim {
         body.push_str(",\"no_sim\":true");
     }
-    if spec.compose {
-        body.push_str(",\"mode\":\"compose\"");
-    }
     body.push('}');
     body
 }
@@ -232,21 +229,10 @@ mod tests {
             memories: vec![2, 4],
             processors: 3,
             no_sim: true,
-            compose: false,
         };
         assert_eq!(
             batch_body(&entries, &spec),
             "{\"graphs\":[\"aa\",{\"x\":1}],\"memories\":[2,4],\"processors\":3,\"no_sim\":true}"
-        );
-        let compose = AnalyzeSpec {
-            memories: vec![8],
-            processors: 1,
-            no_sim: false,
-            compose: true,
-        };
-        assert_eq!(
-            batch_body(&entries, &compose),
-            "{\"graphs\":[\"aa\",{\"x\":1}],\"memories\":[8],\"mode\":\"compose\"}"
         );
     }
 

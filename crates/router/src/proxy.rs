@@ -38,15 +38,6 @@
 //!   router duplicating any wording.
 //! * `POST /batch` — split by owner, scattered, reassembled byte-exactly
 //!   (see [`crate::batch`]).
-//! * `POST /analyze` with `"mode":"compose"` and an inline graph — the
-//!   one body the router does *not* forward whole: it decomposes the
-//!   graph locally, scatters each distinct component to its ring-affine
-//!   backend as a `POST /component`, and folds the gathered spectra into
-//!   the exact compose document a single node would emit — one huge
-//!   analyze parallelizes across the fleet while every component still
-//!   lands on the backend that already caches its session.
-//!   Fingerprint-only compose bodies pass through whole (the owner holds
-//!   the session; the router cannot decompose a graph it does not have).
 //! * `POST /graphs` — keyed like an inline analyze and passed through.
 //! * Failover: connect failure or 503 ejects the backend (503 ejects for
 //!   exactly the `Retry-After` the backend asked) and the request moves
@@ -58,11 +49,10 @@ use crate::batch::{batch_body, gather, remap_blame, split, split_bodies, Group};
 use crate::ring::Ring;
 use crate::upstream::Upstream;
 use graphio_graph::json::JsonValue;
-use graphio_graph::{fingerprint, DecomposeOptions, Fingerprint, FingerprintMemo};
+use graphio_graph::{Fingerprint, FingerprintMemo};
 use graphio_obs::recorder;
 use graphio_service::analysis::{
-    component_from_doc, compose_doc, parse_graph_doc, parse_request_json, parse_spec,
-    validate_batch_entries,
+    parse_graph_doc, parse_request_json, parse_spec, validate_batch_entries,
 };
 use graphio_service::client::Response;
 use graphio_service::http::{ConnectionLimits, IDLE_TIMEOUT, MAX_REQUESTS_PER_CONNECTION};
@@ -70,7 +60,6 @@ use graphio_service::skeleton::{
     sample, Counters, Exchange, HttpServer, Listen, PathMatch, Report, Route, Tier,
 };
 use graphio_service::SlowLogConfig;
-use graphio_spectral::{ComponentAnalysis, ComposePlan};
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -541,21 +530,8 @@ fn handle_passthrough(state: &Arc<RouterState>, ex: &mut Exchange<'_>) {
     let Ok(text) = std::str::from_utf8(&request.body) else {
         return ex.fail(400, "body is not UTF-8");
     };
-    let parsed = graphio_graph::json::parse(text).ok();
-    // Compose-mode analyzes with an inline graph scatter per component
-    // instead of forwarding whole. Any other `"mode"` value (including
-    // malformed ones) falls through so the backend produces the
-    // single-node validation bytes.
-    if is_analyze {
-        if let Some(doc) = parsed.as_ref() {
-            if doc.get("mode").and_then(JsonValue::as_str) == Some("compose")
-                && doc.get("graph").is_some()
-            {
-                return handle_compose(state, ex, doc);
-            }
-        }
-    }
-    let fp = parsed
+    let fp = graphio_graph::json::parse(text)
+        .ok()
         .as_ref()
         .and_then(|doc| route_key(doc, is_analyze, &state.fp_memo))
         .unwrap_or_else(|| fallback_fp(&request.body));
@@ -573,140 +549,6 @@ fn handle_passthrough(state: &Arc<RouterState>, ex: &mut Exchange<'_>) {
         }
         Err((status, msg)) => fail_upstream(ex, status, &msg),
     }
-}
-
-/// Fetches one component sub-analysis from the component fingerprint's
-/// ring-affine backend (with failover). Returns the parsed analysis and
-/// the backend index that answered.
-fn fetch_component(
-    state: &RouterState,
-    fp: Fingerprint,
-    body: &str,
-    trace: Option<u128>,
-) -> Result<(ComponentAnalysis, usize), (u16, String)> {
-    let (response, backend) =
-        state.forward_with_failover(fp, "POST", "/component", Some(body), trace)?;
-    if response.status != 200 {
-        let msg = graphio_graph::json::parse(&response.body)
-            .ok()
-            .and_then(|d| {
-                d.get("error")
-                    .and_then(JsonValue::as_str)
-                    .map(str::to_string)
-            })
-            .unwrap_or_else(|| response.body.trim_end().to_string());
-        return Err((response.status, format!("component {}: {msg}", fp.to_hex())));
-    }
-    let doc = graphio_graph::json::parse(&response.body).map_err(|e| {
-        (
-            502,
-            format!("component {}: invalid response JSON: {e}", fp.to_hex()),
-        )
-    })?;
-    let part =
-        component_from_doc(&doc).map_err(|m| (502, format!("component {}: {m}", fp.to_hex())))?;
-    // WL fingerprints are deterministic, so a mismatch means the backend
-    // analyzed a different graph than the router sent — never fold a
-    // stranger's spectra into the composed bound.
-    if part.fingerprint != fp {
-        return Err((
-            502,
-            format!(
-                "component fingerprint mismatch: sent {}, got {}",
-                fp.to_hex(),
-                part.fingerprint.to_hex()
-            ),
-        ));
-    }
-    Ok((part, backend))
-}
-
-/// `POST /analyze` with `"mode":"compose"` and an inline graph: decompose
-/// locally, scatter one `POST /component` per *distinct* component
-/// fingerprint (isomorphic components are fetched once, exactly as a
-/// single node eigensolves them once), gather, and fold with the shared
-/// [`compose_doc`] — the same floats in the same order as a single node,
-/// so the composed body is byte-identical however it was sharded. The
-/// cache-data simulation upper bound needs the whole graph, so it runs
-/// on the router inside [`compose_doc`].
-fn handle_compose(state: &RouterState, ex: &mut Exchange<'_>, doc: &JsonValue) {
-    // Same validation order as a single node: spec errors before graph
-    // errors, with the single-node wording (shared `parse_spec`) — this
-    // is where compose + processors>1 is rejected.
-    let (spec, warnings) = match parse_spec(doc) {
-        Ok(v) => v,
-        Err((status, msg)) => return ex.fail(status, &msg),
-    };
-    let graph = match parse_graph_doc(doc) {
-        Ok(g) => g,
-        Err(msg) => return ex.fail(400, &msg),
-    };
-    let whole_fp = fingerprint(&graph);
-    let plan = ComposePlan::build(&graph, &DecomposeOptions::for_graph_size(graph.n()));
-    let record = plan.record();
-    // Distinct fingerprints in first-appearance order, each with its
-    // component-graph request body.
-    let mut distinct: Vec<(Fingerprint, String)> = Vec::new();
-    for (fp, an) in plan.fingerprints.iter().zip(&plan.analyzers) {
-        if !distinct.iter().any(|(f, _)| f == fp) {
-            let body = format!("{{\"graph\":{}}}", an.graph().to_edge_list().to_json());
-            distinct.push((*fp, body));
-        }
-    }
-    let trace = graphio_obs::current_trace_id();
-    let gather_started = Instant::now();
-    // The scatter runs on scoped worker threads, which cannot contribute
-    // to this thread's span tree — so the request thread opens one
-    // `compose_scatter` span around the whole fan-out. That span is where
-    // `GET /trace/{id}` splices each backend's phase tree when it
-    // assembles the distributed trace.
-    let outcomes: Vec<Result<(ComponentAnalysis, usize), (u16, String)>> = {
-        let _scatter = graphio_obs::span::SpanGuard::enter_dynamic("compose_scatter");
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = distinct
-                .iter()
-                .map(|(fp, body)| {
-                    let fp = *fp;
-                    scope.spawn(move || fetch_component(state, fp, body, trace))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("compose scatter thread"))
-                .collect()
-        })
-    };
-    let mut by_fp: std::collections::HashMap<Fingerprint, ComponentAnalysis> =
-        std::collections::HashMap::new();
-    let mut engaged: Vec<usize> = Vec::new();
-    for ((fp, _), outcome) in distinct.iter().zip(outcomes) {
-        match outcome {
-            Ok((part, backend)) => {
-                if !engaged.contains(&backend) {
-                    engaged.push(backend);
-                }
-                by_fp.insert(*fp, part);
-            }
-            Err((status, msg)) => return fail_upstream(ex, status, &msg),
-        }
-    }
-    let parts: Vec<ComponentAnalysis> = plan
-        .fingerprints
-        .iter()
-        .map(|fp| by_fp[fp].clone())
-        .collect();
-    let mut body = compose_doc(&graph, &spec, &record, &parts).to_string();
-    body.push('\n');
-    ex.counters().analyze_ok.fetch_add(1, Ordering::Relaxed);
-    let mut extra = vec![
-        ("X-Graphio-Fingerprint", whole_fp.to_hex()),
-        ("X-Graphio-Compose", record.components.len().to_string()),
-        ("X-Graphio-Compose-Backends", engaged.len().to_string()),
-    ];
-    if !warnings.is_empty() {
-        extra.push(("X-Graphio-Warnings", warnings.join("; ")));
-    }
-    ex.ok_gathered(extra, gather_started, &body);
 }
 
 /// What one scattered group came back with.
@@ -786,8 +628,11 @@ fn handle_batch(state: &Arc<RouterState>, ex: &mut Exchange<'_>) {
     let trace = graphio_obs::current_trace_id();
     let gather_started = Instant::now();
     let outcomes: Vec<GroupOutcome> = {
-        // Same shape as the compose scatter: one request-thread span
-        // around the fan-out, the anchor for distributed trace assembly.
+        // The scatter runs on scoped worker threads, which cannot
+        // contribute to this thread's span tree — so the request thread
+        // opens one span around the whole fan-out. That span is where
+        // `GET /trace/{id}` splices each backend's phase tree when it
+        // assembles the distributed trace.
         let _scatter = graphio_obs::span::SpanGuard::enter_dynamic("batch_scatter");
         std::thread::scope(|scope| {
             let handles: Vec<_> = groups
@@ -984,6 +829,7 @@ fn local_router_record(trace: u128) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphio_graph::fingerprint;
 
     /// Affinity regression: a body carrying BOTH `graph` and
     /// `fingerprint` must route by the graph — that is the field the

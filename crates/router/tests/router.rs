@@ -8,11 +8,11 @@ use graphio_graph::generators::{
     bhk_hypercube, diamond_dag, fft_butterfly, inner_product, naive_matmul, strassen_matmul,
 };
 use graphio_graph::json::{parse, JsonValue};
-use graphio_graph::{fingerprint, CompGraph, DecomposeOptions};
+use graphio_graph::{fingerprint, CompGraph};
 use graphio_router::{serve_router, RouterConfig, RouterServer};
 use graphio_service::analysis::{analysis_body, AnalyzeSpec};
 use graphio_service::{client, serve, Server, ServiceConfig};
-use graphio_spectral::{ComposePlan, OwnedAnalyzer};
+use graphio_spectral::OwnedAnalyzer;
 use std::time::Duration;
 
 /// A 3-backend cluster plus a single-node reference server answering the
@@ -188,108 +188,44 @@ fn batch_scatter_gather_is_byte_exact_and_spans_backends() {
     drop(c.backends);
 }
 
-/// The compose-mode scatter: one inline-graph analyze with
-/// `"mode":"compose"` is decomposed by the router, its components are
-/// fetched from their ring-affine owners, and the folded document must be
-/// byte-identical to the single-node and offline compose bytes.
-#[test]
-fn compose_analyze_scatters_components_and_matches_single_node_bytes() {
-    let c = cluster(3);
-    // Large enough that the size-scaled decomposition target (min 512)
-    // splits it into several components.
-    let g = fft_butterfly(7);
-    let memories = [8usize, 64];
-    let body = format!(
-        "{{\"graph\":{},\"memories\":[8,64],\"mode\":\"compose\"}}",
-        graph_json(&g)
-    );
-    let via_router = client::request("POST", &c.router.url(), "/analyze", Some(&body)).unwrap();
-    let via_single = client::request("POST", &c.reference.url(), "/analyze", Some(&body)).unwrap();
-    assert_eq!(via_router.status, 200, "{}", via_router.body);
-    assert_eq!(
-        via_router.body, via_single.body,
-        "composed scatter must be byte-transparent"
-    );
-    let offline = analysis_body(
-        &OwnedAnalyzer::from_graph(g.clone()),
-        &AnalyzeSpec {
-            memories: memories.to_vec(),
-            processors: 1,
-            no_sim: false,
-            compose: true,
-        },
-    );
-    assert_eq!(via_router.body, offline);
-    // The router's plan is deterministic, so the component count and the
-    // engaged-backend count are exactly predictable from the ring.
-    let plan = ComposePlan::build(&g, &DecomposeOptions::for_graph_size(g.n()));
-    assert!(
-        plan.fingerprints.len() >= 2,
-        "graph too small to exercise the scatter"
-    );
-    assert_eq!(
-        via_router.header("x-graphio-compose"),
-        Some(plan.fingerprints.len().to_string().as_str())
-    );
-    let mut owners: Vec<&str> = plan
-        .fingerprints
-        .iter()
-        .filter_map(|&fp| c.router.owner_of(fp))
-        .collect();
-    owners.sort_unstable();
-    owners.dedup();
-    assert_eq!(
-        via_router.header("x-graphio-compose-backends"),
-        Some(owners.len().to_string().as_str())
-    );
-    // Warm repeat: the owners replay their component sessions and the
-    // bytes do not move.
-    let again = client::request("POST", &c.router.url(), "/analyze", Some(&body)).unwrap();
-    assert_eq!(again.body, via_router.body);
-}
-
-/// Compose validation runs on the router with the shared single-node
-/// wording — and a fingerprint-only compose body still passes through
-/// whole to the owner that holds the session.
+/// Compose mode was removed: `"mode":"compose"` is rejected with a 400
+/// whose bytes match the single node's, whether the graph is sent
+/// inline or named by fingerprint — the router forwards both bodies
+/// whole. The compose-only `POST /component` route is gone.
 #[test]
 fn compose_error_bytes_and_fingerprint_passthrough_match_single_node() {
     let c = cluster(3);
-    let g = fft_butterfly(7);
-    let bad = format!(
-        "{{\"graph\":{},\"memories\":[8],\"mode\":\"compose\",\"processors\":2}}",
+    let g = fft_butterfly(5);
+    for url in [c.router.url(), c.reference.url()] {
+        let registered =
+            client::request("POST", &url, "/graphs", Some(graph_json(&g).trim_end())).unwrap();
+        assert_eq!(registered.status, 200, "{}", registered.body);
+    }
+    let inline = format!(
+        "{{\"graph\":{},\"memories\":[8,64],\"mode\":\"compose\"}}",
         graph_json(&g)
     );
-    let via_router = client::request("POST", &c.router.url(), "/analyze", Some(&bad)).unwrap();
-    let via_single = client::request("POST", &c.reference.url(), "/analyze", Some(&bad)).unwrap();
-    assert_eq!(via_router.status, 400);
-    assert_eq!(via_router.body, via_single.body);
-
-    // Register, then analyze by fingerprint in compose mode: forwarded
-    // whole, and the owner answers with the canonical compose bytes.
-    let registered = client::request(
-        "POST",
-        &c.router.url(),
-        "/graphs",
-        Some(graph_json(&g).trim_end()),
-    )
-    .unwrap();
-    assert_eq!(registered.status, 200, "{}", registered.body);
-    let fp_body = format!(
+    let by_fingerprint = format!(
         "{{\"fingerprint\":\"{}\",\"memories\":[8,64],\"mode\":\"compose\"}}",
         fingerprint(&g).to_hex()
     );
-    let r = client::request("POST", &c.router.url(), "/analyze", Some(&fp_body)).unwrap();
-    assert_eq!(r.status, 200, "{}", r.body);
-    let offline = analysis_body(
-        &OwnedAnalyzer::from_graph(g.clone()),
-        &AnalyzeSpec {
-            memories: vec![8, 64],
-            processors: 1,
-            no_sim: false,
-            compose: true,
-        },
-    );
-    assert_eq!(r.body, offline);
+    for body in [&inline, &by_fingerprint] {
+        let via_router = client::request("POST", &c.router.url(), "/analyze", Some(body)).unwrap();
+        let via_single =
+            client::request("POST", &c.reference.url(), "/analyze", Some(body)).unwrap();
+        assert_eq!(via_router.status, 400, "{}", via_router.body);
+        assert_eq!(via_router.body, via_single.body);
+        assert!(
+            via_router.body.contains("compose mode was removed"),
+            "{}",
+            via_router.body
+        );
+    }
+    let component = format!("{{\"graph\":{}}}", graph_json(&g));
+    for url in [c.router.url(), c.reference.url()] {
+        let r = client::request("POST", &url, "/component", Some(&component)).unwrap();
+        assert_eq!(r.status, 404, "{}", r.body);
+    }
 }
 
 #[test]

@@ -18,13 +18,12 @@
 //! rather than a live counter, precisely so a warm server cache cannot
 //! change the bytes.
 //!
-//! Every figure in a monolithic row is a fixed property of the graph and
+//! Every figure in a row is a fixed property of the graph and
 //! the memory size, and the session memoizes all of them: the spectra
 //! behind `thm4`/`thm5`/`thm6`, the min-cut sweep behind `mincut`, and
 //! the `sim_upper` simulation per memory. A warm [`analysis_doc`] is
 //! therefore bound arithmetic plus serialization — no eigensolve, no
-//! min-cut sweep, no simulation. Compose-mode documents still simulate
-//! inline.
+//! min-cut sweep, no simulation.
 //!
 //! In debug builds [`analyze_rows`] checks the served-row invariant on
 //! the certified tiers (`dense`/`lanczos`): every lower bound in a row is
@@ -32,18 +31,11 @@
 
 use graphio_baselines::convex_mincut::ConvexMinCutOptions;
 use graphio_graph::json::JsonValue;
-use graphio_graph::topo::natural_order;
-use graphio_graph::{CompGraph, DecomposeOptions, EdgeListGraph, Fingerprint};
-use graphio_pebble::{simulate, Policy};
-use graphio_spectral::{
-    analyze_component, any_estimated, composed_bound, composed_max_cut, BoundOptions,
-    ComponentAnalysis, ComposePlan, DecompositionRecord, LaplacianKind, OwnedAnalyzer, SpectrumKey,
-};
-use std::sync::Arc;
+use graphio_graph::{CompGraph, EdgeListGraph};
+use graphio_spectral::{BoundOptions, LaplacianKind, OwnedAnalyzer, SpectrumKey};
 
 /// A validated analysis request: which memory sizes, how many processors,
-/// whether to run the simulation upper bound, and whether to analyze
-/// monolithically or by partition-and-compose.
+/// and whether to run the simulation upper bound.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnalyzeSpec {
     /// Memory sizes to sweep (validated: non-empty, no zeros, no
@@ -53,21 +45,15 @@ pub struct AnalyzeSpec {
     pub processors: usize,
     /// Skip the pebble-game simulation upper bound.
     pub no_sim: bool,
-    /// Compose mode (`"mode": "compose"` / `--compose`): decompose into
-    /// convex components, bound each with its own cached sub-session, and
-    /// recombine with Lemma-1 segment accounting. Rejects
-    /// `processors > 1` (Theorem 6 does not compose).
-    pub compose: bool,
 }
 
 impl AnalyzeSpec {
-    /// A single-processor monolithic sweep with simulation enabled.
+    /// A single-processor sweep with simulation enabled.
     pub fn sweep(memories: Vec<usize>) -> AnalyzeSpec {
         AnalyzeSpec {
             memories,
             processors: 1,
             no_sim: false,
-            compose: false,
         }
     }
 }
@@ -166,29 +152,22 @@ pub fn parse_spec(doc: &JsonValue) -> Result<(AnalyzeSpec, Vec<String>), (u16, S
         Some(JsonValue::Bool(b)) => *b,
         Some(_) => return Err((400, "\"no_sim\" must be a boolean".to_string())),
     };
-    let compose = match doc.get("mode").map(JsonValue::as_str) {
-        None => false,
-        Some(Some("monolithic")) => false,
-        Some(Some("compose")) => true,
-        Some(_) => {
+    // `"mode"` survives only as the name of the one analysis there is.
+    match doc.get("mode").map(JsonValue::as_str) {
+        None | Some(Some("monolithic")) => {}
+        Some(Some("compose")) => {
             return Err((
                 400,
-                "\"mode\" must be \"monolithic\" or \"compose\"".to_string(),
+                "compose mode was removed; \"mode\" must be \"monolithic\"".to_string(),
             ))
         }
-    };
-    if compose && processors > 1 {
-        return Err((
-            400,
-            "compose mode does not support processors>1".to_string(),
-        ));
+        Some(_) => return Err((400, "\"mode\" must be \"monolithic\"".to_string())),
     }
     Ok((
         AnalyzeSpec {
             memories,
             processors,
             no_sim,
-            compose,
         },
         warnings,
     ))
@@ -332,8 +311,7 @@ pub fn required_eigensolves(_spec: &AnalyzeSpec) -> usize {
 
 /// The eigensolver an `n`-vertex monolithic analysis resolves to under
 /// the size-scaled schedule — the document's `"method"` field
-/// (`"dense"` / `"lanczos"` / `"ritz_sweep"`; compose-mode documents
-/// report `"compose"` instead).
+/// (`"dense"` / `"lanczos"` / `"ritz_sweep"`).
 pub fn resolved_method_name(n: usize) -> &'static str {
     SpectrumKey::for_options(
         LaplacianKind::Normalized,
@@ -348,11 +326,6 @@ pub fn resolved_method_name(n: usize) -> &'static str {
 /// this value and appending `\n` is the exact byte stream both
 /// `graphio analyze --json` and `POST /analyze` emit.
 pub fn analysis_doc(analyzer: &OwnedAnalyzer, spec: &AnalyzeSpec) -> JsonValue {
-    if spec.compose {
-        let plan = compose_plan_for(analyzer);
-        let parts = compose_parts(&plan);
-        return compose_doc(analyzer.graph(), spec, &plan.record(), &parts);
-    }
     let g = analyzer.graph();
     let rows = analyze_rows(analyzer, spec);
     let opt_num = |v: Option<f64>| v.map_or(JsonValue::Null, JsonValue::Number);
@@ -397,281 +370,12 @@ pub fn analysis_doc(analyzer: &OwnedAnalyzer, spec: &AnalyzeSpec) -> JsonValue {
 }
 
 /// [`analysis_doc`] as the exact wire/stdout byte string (trailing
-/// newline included). Dispatches on `spec.compose`, so every consumer
-/// (offline CLI, `/analyze`, `/batch` fan-out) gets compose mode through
-/// the one entry point.
+/// newline included) — the one entry point of the offline CLI,
+/// `/analyze` and the `/batch` fan-out.
 pub fn analysis_body(analyzer: &OwnedAnalyzer, spec: &AnalyzeSpec) -> String {
     let mut s = analysis_doc(analyzer, spec).to_string();
     s.push('\n');
     s
-}
-
-/// The decomposition plan a compose-mode analysis of this session uses —
-/// always the size-scaled [`DecomposeOptions::for_graph_size`] schedule,
-/// so repeated requests replay one cached plan.
-pub fn compose_plan_for(analyzer: &OwnedAnalyzer) -> Arc<ComposePlan> {
-    analyzer.compose_plan(&DecomposeOptions::for_graph_size(analyzer.graph().n()))
-}
-
-/// One component sub-analysis on its session (cached or cold — same bits
-/// either way), with the lossy-but-valid failure fallback: a component
-/// whose eigensolve fails contributes empty spectra, so its `g_i` term is
-/// 0 — which the composition inequality permits (`RSWS_i ≥ 0`) — and the
-/// composed result stays a valid lower bound instead of the whole
-/// request failing. Also what `POST /component` serves, the graph itself
-/// being the component there.
-pub fn analyze_component_cached(fp: Fingerprint, an: &OwnedAnalyzer) -> ComponentAnalysis {
-    analyze_component(fp, an).unwrap_or_else(|_| {
-        let g = an.graph();
-        let n = g.n();
-        ComponentAnalysis {
-            fingerprint: fp,
-            n,
-            edges: g.num_edges(),
-            max_out_degree: g.max_out_degree(),
-            normalized: Vec::new(),
-            unnormalized: Vec::new(),
-            max_cut: an.min_cut(&ConvexMinCutOptions::for_graph_size(n)).max_cut,
-            method: SpectrumKey::for_options(
-                LaplacianKind::Normalized,
-                &BoundOptions::for_graph_size(n),
-                n,
-            )
-            .method,
-        }
-    })
-}
-
-/// Runs (or replays from the per-component session caches) every
-/// component sub-analysis of `plan`, in component order.
-pub fn compose_parts(plan: &ComposePlan) -> Vec<ComponentAnalysis> {
-    plan.fingerprints
-        .iter()
-        .zip(&plan.analyzers)
-        .map(|(&fp, an)| analyze_component_cached(fp, an))
-        .collect()
-}
-
-/// The canonical compose-mode analysis document. Takes the decomposition
-/// record and the per-component analyses rather than the plan itself so
-/// the cluster router can rebuild the identical document from component
-/// results gathered over the wire: [`composed_bound`] folds the same
-/// floats in the same order either way, keeping composed analyses
-/// byte-identical however they were sharded. `parts` is parallel to
-/// `record.components`.
-pub fn compose_doc(
-    g: &CompGraph,
-    spec: &AnalyzeSpec,
-    record: &DecompositionRecord,
-    parts: &[ComponentAnalysis],
-) -> JsonValue {
-    let opt_num = |v: Option<f64>| v.map_or(JsonValue::Null, JsonValue::Number);
-    // Distinct fingerprints, ×2 Laplacian kinds: the eigensolves a cold
-    // compose session performs (isomorphic components share a session).
-    let distinct: std::collections::HashSet<Fingerprint> =
-        parts.iter().map(|p| p.fingerprint).collect();
-    let order = if spec.no_sim {
-        Vec::new()
-    } else {
-        natural_order(g)
-    };
-    let rows: Vec<JsonValue> = spec
-        .memories
-        .iter()
-        .map(|&m| {
-            let thm4 = composed_bound(parts, LaplacianKind::Normalized, m);
-            let thm5 = composed_bound(parts, LaplacianKind::Unnormalized, m);
-            let mincut = 2 * composed_max_cut(parts).saturating_sub(m as u64);
-            let sim_upper = (!spec.no_sim)
-                .then(|| {
-                    let _span = graphio_obs::span!("simulate");
-                    [Policy::Lru, Policy::Belady]
-                        .iter()
-                        .filter_map(|&p| simulate(g, &order, m, p, 0).ok().map(|r| r.io()))
-                        .min()
-                })
-                .flatten();
-            JsonValue::Object(vec![
-                ("memory".into(), JsonValue::Number(m as f64)),
-                ("thm4".into(), JsonValue::Number(thm4.bound)),
-                ("segments".into(), JsonValue::Number(thm4.segments as f64)),
-                ("thm5".into(), JsonValue::Number(thm5.bound)),
-                // Theorem 6 does not compose (its segment pigeonhole does
-                // not distribute over per-component segmentations).
-                ("thm6".into(), JsonValue::Null),
-                ("mincut".into(), JsonValue::Number(mincut as f64)),
-                ("sim_upper".into(), opt_num(sim_upper.map(|s| s as f64))),
-            ])
-        })
-        .collect();
-    let components: Vec<JsonValue> = record
-        .components
-        .iter()
-        .zip(parts)
-        .map(|((fp, _), p)| {
-            JsonValue::Object(vec![
-                ("fingerprint".into(), JsonValue::String(fp.to_hex())),
-                ("n".into(), JsonValue::Number(p.n as f64)),
-                ("edges".into(), JsonValue::Number(p.edges as f64)),
-                (
-                    "method".into(),
-                    JsonValue::String(p.method.name().to_string()),
-                ),
-            ])
-        })
-        .collect();
-    JsonValue::Object(vec![
-        ("n".to_string(), JsonValue::Number(g.n() as f64)),
-        ("edges".to_string(), JsonValue::Number(g.num_edges() as f64)),
-        (
-            "processors".to_string(),
-            JsonValue::Number(spec.processors as f64),
-        ),
-        (
-            "method".to_string(),
-            JsonValue::String("compose".to_string()),
-        ),
-        (
-            "eigensolves".to_string(),
-            JsonValue::Number((distinct.len() * LaplacianKind::ALL.len()) as f64),
-        ),
-        // Estimate-tier honesty: a component that fell back to RitzSweep
-        // makes the composed figures estimates, not certified bounds.
-        (
-            "estimated".to_string(),
-            JsonValue::Bool(any_estimated(parts)),
-        ),
-        (
-            "decomposition".to_string(),
-            JsonValue::Object(vec![
-                (
-                    "target".to_string(),
-                    JsonValue::Number(record.target as f64),
-                ),
-                (
-                    "cut_edges".to_string(),
-                    JsonValue::Number(record.cut_edges as f64),
-                ),
-                ("invariant".to_string(), JsonValue::Bool(record.invariant)),
-                ("components".to_string(), JsonValue::Array(components)),
-            ]),
-        ),
-        ("sweep".to_string(), JsonValue::Array(rows)),
-    ])
-}
-
-/// An `f64` as its 16-digit IEEE-754 bit-pattern hex — the `/component`
-/// wire format for eigenvalues. JSON number round-trips would re-round;
-/// bit patterns keep the router's composed documents byte-identical to a
-/// locally-computed compose.
-pub fn f64_bits_hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-/// Parses [`f64_bits_hex`].
-pub fn f64_from_bits_hex(s: &str) -> Option<f64> {
-    if s.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(s, 16).ok().map(f64::from_bits)
-}
-
-/// The `POST /component` response document for one component
-/// sub-analysis: counts and min-cut as numbers, spectra as bit-pattern
-/// hex (see [`f64_bits_hex`]).
-pub fn component_doc(part: &ComponentAnalysis) -> JsonValue {
-    let hexes = |eigs: &[f64]| {
-        JsonValue::Array(
-            eigs.iter()
-                .map(|&e| JsonValue::String(f64_bits_hex(e)))
-                .collect(),
-        )
-    };
-    JsonValue::Object(vec![
-        (
-            "fingerprint".to_string(),
-            JsonValue::String(part.fingerprint.to_hex()),
-        ),
-        ("n".to_string(), JsonValue::Number(part.n as f64)),
-        ("edges".to_string(), JsonValue::Number(part.edges as f64)),
-        (
-            "max_out_degree".to_string(),
-            JsonValue::Number(part.max_out_degree as f64),
-        ),
-        (
-            "method".to_string(),
-            JsonValue::String(part.method.name().to_string()),
-        ),
-        (
-            "max_cut".to_string(),
-            JsonValue::Number(part.max_cut as f64),
-        ),
-        ("normalized".to_string(), hexes(&part.normalized)),
-        ("unnormalized".to_string(), hexes(&part.unnormalized)),
-    ])
-}
-
-/// Parses a `POST /component` response back into a [`ComponentAnalysis`].
-/// The solver `MethodKey` is reconstructed from `n` via the deterministic
-/// size-scaled schedule (the same one the serving backend used) and
-/// cross-checked against the document's `"method"` name.
-///
-/// # Errors
-/// A human-readable message naming the malformed field.
-pub fn component_from_doc(doc: &JsonValue) -> Result<ComponentAnalysis, String> {
-    let get_usize = |key: &str| {
-        doc.get(key)
-            .and_then(JsonValue::as_u64)
-            .map(|v| v as usize)
-            .ok_or_else(|| format!("component doc missing \"{key}\""))
-    };
-    let get_eigs = |key: &str| -> Result<Vec<f64>, String> {
-        doc.get(key)
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| format!("component doc missing \"{key}\""))?
-            .iter()
-            .map(|v| {
-                v.as_str()
-                    .and_then(f64_from_bits_hex)
-                    .ok_or_else(|| format!("component doc \"{key}\" entry is not f64-bits hex"))
-            })
-            .collect()
-    };
-    let fingerprint = doc
-        .get("fingerprint")
-        .and_then(JsonValue::as_str)
-        .and_then(Fingerprint::from_hex)
-        .ok_or_else(|| "component doc missing \"fingerprint\"".to_string())?;
-    let n = get_usize("n")?;
-    let method = SpectrumKey::for_options(
-        LaplacianKind::Normalized,
-        &BoundOptions::for_graph_size(n),
-        n,
-    )
-    .method;
-    let named = doc
-        .get("method")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| "component doc missing \"method\"".to_string())?;
-    if named != method.name() {
-        return Err(format!(
-            "component method {named:?} does not match the size schedule ({})",
-            method.name()
-        ));
-    }
-    Ok(ComponentAnalysis {
-        fingerprint,
-        n,
-        edges: get_usize("edges")?,
-        max_out_degree: get_usize("max_out_degree")?,
-        normalized: get_eigs("normalized")?,
-        unnormalized: get_eigs("unnormalized")?,
-        max_cut: doc
-            .get("max_cut")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| "component doc missing \"max_cut\"".to_string())?,
-        method,
-    })
 }
 
 #[cfg(test)]
@@ -700,7 +404,6 @@ mod tests {
                 memories: vec![4],
                 processors: p,
                 no_sim: true,
-                compose: false,
             };
             assert_eq!(required_eigensolves(&spec), 2);
         }
@@ -746,7 +449,6 @@ mod tests {
             memories: vec![2, 4],
             processors: 4,
             no_sim: false,
-            compose: false,
         };
         let doc = analysis_doc(&an, &spec);
         assert_eq!(

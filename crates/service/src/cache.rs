@@ -184,23 +184,11 @@ impl SessionCache {
         fp: Fingerprint,
         analyzer: OwnedAnalyzer,
     ) -> (Arc<OwnedAnalyzer>, bool) {
-        self.insert_arc_if_absent(fp, Arc::new(analyzer))
-    }
-
-    /// [`SessionCache::insert_if_absent`] for a session that is already
-    /// shared — a compose plan's component sub-session: the `Arc` itself
-    /// is inserted, so later standalone requests for the component and
-    /// the plan replay the *same* cached spectra. Counter-silent, like
-    /// `insert_if_absent`.
-    pub fn insert_arc_if_absent(
-        &self,
-        fp: Fingerprint,
-        analyzer: Arc<OwnedAnalyzer>,
-    ) -> (Arc<OwnedAnalyzer>, bool) {
         let mut shard = self.shard(fp).lock().expect("cache shard lock");
         if let Some(entry) = shard.get_mut(&fp.0) {
             return (self.touch(entry), true);
         }
+        let analyzer = Arc::new(analyzer);
         let last_used = self.tick.fetch_add(1, Ordering::Relaxed);
         shard.insert(
             fp.0,

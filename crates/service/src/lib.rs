@@ -32,7 +32,7 @@
 //!   `/debug/profile`) with the 404/405 fallbacks, and the declarative
 //!   counter set behind `/stats` and `/metrics`,
 //! * [`server`] — the service tier on that skeleton: it owns
-//!   `POST /analyze`, `/batch`, `/component` and `/graphs`, the
+//!   `POST /analyze`, `/batch` and `/graphs`, the
 //!   `cache`/`store`/`engine` counters, and the store flush on shutdown,
 //! * [`client`] — a minimal blocking client (`graphio client ...`, CI
 //!   driver, integration tests).

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //!   skeleton (accept loop, pool, admin routes)
-//!          │ POST /analyze, /batch, /component, /graphs
+//!          │ POST /analyze, /batch, /graphs
 //!          ▼ fingerprint
 //!   ┌──────────────────────────┐   miss   ┌──────────────────────┐
 //!   │ sharded LRU session cache │────────▶│ persistent store     │
@@ -15,9 +15,8 @@
 //!
 //! | Route | Body | Response |
 //! |---|---|---|
-//! | `POST /analyze` | `{"graph": {...} \| "fingerprint": "hex", "memories": [..], "processors"?, "no_sim"?, "mode"?}` | the canonical analysis document ([`crate::analysis`]); `"mode":"compose"` selects partition-and-compose |
+//! | `POST /analyze` | `{"graph": {...} \| "fingerprint": "hex", "memories": [..], "processors"?, "no_sim"?, "mode"?}` | the canonical analysis document ([`crate::analysis`]); `"mode"` may only be `"monolithic"` |
 //! | `POST /batch` | `{"graphs": [graph \| "hex", ...], "memories": [..], "processors"?, "no_sim"?, "mode"?}` | the concatenation of the per-graph `/analyze` bodies |
-//! | `POST /component` | `{"graph": {...} \| "fingerprint": "hex"}` | one compose component's spectra/min-cut, floats as bit-pattern hex |
 //! | `POST /graphs` | `{"graph": {...}}` or a bare edge-list document | `{"fingerprint", "n", "edges", "cached"}` |
 //!
 //! The admin routes (`/healthz`, `/stats`, `/metrics`, `/trace/{id}`,
@@ -55,10 +54,7 @@
 //! byte-identical graph inputs; cross-relabeling reuse trades exact
 //! numbering fidelity for amortization, deliberately.
 
-use crate::analysis::{
-    analysis_body, analyze_component_cached, component_doc, compose_plan_for, parse_graph_doc,
-    parse_request_json, parse_spec, AnalyzeSpec,
-};
+use crate::analysis::{analysis_body, parse_graph_doc, parse_request_json, parse_spec};
 use crate::cache::{CacheConfig, SessionCache};
 use crate::http::{ConnectionLimits, IDLE_TIMEOUT, MAX_REQUESTS_PER_CONNECTION};
 use crate::skeleton::{
@@ -183,7 +179,7 @@ pub struct ServiceState {
     pub(crate) store: Option<Arc<Store>>,
     /// Per-fingerprint mark of the session state last persisted (the
     /// session's cumulative `spectrum_misses + mincut_misses +
-    /// compose_plans + sim_misses` — exactly the count of artifacts
+    /// sim_misses` — exactly the count of artifacts
     /// computed locally). A hot session serving pure cache hits matches
     /// its mark, so steady-state requests skip the whole
     /// encode-then-discover-identical path, not just the disk append.
@@ -251,7 +247,6 @@ impl Tier for ServiceState {
     const ROUTES: &'static [Route<Self>] = &[
         Route::new("POST", PathMatch::Exact("/graphs"), handle_graphs),
         Route::new("POST", PathMatch::Exact("/analyze"), handle_analyze),
-        Route::new("POST", PathMatch::Exact("/component"), handle_component),
         Route::new("POST", PathMatch::Exact("/batch"), handle_batch),
     ];
 
@@ -391,11 +386,9 @@ fn write_through(state: &ServiceState, fp: Fingerprint, analyzer: &OwnedAnalyzer
         return;
     };
     let s = analyzer.stats();
-    // compose_plans counts built (not imported/replayed) plans, so a cold
-    // compose moves the mark — and with it the save — even when every
-    // component spectrum was already warm. sim_misses does the same for a
-    // newly simulated memory size: it is saved once, not on every hit.
-    let mark = s.spectrum_misses + s.mincut_misses + s.compose_plans + s.sim_misses;
+    // sim_misses counts a newly simulated memory size, so it is saved
+    // once, not on every hit.
+    let mark = s.spectrum_misses + s.mincut_misses + s.sim_misses;
     {
         let marks = state.persist_marks.lock().expect("persist marks lock");
         // The mark alone is not enough: the store's byte budget may have
@@ -418,64 +411,6 @@ fn write_through(state: &ServiceState, fp: Fingerprint, analyzer: &OwnedAnalyzer
             marks.insert(fp.0, mark);
         }
         Err(e) => eprintln!("graphio-store: write-through for {fp} failed: {e}"),
-    }
-}
-
-/// The compose-mode response body, with cluster-grade component
-/// resolution: every component is its own cacheable sub-analysis, so
-/// each resolves through the ordinary session tiers — RAM session cache,
-/// then persistent store, then the plan's fresh sub-session (back-filled
-/// into the RAM cache under the component's fingerprint). A component
-/// analyzed before — standalone, inside another graph, or before a
-/// restart — is therefore served with **zero** eigensolves, and every
-/// resolved session writes through to the store under its own
-/// fingerprint, exactly as a standalone analysis of the subgraph would.
-fn compose_body_served(
-    state: &Arc<ServiceState>,
-    analyzer: &OwnedAnalyzer,
-    spec: &AnalyzeSpec,
-) -> String {
-    let plan = compose_plan_for(analyzer);
-    let mut resolved: std::collections::HashMap<u128, Arc<OwnedAnalyzer>> =
-        std::collections::HashMap::new();
-    let parts: Vec<_> = plan
-        .fingerprints
-        .iter()
-        .zip(&plan.analyzers)
-        .map(|(&fp, plan_an)| {
-            let session = resolved.entry(fp.0).or_insert_with(|| {
-                state
-                    .cache
-                    .get(fp)
-                    .or_else(|| session_from_store(state, fp))
-                    .unwrap_or_else(|| state.cache.insert_arc_if_absent(fp, Arc::clone(plan_an)).0)
-            });
-            crate::analysis::analyze_component_cached(fp, session)
-        })
-        .collect();
-    for (&fp, an) in &resolved {
-        write_through(state, Fingerprint(fp), an);
-    }
-    let mut body =
-        crate::analysis::compose_doc(analyzer.graph(), spec, &plan.record(), &parts).to_string();
-    body.push('\n');
-    body
-}
-
-/// Dispatches between the monolithic and compose-mode response bodies.
-/// Compose goes through [`compose_body_served`] so component sessions
-/// resolve against the server's cache tiers; for byte-identical inputs
-/// the result matches the offline `graphio analyze --compose --json`
-/// bytes (the store round-trips floats by bit pattern).
-fn response_body(
-    state: &Arc<ServiceState>,
-    analyzer: &OwnedAnalyzer,
-    spec: &AnalyzeSpec,
-) -> String {
-    if spec.compose {
-        compose_body_served(state, analyzer, spec)
-    } else {
-        analysis_body(analyzer, spec)
     }
 }
 
@@ -546,7 +481,7 @@ fn lookup_session(hex: &str, state: &Arc<ServiceState>) -> Result<Resolved, (u16
     ))
 }
 
-/// The session an `/analyze` or `/component` document names: its inline
+/// The session an `/analyze` document names: its inline
 /// `"graph"` (which wins) or its `"fingerprint"`.
 fn resolve_session(doc: &JsonValue, state: &Arc<ServiceState>) -> Result<Resolved, (u16, String)> {
     if doc.get("graph").is_some() {
@@ -561,7 +496,7 @@ fn resolve_session(doc: &JsonValue, state: &Arc<ServiceState>) -> Result<Resolve
 }
 
 /// Persists what an analysis grew in the session (fresh spectra/min-cut
-/// sweeps, simulations, a compose plan), then re-checks the shard's byte
+/// sweeps, simulations), then re-checks the shard's byte
 /// budget now that the growth is visible.
 fn persist(state: &ServiceState, fp: Fingerprint, analyzer: &OwnedAnalyzer) {
     write_through(state, fp, analyzer);
@@ -581,9 +516,7 @@ fn handle_analyze(state: &Arc<ServiceState>, ex: &mut Exchange<'_>) {
         Err((status, msg)) => return ex.fail(status, &msg),
     };
     annotate_session(fp, source);
-    let body = response_body(state, &analyzer, &spec);
-    // A compose plan's component sessions already wrote through under
-    // their own fingerprints.
+    let body = analysis_body(&analyzer, &spec);
     persist(state, fp, &analyzer);
     ex.counters().analyze_ok.fetch_add(1, Ordering::Relaxed);
     let mut extra = vec![
@@ -594,34 +527,6 @@ fn handle_analyze(state: &Arc<ServiceState>, ex: &mut Exchange<'_>) {
         extra.push(("X-Graphio-Warnings", warnings.join("; ")));
     }
     ex.ok(extra, &body);
-}
-
-/// `POST /component`: one component sub-analysis of a compose-mode
-/// request, as the cluster router scatters them. Body: `{"graph": {...}}`
-/// or `{"fingerprint": "hex"}` — the graph *is* the component. The
-/// response carries both spectra (as IEEE-754 bit-pattern hex, so the
-/// router's composed document folds bit-identical floats), the min-cut,
-/// and the size-scheduled solver name. Sessions resolve through the same
-/// RAM → store → fresh tiers as `/analyze`, and write through, so a
-/// component analyzed here is warm for every later compose or standalone
-/// request that hashes to this backend.
-fn handle_component(state: &Arc<ServiceState>, ex: &mut Exchange<'_>) {
-    let parsed = parse_request_json(&ex.request.body)
-        .map_err(|m| (400, m))
-        .and_then(|doc| resolve_session(&doc, state));
-    let (analyzer, fp, source) = match parsed {
-        Ok(resolved) => resolved,
-        Err((status, msg)) => return ex.fail(status, &msg),
-    };
-    annotate_session(fp, source);
-    let part = analyze_component_cached(fp, &analyzer);
-    persist(state, fp, &analyzer);
-    ex.counters().analyze_ok.fetch_add(1, Ordering::Relaxed);
-    let extra = vec![
-        ("X-Graphio-Fingerprint", fp.to_hex()),
-        ("X-Graphio-Session", source.header().to_string()),
-    ];
-    ex.ok_json(extra, &component_doc(&part));
 }
 
 /// `POST /batch`: `{"graphs": [...], "memories": [...], "processors"?,
@@ -669,7 +574,7 @@ fn handle_batch(state: &Arc<ServiceState>, ex: &mut Exchange<'_>) {
     let bodies = ex.pool().scatter(
         items,
         move |(analyzer, fp): (Arc<OwnedAnalyzer>, Fingerprint)| {
-            let body = response_body(&scatter_state, &analyzer, &spec);
+            let body = analysis_body(&analyzer, &spec);
             persist(&scatter_state, fp, &analyzer);
             body
         },

@@ -192,7 +192,6 @@ fn analysis_bodies_are_byte_identical_with_spans_on_and_off() {
         memories: vec![2, 4, 8],
         processors: 1,
         no_sim: false,
-        compose: false,
     };
     let was = graphio_obs::enabled();
     graphio_obs::set_enabled(false);
@@ -371,7 +370,6 @@ fn analyze_bodies_are_byte_identical_with_recorder_attached() {
         memories: vec![2, 4, 8],
         processors: 1,
         no_sim: false,
-        compose: false,
     };
     let reference = analysis_body(
         &graphio_spectral::OwnedAnalyzer::new(std::sync::Arc::new(fft_butterfly(4))),

@@ -126,7 +126,6 @@ fn analysis_bodies_are_byte_identical_while_profiling() {
         memories: vec![2, 4, 8],
         processors: 1,
         no_sim: false,
-        compose: false,
     };
     let reference = analysis_body(
         &graphio_spectral::OwnedAnalyzer::new(std::sync::Arc::new(fft_butterfly(6))),

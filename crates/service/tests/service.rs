@@ -207,7 +207,6 @@ fn sessions_amortize_eigensolves_across_requests_and_relabelings() {
         memories: vec![4, 8],
         processors: 1,
         no_sim: true,
-        compose: false,
     };
     assert_eq!(
         r.body,

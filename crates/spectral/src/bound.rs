@@ -30,7 +30,7 @@ pub const HUGE_CUTOFF: usize = 100_000;
 
 /// Which solver tier [`BoundOptions::for_graph_size`] and the `Auto`
 /// eigensolver method dispatch to. Process-global knob (the CLI's
-/// `--scale-tier`, mirroring the `Threads` and `SimdPolicy` knobs):
+/// `--scale-tier`, mirroring the `--threads` and `SimdPolicy` knobs):
 /// [`set_scale_tier`] / [`scale_tier`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScaleTier {

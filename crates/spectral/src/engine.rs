@@ -49,13 +49,12 @@
 //! [`parallel_spectral_bound`]: crate::bound::parallel_spectral_bound
 
 use crate::bound::{bound_from_eigenvalues, BoundOptions, EigenMethod, SpectralBound};
-use crate::compose::{ComposePlan, DecompositionRecord};
 use crate::laplacian::{normalized_laplacian, unnormalized_laplacian};
 use graphio_baselines::convex_mincut::{
     convex_min_cut_bound, ConvexMinCutOptions, ConvexMinCutResult, VertexSweep,
 };
 use graphio_graph::topo::natural_order;
-use graphio_graph::{CompGraph, DecomposeOptions};
+use graphio_graph::CompGraph;
 use graphio_linalg::{CsrMatrix, LinalgError};
 use graphio_pebble::{simulate, Policy};
 use std::collections::HashMap;
@@ -217,11 +216,6 @@ pub struct SessionExport {
     pub spectra: Vec<(SpectrumKey, Vec<f64>)>,
     /// Cached min-cut sweep results per sweep strategy.
     pub cuts: Vec<(CutKey, ConvexMinCutResult)>,
-    /// Cached compose-mode decompositions, sorted by target size. The
-    /// component *vertex sets and fingerprints* persist with the parent
-    /// session; each component's spectra live in that component's own
-    /// fingerprint-keyed store record.
-    pub decompositions: Vec<DecompositionRecord>,
     /// Cached simulated upper bounds per memory size, sorted by memory;
     /// `None` where no policy could run at that memory.
     pub sims: Vec<(usize, Option<u64>)>,
@@ -230,10 +224,7 @@ pub struct SessionExport {
 impl SessionExport {
     /// True when the snapshot carries no computed artifacts.
     pub fn is_empty(&self) -> bool {
-        self.spectra.is_empty()
-            && self.cuts.is_empty()
-            && self.decompositions.is_empty()
-            && self.sims.is_empty()
+        self.spectra.is_empty() && self.cuts.is_empty() && self.sims.is_empty()
     }
 }
 
@@ -248,9 +239,6 @@ pub struct EngineStats {
     pub mincut_misses: u64,
     /// Min-cut requests served from cache.
     pub mincut_hits: u64,
-    /// Compose plans (decomposition + component fingerprinting) actually
-    /// built; plans replayed from cache or seeded by import don't count.
-    pub compose_plans: u64,
     /// Simulated upper bounds actually computed (one per memory size).
     pub sim_misses: u64,
     /// Simulated upper bounds served from cache.
@@ -282,18 +270,12 @@ struct EngineCore {
     laplacians: [OnceLock<CsrMatrix>; 2],
     spectra: SlotMap<SpectrumKey, Spectrum>,
     cuts: SlotMap<CutKey, ConvexMinCutResult>,
-    /// Compose plans keyed by decomposition target size. Nesting gives
-    /// the issue's `(component fp, kind, h)` keying: the plan maps each
-    /// component fingerprint to a sub-session whose own spectra cache is
-    /// keyed by `(kind, h, method)`.
-    compose: SlotMap<usize, Arc<ComposePlan>>,
     /// Simulated upper bounds keyed by memory size.
     sims: SlotMap<usize, Option<u64>>,
     spectrum_hits: AtomicU64,
     spectrum_misses: AtomicU64,
     mincut_hits: AtomicU64,
     mincut_misses: AtomicU64,
-    compose_plans: AtomicU64,
     sim_hits: AtomicU64,
     sim_misses: AtomicU64,
 }
@@ -304,13 +286,11 @@ impl EngineCore {
             laplacians: [OnceLock::new(), OnceLock::new()],
             spectra: Mutex::new(HashMap::new()),
             cuts: Mutex::new(HashMap::new()),
-            compose: Mutex::new(HashMap::new()),
             sims: Mutex::new(HashMap::new()),
             spectrum_hits: AtomicU64::new(0),
             spectrum_misses: AtomicU64::new(0),
             mincut_hits: AtomicU64::new(0),
             mincut_misses: AtomicU64::new(0),
-            compose_plans: AtomicU64::new(0),
             sim_hits: AtomicU64::new(0),
             sim_misses: AtomicU64::new(0),
         }
@@ -472,27 +452,6 @@ impl EngineCore {
             .collect()
     }
 
-    /// The cached compose plan for `opts.target`, built on first use with
-    /// the same single-flight discipline as spectra: concurrent compose
-    /// requests for one graph share one decomposition + fingerprint pass.
-    fn compose_plan(&self, g: &CompGraph, opts: &DecomposeOptions) -> Arc<ComposePlan> {
-        let slot = Arc::clone(
-            self.compose
-                .lock()
-                .expect("compose lock")
-                .entry(opts.target)
-                .or_insert_with(Slot::new),
-        );
-        let mut value = slot.0.lock().expect("compose slot lock");
-        if let Some(hit) = value.as_ref() {
-            return Arc::clone(hit);
-        }
-        self.compose_plans.fetch_add(1, Ordering::Relaxed);
-        let plan = Arc::new(ComposePlan::build(g, opts));
-        *value = Some(Arc::clone(&plan));
-        plan
-    }
-
     fn export(&self) -> SessionExport {
         let mut spectra: Vec<(SpectrumKey, Vec<f64>)> = {
             let map = self.spectra.lock().expect("spectra lock");
@@ -519,17 +478,6 @@ impl EngineCore {
                 })
                 .collect()
         };
-        let mut decompositions: Vec<DecompositionRecord> = {
-            let map = self.compose.lock().expect("compose lock");
-            map.values()
-                .filter_map(|slot| {
-                    slot.0
-                        .try_lock()
-                        .ok()
-                        .and_then(|v| v.as_ref().map(|plan| plan.record()))
-                })
-                .collect()
-        };
         let mut sims: Vec<(usize, Option<u64>)> = {
             let map = self.sims.lock().expect("sims lock");
             map.iter()
@@ -540,12 +488,10 @@ impl EngineCore {
         };
         spectra.sort_by(|a, b| a.0.cmp(&b.0));
         cuts.sort_by(|a, b| a.0.cmp(&b.0));
-        decompositions.sort_by_key(|d| d.target);
         sims.sort_unstable_by_key(|&(m, _)| m);
         SessionExport {
             spectra,
             cuts,
-            decompositions,
             sims,
         }
     }
@@ -553,7 +499,7 @@ impl EngineCore {
     /// Seeds empty cache slots from `snapshot`. Occupied slots win (the
     /// session already computed — or is computing — a fresher value), and
     /// no hit/miss counter moves: imports are provenance, not traffic.
-    fn import(&self, g: &CompGraph, snapshot: &SessionExport) {
+    fn import(&self, snapshot: &SessionExport) {
         for (key, eigs) in &snapshot.spectra {
             let slot = Arc::clone(
                 self.spectra
@@ -580,19 +526,6 @@ impl EngineCore {
                 *value = Some(cut.clone());
             }
         }
-        for record in &snapshot.decompositions {
-            let slot = Arc::clone(
-                self.compose
-                    .lock()
-                    .expect("compose lock")
-                    .entry(record.target)
-                    .or_insert_with(Slot::new),
-            );
-            let mut value = slot.0.lock().expect("compose slot lock");
-            if value.is_none() {
-                *value = Some(Arc::new(ComposePlan::from_record(g, record)));
-            }
-        }
         for &(m, best) in &snapshot.sims {
             let slot = Arc::clone(
                 self.sims
@@ -614,14 +547,13 @@ impl EngineCore {
             spectrum_hits: self.spectrum_hits.load(Ordering::Relaxed),
             mincut_misses: self.mincut_misses.load(Ordering::Relaxed),
             mincut_hits: self.mincut_hits.load(Ordering::Relaxed),
-            compose_plans: self.compose_plans.load(Ordering::Relaxed),
             sim_misses: self.sim_misses.load(Ordering::Relaxed),
             sim_hits: self.sim_hits.load(Ordering::Relaxed),
         }
     }
 
-    /// Approximate heap bytes held by the caches (Laplacians, spectra,
-    /// compose plans and the simulation memo).
+    /// Approximate heap bytes held by the caches (Laplacians, spectra and
+    /// the simulation memo).
     fn approx_bytes(&self) -> usize {
         let lap_bytes: usize = self
             .laplacians
@@ -641,22 +573,10 @@ impl EngineCore {
                 })
                 .sum()
         };
-        let compose_bytes: usize = {
-            let compose = self.compose.lock().expect("compose lock");
-            compose
-                .values()
-                .filter_map(|slot| {
-                    slot.0
-                        .try_lock()
-                        .ok()
-                        .and_then(|v| v.as_ref().map(|plan| plan.approx_bytes()))
-                })
-                .sum()
-        };
         // Per memoized memory: the map entry, its `Arc<Slot>` and the
         // slot's mutex — the same flat overhead a spectrum entry carries.
         let sim_bytes = self.sims.lock().expect("sims lock").len() * 64;
-        lap_bytes + spec_bytes + compose_bytes + sim_bytes
+        lap_bytes + spec_bytes + sim_bytes
     }
 }
 
@@ -913,14 +833,6 @@ impl OwnedAnalyzer {
         self.core.sim_uppers(&self.graph, memories)
     }
 
-    /// The compose plan (decomposition + per-component sub-sessions) for
-    /// `opts.target`, built once per target and cached with single-flight
-    /// de-duplication. Component sub-sessions are themselves cached
-    /// engines, so repeated compose analyses re-solve nothing.
-    pub fn compose_plan(&self, opts: &DecomposeOptions) -> Arc<ComposePlan> {
-        self.core.compose_plan(&self.graph, opts)
-    }
-
     /// Snapshots every cached spectrum, min-cut result and simulated upper
     /// bound into a serializable [`SessionExport`] (sorted by key;
     /// in-flight solves are skipped). The persistence layer stores this
@@ -940,7 +852,7 @@ impl OwnedAnalyzer {
     /// graph (the store keys both by the same structural fingerprint);
     /// importing another graph's spectra silently yields wrong bounds.
     pub fn import(&self, snapshot: &SessionExport) {
-        self.core.import(&self.graph, snapshot);
+        self.core.import(snapshot);
     }
 
     /// Cache-effectiveness counters for this session.
@@ -949,9 +861,9 @@ impl OwnedAnalyzer {
     }
 
     /// Approximate heap footprint of the session: the graph plus every
-    /// cached Laplacian, spectrum, compose plan and simulated bound. The service's session cache charges
-    /// this against its byte budget; it grows as caches fill, so the cache
-    /// re-reads it on every touch.
+    /// cached Laplacian, spectrum and simulated bound. The service's
+    /// session cache charges this against its byte budget; it grows as
+    /// caches fill, so the cache re-reads it on every touch.
     pub fn approx_bytes(&self) -> usize {
         self.graph.approx_bytes() + self.core.approx_bytes()
     }

@@ -32,7 +32,6 @@
 
 pub mod bound;
 pub mod closed_form;
-pub mod compose;
 pub mod engine;
 pub mod laplacian;
 pub mod partition;
@@ -42,10 +41,6 @@ pub mod qap;
 pub use bound::{
     parallel_spectral_bound, scale_tier, set_scale_tier, spectral_bound, spectral_bound_original,
     BoundOptions, EigenMethod, ScaleTier, SpectralBound, DENSE_CUTOFF, HUGE_CUTOFF,
-};
-pub use compose::{
-    analyze_component, any_estimated, component_term, composed_bound, composed_max_cut,
-    ComponentAnalysis, ComposePlan, ComposedBound, DecompositionRecord,
 };
 pub use engine::{
     Analyzer, CutKey, EngineStats, LaplacianKind, MethodKey, OwnedAnalyzer, SessionExport,

@@ -25,7 +25,10 @@
 //! ```text
 //! session  := ver:u8  graph  nspec:u32 [spectrum]*  ncuts:u32 [cut]*
 //!             ndec:u32 [dec]*            (ver ≥ 2; ver 1 documents end
-//!                                         after cuts: ndec = 0)
+//!                                         after cuts. Encoded as
+//!                                         ndec = 0; decoded records
+//!                                         are validated, then
+//!                                         discarded)
 //!             nsim:u32 [sim]*            (ver ≥ 3; ver 1–2 documents
 //!                                         decode as nsim = 0)
 //! graph    := n:u32 [op]*n  m:u32 [from:u32 to:u32]*m
@@ -49,16 +52,15 @@
 //! integration is built on.
 
 use graphio_baselines::convex_mincut::ConvexMinCutResult;
-use graphio_graph::{CompGraph, EdgeListGraph, Fingerprint, OpKind};
-use graphio_spectral::{
-    CutKey, DecompositionRecord, LaplacianKind, MethodKey, SessionExport, SpectrumKey,
-};
+use graphio_graph::{CompGraph, EdgeListGraph, OpKind};
+use graphio_spectral::{CutKey, LaplacianKind, MethodKey, SessionExport, SpectrumKey};
 use std::fmt;
 
-/// Version byte of the session document format. Version 2 appended the
-/// compose-mode decompositions section and version 3 the simulated upper
-/// bounds; older documents still decode, with those sections empty (a
-/// restored session recomputes its simulations lazily).
+/// Version byte of the session document format. Version 2 appended a
+/// decompositions section (written by the since-removed compose analysis
+/// mode; now always encoded empty, and read and discarded on decode) and
+/// version 3 the simulated upper bounds; older documents still decode,
+/// with no simulations (a restored session recomputes them lazily).
 pub const SESSION_VERSION: u8 = 3;
 
 /// A malformed or unsupported encoded document.
@@ -492,46 +494,32 @@ fn get_cut(r: &mut Reader<'_>) -> Result<(CutKey, ConvexMinCutResult), CodecErro
     Ok((key, cut))
 }
 
-fn put_decomposition(w: &mut Writer, dec: &DecompositionRecord) {
-    w.put_u64(dec.target as u64);
-    w.put_u64(dec.cut_edges);
-    w.put_u8(dec.invariant as u8);
-    w.put_u32(dec.components.len() as u32);
-    for (fp, vertices) in &dec.components {
-        w.put_u128(fp.0);
-        w.put_u32(vertices.len() as u32);
-        for &v in vertices {
-            w.put_u32(v);
-        }
-    }
-}
-
-/// Decodes one decomposition record, re-validating what [`ComposePlan`]
-/// (`graphio_spectral::ComposePlan::from_record`) assumes: every component
-/// vertex list is non-empty, strictly ascending, and in bounds for the
-/// `n`-vertex graph the document carries.
-fn get_decomposition(r: &mut Reader<'_>, n: usize) -> Result<DecompositionRecord, CodecError> {
-    let target = r.get_u64()? as usize;
-    let cut_edges = r.get_u64()?;
-    let invariant = match r.get_u8()? {
-        0 => false,
-        1 => true,
+/// Reads past one decomposition record of a version 2–3 document. The
+/// compose analysis mode that wrote these records is gone, so their
+/// contents are dropped — but they still come from disk, so they are
+/// validated first: every component vertex list is non-empty, strictly
+/// ascending, and in bounds for the `n`-vertex graph the document
+/// carries.
+fn skip_decomposition(r: &mut Reader<'_>, n: usize) -> Result<(), CodecError> {
+    let _target = r.get_u64()?;
+    let _cut_edges = r.get_u64()?;
+    match r.get_u8()? {
+        0 | 1 => {}
         tag => {
             return Err(CodecError::BadTag {
                 what: "invariant",
                 tag,
             })
         }
-    };
-    let ncomp = r.get_u32()? as usize;
-    let mut components = Vec::with_capacity(ncomp.min(r.remaining() / 20));
+    }
+    let ncomp = r.get_u32()?;
     for _ in 0..ncomp {
-        let fp = Fingerprint(r.get_u128()?);
-        let len = r.get_u32()? as usize;
+        let _fingerprint = r.get_u128()?;
+        let len = r.get_u32()?;
         if len == 0 {
             return Err(CodecError::Invalid("empty decomposition component".into()));
         }
-        let mut vertices = Vec::with_capacity(len.min(r.remaining() / 4));
+        let mut prev: Option<u32> = None;
         for _ in 0..len {
             let v = r.get_u32()?;
             if v as usize >= n {
@@ -539,21 +527,15 @@ fn get_decomposition(r: &mut Reader<'_>, n: usize) -> Result<DecompositionRecord
                     "component vertex {v} out of bounds for {n}-vertex graph"
                 )));
             }
-            if vertices.last().is_some_and(|&prev| prev >= v) {
+            if prev.is_some_and(|p| p >= v) {
                 return Err(CodecError::Invalid(
                     "component vertices not strictly ascending".into(),
                 ));
             }
-            vertices.push(v);
+            prev = Some(v);
         }
-        components.push((fp, vertices));
     }
-    Ok(DecompositionRecord {
-        target,
-        cut_edges,
-        invariant,
-        components,
-    })
+    Ok(())
 }
 
 fn put_sim(w: &mut Writer, memory: usize, best: Option<u64>) {
@@ -583,8 +565,8 @@ pub struct StoredSession {
     /// The graph under analysis (the first-seen representative of its
     /// fingerprint class).
     pub graph: CompGraph,
-    /// The computed artifacts: spectra, min-cut sweeps, decompositions and
-    /// simulated upper bounds.
+    /// The computed artifacts: spectra, min-cut sweeps and simulated upper
+    /// bounds.
     pub export: SessionExport,
 }
 
@@ -609,10 +591,9 @@ pub fn encode_session(graph: &CompGraph, export: &SessionExport) -> Vec<u8> {
     for (key, cut) in &export.cuts {
         put_cut(&mut w, key, cut);
     }
-    w.put_u32(export.decompositions.len() as u32);
-    for dec in &export.decompositions {
-        put_decomposition(&mut w, dec);
-    }
+    // The decompositions section of version 2–3 documents: always empty
+    // now, kept so the layout (and every stored byte) is unchanged.
+    w.put_u32(0);
     w.put_u32(export.sims.len() as u32);
     for &(memory, best) in &export.sims {
         put_sim(&mut w, memory, best);
@@ -650,13 +631,11 @@ pub fn decode_session(bytes: &[u8]) -> Result<StoredSession, CodecError> {
         cuts.push(get_cut(&mut r)?);
     }
     // Version 1 documents end here; the decompositions section arrived
-    // with version 2.
-    let mut decompositions = Vec::new();
+    // with version 2 and is validated, then dropped.
     if version >= 2 {
-        let ndec = r.get_u32()? as usize;
-        decompositions.reserve(ndec.min(r.remaining() / 21));
+        let ndec = r.get_u32()?;
         for _ in 0..ndec {
-            decompositions.push(get_decomposition(&mut r, graph.n())?);
+            skip_decomposition(&mut r, graph.n())?;
         }
     }
     // The simulated upper bounds arrived with version 3.
@@ -685,7 +664,6 @@ pub fn decode_session(bytes: &[u8]) -> Result<StoredSession, CodecError> {
         export: SessionExport {
             spectra,
             cuts,
-            decompositions,
             sims,
         },
     })
@@ -1036,15 +1014,6 @@ mod tests {
                     },
                 ),
             ],
-            decompositions: vec![DecompositionRecord {
-                target: 512,
-                cut_edges: 1,
-                invariant: true,
-                components: vec![
-                    (Fingerprint(0xDEAD_BEEF), vec![0, 2]),
-                    (Fingerprint(0xFEED_FACE), vec![1, 3]),
-                ],
-            }],
             sims: vec![(1, None), (2, Some(6)), (64, Some(4))],
         }
     }
@@ -1076,12 +1045,86 @@ mod tests {
         }
     }
 
+    fn from_hex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// The one decomposition record of the version-2 and version-3
+    /// golden documents, count included: what the removed compose mode
+    /// persisted for the two-vertex golden graph.
+    const GOLDEN_DECOMPOSITIONS: &str = concat!(
+        "01000000",                         // 1 decomposition
+        "0200000000000000",                 // target = 2
+        "0100000000000000",                 // cut_edges = 1
+        "01",                               // invariant = true
+        "02000000",                         // 2 components
+        "a5000000000000000000000000000000", // fp = 0xA5
+        "01000000",                         // 1 vertex
+        "00000000",                         // vertex 0
+        "5a000000000000000000000000000000", // fp = 0x5A
+        "01000000",                         // 1 vertex
+        "01000000",                         // vertex 1
+    );
+
     /// Golden-bytes compatibility pin: if this test ever fails, the codec
     /// changed shape and [`SESSION_VERSION`] must be bumped (with a
     /// migration path for existing stores) instead of silently orphaning
     /// them.
+    ///
+    /// The pinned document carries one decomposition, as stores written
+    /// while the compose analysis mode existed do. It must still decode,
+    /// and re-encoding it must give the same bytes with the
+    /// decompositions section emptied (count 0, records gone).
     #[test]
     fn golden_session_bytes_are_stable() {
+        let hex = concat!(
+            "03",                               // session version
+            "02000000",                         // n = 2
+            "00",                               // op[0] = Input
+            "0804030201",                       // op[1] = Custom(0x01020304)
+            "01000000",                         // m = 1
+            "00000000",                         // edge from 0
+            "01000000",                         // edge to 1
+            "01000000",                         // 1 spectrum
+            "00",                               // kind = Normalized
+            "0200000000000000",                 // h = 2
+            "00",                               // method = Dense
+            "02000000",                         // 2 eigenvalues
+            "000000000000e03f",                 // 0.5
+            "000000000000f83f",                 // 1.5
+            "01000000",                         // 1 cut
+            "00",                               // CutKey::All
+            "0200000000000000",                 // bound = 2
+            "0100000000000000",                 // best_vertex = 1
+            "0100000000000000",                 // max_cut = 1
+            "0200000000000000",                 // vertices_evaluated = 2
+            "01000000",                         // 1 decomposition
+            "0200000000000000",                 // target = 2
+            "0100000000000000",                 // cut_edges = 1
+            "01",                               // invariant = true
+            "02000000",                         // 2 components
+            "a5000000000000000000000000000000", // fp = 0xA5
+            "01000000",                         // 1 vertex
+            "00000000",                         // vertex 0
+            "5a000000000000000000000000000000", // fp = 0x5A
+            "01000000",                         // 1 vertex
+            "01000000",                         // vertex 1
+            "02000000",                         // 2 simulated bounds
+            "0200000000000000",                 // memory = 2
+            "01",                               // simulated
+            "0300000000000000",                 // io = 3
+            "0400000000000000",                 // memory = 4
+            "00",                               // no policy fits
+        );
+        let bytes = from_hex(hex);
+        // The CRC of the golden bytes is part of the contract too: it is
+        // what an existing store's records carry. (Value pinned from the
+        // implementation validated against the standard vectors above.)
+        assert_eq!(crc32(&bytes), 0x322C_077B);
+
         let mut b = GraphBuilder::new();
         let x = b.add_vertex(OpKind::Input);
         let y = b.add_vertex(OpKind::Custom(0x0102_0304));
@@ -1105,63 +1148,20 @@ mod tests {
                     vertices_evaluated: 2,
                 },
             )],
-            decompositions: vec![DecompositionRecord {
-                target: 2,
-                cut_edges: 1,
-                invariant: true,
-                components: vec![(Fingerprint(0xA5), vec![0]), (Fingerprint(0x5A), vec![1])],
-            }],
             sims: vec![(2, Some(3)), (4, None)],
         };
-        let bytes = encode_session(&g, &export);
-        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        let back = decode_session(&bytes).unwrap();
+        assert_eq!(back.graph, g);
+        assert_eq!(back.export, export);
+
+        let reencoded = encode_session(&back.graph, &back.export);
+        assert_eq!(reencoded, encode_session(&g, &export));
+        let reencoded_hex: String = reencoded.iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(
-            hex,
-            concat!(
-                "03",                               // session version
-                "02000000",                         // n = 2
-                "00",                               // op[0] = Input
-                "0804030201",                       // op[1] = Custom(0x01020304)
-                "01000000",                         // m = 1
-                "00000000",                         // edge from 0
-                "01000000",                         // edge to 1
-                "01000000",                         // 1 spectrum
-                "00",                               // kind = Normalized
-                "0200000000000000",                 // h = 2
-                "00",                               // method = Dense
-                "02000000",                         // 2 eigenvalues
-                "000000000000e03f",                 // 0.5
-                "000000000000f83f",                 // 1.5
-                "01000000",                         // 1 cut
-                "00",                               // CutKey::All
-                "0200000000000000",                 // bound = 2
-                "0100000000000000",                 // best_vertex = 1
-                "0100000000000000",                 // max_cut = 1
-                "0200000000000000",                 // vertices_evaluated = 2
-                "01000000",                         // 1 decomposition
-                "0200000000000000",                 // target = 2
-                "0100000000000000",                 // cut_edges = 1
-                "01",                               // invariant = true
-                "02000000",                         // 2 components
-                "a5000000000000000000000000000000", // fp = 0xA5
-                "01000000",                         // 1 vertex
-                "00000000",                         // vertex 0
-                "5a000000000000000000000000000000", // fp = 0x5A
-                "01000000",                         // 1 vertex
-                "01000000",                         // vertex 1
-                "02000000",                         // 2 simulated bounds
-                "0200000000000000",                 // memory = 2
-                "01",                               // simulated
-                "0300000000000000",                 // io = 3
-                "0400000000000000",                 // memory = 4
-                "00",                               // no policy fits
-            ),
+            reencoded_hex,
+            hex.replacen(GOLDEN_DECOMPOSITIONS, "00000000", 1),
             "codec layout changed — bump SESSION_VERSION and migrate"
         );
-        // The CRC of the golden bytes is part of the contract too: it is
-        // what an existing store's records carry. (Value pinned from the
-        // implementation validated against the standard vectors above.)
-        assert_eq!(crc32(&bytes), 0x322C_077B);
     }
 
     /// Version-2 documents (everything a store written before the
@@ -1212,14 +1212,15 @@ mod tests {
         assert_eq!(back.graph.n(), 2);
         assert_eq!(back.export.spectra.len(), 1);
         assert_eq!(back.export.cuts.len(), 1);
-        assert_eq!(back.export.decompositions.len(), 1);
         assert!(back.export.sims.is_empty());
         // Re-encoding upgrades it: the v3 layout is the v2 bytes under the
-        // new version byte plus an empty simulated-bounds section.
+        // new version byte, with the decompositions section emptied, plus
+        // an empty simulated-bounds section.
         let upgraded = encode_session(&back.graph, &back.export);
+        let kept = bytes.len() - GOLDEN_DECOMPOSITIONS.len() / 2;
         assert_eq!(upgraded[0], 3);
-        assert_eq!(&upgraded[1..bytes.len()], &bytes[1..]);
-        assert_eq!(&upgraded[bytes.len()..], &[0, 0, 0, 0]);
+        assert_eq!(&upgraded[1..kept], &bytes[1..kept]);
+        assert_eq!(&upgraded[kept..], &[0, 0, 0, 0, 0, 0, 0, 0]);
     }
 
     /// Version-1 documents — everything an existing store holds — must
@@ -1260,38 +1261,65 @@ mod tests {
         assert_eq!(back.graph.n(), 2);
         assert_eq!(back.export.spectra.len(), 1);
         assert_eq!(back.export.cuts.len(), 1);
-        assert!(back.export.decompositions.is_empty());
         assert!(back.export.sims.is_empty());
     }
 
+    /// Decompositions sections still come from disk, so they are
+    /// validated before being dropped. Built from raw bytes: the encoder
+    /// no longer writes decomposition records.
     #[test]
     fn corrupt_decompositions_are_rejected() {
         let g = tiny_graph();
-        let good = tiny_export();
-        // Out-of-bounds vertex id.
-        let mut oob = good.clone();
-        oob.decompositions[0].components[0].1 = vec![0, 99];
-        let bytes = encode_session(&g, &oob);
-        assert!(matches!(
-            decode_session(&bytes),
-            Err(CodecError::Invalid(_))
-        ));
-        // Unsorted vertex list.
-        let mut unsorted = good.clone();
-        unsorted.decompositions[0].components[0].1 = vec![2, 0];
-        let bytes = encode_session(&g, &unsorted);
-        assert!(matches!(
-            decode_session(&bytes),
-            Err(CodecError::Invalid(_))
-        ));
-        // Empty component.
-        let mut empty = good;
-        empty.decompositions[0].components[0].1 = vec![];
-        let bytes = encode_session(&g, &empty);
-        assert!(matches!(
-            decode_session(&bytes),
-            Err(CodecError::Invalid(_))
-        ));
+        // A document whose decompositions section is `section`: the tiny
+        // session without simulated bounds ends in two zero counts
+        // (decompositions, then sims); splice `section` over the first.
+        let with_section = |section: &str| -> Vec<u8> {
+            let export = SessionExport {
+                sims: Vec::new(),
+                ..tiny_export()
+            };
+            let mut bytes = encode_session(&g, &export);
+            assert_eq!(&bytes[bytes.len() - 8..], &[0; 8]);
+            bytes.truncate(bytes.len() - 8);
+            bytes.extend(from_hex(section));
+            bytes.extend([0; 4]);
+            bytes
+        };
+        // One decomposition of one component holding `vertices`.
+        let one_component = |vertices: &[u32]| -> String {
+            let mut hex = String::from(concat!(
+                "01000000",                         // 1 decomposition
+                "0002000000000000",                 // target = 512
+                "0100000000000000",                 // cut_edges = 1
+                "01",                               // invariant = true
+                "01000000",                         // 1 component
+                "efbeadde000000000000000000000000", // fp = 0xDEADBEEF
+            ));
+            for v in std::iter::once(vertices.len() as u32).chain(vertices.iter().copied()) {
+                hex.extend(v.to_le_bytes().iter().map(|b| format!("{b:02x}")));
+            }
+            hex
+        };
+        // A well-formed section decodes, and is dropped.
+        let back = decode_session(&with_section(&one_component(&[0, 2]))).unwrap();
+        assert_eq!(back.graph, g);
+        assert_eq!(
+            back.export,
+            SessionExport {
+                sims: Vec::new(),
+                ..tiny_export()
+            }
+        );
+        // Out-of-bounds vertex id, unsorted vertex list, empty component.
+        for vertices in [&[0, 99][..], &[2, 0], &[]] {
+            assert!(
+                matches!(
+                    decode_session(&with_section(&one_component(vertices))),
+                    Err(CodecError::Invalid(_))
+                ),
+                "component {vertices:?} must be rejected"
+            );
+        }
     }
 
     #[test]

@@ -68,7 +68,7 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  graphio generate <family> <size> [--p <prob>] [--seed <s>]\n  \
          graphio bound --memory <M> [--processors <p>] [--threads <N>] < graph.json\n  \
-         graphio analyze --memory-sweep <M1,M2,...> [--processors <p>] [--threads <N>] [--simd off|strict|fast] [--scale-tier auto|dense|sparse|huge] [--no-sim] [--compose] [--json] < graph.json\n  \
+         graphio analyze --memory-sweep <M1,M2,...> [--processors <p>] [--threads <N>] [--simd off|strict] [--scale-tier auto|dense|sparse|huge] [--no-sim] [--json] < graph.json\n  \
          graphio simulate --memory <M> [--policy lru|fifo|belady|random] [--order natural|dfs|bfs] [--threads <N>] < graph.json\n  \
          graphio dot < graph.json\n  \
          graphio serve [--host <H>] [--port <P>] [--workers <W>] [--queue <Q>] [--cache-mb <B>] [--shards <S>] [--max-sessions <K>] [--threads <N>] [--simd <POLICY>] [--scale-tier <TIER>] [--idle-ms <T>] [--max-requests <R>] [--store <DIR>] [--store-mb <B>] [--slow-log-us <T>] [--slow-log-file <F>] [--slow-log-rotate-mb <M>] [--trace-store <DIR>]\n  \
@@ -187,7 +187,7 @@ fn apply_threads(parsed: &Parsed) {
     }
 }
 
-/// Applies `--simd off|strict|fast` and `--scale-tier auto|dense|sparse|huge`
+/// Applies `--simd off|strict` and `--scale-tier auto|dense|sparse|huge`
 /// to their process-global knobs, with the standard flag-AND-subcommand
 /// error wording on anything unrecognized.
 fn apply_kernel_knobs(parsed: &Parsed) {
@@ -276,6 +276,26 @@ fn cmd_generate(args: &[String]) {
     });
     let seed: u64 = parsed.parse_flag("--seed").unwrap_or(0);
     let p: f64 = parsed.parse_flag("--p").unwrap_or(0.1);
+    // The generators assert these preconditions; checking them here makes
+    // an out-of-range size a usage error instead of a panic.
+    let requirement = match family.as_str() {
+        "fft" if size >= 26 => Some("below 26"),
+        "bhk" if size >= 28 => Some("below 28"),
+        "strassen" if !size.is_power_of_two() => Some("a power of two"),
+        "matmul" | "inner" | "diamond" if size == 0 => Some("at least 1"),
+        _ => None,
+    };
+    if let Some(requirement) = requirement {
+        eprintln!(
+            "error: invalid value {size} for <size> in `graphio generate {family}`: \
+             must be {requirement}"
+        );
+        usage()
+    }
+    if family == "er" && !(0.0..=1.0).contains(&p) {
+        eprintln!("error: invalid value {p} for --p in `graphio generate er`: must be in [0, 1]");
+        usage()
+    }
     let g = match family.as_str() {
         "fft" => fft_butterfly(size),
         "bhk" => bhk_hypercube(size),
@@ -338,7 +358,7 @@ fn cmd_analyze(args: &[String]) {
             "--simd",
             "--scale-tier",
         ],
-        &["--no-sim", "--json", "--compose"],
+        &["--no-sim", "--json"],
     );
     let memories = parse_sweep(
         &parsed.cmd,
@@ -352,12 +372,7 @@ fn cmd_analyze(args: &[String]) {
         memories,
         processors,
         no_sim: parsed.has("--no-sim"),
-        compose: parsed.has("--compose"),
     };
-    if spec.compose && spec.processors > 1 {
-        eprintln!("error: compose mode does not support processors>1");
-        std::process::exit(2);
-    }
 
     let analyzer = OwnedAnalyzer::from_graph(read_graph_from_stdin());
     let matvecs_before = sparse_matvec_count();
@@ -366,11 +381,6 @@ fn cmd_analyze(args: &[String]) {
         // The exact bytes `POST /analyze` serves for the same request
         // (property-tested in crates/service/tests).
         write_stdout(&analysis_body(&analyzer, &spec));
-        return;
-    }
-
-    if spec.compose {
-        cmd_analyze_compose(&analyzer, &spec, matvecs_before);
         return;
     }
 
@@ -405,71 +415,6 @@ fn cmd_analyze(args: &[String]) {
     println!(
         "eigensolves: {} ({} cache hits), sparse mat-vecs: {}, min-cut sweeps: {}",
         stats.spectrum_misses, stats.spectrum_hits, matvecs, stats.mincut_misses,
-    );
-}
-
-/// The human-readable rendering of a compose-mode analysis (`--compose`
-/// without `--json`): decomposition summary, then the composed sweep.
-fn cmd_analyze_compose(analyzer: &OwnedAnalyzer, spec: &AnalyzeSpec, matvecs_before: u64) {
-    use graphio::service::analysis::{compose_parts, compose_plan_for};
-    use graphio::spectral::{any_estimated, composed_bound, composed_max_cut, LaplacianKind};
-
-    let plan = compose_plan_for(analyzer);
-    let parts = compose_parts(&plan);
-    let g = analyzer.graph();
-    let d = &plan.decomposition;
-    let distinct: std::collections::HashSet<_> = plan.fingerprints.iter().collect();
-    println!(
-        "compose analysis: n = {}, edges = {}, components = {} ({} distinct), \
-         target = {}, cut edges = {}, invariant = {}{}",
-        g.n(),
-        g.num_edges(),
-        d.components.len(),
-        distinct.len(),
-        d.target,
-        d.cut_edges,
-        d.invariant,
-        if any_estimated(&parts) {
-            " [ESTIMATE: ritz_sweep component]"
-        } else {
-            ""
-        },
-    );
-    let order = if spec.no_sim {
-        Vec::new()
-    } else {
-        natural_order(g)
-    };
-    println!(
-        "{:>8} {:>14} {:>9} {:>14} {:>10} {:>11}",
-        "M", "thm4", "segments", "thm5", "mincut", "sim_upper"
-    );
-    for &m in &spec.memories {
-        let thm4 = composed_bound(&parts, LaplacianKind::Normalized, m);
-        let thm5 = composed_bound(&parts, LaplacianKind::Unnormalized, m);
-        let mincut = 2 * composed_max_cut(&parts).saturating_sub(m as u64);
-        let sim = (!spec.no_sim)
-            .then(|| {
-                [Policy::Lru, Policy::Belady]
-                    .iter()
-                    .filter_map(|&p| simulate(g, &order, m, p, 0).ok().map(|r| r.io()))
-                    .min()
-            })
-            .flatten();
-        println!(
-            "{:>8} {:>14.1} {:>9} {:>14.1} {:>10} {:>11}",
-            m,
-            thm4.bound,
-            thm4.segments,
-            thm5.bound,
-            mincut,
-            sim.map_or("-".to_string(), |s| s.to_string()),
-        );
-    }
-    println!(
-        "component eigensolves: {} distinct sessions, sparse mat-vecs: {}",
-        distinct.len(),
-        sparse_matvec_count() - matvecs_before,
     );
 }
 

@@ -53,7 +53,7 @@ pub mod prelude {
         strassen_matmul,
     };
     pub use graphio_graph::{fingerprint, CompGraph, Fingerprint, GraphBuilder, OpKind, Tracer};
-    pub use graphio_linalg::{set_threads, Threads};
+    pub use graphio_linalg::set_threads;
     pub use graphio_pebble::{simulate, Policy};
     pub use graphio_service::{serve, ServiceConfig};
     pub use graphio_spectral::{

@@ -250,14 +250,22 @@ fn malformed_threads_flag_names_flag_and_subcommand() {
     }
 }
 
-/// The new kernel knobs follow the same contract: a bad value exits 2
-/// and the error names both the flag and the subcommand.
+/// The kernel knobs follow the same contract: a bad value exits 2 and
+/// the error names both the flag and the subcommand. So do `generate`'s
+/// out-of-range sizes, which would otherwise trip a generator's assert
+/// and panic; there the "flag" is the `<size>` positional (or `--p`) and
+/// the subcommand names the family.
 #[test]
 fn malformed_simd_and_scale_tier_flags_name_flag_and_subcommand() {
     let json = generate("fft", 3);
     for (args, flag, cmd) in [
         (
             ["analyze", "--memory-sweep", "2,4", "--simd", "banana"].as_slice(),
+            "--simd",
+            "analyze",
+        ),
+        (
+            &["analyze", "--memory-sweep", "2,4", "--simd", "fast"],
             "--simd",
             "analyze",
         ),
@@ -276,6 +284,22 @@ fn malformed_simd_and_scale_tier_flags_name_flag_and_subcommand() {
             "--scale-tier",
             "serve",
         ),
+        (
+            &["generate", "strassen", "3"],
+            "<size>",
+            "generate strassen",
+        ),
+        (
+            &["generate", "strassen", "0"],
+            "<size>",
+            "generate strassen",
+        ),
+        (&["generate", "diamond", "0"], "<size>", "generate diamond"),
+        (&["generate", "matmul", "0"], "<size>", "generate matmul"),
+        (&["generate", "inner", "0"], "<size>", "generate inner"),
+        (&["generate", "fft", "40"], "<size>", "generate fft"),
+        (&["generate", "bhk", "64"], "<size>", "generate bhk"),
+        (&["generate", "er", "10", "--p", "2"], "--p", "generate er"),
     ] {
         let mut child = cli()
             .args(args)
