@@ -20,6 +20,7 @@ use graphio_graph::CompGraph;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Above this vertex count [`ConvexMinCutOptions::for_graph_size`] samples
 /// only a handful of vertices and [`wavefront_cut`] caps each max-flow at
@@ -58,10 +59,13 @@ pub struct ConvexMinCutOptions {
 }
 
 impl Default for ConvexMinCutOptions {
+    /// The full sweep on the process-global thread count
+    /// ([`graphio_linalg::threads::effective_threads`], which the CLI's
+    /// `--threads` sets).
     fn default() -> Self {
         ConvexMinCutOptions {
             sweep: VertexSweep::All,
-            threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
+            threads: graphio_linalg::threads::effective_threads(),
         }
     }
 }
@@ -132,23 +136,44 @@ pub fn convex_min_cut_bound(
         }
     };
 
-    // Each worker builds one network and reuses it for every vertex of
-    // its chunk; chunks are concatenated in order, so the results (and
-    // `best_vertex`'s tie-breaking) do not depend on the thread count.
-    let sweep = |vs: &[usize]| -> Vec<(usize, u64)> {
-        let mut net = CutNetwork::new(g);
-        vs.iter().map(|&v| (v, net.cut(v))).collect()
+    // Branch and bound. Each worker takes a contiguous chunk, computes an
+    // upper bound `ub(v) ≥ C(v)` for each of its vertices (see
+    // `Wavefronts::upper_bound`), then runs exact cuts in descending-`ub`
+    // order until its next `ub` is ≤ the best cut any worker has found.
+    // Every vertex left uncut has `C(v) ≤ ub(v) ≤ max_cut`, so the maximum
+    // is exact at every thread count; only the amount of work varies. The
+    // shared best publishes no other data, hence `Relaxed`: a stale read
+    // only prunes less. The span charges each worker's allocations to a
+    // named phase, since spawned workers start with an empty span stack.
+    let best = AtomicU64::new(0);
+    let worker = |vs: &[usize]| -> Vec<(u64, Option<u64>)> {
+        let _span = graphio_obs::span!("mincut_worker");
+        let mut wavefronts = Wavefronts::new(g);
+        let ubs: Vec<u64> = vs.iter().map(|&v| wavefronts.upper_bound(v)).collect();
+        let mut cuts = vec![None; vs.len()];
+        let mut order: Vec<usize> = (0..vs.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(ubs[i]));
+        let mut net = None;
+        for i in order {
+            if ubs[i] <= best.load(Ordering::Relaxed) {
+                break;
+            }
+            let c = net.get_or_insert_with(|| CutNetwork::new(g)).cut(vs[i]);
+            cuts[i] = Some(c);
+            best.fetch_max(c, Ordering::Relaxed);
+        }
+        ubs.into_iter().zip(cuts).collect()
     };
-    let threads = opts.threads.max(1).min(vertices.len().max(1));
-    let results: Vec<(usize, u64)> = if threads == 1 {
-        sweep(&vertices)
+    let threads = opts.threads.max(1).min(vertices.len());
+    let swept: Vec<(u64, Option<u64>)> = if threads == 1 {
+        worker(&vertices)
     } else {
         let chunk = vertices.len().div_ceil(threads);
-        let sweep = &sweep;
+        let worker = &worker;
         std::thread::scope(|s| {
             let handles: Vec<_> = vertices
                 .chunks(chunk)
-                .map(|vs| s.spawn(move || sweep(vs)))
+                .map(|vs| s.spawn(move || worker(vs)))
                 .collect();
             handles
                 .into_iter()
@@ -156,21 +181,33 @@ pub fn convex_min_cut_bound(
                 .collect()
         })
     };
+    let max_cut = best.into_inner();
 
-    let mut best_vertex = results[0].0;
-    let mut max_cut = 0u64;
-    for &(v, c) in &results {
-        if c > max_cut {
-            max_cut = c;
-            best_vertex = v;
-        }
-    }
+    // `best_vertex` is the first vertex in sweep order whose cut attains
+    // the maximum (the first vertex when every cut is 0), exactly as an
+    // exhaustive sweep reports it; only a vertex with `ub ≥ max_cut` can
+    // be it, and a cut the workers skipped is computed here.
+    let best_vertex = if max_cut == 0 {
+        vertices[0]
+    } else {
+        let mut net = None;
+        let pos = swept
+            .iter()
+            .zip(&vertices)
+            .position(|(&(ub, cut), &v)| {
+                ub >= max_cut
+                    && cut.unwrap_or_else(|| net.get_or_insert_with(|| CutNetwork::new(g)).cut(v))
+                        == max_cut
+            })
+            .expect("a swept vertex attains the maximum cut");
+        vertices[pos]
+    };
     let bound = 2 * max_cut.saturating_sub(memory as u64);
     ConvexMinCutResult {
         bound,
         best_vertex,
         max_cut,
-        vertices_evaluated: results.len(),
+        vertices_evaluated: vertices.len(),
     }
 }
 
@@ -247,10 +284,7 @@ impl<'g> CutNetwork<'g> {
         CutNetwork {
             g,
             net: FlowNetwork::new(2 * n + 2, units.chain(edges), room),
-            reach: Reach {
-                seen: vec![false; n],
-                stack: Vec::new(),
-            },
+            reach: Reach::new(n),
             anc: Vec::new(),
             desc: Vec::new(),
             flow_cap: if n > HUGE_SWEEP_CUTOFF {
@@ -290,6 +324,13 @@ struct Reach {
 }
 
 impl Reach {
+    fn new(n: usize) -> Self {
+        Reach {
+            seen: vec![false; n],
+            stack: Vec::new(),
+        }
+    }
+
     /// Strict descendants (or ancestors, if `backwards`) of `v` into `out`,
     /// in the order [`CompGraph::descendants`] / [`CompGraph::ancestors`]
     /// list them, so the pins go in as they always have.
@@ -318,11 +359,91 @@ impl Reach {
     }
 }
 
+/// Wavefront sizes of the two convex prefixes every vertex's traversals
+/// give for free: `Anc(v) ∪ {v}` and `V ∖ Desc(v)`. Both are down-closed,
+/// contain `Anc(v) ∪ {v}` and miss `Desc(v)`, so each wavefront is one
+/// the min cut `C(v)` minimizes over — the smaller is an upper bound on
+/// `C(v)` that costs two traversals and no max-flow.
+struct Wavefronts<'g> {
+    g: &'g CompGraph,
+    reach: Reach,
+    anc: Vec<u32>,
+    desc: Vec<u32>,
+    /// Membership of the prefix being measured; all `false` between calls.
+    inside: Vec<bool>,
+    /// Wavefront vertices already counted; all `false` between calls.
+    counted: Vec<bool>,
+}
+
+impl<'g> Wavefronts<'g> {
+    fn new(g: &'g CompGraph) -> Self {
+        let n = g.n();
+        Wavefronts {
+            g,
+            reach: Reach::new(n),
+            anc: Vec::new(),
+            desc: Vec::new(),
+            inside: vec![false; n],
+            counted: vec![false; n],
+        }
+    }
+
+    /// `min(|W(Anc(v) ∪ {v})|, |W(V ∖ Desc(v))|) ≥ C(v)`, where `W(S)` is
+    /// the members of `S` with a child outside it; `0` when `v` has no
+    /// descendants (as [`wavefront_cut`] returns then).
+    fn upper_bound(&mut self, v: usize) -> u64 {
+        let g = self.g;
+        self.reach.run(g, v, false, &mut self.desc);
+        if self.desc.is_empty() {
+            return 0;
+        }
+        self.reach.run(g, v, true, &mut self.anc);
+
+        // W(Anc(v) ∪ {v}): members with a child outside the set.
+        let prefix = || std::iter::once(v).chain(self.anc.iter().map(|&a| a as usize));
+        for u in prefix() {
+            self.inside[u] = true;
+        }
+        let mut down = 0u64;
+        for u in prefix() {
+            if g.children(u).iter().any(|&w| !self.inside[w as usize]) {
+                down += 1;
+            }
+        }
+        for u in prefix() {
+            self.inside[u] = false;
+        }
+
+        // W(V ∖ Desc(v)): the distinct parents of `Desc(v)` outside it.
+        for &d in &self.desc {
+            self.inside[d as usize] = true;
+        }
+        let mut up = 0u64;
+        for &d in &self.desc {
+            for &p in g.parents(d as usize) {
+                let p = p as usize;
+                if !self.inside[p] && !self.counted[p] {
+                    self.counted[p] = true;
+                    up += 1;
+                }
+            }
+        }
+        for &d in &self.desc {
+            self.inside[d as usize] = false;
+            for &p in g.parents(d as usize) {
+                self.counted[p as usize] = false;
+            }
+        }
+        down.min(up)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use graphio_graph::generators::{
-        bhk_hypercube, diamond_dag, fft_butterfly, inner_product, naive_matmul, path_dag,
+        bhk_hypercube, diamond_dag, erdos_renyi_dag, fft_butterfly, inner_product, naive_matmul,
+        path_dag,
     };
 
     #[test]
@@ -438,6 +559,54 @@ mod tests {
                 assert_eq!(run(threads), serial, "{sweep:?}, {threads} threads");
             }
         }
+    }
+
+    #[test]
+    fn pruned_sweep_equals_the_exhaustive_sweep() {
+        let graphs = [
+            fft_butterfly(4),
+            bhk_hypercube(6),
+            diamond_dag(6, 9),
+            naive_matmul(3),
+            inner_product(8),
+            erdos_renyi_dag(50, 0.1, 3),
+            erdos_renyi_dag(50, 0.3, 4),
+        ];
+        for g in &graphs {
+            let n = g.n();
+            let cuts: Vec<u64> = (0..n).map(|v| wavefront_cut(g, v)).collect();
+            let mut w = Wavefronts::new(g);
+            for (v, &c) in cuts.iter().enumerate() {
+                assert!(w.upper_bound(v) >= c, "n={n} v={v}");
+            }
+            // The exhaustive sweep's answer: the maximum cut and the first
+            // vertex attaining it.
+            let max_cut = *cuts.iter().max().unwrap();
+            let first = cuts.iter().position(|&c| c == max_cut).unwrap();
+            for threads in [1, 2, 3] {
+                let opts = ConvexMinCutOptions {
+                    sweep: VertexSweep::All,
+                    threads,
+                };
+                let got = convex_min_cut_bound(g, 2, &opts);
+                assert_eq!((got.max_cut, got.best_vertex), (max_cut, first), "n={n}");
+                assert_eq!(got.vertices_evaluated, n);
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_threads_follow_the_global_knob() {
+        // Other tests here only read the knob for their sweep width, which
+        // never changes a result, so moving it does not race them.
+        for threads in [1, 3] {
+            graphio_linalg::set_threads(threads);
+            for n in [10, 5000, HUGE_SWEEP_CUTOFF + 1] {
+                assert_eq!(ConvexMinCutOptions::for_graph_size(n).threads, threads);
+            }
+            assert_eq!(ConvexMinCutOptions::default().threads, threads);
+        }
+        graphio_linalg::set_threads(0);
     }
 
     #[test]

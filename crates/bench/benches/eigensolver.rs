@@ -1,15 +1,13 @@
 //! Eigensolver ablations: dense vs Lanczos crossover, QL vs bisection on
-//! tridiagonals, serial vs parallel sparse mat-vec, and the end-to-end
-//! Lanczos thread scaling on the §6-sized FFT graph.
+//! tridiagonals, and the sparse mat-vec.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use graphio_graph::generators::{bhk_hypercube, fft_butterfly};
+use graphio_graph::generators::bhk_hypercube;
 use graphio_linalg::{
-    eigenvalues_symmetric, lanczos, set_threads, tridiagonal_eigenvalues,
-    tridiagonal_eigenvalues_bisect, LanczosOptions,
+    eigenvalues_symmetric, lanczos, tridiagonal_eigenvalues, tridiagonal_eigenvalues_bisect,
+    LanczosOptions,
 };
 use graphio_spectral::laplacian::normalized_laplacian;
-use graphio_spectral::{BoundOptions, EigenMethod};
 
 fn bench_dense_vs_lanczos(c: &mut Criterion) {
     let mut group = c.benchmark_group("eig_dense_vs_lanczos");
@@ -64,62 +62,12 @@ fn bench_matvec(c: &mut Criterion) {
     let lap = normalized_laplacian(&g);
     let x: Vec<f64> = (0..lap.dim()).map(|i| (i as f64 * 0.01).sin()).collect();
     let mut y = vec![0.0; lap.dim()];
-    group.bench_function("serial", |b| {
+    group.bench_function("bhk_l13", |b| {
         b.iter(|| {
             lap.matvec(&x, &mut y);
             y[0]
         })
     });
-    for threads in [2usize, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::new("parallel", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    lap.matvec_parallel(&x, &mut y, threads);
-                    y[0]
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-/// The ISSUE's acceptance benchmark: a full Lanczos solve on the
-/// `fft_butterfly(14)` Laplacian (n ≈ 246k, nnz ≈ 1.2M) with the global
-/// thread knob at 1 vs ≥ 4 workers. Both the parallel CSR mat-vec and the
-/// parallel CGS2 re-orthogonalization engage here.
-fn bench_lanczos_threads(c: &mut Criterion) {
-    let mut group = c.benchmark_group("lanczos_threads");
-    group.measurement_time(std::time::Duration::from_secs(20));
-    group.warm_up_time(std::time::Duration::from_secs(1));
-    group.sample_size(2);
-    let g = fft_butterfly(14);
-    let lap = normalized_laplacian(&g);
-    // The sparse-tier schedule, pinned explicitly: the Auto tier hands
-    // n = 245,760 to the single-sweep estimate, but this bench times the
-    // deflated solver.
-    let opts = BoundOptions::for_graph_size_in_tier(g.n(), graphio_spectral::ScaleTier::Sparse);
-    let (h, lopts) = match opts.method {
-        EigenMethod::Lanczos(l) => (opts.h, l),
-        _ => unreachable!("the sparse tier always picks Lanczos at this size"),
-    };
-    for threads in [1usize, 4] {
-        group.bench_with_input(
-            BenchmarkId::new("fft_l14_h16", threads),
-            &threads,
-            |b, &threads| {
-                set_threads(threads);
-                b.iter(|| {
-                    lanczos::smallest_eigenvalues(&lap, h, &lopts)
-                        .unwrap()
-                        .values
-                        .len()
-                })
-            },
-        );
-    }
-    set_threads(0); // restore Auto
     group.finish();
 }
 
@@ -127,7 +75,6 @@ criterion_group!(
     benches,
     bench_dense_vs_lanczos,
     bench_tridiagonal,
-    bench_matvec,
-    bench_lanczos_threads
+    bench_matvec
 );
 criterion_main!(benches);

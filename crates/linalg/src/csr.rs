@@ -1,9 +1,7 @@
 //! Compressed sparse row (CSR) storage for symmetric matrices.
 //!
 //! Graph Laplacians are sparse (`nnz = n + 2|E|`), so the Lanczos path
-//! operates on CSR. Mat-vec is provided both serially and in parallel via
-//! `std::thread::scope` over row chunks (the offline dependency set has no
-//! `rayon`; chunked scoped threads are the idiomatic substitute).
+//! operates on CSR.
 //!
 //! Laplacian rows are a handful of scattered entries — too short for
 //! in-row SIMD lanes to pay — so alongside the CSR arrays the matrix
@@ -12,16 +10,11 @@
 //! and stored step-major, so one vector register sums 8 rows at once with
 //! every row accumulating left to right in column order. The scalar
 //! fallback walks the same layout, so mat-vec results are bit-identical
-//! across SIMD on/off and across thread counts (chunks align to block
-//! boundaries).
+//! across SIMD on/off.
 
 use crate::dense::DenseMatrix;
 use crate::error::LinalgError;
 use crate::Result;
-
-/// Below this work estimate (rows × average nnz) the parallel mat-vec falls
-/// back to the serial kernel — thread spawn costs dominate otherwise.
-const PARALLEL_WORK_THRESHOLD: usize = 1 << 16;
 
 /// A square sparse matrix in CSR format.
 ///
@@ -142,26 +135,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Row-range kernel shared by the serial and parallel entry points:
-    /// fills `y_chunk` with rows `start..start + y_chunk.len()` of `A x`
-    /// from the interleaved mirror. `start` must be a multiple of
-    /// [`crate::simd::SELL_ROWS`]; every row accumulates left to right in
-    /// column order under every `route`, so results are bit-identical for
-    /// every chunking and every SIMD policy (see
-    /// [`crate::simd::sell_matvec_routed`]).
-    fn matvec_rows(&self, x: &[f64], y_chunk: &mut [f64], start: usize, route: crate::simd::Route) {
-        debug_assert_eq!(start % crate::simd::SELL_ROWS, 0);
-        crate::simd::sell_matvec_routed(
-            route,
-            &self.sell_ptr,
-            &self.sell_cols,
-            &self.sell_vals,
-            x,
-            y_chunk,
-            start / crate::simd::SELL_ROWS,
-        );
-    }
-
     /// Resolves the SIMD route once per mat-vec: the AVX2 row kernel
     /// gathers through `i32` indices, so matrices wider than `i32::MAX`
     /// columns fall back to the (bit-identical) scalar body.
@@ -173,7 +146,10 @@ impl CsrMatrix {
         crate::simd::route(self.nnz())
     }
 
-    /// Serial mat-vec `y = A x`.
+    /// Mat-vec `y = A x` from the interleaved mirror. Every row
+    /// accumulates left to right in column order under every SIMD route,
+    /// so the result is bit-identical for every SIMD policy (see
+    /// [`crate::simd::sell_matvec_routed`]).
     ///
     /// # Panics
     /// Panics on dimension mismatch.
@@ -182,39 +158,14 @@ impl CsrMatrix {
         assert_eq!(y.len(), self.n, "matvec: y length mismatch");
         let _span = graphio_obs::span!("matvec");
         crate::stats::record_sparse_matvec();
-        self.matvec_rows(x, y, 0, self.matvec_route());
-    }
-
-    /// Parallel mat-vec `y = A x` over row chunks using scoped threads.
-    /// Falls back to the serial kernel for small matrices. Bit-identical to
-    /// [`CsrMatrix::matvec`] for every thread count.
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    pub fn matvec_parallel(&self, x: &[f64], y: &mut [f64], threads: usize) {
-        assert_eq!(x.len(), self.n, "matvec_parallel: x length mismatch");
-        assert_eq!(y.len(), self.n, "matvec_parallel: y length mismatch");
-        let _span = graphio_obs::span!("matvec");
-        let threads = threads.max(1);
-        if threads == 1 || self.nnz() < PARALLEL_WORK_THRESHOLD || self.n < threads {
-            crate::stats::record_sparse_matvec();
-            self.matvec_rows(x, y, 0, self.matvec_route());
-            return;
-        }
-        crate::stats::record_sparse_matvec();
-        let route = self.matvec_route();
-        // Chunks align to interleaved-block boundaries so every thread
-        // owns whole blocks.
-        let chunk = self
-            .n
-            .div_ceil(threads)
-            .next_multiple_of(crate::simd::SELL_ROWS);
-        std::thread::scope(|s| {
-            for (t, y_chunk) in y.chunks_mut(chunk).enumerate() {
-                let start = t * chunk;
-                s.spawn(move || self.matvec_rows(x, y_chunk, start, route));
-            }
-        });
+        crate::simd::sell_matvec_routed(
+            self.matvec_route(),
+            &self.sell_ptr,
+            &self.sell_cols,
+            &self.sell_vals,
+            x,
+            y,
+        );
     }
 
     /// Upper bound on the largest eigenvalue by the Gershgorin circle
@@ -383,39 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matvec_matches_serial() {
-        // Build a matrix large enough to engage the parallel path.
-        let n = 2000;
-        let mut trips = Vec::new();
-        for i in 0..n {
-            trips.push((i, i, 2.0));
-            if i + 1 < n {
-                trips.push((i, i + 1, -1.0));
-                trips.push((i + 1, i, -1.0));
-            }
-            // widen the band so nnz crosses the threshold
-            for w in 2..40 {
-                if i + w < n {
-                    trips.push((i, i + w, 0.001 * w as f64));
-                    trips.push((i + w, i, 0.001 * w as f64));
-                }
-            }
-        }
-        let m = CsrMatrix::from_triplets(n, &trips).unwrap();
-        assert!(m.nnz() >= PARALLEL_WORK_THRESHOLD);
-        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-        let mut y1 = vec![0.0; n];
-        m.matvec(&x, &mut y1);
-        // The row kernel is shared, so every thread count is bit-identical
-        // to serial (and trivially within the 1e-12 contract).
-        for threads in [1usize, 2, 4, 8] {
-            let mut y2 = vec![0.0; n];
-            m.matvec_parallel(&x, &mut y2, threads);
-            assert_eq!(y1, y2, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn matvec_simd_on_off_bit_identical_on_random_csr() {
         // Random CSR matrices across sizes that exercise partial final
         // interleaved blocks, empty rows, and mixed row lengths; the
@@ -448,9 +366,6 @@ mod tests {
             let mut y = vec![0.0; n];
             m.matvec(&x, &mut y);
             assert_eq!(y_off, y, "n={n}");
-            let mut y_par = vec![0.0; n];
-            m.matvec_parallel(&x, &mut y_par, 3);
-            assert_eq!(y_off, y_par, "n={n} parallel");
         }
         crate::simd::set_policy(before);
     }
@@ -461,8 +376,7 @@ mod tests {
         let before = crate::stats::sparse_matvec_count();
         let mut y = [0.0; 3];
         m.matvec(&[1.0, 0.0, 0.0], &mut y);
-        m.matvec_parallel(&[1.0, 0.0, 0.0], &mut y, 2);
-        assert!(crate::stats::sparse_matvec_count() >= before + 2);
+        assert!(crate::stats::sparse_matvec_count() > before);
     }
 
     #[test]

@@ -7,17 +7,11 @@
 //!
 //! The two O(l²) panel phases of each reflector — the symmetric
 //! matrix–vector product `p = A·u/h` and the rank-2 update
-//! `A ← A − u·qᵀ − q·uᵀ` — run on scoped worker threads for large panels.
-//! Both kernels compute every output element with the same in-order
-//! reduction regardless of chunking, so results are bit-identical across
-//! thread counts (and to the classical serial formulation).
+//! `A ← A − u·qᵀ − q·uᵀ` — run on the SIMD kernels, row-wise and unit
+//! stride. Both compute every output element with the same in-order
+//! reduction as the classical formulation.
 
 use crate::dense::DenseMatrix;
-use crate::threads::{even_ranges, triangle_ranges};
-
-/// Panels with fewer rows than this run serially — two thread scopes per
-/// reflector only pay off once the O(l²) phases dominate spawn cost.
-const PARALLEL_PANEL_THRESHOLD: usize = 256;
 
 /// Output of [`tridiagonalize_in_place`].
 #[derive(Debug, Clone)]
@@ -38,19 +32,7 @@ pub struct Tridiagonal {
 ///
 /// The caller is responsible for `a` being square and symmetric; this is
 /// checked by the public drivers in [`crate::symeig`].
-///
-/// Uses the process-global [`crate::threads`] knob for the panel kernels;
-/// [`tridiagonalize_in_place_with_threads`] takes an explicit count.
 pub fn tridiagonalize_in_place(a: &mut DenseMatrix, accumulate_q: bool) -> Tridiagonal {
-    tridiagonalize_in_place_with_threads(a, accumulate_q, crate::threads::effective_threads())
-}
-
-/// [`tridiagonalize_in_place`] with an explicit worker-thread count.
-pub fn tridiagonalize_in_place_with_threads(
-    a: &mut DenseMatrix,
-    accumulate_q: bool,
-    threads: usize,
-) -> Tridiagonal {
     let n = a.nrows();
     let mut d = vec![0.0; n];
     let mut e = vec![0.0; n];
@@ -84,7 +66,7 @@ pub fn tridiagonalize_in_place_with_threads(
                 a[(i, l)] = f - g;
                 u[..=l].copy_from_slice(&a.row(i)[..=l]);
                 // Panel phase 1: e[j] = (A u)[j] / h over the lower triangle.
-                lower_sym_matvec(a, l, &u[..=l], &mut e[..=l], h, threads);
+                lower_sym_matvec(a, l, &u[..=l], &mut e[..=l], h);
                 if accumulate_q {
                     for j in 0..=l {
                         a[(j, i)] = a[(i, j)] / h;
@@ -96,7 +78,7 @@ pub fn tridiagonalize_in_place_with_threads(
                     e[j] -= hh * u[j];
                 }
                 // Panel phase 2: A[0..=l, 0..=l] -= u eᵀ + e uᵀ (lower part).
-                rank2_update_lower(a, l, &u[..=l], &e[..=l], threads);
+                rank2_update_lower(a, l, &u[..=l], &e[..=l]);
             }
         } else {
             e[i] = a[(i, l)];
@@ -144,77 +126,35 @@ pub fn tridiagonalize_in_place_with_threads(
 ///
 /// Cache blocking: the classical formulation walks column `j` of the
 /// lower triangle for the second sum — an `n`-strided sweep that goes
-/// memory-bound around `n ≈ 1000`. Instead, each output segment first
-/// takes its row dots (`k ≤ j`, unit stride), then accumulates the column
+/// memory-bound around `n ≈ 1000`. Instead, all outputs first take their
+/// row dots (`k ≤ j`, unit stride), then accumulate the column
 /// contributions row-wise: for `k` ascending, `out[j] += a[k][j]·u[k]`
-/// over the whole segment at once — a unit-stride `axpy` on `a.row(k)`.
-/// Per element the additions land in exactly the classical order (row dot
-/// first, then `k` ascending), so the result is bit-identical for every
-/// chunking; both phases run on the SIMD kernels, whose `Strict` shape is
-/// likewise chunking-independent.
-fn lower_sym_matvec(a: &DenseMatrix, l: usize, u: &[f64], out: &mut [f64], h: f64, threads: usize) {
+/// over `j < k` at once — a unit-stride `axpy` on `a.row(k)`. Per element
+/// the additions land in exactly the classical order (row dot first,
+/// then `k` ascending); both phases run on the SIMD kernels, whose
+/// `Strict` shape is bit-identical to the scalar bodies.
+fn lower_sym_matvec(a: &DenseMatrix, l: usize, u: &[f64], out: &mut [f64], h: f64) {
     let route = crate::simd::route(l + 1);
-    let kernel = |start: usize, out_chunk: &mut [f64]| {
-        for (slot, g_out) in out_chunk.iter_mut().enumerate() {
-            let j = start + slot;
-            *g_out = crate::vecops::dot(&a.row(j)[..=j], &u[..=j]);
-        }
-        let hi = start + out_chunk.len();
-        for (k, &u_k) in u.iter().enumerate().take(l + 1).skip(start + 1) {
-            let seg_end = k.min(hi) - start;
-            if seg_end == 0 {
-                break;
-            }
-            let row_k = &a.row(k)[start..start + seg_end];
-            crate::simd::axpy_routed(route, u_k, row_k, &mut out_chunk[..seg_end]);
-        }
-        for g_out in out_chunk.iter_mut() {
-            *g_out /= h;
-        }
-    };
-    if threads <= 1 || l < PARALLEL_PANEL_THRESHOLD {
-        kernel(0, out);
-        return;
+    for (j, g_out) in out.iter_mut().enumerate() {
+        *g_out = crate::vecops::dot(&a.row(j)[..=j], &u[..=j]);
     }
-    std::thread::scope(|s| {
-        let kernel = &kernel;
-        let mut rest = out;
-        for range in even_ranges(l + 1, threads) {
-            let (chunk, tail) = rest.split_at_mut(range.len());
-            rest = tail;
-            s.spawn(move || kernel(range.start, chunk));
-        }
-    });
+    for (k, &u_k) in u.iter().enumerate().skip(1) {
+        crate::simd::axpy_routed(route, u_k, &a.row(k)[..k], &mut out[..k]);
+    }
+    for g_out in out.iter_mut() {
+        *g_out /= h;
+    }
 }
 
 /// Applies the symmetric rank-2 update `a[j][k] -= u[j]·e[k] + e[j]·u[k]`
 /// for `k ≤ j ≤ l` (lower triangle only, as the classical algorithm does).
-/// Rows are distributed by triangle area so chunks carry equal work.
-fn rank2_update_lower(a: &mut DenseMatrix, l: usize, u: &[f64], e: &[f64], threads: usize) {
+fn rank2_update_lower(a: &mut DenseMatrix, l: usize, u: &[f64], e: &[f64]) {
     let cols = a.ncols();
     let rows = l + 1;
     let route = crate::simd::route(rows);
-    let kernel = |start_row: usize, block: &mut [f64]| {
-        for (r, row) in block.chunks_mut(cols).enumerate() {
-            let j = start_row + r;
-            let (uj, ej) = (u[j], e[j]);
-            crate::simd::rank2_row_routed(route, &mut row[..=j], uj, ej, e, u);
-        }
-    };
-    let data = &mut a.data_mut()[..rows * cols];
-    if threads <= 1 || l < PARALLEL_PANEL_THRESHOLD {
-        kernel(0, data);
-        return;
+    for (j, row) in a.data_mut()[..rows * cols].chunks_mut(cols).enumerate() {
+        crate::simd::rank2_row_routed(route, &mut row[..=j], u[j], e[j], e, u);
     }
-    std::thread::scope(|s| {
-        let kernel = &kernel;
-        let mut rest = data;
-        for range in triangle_ranges(rows, threads) {
-            let (block, tail) = rest.split_at_mut(range.len() * cols);
-            rest = tail;
-            s.spawn(move || kernel(range.start, block));
-        }
-    });
 }
 
 #[cfg(test)]

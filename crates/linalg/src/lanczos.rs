@@ -32,8 +32,7 @@ use crate::linop::{LinOp, ShiftedNegated};
 use crate::power::power_iteration;
 use crate::tridiag::tql_in_place;
 use crate::vecops::{
-    axpy, axpy_many, dot, norm2, normalize, orthogonalize_against, orthogonalize_against_parallel,
-    scal,
+    axpy, axpy_many, dot, norm2, normalize, orthogonalize_against, orthogonalize_against_cgs, scal,
 };
 use crate::Result;
 use rand::rngs::StdRng;
@@ -358,9 +357,7 @@ struct Sweep {
 /// Each step's residual `w` is re-orthogonalized by one CGS pass against
 /// `locked`, then the window. A second pass runs only when the first left
 /// `‖w‖` below [`DGKS_RATIO`] (`1/√2`) of its value before the pass, and
-/// `β` is the norm after the last pass that ran. The decision compares two
-/// serial `norm2` values of a vector that is itself bit-identical at every
-/// thread count, so the sweep stays bit-identical across thread counts.
+/// `β` is the norm after the last pass that ran.
 fn lanczos_sweep<A: LinOp + ?Sized>(
     op: &A,
     v0: Vec<f64>,
@@ -395,15 +392,14 @@ fn lanczos_sweep<A: LinOp + ?Sized>(
         // Lanczos bottleneck on large graphs — which is why huge operators
         // bound the window to the trailing basis vectors (locked vectors
         // are always swept in full; there are at most `h` of them).
-        let threads = crate::threads::effective_threads();
         let w0 = basis.len().saturating_sub(window);
         let before = norm2(&w);
-        orthogonalize_against_parallel(&mut w, locked, threads);
-        orthogonalize_against_parallel(&mut w, &basis[w0..], threads);
+        orthogonalize_against_cgs(&mut w, locked);
+        orthogonalize_against_cgs(&mut w, &basis[w0..]);
         let mut beta = norm2(&w);
         if beta < DGKS_RATIO * before {
-            orthogonalize_against_parallel(&mut w, locked, threads);
-            orthogonalize_against_parallel(&mut w, &basis[w0..], threads);
+            orthogonalize_against_cgs(&mut w, locked);
+            orthogonalize_against_cgs(&mut w, &basis[w0..]);
             beta = norm2(&w);
             second_passes += 1;
         }
@@ -520,7 +516,7 @@ fn lock_converged<A: LinOp + ?Sized>(
         // Assemble the Ritz vector y = V z_idx.
         let coeffs: Vec<f64> = (0..m).map(|jj| z[(jj, idx)]).collect();
         let mut y = vec![0.0; n];
-        axpy_many(&coeffs, &sweep.basis, 0, &mut y);
+        axpy_many(&coeffs, &sweep.basis, &mut y);
         orthogonalize_against(&mut y, locked_vecs);
         if normalize(&mut y) < 1e-6 {
             // Numerically dependent on already-locked vectors; skip it.

@@ -8,18 +8,18 @@
 //! * [`DenseMatrix`] with a Householder-tridiagonalization + implicit-shift
 //!   QL symmetric eigensolver ([`symeig`]) — exact O(n³) reference path used
 //!   for small/medium graphs and as the test oracle.
-//! * [`CsrMatrix`] sparse symmetric storage with serial and parallel
-//!   (`std::thread::scope`) mat-vec, feeding a full-reorthogonalization,
-//!   deflation-based Lanczos solver ([`lanczos`]) that recovers repeated
+//! * [`CsrMatrix`] sparse symmetric storage with an interleaved SIMD
+//!   mat-vec, feeding a full-reorthogonalization, deflation-based
+//!   Lanczos solver ([`lanczos`]) that recovers repeated
 //!   eigenvalues with multiplicity — the O(h·n·nnz) path the paper's §6.5
 //!   scalability claims rely on.
 //! * Tridiagonal eigensolvers (implicit QL and Sturm-sequence bisection),
 //!   power iteration, and random orthogonal matrices for the quadratic
 //!   assignment (trace inequality) tests behind Theorem 4.
-//! * A parallel execution layer: every O(n²)-or-worse kernel (sparse
-//!   mat-vec, Householder panel updates, Lanczos re-orthogonalization) runs
-//!   on scoped worker threads controlled by the [`threads`] knob, and the
-//!   [`stats`] counters let callers prove work was (or wasn't) performed.
+//! * [`stats`] counters that let callers prove work was (or wasn't)
+//!   performed, and the process-global [`threads`] knob that the CLI's
+//!   `--threads` sets (the min-cut sweep reads it; every kernel here is
+//!   serial).
 //!
 //! Everything is implemented from first principles on `f64`; no BLAS/LAPACK.
 

@@ -28,7 +28,7 @@ impl LinOp for CsrMatrix {
     }
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
-        self.matvec_parallel(x, y, crate::threads::effective_threads());
+        self.matvec(x, y);
     }
 
     fn eigen_upper_bound(&self) -> Option<f64> {

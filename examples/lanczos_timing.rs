@@ -1,16 +1,14 @@
-//! Thread-scaling probe for the Lanczos eigensolve on an FFT butterfly.
+//! Timing probe for the Lanczos eigensolve on an FFT butterfly.
 //!
 //! ```text
-//! cargo run --release --example lanczos_timing -- 12 1,4,8
+//! cargo run --release --example lanczos_timing -- 12
 //! ```
 //!
 //! Runs the sparse-tier eigensolver schedule
-//! (`BoundOptions::for_graph_size_in_tier`) on `fft_butterfly(l)` once per
-//! requested thread count and prints the wall-clock time. Sweep and mat-vec counts are identical across thread
-//! counts (the parallel kernels are chunk-deterministic); only the clock
-//! should move.
+//! (`BoundOptions::for_graph_size_in_tier`) on `fft_butterfly(l)` once and
+//! prints the wall-clock time with the sweep and mat-vec counts.
 
-use graphio::linalg::{lanczos, set_threads};
+use graphio::linalg::lanczos;
 use graphio::prelude::*;
 use graphio::spectral::normalized_laplacian;
 use std::time::Instant;
@@ -20,10 +18,6 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(11);
-    let threads_list: Vec<usize> = std::env::args()
-        .nth(2)
-        .map(|s| s.split(',').filter_map(|t| t.parse().ok()).collect())
-        .unwrap_or_else(|| vec![1, 4]);
     let g = fft_butterfly(l);
     let lap = normalized_laplacian(&g);
     // Pin the sparse tier: this probe times the deflated Lanczos solver
@@ -41,17 +35,13 @@ fn main() {
         g.n(),
         lap.nnz()
     );
-    for threads in threads_list {
-        set_threads(threads);
-        let t0 = Instant::now();
-        let r = lanczos::smallest_eigenvalues(&lap, h, &lopts).expect("lanczos converges");
-        println!(
-            "threads = {threads}: {:8.2}s  ({} sweeps, {} matvecs, lambda_2 = {:.6})",
-            t0.elapsed().as_secs_f64(),
-            r.sweeps,
-            r.matvecs,
-            r.values[1]
-        );
-    }
-    set_threads(0);
+    let t0 = Instant::now();
+    let r = lanczos::smallest_eigenvalues(&lap, h, &lopts).expect("lanczos converges");
+    println!(
+        "{:8.2}s  ({} sweeps, {} matvecs, lambda_2 = {:.6})",
+        t0.elapsed().as_secs_f64(),
+        r.sweeps,
+        r.matvecs,
+        r.values[1]
+    );
 }

@@ -69,7 +69,7 @@ fn usage() -> ! {
         "usage:\n  graphio generate <family> <size> [--p <prob>] [--seed <s>]\n  \
          graphio bound --memory <M> [--processors <p>] [--threads <N>] < graph.json\n  \
          graphio analyze --memory-sweep <M1,M2,...> [--processors <p>] [--threads <N>] [--simd off|strict] [--scale-tier auto|dense|sparse|huge] [--no-sim] [--json] < graph.json\n  \
-         graphio simulate --memory <M> [--policy lru|fifo|belady|random] [--order natural|dfs|bfs] [--threads <N>] < graph.json\n  \
+         graphio simulate --memory <M> [--policy lru|fifo|belady|random] [--order natural|dfs|bfs] < graph.json\n  \
          graphio dot < graph.json\n  \
          graphio serve [--host <H>] [--port <P>] [--workers <W>] [--queue <Q>] [--cache-mb <B>] [--shards <S>] [--max-sessions <K>] [--threads <N>] [--simd <POLICY>] [--scale-tier <TIER>] [--idle-ms <T>] [--max-requests <R>] [--store <DIR>] [--store-mb <B>] [--slow-log-us <T>] [--slow-log-file <F>] [--slow-log-rotate-mb <M>] [--trace-store <DIR>]\n  \
          graphio client analyze --url <http://host:port> --memory-sweep <M1,...> [--processors <p>] [--no-sim] [--keep-alive] [--repeat <N>] [--json] < graph.json\n  \
@@ -180,7 +180,8 @@ fn parse_graph(json: &str) -> CompGraph {
     })
 }
 
-/// Applies `--threads N` to the process-global linalg knob.
+/// Applies `--threads N` to the process-global thread knob, which sizes
+/// the convex min-cut sweep.
 fn apply_threads(parsed: &Parsed) {
     if let Some(threads) = parsed.parse_flag::<usize>("--threads") {
         graphio::linalg::set_threads(threads);
@@ -419,14 +420,8 @@ fn cmd_analyze(args: &[String]) {
 }
 
 fn cmd_simulate(args: &[String]) {
-    let parsed = parse_args(
-        "simulate",
-        args,
-        &["--memory", "--policy", "--order", "--threads"],
-        &[],
-    );
+    let parsed = parse_args("simulate", args, &["--memory", "--policy", "--order"], &[]);
     let m: usize = parsed.parse_flag("--memory").unwrap_or_else(|| usage());
-    apply_threads(&parsed);
     let policy = match parsed.flag("--policy") {
         None | Some("lru") => Policy::Lru,
         Some("fifo") => Policy::Fifo,
@@ -526,16 +521,7 @@ fn cmd_serve(args: &[String]) {
         eprintln!("error: --store-mb requires --store in `graphio serve`");
         usage();
     }
-    // Each worker runs its eigensolves through the linalg kernels, which
-    // parallelize internally via the process-global thread knob; split
-    // the machine across workers unless told otherwise.
-    match parsed.parse_flag::<usize>("--threads") {
-        Some(threads) => graphio::linalg::set_threads(threads),
-        None => {
-            let available = std::thread::available_parallelism().map_or(1, |p| p.get());
-            graphio::linalg::set_threads((available / config.workers.max(1)).max(1));
-        }
-    }
+    apply_threads(&parsed);
     let server = serve(&config).unwrap_or_else(|e| {
         eprintln!("error: failed to start server: {e}");
         std::process::exit(1);

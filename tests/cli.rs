@@ -139,8 +139,9 @@ fn analyze_json_output_is_parseable_and_complete() {
 
 #[test]
 fn sparse_tier_analyze_is_identical_across_thread_counts() {
-    // fft(7) has n = 1,024, past the dense tier: the Lanczos solves (and
-    // their helper threads) run, and the bytes must not depend on them.
+    // fft(7) has n = 1,024, past the dense tier, so the Lanczos solves
+    // run; `--threads` splits the min-cut sweep over that many workers,
+    // and the bytes must not depend on it.
     let json = generate("fft", 7);
     let analyze = |threads: &str| {
         let (stdout, stderr, ok) = run_with_stdin(
@@ -221,8 +222,8 @@ fn malformed_threads_flag_names_flag_and_subcommand() {
         ),
         (&["bound", "--memory", "4", "--threads", "-3"], "bound"),
         (
-            &["simulate", "--memory", "4", "--threads", "2.5"],
-            "simulate",
+            &["precompute", "--store", "x", "--threads", "2.5"],
+            "precompute",
         ),
     ] {
         let mut child = cli()
@@ -375,12 +376,18 @@ fn bound_and_simulate_accept_threads() {
     let (stdout, stderr, ok) = run_with_stdin(&["bound", "--memory", "4", "--threads", "2"], &json);
     assert!(ok, "stderr: {stderr}");
     assert!(stdout.contains("spectral lower bound:"));
-    let (stdout, stderr, ok) = run_with_stdin(
-        &["simulate", "--memory", "8", "--threads", "2"],
-        &generate("diamond", 4),
+    // `simulate` runs no min-cut sweep, so it has no `--threads`: the flag
+    // is rejected like any unknown one, naming flag and subcommand.
+    let out = cli()
+        .args(["simulate", "--memory", "8", "--threads", "2"])
+        .output()
+        .expect("spawn graphio simulate");
+    assert_eq!(out.status.code(), Some(2), "--threads must exit 2 (usage)");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown flag --threads for `graphio simulate`"),
+        "{stderr}"
     );
-    assert!(ok, "stderr: {stderr}");
-    assert!(stdout.contains("simulated I/O:"));
 }
 
 #[test]
@@ -496,14 +503,14 @@ fn precompute_and_store_subcommands_round_trip() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Full process-level round trip: `graphio serve` on an ephemeral port,
-/// driven by `graphio client`, diffed against offline `analyze --json`.
-#[test]
-fn serve_and_client_round_trip_matches_offline_analyze() {
+/// Starts `graphio serve --port 0` plus `extra` and returns the child
+/// and the URL from its listen banner.
+fn spawn_serve(extra: &[&str]) -> (std::process::Child, String) {
     use std::io::{BufRead as _, BufReader};
 
     let mut server = cli()
-        .args(["serve", "--port", "0", "--workers", "2"])
+        .args(["serve", "--port", "0"])
+        .args(extra)
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
@@ -517,6 +524,14 @@ fn serve_and_client_round_trip_matches_offline_analyze() {
         .strip_prefix("graphio service listening on ")
         .unwrap_or_else(|| panic!("unexpected banner: {first_line}"))
         .to_string();
+    (server, url)
+}
+
+/// Full process-level round trip: `graphio serve` on an ephemeral port,
+/// driven by `graphio client`, diffed against offline `analyze --json`.
+#[test]
+fn serve_and_client_round_trip_matches_offline_analyze() {
+    let (mut server, url) = spawn_serve(&["--workers", "2"]);
 
     let result = std::panic::catch_unwind(|| {
         let mut offline_all = String::new();
@@ -624,23 +639,7 @@ fn serve_and_client_round_trip_matches_offline_analyze() {
 /// blank NDJSON lines make the two diverge.
 #[test]
 fn client_batch_error_names_the_offending_stdin_line() {
-    use std::io::{BufRead as _, BufReader};
-
-    let mut server = cli()
-        .args(["serve", "--port", "0", "--workers", "2"])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn graphio serve");
-    let mut first_line = String::new();
-    BufReader::new(server.stdout.as_mut().expect("stdout piped"))
-        .read_line(&mut first_line)
-        .expect("read listen line");
-    let url = first_line
-        .trim()
-        .strip_prefix("graphio service listening on ")
-        .unwrap_or_else(|| panic!("unexpected banner: {first_line}"))
-        .to_string();
+    let (mut server, url) = spawn_serve(&["--workers", "2"]);
 
     let result = std::panic::catch_unwind(|| {
         // Entry index 1 sits on stdin line 4 (blank lines in between).
@@ -658,6 +657,59 @@ fn client_batch_error_names_the_offending_stdin_line() {
         assert!(
             stderr.contains("(stdin line 4)"),
             "stdin line blame expected: {stderr}"
+        );
+    });
+    let _ = server.kill();
+    let _ = server.wait();
+    if let Err(p) = result {
+        std::panic::resume_unwind(p);
+    }
+}
+
+/// The min-cut sweep's worker threads open a `mincut_worker` span, so a
+/// cold analyze under `serve --threads 2` charges their bound scratch and
+/// flow networks to a named phase: the `/metrics` per-phase allocation
+/// deltas leave under 5% of the bytes `unattributed`.
+#[test]
+fn cold_analyze_allocations_land_on_named_phases() {
+    use std::collections::HashMap;
+
+    fn phase_bytes(conn: &mut graphio::service::Client) -> HashMap<String, f64> {
+        let r = conn.request("GET", "/metrics", None).unwrap();
+        assert_eq!(r.status, 200);
+        let expo = graphio::obs::parse_metrics(&r.body).expect("valid exposition");
+        expo.samples
+            .into_iter()
+            .filter(|s| s.name == "graphio_phase_alloc_bytes_total")
+            .map(|s| {
+                let (_, phase) = s.labels.into_iter().find(|(k, _)| k == "phase").unwrap();
+                (phase, s.value)
+            })
+            .collect()
+    }
+
+    let (mut server, url) = spawn_serve(&["--threads", "2"]);
+    let result = std::panic::catch_unwind(|| {
+        let mut conn = graphio::service::Client::new(&url).unwrap();
+        let before = phase_bytes(&mut conn);
+        // fft(7): n = 1,024, so the sweep covers every vertex, split over
+        // the two workers.
+        let body = format!(
+            "{{\"graph\": {}, \"memories\": [4, 8]}}",
+            generate("fft", 7)
+        );
+        let r = conn.request("POST", "/analyze", Some(&body)).unwrap();
+        assert_eq!(r.status, 200, "{}", r.body);
+        let after = phase_bytes(&mut conn);
+        let delta = |phase: &str| {
+            after.get(phase).copied().unwrap_or(0.0) - before.get(phase).copied().unwrap_or(0.0)
+        };
+        let total: f64 = after.keys().map(|phase| delta(phase)).sum();
+        let unattributed = delta("unattributed");
+        assert!(delta("mincut_worker") > 0.0, "{after:?}");
+        assert!(
+            unattributed < 0.05 * total,
+            "unattributed {unattributed} of {total} bytes: {after:?}"
         );
     });
     let _ = server.kill();
