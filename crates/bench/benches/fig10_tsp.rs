@@ -1,9 +1,8 @@
 //! Figure 10 runtime: Bellman–Held–Karp hypercube bound computation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use graphio_bench::experiments::bound_options_for;
 use graphio_graph::generators::bhk_hypercube;
-use graphio_spectral::{spectral_bound, spectral_bound_original};
+use graphio_spectral::{spectral_bound, spectral_bound_original, BoundOptions};
 
 fn bench_fig10(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig10_tsp");
@@ -14,14 +13,14 @@ fn bench_fig10(c: &mut Criterion) {
         let g = bhk_hypercube(l);
         let m = 16;
         group.bench_with_input(BenchmarkId::new("thm4", l), &g, |b, g| {
-            let opts = bound_options_for(g.n());
+            let opts = BoundOptions::for_graph_size(g.n());
             b.iter(|| spectral_bound(g, m, &opts).unwrap().bound)
         });
     }
     // Theorem 5 variant (same eigen-solve on L instead of L̃).
     let g = bhk_hypercube(10);
     group.bench_function("thm5/10", |b| {
-        let opts = bound_options_for(g.n());
+        let opts = BoundOptions::for_graph_size(g.n());
         b.iter(|| spectral_bound_original(&g, 16, &opts).unwrap().bound)
     });
     group.finish();

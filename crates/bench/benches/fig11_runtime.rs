@@ -4,9 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graphio_baselines::convex_mincut::{convex_min_cut_bound, ConvexMinCutOptions, VertexSweep};
-use graphio_bench::experiments::bound_options_for;
 use graphio_graph::generators::bhk_hypercube;
-use graphio_spectral::spectral_bound;
+use graphio_spectral::{spectral_bound, BoundOptions};
 
 fn bench_fig11(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig11_runtime");
@@ -17,7 +16,7 @@ fn bench_fig11(c: &mut Criterion) {
     for l in [6usize, 7, 8] {
         let g = bhk_hypercube(l);
         group.bench_with_input(BenchmarkId::new("spectral", l), &g, |b, g| {
-            let opts = bound_options_for(g.n());
+            let opts = BoundOptions::for_graph_size(g.n());
             b.iter(|| spectral_bound(g, m, &opts).unwrap().bound)
         });
         group.bench_with_input(BenchmarkId::new("convex_mincut", l), &g, |b, g| {

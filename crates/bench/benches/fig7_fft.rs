@@ -3,9 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graphio_baselines::convex_mincut::{convex_min_cut_bound, ConvexMinCutOptions};
-use graphio_bench::experiments::bound_options_for;
 use graphio_graph::generators::fft_butterfly;
-use graphio_spectral::spectral_bound;
+use graphio_spectral::{spectral_bound, BoundOptions};
 
 fn bench_fig7(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig7_fft");
@@ -16,7 +15,7 @@ fn bench_fig7(c: &mut Criterion) {
         let g = fft_butterfly(l);
         let m = 8;
         group.bench_with_input(BenchmarkId::new("spectral", l), &g, |b, g| {
-            let opts = bound_options_for(g.n());
+            let opts = BoundOptions::for_graph_size(g.n());
             b.iter(|| spectral_bound(g, m, &opts).unwrap().bound)
         });
     }

@@ -2,9 +2,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graphio_baselines::convex_mincut::{convex_min_cut_bound, ConvexMinCutOptions};
-use graphio_bench::experiments::{bound_options_for, mincut_options_for};
 use graphio_graph::generators::naive_matmul;
-use graphio_spectral::spectral_bound;
+use graphio_spectral::{spectral_bound, BoundOptions};
 
 fn bench_fig8(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig8_matmul");
@@ -15,7 +14,7 @@ fn bench_fig8(c: &mut Criterion) {
         let g = naive_matmul(n);
         let m = 64;
         group.bench_with_input(BenchmarkId::new("spectral", n), &g, |b, g| {
-            let opts = bound_options_for(g.n());
+            let opts = BoundOptions::for_graph_size(g.n());
             b.iter(|| spectral_bound(g, m, &opts).unwrap().bound)
         });
     }
@@ -25,7 +24,7 @@ fn bench_fig8(c: &mut Criterion) {
     });
     let g12 = naive_matmul(10);
     group.bench_function("convex_mincut_sampled/10", |b| {
-        let opts = mincut_options_for(g12.n());
+        let opts = ConvexMinCutOptions::for_graph_size(g12.n());
         b.iter(|| convex_min_cut_bound(&g12, 64, &opts).bound)
     });
     group.finish();

@@ -1,10 +1,9 @@
 //! Figure 9 runtime: Strassen bound computation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use graphio_baselines::convex_mincut::convex_min_cut_bound;
-use graphio_bench::experiments::{bound_options_for, mincut_options_for};
+use graphio_baselines::convex_mincut::{convex_min_cut_bound, ConvexMinCutOptions};
 use graphio_graph::generators::strassen_matmul;
-use graphio_spectral::spectral_bound;
+use graphio_spectral::{spectral_bound, BoundOptions};
 
 fn bench_fig9(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig9_strassen");
@@ -15,11 +14,11 @@ fn bench_fig9(c: &mut Criterion) {
         let g = strassen_matmul(n);
         let m = 8;
         group.bench_with_input(BenchmarkId::new("spectral", n), &g, |b, g| {
-            let opts = bound_options_for(g.n());
+            let opts = BoundOptions::for_graph_size(g.n());
             b.iter(|| spectral_bound(g, m, &opts).unwrap().bound)
         });
         group.bench_with_input(BenchmarkId::new("convex_mincut", n), &g, |b, g| {
-            let opts = mincut_options_for(g.n());
+            let opts = ConvexMinCutOptions::for_graph_size(g.n());
             b.iter(|| convex_min_cut_bound(g, m, &opts).bound)
         });
     }

@@ -7,12 +7,11 @@
 //! being timed) and is cut off once a row exceeds the budget, mirroring
 //! the paper's 1-day cutoff.
 
-use super::bound_options_for;
 use crate::table::{Cell, Table};
 use crate::Preset;
 use graphio_baselines::convex_mincut::{convex_min_cut_bound, ConvexMinCutOptions, VertexSweep};
 use graphio_graph::generators::bhk_hypercube;
-use graphio_spectral::spectral_bound;
+use graphio_spectral::{spectral_bound, BoundOptions};
 use std::time::{Duration, Instant};
 
 /// Builds the Figure 11 runtime table.
@@ -31,7 +30,7 @@ pub fn fig11(preset: Preset) -> Table {
     for &l in &ls {
         let g = bhk_hypercube(l);
         let start = Instant::now();
-        let _ = spectral_bound(&g, m, &bound_options_for(g.n()));
+        let _ = spectral_bound(&g, m, &BoundOptions::for_graph_size(g.n()));
         let spectral_s = start.elapsed().as_secs_f64();
 
         let mincut_cell = if mincut_dead {

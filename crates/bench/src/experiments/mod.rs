@@ -6,7 +6,7 @@
 //! *shape* of each figure: who is tighter, how bounds scale against the
 //! published growth terms, where the runtime explosion happens.
 //!
-//! Every module consumes the cached [`Analyzer`] from
+//! Every module consumes the cached [`OwnedAnalyzer`] from
 //! `graphio_spectral::engine` through [`FigureContext`]: each graph's
 //! Laplacians are built once, each spectrum and min-cut sweep is computed
 //! once, and all memory columns / theorem variants / processor counts are
@@ -32,39 +32,26 @@ use crate::table::{Cell, Table};
 use crate::Preset;
 use graphio_baselines::convex_mincut::ConvexMinCutOptions;
 use graphio_graph::CompGraph;
-use graphio_spectral::{Analyzer, BoundOptions};
+use graphio_spectral::{BoundOptions, OwnedAnalyzer};
 
-/// Eigensolver settings scaled to graph size. The schedule itself lives in
-/// [`BoundOptions::for_graph_size`] so the CLI and the bench harness share
-/// one source of truth; this thin alias keeps bench call sites short.
-pub fn bound_options_for(n: usize) -> BoundOptions {
-    BoundOptions::for_graph_size(n)
-}
-
-/// Convex min-cut settings scaled to graph size. The schedule lives in
-/// [`ConvexMinCutOptions::for_graph_size`] (shared with the CLI); this
-/// thin alias keeps bench call sites short.
-pub fn mincut_options_for(n: usize) -> ConvexMinCutOptions {
-    ConvexMinCutOptions::for_graph_size(n)
-}
-
-/// Per-graph analysis shared by a figure's rows: an [`Analyzer`] session
-/// plus the size-scaled options, turning bounds into table cells. Neither
-/// the Laplacian spectra nor the max wavefront cut depend on `M`, so the
-/// figures compute each once per graph and evaluate all `M` columns (and
-/// theorem variants, and processor counts) from the caches.
-pub(crate) struct FigureContext<'g> {
-    pub analyzer: Analyzer<'g>,
+/// Per-graph analysis shared by a figure's rows: an [`OwnedAnalyzer`]
+/// session on a copy of the graph plus the size-scaled options, turning
+/// bounds into table cells. Neither the Laplacian spectra nor the max
+/// wavefront cut depend on `M`, so the figures compute each once per graph
+/// and evaluate all `M` columns (and theorem variants, and processor
+/// counts) from the caches.
+pub(crate) struct FigureContext {
+    pub analyzer: OwnedAnalyzer,
     pub opts: BoundOptions,
     pub mincut_opts: ConvexMinCutOptions,
 }
 
-impl<'g> FigureContext<'g> {
-    pub fn new(g: &'g CompGraph) -> Self {
+impl FigureContext {
+    pub fn new(g: &CompGraph) -> Self {
         FigureContext {
-            analyzer: Analyzer::new(g),
-            opts: bound_options_for(g.n()),
-            mincut_opts: mincut_options_for(g.n()),
+            analyzer: OwnedAnalyzer::from_graph(g.clone()),
+            opts: BoundOptions::for_graph_size(g.n()),
+            mincut_opts: ConvexMinCutOptions::for_graph_size(g.n()),
         }
     }
 
@@ -140,24 +127,19 @@ mod tests {
 
     #[test]
     fn option_scaling_by_graph_size() {
-        assert_eq!(bound_options_for(100).h, 100);
-        assert_eq!(bound_options_for(1_000).h, 48);
-        assert_eq!(bound_options_for(20_000).h, 32);
-        assert_eq!(bound_options_for(200_000).h, 8);
-        assert!(matches!(bound_options_for(100).method, EigenMethod::Dense));
-        assert!(matches!(
-            bound_options_for(10_000).method,
-            EigenMethod::Lanczos(_)
-        ));
-        assert!(matches!(
-            bound_options_for(200_000).method,
-            EigenMethod::RitzSweep(_)
-        ));
-        assert!(matches!(mincut_options_for(100).sweep, VertexSweep::All));
-        assert!(matches!(
-            mincut_options_for(10_000).sweep,
-            VertexSweep::Sample { .. }
-        ));
+        let (bound, mincut) = (
+            BoundOptions::for_graph_size,
+            ConvexMinCutOptions::for_graph_size,
+        );
+        assert_eq!(bound(100).h, 100);
+        assert_eq!(bound(1_000).h, 48);
+        assert_eq!(bound(20_000).h, 32);
+        assert_eq!(bound(200_000).h, 8);
+        assert!(matches!(bound(100).method, EigenMethod::Dense));
+        assert!(matches!(bound(10_000).method, EigenMethod::Lanczos(_)));
+        assert!(matches!(bound(200_000).method, EigenMethod::RitzSweep(_)));
+        assert!(matches!(mincut(100).sweep, VertexSweep::All));
+        assert!(matches!(mincut(10_000).sweep, VertexSweep::Sample { .. }));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! Appendix A), the Theorem 6 parallel bound, the soundness sandwich, and
 //! the `h` ablation. Numeric spectra come from the engine's caches.
 
-use super::{bound_options_for, FigureContext};
+use super::FigureContext;
 use crate::table::{Cell, Table};
 use crate::Preset;
 use graphio_baselines::exact_optimal_io;
@@ -23,7 +23,7 @@ use graphio_spectral::closed_form::hypercube::{
 };
 use graphio_spectral::laplacian::unnormalized_laplacian;
 use graphio_spectral::published;
-use graphio_spectral::{Analyzer, BoundOptions, EigenMethod, LaplacianKind};
+use graphio_spectral::{BoundOptions, EigenMethod, LaplacianKind, OwnedAnalyzer};
 
 /// Theorem 7 / Appendix A: closed-form butterfly spectrum vs the numeric
 /// eigensolvers (dense for small `l`, Lanczos beyond), both served by the
@@ -40,8 +40,8 @@ pub fn tab_butterfly(preset: Preset) -> Table {
         &["l", "n", "eigenvalues_checked", "solver", "max_abs_dev"],
     );
     for &l in &dense_ls {
-        let g = fft_butterfly(l);
-        let an = Analyzer::new(&g);
+        let an = OwnedAnalyzer::from_graph(fft_butterfly(l));
+        let g = an.graph();
         let opts = BoundOptions {
             h: g.n(),
             method: EigenMethod::Dense,
@@ -65,8 +65,8 @@ pub fn tab_butterfly(preset: Preset) -> Table {
         ]);
     }
     for &l in &lanczos_ls {
-        let g = fft_butterfly(l);
-        let an = Analyzer::new(&g);
+        let an = OwnedAnalyzer::from_graph(fft_butterfly(l));
+        let g = an.graph();
         let h = 30;
         let opts = BoundOptions {
             h,
@@ -115,8 +115,8 @@ pub fn tab_hypercube(preset: Preset) -> Table {
         ],
     );
     for &l in &ls {
-        let g = bhk_hypercube(l);
-        let an = Analyzer::new(&g);
+        let an = OwnedAnalyzer::from_graph(bhk_hypercube(l));
+        let g = an.graph();
         let opts = an.default_options();
         let thm5 = an.bound_original(m, &opts).map(|b| b.bound);
         let thm4 = an.bound(m, &opts).map(|b| b.bound);
@@ -242,7 +242,7 @@ pub fn tab_parallel(preset: Preset) -> Table {
         &["graph", "n", "M", "p", "bound", "best_k"],
     );
     for (name, g, m) in &graphs {
-        let an = Analyzer::new(g);
+        let an = OwnedAnalyzer::from_graph(g.clone());
         let opts = an.default_options();
         for p in [1usize, 2, 4, 8, 16] {
             match an.parallel_bound(*m, p, &opts) {
@@ -355,11 +355,11 @@ pub fn tab_ablation(preset: Preset) -> Table {
         &["graph", "M", "h", "thm4", "best_k", "thm5"],
     );
     for (name, g, m) in &graphs {
-        let an = Analyzer::new(g);
+        let an = OwnedAnalyzer::from_graph(g.clone());
         for h in [4usize, 16, 48, 100, 200] {
             let opts = BoundOptions {
                 h,
-                ..bound_options_for(g.n())
+                ..BoundOptions::for_graph_size(g.n())
             };
             let b4 = an.bound(*m, &opts);
             let b5 = an.bound_original(*m, &opts);

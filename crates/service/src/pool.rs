@@ -5,8 +5,9 @@
 //! server turns that into `503 Service Unavailable` + `Retry-After`
 //! instead of letting the queue (and memory) grow without bound. Workers
 //! are plain OS threads: an analysis request is dominated by eigensolves,
-//! which the `graphio_linalg` thread knob already parallelizes internally,
-//! so the pool only needs enough workers to keep distinct sessions busy.
+//! which run serially on the worker that handles it (only the min-cut
+//! sweep spawns `--threads` helpers), so the pool's size sets how many
+//! distinct sessions solve at once.
 //!
 //! Shutdown is graceful: already-queued jobs are drained, then workers
 //! exit and are joined.

@@ -196,12 +196,12 @@ fn analysis_bodies_are_byte_identical_with_spans_on_and_off() {
     let was = graphio_obs::enabled();
     graphio_obs::set_enabled(false);
     let off = analysis_body(
-        &graphio_spectral::OwnedAnalyzer::new(std::sync::Arc::new(fft_butterfly(4))),
+        &graphio_spectral::OwnedAnalyzer::from_graph(fft_butterfly(4)),
         &spec,
     );
     graphio_obs::set_enabled(true);
     let on = analysis_body(
-        &graphio_spectral::OwnedAnalyzer::new(std::sync::Arc::new(fft_butterfly(4))),
+        &graphio_spectral::OwnedAnalyzer::from_graph(fft_butterfly(4)),
         &spec,
     );
     graphio_obs::set_enabled(was);
@@ -372,7 +372,7 @@ fn analyze_bodies_are_byte_identical_with_recorder_attached() {
         no_sim: false,
     };
     let reference = analysis_body(
-        &graphio_spectral::OwnedAnalyzer::new(std::sync::Arc::new(fft_butterfly(4))),
+        &graphio_spectral::OwnedAnalyzer::from_graph(fft_butterfly(4)),
         &spec,
     );
     assert_eq!(

@@ -128,7 +128,7 @@ fn analysis_bodies_are_byte_identical_while_profiling() {
         no_sim: false,
     };
     let reference = analysis_body(
-        &graphio_spectral::OwnedAnalyzer::new(std::sync::Arc::new(fft_butterfly(6))),
+        &graphio_spectral::OwnedAnalyzer::from_graph(fft_butterfly(6)),
         &spec,
     );
     assert_eq!(quiet.body.as_bytes(), reference.as_bytes());

@@ -8,7 +8,7 @@
 //! that. Eigenvalues come from the dense O(n³) solver for small graphs and
 //! from deflated Lanczos (O(hn²)) for large sparse ones.
 
-use crate::laplacian::{normalized_laplacian, unnormalized_laplacian};
+use crate::engine::LaplacianKind;
 use graphio_graph::CompGraph;
 use graphio_linalg::{
     eigenvalues_symmetric, lanczos, CsrMatrix, LanczosOptions, LinalgError, RitzSweepOptions,
@@ -76,10 +76,10 @@ impl ScaleTier {
     }
 
     /// Resolves `Auto` against a vertex count; explicit tiers are kept.
-    fn resolve(self, n: usize, dense_cutoff: usize) -> ScaleTier {
+    fn resolve(self, n: usize) -> ScaleTier {
         match self {
             ScaleTier::Auto => {
-                if n <= dense_cutoff {
+                if n <= DENSE_CUTOFF {
                     ScaleTier::Dense
                 } else if n <= HUGE_CUTOFF {
                     ScaleTier::Sparse
@@ -119,7 +119,7 @@ pub fn scale_tier() -> ScaleTier {
 /// How eigenvalues are computed.
 #[derive(Debug, Clone, Default)]
 pub enum EigenMethod {
-    /// Resolved by the scale tier: dense when `n ≤ dense_cutoff`, deflated
+    /// Resolved by the scale tier: dense when `n ≤ DENSE_CUTOFF`, deflated
     /// Lanczos through [`HUGE_CUTOFF`], single-sweep Ritz beyond.
     #[default]
     Auto,
@@ -140,8 +140,6 @@ pub struct BoundOptions {
     pub h: usize,
     /// Eigensolver selection.
     pub method: EigenMethod,
-    /// Below this vertex count [`EigenMethod::Auto`] uses the dense solver.
-    pub dense_cutoff: usize,
     /// If set, evaluate only this `k` instead of maximizing over
     /// `2..=h` — used by closed-form comparisons (e.g. `k = 2` in §5.3).
     pub fixed_k: Option<usize>,
@@ -152,7 +150,6 @@ impl Default for BoundOptions {
         BoundOptions {
             h: 100,
             method: EigenMethod::Auto,
-            dense_cutoff: DENSE_CUTOFF,
             fixed_k: None,
         }
     }
@@ -174,7 +171,7 @@ impl BoundOptions {
     /// [`BoundOptions::for_graph_size`] with an explicit tier (`Auto`
     /// resolves by `n`).
     pub fn for_graph_size_in_tier(n: usize, tier: ScaleTier) -> Self {
-        let (h, method) = match tier.resolve(n, DENSE_CUTOFF) {
+        let (h, method) = match tier.resolve(n) {
             ScaleTier::Dense => (100, EigenMethod::Dense),
             ScaleTier::Sparse => (
                 if n > 16_000 { 32 } else { 48 },
@@ -200,7 +197,7 @@ impl BoundOptions {
     /// engine's cache keys are derived from this exact resolution.
     pub fn resolved_method(&self, n: usize) -> EigenMethod {
         match &self.method {
-            EigenMethod::Auto => match scale_tier().resolve(n, self.dense_cutoff) {
+            EigenMethod::Auto => match scale_tier().resolve(n) {
                 ScaleTier::Dense => EigenMethod::Dense,
                 ScaleTier::Sparse => EigenMethod::Lanczos(LanczosOptions::default()),
                 ScaleTier::Huge => EigenMethod::RitzSweep(RitzSweepOptions::default()),
@@ -226,6 +223,63 @@ pub struct SpectralBound {
     pub n: usize,
 }
 
+/// One of the paper's bounds, as an evaluation of a Laplacian spectrum.
+/// [`Theorem::evaluate`] is the one place each theorem's form is written:
+/// the direct entry points below and the engine's cached ones both call it.
+#[derive(Clone, Copy)]
+pub(crate) enum Theorem {
+    /// Theorem 4: `max_k ⌊n/k⌋·Σᵢ₌₁ᵏ λᵢ(L̃) − 2kM`.
+    Four,
+    /// Theorem 5: the same form on `λ(L)`, scaled by `1/max_v d_out(v)`.
+    Five,
+    /// Theorem 6 with `p` processors: `max_k ⌊n/(kp)⌋·Σᵢ₌₁ᵏ λᵢ(L̃) − 2kM`.
+    Six(usize),
+}
+
+impl Theorem {
+    /// The Laplacian whose spectrum the theorem reads.
+    pub(crate) fn laplacian(self) -> LaplacianKind {
+        match self {
+            Theorem::Four | Theorem::Six(_) => LaplacianKind::Normalized,
+            Theorem::Five => LaplacianKind::Unnormalized,
+        }
+    }
+
+    /// The bound on `g` at `memory` from the smallest eigenvalues of
+    /// [`Theorem::laplacian`].
+    ///
+    /// # Panics
+    /// Panics on Theorem 6 with zero processors.
+    pub(crate) fn evaluate(
+        self,
+        g: &CompGraph,
+        eigs: &[f64],
+        memory: usize,
+        fixed_k: Option<usize>,
+    ) -> SpectralBound {
+        let (processors, scale) = match self {
+            Theorem::Four => (1, 1.0),
+            Theorem::Five => (1, 1.0 / g.max_out_degree().max(1) as f64),
+            Theorem::Six(p) => {
+                assert!(p >= 1, "need at least one processor");
+                (p, 1.0)
+            }
+        };
+        bound_from_eigenvalues(eigs, g.n(), memory, processors, scale, fixed_k)
+    }
+
+    /// Builds the Laplacian, eigensolves it and evaluates — no caching.
+    fn direct(
+        self,
+        g: &CompGraph,
+        memory: usize,
+        opts: &BoundOptions,
+    ) -> Result<SpectralBound, LinalgError> {
+        let eigs = smallest_eigenvalues(&self.laplacian().build(g), opts)?;
+        Ok(self.evaluate(g, &eigs, memory, opts.fixed_k))
+    }
+}
+
 /// Theorem 4: `J*_G ≥ max_k ⌊n/k⌋·Σᵢ₌₁ᵏ λᵢ(L̃) − 2kM` with `L̃` the
 /// out-degree-normalized Laplacian.
 ///
@@ -236,16 +290,7 @@ pub fn spectral_bound(
     memory: usize,
     opts: &BoundOptions,
 ) -> Result<SpectralBound, LinalgError> {
-    let lap = normalized_laplacian(g);
-    let eigs = smallest_eigenvalues(&lap, opts)?;
-    Ok(bound_from_eigenvalues(
-        &eigs,
-        g.n(),
-        memory,
-        1,
-        1.0,
-        opts.fixed_k,
-    ))
+    Theorem::Four.direct(g, memory, opts)
 }
 
 /// Theorem 5: the looser bound using the unnormalized Laplacian `L`,
@@ -258,17 +303,7 @@ pub fn spectral_bound_original(
     memory: usize,
     opts: &BoundOptions,
 ) -> Result<SpectralBound, LinalgError> {
-    let lap = unnormalized_laplacian(g);
-    let eigs = smallest_eigenvalues(&lap, opts)?;
-    let dmax = g.max_out_degree().max(1) as f64;
-    Ok(bound_from_eigenvalues(
-        &eigs,
-        g.n(),
-        memory,
-        1,
-        1.0 / dmax,
-        opts.fixed_k,
-    ))
+    Theorem::Five.direct(g, memory, opts)
 }
 
 /// Theorem 6: with `p` processors of local memory `M`, at least one
@@ -276,23 +311,16 @@ pub fn spectral_bound_original(
 ///
 /// # Errors
 /// Propagates eigensolver failures ([`LinalgError`]).
+///
+/// # Panics
+/// Panics if `processors == 0`.
 pub fn parallel_spectral_bound(
     g: &CompGraph,
     memory: usize,
     processors: usize,
     opts: &BoundOptions,
 ) -> Result<SpectralBound, LinalgError> {
-    assert!(processors >= 1, "need at least one processor");
-    let lap = normalized_laplacian(g);
-    let eigs = smallest_eigenvalues(&lap, opts)?;
-    Ok(bound_from_eigenvalues(
-        &eigs,
-        g.n(),
-        memory,
-        processors,
-        1.0,
-        opts.fixed_k,
-    ))
+    Theorem::Six(processors).direct(g, memory, opts)
 }
 
 /// Computes the `h` smallest Laplacian eigenvalues per the configured

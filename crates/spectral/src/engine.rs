@@ -8,16 +8,9 @@
 //! (as the original bench harness did) wastes the dominant cost of the
 //! whole pipeline.
 //!
-//! Two session types share one cache implementation ([`EngineCore`]):
-//!
-//! * [`Analyzer`] borrows its graph — the right shape for in-process
-//!   consumers (benches, examples, one-shot CLI runs) where the graph
-//!   outlives the session on the stack.
-//! * [`OwnedAnalyzer`] holds `Arc<CompGraph>` — the right shape for the
-//!   analysis service, where a session must outlive any single request
-//!   and live in a cross-request cache.
-//!
-//! Shared behavior:
+//! An [`OwnedAnalyzer`] session owns its graph, so it serves one-shot
+//! consumers (the CLI, benches, examples) and outlives any single request
+//! in the analysis service's cross-request cache alike:
 //!
 //! * each Laplacian (normalized `L̃` / unnormalized `L`) is **built once**,
 //! * spectra are **cached** keyed by `(Laplacian kind, h, eigensolver
@@ -29,26 +22,27 @@
 //!   `M`-independent) is cached the same way keyed by its sweep strategy,
 //! * the simulated upper bound — the better of LRU and Bélády over the
 //!   graph's natural topological order — is cached the same way keyed by
-//!   the memory size `M`, so a warm request re-simulates nothing,
+//!   the memory size `M`, so a warm request re-simulates nothing.
 //!
-//! and every downstream consumer — Theorem 4/5/6 bounds across arbitrary
+//! The three caches share one single-flight memo implementation, and
+//! every downstream consumer — Theorem 4/5/6 bounds across arbitrary
 //! memory sweeps, closed-form comparisons, the CLI's `analyze` command,
-//! the analysis server, the per-figure bench modules — pulls from those
-//! caches. Bounds served by the engine are **bit-identical** to the direct
+//! the analysis server, the per-figure bench modules — pulls from them.
+//! Bounds served by the engine are **bit-identical** to the direct
 //! [`spectral_bound`] / [`spectral_bound_original`] /
 //! [`parallel_spectral_bound`] calls: both paths build the same Laplacian,
-//! call the same eigensolver with the same options, and run the same
-//! `k`-maximization.
+//! call the same eigensolver with the same options, and evaluate the same
+//! theorem form.
 //!
-//! The sessions are `Sync`: interior caches sit behind locks, so
-//! concurrent consumers (per-`M` worker threads, server workers) can share
-//! one session.
+//! The session is `Sync`: interior caches sit behind locks, so concurrent
+//! consumers (per-`M` worker threads, server workers) can share one
+//! session.
 //!
 //! [`spectral_bound`]: crate::bound::spectral_bound
 //! [`spectral_bound_original`]: crate::bound::spectral_bound_original
 //! [`parallel_spectral_bound`]: crate::bound::parallel_spectral_bound
 
-use crate::bound::{bound_from_eigenvalues, BoundOptions, EigenMethod, SpectralBound};
+use crate::bound::{BoundOptions, EigenMethod, SpectralBound, Theorem};
 use crate::laplacian::{normalized_laplacian, unnormalized_laplacian};
 use graphio_baselines::convex_mincut::{
     convex_min_cut_bound, ConvexMinCutOptions, ConvexMinCutResult, VertexSweep,
@@ -58,6 +52,8 @@ use graphio_graph::CompGraph;
 use graphio_linalg::{CsrMatrix, LinalgError};
 use graphio_pebble::{simulate, Policy};
 use std::collections::HashMap;
+use std::convert::Infallible;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -78,6 +74,14 @@ impl LaplacianKind {
         match self {
             LaplacianKind::Normalized => 0,
             LaplacianKind::Unnormalized => 1,
+        }
+    }
+
+    /// Builds this Laplacian of `g`.
+    pub(crate) fn build(self, g: &CompGraph) -> CsrMatrix {
+        match self {
+            LaplacianKind::Normalized => normalized_laplacian(g),
+            LaplacianKind::Unnormalized => unnormalized_laplacian(g),
         }
     }
 }
@@ -187,7 +191,7 @@ pub enum CutKey {
 }
 
 impl CutKey {
-    /// The cache key [`Analyzer::min_cut`] uses for `opts`.
+    /// The cache key [`OwnedAnalyzer::min_cut`] uses for `opts`.
     pub fn for_options(opts: &ConvexMinCutOptions) -> Self {
         match opts.sweep {
             VertexSweep::All => CutKey::All,
@@ -245,361 +249,132 @@ pub struct EngineStats {
     pub sim_hits: u64,
 }
 
-/// A single-flight cache slot: the outer map hands every caller the same
-/// `Arc<Slot<T>>`; the slot's own mutex serializes same-key computations
-/// (different keys proceed in parallel) and stores the first success.
-/// Failures leave the slot empty so the next caller retries.
+/// A single-flight memo: the outer map hands every caller of a key the
+/// same slot, and the slot's own mutex is held across the computation, so
+/// a second caller with the same key blocks and then reads the first
+/// one's result instead of duplicating it. Different keys use different
+/// slots and proceed in parallel. Failures leave the slot empty, so the
+/// next caller retries.
 #[derive(Debug)]
-struct Slot<T>(Mutex<Option<T>>);
-
-/// One cached spectrum: the `h` smallest eigenvalues, shared by `Arc`.
-type Spectrum = Arc<Vec<f64>>;
-type SlotMap<K, T> = Mutex<HashMap<K, Arc<Slot<T>>>>;
-
-impl<T> Slot<T> {
-    fn new() -> Arc<Self> {
-        Arc::new(Slot(Mutex::new(None)))
-    }
+struct Memo<K, V> {
+    slots: Mutex<HashMap<K, Arc<Mutex<Option<V>>>>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
-/// The cache state shared by [`Analyzer`] and [`OwnedAnalyzer`]. Every
-/// method takes the graph explicitly so the two session types can manage
-/// ownership differently (borrow vs `Arc`) over identical caching logic.
-#[derive(Debug)]
-struct EngineCore {
-    laplacians: [OnceLock<CsrMatrix>; 2],
-    spectra: SlotMap<SpectrumKey, Spectrum>,
-    cuts: SlotMap<CutKey, ConvexMinCutResult>,
-    /// Simulated upper bounds keyed by memory size.
-    sims: SlotMap<usize, Option<u64>>,
-    spectrum_hits: AtomicU64,
-    spectrum_misses: AtomicU64,
-    mincut_hits: AtomicU64,
-    mincut_misses: AtomicU64,
-    sim_hits: AtomicU64,
-    sim_misses: AtomicU64,
-}
-
-impl EngineCore {
+impl<K: Clone + Eq + Hash + Ord, V: Clone> Memo<K, V> {
     fn new() -> Self {
-        EngineCore {
-            laplacians: [OnceLock::new(), OnceLock::new()],
-            spectra: Mutex::new(HashMap::new()),
-            cuts: Mutex::new(HashMap::new()),
-            sims: Mutex::new(HashMap::new()),
-            spectrum_hits: AtomicU64::new(0),
-            spectrum_misses: AtomicU64::new(0),
-            mincut_hits: AtomicU64::new(0),
-            mincut_misses: AtomicU64::new(0),
-            sim_hits: AtomicU64::new(0),
-            sim_misses: AtomicU64::new(0),
+        Memo {
+            slots: Mutex::new(HashMap::new()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
         }
     }
 
-    fn laplacian(&self, g: &CompGraph, kind: LaplacianKind) -> &CsrMatrix {
-        self.laplacians[kind.slot()].get_or_init(|| {
-            let _span = graphio_obs::span!("laplacian");
-            match kind {
-                LaplacianKind::Normalized => normalized_laplacian(g),
-                LaplacianKind::Unnormalized => unnormalized_laplacian(g),
-            }
-        })
-    }
-
-    fn spectrum(
-        &self,
-        g: &CompGraph,
-        kind: LaplacianKind,
-        opts: &BoundOptions,
-    ) -> Result<Arc<Vec<f64>>, LinalgError> {
-        let key = SpectrumKey::for_options(kind, opts, g.n());
-        let slot = Arc::clone(
-            self.spectra
+    fn slot(&self, key: K) -> Arc<Mutex<Option<V>>> {
+        Arc::clone(
+            self.slots
                 .lock()
-                .expect("spectra lock")
+                .expect("memo lock")
                 .entry(key)
-                .or_insert_with(Slot::new),
-        );
-        // The per-slot lock is held across the eigensolve: a second caller
-        // with the same key blocks here and then reads the cached result
-        // instead of duplicating seconds of work. Different keys use
-        // different slots, so unrelated solves still run concurrently.
-        let mut value = slot.0.lock().expect("spectrum slot lock");
+                .or_default(),
+        )
+    }
+
+    /// The cached value under `key`, or `compute`'s result stored there. A
+    /// hit or a miss is counted either way; an error is returned uncached.
+    fn get_or_try<E>(&self, key: K, compute: impl FnOnce() -> Result<V, E>) -> Result<V, E> {
+        let slot = self.slot(key);
+        let mut value = slot.lock().expect("memo slot lock");
         if let Some(hit) = value.as_ref() {
-            self.spectrum_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(hit));
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(hit.clone());
         }
-        self.spectrum_misses.fetch_add(1, Ordering::Relaxed);
-        let _span = graphio_obs::span!("eigensolve");
-        let eigs = Arc::new(crate::bound::smallest_eigenvalues(
-            self.laplacian(g, kind),
-            opts,
-        )?);
-        *value = Some(Arc::clone(&eigs));
-        Ok(eigs)
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let computed = compute()?;
+        *value = Some(computed.clone());
+        Ok(computed)
     }
 
-    fn bound(
-        &self,
-        g: &CompGraph,
-        memory: usize,
-        opts: &BoundOptions,
-    ) -> Result<SpectralBound, LinalgError> {
-        let eigs = self.spectrum(g, LaplacianKind::Normalized, opts)?;
-        Ok(bound_from_eigenvalues(
-            &eigs,
-            g.n(),
-            memory,
-            1,
-            1.0,
-            opts.fixed_k,
-        ))
-    }
-
-    fn bound_original(
-        &self,
-        g: &CompGraph,
-        memory: usize,
-        opts: &BoundOptions,
-    ) -> Result<SpectralBound, LinalgError> {
-        let eigs = self.spectrum(g, LaplacianKind::Unnormalized, opts)?;
-        let dmax = g.max_out_degree().max(1) as f64;
-        Ok(bound_from_eigenvalues(
-            &eigs,
-            g.n(),
-            memory,
-            1,
-            1.0 / dmax,
-            opts.fixed_k,
-        ))
-    }
-
-    fn parallel_bound(
-        &self,
-        g: &CompGraph,
-        memory: usize,
-        processors: usize,
-        opts: &BoundOptions,
-    ) -> Result<SpectralBound, LinalgError> {
-        assert!(processors >= 1, "need at least one processor");
-        let eigs = self.spectrum(g, LaplacianKind::Normalized, opts)?;
-        Ok(bound_from_eigenvalues(
-            &eigs,
-            g.n(),
-            memory,
-            processors,
-            1.0,
-            opts.fixed_k,
-        ))
-    }
-
-    fn min_cut(&self, g: &CompGraph, opts: &ConvexMinCutOptions) -> ConvexMinCutResult {
-        let key = CutKey::for_options(opts);
-        let slot = Arc::clone(
-            self.cuts
-                .lock()
-                .expect("cuts lock")
-                .entry(key)
-                .or_insert_with(Slot::new),
-        );
-        let mut value = slot.0.lock().expect("cut slot lock");
-        if let Some(hit) = value.as_ref() {
-            self.mincut_hits.fetch_add(1, Ordering::Relaxed);
-            return hit.clone();
+    /// [`Memo::get_or_try`] for a computation that cannot fail.
+    fn get_or(&self, key: K, compute: impl FnOnce() -> V) -> V {
+        match self.get_or_try(key, || Ok::<V, Infallible>(compute())) {
+            Ok(value) => value,
+            Err(never) => match never {},
         }
-        self.mincut_misses.fetch_add(1, Ordering::Relaxed);
-        let _span = graphio_obs::span!("mincut");
-        // Memory 0 keeps the cached result M-independent; bounds for a
-        // concrete M are derived in `min_cut_bound`.
-        let result = convex_min_cut_bound(g, 0, opts);
-        *value = Some(result.clone());
-        result
     }
 
-    /// The simulated upper bound at each of `memories`: the fewer I/Os of
-    /// LRU and Bélády over [`natural_order`], or `None` when neither
-    /// policy can run at that memory. Each memory is a single-flight slot
-    /// like a min-cut's, so concurrent first requests for one `M`
-    /// simulate once; the order is built once per call, on its first
-    /// miss.
-    fn sim_uppers(&self, g: &CompGraph, memories: &[usize]) -> Vec<Option<u64>> {
-        let mut order: Option<Vec<usize>> = None;
-        memories
-            .iter()
-            .map(|&m| {
-                let slot = Arc::clone(
-                    self.sims
-                        .lock()
-                        .expect("sims lock")
-                        .entry(m)
-                        .or_insert_with(Slot::new),
-                );
-                let mut value = slot.0.lock().expect("sim slot lock");
-                if let Some(hit) = *value {
-                    self.sim_hits.fetch_add(1, Ordering::Relaxed);
-                    return hit;
-                }
-                self.sim_misses.fetch_add(1, Ordering::Relaxed);
-                let _span = graphio_obs::span!("simulate");
-                let order = order.get_or_insert_with(|| natural_order(g));
-                let best = [Policy::Lru, Policy::Belady]
-                    .iter()
-                    .filter_map(|&p| simulate(g, order, m, p, 0).ok().map(|r| r.io()))
-                    .min();
-                *value = Some(best);
-                best
-            })
-            .collect()
-    }
-
-    fn export(&self) -> SessionExport {
-        let mut spectra: Vec<(SpectrumKey, Vec<f64>)> = {
-            let map = self.spectra.lock().expect("spectra lock");
-            map.iter()
+    /// Every filled slot, sorted by key. Slots whose computation is still
+    /// in flight are skipped: `try_lock` keeps the snapshot non-blocking,
+    /// and an in-flight value simply lands in the next one.
+    fn snapshot(&self) -> Vec<(K, V)> {
+        let mut entries: Vec<(K, V)> = {
+            let slots = self.slots.lock().expect("memo lock");
+            slots
+                .iter()
                 .filter_map(|(key, slot)| {
-                    // Skip slots whose solve is still in flight (or failed):
-                    // try_lock keeps export non-blocking, and an in-flight
-                    // spectrum simply lands in the next export.
-                    slot.0
-                        .try_lock()
-                        .ok()
-                        .and_then(|v| v.as_ref().map(|eigs| (key.clone(), eigs.to_vec())))
+                    let value = slot.try_lock().ok()?;
+                    Some((key.clone(), value.as_ref()?.clone()))
                 })
                 .collect()
         };
-        let mut cuts: Vec<(CutKey, ConvexMinCutResult)> = {
-            let map = self.cuts.lock().expect("cuts lock");
-            map.iter()
-                .filter_map(|(key, slot)| {
-                    slot.0
-                        .try_lock()
-                        .ok()
-                        .and_then(|v| v.as_ref().map(|cut| (key.clone(), cut.clone())))
-                })
-                .collect()
-        };
-        let mut sims: Vec<(usize, Option<u64>)> = {
-            let map = self.sims.lock().expect("sims lock");
-            map.iter()
-                .filter_map(|(&m, slot)| {
-                    slot.0.try_lock().ok().and_then(|v| v.map(|best| (m, best)))
-                })
-                .collect()
-        };
-        spectra.sort_by(|a, b| a.0.cmp(&b.0));
-        cuts.sort_by(|a, b| a.0.cmp(&b.0));
-        sims.sort_unstable_by_key(|&(m, _)| m);
-        SessionExport {
-            spectra,
-            cuts,
-            sims,
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        entries
+    }
+
+    /// Stores `value` under `key` unless the slot already holds one (a
+    /// fresher local result wins). No counter moves.
+    fn seed(&self, key: K, value: V) {
+        let slot = self.slot(key);
+        let mut current = slot.lock().expect("memo slot lock");
+        if current.is_none() {
+            *current = Some(value);
         }
     }
 
-    /// Seeds empty cache slots from `snapshot`. Occupied slots win (the
-    /// session already computed — or is computing — a fresher value), and
-    /// no hit/miss counter moves: imports are provenance, not traffic.
-    fn import(&self, snapshot: &SessionExport) {
-        for (key, eigs) in &snapshot.spectra {
-            let slot = Arc::clone(
-                self.spectra
-                    .lock()
-                    .expect("spectra lock")
-                    .entry(key.clone())
-                    .or_insert_with(Slot::new),
-            );
-            let mut value = slot.0.lock().expect("spectrum slot lock");
-            if value.is_none() {
-                *value = Some(Arc::new(eigs.clone()));
-            }
-        }
-        for (key, cut) in &snapshot.cuts {
-            let slot = Arc::clone(
-                self.cuts
-                    .lock()
-                    .expect("cuts lock")
-                    .entry(key.clone())
-                    .or_insert_with(Slot::new),
-            );
-            let mut value = slot.0.lock().expect("cut slot lock");
-            if value.is_none() {
-                *value = Some(cut.clone());
-            }
-        }
-        for &(m, best) in &snapshot.sims {
-            let slot = Arc::clone(
-                self.sims
-                    .lock()
-                    .expect("sims lock")
-                    .entry(m)
-                    .or_insert_with(Slot::new),
-            );
-            let mut value = slot.0.lock().expect("sim slot lock");
-            if value.is_none() {
-                *value = Some(best);
-            }
-        }
+    /// Number of slots, filled or not.
+    fn len(&self) -> usize {
+        self.slots.lock().expect("memo lock").len()
     }
 
-    fn stats(&self) -> EngineStats {
-        EngineStats {
-            spectrum_misses: self.spectrum_misses.load(Ordering::Relaxed),
-            spectrum_hits: self.spectrum_hits.load(Ordering::Relaxed),
-            mincut_misses: self.mincut_misses.load(Ordering::Relaxed),
-            mincut_hits: self.mincut_hits.load(Ordering::Relaxed),
-            sim_misses: self.sim_misses.load(Ordering::Relaxed),
-            sim_hits: self.sim_hits.load(Ordering::Relaxed),
-        }
+    fn hits(&self) -> u64 {
+        self.hits.load(Ordering::Relaxed)
     }
 
-    /// Approximate heap bytes held by the caches (Laplacians, spectra and
-    /// the simulation memo).
-    fn approx_bytes(&self) -> usize {
-        let lap_bytes: usize = self
-            .laplacians
-            .iter()
-            .filter_map(OnceLock::get)
-            .map(|m| m.nnz() * (std::mem::size_of::<u32>() + std::mem::size_of::<f64>()))
-            .sum();
-        let spec_bytes: usize = {
-            let spectra = self.spectra.lock().expect("spectra lock");
-            spectra
-                .values()
-                .filter_map(|slot| {
-                    slot.0
-                        .try_lock()
-                        .ok()
-                        .and_then(|v| v.as_ref().map(|eigs| eigs.len() * 8 + 64))
-                })
-                .sum()
-        };
-        // Per memoized memory: the map entry, its `Arc<Slot>` and the
-        // slot's mutex — the same flat overhead a spectrum entry carries.
-        let sim_bytes = self.sims.lock().expect("sims lock").len() * 64;
-        lap_bytes + spec_bytes + sim_bytes
+    fn misses(&self) -> u64 {
+        self.misses.load(Ordering::Relaxed)
     }
 }
 
-/// A per-graph spectral analysis session borrowing its graph (see the
-/// module docs; [`OwnedAnalyzer`] is the `Arc`-owning variant).
-pub struct Analyzer<'g> {
-    graph: &'g CompGraph,
-    core: EngineCore,
+/// A per-graph spectral analysis session (see the module docs). It owns
+/// its graph, so it can live in a cross-request cache (the analysis
+/// service's session cache) and be shared between worker threads.
+pub struct OwnedAnalyzer {
+    graph: CompGraph,
+    laplacians: [OnceLock<CsrMatrix>; 2],
+    /// The `h` smallest eigenvalues per solve, shared by `Arc`.
+    spectra: Memo<SpectrumKey, Arc<Vec<f64>>>,
+    cuts: Memo<CutKey, ConvexMinCutResult>,
+    /// Simulated upper bounds keyed by memory size.
+    sims: Memo<usize, Option<u64>>,
 }
 
-impl<'g> Analyzer<'g> {
+impl OwnedAnalyzer {
     /// Opens an analysis session on `graph`. Nothing is computed until the
     /// first request.
-    pub fn new(graph: &'g CompGraph) -> Self {
-        Analyzer {
+    pub fn from_graph(graph: CompGraph) -> Self {
+        OwnedAnalyzer {
             graph,
-            core: EngineCore::new(),
+            laplacians: [OnceLock::new(), OnceLock::new()],
+            spectra: Memo::new(),
+            cuts: Memo::new(),
+            sims: Memo::new(),
         }
     }
 
     /// The graph under analysis.
-    pub fn graph(&self) -> &'g CompGraph {
-        self.graph
+    pub fn graph(&self) -> &CompGraph {
+        &self.graph
     }
 
     /// The size-scaled default options for this graph
@@ -610,7 +385,10 @@ impl<'g> Analyzer<'g> {
 
     /// The requested Laplacian, built on first use and cached.
     pub fn laplacian(&self, kind: LaplacianKind) -> &CsrMatrix {
-        self.core.laplacian(self.graph, kind)
+        self.laplacians[kind.slot()].get_or_init(|| {
+            let _span = graphio_obs::span!("laplacian");
+            kind.build(&self.graph)
+        })
     }
 
     /// The `h` smallest eigenvalues of the requested Laplacian, computed
@@ -625,7 +403,21 @@ impl<'g> Analyzer<'g> {
         kind: LaplacianKind,
         opts: &BoundOptions,
     ) -> Result<Arc<Vec<f64>>, LinalgError> {
-        self.core.spectrum(self.graph, kind, opts)
+        let key = SpectrumKey::for_options(kind, opts, self.graph.n());
+        self.spectra.get_or_try(key, || {
+            let _span = graphio_obs::span!("eigensolve");
+            crate::bound::smallest_eigenvalues(self.laplacian(kind), opts).map(Arc::new)
+        })
+    }
+
+    fn theorem_bound(
+        &self,
+        theorem: Theorem,
+        memory: usize,
+        opts: &BoundOptions,
+    ) -> Result<SpectralBound, LinalgError> {
+        let eigs = self.spectrum(theorem.laplacian(), opts)?;
+        Ok(theorem.evaluate(&self.graph, &eigs, memory, opts.fixed_k))
     }
 
     /// Theorem 4 — bit-identical to [`crate::bound::spectral_bound`], with
@@ -634,7 +426,7 @@ impl<'g> Analyzer<'g> {
     /// # Errors
     /// Propagates eigensolver failures.
     pub fn bound(&self, memory: usize, opts: &BoundOptions) -> Result<SpectralBound, LinalgError> {
-        self.core.bound(self.graph, memory, opts)
+        self.theorem_bound(Theorem::Four, memory, opts)
     }
 
     /// Theorem 5 — bit-identical to
@@ -648,7 +440,7 @@ impl<'g> Analyzer<'g> {
         memory: usize,
         opts: &BoundOptions,
     ) -> Result<SpectralBound, LinalgError> {
-        self.core.bound_original(self.graph, memory, opts)
+        self.theorem_bound(Theorem::Five, memory, opts)
     }
 
     /// Theorem 6 — bit-identical to
@@ -666,8 +458,7 @@ impl<'g> Analyzer<'g> {
         processors: usize,
         opts: &BoundOptions,
     ) -> Result<SpectralBound, LinalgError> {
-        self.core
-            .parallel_bound(self.graph, memory, processors, opts)
+        self.theorem_bound(Theorem::Six(processors), memory, opts)
     }
 
     /// Theorem 4 across a memory sweep — exactly one eigensolve however
@@ -686,7 +477,12 @@ impl<'g> Analyzer<'g> {
     /// The convex min-cut baseline's sweep result (`M`-independent),
     /// computed once per sweep strategy and cached.
     pub fn min_cut(&self, opts: &ConvexMinCutOptions) -> ConvexMinCutResult {
-        self.core.min_cut(self.graph, opts)
+        self.cuts.get_or(CutKey::for_options(opts), || {
+            let _span = graphio_obs::span!("mincut");
+            // Memory 0 keeps the cached result M-independent; bounds for a
+            // concrete M are derived in `min_cut_bound`.
+            convex_min_cut_bound(&self.graph, 0, opts)
+        })
     }
 
     /// The convex min-cut lower bound `2·max(0, max_cut − M)` for one
@@ -695,142 +491,25 @@ impl<'g> Analyzer<'g> {
         2 * self.min_cut(opts).max_cut.saturating_sub(memory as u64)
     }
 
-    /// Cache-effectiveness counters for this session.
-    pub fn stats(&self) -> EngineStats {
-        self.core.stats()
-    }
-}
-
-impl std::fmt::Debug for Analyzer<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Analyzer")
-            .field("n", &self.graph.n())
-            .field("stats", &self.stats())
-            .finish()
-    }
-}
-
-/// A spectral analysis session that **owns** its graph via `Arc`, so it can
-/// live in a cross-request cache (the analysis service's session cache)
-/// and be shared between worker threads without a borrow tying it to a
-/// stack frame. Identical caching behavior and bit-identical results to
-/// [`Analyzer`]; both delegate to the same [`EngineCore`].
-pub struct OwnedAnalyzer {
-    graph: Arc<CompGraph>,
-    core: EngineCore,
-}
-
-impl OwnedAnalyzer {
-    /// Opens an owning analysis session on `graph`.
-    pub fn new(graph: Arc<CompGraph>) -> Self {
-        OwnedAnalyzer {
-            graph,
-            core: EngineCore::new(),
-        }
-    }
-
-    /// Convenience constructor taking the graph by value.
-    pub fn from_graph(graph: CompGraph) -> Self {
-        OwnedAnalyzer::new(Arc::new(graph))
-    }
-
-    /// The graph under analysis.
-    pub fn graph(&self) -> &CompGraph {
-        &self.graph
-    }
-
-    /// A shared handle to the graph under analysis.
-    pub fn graph_arc(&self) -> Arc<CompGraph> {
-        Arc::clone(&self.graph)
-    }
-
-    /// The size-scaled default options for this graph
-    /// ([`BoundOptions::for_graph_size`]).
-    pub fn default_options(&self) -> BoundOptions {
-        BoundOptions::for_graph_size(self.graph.n())
-    }
-
-    /// The requested Laplacian, built on first use and cached.
-    pub fn laplacian(&self, kind: LaplacianKind) -> &CsrMatrix {
-        self.core.laplacian(&self.graph, kind)
-    }
-
-    /// See [`Analyzer::spectrum`].
-    ///
-    /// # Errors
-    /// Propagates eigensolver failures ([`LinalgError`]).
-    pub fn spectrum(
-        &self,
-        kind: LaplacianKind,
-        opts: &BoundOptions,
-    ) -> Result<Arc<Vec<f64>>, LinalgError> {
-        self.core.spectrum(&self.graph, kind, opts)
-    }
-
-    /// See [`Analyzer::bound`].
-    ///
-    /// # Errors
-    /// Propagates eigensolver failures.
-    pub fn bound(&self, memory: usize, opts: &BoundOptions) -> Result<SpectralBound, LinalgError> {
-        self.core.bound(&self.graph, memory, opts)
-    }
-
-    /// See [`Analyzer::bound_original`].
-    ///
-    /// # Errors
-    /// Propagates eigensolver failures.
-    pub fn bound_original(
-        &self,
-        memory: usize,
-        opts: &BoundOptions,
-    ) -> Result<SpectralBound, LinalgError> {
-        self.core.bound_original(&self.graph, memory, opts)
-    }
-
-    /// See [`Analyzer::parallel_bound`].
-    ///
-    /// # Errors
-    /// Propagates eigensolver failures.
-    ///
-    /// # Panics
-    /// Panics if `processors == 0`.
-    pub fn parallel_bound(
-        &self,
-        memory: usize,
-        processors: usize,
-        opts: &BoundOptions,
-    ) -> Result<SpectralBound, LinalgError> {
-        self.core
-            .parallel_bound(&self.graph, memory, processors, opts)
-    }
-
-    /// See [`Analyzer::memory_sweep`].
-    ///
-    /// # Errors
-    /// Propagates eigensolver failures.
-    pub fn memory_sweep(
-        &self,
-        memories: &[usize],
-        opts: &BoundOptions,
-    ) -> Result<Vec<SpectralBound>, LinalgError> {
-        memories.iter().map(|&m| self.bound(m, opts)).collect()
-    }
-
-    /// See [`Analyzer::min_cut`].
-    pub fn min_cut(&self, opts: &ConvexMinCutOptions) -> ConvexMinCutResult {
-        self.core.min_cut(&self.graph, opts)
-    }
-
-    /// See [`Analyzer::min_cut_bound`].
-    pub fn min_cut_bound(&self, memory: usize, opts: &ConvexMinCutOptions) -> u64 {
-        2 * self.min_cut(opts).max_cut.saturating_sub(memory as u64)
-    }
-
     /// The simulated upper bound at each of `memories` — the fewer I/Os
     /// of LRU and Bélády over [`natural_order`], `None` where neither
     /// policy fits in memory — simulated once per memory size and cached.
+    /// The order is built once per call, on its first miss.
     pub fn sim_uppers(&self, memories: &[usize]) -> Vec<Option<u64>> {
-        self.core.sim_uppers(&self.graph, memories)
+        let mut order: Option<Vec<usize>> = None;
+        memories
+            .iter()
+            .map(|&m| {
+                self.sims.get_or(m, || {
+                    let _span = graphio_obs::span!("simulate");
+                    let order = order.get_or_insert_with(|| natural_order(&self.graph));
+                    [Policy::Lru, Policy::Belady]
+                        .iter()
+                        .filter_map(|&p| simulate(&self.graph, order, m, p, 0).ok().map(|r| r.io()))
+                        .min()
+                })
+            })
+            .collect()
     }
 
     /// Snapshots every cached spectrum, min-cut result and simulated upper
@@ -839,7 +518,16 @@ impl OwnedAnalyzer {
     /// next to the graph so a future process can [`OwnedAnalyzer::import`]
     /// it instead of re-solving.
     pub fn export(&self) -> SessionExport {
-        self.core.export()
+        SessionExport {
+            spectra: self
+                .spectra
+                .snapshot()
+                .into_iter()
+                .map(|(key, eigs)| (key, eigs.to_vec()))
+                .collect(),
+            cuts: self.cuts.snapshot(),
+            sims: self.sims.snapshot(),
+        }
     }
 
     /// Seeds this session's caches from a previously exported snapshot.
@@ -852,12 +540,27 @@ impl OwnedAnalyzer {
     /// graph (the store keys both by the same structural fingerprint);
     /// importing another graph's spectra silently yields wrong bounds.
     pub fn import(&self, snapshot: &SessionExport) {
-        self.core.import(snapshot);
+        for (key, eigs) in &snapshot.spectra {
+            self.spectra.seed(key.clone(), Arc::new(eigs.clone()));
+        }
+        for (key, cut) in &snapshot.cuts {
+            self.cuts.seed(key.clone(), cut.clone());
+        }
+        for &(m, best) in &snapshot.sims {
+            self.sims.seed(m, best);
+        }
     }
 
     /// Cache-effectiveness counters for this session.
     pub fn stats(&self) -> EngineStats {
-        self.core.stats()
+        EngineStats {
+            spectrum_misses: self.spectra.misses(),
+            spectrum_hits: self.spectra.hits(),
+            mincut_misses: self.cuts.misses(),
+            mincut_hits: self.cuts.hits(),
+            sim_misses: self.sims.misses(),
+            sim_hits: self.sims.hits(),
+        }
     }
 
     /// Approximate heap footprint of the session: the graph plus every
@@ -865,7 +568,22 @@ impl OwnedAnalyzer {
     /// session cache charges this against its byte budget; it grows as
     /// caches fill, so the cache re-reads it on every touch.
     pub fn approx_bytes(&self) -> usize {
-        self.graph.approx_bytes() + self.core.approx_bytes()
+        let lap_bytes: usize = self
+            .laplacians
+            .iter()
+            .filter_map(OnceLock::get)
+            .map(|m| m.nnz() * (std::mem::size_of::<u32>() + std::mem::size_of::<f64>()))
+            .sum();
+        let spec_bytes: usize = self
+            .spectra
+            .snapshot()
+            .iter()
+            .map(|(_, eigs)| eigs.len() * 8 + 64)
+            .sum();
+        // Per memoized memory: the map entry, its slot and the slot's
+        // mutex — the same flat overhead a spectrum entry carries.
+        let sim_bytes = self.sims.len() * 64;
+        self.graph.approx_bytes() + lap_bytes + spec_bytes + sim_bytes
     }
 }
 
@@ -921,7 +639,7 @@ mod tests {
     #[test]
     fn served_bounds_match_direct_calls_exactly() {
         let g = fft_butterfly(5);
-        let an = Analyzer::new(&g);
+        let an = OwnedAnalyzer::from_graph(g.clone());
         let opts = BoundOptions::default();
         for m in [1usize, 4, 16] {
             let direct = spectral_bound(&g, m, &opts).unwrap();
@@ -936,36 +654,12 @@ mod tests {
             assert_eq!(direct5.bound.to_bits(), served5.bound.to_bits());
             assert_eq!(direct5.best_k, served5.best_k);
         }
-    }
-
-    #[test]
-    fn owned_analyzer_matches_borrowing_analyzer_exactly() {
-        let g = fft_butterfly(5);
-        let borrowed = Analyzer::new(&g);
-        let owned = OwnedAnalyzer::from_graph(g.clone());
-        let opts = BoundOptions::default();
-        let mc = ConvexMinCutOptions::default();
-        for m in [1usize, 4, 16] {
-            let a = borrowed.bound(m, &opts).unwrap();
-            let b = owned.bound(m, &opts).unwrap();
-            assert_eq!(a.bound.to_bits(), b.bound.to_bits());
-            assert_eq!(a.best_k, b.best_k);
-            let a5 = borrowed.bound_original(m, &opts).unwrap();
-            let b5 = owned.bound_original(m, &opts).unwrap();
-            assert_eq!(a5.bound.to_bits(), b5.bound.to_bits());
-            let a6 = borrowed.parallel_bound(m, 4, &opts).unwrap();
-            let b6 = owned.parallel_bound(m, 4, &opts).unwrap();
-            assert_eq!(a6.bound.to_bits(), b6.bound.to_bits());
-            assert_eq!(borrowed.min_cut_bound(m, &mc), owned.min_cut_bound(m, &mc));
-        }
-        assert_eq!(borrowed.stats(), owned.stats());
-        assert!(owned.approx_bytes() > g.approx_bytes());
+        assert!(an.approx_bytes() > g.approx_bytes());
     }
 
     #[test]
     fn sweep_and_parallel_bounds_share_one_spectrum() {
-        let g = bhk_hypercube(6);
-        let an = Analyzer::new(&g);
+        let an = OwnedAnalyzer::from_graph(bhk_hypercube(6));
         let opts = an.default_options();
         let sweep = an.memory_sweep(&[2, 4, 8, 16], &opts).unwrap();
         assert_eq!(sweep.len(), 4);
@@ -980,7 +674,7 @@ mod tests {
     #[test]
     fn min_cut_is_cached_and_memory_derived() {
         let g = fft_butterfly(4);
-        let an = Analyzer::new(&g);
+        let an = OwnedAnalyzer::from_graph(g.clone());
         let opts = ConvexMinCutOptions::default();
         let direct = convex_min_cut_bound(&g, 3, &opts);
         assert_eq!(an.min_cut_bound(3, &opts), direct.bound);
@@ -993,10 +687,8 @@ mod tests {
     #[test]
     fn analyzer_is_sync_and_shareable() {
         fn assert_sync<T: Sync>() {}
-        assert_sync::<Analyzer<'static>>();
         assert_sync::<OwnedAnalyzer>();
-        let g = fft_butterfly(4);
-        let an = Analyzer::new(&g);
+        let an = OwnedAnalyzer::from_graph(fft_butterfly(4));
         let opts = an.default_options();
         std::thread::scope(|s| {
             for m in [2usize, 4, 8] {

@@ -43,7 +43,6 @@ pub use bound::{
     BoundOptions, EigenMethod, ScaleTier, SpectralBound, DENSE_CUTOFF, HUGE_CUTOFF,
 };
 pub use engine::{
-    Analyzer, CutKey, EngineStats, LaplacianKind, MethodKey, OwnedAnalyzer, SessionExport,
-    SpectrumKey,
+    CutKey, EngineStats, LaplacianKind, MethodKey, OwnedAnalyzer, SessionExport, SpectrumKey,
 };
 pub use laplacian::{normalized_laplacian, unnormalized_laplacian};

@@ -1,12 +1,12 @@
-//! Property tests for the analysis engine: bounds served from the
-//! `Analyzer`'s caches must be bit-identical to the direct one-shot
+//! Property tests for the analysis engine: bounds served from an
+//! `OwnedAnalyzer`'s caches must be bit-identical to the direct one-shot
 //! entry points, on every graph family and both eigensolver paths.
 
 use graphio_graph::generators::{erdos_renyi_dag, fft_butterfly, layered_random_dag};
 use graphio_graph::CompGraph;
 use graphio_spectral::{
-    parallel_spectral_bound, spectral_bound, spectral_bound_original, Analyzer, BoundOptions,
-    EigenMethod, SpectralBound,
+    parallel_spectral_bound, spectral_bound, spectral_bound_original, BoundOptions, EigenMethod,
+    OwnedAnalyzer, SpectralBound,
 };
 use proptest::prelude::*;
 
@@ -34,7 +34,7 @@ proptest! {
         if g.num_edges() == 0 {
             return Ok(());
         }
-        let an = Analyzer::new(&g);
+        let an = OwnedAnalyzer::from_graph(g.clone());
         let opts = BoundOptions::default();
         assert_bitwise_eq(&spectral_bound(&g, m, &opts).unwrap(), &an.bound(m, &opts).unwrap())?;
         assert_bitwise_eq(
@@ -58,7 +58,7 @@ proptest! {
         if g.num_edges() == 0 {
             return Ok(());
         }
-        let an = Analyzer::new(&g);
+        let an = OwnedAnalyzer::from_graph(g.clone());
         for opts in [
             BoundOptions { h, ..Default::default() },
             BoundOptions { h, fixed_k: Some(fixed_k.min(h)), ..Default::default() },
@@ -74,21 +74,39 @@ proptest! {
 fn engine_matches_direct_calls_on_the_lanczos_path() {
     // Forced Lanczos on a mid-size butterfly exercises the sparse solver
     // through both entry points with identical options (and thus identical
-    // seeds), so even this path is bit-identical.
+    // seeds), so even this path is bit-identical — for Theorem 4, for
+    // Theorem 5's 1/d_max scale and for Theorem 6's processor form.
     let g = fft_butterfly(5);
     let opts = BoundOptions {
         h: 20,
         method: EigenMethod::Lanczos(Default::default()),
         ..Default::default()
     };
-    let an = Analyzer::new(&g);
+    let an = OwnedAnalyzer::from_graph(g.clone());
     for m in [2usize, 4, 8] {
-        let direct = spectral_bound(&g, m, &opts).unwrap();
-        let served = an.bound(m, &opts).unwrap();
-        assert_eq!(direct.bound.to_bits(), served.bound.to_bits());
-        assert_eq!(direct.best_k, served.best_k);
-        assert_eq!(direct.eigenvalues, served.eigenvalues);
+        let pairs = [
+            (spectral_bound(&g, m, &opts), an.bound(m, &opts)),
+            (
+                spectral_bound_original(&g, m, &opts),
+                an.bound_original(m, &opts),
+            ),
+            (
+                parallel_spectral_bound(&g, m, 2, &opts),
+                an.parallel_bound(m, 2, &opts),
+            ),
+            (
+                parallel_spectral_bound(&g, m, 4, &opts),
+                an.parallel_bound(m, 4, &opts),
+            ),
+        ];
+        for (direct, served) in pairs {
+            let (direct, served) = (direct.unwrap(), served.unwrap());
+            assert_eq!(direct.bound.to_bits(), served.bound.to_bits());
+            assert_eq!(direct.raw.to_bits(), served.raw.to_bits());
+            assert_eq!(direct.best_k, served.best_k);
+            assert_eq!(direct.eigenvalues, served.eigenvalues);
+        }
     }
-    // Three memory sizes, one spectrum.
-    assert_eq!(an.stats().spectrum_misses, 1);
+    // Three memory sizes and three theorems, one spectrum per Laplacian.
+    assert_eq!(an.stats().spectrum_misses, 2);
 }

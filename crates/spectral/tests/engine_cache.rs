@@ -7,18 +7,17 @@
 
 use graphio_graph::generators::fft_butterfly;
 use graphio_linalg::stats::{dense_eigensolve_count, sparse_matvec_count};
-use graphio_spectral::{Analyzer, BoundOptions, EigenMethod, LaplacianKind};
+use graphio_spectral::{BoundOptions, EigenMethod, LaplacianKind, OwnedAnalyzer};
 
 #[test]
 fn memory_sweep_runs_exactly_one_eigensolve_per_laplacian_kind() {
     // Forced Lanczos so the work unit is the sparse mat-vec counter.
-    let g = fft_butterfly(6); // n = 448
+    let an = OwnedAnalyzer::from_graph(fft_butterfly(6)); // n = 448
     let opts = BoundOptions {
         h: 24,
         method: EigenMethod::Lanczos(Default::default()),
         ..Default::default()
     };
-    let an = Analyzer::new(&g);
 
     // Cold: the first Theorem 4 sweep over >= 3 memory sizes performs one
     // eigensolve (counter moves once, for the Normalized kind)...

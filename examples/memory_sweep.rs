@@ -4,15 +4,17 @@
 //! cargo run --release --example memory_sweep
 //! ```
 //!
-//! Demonstrates the `Analyzer` engine: the Laplacian spectrum is computed
-//! once and every memory size, theorem variant and processor count is
-//! served from the cache — the session reports its own eigensolve count.
+//! Demonstrates an `OwnedAnalyzer` session: each Laplacian spectrum is
+//! computed once and every memory size, theorem variant and processor
+//! count is served from the cache — the session reports its own
+//! eigensolve count.
 
 use graphio::prelude::*;
 
 fn main() {
-    let g = bhk_hypercube(10); // 10-city Bellman–Held–Karp, n = 1024
-    let analyzer = Analyzer::new(&g);
+    // 10-city Bellman–Held–Karp, n = 1024.
+    let analyzer = OwnedAnalyzer::from_graph(bhk_hypercube(10));
+    let g = analyzer.graph();
     let opts = BoundOptions::for_graph_size(g.n());
 
     println!("BHK l=10: n = {}, edges = {}\n", g.n(), g.num_edges());

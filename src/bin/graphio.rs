@@ -260,12 +260,6 @@ fn write_stdout(s: &str) {
     }
 }
 
-fn mincut_options(n: usize) -> ConvexMinCutOptions {
-    // Shared size-scaled schedule (same source of truth as the bench
-    // harness and the service).
-    ConvexMinCutOptions::for_graph_size(n)
-}
-
 fn cmd_generate(args: &[String]) {
     let parsed = parse_args("generate", args, &["--p", "--seed"], &[]);
     let [family, size] = parsed.positional.as_slice() else {
@@ -341,7 +335,7 @@ fn cmd_bound(args: &[String]) {
         Err(e) => eprintln!("spectral bound failed: {e}"),
     }
     let g = analyzer.graph();
-    let mc = convex_min_cut_bound(g, m, &mincut_options(g.n()));
+    let mc = convex_min_cut_bound(g, m, &ConvexMinCutOptions::for_graph_size(g.n()));
     println!(
         "convex min-cut bound: {}  (max wavefront = {})",
         mc.bound, mc.max_cut

@@ -34,6 +34,11 @@
 //! assert!(lower.bound <= upper.io() as f64);
 //! ```
 
+// Runs the README's library quickstart as a doctest.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
+
 pub use graphio_baselines as baselines;
 pub use graphio_graph as graph;
 pub use graphio_linalg as linalg;
@@ -57,7 +62,7 @@ pub mod prelude {
     pub use graphio_pebble::{simulate, Policy};
     pub use graphio_service::{serve, ServiceConfig};
     pub use graphio_spectral::{
-        parallel_spectral_bound, spectral_bound, spectral_bound_original, Analyzer, BoundOptions,
+        parallel_spectral_bound, spectral_bound, spectral_bound_original, BoundOptions,
         EigenMethod, LaplacianKind, OwnedAnalyzer, ScaleTier, SpectralBound,
     };
     pub use graphio_store::{load_session, save_session, warm_session, Store, StoreConfig};

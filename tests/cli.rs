@@ -100,7 +100,7 @@ fn analyze_sweep_reports_every_memory_and_one_eigensolve() {
             "missing row for M={m} in:\n{stdout}"
         );
     }
-    // One Analyzer session, two Laplacian kinds (Thm4 + Thm5) -> exactly
+    // One analysis session, two Laplacian kinds (Thm4 + Thm5) -> exactly
     // two eigensolves however many memory sizes were swept.
     assert!(
         stdout.contains("eigensolves: 2"),

@@ -79,7 +79,7 @@ proptest! {
             let g = erdos_renyi_dag(3 + (s as usize % 12), 0.4, s);
             let opts = BoundOptions::for_graph_size(g.n());
             let bits = |g: &CompGraph| {
-                let an = Analyzer::new(g);
+                let an = OwnedAnalyzer::from_graph(g.clone());
                 (
                     an.bound(4, &opts).map(|b| b.bound.to_bits()).unwrap_or(u64::MAX),
                     an.bound_original(4, &opts).map(|b| b.bound.to_bits()).unwrap_or(u64::MAX),
