@@ -17,19 +17,17 @@
 
 use crate::maxflow::{FlowNetwork, INF};
 use graphio_graph::CompGraph;
+use graphio_linalg::HUGE_CUTOFF;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Above this vertex count [`ConvexMinCutOptions::for_graph_size`] samples
-/// only a handful of vertices and [`wavefront_cut`] caps each max-flow at
-/// [`HUGE_FLOW_CAP`] — the baseline becomes a coarse (still valid) lower
-/// bound whose job is to not stall a million-vertex analyze. Matches the
-/// spectral layer's huge-tier cutoff.
-pub const HUGE_SWEEP_CUTOFF: usize = 100_000;
-
-/// Per-vertex flow cap above [`HUGE_SWEEP_CUTOFF`] (see [`wavefront_cut`]).
+/// Per-vertex flow cap above [`HUGE_CUTOFF`] vertices (see
+/// [`wavefront_cut`]). Past that size [`ConvexMinCutOptions::for_graph_size`]
+/// also samples only a handful of vertices: the baseline becomes a coarse
+/// (still valid) lower bound whose job is to not stall a million-vertex
+/// analyze, switching at the spectral layer's huge-tier cutoff.
 pub const HUGE_FLOW_CAP: u64 = 32;
 
 /// Vertex-sweep strategy for the per-vertex min cuts.
@@ -79,7 +77,7 @@ impl ConvexMinCutOptions {
     /// cutoffs the paper applied to this method.
     pub fn for_graph_size(n: usize) -> Self {
         ConvexMinCutOptions {
-            sweep: if n > HUGE_SWEEP_CUTOFF {
+            sweep: if n > HUGE_CUTOFF {
                 VertexSweep::Sample {
                     count: 4,
                     seed: 0xC07,
@@ -231,7 +229,7 @@ pub fn convex_min_cut_bound(
 /// ancestor-to-descendant path runs through `v` itself, collapsing the cut
 /// to 1. Down-closedness is what forces wide wavefronts.
 ///
-/// Above [`HUGE_SWEEP_CUTOFF`] vertices each max-flow is capped at
+/// Above [`HUGE_CUTOFF`] vertices each max-flow is capped at
 /// [`HUGE_FLOW_CAP`]: a capped Dinic run still yields a valid flow, and
 /// any flow value lower-bounds the true wavefront, so the baseline stays
 /// a certified lower bound — it just stops tightening past the cap (the
@@ -287,7 +285,7 @@ impl<'g> CutNetwork<'g> {
             reach: Reach::new(n),
             anc: Vec::new(),
             desc: Vec::new(),
-            flow_cap: if n > HUGE_SWEEP_CUTOFF {
+            flow_cap: if n > HUGE_CUTOFF {
                 HUGE_FLOW_CAP
             } else {
                 u64::MAX
@@ -601,7 +599,7 @@ mod tests {
         // never changes a result, so moving it does not race them.
         for threads in [1, 3] {
             graphio_linalg::set_threads(threads);
-            for n in [10, 5000, HUGE_SWEEP_CUTOFF + 1] {
+            for n in [10, 5000, HUGE_CUTOFF + 1] {
                 assert_eq!(ConvexMinCutOptions::for_graph_size(n).threads, threads);
             }
             assert_eq!(ConvexMinCutOptions::default().threads, threads);

@@ -52,5 +52,12 @@ pub use symeig::{eigenvalues_symmetric, eigh};
 pub use threads::set_threads;
 pub use tridiag::{tridiagonal_eigenvalues, tridiagonal_eigenvalues_bisect};
 
+/// The vertex count above which graphio stops certifying and switches to
+/// fixed-cost estimates: the spectral layer's single-sweep Ritz tier
+/// (`graphio_spectral::ScaleTier::Huge`) and the min-cut baseline's
+/// capped 4-vertex sample. It lives here, below both crates, so the two
+/// switch at the same `n`.
+pub const HUGE_CUTOFF: usize = 100_000;
+
 /// Result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, LinalgError>;

@@ -56,7 +56,7 @@ pub enum SimdPolicy {
 }
 
 impl SimdPolicy {
-    /// Parses the CLI / `GRAPHIO_SIMD` spelling.
+    /// Parses the `GRAPHIO_SIMD` spelling.
     pub fn parse(s: &str) -> Option<SimdPolicy> {
         match s {
             "off" => Some(SimdPolicy::Off),
@@ -65,7 +65,7 @@ impl SimdPolicy {
         }
     }
 
-    /// The CLI spelling (`off` | `strict`).
+    /// The `GRAPHIO_SIMD` spelling (`off` | `strict`).
     pub fn as_str(self) -> &'static str {
         match self {
             SimdPolicy::Off => "off",

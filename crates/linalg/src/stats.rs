@@ -6,7 +6,7 @@
 //! (the unit of Lanczos work) and every dense eigensolve. The SIMD layer
 //! ticks two more (kernel entries that dispatched to vector code, and
 //! entries that wanted vector code but fell back to scalar), and the
-//! spectral scale tier ticks one per non-dense eigensolve, so `/stats`
+//! spectral layer ticks one per non-dense eigensolve, so `/stats`
 //! and tests can assert which path ran. Counters are never reset; callers
 //! measure deltas. Reads and writes are `Relaxed`: the counters order
 //! nothing, and a mat-vec costs orders of magnitude more than the
@@ -18,7 +18,7 @@ static SPARSE_MATVECS: AtomicU64 = AtomicU64::new(0);
 static DENSE_EIGENSOLVES: AtomicU64 = AtomicU64::new(0);
 static SIMD_KERNEL_CALLS: AtomicU64 = AtomicU64::new(0);
 static SCALAR_FALLBACKS: AtomicU64 = AtomicU64::new(0);
-static SCALE_TIER_SOLVES: AtomicU64 = AtomicU64::new(0);
+static SPARSE_EIGENSOLVES: AtomicU64 = AtomicU64::new(0);
 
 pub(crate) fn record_sparse_matvec() {
     SPARSE_MATVECS.fetch_add(1, Ordering::Relaxed);
@@ -36,12 +36,12 @@ pub(crate) fn record_scalar_fallback() {
     SCALAR_FALLBACKS.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Records one eigensolve dispatched through the sparse scale tier
-/// (Lanczos or single-sweep Ritz) rather than the dense path. Public
-/// because the tier-selection heuristic lives a crate above
-/// (`graphio_spectral::bound`).
-pub fn record_scale_tier_solve() {
-    SCALE_TIER_SOLVES.fetch_add(1, Ordering::Relaxed);
+/// Records one eigensolve on a sparse tier (Lanczos or single-sweep
+/// Ritz) rather than the dense path. Public because the tier dispatch
+/// lives a crate above (`graphio_spectral::bound`); `/stats` serves the
+/// count as `scale_tier_solves`.
+pub fn record_sparse_eigensolve() {
+    SPARSE_EIGENSOLVES.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Total [`crate::CsrMatrix`] mat-vec applications so far in this process.
@@ -65,9 +65,9 @@ pub fn scalar_fallback_count() -> u64 {
     SCALAR_FALLBACKS.load(Ordering::Relaxed)
 }
 
-/// Total eigensolves dispatched through the sparse scale tier.
-pub fn scale_tier_solve_count() -> u64 {
-    SCALE_TIER_SOLVES.load(Ordering::Relaxed)
+/// Total eigensolves on a sparse tier (Lanczos or single-sweep Ritz).
+pub fn sparse_eigensolve_count() -> u64 {
+    SPARSE_EIGENSOLVES.load(Ordering::Relaxed)
 }
 
 #[cfg(test)]
@@ -89,8 +89,8 @@ mod tests {
         let before = scalar_fallback_count();
         record_scalar_fallback();
         assert!(scalar_fallback_count() > before);
-        let before = scale_tier_solve_count();
-        record_scale_tier_solve();
-        assert!(scale_tier_solve_count() > before);
+        let before = sparse_eigensolve_count();
+        record_sparse_eigensolve();
+        assert!(sparse_eigensolve_count() > before);
     }
 }

@@ -32,7 +32,7 @@
 use graphio_baselines::convex_mincut::ConvexMinCutOptions;
 use graphio_graph::json::JsonValue;
 use graphio_graph::{CompGraph, EdgeListGraph};
-use graphio_spectral::{BoundOptions, LaplacianKind, OwnedAnalyzer, SpectrumKey};
+use graphio_spectral::{BoundOptions, LaplacianKind, OwnedAnalyzer, ScaleTier, SpectrumKey};
 
 /// A validated analysis request: which memory sizes, how many processors,
 /// and whether to run the simulation upper bound.
@@ -293,9 +293,9 @@ pub fn analyze_rows(analyzer: &OwnedAnalyzer, spec: &AnalyzeSpec) -> Vec<Analyze
 
 /// Whether an `n`-vertex monolithic analysis runs on a certified
 /// eigensolver tier (`dense` or `lanczos`), whose bounds are proven lower
-/// bounds; the `ritz_sweep` tier serves estimates.
+/// bounds; the huge (`ritz_sweep`) tier serves estimates.
 pub fn is_certified(n: usize) -> bool {
-    resolved_method_name(n) != "ritz_sweep"
+    ScaleTier::of(n) != ScaleTier::Huge
 }
 
 /// Number of distinct Laplacian spectra the analysis requires — the
@@ -395,6 +395,39 @@ mod tests {
         assert_eq!(mems, vec![8, 4, 2]);
         assert_eq!(warnings.len(), 2);
         assert!(warnings[0].contains("duplicate memory size 8"));
+    }
+
+    /// The spectral tier, the served `"method"`, certification and the
+    /// min-cut schedule all switch at the one huge cutoff.
+    #[test]
+    fn huge_cutoff_switches_every_schedule_together() {
+        use graphio_baselines::convex_mincut::VertexSweep;
+        use graphio_spectral::{EigenMethod, HUGE_CUTOFF};
+        let at = HUGE_CUTOFF;
+        assert_eq!(ScaleTier::of(at), ScaleTier::Sparse);
+        assert!(matches!(
+            BoundOptions::for_graph_size(at).method,
+            EigenMethod::Lanczos(_)
+        ));
+        assert_eq!(resolved_method_name(at), "lanczos");
+        assert!(is_certified(at));
+        assert!(matches!(
+            ConvexMinCutOptions::for_graph_size(at).sweep,
+            VertexSweep::Sample { count: 512, .. }
+        ));
+
+        let past = HUGE_CUTOFF + 1;
+        assert_eq!(ScaleTier::of(past), ScaleTier::Huge);
+        assert!(matches!(
+            BoundOptions::for_graph_size(past).method,
+            EigenMethod::RitzSweep(_)
+        ));
+        assert_eq!(resolved_method_name(past), "ritz_sweep");
+        assert!(!is_certified(past));
+        assert!(matches!(
+            ConvexMinCutOptions::for_graph_size(past).sweep,
+            VertexSweep::Sample { count: 4, .. }
+        ));
     }
 
     #[test]

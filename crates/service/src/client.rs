@@ -8,7 +8,8 @@
 //! the free [`request`] function is the one-shot `Connection: close`
 //! form.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use crate::http::{self, HttpError, MAX_BODY_BYTES};
+use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -316,10 +317,13 @@ impl Client {
 }
 
 /// Reads one `Content-Length`-framed response without consuming bytes of
-/// any response that may follow it on the same connection.
+/// any response that may follow it on the same connection. The peer's
+/// sizes are not trusted: the status line and headers share the server's
+/// [`http::MAX_HEADER_BYTES`] cap and the body its [`MAX_BODY_BYTES`].
 fn read_response(reader: &mut BufReader<TcpStream>) -> Result<Response, ClientError> {
     let mut line = String::new();
-    read_crlf_line(reader, &mut line)?;
+    let mut head_bytes = 0;
+    read_head_line(reader, &mut line, &mut head_bytes)?;
     if line.is_empty() {
         return Err(ClientError::BadResponse("empty response".to_string()));
     }
@@ -330,7 +334,7 @@ fn read_response(reader: &mut BufReader<TcpStream>) -> Result<Response, ClientEr
         .ok_or_else(|| ClientError::BadResponse(format!("bad status line: {line}")))?;
     let mut headers = Vec::new();
     loop {
-        read_crlf_line(reader, &mut line)?;
+        read_head_line(reader, &mut line, &mut head_bytes)?;
         if line.is_empty() {
             break;
         }
@@ -347,6 +351,11 @@ fn read_response(reader: &mut BufReader<TcpStream>) -> Result<Response, ClientEr
         })
         .transpose()?
         .unwrap_or(0);
+    if content_length > MAX_BODY_BYTES {
+        return Err(ClientError::BadResponse(format!(
+            "body of {content_length} bytes exceeds the {MAX_BODY_BYTES}-byte cap"
+        )));
+    }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
     let body = String::from_utf8(body)
@@ -358,25 +367,25 @@ fn read_response(reader: &mut BufReader<TcpStream>) -> Result<Response, ClientEr
     })
 }
 
-/// Reads one `\r\n`-terminated line (terminator stripped) into `line`.
-fn read_crlf_line(reader: &mut BufReader<TcpStream>, line: &mut String) -> Result<(), ClientError> {
-    let mut raw = Vec::new();
-    let n = reader.read_until(b'\n', &mut raw)?;
-    if n == 0 {
-        return Err(ClientError::Io(std::io::Error::new(
+/// Reads one response head line through the server's capped reader. A
+/// peer that closed before sending a byte of it is an
+/// [`std::io::ErrorKind::UnexpectedEof`], which a reused connection
+/// answers with one reconnect.
+fn read_head_line(
+    reader: &mut BufReader<TcpStream>,
+    line: &mut String,
+    head_bytes: &mut usize,
+) -> Result<(), ClientError> {
+    let before = *head_bytes;
+    http::read_crlf_line(reader, line, head_bytes).map_err(|e| match e {
+        HttpError::Io(io) => ClientError::Io(io),
+        HttpError::Malformed(_) if *head_bytes == before => ClientError::Io(std::io::Error::new(
             std::io::ErrorKind::UnexpectedEof,
             "connection closed mid-response",
-        )));
-    }
-    line.clear();
-    line.push_str(
-        std::str::from_utf8(&raw)
-            .map_err(|_| ClientError::BadResponse("response is not UTF-8".to_string()))?,
-    );
-    while line.ends_with('\n') || line.ends_with('\r') {
-        line.pop();
-    }
-    Ok(())
+        )),
+        HttpError::Malformed(m) | HttpError::TooLarge(m) => ClientError::BadResponse(m),
+        HttpError::Closed => ClientError::BadResponse(e.to_string()),
+    })
 }
 
 /// Issues one request on a throwaway connection (`Connection: close`) and
@@ -558,8 +567,12 @@ mod tests {
         assert!(host_port("127.0.0.1:8080").is_err());
     }
 
-    /// Serves `responses` verbatim, one per accepted connection.
-    fn canned_server(responses: Vec<&'static [u8]>) -> std::net::SocketAddr {
+    /// Serves `responses` verbatim, one per accepted connection. A client
+    /// that hangs up mid-response is not the server's failure.
+    fn canned_server<B>(responses: Vec<B>) -> std::net::SocketAddr
+    where
+        B: AsRef<[u8]> + Send + 'static,
+    {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         std::thread::spawn(move || {
@@ -567,7 +580,7 @@ mod tests {
                 let (mut stream, _) = listener.accept().unwrap();
                 let mut buf = [0u8; 1024];
                 let _ = stream.read(&mut buf); // consume the request head
-                stream.write_all(canned).unwrap();
+                let _ = stream.write_all(canned.as_ref());
             }
         });
         addr
@@ -588,6 +601,33 @@ mod tests {
     fn garbage_responses_are_rejected() {
         let addr = canned_server(vec![b"garbage\r\n\r\n"]);
         assert!(request("GET", &format!("http://{addr}"), "/x", None).is_err());
+    }
+
+    /// Expects `canned` to be refused as a [`ClientError::BadResponse`]
+    /// naming the cap it broke.
+    fn assert_capped(canned: Vec<u8>) {
+        let addr = canned_server(vec![canned]);
+        match request("GET", &format!("http://{addr}"), "/x", None) {
+            Err(ClientError::BadResponse(m)) => assert!(m.contains("cap"), "{m}"),
+            other => panic!("expected BadResponse, got {other:?}"),
+        }
+    }
+
+    /// A 1 TiB body length is refused before the body buffer is
+    /// allocated, not answered with an allocation abort.
+    #[test]
+    fn huge_content_length_is_a_bad_response() {
+        assert_capped(b"HTTP/1.1 200 OK\r\nContent-Length: 1099511627776\r\n\r\nok".to_vec());
+    }
+
+    /// A header line that runs past the server's header cap stops the
+    /// read at the cap instead of growing the line without bound.
+    #[test]
+    fn endless_header_line_is_a_bad_response() {
+        let mut canned = b"HTTP/1.1 200 OK\r\nX-Long: ".to_vec();
+        canned.resize(canned.len() + http::MAX_HEADER_BYTES, b'a');
+        canned.extend_from_slice(b"\r\nContent-Length: 0\r\n\r\n");
+        assert_capped(canned);
     }
 
     const BUSY: &[u8] =

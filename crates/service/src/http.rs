@@ -229,9 +229,11 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, HttpEr
 /// Reads one `\r\n`-terminated line into `line` (terminator stripped),
 /// charging its bytes against the header cap. The read itself is capped
 /// via `Take`, so a peer streaming bytes with no newline hits the cap
-/// instead of growing the buffer without bound.
-fn read_crlf_line(
-    reader: &mut BufReader<TcpStream>,
+/// instead of growing the buffer without bound. Shared by the server's
+/// request reader and [`crate::client`]'s response reader; a peer that
+/// closed before sending a byte leaves `header_bytes` unchanged.
+pub(crate) fn read_crlf_line(
+    reader: &mut impl BufRead,
     line: &mut String,
     header_bytes: &mut usize,
 ) -> Result<(), HttpError> {
@@ -244,7 +246,7 @@ fn read_crlf_line(
     let mut raw = Vec::new();
     let n = reader.by_ref().take(budget).read_until(b'\n', &mut raw)?;
     if n == 0 {
-        return Err(HttpError::Malformed("connection closed mid-request".into()));
+        return Err(HttpError::Malformed("connection closed mid-message".into()));
     }
     *header_bytes += n;
     if raw.last() != Some(&b'\n') {
@@ -253,7 +255,7 @@ fn read_crlf_line(
         return Err(if n as u64 == budget {
             HttpError::TooLarge(format!("headers exceed the {MAX_HEADER_BYTES}-byte cap"))
         } else {
-            HttpError::Malformed("connection closed mid-request".into())
+            HttpError::Malformed("connection closed mid-message".into())
         });
     }
     line.clear();

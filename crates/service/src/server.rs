@@ -63,7 +63,7 @@ use crate::skeleton::{
 use graphio_graph::json::JsonValue;
 use graphio_graph::{CompGraph, Fingerprint, FingerprintMemo};
 use graphio_linalg::stats::{
-    dense_eigensolve_count, scalar_fallback_count, scale_tier_solve_count, simd_kernel_call_count,
+    dense_eigensolve_count, scalar_fallback_count, simd_kernel_call_count, sparse_eigensolve_count,
     sparse_matvec_count,
 };
 use graphio_obs::recorder::{self, CacheOutcome};
@@ -308,7 +308,7 @@ impl Tier for ServiceState {
             out.counter("sparse_matvecs", sparse_matvec_count());
             out.counter("simd_kernel_calls", simd_kernel_call_count());
             out.counter("scalar_fallbacks", scalar_fallback_count());
-            out.counter("scale_tier_solves", scale_tier_solve_count());
+            out.counter("scale_tier_solves", sparse_eigensolve_count());
         });
         out.process();
     }

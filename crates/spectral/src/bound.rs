@@ -13,33 +13,27 @@ use graphio_graph::CompGraph;
 use graphio_linalg::{
     eigenvalues_symmetric, lanczos, CsrMatrix, LanczosOptions, LinalgError, RitzSweepOptions,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Below this vertex count the `Auto` scale tier solves densely — the
-/// O(n³) solver beats Lanczos there and is exact. (Lowered from the
-/// original 640: profiling showed deflated Lanczos already strictly
-/// faster by n ≈ 500, e.g. the once-12-second cold `diamond_dag(40,40)`
-/// analyze.)
+/// Up to this vertex count [`ScaleTier::of`] solves densely — the O(n³)
+/// solver beats Lanczos there and is exact. (Lowered from the original
+/// 640: profiling showed deflated Lanczos already strictly faster by
+/// n ≈ 500, e.g. the once-12-second cold `diamond_dag(40,40)` analyze.)
 pub const DENSE_CUTOFF: usize = 448;
 
-/// Above this vertex count the `Auto` scale tier stops paying for the
-/// deflated (restarted, fully re-orthogonalized, multiplicity-verifying)
-/// Lanczos solver and switches to the fixed-cost single-sweep Ritz
-/// estimate — see [`ScaleTier::Huge`] for the contract change.
-pub const HUGE_CUTOFF: usize = 100_000;
+/// Above this vertex count [`ScaleTier::of`] stops paying for the deflated
+/// (restarted, fully re-orthogonalized, multiplicity-verifying) Lanczos
+/// solver and switches to the fixed-cost single-sweep Ritz estimate — see
+/// [`ScaleTier::Huge`] for the contract change. Defined in
+/// `graphio_linalg` because the min-cut baseline switches at the same n.
+pub use graphio_linalg::HUGE_CUTOFF;
 
 /// Which solver tier [`BoundOptions::for_graph_size`] and the `Auto`
-/// eigensolver method dispatch to. Process-global knob (the CLI's
-/// `--scale-tier`, mirroring the `--threads` and `SimdPolicy` knobs):
-/// [`set_scale_tier`] / [`scale_tier`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// eigensolver method dispatch to — a pure function of the vertex count
+/// ([`ScaleTier::of`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScaleTier {
-    /// Pick by vertex count: `Dense` up to [`DENSE_CUTOFF`], `Sparse` up
-    /// to [`HUGE_CUTOFF`], `Huge` beyond (the default).
-    #[default]
-    Auto,
     /// Dense O(n³) solver — exact, O(n²) memory. Forcing it on a huge
-    /// graph is the caller's own funeral.
+    /// graph (`for_graph_size_in_tier`) is the caller's own funeral.
     Dense,
     /// Deflated Lanczos — certified extreme eigenvalues with verified
     /// multiplicities, cost O(sweeps · subspace · n).
@@ -54,73 +48,24 @@ pub enum ScaleTier {
 }
 
 impl ScaleTier {
-    /// Parses a CLI/env spelling. `None` for anything unrecognized.
-    pub fn parse(raw: &str) -> Option<ScaleTier> {
-        match raw {
-            "auto" => Some(ScaleTier::Auto),
-            "dense" => Some(ScaleTier::Dense),
-            "sparse" => Some(ScaleTier::Sparse),
-            "huge" => Some(ScaleTier::Huge),
-            _ => None,
+    /// The tier an `n`-vertex graph is solved on: `Dense` up to
+    /// [`DENSE_CUTOFF`], `Sparse` up to [`HUGE_CUTOFF`], `Huge` beyond.
+    pub fn of(n: usize) -> ScaleTier {
+        if n <= DENSE_CUTOFF {
+            ScaleTier::Dense
+        } else if n <= HUGE_CUTOFF {
+            ScaleTier::Sparse
+        } else {
+            ScaleTier::Huge
         }
-    }
-
-    /// Canonical spelling, round-tripping [`ScaleTier::parse`].
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ScaleTier::Auto => "auto",
-            ScaleTier::Dense => "dense",
-            ScaleTier::Sparse => "sparse",
-            ScaleTier::Huge => "huge",
-        }
-    }
-
-    /// Resolves `Auto` against a vertex count; explicit tiers are kept.
-    fn resolve(self, n: usize) -> ScaleTier {
-        match self {
-            ScaleTier::Auto => {
-                if n <= DENSE_CUTOFF {
-                    ScaleTier::Dense
-                } else if n <= HUGE_CUTOFF {
-                    ScaleTier::Sparse
-                } else {
-                    ScaleTier::Huge
-                }
-            }
-            tier => tier,
-        }
-    }
-}
-
-/// 0 = `Auto`, 1 = `Dense`, 2 = `Sparse`, 3 = `Huge`.
-static SCALE_TIER: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the process-global scale tier (CLI `--scale-tier`).
-pub fn set_scale_tier(tier: ScaleTier) {
-    let v = match tier {
-        ScaleTier::Auto => 0,
-        ScaleTier::Dense => 1,
-        ScaleTier::Sparse => 2,
-        ScaleTier::Huge => 3,
-    };
-    SCALE_TIER.store(v, Ordering::Relaxed);
-}
-
-/// The currently configured process-global scale tier.
-pub fn scale_tier() -> ScaleTier {
-    match SCALE_TIER.load(Ordering::Relaxed) {
-        1 => ScaleTier::Dense,
-        2 => ScaleTier::Sparse,
-        3 => ScaleTier::Huge,
-        _ => ScaleTier::Auto,
     }
 }
 
 /// How eigenvalues are computed.
 #[derive(Debug, Clone, Default)]
 pub enum EigenMethod {
-    /// Resolved by the scale tier: dense when `n ≤ DENSE_CUTOFF`, deflated
-    /// Lanczos through [`HUGE_CUTOFF`], single-sweep Ritz beyond.
+    /// Resolved by [`ScaleTier::of`]: dense when `n ≤ DENSE_CUTOFF`,
+    /// deflated Lanczos through [`HUGE_CUTOFF`], single-sweep Ritz beyond.
     #[default]
     Auto,
     /// Always the dense O(n³) solver (exact; memory O(n²)).
@@ -157,21 +102,21 @@ impl Default for BoundOptions {
 
 impl BoundOptions {
     /// Eigensolver settings scaled to graph size — the single tuning
-    /// schedule shared by the CLI, the bench harness and the engine —
-    /// under the process-global [`scale_tier`] knob.
+    /// schedule shared by the CLI, the bench harness and the engine — on
+    /// the tier [`ScaleTier::of`] picks.
     ///
     /// The paper fixes `h = 100`; past the dense cutoff we shrink `h` (the
     /// optimal `k` stays far below it, §6.5) to keep the deflated-Lanczos
     /// deflation count down, and past [`HUGE_CUTOFF`] we switch to the
     /// fixed-cost single-sweep Ritz estimate.
     pub fn for_graph_size(n: usize) -> Self {
-        Self::for_graph_size_in_tier(n, scale_tier())
+        Self::for_graph_size_in_tier(n, ScaleTier::of(n))
     }
 
-    /// [`BoundOptions::for_graph_size`] with an explicit tier (`Auto`
-    /// resolves by `n`).
+    /// [`BoundOptions::for_graph_size`] on an explicit tier (timing
+    /// probes and tests that force a solver).
     pub fn for_graph_size_in_tier(n: usize, tier: ScaleTier) -> Self {
-        let (h, method) = match tier.resolve(n) {
+        let (h, method) = match tier {
             ScaleTier::Dense => (100, EigenMethod::Dense),
             ScaleTier::Sparse => (
                 if n > 16_000 { 32 } else { 48 },
@@ -182,7 +127,6 @@ impl BoundOptions {
                 }),
             ),
             ScaleTier::Huge => (8, EigenMethod::RitzSweep(RitzSweepOptions::default())),
-            ScaleTier::Auto => unreachable!("resolve never returns Auto"),
         };
         BoundOptions {
             h,
@@ -192,16 +136,15 @@ impl BoundOptions {
     }
 
     /// The concrete solver an eigensolve with these options runs on an
-    /// `n`-vertex operator — `Auto` resolved through the process-global
-    /// [`scale_tier`] knob. Never returns [`EigenMethod::Auto`]. The
-    /// engine's cache keys are derived from this exact resolution.
+    /// `n`-vertex operator — `Auto` resolved by [`ScaleTier::of`]. Never
+    /// returns [`EigenMethod::Auto`]. The engine's cache keys are derived
+    /// from this exact resolution.
     pub fn resolved_method(&self, n: usize) -> EigenMethod {
         match &self.method {
-            EigenMethod::Auto => match scale_tier().resolve(n) {
+            EigenMethod::Auto => match ScaleTier::of(n) {
                 ScaleTier::Dense => EigenMethod::Dense,
                 ScaleTier::Sparse => EigenMethod::Lanczos(LanczosOptions::default()),
                 ScaleTier::Huge => EigenMethod::RitzSweep(RitzSweepOptions::default()),
-                ScaleTier::Auto => unreachable!("resolve never returns Auto"),
             },
             explicit => explicit.clone(),
         }
@@ -341,11 +284,11 @@ pub fn smallest_eigenvalues(lap: &CsrMatrix, opts: &BoundOptions) -> Result<Vec<
             Ok(vals)
         }
         EigenMethod::Lanczos(lopts) => {
-            graphio_linalg::stats::record_scale_tier_solve();
+            graphio_linalg::stats::record_sparse_eigensolve();
             Ok(lanczos::smallest_eigenvalues(lap, h, &lopts)?.values)
         }
         EigenMethod::RitzSweep(ropts) => {
-            graphio_linalg::stats::record_scale_tier_solve();
+            graphio_linalg::stats::record_sparse_eigensolve();
             Ok(lanczos::extreme_ritz_values(lap, h, &ropts)?.values)
         }
         EigenMethod::Auto => unreachable!("resolved_method never returns Auto"),
@@ -539,20 +482,6 @@ mod tests {
         let b = spectral_bound(&g, 1, &default_opts()).unwrap();
         assert!(b.bound > 0.0, "expected nontrivial bound, got {}", b.bound);
         assert!(b.best_k >= 2);
-    }
-
-    #[test]
-    fn scale_tier_parse_round_trips() {
-        for tier in [
-            ScaleTier::Auto,
-            ScaleTier::Dense,
-            ScaleTier::Sparse,
-            ScaleTier::Huge,
-        ] {
-            assert_eq!(ScaleTier::parse(tier.as_str()), Some(tier));
-        }
-        assert_eq!(ScaleTier::parse("fast"), None);
-        assert_eq!(ScaleTier::parse(""), None);
     }
 
     #[test]

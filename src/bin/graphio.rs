@@ -68,10 +68,10 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  graphio generate <family> <size> [--p <prob>] [--seed <s>]\n  \
          graphio bound --memory <M> [--processors <p>] [--threads <N>] < graph.json\n  \
-         graphio analyze --memory-sweep <M1,M2,...> [--processors <p>] [--threads <N>] [--simd off|strict] [--scale-tier auto|dense|sparse|huge] [--no-sim] [--json] < graph.json\n  \
+         graphio analyze --memory-sweep <M1,M2,...> [--processors <p>] [--threads <N>] [--no-sim] [--json] < graph.json\n  \
          graphio simulate --memory <M> [--policy lru|fifo|belady|random] [--order natural|dfs|bfs] < graph.json\n  \
          graphio dot < graph.json\n  \
-         graphio serve [--host <H>] [--port <P>] [--workers <W>] [--queue <Q>] [--cache-mb <B>] [--shards <S>] [--max-sessions <K>] [--threads <N>] [--simd <POLICY>] [--scale-tier <TIER>] [--idle-ms <T>] [--max-requests <R>] [--store <DIR>] [--store-mb <B>] [--slow-log-us <T>] [--slow-log-file <F>] [--slow-log-rotate-mb <M>] [--trace-store <DIR>]\n  \
+         graphio serve [--host <H>] [--port <P>] [--workers <W>] [--queue <Q>] [--cache-mb <B>] [--shards <S>] [--max-sessions <K>] [--threads <N>] [--idle-ms <T>] [--max-requests <R>] [--store <DIR>] [--store-mb <B>] [--slow-log-us <T>] [--slow-log-file <F>] [--slow-log-rotate-mb <M>] [--trace-store <DIR>]\n  \
          graphio client analyze --url <http://host:port> --memory-sweep <M1,...> [--processors <p>] [--no-sim] [--keep-alive] [--repeat <N>] [--json] < graph.json\n  \
          graphio client batch --url <http://host:port> --memory-sweep <M1,...> [--processors <p>] [--no-sim] < graphs.ndjson\n  \
          graphio client register --url <http://host:port> < graph.json\n  \
@@ -188,34 +188,19 @@ fn apply_threads(parsed: &Parsed) {
     }
 }
 
-/// Applies `--simd off|strict` and `--scale-tier auto|dense|sparse|huge`
-/// to their process-global knobs, with the standard flag-AND-subcommand
-/// error wording on anything unrecognized.
-fn apply_kernel_knobs(parsed: &Parsed) {
-    if let Some(raw) = parsed.flag("--simd") {
-        match graphio::linalg::SimdPolicy::parse(raw) {
-            Some(policy) => graphio::linalg::simd::set_policy(policy),
-            None => {
-                eprintln!(
-                    "error: invalid value {raw:?} for --simd in `graphio {}`",
-                    parsed.cmd
-                );
-                usage()
-            }
-        }
+/// Parses `--processors` (default 1). Zero is a usage error: Theorem 6
+/// needs at least one processor, and `POST /analyze` refuses it too.
+fn parse_processors(parsed: &Parsed) -> usize {
+    let p = parsed.parse_flag("--processors").unwrap_or(1);
+    if p == 0 {
+        eprintln!(
+            "error: invalid value {:?} for --processors in `graphio {}`: must be at least 1",
+            parsed.flag("--processors").unwrap_or_default(),
+            parsed.cmd
+        );
+        usage()
     }
-    if let Some(raw) = parsed.flag("--scale-tier") {
-        match graphio::spectral::ScaleTier::parse(raw) {
-            Some(tier) => graphio::spectral::set_scale_tier(tier),
-            None => {
-                eprintln!(
-                    "error: invalid value {raw:?} for --scale-tier in `graphio {}`",
-                    parsed.cmd
-                );
-                usage()
-            }
-        }
-    }
+    p
 }
 
 /// Parses and validates a `--memory-sweep` list, printing warnings for
@@ -313,7 +298,7 @@ fn cmd_bound(args: &[String]) {
         &[],
     );
     let m: usize = parsed.parse_flag("--memory").unwrap_or_else(|| usage());
-    let p: usize = parsed.parse_flag("--processors").unwrap_or(1);
+    let p = parse_processors(&parsed);
     apply_threads(&parsed);
     let g = read_graph_from_stdin();
     // The CLI shares the bench harness's size-scaled tuning schedule
@@ -346,22 +331,15 @@ fn cmd_analyze(args: &[String]) {
     let parsed = parse_args(
         "analyze",
         args,
-        &[
-            "--memory-sweep",
-            "--processors",
-            "--threads",
-            "--simd",
-            "--scale-tier",
-        ],
+        &["--memory-sweep", "--processors", "--threads"],
         &["--no-sim", "--json"],
     );
     let memories = parse_sweep(
         &parsed.cmd,
         parsed.flag("--memory-sweep").unwrap_or_else(|| usage()),
     );
-    let processors: usize = parsed.parse_flag("--processors").unwrap_or(1);
+    let processors = parse_processors(&parsed);
     apply_threads(&parsed);
-    apply_kernel_knobs(&parsed);
     let want_json = parsed.has("--json");
     let spec = AnalyzeSpec {
         memories,
@@ -462,8 +440,6 @@ fn cmd_serve(args: &[String]) {
             "--max-requests",
             "--store",
             "--store-mb",
-            "--simd",
-            "--scale-tier",
             "--slow-log-us",
             "--slow-log-file",
             "--slow-log-rotate-mb",
@@ -474,7 +450,6 @@ fn cmd_serve(args: &[String]) {
     if !parsed.positional.is_empty() {
         usage();
     }
-    apply_kernel_knobs(&parsed);
     let defaults = ServiceConfig::default();
     let cache_defaults = CacheConfig::default();
     let config = ServiceConfig {
@@ -1069,8 +1044,15 @@ fn cmd_loadgen(args: &[String]) {
     }
     let url = parsed.flag("--url").unwrap_or_else(|| usage());
     let rps: f64 = parsed.parse_flag("--rps").unwrap_or(100.0);
-    let duration =
-        std::time::Duration::from_secs_f64(parsed.parse_flag::<f64>("--duration").unwrap_or(5.0));
+    let seconds: f64 = parsed.parse_flag("--duration").unwrap_or(5.0);
+    let duration = std::time::Duration::try_from_secs_f64(seconds).unwrap_or_else(|_| {
+        eprintln!(
+            "error: invalid value {:?} for --duration in `graphio loadgen`: \
+             must be a finite number of seconds, at least 0",
+            parsed.flag("--duration").unwrap_or_default()
+        );
+        usage()
+    });
     let mut config = loadgen::LoadgenConfig::at(url, rps, duration);
     config.conns = parsed.parse_flag("--conns").unwrap_or(config.conns);
     if let Some(path) = parsed.flag("--path") {

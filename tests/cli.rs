@@ -251,56 +251,104 @@ fn malformed_threads_flag_names_flag_and_subcommand() {
     }
 }
 
-/// The kernel knobs follow the same contract: a bad value exits 2 and
-/// the error names both the flag and the subcommand. So do `generate`'s
-/// out-of-range sizes, which would otherwise trip a generator's assert
-/// and panic; there the "flag" is the `<size>` positional (or `--p`) and
-/// the subcommand names the family.
+/// Bad flags follow one contract: the process exits 2 (usage) and the
+/// error names both the flag and the subcommand. The kernel knobs
+/// `--simd` and `--scale-tier` are gone (the solver tier follows from n,
+/// and `GRAPHIO_SIMD` sets the SIMD policy), so they are unknown flags.
+/// Out-of-range numbers are rejected before any work runs:
+/// `--processors 0` (Theorem 6 needs a processor, and `POST /analyze`
+/// refuses it), a negative or non-finite `--duration`, and `generate`'s
+/// out-of-range sizes, which would otherwise trip a generator's assert.
+/// There the "flag" is the `<size>` positional (or `--p`) and the
+/// subcommand names the family.
 #[test]
 fn malformed_simd_and_scale_tier_flags_name_flag_and_subcommand() {
     let json = generate("fft", 3);
-    for (args, flag, cmd) in [
+    let loadgen = |duration: &'static str| {
+        [
+            "loadgen",
+            "--url",
+            "http://127.0.0.1:9",
+            "--duration",
+            duration,
+        ]
+    };
+    for (args, expected) in [
         (
-            ["analyze", "--memory-sweep", "2,4", "--simd", "banana"].as_slice(),
-            "--simd",
-            "analyze",
+            ["analyze", "--memory-sweep", "2,4", "--simd", "off"].as_slice(),
+            "unknown flag --simd for `graphio analyze`",
         ),
         (
-            &["analyze", "--memory-sweep", "2,4", "--simd", "fast"],
-            "--simd",
-            "analyze",
+            &["analyze", "--memory-sweep", "2,4", "--scale-tier", "sparse"],
+            "unknown flag --scale-tier for `graphio analyze`",
         ),
         (
-            &["analyze", "--memory-sweep", "2,4", "--scale-tier", "jumbo"],
-            "--scale-tier",
-            "analyze",
+            &["serve", "--port", "0", "--simd", "strict"],
+            "unknown flag --simd for `graphio serve`",
         ),
         (
-            &["serve", "--port", "0", "--simd", "STRICT"],
-            "--simd",
-            "serve",
+            &["serve", "--port", "0", "--scale-tier", "dense"],
+            "unknown flag --scale-tier for `graphio serve`",
         ),
         (
-            &["serve", "--port", "0", "--scale-tier", ""],
-            "--scale-tier",
-            "serve",
+            &["bound", "--memory", "4", "--processors", "0"],
+            "invalid value \"0\" for --processors in `graphio bound`",
+        ),
+        (
+            &[
+                "analyze",
+                "--memory-sweep",
+                "2,4",
+                "--processors",
+                "0",
+                "--json",
+            ],
+            "invalid value \"0\" for --processors in `graphio analyze`",
+        ),
+        (
+            &loadgen("-1"),
+            "invalid value \"-1\" for --duration in `graphio loadgen`",
+        ),
+        (
+            &loadgen("nan"),
+            "invalid value \"nan\" for --duration in `graphio loadgen`",
+        ),
+        (
+            &loadgen("inf"),
+            "invalid value \"inf\" for --duration in `graphio loadgen`",
         ),
         (
             &["generate", "strassen", "3"],
-            "<size>",
-            "generate strassen",
+            "invalid value 3 for <size> in `graphio generate strassen`",
         ),
         (
             &["generate", "strassen", "0"],
-            "<size>",
-            "generate strassen",
+            "invalid value 0 for <size> in `graphio generate strassen`",
         ),
-        (&["generate", "diamond", "0"], "<size>", "generate diamond"),
-        (&["generate", "matmul", "0"], "<size>", "generate matmul"),
-        (&["generate", "inner", "0"], "<size>", "generate inner"),
-        (&["generate", "fft", "40"], "<size>", "generate fft"),
-        (&["generate", "bhk", "64"], "<size>", "generate bhk"),
-        (&["generate", "er", "10", "--p", "2"], "--p", "generate er"),
+        (
+            &["generate", "diamond", "0"],
+            "invalid value 0 for <size> in `graphio generate diamond`",
+        ),
+        (
+            &["generate", "matmul", "0"],
+            "invalid value 0 for <size> in `graphio generate matmul`",
+        ),
+        (
+            &["generate", "inner", "0"],
+            "invalid value 0 for <size> in `graphio generate inner`",
+        ),
+        (
+            &["generate", "fft", "40"],
+            "invalid value 40 for <size> in `graphio generate fft`",
+        ),
+        (
+            &["generate", "bhk", "64"],
+            "invalid value 64 for <size> in `graphio generate bhk`",
+        ),
+        (
+            &["generate", "er", "10", "--p", "2"],
+            "invalid value 2 for --p in `graphio generate er`",
+        ),
     ] {
         let mut child = cli()
             .args(args)
@@ -319,53 +367,11 @@ fn malformed_simd_and_scale_tier_flags_name_flag_and_subcommand() {
         }
         let out = child.wait_with_output().expect("wait");
         assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2 (usage)");
+        assert!(out.stdout.is_empty(), "{args:?} must print no document");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
-            stderr.contains("invalid value")
-                && stderr.contains(flag)
-                && stderr.contains(&format!("`graphio {cmd}`")),
-            "{args:?} must blame the flag and subcommand: {stderr}"
-        );
-    }
-}
-
-/// The accepted spellings actually take effect end-to-end: forcing the
-/// sparse tier on a small graph swaps the dense eigensolve for Lanczos
-/// without changing what the analysis reports.
-#[test]
-fn analyze_accepts_simd_and_scale_tier_flags() {
-    let json = generate("fft", 4); // n = 80: Auto would solve densely.
-    let (auto_out, _, ok) = run_with_stdin(
-        &[
-            "analyze",
-            "--memory-sweep",
-            "4",
-            "--simd",
-            "strict",
-            "--json",
-        ],
-        &json,
-    );
-    assert!(ok);
-    let (sparse_out, _, ok) = run_with_stdin(
-        &[
-            "analyze",
-            "--memory-sweep",
-            "4",
-            "--scale-tier",
-            "sparse",
-            "--simd",
-            "off",
-            "--json",
-        ],
-        &json,
-    );
-    assert!(ok);
-    // Same graph, same sweep: the tier changes the solver, not the schema.
-    for body in [&auto_out, &sparse_out] {
-        assert!(
-            body.contains("\"thm4\""),
-            "analysis body missing thm4: {body}"
+            stderr.contains(expected),
+            "{args:?} must blame the flag and subcommand ({expected}): {stderr}"
         );
     }
 }
