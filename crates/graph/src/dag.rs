@@ -223,14 +223,11 @@ impl TryFrom<EdgeListGraph> for CompGraph {
     type Error = GraphError;
 
     fn try_from(el: EdgeListGraph) -> Result<CompGraph, GraphError> {
-        let mut b = GraphBuilder::new();
-        for op in el.ops {
-            b.add_vertex(op);
+        GraphBuilder {
+            ops: el.ops,
+            edges: el.edges,
         }
-        for (u, v) in el.edges {
-            b.add_edge_ids(u, v);
-        }
-        b.build()
+        .build()
     }
 }
 
@@ -265,12 +262,6 @@ impl GraphBuilder {
     /// Adds the directed edge `from → to` (operand relation).
     pub fn add_edge(&mut self, from: u32, to: u32) {
         self.edges.push((from, to));
-    }
-
-    /// Alias for [`GraphBuilder::add_edge`] (kept for readability at call
-    /// sites that work with raw ids from deserialization).
-    pub fn add_edge_ids(&mut self, from: u32, to: u32) {
-        self.add_edge(from, to);
     }
 
     /// Number of vertices added so far.

@@ -25,7 +25,7 @@
 //! splitting — is exactly the entry a single node would have blamed.
 
 use crate::ring::Ring;
-use graphio_graph::json::JsonValue;
+use graphio_graph::json::BatchEntry;
 use graphio_graph::{Fingerprint, FingerprintMemo};
 use graphio_service::analysis::{parse_graph_doc, AnalyzeSpec};
 use graphio_service::client::batch_blame_index;
@@ -39,7 +39,7 @@ pub struct Group {
     /// Fingerprint used for the failover sequence (the group's first
     /// entry; all entries share the owner by construction).
     pub route_fp: Fingerprint,
-    /// `(original index, serialized entry JSON)` in request order.
+    /// `(original index, the entry's JSON source text)` in request order.
     pub entries: Vec<(usize, String)>,
 }
 
@@ -54,16 +54,16 @@ pub type LocalError = (usize, u16, String);
 /// the valid groups so an *earlier* server-side failure (e.g. an unknown
 /// fingerprint) can win the blame race exactly as it would single-node.
 /// Inline graphs are fingerprinted through `memo`, as `/analyze` routing
-/// does.
+/// does. A grouped entry is forwarded as its own source text.
 pub fn split(
-    entries: &[JsonValue],
+    entries: Vec<BatchEntry<'_>>,
     ring: &Ring,
     memo: &FingerprintMemo,
 ) -> (Vec<Group>, Vec<LocalError>) {
     let mut groups: Vec<Group> = Vec::new();
     let mut errors = Vec::new();
-    for (i, entry) in entries.iter().enumerate() {
-        let fp = if let Some(hex) = entry.as_str() {
+    for (i, BatchEntry { raw, doc }) in entries.into_iter().enumerate() {
+        let fp = if let Some(hex) = doc.rest.as_str() {
             match Fingerprint::from_hex(hex) {
                 Some(fp) => fp,
                 None => {
@@ -76,7 +76,7 @@ pub fn split(
                 }
             }
         } else {
-            match parse_graph_doc(entry) {
+            match parse_graph_doc(doc) {
                 Ok(graph) => memo.fingerprint(&graph),
                 Err(m) => {
                     errors.push((i, 400, format!("graphs[{i}]: {m}")));
@@ -88,7 +88,7 @@ pub fn split(
             errors.push((i, 503, format!("graphs[{i}]: no backend available")));
             continue;
         };
-        let serialized = entry.to_string();
+        let serialized = raw.to_string();
         match groups.iter_mut().find(|g| g.owner == owner) {
             Some(group) => group.entries.push((i, serialized)),
             None => groups.push(Group {
@@ -185,7 +185,7 @@ pub fn remap_blame(group_indices: &[usize], upstream_body: &str) -> Option<(usiz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphio_graph::json::parse;
+    use graphio_graph::json::parse_request;
 
     fn ring3() -> Ring {
         Ring::new(
@@ -200,15 +200,23 @@ mod tests {
 
     #[test]
     fn split_groups_preserve_request_order_and_report_local_errors() {
-        let entries = vec![
-            parse("{\"ops\":[\"Input\",\"Add\"],\"edges\":[[0,1]]}").unwrap(),
-            parse("\"zz\"").unwrap(), // malformed fingerprint
-            parse("{\"ops\":[\"Input\",\"Input\",\"Mul\"],\"edges\":[[0,2],[1,2]]}").unwrap(),
-            parse("{\"ops\":[\"Input\"],\"edges\":[[0,9]]}").unwrap(), // invalid graph
+        let sources = [
+            "{\"ops\":[\"Input\",\"Add\"],\"edges\":[[0, 1.0]]}",
+            "\"zz\"", // malformed fingerprint
+            "{\"graph\":{\"ops\":[\"Input\",\"Input\",\"Mul\"],\"edges\":[[0,2],[1,2]]}}",
+            "{\"ops\":[\"Input\"],\"edges\":[[0,9]]}", // invalid graph
         ];
-        let (groups, errors) = split(&entries, &ring3(), &FingerprintMemo::new());
-        let grouped: usize = groups.iter().map(|g| g.entries.len()).sum();
-        assert_eq!(grouped, 2);
+        let body = format!("{{\"graphs\":[{}]}}", sources.join(" , "));
+        let entries = parse_request(&body).unwrap().graphs.unwrap();
+        let (groups, errors) = split(entries, &ring3(), &FingerprintMemo::new());
+        let grouped: Vec<&(usize, String)> = groups.iter().flat_map(|g| &g.entries).collect();
+        assert_eq!(grouped.len(), 2);
+        for (i, text) in grouped {
+            assert_eq!(
+                text, sources[*i],
+                "entries are forwarded as their source text"
+            );
+        }
         for g in &groups {
             let indices: Vec<usize> = g.entries.iter().map(|(i, _)| *i).collect();
             let mut sorted = indices.clone();

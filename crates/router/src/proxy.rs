@@ -48,7 +48,7 @@
 use crate::batch::{batch_body, gather, remap_blame, split, split_bodies, Group};
 use crate::ring::Ring;
 use crate::upstream::Upstream;
-use graphio_graph::json::JsonValue;
+use graphio_graph::json::{JsonValue, RequestDoc};
 use graphio_graph::{Fingerprint, FingerprintMemo};
 use graphio_obs::recorder;
 use graphio_service::analysis::{
@@ -490,9 +490,9 @@ fn fallback_fp(body: &[u8]) -> Fingerprint {
 /// `"graph"` wins over `"fingerprint"` — so a body carrying both routes
 /// to the backend that will actually cache the analysis. Inline graphs
 /// are fingerprinted through `memo`.
-fn route_key(doc: &JsonValue, is_analyze: bool, memo: &FingerprintMemo) -> Option<Fingerprint> {
-    if is_analyze && doc.get("graph").is_none() {
-        let hex = doc.get("fingerprint").and_then(JsonValue::as_str)?;
+fn route_key(doc: RequestDoc<'_>, is_analyze: bool, memo: &FingerprintMemo) -> Option<Fingerprint> {
+    if is_analyze && doc.graph.is_none() {
+        let hex = doc.rest.get("fingerprint").and_then(JsonValue::as_str)?;
         return Fingerprint::from_hex(hex);
     }
     parse_graph_doc(doc).ok().map(|g| memo.fingerprint(&g))
@@ -530,9 +530,8 @@ fn handle_passthrough(state: &Arc<RouterState>, ex: &mut Exchange<'_>) {
     let Ok(text) = std::str::from_utf8(&request.body) else {
         return ex.fail(400, "body is not UTF-8");
     };
-    let fp = graphio_graph::json::parse(text)
+    let fp = graphio_graph::json::parse_request(text)
         .ok()
-        .as_ref()
         .and_then(|doc| route_key(doc, is_analyze, &state.fp_memo))
         .unwrap_or_else(|| fallback_fp(&request.body));
     let trace = graphio_obs::current_trace_id();
@@ -607,9 +606,9 @@ fn run_group(state: &RouterState, group: &Group, body: &str, trace: Option<u128>
 fn handle_batch(state: &Arc<RouterState>, ex: &mut Exchange<'_>) {
     let validated = parse_request_json(&ex.request.body)
         .map_err(|m| (400u16, m))
-        .and_then(|doc| {
-            let entries = validate_batch_entries(&doc)?.to_vec();
-            let (spec, warnings) = parse_spec(&doc)?;
+        .and_then(|mut doc| {
+            let entries = validate_batch_entries(&mut doc)?;
+            let (spec, warnings) = parse_spec(&doc.rest)?;
             Ok((entries, spec, warnings))
         });
     let (entries, spec, warnings) = match validated {
@@ -618,7 +617,7 @@ fn handle_batch(state: &Arc<RouterState>, ex: &mut Exchange<'_>) {
     };
 
     let total = entries.len();
-    let (groups, local_errors) = split(&entries, &state.ring, &state.fp_memo);
+    let (groups, local_errors) = split(entries, &state.ring, &state.fp_memo);
 
     // Scatter: one thread per owner group (bounded by the backend
     // count), each forwarding with failover. Scoped threads, not the
@@ -845,10 +844,10 @@ mod tests {
             fingerprint(&other).to_hex(),
             g.to_edge_list().to_json()
         );
-        let doc = graphio_graph::json::parse(&body).unwrap();
+        let doc = || graphio_graph::json::parse_request(&body).unwrap();
         let memo = FingerprintMemo::new();
-        assert_eq!(route_key(&doc, true, &memo), Some(fingerprint(&g)));
-        assert_eq!(route_key(&doc, true, &memo), Some(fingerprint(&g)));
+        assert_eq!(route_key(doc(), true, &memo), Some(fingerprint(&g)));
+        assert_eq!(route_key(doc(), true, &memo), Some(fingerprint(&g)));
         assert_eq!(
             memo.stats().hits,
             1,
@@ -859,8 +858,8 @@ mod tests {
             "{{\"fingerprint\":\"{}\",\"memories\":[2]}}",
             fingerprint(&other).to_hex()
         );
-        let doc = graphio_graph::json::parse(&fp_only).unwrap();
-        assert_eq!(route_key(&doc, true, &memo), Some(fingerprint(&other)));
+        let doc = graphio_graph::json::parse_request(&fp_only).unwrap();
+        assert_eq!(route_key(doc, true, &memo), Some(fingerprint(&other)));
     }
 
     #[test]

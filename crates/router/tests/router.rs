@@ -284,6 +284,104 @@ fn malformed_requests_reproduce_single_node_bytes() {
     }
 }
 
+/// Each validation step outranks the next — syntax, then the spec, then
+/// the graph's schema, then the graph itself — and the router answers
+/// every step with the single node's bytes, on `/analyze` and `/batch`.
+#[test]
+fn error_precedence_matches_single_node() {
+    let c = cluster(2);
+    let bad_edge = r#"{"ops":["Input","Add"],"edges":[[0,"x"]]}"#;
+    let cycle = r#"{"ops":["Add","Add"],"edges":[[0,1],[1,0]]}"#;
+    fn analyze(graph: &str, memories: &str, tail: &str) -> String {
+        format!("{{\"graph\":{graph},\"memories\":{memories}{tail}")
+    }
+    fn batch(graph: &str, memories: &str, tail: &str) -> String {
+        format!("{{\"graphs\":[{graph}],\"memories\":{memories}{tail}")
+    }
+    type Shape = fn(&str, &str, &str) -> String;
+    for (path, body) in [("/analyze", analyze as Shape), ("/batch", batch)] {
+        for (body, expected) in [
+            (body(bad_edge, "[0]", ",}"), "invalid JSON body: expected"),
+            (
+                body(bad_edge, "[0]", "}"),
+                "memory size 0 is not a valid sweep point",
+            ),
+            (
+                body(bad_edge, "[2]", "}"),
+                "invalid graph: edge endpoint must be a u32",
+            ),
+            (
+                body(cycle, "[2]", "}"),
+                "invalid graph: graph contains a cycle",
+            ),
+        ] {
+            let via_router = client::request("POST", &c.router.url(), path, Some(&body)).unwrap();
+            let via_single =
+                client::request("POST", &c.reference.url(), path, Some(&body)).unwrap();
+            assert_eq!(via_single.status, 400, "{path} {body}: {}", via_single.body);
+            assert!(
+                via_single.body.contains(expected),
+                "{path} {body}: {}",
+                via_single.body
+            );
+            assert_eq!(
+                (via_router.status, via_router.body),
+                (via_single.status, via_single.body),
+                "{path} {body}"
+            );
+        }
+    }
+}
+
+/// The router forwards each batch entry as its own source text, so an
+/// entry that is valid JSON stays valid on the way to its backend — even
+/// one carrying a number no `f64` holds, which re-serializing a parsed
+/// tree used to print as `inf`.
+#[test]
+fn batch_entries_reach_backends_as_written() {
+    let c = cluster(2);
+    let entries = vec![
+        "{\"ops\":[\"Input\",\"Add\"],\"edges\":[[0,1]],\"note\":1e400}".to_string(),
+        "{ \"graph\" : {\"ops\":[\"Input\",\"Mul\"],\"edges\":[[0, 1.0],[0,1]]} }".to_string(),
+    ];
+    let via_router = client::batch(&c.router.url(), &entries, &[2, 4], 1, false).unwrap();
+    let via_single = client::batch(&c.reference.url(), &entries, &[2, 4], 1, false).unwrap();
+    assert_eq!(via_single.status, 200, "{}", via_single.body);
+    assert_eq!(
+        (via_router.status, via_router.body),
+        (via_single.status, via_single.body)
+    );
+}
+
+/// A body nested far past the parser's depth cap is a 400 through the
+/// router too (it reads every `/analyze`, `/graphs` and `/batch` body
+/// before forwarding), and the cluster keeps answering.
+#[test]
+fn deeply_nested_bodies_get_400_through_the_router() {
+    let c = cluster(2);
+    let deep = "[".repeat(20_000);
+    for (path, body) in [
+        ("/analyze", deep.clone()),
+        ("/graphs", format!("{{\"graph\":{deep}")),
+        ("/batch", format!("{{\"graphs\":[{deep}")),
+    ] {
+        let via_router = client::request("POST", &c.router.url(), path, Some(&body)).unwrap();
+        let via_single = client::request("POST", &c.reference.url(), path, Some(&body)).unwrap();
+        assert_eq!(via_router.status, 400, "{path}: {}", via_router.body);
+        assert!(
+            via_router.body.contains("nesting deeper than"),
+            "{}",
+            via_router.body
+        );
+        assert_eq!(via_router.body, via_single.body, "{path}");
+    }
+    let g = fft_butterfly(3);
+    let body = format!("{{\"graph\":{},\"memories\":[2,4]}}", graph_json(&g));
+    let r = client::request("POST", &c.router.url(), "/analyze", Some(&body)).unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    assert_eq!(r.body, offline_body(&g, &[2, 4]));
+}
+
 #[test]
 fn failover_survives_a_dead_backend_with_identical_bytes() {
     // A slow health cadence so the *request path* discovers the death:

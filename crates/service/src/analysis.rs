@@ -30,8 +30,8 @@
 //! at most that row's simulated upper bound.
 
 use graphio_baselines::convex_mincut::ConvexMinCutOptions;
-use graphio_graph::json::JsonValue;
-use graphio_graph::{CompGraph, EdgeListGraph};
+use graphio_graph::json::{BatchEntry, JsonValue, RequestDoc};
+use graphio_graph::CompGraph;
 use graphio_spectral::{BoundOptions, LaplacianKind, OwnedAnalyzer, ScaleTier, SpectrumKey};
 
 /// A validated analysis request: which memory sizes, how many processors,
@@ -85,31 +85,31 @@ pub fn validate_memories(raw: &[usize]) -> Result<(Vec<usize>, Vec<String>), Str
     Ok((memories, warnings))
 }
 
-/// Parses a request body as JSON, with the exact error wording the
-/// server's 400 responses use. Shared with the cluster router, which must
-/// reproduce the single-node error bytes for bodies it rejects locally.
+/// Reads a request body, with the exact error wording the server's 400
+/// responses use. Shared with the cluster router, which must reproduce
+/// the single-node error bytes for bodies it rejects locally. The graph
+/// members are decoded straight from the bytes
+/// ([`graphio_graph::json::parse_request`]); schema errors wait in the
+/// document until [`parse_graph_doc`], after the spec is checked.
 ///
 /// # Errors
 /// The `{"error": ...}` message for the 400 response.
-pub fn parse_request_json(body: &[u8]) -> Result<JsonValue, String> {
+pub fn parse_request_json(body: &[u8]) -> Result<RequestDoc<'_>, String> {
     let _span = graphio_obs::span!("parse");
     let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
-    graphio_graph::json::parse(text).map_err(|e| format!("invalid JSON body: {e}"))
+    graphio_graph::json::parse_request(text).map_err(|e| format!("invalid JSON body: {e}"))
 }
 
-/// Extracts the graph sub-document: `{"graph": {...}}` wrapping or a bare
-/// edge-list document.
-pub fn graph_value(doc: &JsonValue) -> &JsonValue {
-    doc.get("graph").unwrap_or(doc)
-}
-
-/// Parses the graph carried by an analyze/register document (wrapped or
-/// bare edge list), with the server's canonical error wording.
+/// Builds the graph carried by an analyze/register document (wrapped or
+/// bare edge list), with the server's canonical error wording: the
+/// document's schema error first, then the graph's own validation.
 ///
 /// # Errors
 /// The `{"error": ...}` message for the 400 response.
-pub fn parse_graph_doc(doc: &JsonValue) -> Result<CompGraph, String> {
-    let el = EdgeListGraph::from_json_value(graph_value(doc))
+pub fn parse_graph_doc(doc: RequestDoc<'_>) -> Result<CompGraph, String> {
+    let _span = graphio_obs::span!("graph_build");
+    let el = doc
+        .into_edge_list()
         .map_err(|e| format!("invalid graph: {e}"))?;
     CompGraph::try_from(el).map_err(|e| format!("invalid graph: {e}"))
 }
@@ -184,10 +184,12 @@ pub const MAX_BATCH_GRAPHS: usize = 64;
 ///
 /// # Errors
 /// `(status, message)` for the error response.
-pub fn validate_batch_entries(doc: &JsonValue) -> Result<&[JsonValue], (u16, String)> {
+pub fn validate_batch_entries<'a>(
+    doc: &mut RequestDoc<'a>,
+) -> Result<Vec<BatchEntry<'a>>, (u16, String)> {
     let entries = doc
-        .get("graphs")
-        .and_then(JsonValue::as_array)
+        .graphs
+        .take()
         .ok_or_else(|| (400, "missing \"graphs\" array".to_string()))?;
     if entries.is_empty() {
         return Err((400, "\"graphs\" must not be empty".to_string()));

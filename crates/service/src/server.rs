@@ -54,13 +54,15 @@
 //! byte-identical graph inputs; cross-relabeling reuse trades exact
 //! numbering fidelity for amortization, deliberately.
 
-use crate::analysis::{analysis_body, parse_graph_doc, parse_request_json, parse_spec};
+use crate::analysis::{
+    analysis_body, parse_graph_doc, parse_request_json, parse_spec, AnalyzeSpec,
+};
 use crate::cache::{CacheConfig, SessionCache};
 use crate::http::{ConnectionLimits, IDLE_TIMEOUT, MAX_REQUESTS_PER_CONNECTION};
 use crate::skeleton::{
     Counters, Exchange, HttpServer, Listen, PathMatch, Report, Route, SlowLogConfig, Tier,
 };
-use graphio_graph::json::JsonValue;
+use graphio_graph::json::{JsonValue, RequestDoc};
 use graphio_graph::{CompGraph, Fingerprint, FingerprintMemo};
 use graphio_linalg::stats::{
     dense_eigensolve_count, scalar_fallback_count, simd_kernel_call_count, sparse_eigensolve_count,
@@ -328,7 +330,7 @@ impl Tier for ServiceState {
 }
 
 fn handle_graphs(state: &Arc<ServiceState>, ex: &mut Exchange<'_>) {
-    let result = parse_request_json(&ex.request.body).and_then(|doc| parse_graph_doc(&doc));
+    let result = parse_request_json(&ex.request.body).and_then(parse_graph_doc);
     let graph = match result {
         Ok(g) => g,
         Err(msg) => return ex.fail(400, &msg),
@@ -483,16 +485,28 @@ fn lookup_session(hex: &str, state: &Arc<ServiceState>) -> Result<Resolved, (u16
 
 /// The session an `/analyze` document names: its inline
 /// `"graph"` (which wins) or its `"fingerprint"`.
-fn resolve_session(doc: &JsonValue, state: &Arc<ServiceState>) -> Result<Resolved, (u16, String)> {
-    if doc.get("graph").is_some() {
+fn resolve_session(
+    doc: RequestDoc<'_>,
+    state: &Arc<ServiceState>,
+) -> Result<Resolved, (u16, String)> {
+    if doc.graph.is_some() {
         let graph = parse_graph_doc(doc).map_err(|m| (400, m))?;
         return Ok(session_for_graph(state, graph));
     }
     let hex = doc
+        .rest
         .get("fingerprint")
         .and_then(JsonValue::as_str)
         .ok_or_else(|| (400, "need \"graph\" or \"fingerprint\"".to_string()))?;
     lookup_session(hex, state)
+}
+
+/// [`analysis_body`] under the `serialize` span: on a warm session the
+/// bound arithmetic and the document bytes, on a cold one the solver
+/// phases too, nested beneath it.
+fn serialize(analyzer: &OwnedAnalyzer, spec: &AnalyzeSpec) -> String {
+    let _span = graphio_obs::span!("serialize");
+    analysis_body(analyzer, spec)
 }
 
 /// Persists what an analysis grew in the session (fresh spectra/min-cut
@@ -508,15 +522,15 @@ fn handle_analyze(state: &Arc<ServiceState>, ex: &mut Exchange<'_>) {
     let parsed = parse_request_json(&ex.request.body)
         .map_err(|m| (400, m))
         .and_then(|doc| {
-            let (spec, warnings) = parse_spec(&doc)?;
-            Ok((resolve_session(&doc, state)?, spec, warnings))
+            let (spec, warnings) = parse_spec(&doc.rest)?;
+            Ok((resolve_session(doc, state)?, spec, warnings))
         });
     let ((analyzer, fp, source), spec, warnings) = match parsed {
         Ok(parsed) => parsed,
         Err((status, msg)) => return ex.fail(status, &msg),
     };
     annotate_session(fp, source);
-    let body = analysis_body(&analyzer, &spec);
+    let body = serialize(&analyzer, &spec);
     persist(state, fp, &analyzer);
     ex.counters().analyze_ok.fetch_add(1, Ordering::Relaxed);
     let mut extra = vec![
@@ -542,19 +556,19 @@ fn handle_analyze(state: &Arc<ServiceState>, ex: &mut Exchange<'_>) {
 fn handle_batch(state: &Arc<ServiceState>, ex: &mut Exchange<'_>) {
     let parsed = parse_request_json(&ex.request.body)
         .map_err(|m| (400, m))
-        .and_then(|doc| {
-            let entries = crate::analysis::validate_batch_entries(&doc)?;
-            let (spec, warnings) = parse_spec(&doc)?;
+        .and_then(|mut doc| {
+            let entries = crate::analysis::validate_batch_entries(&mut doc)?;
+            let (spec, warnings) = parse_spec(&doc.rest)?;
             // Resolve every entry before running anything: a batch with a bad
             // graph fails whole, like N requests where one would 400.
             let mut items = Vec::with_capacity(entries.len());
             let mut hits = Vec::with_capacity(entries.len());
-            for (i, entry) in entries.iter().enumerate() {
-                let (analyzer, fp, source) = if let Some(hex) = entry.as_str() {
+            for (i, entry) in entries.into_iter().enumerate() {
+                let (analyzer, fp, source) = if let Some(hex) = entry.doc.rest.as_str() {
                     lookup_session(hex, state).map_err(|(s, m)| (s, format!("graphs[{i}]: {m}")))?
                 } else {
-                    let graph =
-                        parse_graph_doc(entry).map_err(|m| (400, format!("graphs[{i}]: {m}")))?;
+                    let graph = parse_graph_doc(entry.doc)
+                        .map_err(|m| (400, format!("graphs[{i}]: {m}")))?;
                     session_for_graph(state, graph)
                 };
                 items.push((analyzer, fp));
@@ -574,7 +588,7 @@ fn handle_batch(state: &Arc<ServiceState>, ex: &mut Exchange<'_>) {
     let bodies = ex.pool().scatter(
         items,
         move |(analyzer, fp): (Arc<OwnedAnalyzer>, Fingerprint)| {
-            let body = analysis_body(&analyzer, &spec);
+            let body = serialize(&analyzer, &spec);
             persist(&scatter_state, fp, &analyzer);
             body
         },

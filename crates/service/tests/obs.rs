@@ -321,10 +321,12 @@ fn trace_endpoints_serve_recorded_requests() {
     server.shutdown();
 }
 
-/// A traced cache hit names the phases between `parse` and the body:
-/// `fingerprint` (memo lookup, refinement on a miss) and
-/// `session_lookup` (RAM, then store) — and no `simulate`, because a hit
-/// replays the session's memoized simulations.
+/// A traced cache hit names every phase of the warm path, in order:
+/// `parse` (bytes to edge list), `graph_build` (edge list to validated
+/// graph), `fingerprint` (memo lookup, refinement on a miss),
+/// `session_lookup` (RAM, then store) and `serialize` (bound rows and the
+/// document) — and no `simulate`, because a hit replays the session's
+/// memoized simulations.
 #[test]
 fn traced_hits_name_fingerprint_and_session_lookup() {
     let server = test_server();
@@ -343,9 +345,26 @@ fn traced_hits_name_fingerprint_and_session_lookup() {
         .iter()
         .filter_map(|s| s.get("name").and_then(JsonValue::as_str))
         .collect();
-    for phase in ["fingerprint", "session_lookup"] {
-        assert!(names.contains(&phase), "{phase} missing from {names:?}");
-    }
+    let warm_path = [
+        "parse",
+        "graph_build",
+        "fingerprint",
+        "session_lookup",
+        "serialize",
+    ];
+    let positions: Vec<usize> = warm_path
+        .iter()
+        .map(|phase| {
+            names
+                .iter()
+                .position(|n| n == phase)
+                .unwrap_or_else(|| panic!("{phase} missing from {names:?}"))
+        })
+        .collect();
+    assert!(
+        positions.windows(2).all(|w| w[0] < w[1]),
+        "warm-path phases out of order: {names:?}"
+    );
     assert!(!names.contains(&"simulate"), "a hit simulated: {names:?}");
     server.shutdown();
 }

@@ -363,6 +363,31 @@ fn invalid_requests_are_rejected_cleanly() {
     assert_eq!(r.status, 405);
 }
 
+/// A body nested far past `MAX_DEPTH` is a 400 on every route that
+/// reads JSON, not a worker stack overflow, and the server keeps
+/// answering.
+#[test]
+fn deeply_nested_bodies_get_400_and_the_server_survives() {
+    let server = test_server(2, 32);
+    let url = server.url();
+    let deep = "[".repeat(20_000);
+    for (path, body) in [
+        ("/analyze", deep.clone()),
+        ("/analyze", format!("{{\"graph\":{{\"ops\":[{deep}")),
+        ("/graphs", deep.clone()),
+        ("/batch", format!("{{\"graphs\":[{deep}")),
+    ] {
+        let r = client::request("POST", &url, path, Some(&body)).unwrap();
+        assert_eq!(r.status, 400, "{path}: {}", r.body);
+        assert!(r.body.contains("nesting deeper than"), "{path}: {}", r.body);
+    }
+    let g = fft_butterfly(3);
+    let body = format!("{{\"graph\":{},\"memories\":[2,4]}}", graph_json(&g));
+    let r = client::request("POST", &url, "/analyze", Some(&body)).unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    assert_eq!(r.body, offline_body(&g, &[2, 4]));
+}
+
 /// Acceptance criterion: ≥ 64 concurrent in-flight requests across ≥ 4
 /// distinct graphs with keep-alive enabled — each client thread issues
 /// two requests over one persistent connection, no deadlock, per-request

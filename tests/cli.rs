@@ -179,6 +179,30 @@ fn malformed_json_fails_cleanly() {
     assert!(stderr.contains("error parsing graph JSON"));
 }
 
+/// A graph nested far past the parser's depth cap is a parse error
+/// (exit 1), not a stack overflow.
+#[test]
+fn deeply_nested_json_fails_cleanly() {
+    let mut child = cli()
+        .args(["analyze", "--memory-sweep", "4"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn graphio analyze");
+    child
+        .stdin
+        .take()
+        .expect("stdin piped")
+        .write_all("[".repeat(20_000).as_bytes())
+        .expect("write stdin");
+    let out = child.wait_with_output().expect("wait");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("error parsing graph JSON"), "{stderr}");
+    assert!(stderr.contains("nesting deeper than"), "{stderr}");
+}
+
 #[test]
 fn unknown_family_prints_usage() {
     let out = cli().args(["generate", "mystery", "3"]).output().unwrap();
@@ -720,6 +744,206 @@ fn cold_analyze_allocations_land_on_named_phases() {
     });
     let _ = server.kill();
     let _ = server.wait();
+    if let Err(p) = result {
+        std::panic::resume_unwind(p);
+    }
+}
+
+/// The value of the exposition sample whose name-and-labels field is
+/// exactly `series`.
+fn metric(exposition: &str, series: &str) -> Option<f64> {
+    exposition.lines().find_map(|line| {
+        let mut fields = line.split_whitespace();
+        (fields.next() == Some(series)).then(|| fields.next()?.parse().ok())?
+    })
+}
+
+/// `-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?`: the sample values a scraper
+/// must accept.
+fn is_sample_value(v: &str) -> bool {
+    fn digits(s: &str) -> Option<&str> {
+        let end = s.find(|c: char| !c.is_ascii_digit()).unwrap_or(s.len());
+        (end > 0).then(|| &s[end..])
+    }
+    let rest = v.strip_prefix('-').unwrap_or(v);
+    let Some(mut rest) = digits(rest) else {
+        return false;
+    };
+    if let Some(frac) = rest.strip_prefix('.') {
+        match digits(frac) {
+            Some(r) => rest = r,
+            None => return false,
+        }
+    }
+    if let Some(exp) = rest.strip_prefix(['e', 'E']) {
+        match digits(exp.strip_prefix(['-', '+']).unwrap_or(exp)) {
+            Some(r) => rest = r,
+            None => return false,
+        }
+    }
+    rest.is_empty()
+}
+
+/// Every sample line is `name{labels} value`, or a histogram bucket line
+/// followed by an OpenMetrics exemplar (` # {trace_id="..."} v`).
+fn assert_valid_exposition(exposition: &str) {
+    for line in exposition.lines() {
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let fields: Vec<&str> = line.split_whitespace().collect();
+        let exemplar = fields.len() == 5
+            && fields[2] == "#"
+            && fields[0].contains("_bucket")
+            && fields[3]
+                .strip_prefix("{trace_id=\"")
+                .and_then(|t| t.strip_suffix("\"}"))
+                .is_some_and(|id| !id.is_empty() && id.bytes().all(|b| b.is_ascii_hexdigit()));
+        assert!(
+            (fields.len() == 2 || exemplar) && is_sample_value(fields[1]),
+            "invalid exposition line: {line}"
+        );
+    }
+}
+
+/// Open-loop load against a live `graphio serve` moves `/metrics` by
+/// exactly the load. Through the real binary: the trace-ID echo and
+/// elapsed header, the slow-log record with its spans, `graphio loadgen`
+/// at 200 rps for 0.5 s (exactly 100 arrivals), a valid text exposition
+/// with an exemplar and `+Inf` = `_count`, the solver phase series, and
+/// counter deltas of exactly the load (+1 for the second scrape itself).
+#[test]
+fn loadgen_moves_metrics_by_exactly_the_load() {
+    let dir = std::env::temp_dir().join(format!("graphio_cli_metrics_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let slow_log = dir.join("slow.jsonl");
+    let (mut server, url) = spawn_serve(&[
+        "--workers",
+        "4",
+        "--slow-log-us",
+        "0",
+        "--slow-log-file",
+        slow_log.to_str().unwrap(),
+    ]);
+    let result = std::panic::catch_unwind(|| {
+        let req = format!(
+            "{{\"graph\": {}, \"memories\": [2,4,8]}}",
+            generate("fft", 6).trim_end()
+        );
+        let req_file = dir.join("req.json");
+        std::fs::write(&req_file, format!("{req}\n")).unwrap();
+
+        // Warm-up: the trace ID is echoed, the elapsed header is a
+        // number, and the slow log (threshold 0) records the same trace.
+        let trace = "00112233445566778899aabbccddeeff";
+        let r = graphio::service::client::request_with(
+            "POST",
+            &url,
+            "/analyze",
+            Some(&req),
+            &[("X-Graphio-Trace", trace.to_string())],
+        )
+        .unwrap();
+        assert_eq!(r.status, 200, "{}", r.body);
+        assert_eq!(r.header("x-graphio-trace"), Some(trace));
+        let elapsed = r.header("x-graphio-elapsed-us").unwrap_or("");
+        assert!(elapsed.parse::<u64>().is_ok(), "elapsed header {elapsed:?}");
+        let needle = format!("\"trace\":\"{trace}\"");
+        let mut logged = String::new();
+        for _ in 0..50 {
+            logged = std::fs::read_to_string(&slow_log).unwrap_or_default();
+            if logged.contains(&needle) {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(100));
+        }
+        let record = logged
+            .lines()
+            .find(|l| l.contains(&needle))
+            .unwrap_or_else(|| panic!("trace {trace} not in the slow log: {logged}"));
+        assert!(record.contains("\"spans\":["), "{record}");
+
+        // The request histogram records just after the response flushes;
+        // settle before each scrape so deltas are exact.
+        let scrape = || {
+            std::thread::sleep(std::time::Duration::from_millis(500));
+            graphio::service::client::request("GET", &url, "/metrics", None).unwrap()
+        };
+        let before = scrape().body;
+
+        let out = cli()
+            .args([
+                "loadgen",
+                "--url",
+                &url,
+                "--rps",
+                "200",
+                "--duration",
+                "0.5",
+            ])
+            .args([
+                "--conns",
+                "4",
+                "--body",
+                req_file.to_str().unwrap(),
+                "--json",
+            ])
+            .output()
+            .expect("spawn graphio loadgen");
+        let report = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{report}");
+        for field in ["\"requests\":100,", "\"ok\":100,", "\"errors\":0,"] {
+            assert!(report.contains(field), "{field} missing: {report}");
+        }
+
+        let after = scrape();
+        assert!(
+            after
+                .header("content-type")
+                .is_some_and(|ct| ct.starts_with("text/plain")),
+            "{:?}",
+            after.header("content-type")
+        );
+        let after = after.body;
+        assert_valid_exposition(&before);
+        assert_valid_exposition(&after);
+        assert!(after.contains(" # {trace_id=\""), "no exemplar: {after}");
+        let inf = metric(
+            &after,
+            "graphio_request_duration_microseconds_bucket{endpoint=\"/analyze\",le=\"+Inf\"}",
+        );
+        let count = metric(
+            &after,
+            "graphio_request_duration_microseconds_count{endpoint=\"/analyze\"}",
+        );
+        assert!(
+            inf.is_some() && inf == count,
+            "+Inf {inf:?} vs _count {count:?}"
+        );
+        for phase in ["laplacian", "eigensolve", "mincut"] {
+            let series = format!("graphio_phase_duration_microseconds_count{{phase=\"{phase}\"}}");
+            assert!(metric(&after, &series).is_some(), "{series} missing");
+        }
+
+        // 100 analyzes, all hits on the warmed session; requests_total
+        // also counts the second scrape.
+        let delta = |series: &str| {
+            let value =
+                |expo: &str| metric(expo, series).unwrap_or_else(|| panic!("{series} missing"));
+            value(&after) - value(&before)
+        };
+        assert_eq!(delta("graphio_service_analyze_ok_total"), 100.0);
+        assert_eq!(delta("graphio_cache_hits_total"), 100.0);
+        assert_eq!(
+            delta("graphio_request_duration_microseconds_count{endpoint=\"/analyze\"}"),
+            100.0
+        );
+        assert_eq!(delta("graphio_service_requests_total"), 101.0);
+    });
+    let _ = server.kill();
+    let _ = server.wait();
+    let _ = std::fs::remove_dir_all(&dir);
     if let Err(p) = result {
         std::panic::resume_unwind(p);
     }
