@@ -2,8 +2,9 @@
 //!
 //! Each experiment in `DESIGN.md`'s index has a runner in [`experiments`]
 //! returning a [`Table`]; the `reproduce` binary dispatches on experiment
-//! id, prints Markdown, and writes CSV under `results/`. Criterion benches
-//! under `benches/` measure the runtime side (Figure 11 and ablations).
+//! id, prints Markdown, and writes CSV under `results/`. The runtime side
+//! (Figure 11) is the `fig11` experiment here; the offline speed ledger is
+//! `examples/linalg_sweep.rs` → `BENCH_linalg.json` at the workspace root.
 
 pub mod experiments;
 pub mod table;

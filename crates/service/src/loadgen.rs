@@ -106,8 +106,7 @@ impl LoadgenReport {
         }
     }
 
-    /// The run as one JSON object (the `graphio loadgen` output and the
-    /// per-run records inside `BENCH_service.json`).
+    /// The run as one JSON object (the `graphio loadgen --json` output).
     #[must_use]
     pub fn to_json(&self) -> String {
         format!(

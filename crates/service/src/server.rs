@@ -511,8 +511,9 @@ fn serialize(analyzer: &OwnedAnalyzer, spec: &AnalyzeSpec) -> String {
 
 /// Persists what an analysis grew in the session (fresh spectra/min-cut
 /// sweeps, simulations), then re-checks the shard's byte
-/// budget now that the growth is visible.
+/// budget now that the growth is visible, under one `persist` span.
 fn persist(state: &ServiceState, fp: Fingerprint, analyzer: &OwnedAnalyzer) {
+    let _span = graphio_obs::span!("persist");
     write_through(state, fp, analyzer);
     state.cache.enforce_budget(fp);
 }

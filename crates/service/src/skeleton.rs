@@ -818,7 +818,9 @@ impl Exchange<'_> {
         self.write(status, "application/json", extra, body);
     }
 
+    /// The socket write, under one `respond` span.
     fn write(&mut self, status: u16, content_type: &str, extra: &[(&str, String)], body: &str) {
+        let _span = graphio_obs::span!("respond");
         let (stream, keep, body) = (&mut *self.stream, self.keep, body.as_bytes());
         let _ = write_response(stream, status, keep, content_type, extra, body);
     }

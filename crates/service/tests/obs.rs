@@ -324,9 +324,10 @@ fn trace_endpoints_serve_recorded_requests() {
 /// A traced cache hit names every phase of the warm path, in order:
 /// `parse` (bytes to edge list), `graph_build` (edge list to validated
 /// graph), `fingerprint` (memo lookup, refinement on a miss),
-/// `session_lookup` (RAM, then store) and `serialize` (bound rows and the
-/// document) — and no `simulate`, because a hit replays the session's
-/// memoized simulations.
+/// `session_lookup` (RAM, then store), `serialize` (bound rows and the
+/// document), `persist` (store write-through and the cache's byte budget)
+/// and `respond` (the socket write) — and no `simulate`, because a hit
+/// replays the session's memoized simulations.
 #[test]
 fn traced_hits_name_fingerprint_and_session_lookup() {
     let server = test_server();
@@ -351,6 +352,8 @@ fn traced_hits_name_fingerprint_and_session_lookup() {
         "fingerprint",
         "session_lookup",
         "serialize",
+        "persist",
+        "respond",
     ];
     let positions: Vec<usize> = warm_path
         .iter()

@@ -10,7 +10,10 @@
 //! through `BoundOptions::for_graph_size`, on their own cold session with
 //! the Laplacians already built), and runs the full analysis document
 //! (spectra for Theorems 4/5, min-cut sweep, LRU simulation) through the
-//! production scale-tier schedule.
+//! production scale-tier schedule. Last, it writes that cold session to a
+//! temporary `graphio_store` and times the warm restart (`restored_s`:
+//! `load_session` plus the same document), asserting the restored bytes
+//! equal the cold ones and that the restore ran zero eigensolves.
 //!
 //! ```text
 //! cargo run --release --example linalg_sweep > BENCH_linalg.json
@@ -19,13 +22,14 @@
 
 use graphio::baselines::ConvexMinCutOptions;
 use graphio::graph::generators::{bhk_hypercube, fft_butterfly};
-use graphio::graph::CompGraph;
+use graphio::graph::{fingerprint, CompGraph};
 use graphio::linalg::simd::{avx2_available, set_policy};
 use graphio::linalg::SimdPolicy;
 use graphio::service::analysis::{analysis_body, AnalyzeSpec};
 use graphio::spectral::{
     normalized_laplacian, BoundOptions, EigenMethod, LaplacianKind, OwnedAnalyzer,
 };
+use graphio::store::{load_session, save_session, Store, StoreConfig};
 use std::time::Instant;
 
 /// Seconds per mat-vec for (Strict, forced-scalar), each the best of five
@@ -79,6 +83,12 @@ fn main() {
         ("bhk_hypercube(20)", Box::new(|| bhk_hypercube(20))), // n = 1,048,576
     ];
 
+    let store_dir =
+        std::env::temp_dir().join(format!("graphio_linalg_sweep_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store_dir);
+    let store = Store::open(&store_dir, StoreConfig::default()).expect("open store");
+    let spec = AnalyzeSpec::sweep(vec![4, 16]);
+
     let mut rows = Vec::new();
     for (name, build) in &sweep {
         let g = build();
@@ -118,15 +128,38 @@ fn main() {
             t.elapsed().as_secs_f64()
         };
 
+        let fp = fingerprint(&g);
         let t = Instant::now();
         let analyzer = OwnedAnalyzer::from_graph(g);
-        let body = analysis_body(&analyzer, &AnalyzeSpec::sweep(vec![4, 16]));
+        let body = analysis_body(&analyzer, &spec);
         let analyze_s = t.elapsed().as_secs_f64();
         assert!(body.contains("\"thm4\""), "analysis body malformed");
 
+        // Warm restart: the cold session through the store and back.
+        save_session(&store, fp, &analyzer).expect("write through");
+        // Free the cold session first: at n = 10⁶ holding both would
+        // raise the sweep's peak memory.
+        drop(analyzer);
+        let t = Instant::now();
+        let restored = load_session(&store, fp)
+            .expect("read store")
+            .expect("record exists");
+        let restored_body = analysis_body(&restored, &spec);
+        let restored_s = t.elapsed().as_secs_f64();
+        assert_eq!(
+            body, restored_body,
+            "{name}: restored bytes must match cold"
+        );
+        assert_eq!(
+            restored.stats().spectrum_misses,
+            0,
+            "{name}: restored session eigensolved"
+        );
+
         eprintln!(
             "{name}: n={n} nnz={nnz} matvec {simd:.1}us vs {scalar:.1}us ({speedup:.2}x), \
-             eigensolve {eigensolve_s:.2}s, mincut {mincut_s:.2}s, analyze {analyze_s:.1}s [{tier}]",
+             eigensolve {eigensolve_s:.2}s, mincut {mincut_s:.2}s, analyze {analyze_s:.1}s, \
+             restored {restored_s:.3}s [{tier}]",
             simd = simd_s * 1e6,
             scalar = scalar_s * 1e6,
             tier = tier_name(n),
@@ -135,7 +168,7 @@ fn main() {
             "    {{\"graph\": \"{name}\", \"n\": {n}, \"nnz\": {nnz}, \"tier\": \"{tier}\", \
              \"matvec_simd_us\": {simd:.2}, \"matvec_scalar_us\": {scalar:.2}, \
              \"matvec_speedup\": {speedup:.2}, \"eigensolve_s\": {eigensolve_s:.3}, \"mincut_s\": {mincut_s:.3}, \
-             \"analyze_s\": {analyze_s:.2}}}",
+             \"analyze_s\": {analyze_s:.2}, \"restored_s\": {restored_s:.6}}}",
             tier = tier_name(n),
             simd = simd_s * 1e6,
             scalar = scalar_s * 1e6,
@@ -147,11 +180,14 @@ fn main() {
     println!(
         "  \"description\": \"CSR mat-vec SIMD (strict) vs forced-scalar, both Laplacian \
          spectra alone, the convex min-cut sweep alone, and end-to-end analyze (memories \
-         4,16: spectra + min-cut + simulation) across the scale tiers\","
+         4,16: spectra + min-cut + simulation) across the scale tiers, and the same \
+         document from the session restored out of graphio_store (byte-identical, 0 \
+         eigensolves)\","
     );
     println!("  \"avx2\": {},", avx2_available());
     println!("  \"rows\": [");
     println!("{}", rows.join(",\n"));
     println!("  ]");
     println!("}}");
+    let _ = std::fs::remove_dir_all(&store_dir);
 }

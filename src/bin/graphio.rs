@@ -79,7 +79,6 @@ fn usage() -> ! {
          graphio router --backends <host:port,host:port,...> [--listen <H:P>] [--replicas <K>] [--workers <W>] [--queue <Q>] [--health-ms <T>] [--slow-log-us <T>] [--slow-log-file <F>] [--slow-log-rotate-mb <M>]\n  \
          graphio cluster [--backends <N>] [--listen <H:P>] [--replicas <K>] [--workers <W>]\n  \
          graphio loadgen --url <http://host:port> [--rps <R>] [--duration <S>] [--conns <C>] [--path <P>] [--body <FILE.ndjson: one body per line, cycled>] [--json]\n  \
-         graphio loadgen --seed-bench [--out <FILE>]\n  \
          graphio trace <id> [--server <http://host:port>]\n  \
          graphio traces [--slowest <K>] [--server <http://host:port>]\n  \
          graphio profile --server <http://host:port> [--seconds <S>] [--flamegraph <FILE>]\n  \
@@ -1016,10 +1015,7 @@ fn cmd_cluster(args: &[String]) {
 
 /// `graphio loadgen` — the open-loop load generator (see
 /// [`graphio::service::loadgen`] for the coordinated-omission argument).
-/// Prints one JSON report line. `--seed-bench` instead runs the standard
-/// benchmark matrix — single node vs. a 3-backend routed cluster, cache
-/// hit vs. cold, three request rates — against in-process servers and
-/// writes `BENCH_service.json`.
+/// Prints one report line (`--json` for the machine-readable form).
 fn cmd_loadgen(args: &[String]) {
     let parsed = parse_args(
         "loadgen",
@@ -1031,16 +1027,11 @@ fn cmd_loadgen(args: &[String]) {
             "--duration",
             "--conns",
             "--body",
-            "--out",
         ],
-        &["--seed-bench", "--json"],
+        &["--json"],
     );
     if !parsed.positional.is_empty() {
         usage();
-    }
-    if parsed.has("--seed-bench") {
-        run_seed_bench(parsed.flag("--out").unwrap_or("BENCH_service.json"));
-        return;
     }
     let url = parsed.flag("--url").unwrap_or_else(|| usage());
     let rps: f64 = parsed.parse_flag("--rps").unwrap_or(100.0);
@@ -1109,213 +1100,6 @@ fn analyze_body_json(g: &CompGraph, memories: &[usize]) -> String {
         "{{\"graph\":{},\"memories\":[{sweep}]}}",
         g.to_edge_list().to_json()
     )
-}
-
-/// The `--seed-bench` matrix: {single node, 3-backend router} ×
-/// {cache hit, cold} × three arrival rates, 2 s each, in-process (the
-/// numbers include no network beyond loopback). "Hit" replays one
-/// pre-warmed graph; "cold" cycles a pool of distinct Erdős–Rényi graphs
-/// sized past the request count, so every request is a session miss.
-fn run_seed_bench(out: &str) {
-    const RATES: [f64; 3] = [50.0, 200.0, 800.0];
-    const DURATION: std::time::Duration = std::time::Duration::from_secs(2);
-    const CONNS: usize = 8;
-    let hit_body = analyze_body_json(&fft_butterfly(5), &[4, 8, 16]);
-    let mut cold_seed = 0u64;
-    let mut runs: Vec<String> = Vec::new();
-
-    // Workers ≥ CONNS everywhere: each keep-alive connection pins a
-    // pooled worker, so fewer workers than load-generator connections
-    // benchmarks the accept queue, not the request path.
-    let single = serve(&ServiceConfig {
-        workers: CONNS,
-        ..ServiceConfig::default()
-    })
-    .unwrap_or_else(|e| {
-        eprintln!("error: failed to start bench server: {e}");
-        std::process::exit(1);
-    });
-    bench_topology(
-        "single",
-        &single.url(),
-        &hit_body,
-        &mut cold_seed,
-        &mut runs,
-    );
-    single.shutdown();
-
-    let backends: Vec<_> = (0..3)
-        .map(|_| {
-            serve(&ServiceConfig {
-                workers: CONNS,
-                ..ServiceConfig::default()
-            })
-            .unwrap_or_else(|e| {
-                eprintln!("error: failed to start bench backend: {e}");
-                std::process::exit(1);
-            })
-        })
-        .collect();
-    let addrs = backends.iter().map(|b| b.addr().to_string()).collect();
-    let router = serve_router(&RouterConfig {
-        workers: CONNS,
-        ..RouterConfig::over(addrs)
-    })
-    .unwrap_or_else(|e| {
-        eprintln!("error: failed to start bench router: {e}");
-        std::process::exit(1);
-    });
-    bench_topology(
-        "router3",
-        &router.url(),
-        &hit_body,
-        &mut cold_seed,
-        &mut runs,
-    );
-    router.shutdown();
-    for backend in &backends {
-        backend.shutdown();
-    }
-
-    // Overhead of the continuous-profiling layer on the steady cache-hit
-    // path: the single/hit workload at the top rate, once with allocation
-    // attribution forced off and no sampler running, once with
-    // attribution live AND a `/debug/profile` scrape spanning the whole
-    // loadgen window. The acceptance bar is a ≤ 2% p50 regression.
-    // CONNS + 1 workers: the scrape handler IS the sampler, so it pins a
-    // pooled worker for the entire window — without the spare, the bench
-    // measures one starved loadgen connection, not profiler overhead.
-    let single = serve(&ServiceConfig {
-        workers: CONNS + 1,
-        ..ServiceConfig::default()
-    })
-    .unwrap_or_else(|e| {
-        eprintln!("error: failed to start overhead server: {e}");
-        std::process::exit(1);
-    });
-    let warm = client::request("POST", &single.url(), "/analyze", Some(&hit_body));
-    assert!(
-        matches!(&warm, Ok(r) if r.status == 200),
-        "seed-bench overhead warm-up analyze failed"
-    );
-    let mut config = loadgen::LoadgenConfig::at(&single.url(), RATES[2], DURATION);
-    config.conns = CONNS;
-    config.bodies = vec![hit_body.clone()];
-    let run_or_die = |config: &loadgen::LoadgenConfig| {
-        loadgen::run(config).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        })
-    };
-    graphio::obs::alloc::set_enabled(false);
-    let baseline = run_or_die(&config);
-    graphio::obs::alloc::set_enabled(true);
-    let scrape_url = single.url();
-    let scrape = std::thread::spawn(move || {
-        client::request(
-            "GET",
-            &scrape_url,
-            &format!("/debug/profile?seconds={}", DURATION.as_secs()),
-            None,
-        )
-    });
-    let profiled = run_or_die(&config);
-    let scraped = scrape.join().expect("profile scrape thread");
-    assert!(
-        matches!(&scraped, Ok(r) if r.status == 200),
-        "seed-bench overhead profile scrape failed"
-    );
-    single.shutdown();
-    let mean = |s: &graphio::obs::hist::HistSnapshot| s.sum as f64 / s.count.max(1) as f64;
-    let overhead = format!(
-        concat!(
-            "{{\"workload\":\"single/hit @{} rps\",",
-            "\"profiling_off\":{{\"p50_us\":{},\"mean_us\":{:.1}}},",
-            "\"profiling_on\":{{\"p50_us\":{},\"mean_us\":{:.1}}},",
-            "\"note\":\"off: alloc attribution disabled, sampler idle; ",
-            "on: attribution live + a /debug/profile scrape spanning the run\"}}"
-        ),
-        RATES[2],
-        baseline.latency.p50(),
-        mean(&baseline.latency),
-        profiled.latency.p50(),
-        mean(&profiled.latency),
-    );
-
-    let doc = format!(
-        concat!(
-            "{{\"schema\":\"graphio-bench-service-v2\",",
-            "\"hit_graph\":\"fft_butterfly(5)\",",
-            "\"cold_graphs\":\"erdos_renyi_dag(24, 0.15, seed) per request\",",
-            "\"memories\":[4,8,16],\"duration_s\":{},\"conns\":{},",
-            "\"latency_note\":\"microseconds from scheduled (open-loop) arrival\",",
-            "\"profiling_overhead\":{},",
-            "\"runs\":[\n{}\n]}}\n"
-        ),
-        DURATION.as_secs(),
-        CONNS,
-        overhead,
-        runs.join(",\n"),
-    );
-    std::fs::write(out, &doc).unwrap_or_else(|e| {
-        eprintln!("error: cannot write {out}: {e}");
-        std::process::exit(1);
-    });
-    eprintln!("seed-bench: wrote {} runs to {out}", runs.len());
-
-    fn bench_topology(
-        topology: &str,
-        url: &str,
-        hit_body: &str,
-        cold_seed: &mut u64,
-        runs: &mut Vec<String>,
-    ) {
-        // Warm the hit session (through the router this also lands it on
-        // the owner backend, so routed hits stay hits).
-        let warm = client::request("POST", url, "/analyze", Some(hit_body));
-        assert!(
-            matches!(&warm, Ok(r) if r.status == 200),
-            "seed-bench warm-up analyze failed against {url}"
-        );
-        for rate in RATES {
-            let mut config = loadgen::LoadgenConfig::at(url, rate, DURATION);
-            config.conns = CONNS;
-            config.bodies = vec![hit_body.to_string()];
-            record(topology, "hit", &config, runs);
-            // One distinct graph per scheduled arrival: all-miss load.
-            let arrivals = (rate * DURATION.as_secs_f64()).ceil() as usize + 1;
-            config.bodies = (0..arrivals)
-                .map(|_| {
-                    *cold_seed += 1;
-                    analyze_body_json(&erdos_renyi_dag(24, 0.15, *cold_seed), &[4, 8, 16])
-                })
-                .collect();
-            record(topology, "cold", &config, runs);
-        }
-    }
-
-    fn record(
-        topology: &str,
-        cache: &str,
-        config: &loadgen::LoadgenConfig,
-        runs: &mut Vec<String>,
-    ) {
-        let report = loadgen::run(config).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        });
-        assert_eq!(
-            report.errors, 0,
-            "seed-bench run {topology}/{cache} @{} rps saw errors",
-            config.rps
-        );
-        // Tag the report with the matrix coordinates (splice into the
-        // report object, which starts with '{').
-        runs.push(format!(
-            "{{\"topology\":\"{topology}\",\"cache\":\"{cache}\",{}",
-            &report.to_json()[1..]
-        ));
-    }
 }
 
 fn read_stdin_to_string() -> String {

@@ -342,6 +342,14 @@ fn malformed_simd_and_scale_tier_flags_name_flag_and_subcommand() {
             "invalid value \"inf\" for --duration in `graphio loadgen`",
         ),
         (
+            &["loadgen", "--seed-bench"],
+            "unknown flag --seed-bench for `graphio loadgen`",
+        ),
+        (
+            &["loadgen", "--out", "bench.json"],
+            "unknown flag --out for `graphio loadgen`",
+        ),
+        (
             &["generate", "strassen", "3"],
             "invalid value 3 for <size> in `graphio generate strassen`",
         ),

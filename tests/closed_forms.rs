@@ -2,11 +2,18 @@
 
 //! Closed-form spectra (§5 / Appendix A) against the numeric eigensolvers
 //! at sizes beyond the in-crate unit tests, exercising the full
-//! CSR + deflated-Lanczos pipeline.
+//! CSR + deflated-Lanczos pipeline — and the bounds the service serves
+//! against the same closed forms.
 
+use graphio::graph::json::JsonValue;
 use graphio::prelude::*;
-use graphio::spectral::closed_form::butterfly::butterfly_smallest_eigenvalues;
-use graphio::spectral::closed_form::hypercube::hypercube_smallest_eigenvalues;
+use graphio::service::analysis::{analysis_doc, is_certified, AnalyzeSpec};
+use graphio::spectral::closed_form::butterfly::{
+    butterfly_smallest_eigenvalues, fft_exact_spectrum_bound,
+};
+use graphio::spectral::closed_form::hypercube::{
+    hypercube_exact_spectrum_bound, hypercube_smallest_eigenvalues,
+};
 use graphio::spectral::laplacian::{normalized_laplacian, unnormalized_laplacian};
 use graphio_linalg::{lanczos, LanczosOptions};
 
@@ -108,4 +115,70 @@ fn erdos_renyi_lambda2_concentrates_near_prediction() {
         (mean - 1.0).abs() < 0.25,
         "λ2 concentration ratio {mean} (ratios {ratios:?})"
     );
+}
+
+/// The closed-form wall: on the certified tiers (dense and sparse), the
+/// bounds the service serves — read back from `analysis_doc`, the path
+/// `graphio analyze --json` and `POST /analyze` share — equal Theorem 5
+/// on the exact closed-form spectrum at the served `h`, to 1e-9 relative.
+/// A solver that loses one copy of a repeated eigenvalue (the hypercube's
+/// are C(l, i)-fold) shifts a prefix sum and breaks the wall. Theorem 4
+/// has the same closed form on the butterfly only, whose `L̃ = L/2`; on
+/// the hypercube out-degrees vary by level, so there it must dominate
+/// Theorem 5 instead.
+fn assert_served_bounds_match_closed_form(
+    g: CompGraph,
+    tier: ScaleTier,
+    thm4_is_closed_form: bool,
+    closed_form: impl Fn(usize, usize) -> SpectralBound,
+) {
+    let n = g.n();
+    assert_eq!(ScaleTier::of(n), tier, "n = {n} left its tier");
+    assert!(is_certified(n));
+    let h = BoundOptions::for_graph_size(n).h;
+    let memories = [2usize, 4, 8];
+    let spec = AnalyzeSpec {
+        memories: memories.to_vec(),
+        processors: 1,
+        no_sim: true,
+    };
+    let doc = analysis_doc(&OwnedAnalyzer::from_graph(g), &spec);
+    let rows = doc.get("sweep").and_then(JsonValue::as_array).unwrap();
+    assert_eq!(rows.len(), memories.len());
+    for (row, &m) in rows.iter().zip(&memories) {
+        let served = |key: &str| row.get(key).and_then(JsonValue::as_f64).unwrap();
+        let (thm4, thm5) = (served("thm4"), served("thm5"));
+        let exact = closed_form(m, h).bound;
+        let tol = 1e-9 * exact.abs().max(1.0);
+        assert!(
+            (thm5 - exact).abs() <= tol,
+            "n={n} M={m} h={h}: served thm5 {thm5} vs closed form {exact}"
+        );
+        if thm4_is_closed_form {
+            assert!(
+                (thm4 - exact).abs() <= tol,
+                "n={n} M={m} h={h}: served thm4 {thm4} vs closed form {exact}"
+            );
+        } else {
+            assert!(thm4 >= thm5 - tol, "n={n} M={m}: thm4 {thm4} < thm5 {thm5}");
+        }
+    }
+}
+
+#[test]
+fn served_fft_bounds_match_the_exact_closed_form_spectrum() {
+    for (l, tier) in [(5, ScaleTier::Dense), (7, ScaleTier::Sparse)] {
+        assert_served_bounds_match_closed_form(fft_butterfly(l), tier, true, |m, h| {
+            fft_exact_spectrum_bound(l, m, h)
+        });
+    }
+}
+
+#[test]
+fn served_bhk_bounds_match_the_exact_closed_form_spectrum() {
+    for (l, tier) in [(8, ScaleTier::Dense), (9, ScaleTier::Sparse)] {
+        assert_served_bounds_match_closed_form(bhk_hypercube(l), tier, false, |m, h| {
+            hypercube_exact_spectrum_bound(l, m, h)
+        });
+    }
 }
