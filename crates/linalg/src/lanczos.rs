@@ -10,10 +10,30 @@
 //! sweep locks the converged Ritz pairs at the bottom of the remaining
 //! spectrum, then restarts against the orthogonal complement of everything
 //! locked; repeated eigenvalues re-appear in later sweeps until their
-//! eigenspaces are exhausted. Locking is capped at what the answer can
-//! use: once `h` values are locked, a sweep stops locking at the first
-//! candidate at or above the h-th smallest locked value (candidates come
-//! in ascending order, so nothing it skips could enter the answer).
+//! eigenspaces are exhausted. A pair is locked only if it passes the
+//! residual test `|β_m·z_{m,i}| ≤ tol·scale`, and the solve ends only after
+//! a verification sweep from a fresh random start finds nothing below the
+//! h-th smallest locked value.
+//!
+//! The sweep policy spends no work on vectors the answer cannot use:
+//! * **A sweep ends at numerical invariance.** On a high-multiplicity
+//!   spectrum the Krylov space of one start vector is small, and `β_j`
+//!   collapses once it is exhausted. The sweep stops at the first step
+//!   where `β_j ≤ √tol·scale` and the top Ritz pair of `T_j` passes the
+//!   residual test, and locks from `T_j`. Running on would only append
+//!   unconverged Ritz values above the converged ones (the continuation is
+//!   almost decoupled), and locking stops at the first unconverged pair.
+//! * **The locked set stays at `h`.** A sweep stops locking at the first
+//!   candidate at or above the h-th smallest locked value (candidates come
+//!   in ascending order, so nothing it skips could enter the answer), and
+//!   after each locking pass every locked vector above the h-th smallest
+//!   value is dropped (ties stay). A dropped vector re-enters the deflated
+//!   operator above the h-th value, where the verification test reads it as
+//!   "nothing smaller remains" and the lock cap refuses it.
+//! * **Verification ends once it certifies.** A sweep that starts with `h`
+//!   locked vectors checks its top Ritz pair every `VERIFY_EVERY` (8)
+//!   steps and stops as soon as that pair is converged at or above the
+//!   h-th value.
 //!
 //! Orthogonality is kept by classical Gram–Schmidt against the locked set
 //! and the basis. The second pass of CGS2 is gated by the DGKS test: it
@@ -23,8 +43,10 @@
 //!
 //! The smallest eigenvalues of `A` are obtained as the *largest* of
 //! `σI − A` (σ = Gershgorin or power-iteration bound), where Lanczos
-//! converges fastest. Cost is `O(matvecs · nnz + m²n)` per sweep, matching
-//! the `O(hn²)` scalability claim of the paper's §6.5.
+//! converges fastest. A sweep of `m` steps against `ℓ ≤ h` locked vectors
+//! costs `O(m·nnz + m·(m + ℓ)·n)`; re-orthogonalization dominates, so the
+//! solve costs `O(matvecs · (m + h) · n)`, within the `O(hn²)` scalability
+//! claim of the paper's §6.5.
 
 use crate::dense::DenseMatrix;
 use crate::error::LinalgError;
@@ -88,6 +110,22 @@ fn reorth_window_for(n: usize) -> usize {
 /// and a second pass restores orthogonality. A constant, never an option.
 const DGKS_RATIO: f64 = std::f64::consts::FRAC_1_SQRT_2;
 
+/// Steps between the certification checks of a verification sweep (a
+/// sweep that starts with `h` locked vectors). Each check is one QL
+/// eigendecomposition of the `j × j` tridiagonal, `O(j³)` flops against
+/// the `O(VERIFY_EVERY·(j + h)·n)` of the steps between checks.
+const VERIFY_EVERY: usize = 8;
+
+/// Bumped whenever a change to [`smallest_eigenvalues`]' sweep policy can
+/// move the values it returns for the same options, so stored spectra
+/// keyed by those options are told apart from the current ones.
+///
+/// Revision 0 ran every sweep to its step budget and never dropped a
+/// locked vector; revision 1 ends sweeps at numerical invariance, evicts
+/// locked vectors above the h-th value and ends verification once it
+/// certifies.
+pub const SWEEP_POLICY_REVISION: u8 = 1;
+
 /// Options for [`extreme_ritz_values`] — the fixed-cost single-sweep path
 /// the huge-`n` scale tier uses.
 #[derive(Debug, Clone)]
@@ -148,6 +186,8 @@ pub fn extreme_ritz_values<A: LinOp + ?Sized>(
             sweeps: 0,
             matvecs: 0,
             converged: true,
+            peak_locked: 0,
+            invariant_stops: 0,
         });
     }
     let mut matvecs = 0usize;
@@ -171,6 +211,7 @@ pub fn extreme_ritz_values<A: LinOp + ?Sized>(
         &[],
         opts.reorth_window.max(2),
         &mut matvecs,
+        None,
     );
     let analysis = RitzAnalysis::of(&sweep)?;
     let m = analysis.theta.len();
@@ -186,6 +227,8 @@ pub fn extreme_ritz_values<A: LinOp + ?Sized>(
         sweeps: 1,
         matvecs,
         converged: true,
+        peak_locked: 0,
+        invariant_stops: 0,
     })
 }
 
@@ -201,6 +244,12 @@ pub struct LanczosResult {
     pub matvecs: usize,
     /// Whether all `h` requested eigenvalues were locked.
     pub converged: bool,
+    /// The largest locked set a sweep was deflated against: at most `h`
+    /// plus ties at the h-th value (0 for the single-sweep estimate).
+    pub peak_locked: usize,
+    /// Sweeps ended before their step budget because their Krylov space
+    /// became numerically invariant.
+    pub invariant_stops: usize,
 }
 
 /// Computes the `h` smallest eigenvalues (ascending, with multiplicity) of
@@ -229,6 +278,8 @@ pub fn smallest_eigenvalues<A: LinOp + ?Sized>(
             sweeps: 0,
             matvecs: 0,
             converged: true,
+            peak_locked: 0,
+            invariant_stops: 0,
         });
     }
 
@@ -261,6 +312,11 @@ pub fn smallest_eigenvalues<A: LinOp + ?Sized>(
     // remains in the deflated operator.
     let mut verified = false;
     let slack = 8.0 * tol + 1e-12;
+    // At or below this `β_j` the Krylov space counts as numerically
+    // invariant (10⁻⁴·scale for the sparse tier's tol of 10⁻⁸).
+    let invariant_beta = opts.tol.sqrt() * scale;
+    let mut peak_locked = 0usize;
+    let mut invariant_stops = 0usize;
 
     while sweeps < opts.max_sweeps {
         if locked_vecs.len() == n {
@@ -276,6 +332,26 @@ pub fn smallest_eigenvalues<A: LinOp + ?Sized>(
             verified = true;
             break;
         };
+        // With `h` values locked this is a verification sweep.
+        let kth = (locked_vecs.len() >= h).then(|| kth_smallest(&locked_vals, h));
+        // The sweep ends early once `T_j`'s top Ritz pair passes the
+        // residual test and either `β_j` marks an invariant Krylov space
+        // (that pair is lockable, or it certifies) or, on a verification
+        // sweep's check steps, the pair certifies.
+        let ends_sweep = |alphas: &[f64], betas: &[f64]| -> bool {
+            let j = alphas.len();
+            let at_invariance = betas[j - 1] <= invariant_beta;
+            if !at_invariance && (kth.is_none() || !j.is_multiple_of(VERIFY_EVERY)) {
+                return false;
+            }
+            let Ok(ritz) = RitzAnalysis::of_tridiagonal(alphas, betas, false) else {
+                return false;
+            };
+            let Some(value) = ritz.top_converged_value(tol, &shifted) else {
+                return false;
+            };
+            at_invariance || kth.is_some_and(|kth| value >= kth - slack)
+        };
         let sweep = lanczos_sweep(
             &shifted,
             v0,
@@ -283,11 +359,14 @@ pub fn smallest_eigenvalues<A: LinOp + ?Sized>(
             &locked_vecs,
             reorth_window_for(n),
             &mut matvecs,
+            Some(&ends_sweep),
         );
+        if sweep.ended_early && sweep.betas.last().is_some_and(|&b| b <= invariant_beta) {
+            invariant_stops += 1;
+        }
         let analysis = RitzAnalysis::of(&sweep)?;
-        if locked_vecs.len() >= h {
+        if let Some(kth) = kth {
             if let Some(remaining_min) = analysis.top_converged_value(tol, &shifted) {
-                let kth = kth_smallest(&locked_vals, h);
                 if remaining_min >= kth - slack {
                     verified = true;
                     break;
@@ -303,6 +382,8 @@ pub fn smallest_eigenvalues<A: LinOp + ?Sized>(
             &mut locked_vecs,
             &mut locked_vals,
         );
+        evict_above_kth(h, &mut locked_vecs, &mut locked_vals);
+        peak_locked = peak_locked.max(locked_vecs.len());
         if newly == 0 {
             // Stagnation: widen the Krylov subspace (up to n) and try again.
             subspace = (subspace * 2).min(n);
@@ -323,7 +404,29 @@ pub fn smallest_eigenvalues<A: LinOp + ?Sized>(
         sweeps,
         matvecs,
         converged,
+        peak_locked,
+        invariant_stops,
     })
+}
+
+/// Drops every locked pair whose value lies above the h-th smallest locked
+/// value; ties at that value stay, and the rest keep their order. A
+/// dropped pair can never enter the answer, and each one is a vector fewer
+/// for every later step to re-orthogonalize against.
+fn evict_above_kth(h: usize, locked_vecs: &mut Vec<Vec<f64>>, locked_vals: &mut Vec<f64>) {
+    if locked_vals.len() <= h {
+        return;
+    }
+    let kth = kth_smallest(locked_vals, h);
+    let mut i = 0;
+    while i < locked_vals.len() {
+        if locked_vals[i] > kth {
+            locked_vals.remove(i);
+            locked_vecs.remove(i);
+        } else {
+            i += 1;
+        }
+    }
 }
 
 /// The h-th smallest element (1-indexed: `h >= 1`) of `vals`.
@@ -345,10 +448,17 @@ struct Sweep {
     /// Whether the sweep terminated with an (numerically) invariant
     /// subspace, making every Ritz pair exact.
     invariant: bool,
+    /// Whether the caller's stop rule ended the sweep before its budget
+    /// (its Ritz pairs still carry their residuals `|β_m·z_{m,i}|`).
+    ended_early: bool,
     /// Steps whose DGKS test ran the second CGS pass (read by the tests).
     #[cfg_attr(not(test), allow(dead_code))]
     second_passes: usize,
 }
+
+/// A caller's rule for ending a sweep early: it sees the tridiagonal so
+/// far, `(α_0..α_j, β_0..β_j)`, and returns whether the sweep ends there.
+type SweepStop<'a> = &'a dyn Fn(&[f64], &[f64]) -> bool;
 
 /// One Lanczos sweep of at most `budget` steps from the unit vector `v0`,
 /// kept orthogonal to `locked` and (within the trailing `window` vectors)
@@ -358,6 +468,10 @@ struct Sweep {
 /// `locked`, then the window. A second pass runs only when the first left
 /// `‖w‖` below [`DGKS_RATIO`] (`1/√2`) of its value before the pass, and
 /// `β` is the norm after the last pass that ran.
+///
+/// After each step short of exact invariance, `stop` (if given) may end
+/// the sweep. Only the deflated solver passes one; the single-sweep
+/// estimate always runs its full budget.
 fn lanczos_sweep<A: LinOp + ?Sized>(
     op: &A,
     v0: Vec<f64>,
@@ -365,6 +479,7 @@ fn lanczos_sweep<A: LinOp + ?Sized>(
     locked: &[Vec<f64>],
     window: usize,
     matvecs: &mut usize,
+    stop: Option<SweepStop<'_>>,
 ) -> Sweep {
     let n = v0.len();
     let mut basis: Vec<Vec<f64>> = Vec::with_capacity(budget);
@@ -373,6 +488,7 @@ fn lanczos_sweep<A: LinOp + ?Sized>(
     let mut v = v0;
     let mut w = vec![0.0; n];
     let mut invariant = false;
+    let mut ended_early = false;
     let mut second_passes = 0usize;
 
     for j in 0..budget {
@@ -408,6 +524,10 @@ fn lanczos_sweep<A: LinOp + ?Sized>(
             invariant = true;
             break;
         }
+        if stop.is_some_and(|ends| ends(&alphas, &betas)) {
+            ended_early = true;
+            break;
+        }
         scal(1.0 / beta, &mut w);
         std::mem::swap(&mut v, &mut w);
     }
@@ -416,6 +536,7 @@ fn lanczos_sweep<A: LinOp + ?Sized>(
         alphas,
         betas,
         invariant,
+        ended_early,
         second_passes,
     }
 }
@@ -435,24 +556,30 @@ struct RitzAnalysis {
 
 impl RitzAnalysis {
     fn of(sweep: &Sweep) -> Result<Self> {
-        let m = sweep.alphas.len();
-        let mut d = sweep.alphas.clone();
+        Self::of_tridiagonal(&sweep.alphas, &sweep.betas, sweep.invariant)
+    }
+
+    /// The Ritz data of `T_m` with diagonal `alphas` and off-diagonal
+    /// `betas[..m-1]`; `betas[m-1]` is the residual norm.
+    fn of_tridiagonal(alphas: &[f64], betas: &[f64], invariant: bool) -> Result<Self> {
+        let m = alphas.len();
+        let mut d = alphas.to_vec();
         let mut e = vec![0.0; m];
         if m > 1 {
-            e[1..m].copy_from_slice(&sweep.betas[..m - 1]);
+            e[1..m].copy_from_slice(&betas[..m - 1]);
         }
         let mut z = DenseMatrix::identity(m);
         tql_in_place(&mut d, &mut e, Some(&mut z))?;
-        let beta_last = if sweep.invariant || m == 0 {
+        let beta_last = if invariant || m == 0 {
             0.0
         } else {
-            sweep.betas[m - 1]
+            betas[m - 1]
         };
         Ok(RitzAnalysis {
             theta: d,
             z,
             beta_last,
-            invariant: sweep.invariant,
+            invariant,
         })
     }
 
@@ -613,7 +740,7 @@ mod tests {
     ) -> Vec<Vec<f64>> {
         let n = shifted.dim();
         let v0 = random_orthogonal_start(n, &[], rng).unwrap();
-        let sweep = lanczos_sweep(shifted, v0, 96.min(n), &[], usize::MAX, &mut 0);
+        let sweep = lanczos_sweep(shifted, v0, 96.min(n), &[], usize::MAX, &mut 0, None);
         let analysis = RitzAnalysis::of(&sweep).unwrap();
         let (mut vecs, mut vals) = (Vec::new(), Vec::new());
         lock_converged(&sweep, &analysis, 1e-9, 8, shifted, &mut vecs, &mut vals);
@@ -631,7 +758,7 @@ mod tests {
             let shifted = ShiftedNegated::new(&a, a.eigen_upper_bound().unwrap());
             let locked = locked_after_first_sweep(&shifted, &mut rng);
             let v0 = random_orthogonal_start(a.dim(), &locked, &mut rng).unwrap();
-            let sweep = lanczos_sweep(&shifted, v0, 96, &locked, usize::MAX, &mut 0);
+            let sweep = lanczos_sweep(&shifted, v0, 96, &locked, usize::MAX, &mut 0, None);
             let (self_dev, locked_dev) = orthogonality(&sweep, &locked);
             assert!(self_dev <= 1e-12, "{name}: |VᵀV − I| = {self_dev:e}");
             assert!(locked_dev <= 1e-12, "{name}: |Vᵀ·locked| = {locked_dev:e}");
@@ -685,7 +812,7 @@ mod tests {
         }
         normalize(&mut v0);
         let shifted = ShiftedNegated::new(&a, a.eigen_upper_bound().unwrap());
-        let sweep = lanczos_sweep(&shifted, v0, 96, &locked, usize::MAX, &mut 0);
+        let sweep = lanczos_sweep(&shifted, v0, 96, &locked, usize::MAX, &mut 0, None);
         assert!(
             sweep.betas[1] < 1e-8,
             "not near breakdown: {:?}",
@@ -695,6 +822,22 @@ mod tests {
         let (self_dev, locked_dev) = orthogonality(&sweep, &locked);
         assert!(self_dev <= 1e-12, "|VᵀV − I| = {self_dev:e}");
         assert!(locked_dev <= 1e-12, "|Vᵀ·locked| = {locked_dev:e}");
+    }
+
+    #[test]
+    fn eviction_keeps_the_h_smallest_and_their_ties_in_order() {
+        let vals = vec![3.0, 0.5, 2.0, 5.0, 2.0, 1.0, 2.0];
+        let mut locked_vals = vals.clone();
+        // Tag each vector with its original index to check the order.
+        let mut locked_vecs: Vec<Vec<f64>> = (0..vals.len()).map(|i| vec![i as f64]).collect();
+        evict_above_kth(4, &mut locked_vecs, &mut locked_vals);
+        // The 4th smallest is 2.0; all three copies of it stay.
+        assert_eq!(locked_vals, [0.5, 2.0, 2.0, 1.0, 2.0]);
+        let kept: Vec<f64> = locked_vecs.iter().map(|v| v[0]).collect();
+        assert_eq!(kept, [1.0, 2.0, 4.0, 5.0, 6.0]);
+        // At or below h nothing moves.
+        evict_above_kth(5, &mut locked_vecs, &mut locked_vals);
+        assert_eq!(locked_vals.len(), 5);
     }
 
     #[test]

@@ -25,9 +25,16 @@
 //! therefore bound arithmetic plus serialization — no eigensolve, no
 //! min-cut sweep, no simulation.
 //!
+//! Every row says whether its bounds are certified (`"certified"`, from
+//! [`is_certified`]). On the `dense` and `lanczos` tiers they are proven
+//! lower bounds. Past [`graphio_spectral::HUGE_CUTOFF`] the `ritz_sweep`
+//! tier serves *estimates*: Theorems 4–6 evaluated on the Ritz values of
+//! one Krylov sweep, which keeps one copy per distinct eigenvalue and so
+//! can overshoot the exact bound (2.25–4.25× on fft(13) and bhk(17)).
+//!
 //! In debug builds [`analyze_rows`] checks the served-row invariant on
-//! the certified tiers (`dense`/`lanczos`): every lower bound in a row is
-//! at most that row's simulated upper bound.
+//! the certified rows: every lower bound in a row is at most that row's
+//! simulated upper bound.
 
 use graphio_baselines::convex_mincut::ConvexMinCutOptions;
 use graphio_graph::json::{BatchEntry, JsonValue, RequestDoc};
@@ -221,13 +228,16 @@ pub struct AnalyzeRow {
     pub mincut: u64,
     /// Best simulated upper bound (LRU vs Bélády), unless `no_sim`.
     pub sim_upper: Option<u64>,
+    /// Whether the spectral bounds are proven lower bounds
+    /// ([`is_certified`]); `false` marks the huge tier's estimates.
+    pub certified: bool,
 }
 
 impl AnalyzeRow {
     /// The row's lower bounds that its `sim_upper` falls below, by name —
-    /// empty for every row on the certified tiers (a bound is ≤ the I/O of
-    /// any schedule, the simulated ones included). Rows without a
-    /// simulation have nothing to violate.
+    /// empty for every certified row (a bound is ≤ the I/O of any
+    /// schedule, the simulated ones included). Rows without a simulation
+    /// have nothing to violate.
     pub fn bounds_above_sim(&self) -> Vec<&'static str> {
         let Some(sim) = self.sim_upper else {
             return Vec::new();
@@ -254,6 +264,7 @@ pub fn analyze_rows(analyzer: &OwnedAnalyzer, spec: &AnalyzeSpec) -> Vec<Analyze
     let n = analyzer.graph().n();
     let opts = BoundOptions::for_graph_size(n);
     let mc_opts = ConvexMinCutOptions::for_graph_size(n);
+    let certified = is_certified(n);
     let sims = if spec.no_sim {
         vec![None; spec.memories.len()]
     } else {
@@ -278,10 +289,11 @@ pub fn analyze_rows(analyzer: &OwnedAnalyzer, spec: &AnalyzeSpec) -> Vec<Analyze
                 thm6,
                 mincut,
                 sim_upper,
+                certified,
             }
         })
         .collect();
-    if cfg!(debug_assertions) && is_certified(n) {
+    if cfg!(debug_assertions) && certified {
         for row in &rows {
             let broken = row.bounds_above_sim();
             debug_assert!(
@@ -363,6 +375,7 @@ pub fn analysis_doc(analyzer: &OwnedAnalyzer, spec: &AnalyzeSpec) -> JsonValue {
                             ("thm6".into(), opt_num(r.thm6)),
                             ("mincut".into(), JsonValue::Number(r.mincut as f64)),
                             ("sim_upper".into(), opt_num(r.sim_upper.map(|s| s as f64))),
+                            ("certified".into(), JsonValue::Bool(r.certified)),
                         ])
                     })
                     .collect(),
@@ -502,6 +515,7 @@ mod tests {
                 "thm6",
                 "mincut",
                 "sim_upper",
+                "certified",
             ] {
                 assert!(row.get(key).is_some(), "missing {key}");
             }

@@ -1,8 +1,9 @@
-//! The served-row invariant: on the certified eigensolver tiers every
-//! lower bound in an analysis row (`thm4`, `thm5`, `thm6`, `mincut`) is at
-//! most the row's simulated upper bound `sim_upper`. A lower bound holds
-//! for every schedule, the simulated one included, so a violation is a
-//! bug in a bound (or in the simulator), never in the graph.
+//! The served-row invariant: in every row served as `certified` each
+//! lower bound (`thm4`, `thm5`, `thm6`, `mincut`) is at most the row's
+//! simulated upper bound `sim_upper`. A lower bound holds for every
+//! schedule, the simulated one included, so a violation is a bug in a
+//! bound (or in the simulator), never in the graph. Rows served as
+//! `certified: false` (the huge tier's estimates) are skipped.
 //!
 //! `analyze_rows` also checks this with a `debug_assert!`; the property
 //! test below sweeps the generator zoo so that check actually runs.
@@ -34,7 +35,7 @@ fn check(g: CompGraph, memories: Vec<usize>, processors: usize) -> Result<(), St
         processors,
         ..AnalyzeSpec::sweep(memories)
     };
-    for row in analyze_rows(&an, &spec) {
+    for row in analyze_rows(&an, &spec).into_iter().filter(|r| r.certified) {
         let broken = row.bounds_above_sim();
         if !broken.is_empty() {
             return Err(format!(
@@ -70,4 +71,36 @@ fn lanczos_tier_rows_respect_the_simulation() {
         "lanczos"
     );
     check(g, vec![4, 16, 64], 4).unwrap();
+}
+
+/// Every served row carries `"certified"`: `true` on the dense and Lanczos
+/// tiers, `false` on the huge tier's estimates, which start one vertex
+/// past `HUGE_CUTOFF`.
+#[test]
+fn rows_are_certified_exactly_below_the_huge_cutoff() {
+    use graphio_graph::generators::path_dag;
+    use graphio_graph::json::JsonValue;
+    use graphio_service::analysis::analysis_doc;
+    use graphio_spectral::HUGE_CUTOFF;
+    let spec = AnalyzeSpec {
+        no_sim: true,
+        ..AnalyzeSpec::sweep(vec![4, 16])
+    };
+    for (g, method, certified) in [
+        (fft_butterfly(3), "dense", true),
+        (bhk_hypercube(9), "lanczos", true),
+        (path_dag(HUGE_CUTOFF + 1), "ritz_sweep", false),
+    ] {
+        let doc = analysis_doc(&OwnedAnalyzer::from_graph(g), &spec);
+        assert_eq!(doc.get("method").and_then(JsonValue::as_str), Some(method));
+        let rows = doc.get("sweep").and_then(JsonValue::as_array).unwrap();
+        assert_eq!(rows.len(), 2);
+        for row in rows {
+            assert_eq!(
+                row.get("certified"),
+                Some(&JsonValue::Bool(certified)),
+                "{method}: {row:?}"
+            );
+        }
+    }
 }

@@ -112,7 +112,9 @@ pub enum MethodKey {
     /// The dense O(n³) solver.
     Dense,
     /// Deflated Lanczos with every result-determining option pinned
-    /// (`tol` as raw bits so the key is `Eq`/`Hash` without float caveats).
+    /// (`tol` as raw bits so the key is `Eq`/`Hash` without float caveats),
+    /// plus the revision of the solver's sweep policy, which moves the
+    /// last digits of its values for the same options.
     Lanczos {
         /// Krylov subspace dimension.
         subspace: usize,
@@ -122,6 +124,11 @@ pub enum MethodKey {
         max_sweeps: usize,
         /// Starting-vector seed.
         seed: u64,
+        /// The sweep policy that computed the spectrum
+        /// ([`graphio_linalg::lanczos::SWEEP_POLICY_REVISION`] for a fresh
+        /// solve; a spectrum restored from an older store may carry an
+        /// older one, and then no lookup of a fresh key finds it).
+        revision: u8,
     },
     /// Single-sweep Ritz estimate (the huge scale tier's solver).
     RitzSweep {
@@ -158,6 +165,7 @@ impl SpectrumKey {
                 tol_bits: o.tol.to_bits(),
                 max_sweeps: o.max_sweeps,
                 seed: o.seed,
+                revision: graphio_linalg::lanczos::SWEEP_POLICY_REVISION,
             },
             EigenMethod::RitzSweep(o) => MethodKey::RitzSweep {
                 steps: o.steps,
@@ -536,11 +544,21 @@ impl OwnedAnalyzer {
     /// bound requests covered by the snapshot perform **zero** eigensolves,
     /// **zero** min-cut sweeps and **zero** simulations.
     ///
+    /// Lanczos spectra computed under an older sweep policy
+    /// ([`MethodKey::Lanczos`]'s `revision`) are skipped: no lookup of a
+    /// fresh key can reach them, so they would only take cache bytes and be
+    /// written back on the next save.
+    ///
     /// The caller is responsible for pairing snapshots with the right
     /// graph (the store keys both by the same structural fingerprint);
     /// importing another graph's spectra silently yields wrong bounds.
     pub fn import(&self, snapshot: &SessionExport) {
         for (key, eigs) in &snapshot.spectra {
+            if matches!(key.method, MethodKey::Lanczos { revision, .. }
+                if revision != graphio_linalg::lanczos::SWEEP_POLICY_REVISION)
+            {
+                continue;
+            }
             self.spectra.seed(key.clone(), Arc::new(eigs.clone()));
         }
         for (key, cut) in &snapshot.cuts {

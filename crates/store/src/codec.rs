@@ -36,8 +36,15 @@
 //!                                Butterfly,BhkUpdate)
 //!           | 8:u8 payload:u32  (Custom)
 //! spectrum := key  len:u32 [eig:f64bits-u64]*len
-//! key      := kind:u8 h:u64 (0:u8 | 1:u8 subspace:u64 tol:u64
-//!                            max_sweeps:u64 seed:u64)
+//! key      := kind:u8 h:u64 (0:u8
+//!                            | 1:u8 subspace:u64 tol:u64 max_sweeps:u64
+//!                              seed:u64          (Lanczos, sweep policy 0)
+//!                            | 2:u8 steps:u64 window:u64 seed:u64
+//!                                                (single-sweep estimate)
+//!                            | 3:u8 subspace:u64 tol:u64 max_sweeps:u64
+//!                              seed:u64 revision:u8
+//!                                                (Lanczos, sweep policy
+//!                                                 ≥ 1))
 //! cut      := (0:u8 | 1:u8 count:u64 seed:u64)
 //!             bound:u64 best_vertex:u64 max_cut:u64 evaluated:u64
 //! dec      := target:u64 cut_edges:u64 invariant:u8 ncomp:u32
@@ -411,12 +418,18 @@ fn put_spectrum_key(w: &mut Writer, key: &SpectrumKey) {
             tol_bits,
             max_sweeps,
             seed,
+            revision,
         } => {
-            w.put_u8(1);
+            // Revision 0 keeps its original tag, so old records re-encode
+            // to their own bytes.
+            w.put_u8(if *revision == 0 { 1 } else { 3 });
             w.put_u64(*subspace as u64);
             w.put_u64(*tol_bits);
             w.put_u64(*max_sweeps as u64);
             w.put_u64(*seed);
+            if *revision != 0 {
+                w.put_u8(*revision);
+            }
         }
         MethodKey::RitzSweep {
             steps,
@@ -440,11 +453,12 @@ fn get_spectrum_key(r: &mut Reader<'_>) -> Result<SpectrumKey, CodecError> {
     let h = r.get_u64()? as usize;
     let method = match r.get_u8()? {
         0 => MethodKey::Dense,
-        1 => MethodKey::Lanczos {
+        tag @ (1 | 3) => MethodKey::Lanczos {
             subspace: r.get_u64()? as usize,
             tol_bits: r.get_u64()?,
             max_sweeps: r.get_u64()? as usize,
             seed: r.get_u64()?,
+            revision: if tag == 3 { r.get_u8()? } else { 0 },
         },
         2 => MethodKey::RitzSweep {
             steps: r.get_u64()? as usize,
@@ -986,6 +1000,7 @@ mod tests {
                             tol_bits: 1e-8_f64.to_bits(),
                             max_sweeps: 40,
                             seed: 7,
+                            revision: graphio_linalg::lanczos::SWEEP_POLICY_REVISION,
                         },
                     },
                     vec![-0.0, 2.0],
@@ -1043,6 +1058,44 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
         }
+    }
+
+    /// A Lanczos spectrum key from a store written before the sweep
+    /// policy had revisions (tag 1) decodes as revision 0 and re-encodes
+    /// to its own bytes; a current key takes tag 3 with its revision.
+    #[test]
+    fn lanczos_keys_carry_their_sweep_policy_revision() {
+        let key = |revision| SpectrumKey {
+            kind: LaplacianKind::Normalized,
+            h: 48,
+            method: MethodKey::Lanczos {
+                subspace: 96,
+                tol_bits: 1e-8_f64.to_bits(),
+                max_sweeps: 512,
+                seed: 0x5eed,
+                revision,
+            },
+        };
+        let encode = |key: &SpectrumKey| {
+            let mut w = Writer::new();
+            put_spectrum_key(&mut w, key);
+            w.into_bytes()
+        };
+        let old = encode(&key(0));
+        assert_eq!(old[9], 1, "revision 0 keeps tag 1");
+        assert_eq!(old.len(), 1 + 8 + 1 + 4 * 8);
+        let current = encode(&key(graphio_linalg::lanczos::SWEEP_POLICY_REVISION));
+        assert_eq!(current[9], 3);
+        assert_eq!(current.len(), old.len() + 1);
+        for (bytes, revision) in [
+            (&old, 0),
+            (&current, graphio_linalg::lanczos::SWEEP_POLICY_REVISION),
+        ] {
+            let decoded = get_spectrum_key(&mut Reader::new(bytes)).unwrap();
+            assert_eq!(decoded, key(revision));
+            assert_eq!(&encode(&decoded), bytes);
+        }
+        assert_ne!(key(0), key(1), "an old spectrum must miss a fresh lookup");
     }
 
     fn from_hex(hex: &str) -> Vec<u8> {

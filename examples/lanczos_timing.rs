@@ -6,7 +6,9 @@
 //!
 //! Runs the sparse-tier eigensolver schedule
 //! (`BoundOptions::for_graph_size_in_tier`) on `fft_butterfly(l)` once and
-//! prints the wall-clock time with the sweep and mat-vec counts.
+//! prints the wall-clock time with the sweep and mat-vec counts, the
+//! largest locked set a sweep deflated against, and how many sweeps ended
+//! early because their Krylov space became numerically invariant.
 
 use graphio::linalg::lanczos;
 use graphio::prelude::*;
@@ -38,10 +40,12 @@ fn main() {
     let t0 = Instant::now();
     let r = lanczos::smallest_eigenvalues(&lap, h, &lopts).expect("lanczos converges");
     println!(
-        "{:8.2}s  ({} sweeps, {} matvecs, lambda_2 = {:.6})",
+        "{:8.2}s  ({} sweeps, {} ended at invariance, {} matvecs, peak locked {}, lambda_2 = {:.6})",
         t0.elapsed().as_secs_f64(),
         r.sweeps,
+        r.invariant_stops,
         r.matvecs,
+        r.peak_locked,
         r.values[1]
     );
 }

@@ -15,6 +15,10 @@
 //! `load_session` plus the same document), asserting the restored bytes
 //! equal the cold ones and that the restore ran zero eigensolves.
 //!
+//! After each phase of a row it prints the process's peak resident set
+//! (`VmHWM`) to stderr, so the phase that sets the sweep's peak memory can
+//! be read off the log.
+//!
 //! ```text
 //! cargo run --release --example linalg_sweep > BENCH_linalg.json
 //! cargo run --release --example linalg_sweep -- quick   # small sizes only
@@ -57,6 +61,27 @@ fn time_matvec_pair(lap: &graphio::linalg::CsrMatrix, reps: usize) -> (f64, f64)
     }
     set_policy(SimdPolicy::Strict);
     (best[0], best[1])
+}
+
+/// The process's peak resident set so far (`VmHWM`, Linux), in MB.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb: f64 = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))?
+        .trim()
+        .trim_end_matches("kB")
+        .trim()
+        .parse()
+        .ok()?;
+    Some(kb / 1024.0)
+}
+
+/// Reports the peak resident set after `phase` of row `name`.
+fn log_peak(name: &str, phase: &str) {
+    if let Some(mb) = peak_rss_mb() {
+        eprintln!("{name}: VmHWM {mb:.0} MB after {phase}");
+    }
 }
 
 fn tier_name(n: usize) -> &'static str {
@@ -104,6 +129,9 @@ fn main() {
 
         let (simd_s, scalar_s) = time_matvec_pair(&lap, reps);
         let speedup = scalar_s / simd_s;
+        // Each session below builds its own Laplacians.
+        drop(lap);
+        log_peak(name, "mat-vec pair");
 
         // On its own session, so the analyze below still sweeps cold.
         let mincut_s = {
@@ -112,6 +140,7 @@ fn main() {
             session.min_cut(&ConvexMinCutOptions::for_graph_size(n));
             t.elapsed().as_secs_f64()
         };
+        log_peak(name, "min-cut session");
 
         // Both spectra on their own session, timed without the Laplacian
         // builds.
@@ -127,6 +156,7 @@ fn main() {
             }
             t.elapsed().as_secs_f64()
         };
+        log_peak(name, "eigensolve session");
 
         let fp = fingerprint(&g);
         let t = Instant::now();
@@ -134,6 +164,7 @@ fn main() {
         let body = analysis_body(&analyzer, &spec);
         let analyze_s = t.elapsed().as_secs_f64();
         assert!(body.contains("\"thm4\""), "analysis body malformed");
+        log_peak(name, "analyze session");
 
         // Warm restart: the cold session through the store and back.
         save_session(&store, fp, &analyzer).expect("write through");
@@ -155,6 +186,8 @@ fn main() {
             0,
             "{name}: restored session eigensolved"
         );
+        drop(restored);
+        log_peak(name, "store round trip");
 
         eprintln!(
             "{name}: n={n} nnz={nnz} matvec {simd:.1}us vs {scalar:.1}us ({speedup:.2}x), \

@@ -384,6 +384,9 @@ fn cmd_analyze(args: &[String]) {
             r.sim_upper.map_or("-".to_string(), |s| s.to_string()),
         );
     }
+    if rows.iter().any(|r| !r.certified) {
+        println!("thm4/thm5/thm6 are single-sweep Ritz estimates, not certified lower bounds");
+    }
     println!(
         "eigensolves: {} ({} cache hits), sparse mat-vecs: {}, min-cut sweeps: {}",
         stats.spectrum_misses, stats.spectrum_hits, matvecs, stats.mincut_misses,
