@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// [`wavefront_cut`]). Past that size [`ConvexMinCutOptions::for_graph_size`]
 /// also samples only a handful of vertices: the baseline becomes a coarse
 /// (still valid) lower bound whose job is to not stall a million-vertex
-/// analyze, switching at the spectral layer's huge-tier cutoff.
+/// analyze, switching where the analysis stops eigensolving.
 pub const HUGE_FLOW_CAP: u64 = 32;
 
 /// Vertex-sweep strategy for the per-vertex min cuts.

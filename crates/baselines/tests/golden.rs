@@ -2,9 +2,10 @@
 //!
 //! Every figure here was produced by the original per-vertex network
 //! rebuild and must never change: the served `mincut` bytes, the store's
-//! cached min-cut records and the huge tier's capped flows all depend on
-//! the exact per-vertex cuts, so any change to the flow network's layout
-//! or to Dinic's phase structure has to reproduce them bit for bit.
+//! cached min-cut records and the capped flows past the huge cutoff all
+//! depend on the exact per-vertex cuts, so any change to the flow
+//! network's layout or to Dinic's phase structure has to reproduce them
+//! bit for bit.
 
 use graphio_baselines::convex_mincut::{
     convex_min_cut_bound, wavefront_cut, ConvexMinCutOptions, ConvexMinCutResult,

@@ -134,10 +134,10 @@ mod tests {
         assert_eq!(bound(100).h, 100);
         assert_eq!(bound(1_000).h, 48);
         assert_eq!(bound(20_000).h, 32);
-        assert_eq!(bound(200_000).h, 8);
+        assert_eq!(bound(200_000).h, 32);
         assert!(matches!(bound(100).method, EigenMethod::Dense));
         assert!(matches!(bound(10_000).method, EigenMethod::Lanczos(_)));
-        assert!(matches!(bound(200_000).method, EigenMethod::RitzSweep(_)));
+        assert!(matches!(bound(200_000).method, EigenMethod::Lanczos(_)));
         assert!(matches!(mincut(100).sweep, VertexSweep::All));
         assert!(matches!(mincut(10_000).sweep, VertexSweep::Sample { .. }));
     }

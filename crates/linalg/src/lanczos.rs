@@ -87,22 +87,6 @@ impl Default for LanczosOptions {
     }
 }
 
-/// Above this operator dimension the deflated solver bounds its CGS2
-/// re-orthogonalization window (full re-orthogonalization is O(m²n) per
-/// sweep, which dominates everything else at scale).
-const BOUNDED_REORTH_MIN_N: usize = 1 << 18;
-
-/// CGS2 window for [`smallest_eigenvalues`] at dimension `n` — derived
-/// from `n` alone (never an option) so a given operator always reduces
-/// the same way and cache keys stay exact.
-fn reorth_window_for(n: usize) -> usize {
-    if n >= BOUNDED_REORTH_MIN_N {
-        32
-    } else {
-        usize::MAX
-    }
-}
-
 /// DGKS threshold (Daniel, Gragg, Kaufman & Stewart, 1976) for the second
 /// CGS pass of [`lanczos_sweep`]. If the first pass kept at least `1/√2`
 /// of `‖w‖`, the components it removed were small against `w` and what
@@ -126,112 +110,6 @@ const VERIFY_EVERY: usize = 8;
 /// certifies.
 pub const SWEEP_POLICY_REVISION: u8 = 1;
 
-/// Options for [`extreme_ritz_values`] — the fixed-cost single-sweep path
-/// the huge-`n` scale tier uses.
-#[derive(Debug, Clone)]
-pub struct RitzSweepOptions {
-    /// Lanczos steps (= Krylov dimension = the exact mat-vec budget).
-    pub steps: usize,
-    /// CGS2 re-orthogonalization window: each new basis vector is
-    /// orthogonalized (one pass, and a second when the DGKS test asks for
-    /// it) against only the trailing `window` basis vectors.
-    pub reorth_window: usize,
-    /// RNG seed for the start vector.
-    pub seed: u64,
-}
-
-impl Default for RitzSweepOptions {
-    fn default() -> Self {
-        RitzSweepOptions {
-            steps: 96,
-            reorth_window: 16,
-            seed: 0x5eed,
-        }
-    }
-}
-
-/// Estimates the `h` smallest eigenvalues of `op` from a **single**
-/// bounded-window Lanczos sweep: `steps` mat-vecs, then the top `h` Ritz
-/// values of the shifted operator, unshifted and sorted ascending.
-///
-/// This is the huge-`n` scale tier's solver. Unlike
-/// [`smallest_eigenvalues`] it never restarts, never widens the subspace,
-/// and does not verify multiplicities — its cost is exactly
-/// `steps · (matvec + O(window · n))`, deterministic for a given seed.
-/// The returned values are Ritz *estimates*: each is an upper bound on
-/// the correspondingly-indexed true eigenvalue (Cauchy interlacing), with
-/// error governed by the Kaniel–Paige convergence theory rather than a
-/// residual tolerance, and repeated eigenvalues are represented once per
-/// Krylov subspace. Callers that need certified values at this scale must
-/// pay for the deflated solver instead.
-///
-/// # Errors
-/// * [`LinalgError::TooManyEigenvaluesRequested`] if `h > op.dim()`.
-pub fn extreme_ritz_values<A: LinOp + ?Sized>(
-    op: &A,
-    h: usize,
-    opts: &RitzSweepOptions,
-) -> Result<LanczosResult> {
-    let _span = graphio_obs::span!("ritz_sweep");
-    let n = op.dim();
-    if h > n {
-        return Err(LinalgError::TooManyEigenvaluesRequested {
-            requested: h,
-            dimension: n,
-        });
-    }
-    if h == 0 || n == 0 {
-        return Ok(LanczosResult {
-            values: Vec::new(),
-            sweeps: 0,
-            matvecs: 0,
-            converged: true,
-            peak_locked: 0,
-            invariant_stops: 0,
-        });
-    }
-    let mut matvecs = 0usize;
-    let sigma = match op.eigen_upper_bound() {
-        Some(s) => s,
-        None => {
-            let p = power_iteration(op, 2000, 1e-10, 0xacc0)?;
-            matvecs += p.iterations;
-            p.value.abs() * 1.05 + 1e-9
-        }
-    };
-    let shifted = ShiftedNegated::new(op, sigma);
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    let mut v0: Vec<f64> = (0..n).map(|_| rng.gen::<f64>() * 2.0 - 1.0).collect();
-    normalize(&mut v0);
-    let steps = opts.steps.clamp(h, n);
-    let sweep = lanczos_sweep(
-        &shifted,
-        v0,
-        steps,
-        &[],
-        opts.reorth_window.max(2),
-        &mut matvecs,
-        None,
-    );
-    let analysis = RitzAnalysis::of(&sweep)?;
-    let m = analysis.theta.len();
-    let take = h.min(m);
-    // Top of the shifted spectrum = bottom of the original.
-    let mut values: Vec<f64> = analysis.theta[m - take..]
-        .iter()
-        .map(|&t| shifted.unshift(t))
-        .collect();
-    values.sort_by(f64::total_cmp);
-    Ok(LanczosResult {
-        values,
-        sweeps: 1,
-        matvecs,
-        converged: true,
-        peak_locked: 0,
-        invariant_stops: 0,
-    })
-}
-
 /// Outcome of [`smallest_eigenvalues`].
 #[derive(Debug, Clone)]
 pub struct LanczosResult {
@@ -245,7 +123,7 @@ pub struct LanczosResult {
     /// Whether all `h` requested eigenvalues were locked.
     pub converged: bool,
     /// The largest locked set a sweep was deflated against: at most `h`
-    /// plus ties at the h-th value (0 for the single-sweep estimate).
+    /// plus ties at the h-th value.
     pub peak_locked: usize,
     /// Sweeps ended before their step budget because their Krylov space
     /// became numerically invariant.
@@ -357,7 +235,6 @@ pub fn smallest_eigenvalues<A: LinOp + ?Sized>(
             v0,
             budget,
             &locked_vecs,
-            reorth_window_for(n),
             &mut matvecs,
             Some(&ends_sweep),
         );
@@ -461,23 +338,20 @@ struct Sweep {
 type SweepStop<'a> = &'a dyn Fn(&[f64], &[f64]) -> bool;
 
 /// One Lanczos sweep of at most `budget` steps from the unit vector `v0`,
-/// kept orthogonal to `locked` and (within the trailing `window` vectors)
-/// to its own basis.
+/// kept orthogonal to `locked` and to its own basis.
 ///
 /// Each step's residual `w` is re-orthogonalized by one CGS pass against
-/// `locked`, then the window. A second pass runs only when the first left
+/// `locked`, then the basis. A second pass runs only when the first left
 /// `‖w‖` below [`DGKS_RATIO`] (`1/√2`) of its value before the pass, and
 /// `β` is the norm after the last pass that ran.
 ///
 /// After each step short of exact invariance, `stop` (if given) may end
-/// the sweep. Only the deflated solver passes one; the single-sweep
-/// estimate always runs its full budget.
+/// the sweep.
 fn lanczos_sweep<A: LinOp + ?Sized>(
     op: &A,
     v0: Vec<f64>,
     budget: usize,
     locked: &[Vec<f64>],
-    window: usize,
     matvecs: &mut usize,
     stop: Option<SweepStop<'_>>,
 ) -> Sweep {
@@ -503,19 +377,16 @@ fn lanczos_sweep<A: LinOp + ?Sized>(
             axpy(-beta_prev, &basis[j - 1], &mut w);
         }
         // Re-orthogonalization: one classical GS pass against the locked
-        // set and the window, and a second pass (CGS2, "twice is enough")
+        // set and the basis, and a second pass (CGS2, "twice is enough")
         // only when the DGKS test asks for it. This O(m·n) step is the
-        // Lanczos bottleneck on large graphs — which is why huge operators
-        // bound the window to the trailing basis vectors (locked vectors
-        // are always swept in full; there are at most `h` of them).
-        let w0 = basis.len().saturating_sub(window);
+        // Lanczos bottleneck on large graphs.
         let before = norm2(&w);
         orthogonalize_against_cgs(&mut w, locked);
-        orthogonalize_against_cgs(&mut w, &basis[w0..]);
+        orthogonalize_against_cgs(&mut w, &basis);
         let mut beta = norm2(&w);
         if beta < DGKS_RATIO * before {
             orthogonalize_against_cgs(&mut w, locked);
-            orthogonalize_against_cgs(&mut w, &basis[w0..]);
+            orthogonalize_against_cgs(&mut w, &basis);
             beta = norm2(&w);
             second_passes += 1;
         }
@@ -740,7 +611,7 @@ mod tests {
     ) -> Vec<Vec<f64>> {
         let n = shifted.dim();
         let v0 = random_orthogonal_start(n, &[], rng).unwrap();
-        let sweep = lanczos_sweep(shifted, v0, 96.min(n), &[], usize::MAX, &mut 0, None);
+        let sweep = lanczos_sweep(shifted, v0, 96.min(n), &[], &mut 0, None);
         let analysis = RitzAnalysis::of(&sweep).unwrap();
         let (mut vecs, mut vals) = (Vec::new(), Vec::new());
         lock_converged(&sweep, &analysis, 1e-9, 8, shifted, &mut vecs, &mut vals);
@@ -758,7 +629,7 @@ mod tests {
             let shifted = ShiftedNegated::new(&a, a.eigen_upper_bound().unwrap());
             let locked = locked_after_first_sweep(&shifted, &mut rng);
             let v0 = random_orthogonal_start(a.dim(), &locked, &mut rng).unwrap();
-            let sweep = lanczos_sweep(&shifted, v0, 96, &locked, usize::MAX, &mut 0, None);
+            let sweep = lanczos_sweep(&shifted, v0, 96, &locked, &mut 0, None);
             let (self_dev, locked_dev) = orthogonality(&sweep, &locked);
             assert!(self_dev <= 1e-12, "{name}: |VᵀV − I| = {self_dev:e}");
             assert!(locked_dev <= 1e-12, "{name}: |Vᵀ·locked| = {locked_dev:e}");
@@ -812,7 +683,7 @@ mod tests {
         }
         normalize(&mut v0);
         let shifted = ShiftedNegated::new(&a, a.eigen_upper_bound().unwrap());
-        let sweep = lanczos_sweep(&shifted, v0, 96, &locked, usize::MAX, &mut 0, None);
+        let sweep = lanczos_sweep(&shifted, v0, 96, &locked, &mut 0, None);
         assert!(
             sweep.betas[1] < 1e-8,
             "not near breakdown: {:?}",
@@ -946,75 +817,6 @@ mod tests {
         let r2 = smallest_eigenvalues(&a, 6, &opts).unwrap();
         assert_eq!(r1.values, r2.values);
         assert_eq!(r1.matvecs, r2.matvecs);
-    }
-
-    #[test]
-    fn ritz_sweep_estimates_extreme_values() {
-        // On a well-separated spectrum a single 48-step sweep nails the
-        // smallest eigenvalues to far better than estimate accuracy.
-        let n = 60;
-        let mut trips = Vec::new();
-        let mut rng = StdRng::seed_from_u64(23);
-        for i in 0..n {
-            trips.push((i, i, 4.0 + rng.gen::<f64>()));
-            for _ in 0..3 {
-                let j = rng.gen_range(0..n);
-                if j != i {
-                    let v = rng.gen::<f64>() - 0.5;
-                    trips.push((i, j, v));
-                    trips.push((j, i, v));
-                }
-            }
-        }
-        let a = CsrMatrix::from_triplets(n, &trips).unwrap();
-        let dense_vals = eigenvalues_symmetric(&a.to_dense()).unwrap();
-        let opts = RitzSweepOptions {
-            steps: 48,
-            ..Default::default()
-        };
-        let r = extreme_ritz_values(&a, 6, &opts).unwrap();
-        assert_eq!(r.sweeps, 1);
-        assert_eq!(r.values.len(), 6);
-        for i in 0..6 {
-            // Interlacing: each Ritz estimate sits at or above the true
-            // eigenvalue of the same index.
-            assert!(r.values[i] >= dense_vals[i] - 1e-9);
-            assert!(
-                (r.values[i] - dense_vals[i]).abs() < 1e-6,
-                "i={i}: {} vs {}",
-                r.values[i],
-                dense_vals[i]
-            );
-        }
-    }
-
-    #[test]
-    fn ritz_sweep_is_deterministic_and_fixed_cost() {
-        let a = hypercube_laplacian(5);
-        let opts = RitzSweepOptions {
-            steps: 24,
-            reorth_window: 8,
-            seed: 7,
-        };
-        let r1 = extreme_ritz_values(&a, 4, &opts).unwrap();
-        let r2 = extreme_ritz_values(&a, 4, &opts).unwrap();
-        assert_eq!(r1.values, r2.values);
-        assert_eq!(r1.matvecs, r2.matvecs);
-        // Q_5's Laplacian has six distinct eigenvalues, so the Krylov
-        // space exhausts (happy breakdown) after exactly six applications
-        // — never the full 24-step budget. No power iteration runs either:
-        // the operator's upper bound 2d is known analytically.
-        assert_eq!(r1.matvecs, 6);
-        assert!(r1.values[0].abs() < 1e-8, "{}", r1.values[0]);
-    }
-
-    #[test]
-    fn ritz_sweep_rejects_oversized_h() {
-        let a = hypercube_laplacian(2);
-        assert!(matches!(
-            extreme_ritz_values(&a, 5, &RitzSweepOptions::default()),
-            Err(LinalgError::TooManyEigenvaluesRequested { .. })
-        ));
     }
 
     #[test]

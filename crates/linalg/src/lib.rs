@@ -41,9 +41,7 @@ pub mod vecops;
 pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
 pub use error::LinalgError;
-pub use lanczos::{
-    extreme_ritz_values, smallest_eigenvalues, LanczosOptions, LanczosResult, RitzSweepOptions,
-};
+pub use lanczos::{smallest_eigenvalues, LanczosOptions, LanczosResult};
 pub use linop::{LinOp, ShiftedNegated};
 pub use orthogonal::random_orthogonal;
 pub use power::{power_iteration, PowerResult};
@@ -52,11 +50,10 @@ pub use symeig::{eigenvalues_symmetric, eigh};
 pub use threads::set_threads;
 pub use tridiag::{tridiagonal_eigenvalues, tridiagonal_eigenvalues_bisect};
 
-/// The vertex count above which graphio stops certifying and switches to
-/// fixed-cost estimates: the spectral layer's single-sweep Ritz tier
-/// (`graphio_spectral::ScaleTier::Huge`) and the min-cut baseline's
-/// capped 4-vertex sample. It lives here, below both crates, so the two
-/// switch at the same `n`.
+/// The vertex count above which a served analysis runs no eigensolve
+/// (its spectral bounds are served as `null`) and the min-cut baseline
+/// switches to its capped 4-vertex sample. It lives here, below both the
+/// spectral and the baselines crates, so the two switch at the same `n`.
 pub const HUGE_CUTOFF: usize = 100_000;
 
 /// Result alias used throughout the crate.

@@ -36,10 +36,10 @@ pub(crate) fn record_scalar_fallback() {
     SCALAR_FALLBACKS.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Records one eigensolve on a sparse tier (Lanczos or single-sweep
-/// Ritz) rather than the dense path. Public because the tier dispatch
-/// lives a crate above (`graphio_spectral::bound`); `/stats` serves the
-/// count as `scale_tier_solves`.
+/// Records one deflated-Lanczos eigensolve (rather than the dense
+/// path). Public because the tier dispatch lives a crate above
+/// (`graphio_spectral::bound`); `/stats` serves the count as
+/// `scale_tier_solves`.
 pub fn record_sparse_eigensolve() {
     SPARSE_EIGENSOLVES.fetch_add(1, Ordering::Relaxed);
 }
@@ -65,7 +65,7 @@ pub fn scalar_fallback_count() -> u64 {
     SCALAR_FALLBACKS.load(Ordering::Relaxed)
 }
 
-/// Total eigensolves on a sparse tier (Lanczos or single-sweep Ritz).
+/// Total deflated-Lanczos eigensolves.
 pub fn sparse_eigensolve_count() -> u64 {
     SPARSE_EIGENSOLVES.load(Ordering::Relaxed)
 }

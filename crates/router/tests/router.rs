@@ -88,6 +88,38 @@ fn analyze_bytes_match_single_node_for_a_zoo() {
     }
 }
 
+/// Past the huge cutoff the analysis serves no spectral bound. The null
+/// document (`"method": null`, `"eigensolves": 0`, null spectral columns)
+/// has the same bytes offline, on a single node and through the router,
+/// for `/analyze` and inside a `/batch`.
+#[test]
+fn null_documents_past_the_cutoff_match_offline_through_the_router() {
+    use graphio_graph::generators::path_dag;
+    use graphio_spectral::HUGE_CUTOFF;
+    let c = cluster(2);
+    let memories = [4usize, 16];
+    let huge = path_dag(HUGE_CUTOFF + 1);
+    let small = fft_butterfly(4);
+    let spec = AnalyzeSpec {
+        processors: 4,
+        ..AnalyzeSpec::sweep(memories.to_vec())
+    };
+    let offline = |g: &CompGraph| analysis_body(&OwnedAnalyzer::from_graph(g.clone()), &spec);
+    let huge_offline = offline(&huge);
+    assert!(huge_offline.contains("\"method\":null,\"eigensolves\":0"));
+    for url in [c.router.url(), c.reference.url()] {
+        let r = client::analyze(&url, &graph_json(&huge), &memories, 4, false).unwrap();
+        assert_eq!(r.status, 200, "{}", r.body);
+        assert_eq!(r.body, huge_offline, "{url}");
+    }
+    let entries = [graph_json(&huge), graph_json(&small)];
+    let via_router = client::batch(&c.router.url(), &entries, &memories, 4, false).unwrap();
+    let via_single = client::batch(&c.reference.url(), &entries, &memories, 4, false).unwrap();
+    assert_eq!(via_router.status, 200, "{}", via_router.body);
+    assert_eq!(via_router.body, via_single.body);
+    assert_eq!(via_router.body, huge_offline + &offline(&small));
+}
+
 #[test]
 fn repeat_analyzes_are_affine_and_hit_the_session_cache() {
     let c = cluster(3);

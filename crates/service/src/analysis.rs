@@ -25,21 +25,24 @@
 //! therefore bound arithmetic plus serialization — no eigensolve, no
 //! min-cut sweep, no simulation.
 //!
-//! Every row says whether its bounds are certified (`"certified"`, from
-//! [`is_certified`]). On the `dense` and `lanczos` tiers they are proven
-//! lower bounds. Past [`graphio_spectral::HUGE_CUTOFF`] the `ritz_sweep`
-//! tier serves *estimates*: Theorems 4–6 evaluated on the Ritz values of
-//! one Krylov sweep, which keeps one copy per distinct eigenvalue and so
-//! can overshoot the exact bound (2.25–4.25× on fft(13) and bhk(17)).
+//! Every row says whether it carries certified spectral bounds
+//! (`"certified"`, from [`is_certified`]): proven lower bounds from the
+//! `dense` or `lanczos` solver up to [`graphio_spectral::HUGE_CUTOFF`]
+//! vertices. Past it no eigensolve runs: `thm4`, `best_k`, `thm5`, `thm6`
+//! and the document's `"method"` are `null`, and its `"eigensolves"` is 0.
 //!
 //! In debug builds [`analyze_rows`] checks the served-row invariant on
-//! the certified rows: every lower bound in a row is at most that row's
+//! every row: every lower bound in a row is at most that row's
 //! simulated upper bound.
 
 use graphio_baselines::convex_mincut::ConvexMinCutOptions;
 use graphio_graph::json::{BatchEntry, JsonValue, RequestDoc};
 use graphio_graph::CompGraph;
-use graphio_spectral::{BoundOptions, LaplacianKind, OwnedAnalyzer, ScaleTier, SpectrumKey};
+use graphio_spectral::{BoundOptions, LaplacianKind, OwnedAnalyzer, SpectrumKey};
+
+/// The one predicate for where the analysis stops eigensolving, shared
+/// with `graphio precompute` (`graphio_store::warm_session`).
+pub use graphio_spectral::is_certified;
 
 /// A validated analysis request: which memory sizes, how many processors,
 /// and whether to run the simulation upper bound.
@@ -218,18 +221,20 @@ pub fn validate_batch_entries<'a>(
 pub struct AnalyzeRow {
     /// The fast-memory size `M` of this sweep point.
     pub memory: usize,
-    /// Theorem 4 bound and its maximizing `k`, if the eigensolve succeeded.
+    /// Theorem 4 bound and its maximizing `k`, if the row is certified
+    /// and the eigensolve succeeded.
     pub thm4: Option<(f64, usize)>,
-    /// Theorem 5 bound, if the eigensolve succeeded.
+    /// Theorem 5 bound, under the same conditions as `thm4`.
     pub thm5: Option<f64>,
-    /// Theorem 6 parallel bound (only when `processors > 1`).
+    /// Theorem 6 parallel bound (only when `processors > 1`), under the
+    /// same conditions as `thm4`.
     pub thm6: Option<f64>,
     /// Convex min-cut baseline bound.
     pub mincut: u64,
     /// Best simulated upper bound (LRU vs Bélády), unless `no_sim`.
     pub sim_upper: Option<u64>,
-    /// Whether the spectral bounds are proven lower bounds
-    /// ([`is_certified`]); `false` marks the huge tier's estimates.
+    /// Whether the row carries spectral bounds ([`is_certified`]); past
+    /// the cutoff it serves none.
     pub certified: bool,
 }
 
@@ -262,9 +267,9 @@ impl AnalyzeRow {
 /// simulated cost a simulation.
 pub fn analyze_rows(analyzer: &OwnedAnalyzer, spec: &AnalyzeSpec) -> Vec<AnalyzeRow> {
     let n = analyzer.graph().n();
-    let opts = BoundOptions::for_graph_size(n);
+    // No solver options past the cutoff, so no spectrum is computed.
+    let opts = is_certified(n).then(|| BoundOptions::for_graph_size(n));
     let mc_opts = ConvexMinCutOptions::for_graph_size(n);
-    let certified = is_certified(n);
     let sims = if spec.no_sim {
         vec![None; spec.memories.len()]
     } else {
@@ -275,25 +280,25 @@ pub fn analyze_rows(analyzer: &OwnedAnalyzer, spec: &AnalyzeSpec) -> Vec<Analyze
         .iter()
         .zip(sims)
         .map(|(&m, sim_upper)| {
-            let thm4 = analyzer.bound(m, &opts).ok().map(|b| (b.bound, b.best_k));
-            let thm5 = analyzer.bound_original(m, &opts).ok().map(|b| b.bound);
-            let thm6 = (spec.processors > 1)
-                .then(|| analyzer.parallel_bound(m, spec.processors, &opts).ok())
-                .flatten()
-                .map(|b| b.bound);
+            let opts = opts.as_ref();
+            let thm4 = opts.and_then(|o| analyzer.bound(m, o).ok());
+            let thm5 = opts.and_then(|o| analyzer.bound_original(m, o).ok());
+            let thm6 = opts
+                .filter(|_| spec.processors > 1)
+                .and_then(|o| analyzer.parallel_bound(m, spec.processors, o).ok());
             let mincut = analyzer.min_cut_bound(m, &mc_opts);
             AnalyzeRow {
                 memory: m,
-                thm4,
-                thm5,
-                thm6,
+                thm4: thm4.map(|b| (b.bound, b.best_k)),
+                thm5: thm5.map(|b| b.bound),
+                thm6: thm6.map(|b| b.bound),
                 mincut,
                 sim_upper,
-                certified,
+                certified: opts.is_some(),
             }
         })
         .collect();
-    if cfg!(debug_assertions) && certified {
+    if cfg!(debug_assertions) {
         for row in &rows {
             let broken = row.bounds_above_sim();
             debug_assert!(
@@ -303,13 +308,6 @@ pub fn analyze_rows(analyzer: &OwnedAnalyzer, spec: &AnalyzeSpec) -> Vec<Analyze
         }
     }
     rows
-}
-
-/// Whether an `n`-vertex monolithic analysis runs on a certified
-/// eigensolver tier (`dense` or `lanczos`), whose bounds are proven lower
-/// bounds; the huge (`ritz_sweep`) tier serves estimates.
-pub fn is_certified(n: usize) -> bool {
-    ScaleTier::of(n) != ScaleTier::Huge
 }
 
 /// Number of distinct Laplacian spectra the analysis requires — the
@@ -323,9 +321,9 @@ pub fn required_eigensolves(_spec: &AnalyzeSpec) -> usize {
     LaplacianKind::ALL.len()
 }
 
-/// The eigensolver an `n`-vertex monolithic analysis resolves to under
-/// the size-scaled schedule — the document's `"method"` field
-/// (`"dense"` / `"lanczos"` / `"ritz_sweep"`).
+/// The eigensolver the size-scaled schedule resolves to for `n` vertices
+/// (`"dense"` / `"lanczos"`) — the document's `"method"` wherever
+/// [`is_certified`] holds.
 pub fn resolved_method_name(n: usize) -> &'static str {
     SpectrumKey::for_options(
         LaplacianKind::Normalized,
@@ -343,6 +341,14 @@ pub fn analysis_doc(analyzer: &OwnedAnalyzer, spec: &AnalyzeSpec) -> JsonValue {
     let g = analyzer.graph();
     let rows = analyze_rows(analyzer, spec);
     let opt_num = |v: Option<f64>| v.map_or(JsonValue::Null, JsonValue::Number);
+    let (method, eigensolves) = if is_certified(g.n()) {
+        (
+            JsonValue::String(resolved_method_name(g.n()).to_string()),
+            required_eigensolves(spec),
+        )
+    } else {
+        (JsonValue::Null, 0)
+    };
     JsonValue::Object(vec![
         ("n".to_string(), JsonValue::Number(g.n() as f64)),
         ("edges".to_string(), JsonValue::Number(g.num_edges() as f64)),
@@ -350,13 +356,10 @@ pub fn analysis_doc(analyzer: &OwnedAnalyzer, spec: &AnalyzeSpec) -> JsonValue {
             "processors".to_string(),
             JsonValue::Number(spec.processors as f64),
         ),
-        (
-            "method".to_string(),
-            JsonValue::String(resolved_method_name(g.n()).to_string()),
-        ),
+        ("method".to_string(), method),
         (
             "eigensolves".to_string(),
-            JsonValue::Number(required_eigensolves(spec) as f64),
+            JsonValue::Number(eigensolves as f64),
         ),
         (
             "sweep".to_string(),
@@ -412,12 +415,12 @@ mod tests {
         assert!(warnings[0].contains("duplicate memory size 8"));
     }
 
-    /// The spectral tier, the served `"method"`, certification and the
-    /// min-cut schedule all switch at the one huge cutoff.
+    /// Certification, and with it the served `"method"`, and the min-cut
+    /// schedule all switch at the one huge cutoff.
     #[test]
     fn huge_cutoff_switches_every_schedule_together() {
         use graphio_baselines::convex_mincut::VertexSweep;
-        use graphio_spectral::{EigenMethod, HUGE_CUTOFF};
+        use graphio_spectral::{EigenMethod, ScaleTier, HUGE_CUTOFF};
         let at = HUGE_CUTOFF;
         assert_eq!(ScaleTier::of(at), ScaleTier::Sparse);
         assert!(matches!(
@@ -432,12 +435,6 @@ mod tests {
         ));
 
         let past = HUGE_CUTOFF + 1;
-        assert_eq!(ScaleTier::of(past), ScaleTier::Huge);
-        assert!(matches!(
-            BoundOptions::for_graph_size(past).method,
-            EigenMethod::RitzSweep(_)
-        ));
-        assert_eq!(resolved_method_name(past), "ritz_sweep");
         assert!(!is_certified(past));
         assert!(matches!(
             ConvexMinCutOptions::for_graph_size(past).sweep,

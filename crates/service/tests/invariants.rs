@@ -1,9 +1,9 @@
-//! The served-row invariant: in every row served as `certified` each
-//! lower bound (`thm4`, `thm5`, `thm6`, `mincut`) is at most the row's
-//! simulated upper bound `sim_upper`. A lower bound holds for every
-//! schedule, the simulated one included, so a violation is a bug in a
-//! bound (or in the simulator), never in the graph. Rows served as
-//! `certified: false` (the huge tier's estimates) are skipped.
+//! The served-row invariant: in every served row each lower bound
+//! (`thm4`, `thm5`, `thm6`, `mincut`) is at most the row's simulated upper
+//! bound `sim_upper`. A lower bound holds for every schedule, the
+//! simulated one included, so a violation is a bug in a bound (or in the
+//! simulator), never in the graph. Rows past the huge cutoff
+//! (`certified: false`) carry no spectral bound, only `mincut`.
 //!
 //! `analyze_rows` also checks this with a `debug_assert!`; the property
 //! test below sweeps the generator zoo so that check actually runs.
@@ -35,7 +35,7 @@ fn check(g: CompGraph, memories: Vec<usize>, processors: usize) -> Result<(), St
         processors,
         ..AnalyzeSpec::sweep(memories)
     };
-    for row in analyze_rows(&an, &spec).into_iter().filter(|r| r.certified) {
+    for row in analyze_rows(&an, &spec) {
         let broken = row.bounds_above_sim();
         if !broken.is_empty() {
             return Err(format!(
@@ -74,8 +74,9 @@ fn lanczos_tier_rows_respect_the_simulation() {
 }
 
 /// Every served row carries `"certified"`: `true` on the dense and Lanczos
-/// tiers, `false` on the huge tier's estimates, which start one vertex
-/// past `HUGE_CUTOFF`.
+/// tiers, `false` from one vertex past `HUGE_CUTOFF` on. There the
+/// analysis runs no eigensolve: every spectral column of every row is
+/// `null`, the document names no `"method"` and counts 0 eigensolves.
 #[test]
 fn rows_are_certified_exactly_below_the_huge_cutoff() {
     use graphio_graph::generators::path_dag;
@@ -84,23 +85,33 @@ fn rows_are_certified_exactly_below_the_huge_cutoff() {
     use graphio_spectral::HUGE_CUTOFF;
     let spec = AnalyzeSpec {
         no_sim: true,
+        processors: 4,
         ..AnalyzeSpec::sweep(vec![4, 16])
     };
-    for (g, method, certified) in [
-        (fft_butterfly(3), "dense", true),
-        (bhk_hypercube(9), "lanczos", true),
-        (path_dag(HUGE_CUTOFF + 1), "ritz_sweep", false),
+    for (g, method, eigensolves) in [
+        (fft_butterfly(3), JsonValue::String("dense".into()), 2),
+        (bhk_hypercube(9), JsonValue::String("lanczos".into()), 2),
+        (path_dag(HUGE_CUTOFF + 1), JsonValue::Null, 0),
+        (fft_butterfly(13), JsonValue::Null, 0),
     ] {
-        let doc = analysis_doc(&OwnedAnalyzer::from_graph(g), &spec);
-        assert_eq!(doc.get("method").and_then(JsonValue::as_str), Some(method));
+        let n = g.n();
+        let certified = n <= HUGE_CUTOFF;
+        assert_eq!(is_certified(n), certified);
+        let an = OwnedAnalyzer::from_graph(g);
+        let doc = analysis_doc(&an, &spec);
+        assert_eq!(doc.get("method"), Some(&method), "n = {n}");
+        let served = doc.get("eigensolves").and_then(JsonValue::as_u64);
+        assert_eq!(served, Some(eigensolves), "n = {n}");
+        assert_eq!(an.stats().spectrum_misses, eigensolves, "n = {n}");
         let rows = doc.get("sweep").and_then(JsonValue::as_array).unwrap();
         assert_eq!(rows.len(), 2);
         for row in rows {
-            assert_eq!(
-                row.get("certified"),
-                Some(&JsonValue::Bool(certified)),
-                "{method}: {row:?}"
-            );
+            let flag = row.get("certified");
+            assert_eq!(flag, Some(&JsonValue::Bool(certified)), "n = {n}: {row:?}");
+            for column in ["thm4", "best_k", "thm5", "thm6"] {
+                let null = row.get(column) == Some(&JsonValue::Null);
+                assert_eq!(null, !certified, "n = {n}: {column} in {row:?}");
+            }
         }
     }
 }

@@ -355,3 +355,64 @@ fn old_sweep_policy_spectra_are_recomputed() {
     drop(store);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A record written while the single-sweep estimate existed holds its
+/// spectra under codec method tag 2, which no longer decodes. The server
+/// reads such a record as absent: it answers 200 with the offline null
+/// document and writes the new session through over the old record.
+#[test]
+fn method_tag_2_records_are_replaced_by_the_null_document() {
+    use graphio_graph::generators::path_dag;
+    use graphio_spectral::{SessionExport, HUGE_CUTOFF};
+    use graphio_store::{decode_session, encode_session, CodecError, Store, StoreConfig};
+    let dir = tmp_dir("method_tag_2");
+    let g = path_dag(HUGE_CUTOFF + 1);
+    let fp = graphio_graph::fingerprint(&g);
+    let memories = [4usize, 16];
+    {
+        // Version byte and graph, then one spectrum keyed by tag 2 and
+        // three empty sections (cuts, decompositions, simulated bounds).
+        let mut doc = encode_session(&g, &SessionExport::default());
+        doc.truncate(doc.len() - 16);
+        doc.extend(1u32.to_le_bytes()); // 1 spectrum
+        doc.push(0); // kind = Normalized
+        doc.extend(8u64.to_le_bytes()); // h = 8
+        doc.push(2); // method tag 2
+        for field in [96u64, 16, 0x5eed] {
+            doc.extend(field.to_le_bytes()); // steps, window, seed
+        }
+        doc.extend(1u32.to_le_bytes()); // 1 eigenvalue
+        doc.extend(0f64.to_bits().to_le_bytes());
+        doc.extend([0u8; 12]);
+        assert!(matches!(
+            decode_session(&doc),
+            Err(CodecError::BadTag {
+                what: "method",
+                tag: 2
+            })
+        ));
+        let store = Store::open(&dir, StoreConfig::default()).unwrap();
+        store.put(fp, &doc).unwrap();
+    }
+    {
+        let server = store_server(&dir);
+        let r = client::analyze(&server.url(), &graph_json(&g), &memories, 1, false).unwrap();
+        assert_eq!(r.status, 200, "{}", r.body);
+        assert_eq!(r.header("x-graphio-session"), Some("miss"));
+        assert_eq!(r.body, offline_body(&g, &memories));
+        assert!(r.body.contains("\"method\":null"), "{}", r.body);
+        server.shutdown();
+    }
+    let store = Store::open(&dir, StoreConfig::default()).unwrap();
+    let doc = store.get(fp).unwrap().expect("record present");
+    let back = decode_session(&doc).expect("the new session replaced the old record");
+    assert_eq!(back.graph, g);
+    assert!(
+        back.export.spectra.is_empty(),
+        "no eigensolve past the cutoff"
+    );
+    assert_eq!(back.export.cuts.len(), 1);
+    assert_eq!(back.export.sims.len(), memories.len());
+    drop(store);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

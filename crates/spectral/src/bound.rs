@@ -10,9 +10,7 @@
 
 use crate::engine::LaplacianKind;
 use graphio_graph::CompGraph;
-use graphio_linalg::{
-    eigenvalues_symmetric, lanczos, CsrMatrix, LanczosOptions, LinalgError, RitzSweepOptions,
-};
+use graphio_linalg::{eigenvalues_symmetric, lanczos, CsrMatrix, LanczosOptions, LinalgError};
 
 /// Up to this vertex count [`ScaleTier::of`] solves densely — the O(n³)
 /// solver beats Lanczos there and is exact. (Lowered from the original
@@ -20,12 +18,21 @@ use graphio_linalg::{
 /// n ≈ 500, e.g. the once-12-second cold `diamond_dag(40,40)` analyze.)
 pub const DENSE_CUTOFF: usize = 448;
 
-/// Above this vertex count [`ScaleTier::of`] stops paying for the deflated
-/// (restarted, fully re-orthogonalized, multiplicity-verifying) Lanczos
-/// solver and switches to the fixed-cost single-sweep Ritz estimate — see
-/// [`ScaleTier::Huge`] for the contract change. Defined in
-/// `graphio_linalg` because the min-cut baseline switches at the same n.
+/// Above this vertex count a served analysis runs no eigensolve — a
+/// certified solve there costs far more than the rest of the analysis —
+/// and serves its spectral bounds as `null`. The solver tiers do not
+/// switch here: a direct call past it still gets a certified Lanczos
+/// solve. Defined in `graphio_linalg` because the min-cut baseline
+/// switches at the same n.
 pub use graphio_linalg::HUGE_CUTOFF;
+
+/// Whether an `n`-vertex analysis serves spectral bounds: up to
+/// [`HUGE_CUTOFF`] vertices it eigensolves on a certified tier (`dense`
+/// or `lanczos`), whose bounds are proven lower bounds; past it, it runs
+/// no eigensolve and serves them as `null`.
+pub fn is_certified(n: usize) -> bool {
+    n <= HUGE_CUTOFF
+}
 
 /// Which solver tier [`BoundOptions::for_graph_size`] and the `Auto`
 /// eigensolver method dispatch to — a pure function of the vertex count
@@ -38,25 +45,16 @@ pub enum ScaleTier {
     /// Deflated Lanczos — certified extreme eigenvalues with verified
     /// multiplicities, cost O(sweeps · subspace · n).
     Sparse,
-    /// Single-sweep Ritz extraction — **estimates**, not certified
-    /// eigenvalues: each Ritz value upper-bounds the same-index true
-    /// eigenvalue (Cauchy interlacing) and repeated eigenvalues collapse,
-    /// so bounds computed from them are estimates too (the scale-tier
-    /// analog of the paper's §6.5 wall-clock cutoffs). Cost is a fixed
-    /// `steps` mat-vecs.
-    Huge,
 }
 
 impl ScaleTier {
     /// The tier an `n`-vertex graph is solved on: `Dense` up to
-    /// [`DENSE_CUTOFF`], `Sparse` up to [`HUGE_CUTOFF`], `Huge` beyond.
+    /// [`DENSE_CUTOFF`], `Sparse` beyond.
     pub fn of(n: usize) -> ScaleTier {
         if n <= DENSE_CUTOFF {
             ScaleTier::Dense
-        } else if n <= HUGE_CUTOFF {
-            ScaleTier::Sparse
         } else {
-            ScaleTier::Huge
+            ScaleTier::Sparse
         }
     }
 }
@@ -65,16 +63,13 @@ impl ScaleTier {
 #[derive(Debug, Clone, Default)]
 pub enum EigenMethod {
     /// Resolved by [`ScaleTier::of`]: dense when `n ≤ DENSE_CUTOFF`,
-    /// deflated Lanczos through [`HUGE_CUTOFF`], single-sweep Ritz beyond.
+    /// deflated Lanczos beyond.
     #[default]
     Auto,
     /// Always the dense O(n³) solver (exact; memory O(n²)).
     Dense,
     /// Always deflated Lanczos with these options.
     Lanczos(LanczosOptions),
-    /// Always the fixed-cost single-sweep Ritz estimate (the huge tier's
-    /// solver — see [`ScaleTier::Huge`] for what "estimate" gives up).
-    RitzSweep(RitzSweepOptions),
 }
 
 /// Options for the spectral bounds.
@@ -107,8 +102,7 @@ impl BoundOptions {
     ///
     /// The paper fixes `h = 100`; past the dense cutoff we shrink `h` (the
     /// optimal `k` stays far below it, §6.5) to keep the deflated-Lanczos
-    /// deflation count down, and past [`HUGE_CUTOFF`] we switch to the
-    /// fixed-cost single-sweep Ritz estimate.
+    /// deflation count down.
     pub fn for_graph_size(n: usize) -> Self {
         Self::for_graph_size_in_tier(n, ScaleTier::of(n))
     }
@@ -126,7 +120,6 @@ impl BoundOptions {
                     ..Default::default()
                 }),
             ),
-            ScaleTier::Huge => (8, EigenMethod::RitzSweep(RitzSweepOptions::default())),
         };
         BoundOptions {
             h,
@@ -144,7 +137,6 @@ impl BoundOptions {
             EigenMethod::Auto => match ScaleTier::of(n) {
                 ScaleTier::Dense => EigenMethod::Dense,
                 ScaleTier::Sparse => EigenMethod::Lanczos(LanczosOptions::default()),
-                ScaleTier::Huge => EigenMethod::RitzSweep(RitzSweepOptions::default()),
             },
             explicit => explicit.clone(),
         }
@@ -286,10 +278,6 @@ pub fn smallest_eigenvalues(lap: &CsrMatrix, opts: &BoundOptions) -> Result<Vec<
         EigenMethod::Lanczos(lopts) => {
             graphio_linalg::stats::record_sparse_eigensolve();
             Ok(lanczos::smallest_eigenvalues(lap, h, &lopts)?.values)
-        }
-        EigenMethod::RitzSweep(ropts) => {
-            graphio_linalg::stats::record_sparse_eigensolve();
-            Ok(lanczos::extreme_ritz_values(lap, h, &ropts)?.values)
         }
         EigenMethod::Auto => unreachable!("resolved_method never returns Auto"),
     }
@@ -500,17 +488,16 @@ mod tests {
         let at_huge = BoundOptions::for_graph_size(HUGE_CUTOFF);
         assert!(matches!(at_huge.method, EigenMethod::Lanczos(_)));
         assert_eq!(at_huge.h, 32);
+        // A direct call past the huge cutoff still gets a certified solve.
         let past_huge = BoundOptions::for_graph_size(HUGE_CUTOFF + 1);
-        assert!(matches!(past_huge.method, EigenMethod::RitzSweep(_)));
-        assert_eq!(past_huge.h, 8);
+        assert!(matches!(past_huge.method, EigenMethod::Lanczos(_)));
+        assert_eq!(past_huge.h, 32);
     }
 
     #[test]
     fn explicit_tier_overrides_graph_size() {
         let forced_dense = BoundOptions::for_graph_size_in_tier(1 << 20, ScaleTier::Dense);
         assert!(matches!(forced_dense.method, EigenMethod::Dense));
-        let forced_huge = BoundOptions::for_graph_size_in_tier(10, ScaleTier::Huge);
-        assert!(matches!(forced_huge.method, EigenMethod::RitzSweep(_)));
         let forced_sparse = BoundOptions::for_graph_size_in_tier(10, ScaleTier::Sparse);
         assert!(matches!(forced_sparse.method, EigenMethod::Lanczos(_)));
     }
@@ -528,7 +515,7 @@ mod tests {
         ));
         assert!(matches!(
             opts.resolved_method(HUGE_CUTOFF + 1),
-            EigenMethod::RitzSweep(_)
+            EigenMethod::Lanczos(_)
         ));
         // Explicit methods are never re-resolved.
         let dense = BoundOptions {
@@ -536,41 +523,6 @@ mod tests {
             ..Default::default()
         };
         assert!(matches!(dense.resolved_method(1 << 20), EigenMethod::Dense));
-    }
-
-    #[test]
-    fn ritz_sweep_method_agrees_with_dense_on_small_graph() {
-        let g = fft_butterfly(4); // n = 80
-        let m = 4;
-        let dense = spectral_bound(
-            &g,
-            m,
-            &BoundOptions {
-                method: EigenMethod::Dense,
-                h: 8,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let ritz = spectral_bound(
-            &g,
-            m,
-            &BoundOptions {
-                method: EigenMethod::RitzSweep(RitzSweepOptions {
-                    steps: 64,
-                    ..Default::default()
-                }),
-                h: 8,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(
-            (dense.bound - ritz.bound).abs() < 1e-3 * (1.0 + dense.bound),
-            "dense={} ritz={}",
-            dense.bound,
-            ritz.bound
-        );
     }
 
     #[test]

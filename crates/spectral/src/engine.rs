@@ -130,25 +130,15 @@ pub enum MethodKey {
         /// older one, and then no lookup of a fresh key finds it).
         revision: u8,
     },
-    /// Single-sweep Ritz estimate (the huge scale tier's solver).
-    RitzSweep {
-        /// Lanczos steps (= the exact mat-vec budget).
-        steps: usize,
-        /// CGS2 re-orthogonalization window.
-        reorth_window: usize,
-        /// Starting-vector seed.
-        seed: u64,
-    },
 }
 
 impl MethodKey {
     /// The solver's wire name (`"method"` in analyze documents):
-    /// `dense` / `lanczos` / `ritz_sweep`.
+    /// `dense` / `lanczos`.
     pub fn name(&self) -> &'static str {
         match self {
             MethodKey::Dense => "dense",
             MethodKey::Lanczos { .. } => "lanczos",
-            MethodKey::RitzSweep { .. } => "ritz_sweep",
         }
     }
 }
@@ -166,11 +156,6 @@ impl SpectrumKey {
                 max_sweeps: o.max_sweeps,
                 seed: o.seed,
                 revision: graphio_linalg::lanczos::SWEEP_POLICY_REVISION,
-            },
-            EigenMethod::RitzSweep(o) => MethodKey::RitzSweep {
-                steps: o.steps,
-                reorth_window: o.reorth_window,
-                seed: o.seed,
             },
             EigenMethod::Auto => unreachable!("resolved_method never returns Auto"),
         };

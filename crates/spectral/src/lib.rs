@@ -39,8 +39,8 @@ pub mod published;
 pub mod qap;
 
 pub use bound::{
-    parallel_spectral_bound, spectral_bound, spectral_bound_original, BoundOptions, EigenMethod,
-    ScaleTier, SpectralBound, DENSE_CUTOFF, HUGE_CUTOFF,
+    is_certified, parallel_spectral_bound, spectral_bound, spectral_bound_original, BoundOptions,
+    EigenMethod, ScaleTier, SpectralBound, DENSE_CUTOFF, HUGE_CUTOFF,
 };
 pub use engine::{
     CutKey, EngineStats, LaplacianKind, MethodKey, OwnedAnalyzer, SessionExport, SpectrumKey,

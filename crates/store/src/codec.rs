@@ -39,12 +39,12 @@
 //! key      := kind:u8 h:u64 (0:u8
 //!                            | 1:u8 subspace:u64 tol:u64 max_sweeps:u64
 //!                              seed:u64          (Lanczos, sweep policy 0)
-//!                            | 2:u8 steps:u64 window:u64 seed:u64
-//!                                                (single-sweep estimate)
 //!                            | 3:u8 subspace:u64 tol:u64 max_sweeps:u64
 //!                              seed:u64 revision:u8
 //!                                                (Lanczos, sweep policy
 //!                                                 ≥ 1))
+//!                            (tag 2, the retired single-sweep estimate,
+//!                             fails as a bad method tag)
 //! cut      := (0:u8 | 1:u8 count:u64 seed:u64)
 //!             bound:u64 best_vertex:u64 max_cut:u64 evaluated:u64
 //! dec      := target:u64 cut_edges:u64 invariant:u8 ncomp:u32
@@ -431,16 +431,6 @@ fn put_spectrum_key(w: &mut Writer, key: &SpectrumKey) {
                 w.put_u8(*revision);
             }
         }
-        MethodKey::RitzSweep {
-            steps,
-            reorth_window,
-            seed,
-        } => {
-            w.put_u8(2);
-            w.put_u64(*steps as u64);
-            w.put_u64(*reorth_window as u64);
-            w.put_u64(*seed);
-        }
     }
 }
 
@@ -459,11 +449,6 @@ fn get_spectrum_key(r: &mut Reader<'_>) -> Result<SpectrumKey, CodecError> {
             max_sweeps: r.get_u64()? as usize,
             seed: r.get_u64()?,
             revision: if tag == 3 { r.get_u8()? } else { 0 },
-        },
-        2 => MethodKey::RitzSweep {
-            steps: r.get_u64()? as usize,
-            reorth_window: r.get_u64()? as usize,
-            seed: r.get_u64()?,
         },
         tag => {
             return Err(CodecError::BadTag {
@@ -1098,6 +1083,38 @@ mod tests {
         assert_ne!(key(0), key(1), "an old spectrum must miss a fresh lookup");
     }
 
+    /// The retired single-sweep estimate stored its spectra under method
+    /// tag 2. Such a record now fails to decode with a bad method tag, so
+    /// a store reads it as absent and the analysis recomputes. Built from
+    /// raw bytes: the encoder can no longer write the tag.
+    #[test]
+    fn method_tag_2_records_fail_to_decode() {
+        // Version byte and graph, then the four section counts, all zero.
+        let mut doc = encode_session(&tiny_graph(), &SessionExport::default());
+        doc.truncate(doc.len() - 16);
+        doc.extend(from_hex(concat!(
+            "01000000",         // 1 spectrum
+            "00",               // kind = Normalized
+            "0800000000000000", // h = 8
+            "02",               // method = the retired single-sweep estimate
+            "6000000000000000", // steps = 96
+            "1000000000000000", // window = 16
+            "ed5e000000000000", // seed = 0x5eed
+            "01000000",         // 1 eigenvalue
+            "0000000000000000", // 0.0
+            "00000000",         // no cuts
+            "00000000",         // no decompositions
+            "00000000",         // no simulated bounds
+        )));
+        assert_eq!(
+            decode_session(&doc),
+            Err(CodecError::BadTag {
+                what: "method",
+                tag: 2
+            })
+        );
+    }
+
     fn from_hex(hex: &str) -> Vec<u8> {
         (0..hex.len())
             .step_by(2)
@@ -1255,10 +1272,7 @@ mod tests {
             "01000000",                         // 1 vertex
             "01000000",                         // vertex 1
         );
-        let bytes: Vec<u8> = (0..hex.len())
-            .step_by(2)
-            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
-            .collect();
+        let bytes = from_hex(hex);
         // The version-2 record CRC as existing stores carry it.
         assert_eq!(crc32(&bytes), 0xFF6C_CEED);
         let back = decode_session(&bytes).unwrap();
@@ -1304,10 +1318,7 @@ mod tests {
             "0100000000000000", // max_cut = 1
             "0200000000000000", // vertices_evaluated = 2
         );
-        let bytes: Vec<u8> = (0..hex.len())
-            .step_by(2)
-            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
-            .collect();
+        let bytes = from_hex(hex);
         // The version-1 record CRC as existing stores carry it.
         assert_eq!(crc32(&bytes), 0xD3C9_7A9E);
         let back = decode_session(&bytes).unwrap();

@@ -52,7 +52,7 @@ pub use segment::{Store, StoreConfig, StoreStats};
 use graphio_baselines::convex_mincut::ConvexMinCutOptions;
 use graphio_graph::Fingerprint;
 use graphio_linalg::LinalgError;
-use graphio_spectral::{BoundOptions, LaplacianKind, OwnedAnalyzer};
+use graphio_spectral::{is_certified, BoundOptions, LaplacianKind, OwnedAnalyzer};
 use std::io;
 
 /// Materializes every artifact the canonical analysis document needs —
@@ -60,15 +60,18 @@ use std::io;
 /// min-cut sweep — so that a subsequent [`save_session`] captures a
 /// snapshot from which *any* memory sweep, theorem variant and processor
 /// count is answerable without recomputation. This is the work
-/// `graphio precompute` does per corpus graph.
+/// `graphio precompute` does per corpus graph. Where the document serves
+/// no spectral bound ([`is_certified`]), no spectrum is computed.
 ///
 /// # Errors
 /// Propagates eigensolver failures ([`LinalgError`]).
 pub fn warm_session(analyzer: &OwnedAnalyzer) -> Result<(), LinalgError> {
     let n = analyzer.graph().n();
-    let opts = BoundOptions::for_graph_size(n);
-    analyzer.spectrum(LaplacianKind::Normalized, &opts)?;
-    analyzer.spectrum(LaplacianKind::Unnormalized, &opts)?;
+    if is_certified(n) {
+        let opts = BoundOptions::for_graph_size(n);
+        analyzer.spectrum(LaplacianKind::Normalized, &opts)?;
+        analyzer.spectrum(LaplacianKind::Unnormalized, &opts)?;
+    }
     analyzer.min_cut(&ConvexMinCutOptions::for_graph_size(n));
     Ok(())
 }

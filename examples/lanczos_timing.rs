@@ -22,16 +22,13 @@ fn main() {
         .unwrap_or(11);
     let g = fft_butterfly(l);
     let lap = normalized_laplacian(&g);
-    // Pin the sparse tier: this probe times the deflated Lanczos solver
-    // even at sizes the Auto tier would hand to the single-sweep estimate.
+    // Pin the sparse tier, so this probe times the deflated Lanczos
+    // solver at every size.
     let opts = BoundOptions::for_graph_size_in_tier(g.n(), ScaleTier::Sparse);
-    let (h, lopts) = match opts.method {
-        EigenMethod::Lanczos(lo) => (opts.h, lo),
-        _ => {
-            eprintln!("graph too small for the Lanczos schedule; try l >= 10");
-            std::process::exit(2);
-        }
+    let EigenMethod::Lanczos(lopts) = opts.method else {
+        unreachable!("the sparse tier always runs Lanczos");
     };
+    let h = opts.h;
     println!(
         "fft_butterfly({l}): n = {}, nnz = {}, h = {h}",
         g.n(),

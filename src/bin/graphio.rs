@@ -43,12 +43,14 @@ use graphio::graph::{CompGraph, EdgeListGraph};
 use graphio::linalg::stats::sparse_matvec_count;
 use graphio::pebble::{simulate, Policy};
 use graphio::router::{serve_router, RouterConfig};
-use graphio::service::analysis::{analysis_body, analyze_rows, validate_memories, AnalyzeSpec};
+use graphio::service::analysis::{
+    analysis_body, analyze_rows, is_certified, validate_memories, AnalyzeSpec,
+};
 use graphio::service::cache::CacheConfig;
 use graphio::service::{
     client, loadgen, serve, PersistenceConfig, ServiceConfig, SlowLogConfig, SlowLogTarget,
 };
-use graphio::spectral::{BoundOptions, OwnedAnalyzer};
+use graphio::spectral::{BoundOptions, OwnedAnalyzer, HUGE_CUTOFF};
 use graphio::store::{
     canonical_edge_list, decode_session, load_session, save_session, warm_session, Store,
     StoreConfig,
@@ -302,21 +304,27 @@ fn cmd_bound(args: &[String]) {
     let g = read_graph_from_stdin();
     // The CLI shares the bench harness's size-scaled tuning schedule
     // (BoundOptions::for_graph_size).
-    let opts = BoundOptions::for_graph_size(g.n());
+    let n = g.n();
+    let opts = BoundOptions::for_graph_size(n);
     let analyzer = OwnedAnalyzer::from_graph(g);
-    let spectral = if p == 1 {
-        analyzer.bound(m, &opts)
+    if !is_certified(n) {
+        println!(
+            "spectral lower bound: none (n = {n} is past the {HUGE_CUTOFF}-vertex cutoff \
+             for a certified eigensolve)"
+        );
     } else {
-        analyzer.parallel_bound(m, p, &opts)
-    };
-    match spectral {
-        Ok(b) => println!(
-            "spectral lower bound: {:.2}  (best k = {}, n = {})",
-            b.bound,
-            b.best_k,
-            analyzer.graph().n()
-        ),
-        Err(e) => eprintln!("spectral bound failed: {e}"),
+        let spectral = if p == 1 {
+            analyzer.bound(m, &opts)
+        } else {
+            analyzer.parallel_bound(m, p, &opts)
+        };
+        match spectral {
+            Ok(b) => println!(
+                "spectral lower bound: {:.2}  (best k = {}, n = {n})",
+                b.bound, b.best_k
+            ),
+            Err(e) => eprintln!("spectral bound failed: {e}"),
+        }
     }
     let g = analyzer.graph();
     let mc = convex_min_cut_bound(g, m, &ConvexMinCutOptions::for_graph_size(g.n()));
@@ -364,7 +372,12 @@ fn cmd_analyze(args: &[String]) {
         "analysis of graph: n = {}, edges = {}, h = {}, threads = {}",
         g.n(),
         g.num_edges(),
-        BoundOptions::for_graph_size(g.n()).h,
+        // No spectrum, so no h, past the cutoff.
+        if is_certified(g.n()) {
+            BoundOptions::for_graph_size(g.n()).h.to_string()
+        } else {
+            "-".to_string()
+        },
         graphio::linalg::threads::effective_threads(),
     );
     let fmt_opt = |v: Option<f64>| v.map_or("-".to_string(), |b| format!("{b:.1}"));
@@ -383,9 +396,6 @@ fn cmd_analyze(args: &[String]) {
             r.mincut,
             r.sim_upper.map_or("-".to_string(), |s| s.to_string()),
         );
-    }
-    if rows.iter().any(|r| !r.certified) {
-        println!("thm4/thm5/thm6 are single-sweep Ritz estimates, not certified lower bounds");
     }
     println!(
         "eigensolves: {} ({} cache hits), sparse mat-vecs: {}, min-cut sweeps: {}",

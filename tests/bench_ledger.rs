@@ -1,13 +1,16 @@
 //! The committed offline speed ledger, `BENCH_linalg.json`, must be the
 //! full output of the current `examples/linalg_sweep.rs`: every row
 //! carries the example's column set, and every row's tier is the one the
-//! production schedule picks for its size today. Regenerate it with
+//! production schedule picks for its size today (`"none"` past the
+//! cutoff, where the analysis runs no eigensolve and the row's
+//! `eigensolve_s` is `null`). Regenerate it with
 //!
 //! ```text
 //! cargo run --release --example linalg_sweep > BENCH_linalg.json
 //! ```
 
 use graphio::graph::json::{self, JsonValue};
+use graphio::service::analysis::is_certified;
 use graphio::spectral::ScaleTier;
 
 /// The columns `linalg_sweep` writes, in order.
@@ -42,19 +45,30 @@ fn committed_ledger_is_a_full_sweep_of_the_current_example() {
         };
         let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, COLUMNS, "stale ledger row: {row}");
+        let n = row.get("n").and_then(JsonValue::as_u64).expect("n") as usize;
+        let tier = if !is_certified(n) {
+            "none"
+        } else if ScaleTier::of(n) == ScaleTier::Dense {
+            "dense"
+        } else {
+            "sparse"
+        };
         for column in &COLUMNS[4..] {
-            let x = row.get(column).and_then(JsonValue::as_f64);
+            let value = row.get(column);
+            if *column == "eigensolve_s" && tier == "none" {
+                assert_eq!(
+                    value,
+                    Some(&JsonValue::Null),
+                    "eigensolve past the cutoff: {row}"
+                );
+                continue;
+            }
+            let x = value.and_then(JsonValue::as_f64);
             assert!(
                 x.is_some_and(|x| x.is_finite() && x >= 0.0),
                 "{column} is not a non-negative number in {row}"
             );
         }
-        let n = row.get("n").and_then(JsonValue::as_u64).expect("n") as usize;
-        let tier = match ScaleTier::of(n) {
-            ScaleTier::Dense => "dense",
-            ScaleTier::Sparse => "sparse",
-            ScaleTier::Huge => "huge",
-        };
         assert_eq!(
             row.get("tier").and_then(JsonValue::as_str),
             Some(tier),

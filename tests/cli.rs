@@ -21,7 +21,8 @@ fn generate(family: &str, size: usize) -> String {
     String::from_utf8(out.stdout).expect("utf8 json")
 }
 
-fn run_with_stdin(args: &[&str], stdin_data: &str) -> (String, String, bool) {
+/// Runs `graphio args` with `stdin_data` on its stdin.
+fn run(args: &[&str], stdin_data: &str) -> std::process::Output {
     let mut child = cli()
         .args(args)
         .stdin(Stdio::piped())
@@ -39,7 +40,11 @@ fn run_with_stdin(args: &[&str], stdin_data: &str) -> (String, String, bool) {
     {
         assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe, "write stdin: {e}");
     }
-    let out = child.wait_with_output().expect("wait");
+    child.wait_with_output().expect("wait")
+}
+
+fn run_with_stdin(args: &[&str], stdin_data: &str) -> (String, String, bool) {
+    let out = run(args, stdin_data);
     (
         String::from_utf8_lossy(&out.stdout).to_string(),
         String::from_utf8_lossy(&out.stderr).to_string(),
@@ -183,20 +188,7 @@ fn malformed_json_fails_cleanly() {
 /// (exit 1), not a stack overflow.
 #[test]
 fn deeply_nested_json_fails_cleanly() {
-    let mut child = cli()
-        .args(["analyze", "--memory-sweep", "4"])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn graphio analyze");
-    child
-        .stdin
-        .take()
-        .expect("stdin piped")
-        .write_all("[".repeat(20_000).as_bytes())
-        .expect("write stdin");
-    let out = child.wait_with_output().expect("wait");
+    let out = run(&["analyze", "--memory-sweep", "4"], &"[".repeat(20_000));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("error parsing graph JSON"), "{stderr}");
@@ -250,22 +242,7 @@ fn malformed_threads_flag_names_flag_and_subcommand() {
             "precompute",
         ),
     ] {
-        let mut child = cli()
-            .args(args)
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("spawn graphio");
-        if let Err(e) = child
-            .stdin
-            .as_mut()
-            .expect("stdin piped")
-            .write_all(json.as_bytes())
-        {
-            assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe, "{e}");
-        }
-        let out = child.wait_with_output().expect("wait");
+        let out = run(args, &json);
         assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2 (usage)");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
@@ -382,22 +359,7 @@ fn malformed_simd_and_scale_tier_flags_name_flag_and_subcommand() {
             "invalid value 2 for --p in `graphio generate er`",
         ),
     ] {
-        let mut child = cli()
-            .args(args)
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("spawn graphio");
-        if let Err(e) = child
-            .stdin
-            .as_mut()
-            .expect("stdin piped")
-            .write_all(json.as_bytes())
-        {
-            assert_eq!(e.kind(), std::io::ErrorKind::BrokenPipe, "{e}");
-        }
-        let out = child.wait_with_output().expect("wait");
+        let out = run(args, &json);
         assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2 (usage)");
         assert!(out.stdout.is_empty(), "{args:?} must print no document");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -541,9 +503,10 @@ fn precompute_and_store_subcommands_round_trip() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Starts `graphio serve --port 0` plus `extra` and returns the child
-/// and the URL from its listen banner.
-fn spawn_serve(extra: &[&str]) -> (std::process::Child, String) {
+/// Starts `graphio serve --port 0` plus `extra` and returns the child,
+/// the URL from its listen banner and the lines printed before it (the
+/// `--store` boot line).
+fn spawn_serve(extra: &[&str]) -> (std::process::Child, String, Vec<String>) {
     use std::io::{BufRead as _, BufReader};
 
     let mut server = cli()
@@ -553,23 +516,36 @@ fn spawn_serve(extra: &[&str]) -> (std::process::Child, String) {
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn graphio serve");
-    let mut first_line = String::new();
-    BufReader::new(server.stdout.as_mut().expect("stdout piped"))
-        .read_line(&mut first_line)
-        .expect("read listen line");
-    let url = first_line
-        .trim()
-        .strip_prefix("graphio service listening on ")
-        .unwrap_or_else(|| panic!("unexpected banner: {first_line}"))
-        .to_string();
-    (server, url)
+    // Read through a borrow: the pipe stays open for the server's life.
+    let banner = {
+        let mut reader = BufReader::new(server.stdout.as_mut().expect("stdout piped"));
+        let mut boot = Vec::new();
+        loop {
+            let mut line = String::new();
+            if reader.read_line(&mut line).expect("read boot line") == 0 {
+                break Err(boot);
+            }
+            if let Some(url) = line.trim().strip_prefix("graphio service listening on ") {
+                break Ok((url.to_string(), boot));
+            }
+            boot.push(line.trim().to_string());
+        }
+    };
+    match banner {
+        Ok((url, boot)) => (server, url, boot),
+        Err(boot) => {
+            let _ = server.kill();
+            let _ = server.wait();
+            panic!("server exited before listening; printed {boot:?}");
+        }
+    }
 }
 
 /// Full process-level round trip: `graphio serve` on an ephemeral port,
 /// driven by `graphio client`, diffed against offline `analyze --json`.
 #[test]
 fn serve_and_client_round_trip_matches_offline_analyze() {
-    let (mut server, url) = spawn_serve(&["--workers", "2"]);
+    let (mut server, url, _) = spawn_serve(&["--workers", "2"]);
 
     let result = std::panic::catch_unwind(|| {
         let mut offline_all = String::new();
@@ -672,12 +648,166 @@ fn serve_and_client_round_trip_matches_offline_analyze() {
     }
 }
 
+/// `graphio client stats` against `url`, parsed.
+fn served_stats(url: &str) -> graphio::graph::json::JsonValue {
+    let (stats, stderr, ok) = run_with_stdin(&["client", "stats", "--url", url], "");
+    assert!(ok, "client stats failed: {stderr}");
+    graphio::graph::json::parse(&stats).expect("stats parse")
+}
+
+/// A counter from a `/stats` section, e.g. `("linalg", "dense_eigensolves")`.
+fn stat(doc: &graphio::graph::json::JsonValue, section: &str, field: &str) -> f64 {
+    doc.get(section)
+        .and_then(|s| s.get(field))
+        .and_then(|v| v.as_f64())
+        .unwrap_or_else(|| panic!("no {section}.{field} in {doc}"))
+}
+
+/// The warm-restart contract of `serve --store` over real processes:
+/// precompute a corpus offline, boot over it and answer every analysis
+/// with zero eigensolves, then `kill -9` and restart on the same store
+/// with byte-identical answers, and `client batch` the corpus to the
+/// concatenated analyses.
+#[test]
+fn precomputed_store_serves_warm_across_kill_9() {
+    let dir = std::env::temp_dir().join(format!("graphio_cli_warm_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = dir.to_str().unwrap().to_string();
+    let graphs: Vec<String> = ["fft", "bhk", "matmul"]
+        .iter()
+        .map(|family| generate(family, 6))
+        .collect();
+    let corpus = graphs.concat();
+    let sweep = ["--memory-sweep", "2,4,8,16"];
+
+    let (_, stderr, ok) = run_with_stdin(&["precompute", "--store", &store], &corpus);
+    assert!(ok, "precompute failed: {stderr}");
+    let (stat_out, _, ok) = run_with_stdin(&["store", "stat", "--store", &store], "");
+    assert!(ok);
+    assert!(stat_out.contains("\"records\":3"), "{stat_out}");
+    let (ls, _, ok) = run_with_stdin(&["store", "ls", "--store", &store], "");
+    assert!(ok);
+    assert_eq!(ls.lines().count(), 3, "{ls}");
+
+    let analyze_all = |url: &str| -> Vec<String> {
+        graphs
+            .iter()
+            .map(|g| {
+                let (body, stderr, ok) = run_with_stdin(
+                    &[&["client", "analyze", "--url", url][..], &sweep].concat(),
+                    g,
+                );
+                assert!(ok, "client analyze failed: {stderr}");
+                body
+            })
+            .collect()
+    };
+    // Every answer came off the store: no eigensolve in this process.
+    let assert_no_eigensolve = |url: &str| {
+        let doc = served_stats(url);
+        assert_eq!(stat(&doc, "linalg", "dense_eigensolves"), 0.0, "{doc}");
+        assert_eq!(stat(&doc, "engine", "spectrum_misses"), 0.0, "{doc}");
+        doc
+    };
+
+    // First boot over the precomputed store.
+    let (mut server, url, boot) = spawn_serve(&["--workers", "2", "--store", &store]);
+    let cold = std::panic::catch_unwind(|| {
+        assert!(
+            boot.iter().any(|l| l.starts_with("store: 3 record(s)")),
+            "{boot:?}"
+        );
+        let cold = analyze_all(&url);
+        let doc = assert_no_eigensolve(&url).to_string();
+        assert!(doc.contains("\"enabled\":true"), "{doc}");
+        assert!(doc.contains("\"shard_bytes\":"), "{doc}");
+        cold
+    });
+    // `Child::kill` is SIGKILL: no graceful drain.
+    let _ = server.kill();
+    let _ = server.wait();
+    let cold = cold.unwrap_or_else(|p| std::panic::resume_unwind(p));
+
+    // Restart on the same store: the same bytes, still no eigensolve.
+    let (mut server, url, _) = spawn_serve(&["--workers", "2", "--store", &store]);
+    let result = std::panic::catch_unwind(|| {
+        assert_eq!(analyze_all(&url), cold, "bytes changed across kill -9");
+        assert_no_eigensolve(&url);
+        let (batched, stderr, ok) = run_with_stdin(
+            &[&["client", "batch", "--url", &url][..], &sweep].concat(),
+            &corpus,
+        );
+        assert!(ok, "client batch failed: {stderr}");
+        assert_eq!(batched, cold.concat(), "batch diverged from the analyses");
+    });
+    let _ = server.kill();
+    let _ = server.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+    if let Err(p) = result {
+        std::panic::resume_unwind(p);
+    }
+}
+
+/// Past the 100 000-vertex cutoff nothing spectral is computed or
+/// printed: `bound` says so in its spectral line and still reports the
+/// min-cut bound, and a served analysis is the offline null document
+/// with no eigensolve in the server process.
+#[test]
+fn past_the_cutoff_no_spectral_number_is_served() {
+    let json = generate("fft", 13); // n = 114 688
+    let (stdout, stderr, ok) = run_with_stdin(&["bound", "--memory", "4"], &json);
+    assert!(ok, "stderr: {stderr}");
+    let mut lines = stdout.lines();
+    assert_eq!(
+        lines.next(),
+        Some(
+            "spectral lower bound: none (n = 114688 is past the 100000-vertex cutoff \
+             for a certified eigensolve)"
+        ),
+        "{stdout}"
+    );
+    assert!(
+        lines
+            .next()
+            .is_some_and(|l| l.starts_with("convex min-cut bound: ")),
+        "{stdout}"
+    );
+    assert_eq!(lines.next(), None, "no estimate is printed: {stdout}");
+
+    let args = ["--memory-sweep", "4,16", "--processors", "4", "--no-sim"];
+    let (offline, stderr, ok) =
+        run_with_stdin(&[&["analyze", "--json"][..], &args].concat(), &json);
+    assert!(ok, "stderr: {stderr}");
+    assert!(
+        offline.contains("\"method\":null,\"eigensolves\":0"),
+        "{offline}"
+    );
+    let (mut server, url, _) = spawn_serve(&["--workers", "1"]);
+    let result = std::panic::catch_unwind(|| {
+        let (served, stderr, ok) = run_with_stdin(
+            &[&["client", "analyze", "--url", &url][..], &args].concat(),
+            &json,
+        );
+        assert!(ok, "client analyze failed: {stderr}");
+        assert_eq!(served, offline);
+        let doc = served_stats(&url);
+        for field in ["dense_eigensolves", "scale_tier_solves", "sparse_matvecs"] {
+            assert_eq!(stat(&doc, "linalg", field), 0.0, "{field}: {doc}");
+        }
+    });
+    let _ = server.kill();
+    let _ = server.wait();
+    if let Err(p) = result {
+        std::panic::resume_unwind(p);
+    }
+}
+
 /// Satellite regression: a batch rejection must name the *stdin line*
 /// of the offending entry, not just the post-filtering array index —
 /// blank NDJSON lines make the two diverge.
 #[test]
 fn client_batch_error_names_the_offending_stdin_line() {
-    let (mut server, url) = spawn_serve(&["--workers", "2"]);
+    let (mut server, url, _) = spawn_serve(&["--workers", "2"]);
 
     let result = std::panic::catch_unwind(|| {
         // Entry index 1 sits on stdin line 4 (blank lines in between).
@@ -726,7 +856,7 @@ fn cold_analyze_allocations_land_on_named_phases() {
             .collect()
     }
 
-    let (mut server, url) = spawn_serve(&["--threads", "2"]);
+    let (mut server, url, _) = spawn_serve(&["--threads", "2"]);
     let result = std::panic::catch_unwind(|| {
         let mut conn = graphio::service::Client::new(&url).unwrap();
         let before = phase_bytes(&mut conn);
@@ -826,7 +956,7 @@ fn loadgen_moves_metrics_by_exactly_the_load() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let slow_log = dir.join("slow.jsonl");
-    let (mut server, url) = spawn_serve(&[
+    let (mut server, url, _) = spawn_serve(&[
         "--workers",
         "4",
         "--slow-log-us",
