@@ -37,11 +37,11 @@
 //!   with `(col 0, value 0.0)` steps, and the scalar twin walks the same
 //!   padded layout, so all three bodies are structurally bit-identical.
 //!
-//! The knob is settable programmatically ([`set_policy`]) and via the
-//! `GRAPHIO_SIMD` environment variable (`off` | `strict`), which
-//! CI uses to run the whole suite with vector code disabled.
+//! The knob is set programmatically only ([`set_policy`]): the tests
+//! run the kernels, the golden hashes and served analyses under both
+//! policies in one process, and `linalg_sweep` times the scalar mat-vec.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 /// How much SIMD the kernels may use.
@@ -55,53 +55,20 @@ pub enum SimdPolicy {
     Strict,
 }
 
-impl SimdPolicy {
-    /// Parses the `GRAPHIO_SIMD` spelling.
-    pub fn parse(s: &str) -> Option<SimdPolicy> {
-        match s {
-            "off" => Some(SimdPolicy::Off),
-            "strict" => Some(SimdPolicy::Strict),
-            _ => None,
-        }
-    }
+/// Whether the policy is `Strict` (the default); `false` is `Off`.
+static STRICT: AtomicBool = AtomicBool::new(true);
 
-    /// The `GRAPHIO_SIMD` spelling (`off` | `strict`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SimdPolicy::Off => "off",
-            SimdPolicy::Strict => "strict",
-        }
-    }
-}
-
-/// 0 = unset (defer to `GRAPHIO_SIMD` / default); 1..=2 map to the policy.
-static GLOBAL: AtomicUsize = AtomicUsize::new(0);
-
-fn env_default() -> SimdPolicy {
-    static CACHED: OnceLock<SimdPolicy> = OnceLock::new();
-    *CACHED.get_or_init(|| {
-        std::env::var("GRAPHIO_SIMD")
-            .ok()
-            .and_then(|v| SimdPolicy::parse(&v))
-            .unwrap_or_default()
-    })
-}
-
-/// Sets the process-global SIMD policy (overrides `GRAPHIO_SIMD`).
+/// Sets the process-global SIMD policy.
 pub fn set_policy(policy: SimdPolicy) {
-    let enc = match policy {
-        SimdPolicy::Off => 1,
-        SimdPolicy::Strict => 2,
-    };
-    GLOBAL.store(enc, Ordering::Relaxed);
+    STRICT.store(policy == SimdPolicy::Strict, Ordering::Relaxed);
 }
 
-/// The currently configured policy (after the `GRAPHIO_SIMD` override).
+/// The currently configured policy.
 pub fn policy() -> SimdPolicy {
-    match GLOBAL.load(Ordering::Relaxed) {
-        1 => SimdPolicy::Off,
-        2 => SimdPolicy::Strict,
-        _ => env_default(),
+    if STRICT.load(Ordering::Relaxed) {
+        SimdPolicy::Strict
+    } else {
+        SimdPolicy::Off
     }
 }
 
@@ -805,14 +772,6 @@ mod tests {
         let x: Vec<f64> = (0..n).map(|i| ((i * 7 + 3) as f64 * 0.137).sin()).collect();
         let y: Vec<f64> = (0..n).map(|i| ((i * 5 + 1) as f64 * 0.211).cos()).collect();
         (x, y)
-    }
-
-    #[test]
-    fn policy_parse_round_trips() {
-        for p in [SimdPolicy::Off, SimdPolicy::Strict] {
-            assert_eq!(SimdPolicy::parse(p.as_str()), Some(p));
-        }
-        assert_eq!(SimdPolicy::parse("avx512"), None);
     }
 
     #[cfg(target_arch = "x86_64")]

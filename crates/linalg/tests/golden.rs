@@ -3,12 +3,32 @@
 //!
 //! Each case hashes the `f64::to_bits` of every output value, so any
 //! rewrite of these kernels (blocking, transposition, vector bodies) must
-//! reproduce the reference arithmetic exactly — under every bit-exact SIMD
-//! policy (CI runs this file once more with `GRAPHIO_SIMD=off`).
+//! reproduce the reference arithmetic exactly — under both SIMD policies,
+//! so the scalar fallback is pinned on every machine that runs the suite.
 
 use graphio_linalg::dense::DenseMatrix;
+use graphio_linalg::simd::{policy, set_policy, SimdPolicy};
 use graphio_linalg::tridiag::tql_in_place;
 use graphio_linalg::vecops::orthogonalize_against_cgs;
+
+/// Runs `check` under `Strict`, then `Off`, one test at a time (the
+/// policy is process-global), and restores the prior policy afterwards,
+/// also when `check` panics.
+fn under_each_policy(check: impl Fn(SimdPolicy)) {
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    struct Restore(SimdPolicy);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            set_policy(self.0);
+        }
+    }
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _restore = Restore(policy());
+    for p in [SimdPolicy::Strict, SimdPolicy::Off] {
+        set_policy(p);
+        check(p);
+    }
+}
 
 /// FNV-1a over the bit patterns of `values`.
 fn bit_hash<'a>(values: impl IntoIterator<Item = &'a f64>) -> u64 {
@@ -46,7 +66,13 @@ fn tql_eigenvectors_m96_are_pinned() {
             }
         })
         .collect();
-    assert_eq!(tql_hash(d, e), 0x35c5dee32cc1be0a, "tql m=96");
+    under_each_policy(|p| {
+        assert_eq!(
+            tql_hash(d.clone(), e.clone()),
+            0x35c5dee32cc1be0a,
+            "tql m=96 {p:?}"
+        );
+    });
 }
 
 #[test]
@@ -59,7 +85,13 @@ fn tql_eigenvectors_m193_are_pinned() {
     let e: Vec<f64> = (0..m)
         .map(|i| 1e-3 * (1 + i % 5) as f64 + 0.3 * (0.05 * i as f64).sin().abs())
         .collect();
-    assert_eq!(tql_hash(d, e), 0xbfac5febbd00c9db, "tql m=193");
+    under_each_policy(|p| {
+        assert_eq!(
+            tql_hash(d.clone(), e.clone()),
+            0xbfac5febbd00c9db,
+            "tql m=193 {p:?}"
+        );
+    });
 }
 
 /// An orthonormal `k`-vector basis of length `n` built with plain scalar
@@ -103,12 +135,12 @@ fn cgs2_with_tail_and_odd_basis_is_pinned_at_every_thread_count() {
     // n = 1027 leaves a tail of 3 past the 4-lane loops; 11 basis vectors
     // leave 3 past any 4-vector blocking.
     let basis = orthonormal_basis(1027, 11);
-    assert_eq!(cgs2_hash(1027, &basis), 0xc7db3466d7e4cb97);
+    under_each_policy(|p| assert_eq!(cgs2_hash(1027, &basis), 0xc7db3466d7e4cb97, "{p:?}"));
 }
 
 #[test]
 fn cgs2_on_the_threaded_path_is_pinned_at_every_thread_count() {
     // A vector six times longer, with the same 3-element tail.
     let basis = orthonormal_basis(6007, 11);
-    assert_eq!(cgs2_hash(6007, &basis), 0x31785ab620e08ad7);
+    under_each_policy(|p| assert_eq!(cgs2_hash(6007, &basis), 0x31785ab620e08ad7, "{p:?}"));
 }

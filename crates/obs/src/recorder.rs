@@ -785,6 +785,12 @@ mod tests {
                 })
             })
             .collect();
+        // Read only once a writer is running: on a busy machine the 200
+        // reads below can otherwise finish before any writer is scheduled.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while r.inserted() == 0 && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
         let mut observed = 0u64;
         for _ in 0..200 {
             for rec in r.recent(usize::MAX, 0, None) {

@@ -31,8 +31,8 @@
 //! router produces — analyze, fingerprint-only analyze, batch, and their
 //! error cases — is byte-identical to what a single `graphio serve`
 //! handling all the traffic would have produced (asserted in
-//! `tests/router.rs` and the CI cluster e2e job, including with a backend
-//! killed mid-load).
+//! `tests/router.rs` and, over real processes with a backend `kill -9`ed
+//! mid-load, in the workspace's `tests/cli.rs`).
 //!
 //! ```no_run
 //! use graphio_router::{serve_router, RouterConfig};

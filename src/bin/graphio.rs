@@ -1286,6 +1286,22 @@ fn run_keep_alive_analyze(
 /// `graphio cluster` default port.
 const DEFAULT_TRACE_SERVER: &str = "http://127.0.0.1:7878";
 
+/// `GET path` from `url`: the body of a 200, or exit 1 naming the status
+/// and body the server answered, or the transport error.
+fn get_ok(url: &str, path: &str) -> String {
+    match client::request("GET", url, path, None) {
+        Ok(r) if r.status == 200 => r.body,
+        Ok(r) => {
+            eprintln!("error: server returned {}: {}", r.status, r.body.trim_end());
+            std::process::exit(1);
+        }
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
 /// `graphio trace <id> [--server URL]`: fetch one flight-recorder record
 /// — through a router this is the assembled distributed tree — and
 /// pretty-print its phase tree with per-span share of the parent.
@@ -1296,24 +1312,12 @@ fn cmd_trace(args: &[String]) {
         usage()
     };
     let url = parsed.flag("--server").unwrap_or(DEFAULT_TRACE_SERVER);
-    let response = client::request("GET", url, &format!("/trace/{id}"), None);
-    match response {
-        Ok(r) if r.status == 200 => {
-            let doc = graphio::graph::json::parse(&r.body).unwrap_or_else(|e| {
-                eprintln!("error: trace response is not JSON: {e}");
-                std::process::exit(1);
-            });
-            write_stdout(&render_trace(&doc));
-        }
-        Ok(r) => {
-            eprintln!("error: server returned {}: {}", r.status, r.body.trim_end());
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
+    let body = get_ok(url, &format!("/trace/{id}"));
+    let doc = graphio::graph::json::parse(&body).unwrap_or_else(|e| {
+        eprintln!("error: trace response is not JSON: {e}");
+        std::process::exit(1);
+    });
+    write_stdout(&render_trace(&doc));
 }
 
 /// `graphio traces [--slowest K] [--server URL]`: list the slowest recent
@@ -1328,18 +1332,7 @@ fn cmd_traces(args: &[String]) {
     let k: usize = parsed.parse_flag("--slowest").unwrap_or(10).max(1);
     // Over-fetch the whole ring and rank client-side: "slowest" is a
     // different order than the server's "most recent".
-    let response = client::request("GET", url, "/traces?n=4096", None);
-    let body = match response {
-        Ok(r) if r.status == 200 => r.body,
-        Ok(r) => {
-            eprintln!("error: server returned {}: {}", r.status, r.body.trim_end());
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
+    let body = get_ok(url, "/traces?n=4096");
     let doc = graphio::graph::json::parse(&body).unwrap_or_else(|e| {
         eprintln!("error: traces response is not JSON: {e}");
         std::process::exit(1);
@@ -1392,23 +1385,7 @@ fn cmd_profile(args: &[String]) {
     }
     let url = parsed.flag("--server").unwrap_or(DEFAULT_TRACE_SERVER);
     let seconds: u64 = parsed.parse_flag("--seconds").unwrap_or(2);
-    let response = client::request(
-        "GET",
-        url,
-        &format!("/debug/profile?seconds={seconds}"),
-        None,
-    );
-    let body = match response {
-        Ok(r) if r.status == 200 => r.body,
-        Ok(r) => {
-            eprintln!("error: server returned {}: {}", r.status, r.body.trim_end());
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    };
+    let body = get_ok(url, &format!("/debug/profile?seconds={seconds}"));
     let Some(stacks) = graphio::obs::profile::parse_collapsed(&body) else {
         eprintln!("error: malformed collapsed-stack response");
         std::process::exit(1);

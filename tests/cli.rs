@@ -255,7 +255,7 @@ fn malformed_threads_flag_names_flag_and_subcommand() {
 /// Bad flags follow one contract: the process exits 2 (usage) and the
 /// error names both the flag and the subcommand. The kernel knobs
 /// `--simd` and `--scale-tier` are gone (the solver tier follows from n,
-/// and `GRAPHIO_SIMD` sets the SIMD policy), so they are unknown flags.
+/// and the SIMD policy changes no byte), so they are unknown flags.
 /// Out-of-range numbers are rejected before any work runs:
 /// `--processors 0` (Theorem 6 needs a processor, and `POST /analyze`
 /// refuses it), a negative or non-finite `--duration`, and `generate`'s
@@ -503,42 +503,119 @@ fn precompute_and_store_subcommands_round_trip() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Starts `graphio serve --port 0` plus `extra` and returns the child,
-/// the URL from its listen banner and the lines printed before it (the
-/// `--store` boot line).
-fn spawn_serve(extra: &[&str]) -> (std::process::Child, String, Vec<String>) {
+/// Starts `graphio args` and reads its stdout up to the line that starts
+/// with `banner`. Returns the child, the rest of that line (the URL) and
+/// the lines printed before it.
+fn spawn_listening(args: &[&str], banner: &str) -> (std::process::Child, String, Vec<String>) {
     use std::io::{BufRead as _, BufReader};
 
-    let mut server = cli()
-        .args(["serve", "--port", "0"])
-        .args(extra)
+    let mut child = cli()
+        .args(args)
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
-        .expect("spawn graphio serve");
-    // Read through a borrow: the pipe stays open for the server's life.
-    let banner = {
-        let mut reader = BufReader::new(server.stdout.as_mut().expect("stdout piped"));
+        .expect("spawn graphio");
+    // Read through a borrow: the pipe stays open for the child's life.
+    let listening = {
+        let mut reader = BufReader::new(child.stdout.as_mut().expect("stdout piped"));
         let mut boot = Vec::new();
         loop {
             let mut line = String::new();
             if reader.read_line(&mut line).expect("read boot line") == 0 {
                 break Err(boot);
             }
-            if let Some(url) = line.trim().strip_prefix("graphio service listening on ") {
+            if let Some(url) = line.trim().strip_prefix(banner) {
                 break Ok((url.to_string(), boot));
             }
             boot.push(line.trim().to_string());
         }
     };
-    match banner {
-        Ok((url, boot)) => (server, url, boot),
+    match listening {
+        Ok((url, boot)) => (child, url, boot),
         Err(boot) => {
-            let _ = server.kill();
-            let _ = server.wait();
-            panic!("server exited before listening; printed {boot:?}");
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!(
+                "`graphio {}` exited before listening; printed {boot:?}",
+                args[0]
+            );
         }
     }
+}
+
+/// Starts `graphio serve --port 0` plus `extra` and returns the child,
+/// the URL from its listen banner and the lines printed before it (the
+/// `--store` boot line).
+fn spawn_serve(extra: &[&str]) -> (std::process::Child, String, Vec<String>) {
+    spawn_listening(
+        &[&["serve", "--port", "0"][..], extra].concat(),
+        "graphio service listening on ",
+    )
+}
+
+/// `kill -9 pid`: a crash, as the rest of the fleet sees it.
+fn kill_9(pid: u32) {
+    let _ = Command::new("kill").args(["-9", &pid.to_string()]).status();
+}
+
+/// Kills and reaps its processes when dropped, so a test that panics
+/// leaves no server behind. `pids` are processes the test did not spawn
+/// itself (the backends of `graphio cluster`); they go first, while
+/// their parent still holds them and their pids cannot be reused.
+#[derive(Default)]
+struct Reaper {
+    children: Vec<std::process::Child>,
+    pids: Vec<u32>,
+}
+
+impl Reaper {
+    fn of(child: std::process::Child) -> Reaper {
+        Reaper {
+            children: vec![child],
+            pids: Vec::new(),
+        }
+    }
+}
+
+impl Drop for Reaper {
+    fn drop(&mut self) {
+        for &pid in &self.pids {
+            kill_9(pid);
+        }
+        for child in &mut self.children {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
+/// Starts `graphio cluster` with `backends` serve children. Returns the
+/// guard that kills the whole fleet, the router's URL and each backend's
+/// URL and pid.
+fn spawn_cluster(backends: usize) -> (Reaper, String, Vec<(String, u32)>) {
+    let (helper, router, boot) = spawn_listening(
+        &[
+            "cluster",
+            "--backends",
+            &backends.to_string(),
+            "--listen",
+            "127.0.0.1:0",
+        ],
+        "graphio router listening on ",
+    );
+    // `cluster backend 0: http://127.0.0.1:40123 pid=4242`
+    let fleet: Vec<(String, u32)> = boot
+        .iter()
+        .filter_map(|line| {
+            let (_, rest) = line.strip_prefix("cluster backend ")?.split_once(": ")?;
+            let (url, pid) = rest.split_once(" pid=")?;
+            Some((url.to_string(), pid.parse().ok()?))
+        })
+        .collect();
+    let mut procs = Reaper::of(helper);
+    procs.pids = fleet.iter().map(|&(_, pid)| pid).collect();
+    assert_eq!(fleet.len(), backends, "one line per backend: {boot:?}");
+    (procs, router, fleet)
 }
 
 /// Full process-level round trip: `graphio serve` on an ephemeral port,
@@ -807,31 +884,25 @@ fn past_the_cutoff_no_spectral_number_is_served() {
 /// blank NDJSON lines make the two diverge.
 #[test]
 fn client_batch_error_names_the_offending_stdin_line() {
-    let (mut server, url, _) = spawn_serve(&["--workers", "2"]);
+    let (server, url, _) = spawn_serve(&["--workers", "2"]);
+    let _server = Reaper::of(server);
 
-    let result = std::panic::catch_unwind(|| {
-        // Entry index 1 sits on stdin line 4 (blank lines in between).
-        let bad_graph = "{\"ops\":[\"in\"],\"edges\":[[0,5]]}";
-        let ndjson = format!("{}\n\n\n{bad_graph}\n", generate("fft", 3).trim_end());
-        let (_, stderr, ok) = run_with_stdin(
-            &["client", "batch", "--url", &url, "--memory-sweep", "2,4"],
-            &ndjson,
-        );
-        assert!(!ok, "batch with an invalid entry must fail");
-        assert!(
-            stderr.contains("graphs[1]"),
-            "index blame expected: {stderr}"
-        );
-        assert!(
-            stderr.contains("(stdin line 4)"),
-            "stdin line blame expected: {stderr}"
-        );
-    });
-    let _ = server.kill();
-    let _ = server.wait();
-    if let Err(p) = result {
-        std::panic::resume_unwind(p);
-    }
+    // Entry index 1 sits on stdin line 4 (blank lines in between).
+    let bad_graph = "{\"ops\":[\"in\"],\"edges\":[[0,5]]}";
+    let ndjson = format!("{}\n\n\n{bad_graph}\n", generate("fft", 3).trim_end());
+    let (_, stderr, ok) = run_with_stdin(
+        &["client", "batch", "--url", &url, "--memory-sweep", "2,4"],
+        &ndjson,
+    );
+    assert!(!ok, "batch with an invalid entry must fail");
+    assert!(
+        stderr.contains("graphs[1]"),
+        "index blame expected: {stderr}"
+    );
+    assert!(
+        stderr.contains("(stdin line 4)"),
+        "stdin line blame expected: {stderr}"
+    );
 }
 
 /// The min-cut sweep's worker threads open a `mincut_worker` span, so a
@@ -856,35 +927,29 @@ fn cold_analyze_allocations_land_on_named_phases() {
             .collect()
     }
 
-    let (mut server, url, _) = spawn_serve(&["--threads", "2"]);
-    let result = std::panic::catch_unwind(|| {
-        let mut conn = graphio::service::Client::new(&url).unwrap();
-        let before = phase_bytes(&mut conn);
-        // fft(7): n = 1,024, so the sweep covers every vertex, split over
-        // the two workers.
-        let body = format!(
-            "{{\"graph\": {}, \"memories\": [4, 8]}}",
-            generate("fft", 7)
-        );
-        let r = conn.request("POST", "/analyze", Some(&body)).unwrap();
-        assert_eq!(r.status, 200, "{}", r.body);
-        let after = phase_bytes(&mut conn);
-        let delta = |phase: &str| {
-            after.get(phase).copied().unwrap_or(0.0) - before.get(phase).copied().unwrap_or(0.0)
-        };
-        let total: f64 = after.keys().map(|phase| delta(phase)).sum();
-        let unattributed = delta("unattributed");
-        assert!(delta("mincut_worker") > 0.0, "{after:?}");
-        assert!(
-            unattributed < 0.05 * total,
-            "unattributed {unattributed} of {total} bytes: {after:?}"
-        );
-    });
-    let _ = server.kill();
-    let _ = server.wait();
-    if let Err(p) = result {
-        std::panic::resume_unwind(p);
-    }
+    let (server, url, _) = spawn_serve(&["--threads", "2"]);
+    let _server = Reaper::of(server);
+    let mut conn = graphio::service::Client::new(&url).unwrap();
+    let before = phase_bytes(&mut conn);
+    // fft(7): n = 1,024, so the sweep covers every vertex, split over
+    // the two workers.
+    let body = format!(
+        "{{\"graph\": {}, \"memories\": [4, 8]}}",
+        generate("fft", 7)
+    );
+    let r = conn.request("POST", "/analyze", Some(&body)).unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    let after = phase_bytes(&mut conn);
+    let delta = |phase: &str| {
+        after.get(phase).copied().unwrap_or(0.0) - before.get(phase).copied().unwrap_or(0.0)
+    };
+    let total: f64 = after.keys().map(|phase| delta(phase)).sum();
+    let unattributed = delta("unattributed");
+    assert!(delta("mincut_worker") > 0.0, "{after:?}");
+    assert!(
+        unattributed < 0.05 * total,
+        "unattributed {unattributed} of {total} bytes: {after:?}"
+    );
 }
 
 /// The value of the exposition sample whose name-and-labels field is
@@ -956,7 +1021,7 @@ fn loadgen_moves_metrics_by_exactly_the_load() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let slow_log = dir.join("slow.jsonl");
-    let (mut server, url, _) = spawn_serve(&[
+    let (server, url, _) = spawn_serve(&[
         "--workers",
         "4",
         "--slow-log-us",
@@ -964,127 +1029,120 @@ fn loadgen_moves_metrics_by_exactly_the_load() {
         "--slow-log-file",
         slow_log.to_str().unwrap(),
     ]);
-    let result = std::panic::catch_unwind(|| {
-        let req = format!(
-            "{{\"graph\": {}, \"memories\": [2,4,8]}}",
-            generate("fft", 6).trim_end()
-        );
-        let req_file = dir.join("req.json");
-        std::fs::write(&req_file, format!("{req}\n")).unwrap();
+    let _server = Reaper::of(server);
+    let req = format!(
+        "{{\"graph\": {}, \"memories\": [2,4,8]}}",
+        generate("fft", 6).trim_end()
+    );
+    let req_file = dir.join("req.json");
+    std::fs::write(&req_file, format!("{req}\n")).unwrap();
 
-        // Warm-up: the trace ID is echoed, the elapsed header is a
-        // number, and the slow log (threshold 0) records the same trace.
-        let trace = "00112233445566778899aabbccddeeff";
-        let r = graphio::service::client::request_with(
-            "POST",
-            &url,
-            "/analyze",
-            Some(&req),
-            &[("X-Graphio-Trace", trace.to_string())],
-        )
-        .unwrap();
-        assert_eq!(r.status, 200, "{}", r.body);
-        assert_eq!(r.header("x-graphio-trace"), Some(trace));
-        let elapsed = r.header("x-graphio-elapsed-us").unwrap_or("");
-        assert!(elapsed.parse::<u64>().is_ok(), "elapsed header {elapsed:?}");
-        let needle = format!("\"trace\":\"{trace}\"");
-        let mut logged = String::new();
-        for _ in 0..50 {
-            logged = std::fs::read_to_string(&slow_log).unwrap_or_default();
-            if logged.contains(&needle) {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(100));
+    // Warm-up: the trace ID is echoed, the elapsed header is a
+    // number, and the slow log (threshold 0) records the same trace.
+    let trace = "00112233445566778899aabbccddeeff";
+    let r = graphio::service::client::request_with(
+        "POST",
+        &url,
+        "/analyze",
+        Some(&req),
+        &[("X-Graphio-Trace", trace.to_string())],
+    )
+    .unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    assert_eq!(r.header("x-graphio-trace"), Some(trace));
+    let elapsed = r.header("x-graphio-elapsed-us").unwrap_or("");
+    assert!(elapsed.parse::<u64>().is_ok(), "elapsed header {elapsed:?}");
+    let needle = format!("\"trace\":\"{trace}\"");
+    let mut logged = String::new();
+    for _ in 0..50 {
+        logged = std::fs::read_to_string(&slow_log).unwrap_or_default();
+        if logged.contains(&needle) {
+            break;
         }
-        let record = logged
-            .lines()
-            .find(|l| l.contains(&needle))
-            .unwrap_or_else(|| panic!("trace {trace} not in the slow log: {logged}"));
-        assert!(record.contains("\"spans\":["), "{record}");
-
-        // The request histogram records just after the response flushes;
-        // settle before each scrape so deltas are exact.
-        let scrape = || {
-            std::thread::sleep(std::time::Duration::from_millis(500));
-            graphio::service::client::request("GET", &url, "/metrics", None).unwrap()
-        };
-        let before = scrape().body;
-
-        let out = cli()
-            .args([
-                "loadgen",
-                "--url",
-                &url,
-                "--rps",
-                "200",
-                "--duration",
-                "0.5",
-            ])
-            .args([
-                "--conns",
-                "4",
-                "--body",
-                req_file.to_str().unwrap(),
-                "--json",
-            ])
-            .output()
-            .expect("spawn graphio loadgen");
-        let report = String::from_utf8_lossy(&out.stdout);
-        assert!(out.status.success(), "{report}");
-        for field in ["\"requests\":100,", "\"ok\":100,", "\"errors\":0,"] {
-            assert!(report.contains(field), "{field} missing: {report}");
-        }
-
-        let after = scrape();
-        assert!(
-            after
-                .header("content-type")
-                .is_some_and(|ct| ct.starts_with("text/plain")),
-            "{:?}",
-            after.header("content-type")
-        );
-        let after = after.body;
-        assert_valid_exposition(&before);
-        assert_valid_exposition(&after);
-        assert!(after.contains(" # {trace_id=\""), "no exemplar: {after}");
-        let inf = metric(
-            &after,
-            "graphio_request_duration_microseconds_bucket{endpoint=\"/analyze\",le=\"+Inf\"}",
-        );
-        let count = metric(
-            &after,
-            "graphio_request_duration_microseconds_count{endpoint=\"/analyze\"}",
-        );
-        assert!(
-            inf.is_some() && inf == count,
-            "+Inf {inf:?} vs _count {count:?}"
-        );
-        for phase in ["laplacian", "eigensolve", "mincut"] {
-            let series = format!("graphio_phase_duration_microseconds_count{{phase=\"{phase}\"}}");
-            assert!(metric(&after, &series).is_some(), "{series} missing");
-        }
-
-        // 100 analyzes, all hits on the warmed session; requests_total
-        // also counts the second scrape.
-        let delta = |series: &str| {
-            let value =
-                |expo: &str| metric(expo, series).unwrap_or_else(|| panic!("{series} missing"));
-            value(&after) - value(&before)
-        };
-        assert_eq!(delta("graphio_service_analyze_ok_total"), 100.0);
-        assert_eq!(delta("graphio_cache_hits_total"), 100.0);
-        assert_eq!(
-            delta("graphio_request_duration_microseconds_count{endpoint=\"/analyze\"}"),
-            100.0
-        );
-        assert_eq!(delta("graphio_service_requests_total"), 101.0);
-    });
-    let _ = server.kill();
-    let _ = server.wait();
-    let _ = std::fs::remove_dir_all(&dir);
-    if let Err(p) = result {
-        std::panic::resume_unwind(p);
+        std::thread::sleep(std::time::Duration::from_millis(100));
     }
+    let record = logged
+        .lines()
+        .find(|l| l.contains(&needle))
+        .unwrap_or_else(|| panic!("trace {trace} not in the slow log: {logged}"));
+    assert!(record.contains("\"spans\":["), "{record}");
+
+    // The request histogram records just after the response flushes;
+    // settle before each scrape so deltas are exact.
+    let scrape = || {
+        std::thread::sleep(std::time::Duration::from_millis(500));
+        graphio::service::client::request("GET", &url, "/metrics", None).unwrap()
+    };
+    let before = scrape().body;
+
+    let out = cli()
+        .args([
+            "loadgen",
+            "--url",
+            &url,
+            "--rps",
+            "200",
+            "--duration",
+            "0.5",
+        ])
+        .args([
+            "--conns",
+            "4",
+            "--body",
+            req_file.to_str().unwrap(),
+            "--json",
+        ])
+        .output()
+        .expect("spawn graphio loadgen");
+    let report = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{report}");
+    for field in ["\"requests\":100,", "\"ok\":100,", "\"errors\":0,"] {
+        assert!(report.contains(field), "{field} missing: {report}");
+    }
+
+    let after = scrape();
+    assert!(
+        after
+            .header("content-type")
+            .is_some_and(|ct| ct.starts_with("text/plain")),
+        "{:?}",
+        after.header("content-type")
+    );
+    let after = after.body;
+    assert_valid_exposition(&before);
+    assert_valid_exposition(&after);
+    assert!(after.contains(" # {trace_id=\""), "no exemplar: {after}");
+    let inf = metric(
+        &after,
+        "graphio_request_duration_microseconds_bucket{endpoint=\"/analyze\",le=\"+Inf\"}",
+    );
+    let count = metric(
+        &after,
+        "graphio_request_duration_microseconds_count{endpoint=\"/analyze\"}",
+    );
+    assert!(
+        inf.is_some() && inf == count,
+        "+Inf {inf:?} vs _count {count:?}"
+    );
+    for phase in ["laplacian", "eigensolve", "mincut"] {
+        let series = format!("graphio_phase_duration_microseconds_count{{phase=\"{phase}\"}}");
+        assert!(metric(&after, &series).is_some(), "{series} missing");
+    }
+
+    // 100 analyzes, all hits on the warmed session; requests_total
+    // also counts the second scrape.
+    let delta = |series: &str| {
+        let value = |expo: &str| metric(expo, series).unwrap_or_else(|| panic!("{series} missing"));
+        value(&after) - value(&before)
+    };
+    assert_eq!(delta("graphio_service_analyze_ok_total"), 100.0);
+    assert_eq!(delta("graphio_cache_hits_total"), 100.0);
+    assert_eq!(
+        delta("graphio_request_duration_microseconds_count{endpoint=\"/analyze\"}"),
+        100.0
+    );
+    assert_eq!(delta("graphio_service_requests_total"), 101.0);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Satellite regression: `precompute --jobs N` parallelizes corpus
@@ -1148,76 +1206,351 @@ fn precompute_jobs_is_parallel_but_deterministic() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// End-to-end smoke of the cluster tier through real process boundaries:
-/// `graphio cluster` spawns N serve children plus a router, and an
-/// analyze through the router is byte-identical to the offline path.
+/// Runs `graphio` with the whitespace-separated words of `line` as its
+/// arguments and `stdin_data` on its stdin.
+fn run_line(line: &str, stdin_data: &str) -> (String, String, bool) {
+    run_with_stdin(&line.split_whitespace().collect::<Vec<_>>(), stdin_data)
+}
+
+/// The cluster tier through real processes: `graphio cluster` spawns
+/// three serve children plus a router, and every analysis and batch
+/// through the router is byte-identical to offline `analyze --json`.
+/// Then a backend that owns part of the corpus is `kill -9`ed while
+/// twelve batches run: every response, and every request after the
+/// kill, still carries the offline bytes (the router retries the next
+/// replica), and the router's `/stats` counts the ejection.
 #[test]
 fn cluster_spawns_backends_and_routes_byte_identically() {
-    use std::io::{BufRead as _, BufReader};
-    let mut cluster = cli()
-        .args([
-            "cluster",
+    let (_fleet, router, backends) = spawn_cluster(3);
+    let graphs: Vec<String> = ["fft", "bhk", "matmul"]
+        .iter()
+        .map(|family| generate(family, 6))
+        .collect();
+    let run = |command: &str, stdin: &str| {
+        let (body, stderr, ok) = run_line(&format!("{command} --memory-sweep 2,4,8,16"), stdin);
+        assert!(ok, "{command} failed: {stderr}");
+        body
+    };
+    let offline: Vec<String> = graphs.iter().map(|g| run("analyze --json", g)).collect();
+    let (corpus, offline_all) = (graphs.concat(), offline.concat());
+    let analyze = format!("client analyze --url {router}");
+    let batch = format!("client batch --url {router}");
+    let assert_offline_bytes = |when: &str| {
+        for (g, want) in graphs.iter().zip(&offline) {
+            assert_eq!(run(&analyze, g), *want, "analyze {when}");
+        }
+        assert_eq!(run(&batch, &corpus), offline_all, "batch {when}");
+    };
+    assert_offline_bytes("before the kill");
+
+    // The victim analyzed part of the corpus, so traffic after the kill
+    // reaches a dead owner and must fail over.
+    let victim = backends
+        .iter()
+        .position(|(backend, _)| stat(&served_stats(backend), "engine", "spectrum_misses") > 0.0)
+        .expect("some backend analyzed the corpus");
+    let (done, first_done) = std::sync::mpsc::channel();
+    let load: Vec<String> = std::thread::scope(|s| {
+        let load = s.spawn(|| {
+            let batch = || {
+                let body = run(&batch, &corpus);
+                let _ = done.send(());
+                body
+            };
+            (0..12).map(|_| batch()).collect()
+        });
+        first_done.recv().expect("first batch of the load");
+        kill_9(backends[victim].1);
+        load.join().unwrap_or_else(|p| std::panic::resume_unwind(p))
+    });
+    for (i, body) in load.iter().enumerate() {
+        assert_eq!(*body, offline_all, "batch {i} of the load");
+    }
+    assert_offline_bytes("after the kill");
+
+    let doc = served_stats(&router);
+    assert!(stat(&doc, "router", "ejections") > 0.0, "{doc}");
+    let mixed_versions = doc.get("mixed_versions").map(ToString::to_string);
+    assert_eq!(mixed_versions.as_deref(), Some("false"), "{doc}");
+    assert!(doc.get("uptime_seconds").is_some(), "{doc}");
+}
+
+/// The merged cluster profile over real processes: a 2 s
+/// `GET /debug/profile` through the router, while fresh analyses run on
+/// the backends, grafts the samples of at least two backends under
+/// `backend <addr>` roots and names the `eigensolve` and `/analyze`
+/// frames. `graphio profile --flamegraph` renders the same endpoint, and
+/// the router and every backend publish their process gauges.
+#[test]
+fn cluster_profile_merges_live_backend_flamegraphs() {
+    use graphio::service::client;
+
+    let (_fleet, router, backends) = spawn_cluster(3);
+    let url = router.as_str();
+    let dir = std::env::temp_dir().join(format!("graphio_cli_profile_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    // Distinct graphs, so each analyze eigensolves inside the window; the
+    // bhk(11) eigensolve is long enough for the 97 Hz sampler. Each
+    // backend also analyzes bhk(10) directly, so none sits idle however
+    // the ring spreads the corpus.
+    let corpus: String = ["fft", "bhk", "matmul"]
+        .iter()
+        .flat_map(|family| (5..=7).map(|size| generate(family, size)))
+        .collect();
+    let (big, bhk10) = (generate("bhk", 11), generate("bhk", 10));
+    let req = dir.join("req.json");
+    let fft6 = generate("fft", 6);
+    std::fs::write(
+        &req,
+        format!("{{\"graph\": {fft6}, \"memories\": [2,4,8]}}"),
+    )
+    .unwrap();
+    let run = |line: String, stdin: &str| {
+        let (stdout, stderr, ok) = run_line(&line, stdin);
+        assert!(ok, "graphio {line} failed: {stderr}");
+        stdout
+    };
+    let loadgen = || {
+        let body = req.display();
+        run(
+            format!("loadgen --url {url} --rps 100 --duration 1.5 --conns 4 --body {body}"),
+            "",
+        )
+    };
+
+    let flame = std::thread::scope(|s| {
+        let scrape = s.spawn(|| client::request("GET", url, "/debug/profile?seconds=2", None));
+        std::thread::sleep(std::time::Duration::from_millis(300));
+        let load = s.spawn(loadgen);
+        let direct: Vec<_> = backends
+            .iter()
+            .map(|(backend, _)| {
+                let analyze = format!("client analyze --url {backend} --memory-sweep 2,8,32");
+                s.spawn(|| run(analyze, &bhk10))
+            })
+            .collect();
+        let batch = s.spawn(|| {
+            run(
+                format!("client batch --url {url} --memory-sweep 2,4,8"),
+                &corpus,
+            )
+        });
+        run(
+            format!("client analyze --url {url} --memory-sweep 2,8,32"),
+            &big,
+        );
+        batch.join().unwrap();
+        load.join().unwrap();
+        for analyze in direct {
+            analyze.join().unwrap();
+        }
+        scrape.join().unwrap().expect("profile scrape").body
+    });
+    let stacks = graphio::obs::profile::parse_collapsed(&flame)
+        .unwrap_or_else(|| panic!("malformed merged profile:\n{flame}"));
+    let roots: std::collections::BTreeSet<&String> = stacks
+        .iter()
+        .filter_map(|(path, _)| path.first())
+        .filter(|root| root.starts_with("backend "))
+        .collect();
+    assert!(roots.len() >= 2, "backend roots {roots:?}:\n{flame}");
+    for frame in ["eigensolve", "/analyze"] {
+        assert!(flame.contains(frame), "no {frame} frame:\n{flame}");
+    }
+
+    let cli_flame = dir.join("flame.txt");
+    let profile = format!(
+        "profile --server {url} --seconds 1 --flamegraph {}",
+        cli_flame.display()
+    );
+    let summary = std::thread::scope(|s| {
+        let load = s.spawn(loadgen);
+        let summary = run(profile, "");
+        load.join().unwrap();
+        summary
+    });
+    assert!(summary.contains("samples over 1s"), "{summary}");
+    assert!(std::fs::metadata(&cli_flame).unwrap().len() > 0);
+
+    for tier in std::iter::once(url).chain(backends.iter().map(|(u, _)| u.as_str())) {
+        let expo = client::request("GET", tier, "/metrics", None).unwrap().body;
+        for series in [
+            "process_resident_bytes",
+            "graphio_recorder_dropped_spans_total",
+        ] {
+            assert!(
+                metric(&expo, series).is_some(),
+                "{series} missing at {tier}"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Distributed traces over real processes: three `serve --trace-store`
+/// backends behind `graphio router`. One traced `/batch` of ten graphs
+/// assembles, through the router, into one tree that joins at least two
+/// backends, one `backend <addr>` span each, every span inside the root
+/// and every backend inside the scatter (1 ms slack: the clocks are the
+/// processes' own). `graphio trace` and `graphio traces --slowest`
+/// render it. An error pinned on a backend survives its `kill -9`: the
+/// restarted process serves it from the trace store, and its `/metrics`
+/// carries exemplars.
+#[test]
+fn pinned_traces_survive_kill_9_and_assemble_across_backends() {
+    use graphio::graph::json::{parse, JsonValue};
+    use graphio::service::client;
+
+    let dir = std::env::temp_dir().join(format!("graphio_cli_traces_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = |i: usize| format!("{}/trace-store-{i}", dir.display());
+    let backend = |i: usize| spawn_serve(&["--workers", "2", "--trace-store", &store(i)]);
+    let mut procs = Reaper::default();
+    let mut addrs = Vec::new();
+    for i in 0..3 {
+        let (child, url, _) = backend(i);
+        procs.children.push(child);
+        addrs.push(url.trim_start_matches("http://").to_string());
+    }
+    let (router, rurl, _) = spawn_listening(
+        &[
+            "router",
             "--backends",
-            "2",
+            &addrs.join(","),
             "--listen",
             "127.0.0.1:0",
-            "--workers",
-            "1",
-        ])
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("spawn graphio cluster");
-    let mut reader = BufReader::new(cluster.stdout.take().expect("stdout piped"));
-    let mut backend_pids = Vec::new();
-    let router_url = loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line).unwrap_or(0) == 0 {
-            let _ = cluster.kill();
-            panic!("cluster exited before the router came up");
-        }
-        if let Some(rest) = line.trim().strip_prefix("cluster backend ") {
-            let pid = rest
-                .split("pid=")
-                .nth(1)
-                .and_then(|p| p.trim().parse::<u32>().ok())
-                .expect("pid in backend line");
-            backend_pids.push(pid);
-        } else if let Some(url) = line.trim().strip_prefix("graphio router listening on ") {
-            break url.to_string();
-        }
+        ],
+        "graphio router listening on ",
+    );
+    procs.children.push(router);
+
+    let graphs: Vec<String> = (3..=7)
+        .flat_map(|size| ["fft", "bhk"].map(|family| generate(family, size)))
+        .collect();
+    let req = format!(
+        "{{\"graphs\": [{}], \"memories\": [2, 8, 32]}}",
+        graphs.join(",")
+    );
+    let trace = "00112233445566778899aabbccddeeff";
+    let traced = [("X-Graphio-Trace", trace.to_string())];
+    let r = client::request_with("POST", &rurl, "/batch", Some(&req), &traced).unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    assert_eq!(
+        r.body.matches("\"sweep\":").count(),
+        graphs.len(),
+        "{}",
+        r.body
+    );
+
+    let field = |v: &JsonValue, key: &str| v.get(key).and_then(JsonValue::as_f64).unwrap();
+    let joined = |doc: &JsonValue| {
+        let backends = doc.get("backends").and_then(JsonValue::as_array);
+        backends.map_or(0, <[_]>::len)
     };
-    let result = std::panic::catch_unwind(|| {
-        assert_eq!(
-            backend_pids.len(),
-            2,
-            "two backend lines before the router line"
-        );
-        let graph = generate("fft", 4);
-        let (offline, _, ok) =
-            run_with_stdin(&["analyze", "--memory-sweep", "2,4", "--json"], &graph);
-        assert!(ok);
-        let (via_router, stderr, ok) = run_with_stdin(
-            &[
-                "client",
-                "analyze",
-                "--url",
-                &router_url,
-                "--memory-sweep",
-                "2,4",
-            ],
-            &graph,
-        );
-        assert!(ok, "analyze via router failed: {stderr}");
-        assert_eq!(via_router, offline, "router must serve offline bytes");
-    });
-    let _ = cluster.kill();
-    let _ = cluster.wait();
-    for pid in backend_pids {
-        // The cluster helper's children outlive a kill -9 of the helper;
-        // reap them explicitly like any harness must.
-        let _ = Command::new("kill").args(["-9", &pid.to_string()]).status();
+    // `(name, dur_us)` of every span of a trace document.
+    let spans = |doc: &JsonValue| -> Vec<(String, f64)> {
+        let spans = doc
+            .get("spans")
+            .and_then(JsonValue::as_array)
+            .unwrap_or(&[]);
+        let name = |s: &JsonValue| {
+            s.get("name")
+                .and_then(JsonValue::as_str)
+                .map(str::to_string)
+        };
+        spans
+            .iter()
+            .map(|s| (name(s).unwrap_or_default(), field(s, "dur_us")))
+            .collect()
+    };
+    let scatter = |doc: &JsonValue| {
+        spans(doc)
+            .into_iter()
+            .find(|(n, _)| n.ends_with("_scatter"))
+    };
+    // Each process records its part just after its response flushes:
+    // poll until the router's own record (the scatter anchor) and two
+    // backends' have landed.
+    let mut doc = JsonValue::Null;
+    for _ in 0..50 {
+        let r = client::request("GET", &rurl, &format!("/trace/{trace}"), None).unwrap();
+        if r.status == 200 {
+            doc = parse(&r.body).expect("assembled trace is JSON");
+            if joined(&doc) >= 2 && scatter(&doc).is_some() {
+                break;
+            }
+        }
+        std::thread::sleep(std::time::Duration::from_millis(100));
     }
-    if let Err(p) = result {
-        std::panic::resume_unwind(p);
-    }
+    assert!(joined(&doc) >= 2, "expected >= 2 joined backends: {doc}");
+    let (_, scatter_us) = scatter(&doc).unwrap_or_else(|| panic!("no scatter span: {doc}"));
+    let tree = spans(&doc);
+    let backend_us: Vec<f64> = tree
+        .iter()
+        .filter(|(n, _)| n.starts_with("backend "))
+        .map(|&(_, us)| us)
+        .collect();
+    assert_eq!(
+        backend_us.len(),
+        joined(&doc),
+        "one backend span per joined backend: {doc}"
+    );
+    let root_us = tree[0].1;
+    assert!(
+        0.0 < root_us && root_us <= field(&doc, "elapsed_us"),
+        "{doc}"
+    );
+    assert!(tree.iter().all(|&(_, us)| us <= root_us + 1000.0), "{doc}");
+    assert!(
+        backend_us.iter().all(|&us| us <= scatter_us + 1000.0),
+        "{doc}"
+    );
+
+    let (rendered, stderr, ok) = run_line(&format!("trace {trace} --server {rurl}"), "");
+    assert!(ok, "graphio trace failed: {stderr}");
+    assert!(rendered.contains(&format!("trace {trace}")), "{rendered}");
+    assert!(rendered.contains("backend "), "{rendered}");
+    let (slowest, stderr, ok) = run_line(&format!("traces --slowest 5 --server {rurl}"), "");
+    assert!(ok, "graphio traces failed: {stderr}");
+    assert!(slowest.contains(trace), "{slowest}");
+
+    // An error is pinned and written through to the trace store before
+    // the next request on the same connection is read.
+    let err_trace = "deadbeefdeadbeefdeadbeefdeadbeef";
+    let mut conn = client::Client::new(&format!("http://{}", addrs[0])).unwrap();
+    let traced = [("X-Graphio-Trace", err_trace.to_string())];
+    let r = conn
+        .request_with("POST", "/analyze", Some("{broken json"), &traced)
+        .unwrap();
+    assert_eq!(r.status, 400, "{}", r.body);
+    assert_eq!(conn.request("GET", "/healthz", None).unwrap().status, 200);
+    assert_eq!(conn.connects(), 1, "the 400 kept the connection");
+
+    // `Child::kill` is SIGKILL. The restarted process's ring is empty,
+    // so the trace can only come from the store on disk.
+    let _ = procs.children[0].kill();
+    let _ = procs.children[0].wait();
+    let (child, url, _) = backend(0);
+    procs.children.push(child);
+    let mut conn = client::Client::new(&url).unwrap();
+    let r = conn
+        .request("GET", &format!("/trace/{err_trace}"), None)
+        .unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    let revived = parse(&r.body).unwrap();
+    assert_eq!(
+        revived.get("trace").and_then(JsonValue::as_str),
+        Some(err_trace)
+    );
+    assert_eq!(field(&revived, "status"), 400.0);
+    assert!(!spans(&revived).is_empty(), "{revived}");
+
+    // The fresh process's histograms name recent traces per bucket: the
+    // `/trace` request above was recorded before this one was read.
+    let expo = conn.request("GET", "/metrics", None).unwrap().body;
+    assert_eq!(conn.connects(), 1);
+    assert!(expo.contains(" # {trace_id=\""), "no exemplar: {expo}");
+    drop(procs);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -7,7 +7,7 @@
 
 use graphio::graph::json::JsonValue;
 use graphio::prelude::*;
-use graphio::service::analysis::{analysis_doc, is_certified, AnalyzeSpec};
+use graphio::service::analysis::{analysis_body, analysis_doc, is_certified, AnalyzeSpec};
 use graphio::spectral::closed_form::butterfly::{
     butterfly_smallest_eigenvalues, fft_exact_spectrum_bound,
 };
@@ -15,6 +15,7 @@ use graphio::spectral::closed_form::hypercube::{
     hypercube_exact_spectrum_bound, hypercube_smallest_eigenvalues,
 };
 use graphio::spectral::laplacian::{normalized_laplacian, unnormalized_laplacian};
+use graphio_linalg::simd::{policy, set_policy, SimdPolicy};
 use graphio_linalg::{lanczos, LanczosOptions};
 
 #[test]
@@ -180,5 +181,40 @@ fn served_bhk_bounds_match_the_exact_closed_form_spectrum() {
         assert_served_bounds_match_closed_form(bhk_hypercube(l), tier, false, |m, h| {
             hypercube_exact_spectrum_bound(l, m, h)
         });
+    }
+}
+
+/// The scalar kernels serve the vector kernels' bytes: on a dense-tier
+/// and a sparse-tier graph, the analysis document (Theorems 4-6, min-cut
+/// and simulation at four memories) is byte-identical under
+/// `SimdPolicy::Off` and `Strict`. The policy is process-global; the
+/// other tests in this binary read no SIMD counter and see the same
+/// numbers under either policy.
+#[test]
+fn served_bytes_are_identical_with_simd_off_and_strict() {
+    struct Restore(SimdPolicy);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            set_policy(self.0);
+        }
+    }
+    let _restore = Restore(policy());
+    let spec = AnalyzeSpec {
+        memories: vec![2, 4, 8, 16],
+        processors: 4,
+        no_sim: false,
+    };
+    for (g, tier) in [
+        (fft_butterfly(5), ScaleTier::Dense),
+        (bhk_hypercube(9), ScaleTier::Sparse),
+    ] {
+        let n = g.n();
+        assert_eq!(ScaleTier::of(n), tier, "n = {n} left its tier");
+        let body = |p: SimdPolicy| {
+            set_policy(p);
+            analysis_body(&OwnedAnalyzer::from_graph(g.clone()), &spec)
+        };
+        let strict = body(SimdPolicy::Strict);
+        assert_eq!(body(SimdPolicy::Off), strict, "n = {n}");
     }
 }
