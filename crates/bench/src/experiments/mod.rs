@@ -7,7 +7,7 @@
 //! published growth terms, where the runtime explosion happens.
 //!
 //! Every module consumes the cached [`OwnedAnalyzer`] from
-//! `graphio_spectral::engine` through [`FigureContext`]: each graph's
+//! `graphio_spectral::engine` through `FigureContext`: each graph's
 //! Laplacians are built once, each spectrum and min-cut sweep is computed
 //! once, and all memory columns / theorem variants / processor counts are
 //! derived from those caches.

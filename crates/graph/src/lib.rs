@@ -15,7 +15,7 @@
 //! * [`topo`] — topological evaluation orders (deterministic and random).
 //! * [`dot`] — Graphviz export.
 //! * [`json`] — the JSON edge-list interchange format used by the CLI.
-//! * [`fingerprint`] — relabeling-invariant structural hashes, the cache
+//! * [`fingerprint`](mod@fingerprint) — relabeling-invariant structural hashes, the cache
 //!   key of the analysis service, and [`FingerprintMemo`], their bounded
 //!   per-labelling memo.
 

@@ -149,7 +149,7 @@ impl CsrMatrix {
     /// Mat-vec `y = A x` from the interleaved mirror. Every row
     /// accumulates left to right in column order under every SIMD route,
     /// so the result is bit-identical for every SIMD policy (see
-    /// [`crate::simd::sell_matvec_routed`]).
+    /// `simd::sell_matvec_routed`).
     ///
     /// # Panics
     /// Panics on dimension mismatch.

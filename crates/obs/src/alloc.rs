@@ -56,7 +56,7 @@ pub fn enabled() -> bool {
 pub const UNATTRIBUTED: &str = "unattributed";
 
 /// Phase charged when the table is full (more distinct phase-name call
-/// sites than [`TABLE_SIZE`] — far beyond this codebase's span count).
+/// sites than `TABLE_SIZE` — far beyond this codebase's span count).
 pub const OVERFLOW: &str = "other";
 
 /// Slots in the phase table. Power of two; keyed by phase-name pointer

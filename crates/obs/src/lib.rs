@@ -4,7 +4,7 @@
 //! (including `graphio_linalg`, which otherwise depends only on the rand
 //! shim) can instrument itself:
 //!
-//! - [`span`]: monotonic-clock phase spans with a thread-local phase
+//! - [`span`](mod@span): monotonic-clock phase spans with a thread-local phase
 //!   stack. `span!("eigensolve")` returns an RAII guard; when tracing is
 //!   disabled (the default — only the long-running servers and the
 //!   loadgen enable it) a span site costs one relaxed atomic load and no

@@ -81,17 +81,6 @@ impl CacheOutcome {
             CacheOutcome::Miss => "miss",
         }
     }
-
-    /// Parses the wire form.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<CacheOutcome> {
-        match s {
-            "hit" => Some(CacheOutcome::Hit),
-            "store" => Some(CacheOutcome::Store),
-            "miss" => Some(CacheOutcome::Miss),
-            _ => None,
-        }
-    }
 }
 
 const EMPTY_NODE: TraceNode = TraceNode {
@@ -171,38 +160,15 @@ impl TraceRecord {
         self.status >= 400
     }
 
-    /// The record as one JSON object — the `GET /trace/{id}` body. A
-    /// superset of the slow-log line schema (DESIGN.md §10): same
+    /// The record as one JSON object — the `GET /trace/{id}` body, and
+    /// the bytes `serve --trace-store` persists. A superset of the
+    /// slow-log line schema (DESIGN.md §10): same
     /// `trace`/`endpoint`/`elapsed_us`/`dropped_spans`/`spans` fields,
     /// plus `status`, `fingerprint`, `outcome` and `seq`.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"trace\":\"{}\",\"endpoint\":\"{}\",\"status\":{},",
-            crate::span::trace_hex(self.trace),
-            self.endpoint,
-            self.status,
-        );
-        match self.fingerprint {
-            Some(fp) => out.push_str(&format!("\"fingerprint\":\"{fp:032x}\",")),
-            None => out.push_str("\"fingerprint\":null,"),
-        }
-        match self.outcome {
-            Some(o) => out.push_str(&format!("\"outcome\":\"{}\",", o.as_str())),
-            None => out.push_str("\"outcome\":null,"),
-        }
-        out.push_str(&format!(
-            "\"elapsed_us\":{},\"dropped_spans\":{},\"seq\":{},\"spans\":[",
-            self.elapsed_us, self.dropped_spans, self.seq,
-        ));
-        for (i, node) in self.nodes().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&node.to_json());
-        }
-        out.push_str("]}");
-        out
+        let spans: Vec<String> = self.nodes().iter().map(TraceNode::to_json).collect();
+        format!("{}[{}]}}", self.json_head(), spans.join(","))
     }
 
     /// A one-line summary object — the `GET /traces` list entry: every
@@ -210,7 +176,13 @@ impl TraceRecord {
     /// tree itself.
     #[must_use]
     pub fn to_summary_json(&self) -> String {
-        let fp = match self.fingerprint {
+        format!("{}{}}}", self.json_head(), self.len)
+    }
+
+    /// The scalar fields both renderings share, up to and including the
+    /// `"spans":` key.
+    fn json_head(&self) -> String {
+        let fingerprint = match self.fingerprint {
             Some(fp) => format!("\"{fp:032x}\""),
             None => "null".to_string(),
         };
@@ -219,15 +191,14 @@ impl TraceRecord {
             None => "null".to_string(),
         };
         format!(
-            "{{\"trace\":\"{}\",\"endpoint\":\"{}\",\"status\":{},\"fingerprint\":{fp},\
-             \"outcome\":{outcome},\"elapsed_us\":{},\"dropped_spans\":{},\"seq\":{},\"spans\":{}}}",
+            "{{\"trace\":\"{}\",\"endpoint\":\"{}\",\"status\":{},\"fingerprint\":{fingerprint},\
+             \"outcome\":{outcome},\"elapsed_us\":{},\"dropped_spans\":{},\"seq\":{},\"spans\":",
             crate::span::trace_hex(self.trace),
             self.endpoint,
             self.status,
             self.elapsed_us,
             self.dropped_spans,
             self.seq,
-            self.len,
         )
     }
 }
@@ -463,7 +434,8 @@ impl Recorder {
     }
 
     /// Every record currently held by the pinned ring (tail retention),
-    /// newest first. The service tier persists these to the trace store.
+    /// newest first. (The service persists pinned records as it inserts
+    /// them, not through this view.)
     #[must_use]
     pub fn pinned(&self) -> Vec<TraceRecord> {
         let mut all = self.pinned.scan();

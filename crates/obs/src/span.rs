@@ -147,7 +147,7 @@ impl Default for PhaseSite {
     }
 }
 
-/// Opens a phase span. Prefer the [`span!`] macro, which allocates the
+/// Opens a phase span. Prefer the [`span!`](crate::span!) macro, which allocates the
 /// per-site cache.
 #[macro_export]
 macro_rules! span {
@@ -353,7 +353,7 @@ struct LiveSpan {
 }
 
 impl SpanGuard {
-    /// Opens the span (the [`span!`] macro body). Disabled: one relaxed
+    /// Opens the span (the [`span!`](crate::span!) macro body). Disabled: one relaxed
     /// load, no clock read.
     #[inline]
     pub fn enter(name: &'static str, site: &PhaseSite) -> SpanGuard {
@@ -369,7 +369,7 @@ impl SpanGuard {
     /// Opens a span whose name is picked at runtime from a fixed set (the
     /// per-request root span, named by endpoint). Resolves the phase
     /// histogram through the registry on every call — fine at per-request
-    /// frequency; hot inner loops should use [`span!`] instead.
+    /// frequency; hot inner loops should use [`span!`](crate::span!) instead.
     #[must_use]
     pub fn enter_dynamic(name: &'static str) -> SpanGuard {
         if !enabled() {

@@ -423,23 +423,11 @@ impl Tier for RouterState {
 
     /// The distributed view: the router's own record plus every
     /// backend's record for the same ID (fetched by one fan-out), joined
-    /// into one tree by [`assemble_trace`]. When the router's own ring no
-    /// longer has the record but a backend does, the first backend record
-    /// stands in as the assembly root, so the trace stays queryable as
-    /// long as *any* tier remembers it.
+    /// into one tree by `join_trace`.
     fn trace(&self, trace: u128, _: impl FnOnce() -> Option<String>) -> Option<String> {
         let path = format!("/trace/{}", graphio_obs::trace_hex(trace));
         let (local, fetched) = self.fan_out_ok(&path, || local_router_record(trace));
-        let mut backends: Vec<(String, JsonValue)> = fetched
-            .into_iter()
-            .filter_map(|(addr, body)| Some((addr, graphio_graph::json::parse(&body).ok()?)))
-            .collect();
-        let root = match local.and_then(|s| graphio_graph::json::parse(&s).ok()) {
-            Some(doc) => doc,
-            None if !backends.is_empty() => backends.remove(0).1,
-            None => return None,
-        };
-        Some(assemble_trace(&root, &backends).to_string())
+        join_trace(trace, local.as_deref(), fetched)
     }
 
     /// The cluster-wide flamegraph: every backend samples itself for the
@@ -717,7 +705,8 @@ fn handle_batch(state: &Arc<RouterState>, ex: &mut Exchange<'_>) {
 ///
 /// Each contributing backend becomes one synthetic `backend <addr>` span
 /// — parented to the router's scatter span (the last `*_scatter` span,
-/// falling back to the root) and spanning the backend's own
+/// falling back to the root; a `router` document without spans makes
+/// each one a root) and spanning the backend's own
 /// `elapsed_us` — with the backend's phase tree re-indexed beneath it,
 /// so children-sum ≤ parent holds at every level (the backend's wall
 /// time sits inside the router's scatter wall time). A backend record
@@ -734,16 +723,17 @@ pub fn assemble_trace(router: &JsonValue, backends: &[(String, JsonValue)]) -> J
         .and_then(JsonValue::as_array)
         .map(<[JsonValue]>::to_vec)
         .unwrap_or_default();
-    // Anchor: the last scatter span the router opened, else the root.
-    let mut attach = 0usize;
-    for (i, span) in spans.iter().enumerate() {
-        let name = span.get("name").and_then(JsonValue::as_str).unwrap_or("");
-        if name.ends_with("_scatter")
-            || (matches!(span.get("parent"), Some(JsonValue::Null)) && attach == 0)
-        {
-            attach = i;
-        }
-    }
+    // Anchor: the last scatter span the router opened, else the root;
+    // with no router spans at all, each backend is a root of its own.
+    let is_scatter = |span: &JsonValue| {
+        let name = span.get("name").and_then(JsonValue::as_str);
+        name.is_some_and(|n| n.ends_with("_scatter"))
+    };
+    let attach = match spans.iter().rposition(is_scatter) {
+        Some(i) => JsonValue::Number(i as f64),
+        None if spans.is_empty() => JsonValue::Null,
+        None => JsonValue::Number(0.0),
+    };
     // Echo/duplicate suppression by full-record identity: in-process all
     // tiers answer from one shared ring, so the router's own record and
     // repeated backend answers arrive as byte-identical documents.
@@ -765,7 +755,7 @@ pub fn assemble_trace(router: &JsonValue, backends: &[(String, JsonValue)]) -> J
                 "name".to_string(),
                 JsonValue::String(format!("backend {addr}")),
             ),
-            ("parent".to_string(), JsonValue::Number(attach as f64)),
+            ("parent".to_string(), attach.clone()),
             ("start_us".to_string(), JsonValue::Number(0.0)),
             ("dur_us".to_string(), JsonValue::Number(elapsed)),
         ]));
@@ -809,6 +799,30 @@ pub fn assemble_trace(router: &JsonValue, backends: &[(String, JsonValue)]) -> J
     assembled.push(("backends".to_string(), JsonValue::Array(joined)));
     assembled.push(("spans".to_string(), JsonValue::Array(spans)));
     JsonValue::Object(assembled)
+}
+
+/// The router's `GET /trace/{id}` document: its own record (`local`)
+/// with the backends' `/trace` bodies grafted on by [`assemble_trace`].
+/// Without a router record (the router inserts it only after its
+/// response flushes, and the ring can evict it) the root is a bare
+/// `{"trace": id}` with no spans, and every backend grafts under it as a
+/// root of its own; no backend record is promoted to stand in for the
+/// router's, so the trace stays queryable as long as *any* tier
+/// remembers it. `None` when none does.
+fn join_trace(trace: u128, local: Option<&str>, fetched: Vec<(String, String)>) -> Option<String> {
+    let backends: Vec<(String, JsonValue)> = fetched
+        .into_iter()
+        .filter_map(|(addr, body)| Some((addr, graphio_graph::json::parse(&body).ok()?)))
+        .collect();
+    let root = match local.and_then(|s| graphio_graph::json::parse(s).ok()) {
+        Some(doc) => doc,
+        None if !backends.is_empty() => JsonValue::Object(vec![(
+            "trace".to_string(),
+            JsonValue::String(graphio_obs::trace_hex(trace)),
+        )]),
+        None => return None,
+    };
+    Some(assemble_trace(&root, &backends).to_string())
 }
 
 /// The router's own record for `trace`. When several records share the
@@ -866,5 +880,70 @@ mod tests {
     fn fallback_fp_is_stable_per_body() {
         assert_eq!(fallback_fp(b"abc"), fallback_fp(b"abc"));
         assert_ne!(fallback_fp(b"abc"), fallback_fp(b"abd"));
+    }
+
+    /// The router's record lands only after its response flushes, so a
+    /// `/trace` query can find backend records alone. Neither backend is
+    /// promoted to the root: both graft under a span-less root, both are
+    /// named in `backends`, and every span's parent is an earlier span.
+    #[test]
+    fn join_trace_without_a_router_record_promotes_no_backend() {
+        let trace = 0xabc;
+        let backend = |elapsed: u32, phase: &str| {
+            format!(
+                "{{\"trace\":\"00000000000000000000000000000abc\",\"endpoint\":\"/batch\",\
+                 \"status\":200,\"elapsed_us\":{elapsed},\"seq\":1,\"spans\":[\
+                 {{\"name\":\"/batch\",\"parent\":null,\"start_us\":0,\"dur_us\":{elapsed}}},\
+                 {{\"name\":\"{phase}\",\"parent\":0,\"start_us\":1,\"dur_us\":5}}]}}"
+            )
+        };
+        let fetched = vec![
+            ("b1".to_string(), backend(40, "eigensolve")),
+            ("b2".to_string(), backend(30, "mincut")),
+        ];
+        assert_eq!(join_trace(trace, None, Vec::new()), None);
+        let doc = join_trace(trace, None, fetched).expect("backends remember the trace");
+        let doc = graphio_graph::json::parse(&doc).unwrap();
+        assert_eq!(
+            doc.get("trace").and_then(JsonValue::as_str),
+            Some("00000000000000000000000000000abc")
+        );
+        assert_eq!(
+            doc.get("elapsed_us"),
+            None,
+            "no backend's scalars at the root"
+        );
+        let joined: Vec<&str> = doc
+            .get("backends")
+            .and_then(JsonValue::as_array)
+            .unwrap()
+            .iter()
+            .filter_map(JsonValue::as_str)
+            .collect();
+        assert_eq!(joined, ["b1", "b2"]);
+        let spans = doc.get("spans").and_then(JsonValue::as_array).unwrap();
+        let names: Vec<&str> = spans
+            .iter()
+            .filter_map(|s| s.get("name").and_then(JsonValue::as_str))
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "backend b1",
+                "/batch",
+                "eigensolve",
+                "backend b2",
+                "/batch",
+                "mincut"
+            ]
+        );
+        let parents: Vec<Option<f64>> = spans
+            .iter()
+            .map(|s| s.get("parent").and_then(JsonValue::as_f64))
+            .collect();
+        assert_eq!(
+            parents,
+            [None, Some(0.0), Some(1.0), None, Some(3.0), Some(4.0)]
+        );
     }
 }

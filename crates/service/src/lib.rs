@@ -46,7 +46,7 @@
 //! ```
 //!
 //! [`OwnedAnalyzer`]: graphio_spectral::OwnedAnalyzer
-//! [`fingerprint`]: graphio_graph::fingerprint
+//! [`fingerprint`]: fn@graphio_graph::fingerprint
 
 pub mod analysis;
 pub mod cache;

@@ -49,7 +49,7 @@ use graphio_graph::json::JsonValue;
 use graphio_graph::{Fingerprint, FingerprintMemo};
 use graphio_obs::recorder;
 use graphio_obs::MetricsText;
-use graphio_store::{decode_trace_record, encode_trace_record, Store, StoreConfig, StoredTrace};
+use graphio_store::{Store, StoreConfig};
 use std::io::{self, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -765,10 +765,10 @@ fn traced_request<T: Tier>(core: &Core, request: &Request, handler: impl FnOnce(
         );
         record.seq = rec.insert(record, pin);
         if let Some(store) = core.trace_store.as_ref().filter(|_| pin) {
-            // Best-effort, like the session write-through: a full disk
-            // must not fail the request that already succeeded.
-            let doc = encode_trace_record(&StoredTrace::from_record(&record));
-            if let Err(e) = store.put(Fingerprint(trace), &doc) {
+            // The stored bytes are the `/trace/{id}` body. Best-effort,
+            // like the session write-through: a full disk must not fail
+            // the request that already succeeded.
+            if let Err(e) = store.put(Fingerprint(trace), record.to_json().as_bytes()) {
                 eprintln!("graphio-trace-store: write-through failed: {e}");
             }
         }
@@ -926,25 +926,30 @@ fn handle_trace<T: Tier>(tier: &Arc<T>, ex: &mut Exchange<'_>) {
 }
 
 /// Resolves one trace ID in this process: the live flight-recorder ring
-/// first (main or pinned), then the persistent trace store —
-/// [`StoredTrace::to_json`] is byte-identical to
-/// [`graphio_obs::TraceRecord::to_json`] for the same record, so callers
-/// cannot tell which tier answered.
+/// first (main or pinned), then the persistent trace store, which holds
+/// the [`graphio_obs::TraceRecord::to_json`] bytes the ring served, so
+/// callers cannot tell which tier answered. A stored record is served
+/// only if it parses as a JSON object whose `"trace"` is `trace`;
+/// anything else (including the binary records older versions wrote) is
+/// logged and ignored.
 fn local_trace(trace_store: Option<&Store>, trace: u128) -> Option<String> {
     if let Some(record) = recorder::recorder().and_then(|r| r.get(trace)) {
         return Some(record.to_json());
     }
     let doc = trace_store?.get(Fingerprint(trace)).ok().flatten()?;
-    match decode_trace_record(&doc) {
-        Ok(stored) => Some(stored.to_json()),
-        Err(e) => {
-            eprintln!(
-                "graphio-trace-store: ignoring unreadable record for {}: {e}",
-                graphio_obs::trace_hex(trace)
-            );
-            None
-        }
-    }
+    let hex = graphio_obs::trace_hex(trace);
+    let why = match String::from_utf8(doc) {
+        Err(_) => "not UTF-8".to_string(),
+        Ok(body) => match graphio_graph::json::parse(&body) {
+            Err(e) => e.to_string(),
+            Ok(doc) if doc.get("trace").and_then(JsonValue::as_str) == Some(&hex) => {
+                return Some(body)
+            }
+            Ok(_) => "not a record of this trace".to_string(),
+        },
+    };
+    eprintln!("graphio-trace-store: ignoring unreadable record for {hex}: {why}");
+    None
 }
 
 /// `GET /traces?n=K&min_us=U&status=S`: summaries of the most recent

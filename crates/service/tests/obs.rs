@@ -406,12 +406,11 @@ fn analyze_bodies_are_byte_identical_with_recorder_attached() {
 }
 
 /// Tail-based retention: an error response (status ≥ 400) is pinned and
-/// written through to `--trace-store`, and the persisted record decodes
-/// to byte-identical JSON after the server is gone — the trace outlives
-/// both the ring and the process.
+/// written through to `--trace-store` as the very `/trace/{id}` body the
+/// ring served, so the trace outlives both the ring and the process.
 #[test]
 fn pinned_error_traces_persist_to_the_trace_store() {
-    use graphio_store::{decode_trace_record, Store, StoreConfig};
+    use graphio_store::{Store, StoreConfig};
     let dir = std::env::temp_dir().join(format!("graphio_trace_store_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let server = serve(&ServiceConfig {
@@ -425,18 +424,85 @@ fn pinned_error_traces_persist_to_the_trace_store() {
         send_until_recorded(&server, "POST", "/analyze", "{this is not json", sent_trace);
     assert_eq!(status, 400, "malformed body is a client error");
     server.shutdown();
-    // After shutdown, the record must still be in the store — and decode
-    // to the exact JSON the ring served. (Read-only: the server's own
-    // store handle keeps the in-process write lock until it drops.)
+    // After shutdown, the record must still be in the store, holding the
+    // exact JSON the ring served. (Read-only: the server's own store
+    // handle keeps the in-process write lock until it drops.)
     let store = Store::open_read_only(&dir, StoreConfig::default()).expect("reopen trace store");
     let trace = graphio_obs::parse_trace_hex(sent_trace).unwrap();
     let bytes = store
         .get(graphio_graph::Fingerprint(trace))
         .expect("store read")
         .expect("pinned error trace persisted");
-    let stored = decode_trace_record(&bytes).expect("stored trace decodes");
-    assert_eq!(stored.to_json() + "\n", live);
-    assert_eq!(stored.status, 400);
+    let stored = String::from_utf8(bytes).expect("stored trace is UTF-8");
+    assert_eq!(stored + "\n", live);
+    assert!(live.contains("\"status\":400,"), "{live}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A trace-store record that is not this trace's JSON document is never
+/// served: a binary record in the layout older versions wrote, bytes that
+/// are not JSON, and JSON naming another trace all answer 404.
+#[test]
+fn unreadable_trace_store_records_answer_404() {
+    use graphio_store::{Store, StoreConfig};
+    let dir = std::env::temp_dir().join(format!("graphio_trace_legacy_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let ids = [
+        "000000000000000000000000000000a1",
+        "000000000000000000000000000000a2",
+        "000000000000000000000000000000a3",
+    ];
+    // The version-2 binary layout older versions wrote, for trace 0xa1.
+    let legacy: String = [
+        "02",                               // trace record version
+        "a1000000000000000000000000000000", // trace
+        "02000000",                         // endpoint len = 2
+        "2f74",                             // "/t"
+        "f7010000",                         // status = 503
+        "00",                               // no fingerprint
+        "03",                               // outcome = miss
+        "0700000000000000",                 // elapsed_us = 7
+        "0000000000000000",                 // dropped_spans = 0
+        "0100000000000000",                 // seq = 1
+        "01000000",                         // 1 span
+        "01000000",                         // name len = 1
+        "78",                               // "x"
+        "ffffffff",                         // parent = none
+        "0000000000000000",                 // start_us = 0
+        "0700000000000000",                 // dur_us = 7
+        "0900000000000000",                 // alloc_bytes = 9
+        "0200000000000000",                 // allocs = 2
+    ]
+    .concat();
+    let legacy: Vec<u8> = (0..legacy.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&legacy[i..i + 2], 16).unwrap())
+        .collect();
+    let other = format!(
+        "{{\"trace\":\"{}\",\"status\":400,\"spans\":[]}}",
+        "f".repeat(32)
+    );
+    {
+        let store = Store::open(&dir, StoreConfig::default()).expect("open trace store");
+        for (id, doc) in ids
+            .iter()
+            .zip([legacy, b"{not json".to_vec(), other.into_bytes()])
+        {
+            let trace = graphio_obs::parse_trace_hex(id).unwrap();
+            store.put(graphio_graph::Fingerprint(trace), &doc).unwrap();
+        }
+    }
+    let server = serve(&ServiceConfig {
+        workers: 2,
+        trace_store: Some(dir.clone()),
+        ..ServiceConfig::default()
+    })
+    .expect("bind trace-store server");
+    for id in ids {
+        let r = client::request("GET", &server.url(), &format!("/trace/{id}"), None).unwrap();
+        assert_eq!(r.status, 404, "{id}: {}", r.body);
+    }
+    server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -163,11 +163,6 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends a `u128`, little-endian.
-    pub fn put_u128(&mut self, v: u128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends an `f64` as its IEEE-754 bit pattern, little-endian.
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
@@ -668,284 +663,6 @@ pub fn decode_session(bytes: &[u8]) -> Result<StoredSession, CodecError> {
     })
 }
 
-// ---------------------------------------------------------------------
-// Trace records (the `serve --trace-store` document type)
-// ---------------------------------------------------------------------
-
-/// Version byte of the trace-record encoding. Independent of
-/// [`SESSION_VERSION`]: trace records live in their own store directory
-/// and evolve on their own schedule. Version 2 added per-span allocation
-/// attribution (`alloc_bytes`/`allocs`); version-1 documents still decode
-/// (their spans read back as zero allocation).
-pub const TRACE_RECORD_VERSION: u8 = 2;
-
-/// One phase-tree node of a persisted trace.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StoredTraceSpan {
-    /// The phase name (a `span!` literal at record time).
-    pub name: String,
-    /// Index of the enclosing span, if any.
-    pub parent: Option<u32>,
-    /// Microseconds from the request root to this span opening.
-    pub start_us: u64,
-    /// The span's duration in microseconds.
-    pub dur_us: u64,
-    /// Bytes allocated while the span was open (inclusive of children,
-    /// like `dur_us`). Zero when the binary ran without the counting
-    /// allocator or the record predates version 2.
-    pub alloc_bytes: u64,
-    /// Allocation count while the span was open (inclusive).
-    pub allocs: u64,
-}
-
-/// A persisted flight-recorder record: what `serve --trace-store DIR`
-/// writes for pinned (slow or error) traces so they survive restarts.
-/// Mirrors `graphio_obs::recorder::TraceRecord`, with owned strings in
-/// place of `&'static` names.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StoredTrace {
-    /// The request's 128-bit trace ID (also the store key).
-    pub trace: u128,
-    /// The endpoint label.
-    pub endpoint: String,
-    /// The HTTP status answered.
-    pub status: u16,
-    /// The graph fingerprint, when resolved.
-    pub fingerprint: Option<u128>,
-    /// The session cache outcome (`hit`/`store`/`miss`), when resolved.
-    pub outcome: Option<String>,
-    /// Total request wall time in microseconds.
-    pub elapsed_us: u64,
-    /// Spans dropped past the recorder's caps.
-    pub dropped_spans: u64,
-    /// The recorder's insertion sequence number.
-    pub seq: u64,
-    /// The flattened phase tree.
-    pub spans: Vec<StoredTraceSpan>,
-}
-
-impl StoredTrace {
-    /// Converts a live recorder record for persistence.
-    #[must_use]
-    pub fn from_record(record: &graphio_obs::TraceRecord) -> StoredTrace {
-        StoredTrace {
-            trace: record.trace,
-            endpoint: record.endpoint.to_string(),
-            status: record.status,
-            fingerprint: record.fingerprint,
-            outcome: record.outcome.map(|o| o.as_str().to_string()),
-            elapsed_us: record.elapsed_us,
-            dropped_spans: record.dropped_spans,
-            seq: record.seq,
-            spans: record
-                .nodes()
-                .iter()
-                .map(|n| StoredTraceSpan {
-                    name: n.name.to_string(),
-                    parent: n.parent.map(|p| p as u32),
-                    start_us: n.start_us,
-                    dur_us: n.dur_us,
-                    alloc_bytes: n.alloc_bytes,
-                    allocs: n.allocs,
-                })
-                .collect(),
-        }
-    }
-
-    /// The record as one JSON object — byte-identical to what
-    /// `graphio_obs::recorder::TraceRecord::to_json` serves for the same
-    /// record, so `GET /trace/{id}` answers identically from the live
-    /// ring and from the persisted store.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"trace\":\"{:032x}\",\"endpoint\":\"{}\",\"status\":{},",
-            self.trace, self.endpoint, self.status,
-        );
-        match self.fingerprint {
-            Some(fp) => out.push_str(&format!("\"fingerprint\":\"{fp:032x}\",")),
-            None => out.push_str("\"fingerprint\":null,"),
-        }
-        match &self.outcome {
-            Some(o) => out.push_str(&format!("\"outcome\":\"{o}\",")),
-            None => out.push_str("\"outcome\":null,"),
-        }
-        out.push_str(&format!(
-            "\"elapsed_us\":{},\"dropped_spans\":{},\"seq\":{},\"spans\":[",
-            self.elapsed_us, self.dropped_spans, self.seq,
-        ));
-        for (i, span) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let parent = match span.parent {
-                Some(p) => p.to_string(),
-                None => "null".to_string(),
-            };
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"parent\":{parent},\"start_us\":{},\"dur_us\":{},\
-                 \"alloc_bytes\":{},\"allocs\":{}}}",
-                span.name, span.start_us, span.dur_us, span.alloc_bytes, span.allocs
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-fn put_str(w: &mut Writer, s: &str) {
-    w.put_u32(s.len() as u32);
-    for &b in s.as_bytes() {
-        w.put_u8(b);
-    }
-}
-
-fn get_str(r: &mut Reader<'_>) -> Result<String, CodecError> {
-    let len = r.get_u32()? as usize;
-    if len > r.remaining() {
-        return Err(CodecError::Truncated);
-    }
-    let mut bytes = Vec::with_capacity(len);
-    for _ in 0..len {
-        bytes.push(r.get_u8()?);
-    }
-    String::from_utf8(bytes).map_err(|_| CodecError::Invalid("non-UTF-8 string".to_string()))
-}
-
-/// Sentinel for "no parent" in the span encoding (span counts are far
-/// below it, enforced on decode).
-const NO_PARENT: u32 = u32::MAX;
-
-/// Encodes one trace record. Deterministic, so the store's
-/// skip-if-unchanged write-through applies to re-pinned traces too.
-#[must_use]
-pub fn encode_trace_record(t: &StoredTrace) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u8(TRACE_RECORD_VERSION);
-    w.put_u128(t.trace);
-    put_str(&mut w, &t.endpoint);
-    w.put_u32(u32::from(t.status));
-    match t.fingerprint {
-        Some(fp) => {
-            w.put_u8(1);
-            w.put_u128(fp);
-        }
-        None => w.put_u8(0),
-    }
-    match t.outcome.as_deref() {
-        None => w.put_u8(0),
-        Some("hit") => w.put_u8(1),
-        Some("store") => w.put_u8(2),
-        Some("miss") => w.put_u8(3),
-        // Unknown outcomes degrade to "none" rather than poisoning the
-        // record; the vocabulary is closed at record time.
-        Some(_) => w.put_u8(0),
-    }
-    w.put_u64(t.elapsed_us);
-    w.put_u64(t.dropped_spans);
-    w.put_u64(t.seq);
-    w.put_u32(t.spans.len() as u32);
-    for span in &t.spans {
-        put_str(&mut w, &span.name);
-        w.put_u32(span.parent.unwrap_or(NO_PARENT));
-        w.put_u64(span.start_us);
-        w.put_u64(span.dur_us);
-        w.put_u64(span.alloc_bytes);
-        w.put_u64(span.allocs);
-    }
-    w.into_bytes()
-}
-
-/// Decodes a document produced by [`encode_trace_record`].
-///
-/// # Errors
-/// [`CodecError`] on truncation, unknown versions/tags, or structurally
-/// invalid trees (a parent at or past its child).
-pub fn decode_trace_record(bytes: &[u8]) -> Result<StoredTrace, CodecError> {
-    let mut r = Reader::new(bytes);
-    let version = r.get_u8()?;
-    if version != 1 && version != TRACE_RECORD_VERSION {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
-    let trace = r.get_u128()?;
-    let endpoint = get_str(&mut r)?;
-    let status = u16::try_from(r.get_u32()?)
-        .map_err(|_| CodecError::Invalid("status out of range".to_string()))?;
-    let fingerprint = match r.get_u8()? {
-        0 => None,
-        1 => Some(r.get_u128()?),
-        tag => {
-            return Err(CodecError::BadTag {
-                what: "fingerprint",
-                tag,
-            })
-        }
-    };
-    let outcome = match r.get_u8()? {
-        0 => None,
-        1 => Some("hit".to_string()),
-        2 => Some("store".to_string()),
-        3 => Some("miss".to_string()),
-        tag => {
-            return Err(CodecError::BadTag {
-                what: "outcome",
-                tag,
-            })
-        }
-    };
-    let elapsed_us = r.get_u64()?;
-    let dropped_spans = r.get_u64()?;
-    let seq = r.get_u64()?;
-    let nspans = r.get_u32()? as usize;
-    let mut spans = Vec::with_capacity(nspans.min(r.remaining() / 24));
-    for i in 0..nspans {
-        let name = get_str(&mut r)?;
-        let parent = match r.get_u32()? {
-            NO_PARENT => None,
-            p if (p as usize) < i => Some(p),
-            p => {
-                return Err(CodecError::Invalid(format!(
-                    "span {i} has parent {p} at or past itself"
-                )))
-            }
-        };
-        let start_us = r.get_u64()?;
-        let dur_us = r.get_u64()?;
-        // Version 1 predates allocation attribution: its spans read back
-        // as zero, matching a binary without the counting allocator.
-        let (alloc_bytes, allocs) = if version >= 2 {
-            (r.get_u64()?, r.get_u64()?)
-        } else {
-            (0, 0)
-        };
-        spans.push(StoredTraceSpan {
-            name,
-            parent,
-            start_us,
-            dur_us,
-            alloc_bytes,
-            allocs,
-        });
-    }
-    if r.remaining() != 0 {
-        return Err(CodecError::Invalid(format!(
-            "{} trailing bytes after trace record",
-            r.remaining()
-        )));
-    }
-    Ok(StoredTrace {
-        trace,
-        endpoint,
-        status,
-        fingerprint,
-        outcome,
-        elapsed_us,
-        dropped_spans,
-        seq,
-        spans,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1443,160 +1160,6 @@ mod tests {
             decode_session(&trailing),
             Err(CodecError::Invalid(_))
         ));
-    }
-
-    fn sample_trace() -> StoredTrace {
-        StoredTrace {
-            trace: 0x0011_2233_4455_6677_8899_AABB_CCDD_EEFF,
-            endpoint: "/analyze".to_string(),
-            status: 200,
-            fingerprint: Some(0xA5),
-            outcome: Some("hit".to_string()),
-            elapsed_us: 12_345,
-            dropped_spans: 2,
-            seq: 41,
-            spans: vec![
-                StoredTraceSpan {
-                    name: "/analyze".to_string(),
-                    parent: None,
-                    start_us: 0,
-                    dur_us: 12_000,
-                    alloc_bytes: 4096,
-                    allocs: 12,
-                },
-                StoredTraceSpan {
-                    name: "eigensolve".to_string(),
-                    parent: Some(0),
-                    start_us: 10,
-                    dur_us: 11_000,
-                    alloc_bytes: 2048,
-                    allocs: 5,
-                },
-            ],
-        }
-    }
-
-    #[test]
-    fn trace_records_roundtrip_exactly() {
-        let t = sample_trace();
-        let bytes = encode_trace_record(&t);
-        assert_eq!(decode_trace_record(&bytes).unwrap(), t);
-        // Optional fields absent.
-        let mut bare = t.clone();
-        bare.fingerprint = None;
-        bare.outcome = None;
-        bare.spans.clear();
-        let bytes = encode_trace_record(&bare);
-        assert_eq!(decode_trace_record(&bytes).unwrap(), bare);
-        // Determinism (the store's skip-if-unchanged write-through).
-        assert_eq!(encode_trace_record(&t), encode_trace_record(&t));
-    }
-
-    #[test]
-    fn trace_record_decode_rejects_corruption() {
-        let bytes = encode_trace_record(&sample_trace());
-        for cut in [0, 1, 17, bytes.len() / 2, bytes.len() - 1] {
-            assert!(
-                decode_trace_record(&bytes[..cut]).is_err(),
-                "truncation at {cut} must not decode"
-            );
-        }
-        let mut wrong_version = bytes.clone();
-        wrong_version[0] = 99;
-        assert_eq!(
-            decode_trace_record(&wrong_version),
-            Err(CodecError::UnsupportedVersion(99))
-        );
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert!(matches!(
-            decode_trace_record(&trailing),
-            Err(CodecError::Invalid(_))
-        ));
-        // A forward parent reference is structurally invalid.
-        let mut forward = sample_trace();
-        forward.spans[0].parent = Some(1);
-        assert!(matches!(
-            decode_trace_record(&encode_trace_record(&forward)),
-            Err(CodecError::Invalid(_))
-        ));
-    }
-
-    /// Golden pin for the trace-record layout, mirroring the session pin:
-    /// a change here means bumping [`TRACE_RECORD_VERSION`].
-    #[test]
-    fn golden_trace_record_bytes_are_stable() {
-        let t = StoredTrace {
-            trace: 0xAB,
-            endpoint: "/t".to_string(),
-            status: 503,
-            fingerprint: None,
-            outcome: Some("miss".to_string()),
-            elapsed_us: 7,
-            dropped_spans: 0,
-            seq: 1,
-            spans: vec![StoredTraceSpan {
-                name: "x".to_string(),
-                parent: None,
-                start_us: 0,
-                dur_us: 7,
-                alloc_bytes: 9,
-                allocs: 2,
-            }],
-        };
-        let bytes = encode_trace_record(&t);
-        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
-        assert_eq!(
-            hex,
-            concat!(
-                "02",                               // trace record version
-                "ab000000000000000000000000000000", // trace = 0xAB
-                "02000000",                         // endpoint len = 2
-                "2f74",                             // "/t"
-                "f7010000",                         // status = 503
-                "00",                               // no fingerprint
-                "03",                               // outcome = miss
-                "0700000000000000",                 // elapsed_us = 7
-                "0000000000000000",                 // dropped_spans = 0
-                "0100000000000000",                 // seq = 1
-                "01000000",                         // 1 span
-                "01000000",                         // name len = 1
-                "78",                               // "x"
-                "ffffffff",                         // parent = none
-                "0000000000000000",                 // start_us = 0
-                "0700000000000000",                 // dur_us = 7
-                "0900000000000000",                 // alloc_bytes = 9
-                "0200000000000000",                 // allocs = 2
-            ),
-            "trace codec layout changed — bump TRACE_RECORD_VERSION"
-        );
-        // A version-1 document (no alloc fields) still decodes, its spans
-        // reading back as zero allocation.
-        let mut v1 = bytes.clone();
-        v1[0] = 1;
-        v1.truncate(v1.len() - 16);
-        let decoded = decode_trace_record(&v1).expect("version-1 record decodes");
-        assert_eq!(decoded.spans[0].alloc_bytes, 0);
-        assert_eq!(decoded.spans[0].allocs, 0);
-        assert_eq!(decoded.spans[0].dur_us, 7);
-    }
-
-    #[test]
-    fn trace_record_json_matches_the_live_recorder_schema() {
-        let t = sample_trace();
-        let json = t.to_json();
-        for needle in [
-            "\"trace\":\"00112233445566778899aabbccddeeff\"",
-            "\"endpoint\":\"/analyze\"",
-            "\"status\":200,",
-            "\"fingerprint\":\"000000000000000000000000000000a5\"",
-            "\"outcome\":\"hit\"",
-            "\"elapsed_us\":12345",
-            "\"spans\":[{\"name\":\"/analyze\",\"parent\":null",
-            "{\"name\":\"eigensolve\",\"parent\":0",
-        ] {
-            assert!(json.contains(needle), "{needle} missing from {json}");
-        }
     }
 
     #[test]

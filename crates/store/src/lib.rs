@@ -19,10 +19,15 @@
 //!   torn-tail recovery, and a configurable byte budget;
 //! * session-level helpers on this module — [`save_session`] /
 //!   [`load_session`] / [`warm_session`] — gluing an
-//!   [`OwnedAnalyzer`](graphio_spectral::OwnedAnalyzer) to the log so a
+//!   [`OwnedAnalyzer`] to the log so a
 //!   server (or the `graphio precompute` CLI) can persist a session and a
 //!   later process can restore it and serve bounds **bit-identically with
 //!   zero eigensolves**.
+//!
+//! `serve --trace-store DIR` reuses [`Store`] as a log of pinned flight-
+//! recorder traces keyed by trace ID. Those records are the `GET
+//! /trace/{id}` JSON bytes, opaque to this crate; [`codec`] has no trace
+//! format.
 //!
 //! ```no_run
 //! use graphio_graph::{fingerprint, generators::fft_butterfly};
@@ -44,8 +49,7 @@ pub mod codec;
 pub mod segment;
 
 pub use codec::{
-    canonical_edge_list, decode_session, decode_trace_record, encode_session, encode_trace_record,
-    CodecError, StoredSession, StoredTrace, StoredTraceSpan, SESSION_VERSION, TRACE_RECORD_VERSION,
+    canonical_edge_list, decode_session, encode_session, CodecError, StoredSession, SESSION_VERSION,
 };
 pub use segment::{Store, StoreConfig, StoreStats};
 

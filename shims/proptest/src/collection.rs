@@ -3,7 +3,7 @@
 use crate::{Strategy, TestRng};
 use std::ops::Range;
 
-/// Length specification for [`vec`]: an exact length or a half-open range.
+/// Length specification for [`vec()`]: an exact length or a half-open range.
 #[derive(Debug, Clone, Copy)]
 pub struct SizeRange {
     min: usize,
