@@ -29,8 +29,10 @@
 //!
 //! Refinement costs `O((n + m) log n)` with a sort per vertex per round,
 //! which dominates a warm service request. [`FingerprintMemo`] skips it
-//! for graphs seen before *with the same labelling*: a bounded map from a
-//! cheap one-pass content key of the labelled graph to its fingerprint.
+//! for graphs seen before *with the same labelling*: a bounded [`Memo`]
+//! from a cheap one-pass content key of the labelled graph to its
+//! fingerprint. The servers key a second [`Memo`] by request-body bytes
+//! ([`Memo::bytes_key`]), so a repeated body skips the decode as well.
 
 use crate::dag::CompGraph;
 use crate::ops::OpKind;
@@ -201,68 +203,72 @@ pub fn fingerprint(g: &CompGraph) -> Fingerprint {
     Fingerprint(((acc.0 as u128) << 64) | acc.1 as u128)
 }
 
-/// Entries a [`FingerprintMemo`] holds before it resets. A full memo's
+/// Entries a [`Memo`] holds before it resets. A full fingerprint memo's
 /// table (32-byte entries in 8192 buckets) is ≈270 KB.
-pub const FINGERPRINT_MEMO_CAPACITY: usize = 4096;
+pub const MEMO_CAPACITY: usize = 4096;
 
-/// Point-in-time counters of a [`FingerprintMemo`].
+/// Point-in-time counters of a [`Memo`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FingerprintMemoStats {
-    /// Content keys currently memoized.
+pub struct MemoStats {
+    /// Keys currently memoized.
     pub entries: usize,
-    /// The fixed bound on `entries` ([`FINGERPRINT_MEMO_CAPACITY`]).
+    /// The fixed bound on `entries` ([`MEMO_CAPACITY`]).
     pub capacity: usize,
-    /// Lookups answered from the memo (no refinement ran).
+    /// Lookups answered from the memo.
     pub hits: u64,
-    /// Lookups that ran Weisfeiler–Leman refinement.
+    /// Lookups the memo could not answer.
     pub misses: u64,
     /// Times the memo was full and was cleared to admit a new key.
     pub resets: u64,
 }
 
-/// A bounded memo from the labelled graph to its [`fingerprint`].
+/// A bounded map from seeded 128-bit keys to values: the one memo type
+/// behind [`FingerprintMemo`] (labelled graph → fingerprint) and the
+/// servers' request-body memos (body bytes → what they resolved to).
 ///
-/// The key is a 128-bit hash of the labelled graph — `n`, `m`, the op
-/// table and the forward CSR — in one `O(n + m)` pass with no sorting.
-/// Its two 64-bit lanes start from secret per-process seeds (drawn from
-/// the standard library's randomly keyed hasher), so a client cannot
-/// craft two labelled graphs that share a key; collision odds are then
-/// those of a 128-bit hash, no worse than those of the fingerprint
-/// itself. Isomorphic graphs under different labellings get different
-/// keys and each pays one refinement; they still resolve to the same
-/// fingerprint.
+/// Keys start from secret per-process seeds (drawn from the standard
+/// library's randomly keyed hasher), so a client cannot craft two inputs
+/// that share a key; collision odds are then those of a 128-bit hash, no
+/// worse than those of the fingerprint itself.
 ///
-/// The memo holds at most [`FINGERPRINT_MEMO_CAPACITY`] keys. Admitting a
-/// key into a full memo clears it first (counted in
-/// [`FingerprintMemoStats::resets`]) — cheaper than LRU bookkeeping on
-/// every hit, and a reset only costs one refinement per graph still in
-/// use.
+/// The memo holds at most [`MEMO_CAPACITY`] keys. Admitting a key into a
+/// full memo clears it first (counted in [`MemoStats::resets`]) — cheaper
+/// than LRU bookkeeping on every hit, and a reset only costs one
+/// recomputation per key still in use.
 #[derive(Debug)]
-pub struct FingerprintMemo {
-    seeds: [u64; 2],
-    map: Mutex<HashMap<u128, Fingerprint>>,
+pub struct Memo<V> {
+    seeds: [u64; 4],
+    map: Mutex<HashMap<u128, V>>,
     hits: AtomicU64,
     misses: AtomicU64,
     resets: AtomicU64,
 }
 
-impl Default for FingerprintMemo {
+impl<V: Clone> Default for Memo<V> {
     fn default() -> Self {
-        FingerprintMemo::new()
+        Memo::new()
     }
 }
 
-impl FingerprintMemo {
+/// Odd multipliers of [`Memo::bytes_key`]'s four lanes.
+const BYTE_LANES: [u64; 4] = [
+    0x9E37_79B9_7F4A_7C15,
+    0xC2B2_AE3D_27D4_EB4F,
+    0x1656_67B1_9E37_79F9,
+    0xD6E8_FEB8_6659_FD93,
+];
+
+impl<V: Clone> Memo<V> {
     /// An empty memo with fresh random seeds.
-    pub fn new() -> FingerprintMemo {
+    pub fn new() -> Memo<V> {
         let state = std::collections::hash_map::RandomState::new();
         let seed = |lane: u64| {
             let mut h = state.build_hasher();
             h.write_u64(lane);
             h.finish()
         };
-        FingerprintMemo {
-            seeds: [seed(LANE0), seed(LANE1)],
+        Memo {
+            seeds: [seed(LANE0), seed(LANE1), seed(LANE0 ^ 1), seed(LANE1 ^ 1)],
             map: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -270,11 +276,87 @@ impl FingerprintMemo {
         }
     }
 
+    /// The seeded key of a byte string, at near memory speed: four
+    /// independent multiply–rotate lanes over 32-byte blocks (the last
+    /// one zero-padded), finished with the length through SplitMix.
+    /// Equal bytes always share a key within one memo.
+    pub fn bytes_key(&self, bytes: &[u8]) -> u128 {
+        let mut lanes = self.seeds;
+        let mut eat = |block: &[u8]| {
+            for (k, lane) in lanes.iter_mut().enumerate() {
+                let word = u64::from_le_bytes(block[8 * k..8 * k + 8].try_into().expect("8 bytes"));
+                *lane = (*lane ^ word).wrapping_mul(BYTE_LANES[k]).rotate_left(31);
+            }
+        };
+        let mut blocks = bytes.chunks_exact(32);
+        for block in &mut blocks {
+            eat(block);
+        }
+        let rest = blocks.remainder();
+        let mut tail = [0u8; 32];
+        tail[..rest.len()].copy_from_slice(rest);
+        eat(&tail);
+        let len = bytes.len() as u64;
+        let a = mix(lanes[0] ^ mix(lanes[1] ^ len));
+        let b = mix(lanes[2] ^ mix(lanes[3] ^ a));
+        ((a as u128) << 64) | b as u128
+    }
+
+    /// The value memoized under `key`, counted as a hit or a miss.
+    pub fn get(&self, key: u128) -> Option<V> {
+        let found = self.map.lock().expect("memo lock").get(&key).cloned();
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
+    }
+
+    /// Memoizes `value` under `key`, clearing a full memo first.
+    pub fn insert(&self, key: u128, value: V) {
+        let mut map = self.map.lock().expect("memo lock");
+        if map.len() >= MEMO_CAPACITY && !map.contains_key(&key) {
+            map.clear();
+            self.resets.fetch_add(1, Ordering::Relaxed);
+        }
+        map.insert(key, value);
+    }
+
+    /// Point-in-time counters.
+    pub fn stats(&self) -> MemoStats {
+        MemoStats {
+            entries: self.map.lock().expect("memo lock").len(),
+            capacity: MEMO_CAPACITY,
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            resets: self.resets.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// A bounded [`Memo`] from the labelled graph to its [`fingerprint`].
+///
+/// The key is a 128-bit hash of the labelled graph — `n`, `m`, the op
+/// table and the forward CSR — in one `O(n + m)` pass with no sorting,
+/// seeded like every [`Memo`] key. Isomorphic graphs under different
+/// labellings get different keys and each pays one refinement; they still
+/// resolve to the same fingerprint.
+#[derive(Debug, Default)]
+pub struct FingerprintMemo(Memo<Fingerprint>);
+
+impl FingerprintMemo {
+    /// An empty memo with fresh random seeds.
+    pub fn new() -> FingerprintMemo {
+        FingerprintMemo(Memo::new())
+    }
+
     /// The seeded content key of the labelled graph `g` (see the type
     /// docs). Equal labelled graphs always share a key within one memo.
     fn content_key(&self, g: &CompGraph) -> u128 {
         let (ptr, idx) = g.children_csr();
-        let [mut a, mut b] = self.seeds;
+        let [mut a, mut b, ..] = self.0.seeds;
         let mut eat = |w: u64| {
             a = mix(a ^ w);
             b = mix(b ^ w.rotate_left(29));
@@ -299,32 +381,19 @@ impl FingerprintMemo {
     /// (and memoized) on a miss.
     pub fn fingerprint(&self, g: &CompGraph) -> Fingerprint {
         let key = self.content_key(g);
-        if let Some(&fp) = self.map.lock().expect("fingerprint memo lock").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(fp) = self.0.get(key) {
             return fp;
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         // Refine outside the lock: concurrent misses on one graph may
         // both refine, and agree.
         let fp = fingerprint(g);
-        let mut map = self.map.lock().expect("fingerprint memo lock");
-        if map.len() >= FINGERPRINT_MEMO_CAPACITY && !map.contains_key(&key) {
-            map.clear();
-            self.resets.fetch_add(1, Ordering::Relaxed);
-        }
-        map.insert(key, fp);
+        self.0.insert(key, fp);
         fp
     }
 
-    /// Point-in-time counters.
-    pub fn stats(&self) -> FingerprintMemoStats {
-        FingerprintMemoStats {
-            entries: self.map.lock().expect("fingerprint memo lock").len(),
-            capacity: FINGERPRINT_MEMO_CAPACITY,
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            resets: self.resets.load(Ordering::Relaxed),
-        }
+    /// Point-in-time counters (a miss is one refinement).
+    pub fn stats(&self) -> MemoStats {
+        self.0.stats()
     }
 }
 
@@ -483,19 +552,55 @@ mod tests {
     #[test]
     fn memo_stays_within_capacity() {
         let memo = FingerprintMemo::new();
-        let graphs = 10 * FINGERPRINT_MEMO_CAPACITY;
+        let graphs = 10 * MEMO_CAPACITY;
         for tag in 0..graphs as u32 {
             let mut b = GraphBuilder::new();
             let x = b.add_vertex(OpKind::Input);
             let y = b.add_vertex(OpKind::Custom(tag));
             b.add_edge(x, y);
             memo.fingerprint(&b.build().unwrap());
-            assert!(memo.stats().entries <= FINGERPRINT_MEMO_CAPACITY);
+            assert!(memo.stats().entries <= MEMO_CAPACITY);
         }
         let s = memo.stats();
         assert_eq!(s.misses, graphs as u64);
         assert_eq!(s.resets, 9, "{s:?}");
-        assert_eq!(s.entries, FINGERPRINT_MEMO_CAPACITY);
+        assert_eq!(s.entries, MEMO_CAPACITY);
+    }
+
+    #[test]
+    fn bytes_keys_are_seeded_and_separate_padding_from_length() {
+        let (a, b) = (Memo::<()>::new(), Memo::<()>::new());
+        let body = br#"{"graph":{"ops":["input"],"edges":[]},"memories":[2]}"#;
+        let copy = *body;
+        assert_eq!(a.bytes_key(body), a.bytes_key(&copy));
+        assert_ne!(a.bytes_key(body), b.bytes_key(body), "keys are seeded");
+        // Zero padding of the last block never aliases a longer input,
+        // and every block position and byte is keyed.
+        let mut keys = std::collections::HashSet::new();
+        for len in 0..96 {
+            assert!(keys.insert(a.bytes_key(&vec![0u8; len])), "len {len}");
+            let mut flipped = vec![0u8; 96];
+            flipped[len] = 1;
+            assert!(keys.insert(a.bytes_key(&flipped)), "flip at {len}");
+        }
+    }
+
+    #[test]
+    fn memo_counts_hits_and_resets_when_full() {
+        let memo = Memo::<u32>::new();
+        assert_eq!(memo.get(7), None);
+        memo.insert(7, 1);
+        assert_eq!(memo.get(7), Some(1));
+        // `capacity` distinct keys in all: the next one resets.
+        for key in 1..MEMO_CAPACITY as u128 {
+            memo.insert(1000 + key, 0);
+        }
+        assert_eq!(memo.stats().resets, 0);
+        memo.insert(1000, 0);
+        let s = memo.stats();
+        assert_eq!((s.hits, s.misses, s.resets), (1, 1, 1), "{s:?}");
+        assert_eq!((s.entries, s.capacity), (1, MEMO_CAPACITY));
+        assert_eq!(memo.get(7), None, "the reset dropped the first key");
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //! * [`dot`] — Graphviz export.
 //! * [`json`] — the JSON edge-list interchange format used by the CLI.
 //! * [`fingerprint`](mod@fingerprint) — relabeling-invariant structural hashes, the cache
-//!   key of the analysis service, and [`FingerprintMemo`], their bounded
-//!   per-labelling memo.
+//!   key of the analysis service; [`FingerprintMemo`], their bounded
+//!   per-labelling memo; and [`Memo`], the bounded seeded-key map behind
+//!   it and the servers' request-body memos.
 
 pub mod dag;
 pub mod dot;
@@ -29,8 +30,6 @@ pub mod topo;
 pub mod trace;
 
 pub use dag::{CompGraph, EdgeListGraph, GraphBuilder, GraphError};
-pub use fingerprint::{
-    fingerprint, Fingerprint, FingerprintMemo, FingerprintMemoStats, FINGERPRINT_MEMO_CAPACITY,
-};
+pub use fingerprint::{fingerprint, Fingerprint, FingerprintMemo, Memo, MemoStats, MEMO_CAPACITY};
 pub use ops::OpKind;
 pub use trace::{Tracer, Tv};

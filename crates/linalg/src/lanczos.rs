@@ -52,7 +52,7 @@ use crate::dense::DenseMatrix;
 use crate::error::LinalgError;
 use crate::linop::{LinOp, ShiftedNegated};
 use crate::power::power_iteration;
-use crate::tridiag::tql_in_place;
+use crate::tridiag::{tql_in_place, tql_row_in_place};
 use crate::vecops::{
     axpy, axpy_many, dot, norm2, normalize, orthogonalize_against, orthogonalize_against_cgs, scal,
 };
@@ -222,13 +222,15 @@ pub fn smallest_eigenvalues<A: LinOp + ?Sized>(
             if !at_invariance && (kth.is_none() || !j.is_multiple_of(VERIFY_EVERY)) {
                 return false;
             }
-            let Ok(ritz) = RitzAnalysis::of_tridiagonal(alphas, betas, false) else {
+            let Ok((theta, residual)) = top_ritz_pair(alphas, betas) else {
                 return false;
             };
-            let Some(value) = ritz.top_converged_value(tol, &shifted) else {
-                return false;
-            };
-            at_invariance || kth.is_some_and(|kth| value >= kth - slack)
+            if residual <= tol {
+                let value = shifted.unshift(theta);
+                at_invariance || kth.is_some_and(|kth| value >= kth - slack)
+            } else {
+                false
+            }
         };
         let sweep = lanczos_sweep(
             &shifted,
@@ -434,11 +436,7 @@ impl RitzAnalysis {
     /// `betas[..m-1]`; `betas[m-1]` is the residual norm.
     fn of_tridiagonal(alphas: &[f64], betas: &[f64], invariant: bool) -> Result<Self> {
         let m = alphas.len();
-        let mut d = alphas.to_vec();
-        let mut e = vec![0.0; m];
-        if m > 1 {
-            e[1..m].copy_from_slice(&betas[..m - 1]);
-        }
+        let (mut d, mut e) = tql_input(alphas, betas);
         let mut z = DenseMatrix::identity(m);
         tql_in_place(&mut d, &mut e, Some(&mut z))?;
         let beta_last = if invariant || m == 0 {
@@ -476,6 +474,30 @@ impl RitzAnalysis {
             None
         }
     }
+}
+
+/// `T_m`'s diagonal and off-diagonal in [`tql_in_place`]'s layout.
+fn tql_input(alphas: &[f64], betas: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    let m = alphas.len();
+    let mut e = vec![0.0; m];
+    if m > 1 {
+        e[1..m].copy_from_slice(&betas[..m - 1]);
+    }
+    (alphas.to_vec(), e)
+}
+
+/// A stop check's view of `T_m` (`m ≥ 1`): its top Ritz value and that
+/// pair's residual norm `|β_m · z_{m−1,m−1}|` — the bits of
+/// [`RitzAnalysis::of_tridiagonal`]'s `theta[m-1]` and `residual(m-1)`
+/// (not invariant), from row `m−1` of `Z` alone ([`tql_row_in_place`]):
+/// `O(m²)` per check instead of `O(m³)`.
+fn top_ritz_pair(alphas: &[f64], betas: &[f64]) -> Result<(f64, f64)> {
+    let m = alphas.len();
+    let (mut d, mut e) = tql_input(alphas, betas);
+    let mut last = vec![0.0; m];
+    last[m - 1] = 1.0;
+    tql_row_in_place(&mut d, &mut e, &mut last)?;
+    Ok((d[m - 1], (betas[m - 1] * last[m - 1]).abs()))
 }
 
 /// Locks converged Ritz pairs from the *top* of the shifted spectrum (the
@@ -617,6 +639,28 @@ mod tests {
         lock_converged(&sweep, &analysis, 1e-9, 8, shifted, &mut vecs, &mut vals);
         assert!(!vecs.is_empty(), "first sweep locked nothing");
         vecs
+    }
+
+    /// The stop check's one-row accumulation reads the same bits as the
+    /// full Ritz analysis, on random tridiagonals of every size a sweep
+    /// reaches (with a few exact zero couplings, so QL also splits).
+    #[test]
+    fn top_ritz_pair_matches_the_full_analysis_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for m in 1..=200 {
+            let alphas: Vec<f64> = (0..m).map(|_| rng.gen::<f64>() * 4.0 - 2.0).collect();
+            let betas: Vec<f64> = (0..m)
+                .map(|i| if i % 37 == 36 { 0.0 } else { rng.gen::<f64>() })
+                .collect();
+            let full = RitzAnalysis::of_tridiagonal(&alphas, &betas, false).unwrap();
+            let (theta, residual) = top_ritz_pair(&alphas, &betas).unwrap();
+            assert_eq!(theta.to_bits(), full.theta[m - 1].to_bits(), "m = {m}");
+            assert_eq!(
+                residual.to_bits(),
+                full.residual(m - 1).to_bits(),
+                "m = {m}"
+            );
+        }
     }
 
     #[test]

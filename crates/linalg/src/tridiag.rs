@@ -40,7 +40,7 @@ pub fn tridiagonal_eigenvalues(d: &[f64], e: &[f64]) -> Result<Vec<f64>> {
         });
     }
     let mut dd = d.to_vec();
-    ql_iterate(&mut dd, e, None)?;
+    ql_iterate(&mut dd, e)?;
     dd.sort_by(f64::total_cmp);
     Ok(dd)
 }
@@ -58,6 +58,39 @@ pub fn tridiagonal_eigenvalues(d: &[f64], e: &[f64]) -> Result<Vec<f64>> {
 /// Returns [`LinalgError::NoConvergence`] if a sub-problem exceeds the sweep
 /// budget.
 pub fn tql_in_place(d: &mut [f64], e: &mut [f64], z: Option<&mut DenseMatrix>) -> Result<()> {
+    tql(d, e, z.map_or(Rotated::Nothing, Rotated::Matrix))
+}
+
+/// [`tql_in_place`] rotating one row of `z` instead of all of it: `row`
+/// (length `n`) enters as a row of the starting matrix and leaves as that
+/// row of the eigenvector matrix, with its entries permuted by the same
+/// sort. QL rotates each row of `z` on its own, so the result equals the
+/// full accumulation's row bit for bit, in `O(n²)` work instead of
+/// `O(n³)`. A Lanczos stop check reads only the last row.
+///
+/// # Errors
+/// As [`tql_in_place`].
+pub fn tql_row_in_place(d: &mut [f64], e: &mut [f64], row: &mut [f64]) -> Result<()> {
+    assert_eq!(
+        row.len(),
+        d.len(),
+        "tql_row_in_place: row must have length n"
+    );
+    tql(d, e, Rotated::Row(row))
+}
+
+/// What a QL sweep rotates alongside the eigenvalues.
+enum Rotated<'a> {
+    /// Eigenvalues only.
+    Nothing,
+    /// Every row of `z`.
+    Matrix(&'a mut DenseMatrix),
+    /// One row of `z`.
+    Row(&'a mut [f64]),
+}
+
+/// The shared body of [`tql_in_place`] and [`tql_row_in_place`].
+fn tql(d: &mut [f64], e: &mut [f64], rotated: Rotated<'_>) -> Result<()> {
     let n = d.len();
     if n == 0 {
         return Ok(());
@@ -72,25 +105,29 @@ pub fn tql_in_place(d: &mut [f64], e: &mut [f64], z: Option<&mut DenseMatrix>) -
         e[i - 1] = e[i];
     }
     e[n - 1] = 0.0;
-    ql_iterate_shifted(d, e, z)
+    ql_iterate_shifted(d, e, rotated)
 }
 
 /// Core QL on the `e[i] couples (i, i+1)` convention, plus final sort.
-fn ql_iterate(d: &mut [f64], e: &[f64], z: Option<&mut DenseMatrix>) -> Result<()> {
+fn ql_iterate(d: &mut [f64], e: &[f64]) -> Result<()> {
     let n = d.len();
     let mut work = vec![0.0; n];
     work[..n - 1].copy_from_slice(e);
-    ql_iterate_shifted(d, &mut work, z)
+    ql_iterate_shifted(d, &mut work, Rotated::Nothing)
 }
 
 /// The QL sweep proper. Eigenvectors are accumulated in the *transpose*
 /// of `z`: each Givens rotation then combines two contiguous rows instead
 /// of walking two columns at a stride of `n`. Every element still gets
 /// `s·a + c·b` / `c·a − s·b` in the same order, so the result is
-/// bit-identical to rotating `z` in place.
-fn ql_iterate_shifted(d: &mut [f64], e: &mut [f64], mut z: Option<&mut DenseMatrix>) -> Result<()> {
+/// bit-identical to rotating `z` in place — and to rotating one row's
+/// elements alone.
+fn ql_iterate_shifted(d: &mut [f64], e: &mut [f64], mut rotated: Rotated<'_>) -> Result<()> {
     let n = d.len();
-    let mut zt = z.as_deref().map(DenseMatrix::transpose);
+    let mut zt = match &rotated {
+        Rotated::Matrix(z) => Some(z.transpose()),
+        _ => None,
+    };
     let route = if zt.is_some() {
         crate::simd::route(n)
     } else {
@@ -153,6 +190,11 @@ fn ql_iterate_shifted(d: &mut [f64], e: &mut [f64], mut z: Option<&mut DenseMatr
                         &mut head[i * n..],
                         &mut rest[..n],
                     );
+                } else if let Rotated::Row(row) = &mut rotated {
+                    // The same rotation on this row's two elements.
+                    let f = row[i + 1];
+                    row[i + 1] = s * row[i] + c * f;
+                    row[i] = c * row[i] - s * f;
                 }
             }
             if underflow {
@@ -163,25 +205,35 @@ fn ql_iterate_shifted(d: &mut [f64], e: &mut [f64], mut z: Option<&mut DenseMatr
             e[m] = 0.0;
         }
     }
-    if let (Some(zm), Some(zt)) = (z.as_deref_mut(), zt) {
-        *zm = zt.transpose();
+    if let (Rotated::Matrix(zm), Some(zt)) = (&mut rotated, zt) {
+        **zm = zt.transpose();
     }
-    sort_ascending(d, z);
+    sort_ascending(d, rotated);
     Ok(())
 }
 
-/// Sorts eigenvalues ascending, permuting eigenvector columns alongside.
-fn sort_ascending(d: &mut [f64], z: Option<&mut DenseMatrix>) {
+/// Sorts eigenvalues ascending, permuting eigenvector columns (or the
+/// one row's entries) alongside.
+fn sort_ascending(d: &mut [f64], rotated: Rotated<'_>) {
     let n = d.len();
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| d[a].total_cmp(&d[b]));
     let sorted: Vec<f64> = order.iter().map(|&i| d[i]).collect();
     d.copy_from_slice(&sorted);
-    if let Some(zm) = z {
-        let orig = zm.clone();
-        for (new_col, &old_col) in order.iter().enumerate() {
-            for k in 0..n {
-                zm[(k, new_col)] = orig[(k, old_col)];
+    match rotated {
+        Rotated::Nothing => {}
+        Rotated::Matrix(zm) => {
+            let orig = zm.clone();
+            for (new_col, &old_col) in order.iter().enumerate() {
+                for k in 0..n {
+                    zm[(k, new_col)] = orig[(k, old_col)];
+                }
+            }
+        }
+        Rotated::Row(row) => {
+            let orig = row.to_vec();
+            for (new_col, &old_col) in order.iter().enumerate() {
+                row[new_col] = orig[old_col];
             }
         }
     }

@@ -8,7 +8,7 @@
 
 use graphio_linalg::dense::DenseMatrix;
 use graphio_linalg::simd::{policy, set_policy, SimdPolicy};
-use graphio_linalg::tridiag::tql_in_place;
+use graphio_linalg::tridiag::{tql_in_place, tql_row_in_place};
 use graphio_linalg::vecops::orthogonalize_against_cgs;
 
 /// Runs `check` under `Strict`, then `Off`, one test at a time (the
@@ -51,10 +51,9 @@ fn tql_hash(mut d: Vec<f64>, mut e: Vec<f64>) -> u64 {
     bit_hash(d.iter().chain(z.data()))
 }
 
-#[test]
-fn tql_eigenvectors_m96_are_pinned() {
-    // Smooth diagonal, oscillating couplings, and a few exact zeros so
-    // the iteration both splits and rotates across long blocks.
+/// Smooth diagonal, oscillating couplings, and a few exact zeros so the
+/// iteration both splits and rotates across long blocks.
+fn m96_input() -> (Vec<f64>, Vec<f64>) {
     let m = 96;
     let d: Vec<f64> = (0..m).map(|i| 2.0 + (0.37 * i as f64).sin()).collect();
     let e: Vec<f64> = (0..m)
@@ -66,6 +65,24 @@ fn tql_eigenvectors_m96_are_pinned() {
             }
         })
         .collect();
+    (d, e)
+}
+
+/// Repeated diagonal values with weak, uneven couplings — clustered
+/// eigenvalues, like a Lanczos tridiagonal of a high-multiplicity
+/// Laplacian.
+fn m193_input() -> (Vec<f64>, Vec<f64>) {
+    let m = 193;
+    let d: Vec<f64> = (0..m).map(|i| ((i * 7) % 11) as f64 * 0.5).collect();
+    let e: Vec<f64> = (0..m)
+        .map(|i| 1e-3 * (1 + i % 5) as f64 + 0.3 * (0.05 * i as f64).sin().abs())
+        .collect();
+    (d, e)
+}
+
+#[test]
+fn tql_eigenvectors_m96_are_pinned() {
+    let (d, e) = m96_input();
     under_each_policy(|p| {
         assert_eq!(
             tql_hash(d.clone(), e.clone()),
@@ -77,14 +94,7 @@ fn tql_eigenvectors_m96_are_pinned() {
 
 #[test]
 fn tql_eigenvectors_m193_are_pinned() {
-    // Repeated diagonal values with weak, uneven couplings — clustered
-    // eigenvalues, like a Lanczos tridiagonal of a high-multiplicity
-    // Laplacian.
-    let m = 193;
-    let d: Vec<f64> = (0..m).map(|i| ((i * 7) % 11) as f64 * 0.5).collect();
-    let e: Vec<f64> = (0..m)
-        .map(|i| 1e-3 * (1 + i % 5) as f64 + 0.3 * (0.05 * i as f64).sin().abs())
-        .collect();
+    let (d, e) = m193_input();
     under_each_policy(|p| {
         assert_eq!(
             tql_hash(d.clone(), e.clone()),
@@ -92,6 +102,28 @@ fn tql_eigenvectors_m193_are_pinned() {
             "tql m=193 {p:?}"
         );
     });
+}
+
+/// Rotating only the last row (the Lanczos stop check's residual
+/// weights) gives the full accumulation's eigenvalues and last row, bit
+/// for bit, on both pinned inputs.
+#[test]
+fn tql_last_row_matches_the_full_accumulation() {
+    for (d, e) in [m96_input(), m193_input()] {
+        let m = d.len();
+        under_each_policy(|p| {
+            let (mut d_full, mut e_full) = (d.clone(), e.clone());
+            let mut z = DenseMatrix::identity(m);
+            tql_in_place(&mut d_full, &mut e_full, Some(&mut z)).unwrap();
+            let (mut d_row, mut e_row) = (d.clone(), e.clone());
+            let mut last = vec![0.0; m];
+            last[m - 1] = 1.0;
+            tql_row_in_place(&mut d_row, &mut e_row, &mut last).unwrap();
+            let full_last: Vec<f64> = (0..m).map(|j| z[(m - 1, j)]).collect();
+            assert_eq!(bit_hash(&d_row), bit_hash(&d_full), "θ, m={m} {p:?}");
+            assert_eq!(bit_hash(&last), bit_hash(&full_last), "row, m={m} {p:?}");
+        });
+    }
 }
 
 /// An orthonormal `k`-vector basis of length `n` built with plain scalar

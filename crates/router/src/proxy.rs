@@ -49,7 +49,7 @@ use crate::batch::{batch_body, gather, remap_blame, split, split_bodies, Group};
 use crate::ring::Ring;
 use crate::upstream::Upstream;
 use graphio_graph::json::{JsonValue, RequestDoc};
-use graphio_graph::{Fingerprint, FingerprintMemo};
+use graphio_graph::{Fingerprint, FingerprintMemo, Memo};
 use graphio_obs::recorder;
 use graphio_service::analysis::{
     parse_graph_doc, parse_request_json, parse_spec, validate_batch_entries,
@@ -114,6 +114,9 @@ impl RouterConfig {
 pub struct RouterState {
     pub(crate) ring: Ring,
     pub(crate) upstreams: Vec<Upstream>,
+    /// `/analyze` body bytes → the fingerprint they routed by, so a
+    /// repeated body skips the decode and the content key.
+    pub(crate) body_memo: Memo<Fingerprint>,
     /// Labelled graph → fingerprint for routing inline graphs, so a
     /// repeated graph skips Weisfeiler–Leman refinement here too.
     pub(crate) fp_memo: FingerprintMemo,
@@ -266,6 +269,7 @@ pub fn serve_router(config: &RouterConfig) -> io::Result<RouterServer> {
     let state = Arc::new(RouterState {
         ring,
         upstreams,
+        body_memo: Memo::new(),
         fp_memo: FingerprintMemo::new(),
         health: Mutex::new(None),
         health_stop: AtomicBool::new(false),
@@ -362,7 +366,8 @@ impl Tier for RouterState {
             out.stat("ring_rebalances", || {
                 num(ejections + total(|u| u.restorations.load(Ordering::Relaxed)))
             });
-            out.fingerprint_memo(&self.fp_memo);
+            out.memo("body_memo", self.body_memo.stats());
+            out.memo("fingerprint_memo", self.fp_memo.stats());
             out.stat("replicas", || num(self.ring.replicas() as u64));
             let healthy = self.upstreams.iter().filter(|u| u.is_healthy()).count();
             out.metric_gauge("backends", self.upstreams.len() as f64);
@@ -509,6 +514,8 @@ fn fail_upstream(ex: &mut Exchange<'_>, status: u16, message: &str) {
 }
 
 /// `POST /analyze` and `POST /graphs`: key, forward untouched, relay.
+/// An `/analyze` body byte-identical to one a backend answered routes by
+/// the body memo, without decoding it.
 fn handle_passthrough(state: &Arc<RouterState>, ex: &mut Exchange<'_>) {
     let request = ex.request;
     let is_analyze = request.path == "/analyze";
@@ -518,16 +525,28 @@ fn handle_passthrough(state: &Arc<RouterState>, ex: &mut Exchange<'_>) {
     let Ok(text) = std::str::from_utf8(&request.body) else {
         return ex.fail(400, "body is not UTF-8");
     };
-    let fp = graphio_graph::json::parse_request(text)
-        .ok()
-        .and_then(|doc| route_key(doc, is_analyze, &state.fp_memo))
-        .unwrap_or_else(|| fallback_fp(&request.body));
+    let (key, memoized) = if is_analyze {
+        let _span = graphio_obs::span!("body_memo");
+        let key = state.body_memo.bytes_key(&request.body);
+        (Some(key), state.body_memo.get(key))
+    } else {
+        (None, None)
+    };
+    let routed = memoized.or_else(|| {
+        let doc = graphio_graph::json::parse_request(text).ok()?;
+        route_key(doc, is_analyze, &state.fp_memo)
+    });
+    let fp = routed.unwrap_or_else(|| fallback_fp(&request.body));
     let trace = graphio_obs::current_trace_id();
     match state.forward_with_failover(fp, "POST", &request.path, Some(text), trace) {
         Ok((response, b)) => {
             let counters = ex.counters();
             if response.status == 200 && is_analyze {
                 counters.analyze_ok.fetch_add(1, Ordering::Relaxed);
+                // Like the service, memoize only a body that resolved.
+                if let (Some(key), Some(fp), None) = (key, routed, memoized) {
+                    state.body_memo.insert(key, fp);
+                }
             }
             if response.status >= 400 {
                 counters.errors.fetch_add(1, Ordering::Relaxed);

@@ -94,6 +94,8 @@ store.last_compaction_unix";
 const SERVICE_STATS_TAIL: &str = "
 engine engine.spectrum_misses engine.spectrum_hits engine.mincut_misses
 engine.mincut_hits engine.sim_misses engine.sim_hits
+body_memo body_memo.entries body_memo.capacity
+body_memo.hits body_memo.misses body_memo.resets
 fingerprint_memo fingerprint_memo.entries fingerprint_memo.capacity
 fingerprint_memo.hits fingerprint_memo.misses fingerprint_memo.resets
 linalg linalg.dense_eigensolves linalg.sparse_matvecs linalg.simd_kernel_calls
@@ -119,6 +121,9 @@ const SERVICE_FAMILIES_TAIL: &str = "
 graphio_engine_spectrum_hits_total graphio_engine_spectrum_misses_total
 graphio_engine_mincut_hits_total graphio_engine_mincut_misses_total
 graphio_engine_sim_hits_total graphio_engine_sim_misses_total
+graphio_body_memo_entries graphio_body_memo_capacity
+graphio_body_memo_hits_total graphio_body_memo_misses_total
+graphio_body_memo_resets_total
 graphio_fingerprint_memo_entries graphio_fingerprint_memo_capacity
 graphio_fingerprint_memo_hits_total graphio_fingerprint_memo_misses_total
 graphio_fingerprint_memo_resets_total
@@ -196,6 +201,8 @@ version uptime_seconds
 router router.connections router.requests router.rejected router.analyze_ok
 router.batch_ok router.errors
 router.retries router.ejections router.ring_rebalances
+router.body_memo router.body_memo.entries router.body_memo.capacity
+router.body_memo.hits router.body_memo.misses router.body_memo.resets
 router.fingerprint_memo router.fingerprint_memo.entries router.fingerprint_memo.capacity
 router.fingerprint_memo.hits router.fingerprint_memo.misses router.fingerprint_memo.resets
 router.replicas
@@ -210,6 +217,9 @@ graphio_router_uptime_seconds graphio_router_connections_total
 graphio_router_requests_total graphio_router_rejected_total
 graphio_router_analyze_ok_total graphio_router_batch_ok_total
 graphio_router_errors_total
+graphio_body_memo_entries graphio_body_memo_capacity
+graphio_body_memo_hits_total graphio_body_memo_misses_total
+graphio_body_memo_resets_total
 graphio_fingerprint_memo_entries graphio_fingerprint_memo_capacity
 graphio_fingerprint_memo_hits_total graphio_fingerprint_memo_misses_total
 graphio_fingerprint_memo_resets_total

@@ -464,6 +464,8 @@ fn router_profile_fans_out_and_merges_under_backend_frames() {
     let router = router_over(&backends, None);
 
     // Keep analysis phases alive on the backends for the whole window.
+    // Each body is new (a `"pad"` no server reads), so none is a
+    // body-memo hit: every request decodes and fingerprints its graph.
     let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
     let url = router.url();
     let load = {
@@ -472,7 +474,8 @@ fn router_profile_fans_out_and_merges_under_backend_frames() {
             let bodies = [analyze_body_for(5), analyze_body_for(6)];
             let mut i = 0usize;
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                let _ = client::request("POST", &url, "/analyze", Some(&bodies[i % 2]));
+                let body = bodies[i % 2].replacen('{', &format!("{{\"pad\":{i},"), 1);
+                let _ = client::request("POST", &url, "/analyze", Some(&body));
                 i += 1;
             }
         })

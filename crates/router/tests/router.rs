@@ -316,12 +316,10 @@ fn malformed_requests_reproduce_single_node_bytes() {
     }
 }
 
-/// Each validation step outranks the next — syntax, then the spec, then
-/// the graph's schema, then the graph itself — and the router answers
-/// every step with the single node's bytes, on `/analyze` and `/batch`.
-#[test]
-fn error_precedence_matches_single_node() {
-    let c = cluster(2);
+/// One body per validation step on `/analyze` and `/batch` — syntax,
+/// then the spec, then the graph's schema, then the graph itself — with
+/// the single node's message for it.
+fn precedence_cases() -> Vec<(&'static str, String, &'static str)> {
     let bad_edge = r#"{"ops":["Input","Add"],"edges":[[0,"x"]]}"#;
     let cycle = r#"{"ops":["Add","Add"],"edges":[[0,1],[1,0]]}"#;
     fn analyze(graph: &str, memories: &str, tail: &str) -> String {
@@ -331,38 +329,147 @@ fn error_precedence_matches_single_node() {
         format!("{{\"graphs\":[{graph}],\"memories\":{memories}{tail}")
     }
     type Shape = fn(&str, &str, &str) -> String;
+    let mut cases = Vec::new();
     for (path, body) in [("/analyze", analyze as Shape), ("/batch", batch)] {
-        for (body, expected) in [
-            (body(bad_edge, "[0]", ",}"), "invalid JSON body: expected"),
+        cases.extend([
             (
+                path,
+                body(bad_edge, "[0]", ",}"),
+                "invalid JSON body: expected",
+            ),
+            (
+                path,
                 body(bad_edge, "[0]", "}"),
                 "memory size 0 is not a valid sweep point",
             ),
             (
+                path,
                 body(bad_edge, "[2]", "}"),
                 "invalid graph: edge endpoint must be a u32",
             ),
             (
+                path,
                 body(cycle, "[2]", "}"),
                 "invalid graph: graph contains a cycle",
             ),
-        ] {
-            let via_router = client::request("POST", &c.router.url(), path, Some(&body)).unwrap();
-            let via_single =
-                client::request("POST", &c.reference.url(), path, Some(&body)).unwrap();
-            assert_eq!(via_single.status, 400, "{path} {body}: {}", via_single.body);
-            assert!(
-                via_single.body.contains(expected),
-                "{path} {body}: {}",
-                via_single.body
-            );
-            assert_eq!(
-                (via_router.status, via_router.body),
-                (via_single.status, via_single.body),
-                "{path} {body}"
-            );
-        }
+        ]);
     }
+    cases
+}
+
+/// Each validation step outranks the next, and the router answers every
+/// step with the single node's bytes, on `/analyze` and `/batch`.
+#[test]
+fn error_precedence_matches_single_node() {
+    let c = cluster(2);
+    for (path, body, expected) in precedence_cases() {
+        let via_router = client::request("POST", &c.router.url(), path, Some(&body)).unwrap();
+        let via_single = client::request("POST", &c.reference.url(), path, Some(&body)).unwrap();
+        assert_eq!(via_single.status, 400, "{path} {body}: {}", via_single.body);
+        assert!(
+            via_single.body.contains(expected),
+            "{path} {body}: {}",
+            via_single.body
+        );
+        assert_eq!(
+            (via_router.status, via_router.body),
+            (via_single.status, via_single.body),
+            "{path} {body}"
+        );
+    }
+}
+
+/// A response's status, body and `X-Graphio-*` headers, less the two
+/// that differ per request by design (the trace ID and the elapsed time).
+fn answer(r: client::Response) -> (u16, String, Vec<(String, String)>) {
+    let per_request = ["x-graphio-trace", "x-graphio-elapsed-us"];
+    let headers = r
+        .headers
+        .into_iter()
+        .filter(|(k, _)| k.starts_with("x-graphio-") && !per_request.contains(&k.as_str()))
+        .collect();
+    (r.status, r.body, headers)
+}
+
+/// Posting a body a second time — a body-memo hit wherever the first
+/// resolved — answers exactly what the first post (the full path)
+/// answered, on the single node and through the router: every
+/// error-precedence case, a graph, a duplicate memory (its warning
+/// header) and a fingerprint-only body. A re-spelled copy (one trailing
+/// space) goes first, so both posts find the session warm.
+#[test]
+fn repeated_bodies_answer_alike_on_both_tiers() {
+    let c = cluster(2);
+    let g = graph_json(&diamond_dag(3, 3));
+    let fp = fingerprint(&diamond_dag(3, 3)).to_hex();
+    let mut cases: Vec<(&str, String)> = precedence_cases()
+        .into_iter()
+        .map(|(path, body, _)| (path, body))
+        .collect();
+    cases.extend([
+        ("/analyze", format!("{{\"graph\":{g},\"memories\":[2,4]}}")),
+        (
+            "/analyze",
+            format!("{{\"graph\":{g},\"memories\":[4,4,8]}}"),
+        ),
+        (
+            "/analyze",
+            format!("{{\"fingerprint\":\"{fp}\",\"memories\":[2]}}"),
+        ),
+    ]);
+    for (path, body) in cases {
+        let respelled = format!("{body} ");
+        let post =
+            |url: &str, body: &str| answer(client::request("POST", url, path, Some(body)).unwrap());
+        let twice = |url: &str| {
+            post(url, &respelled);
+            let first = post(url, &body);
+            assert_eq!(post(url, &body), first, "{url} {path} {body}");
+            first
+        };
+        let (single, routed) = (twice(&c.reference.url()), twice(&c.router.url()));
+        assert_eq!(
+            (routed.0, &routed.1),
+            (single.0, &single.1),
+            "{path} {body}"
+        );
+    }
+    let warned = |url: &str| {
+        let body = format!("{{\"graph\":{g},\"memories\":[4,4,8]}}");
+        let r = client::request("POST", url, "/analyze", Some(&body)).unwrap();
+        r.header("x-graphio-warnings").map(str::to_string)
+    };
+    let expected = Some("duplicate memory size 4 dropped from sweep".to_string());
+    assert_eq!(warned(&c.router.url()), expected);
+    assert_eq!(warned(&c.reference.url()), expected);
+}
+
+/// The router's body memo: the same `/analyze` body twice is one hit, and
+/// `capacity + 1` distinct bodies reset it once.
+#[test]
+fn router_body_memo_counts_hits_and_resets() {
+    let c = cluster(2);
+    let memo = |key: &str| {
+        let stats = client::request("GET", &c.router.url(), "/stats", None).unwrap();
+        let doc = parse(&stats.body).unwrap();
+        let memo = doc.get("router").and_then(|r| r.get("body_memo"));
+        memo.and_then(|m| m.get(key)?.as_f64()).unwrap()
+    };
+    let g = fft_butterfly(3);
+    let body = format!("{{\"graph\":{},\"memories\":[2,4]}}", graph_json(&g));
+    for _ in 0..2 {
+        let r = client::request("POST", &c.router.url(), "/analyze", Some(&body)).unwrap();
+        assert_eq!(r.body, offline_body(&g, &[2, 4]));
+    }
+    assert_eq!((memo("hits"), memo("misses")), (1.0, 1.0));
+    let fp = fingerprint(&g).to_hex();
+    let mut session = client::Client::new(&c.router.url()).unwrap();
+    for pad in 0..graphio_graph::MEMO_CAPACITY {
+        let body = format!("{{\"fingerprint\":\"{fp}\",\"memories\":[2,4],\"pad\":{pad}}}");
+        let r = session.request("POST", "/analyze", Some(&body)).unwrap();
+        assert_eq!(r.status, 200, "{}", r.body);
+    }
+    assert_eq!(memo("resets"), 1.0);
 }
 
 /// The router forwards each batch entry as its own source text, so an

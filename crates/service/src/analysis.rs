@@ -106,8 +106,28 @@ pub fn validate_memories(raw: &[usize]) -> Result<(Vec<usize>, Vec<String>), Str
 /// The `{"error": ...}` message for the 400 response.
 pub fn parse_request_json(body: &[u8]) -> Result<RequestDoc<'_>, String> {
     let _span = graphio_obs::span!("parse");
+    decode_request(body)
+}
+
+fn decode_request(body: &[u8]) -> Result<RequestDoc<'_>, String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
     graphio_graph::json::parse_request(text).map_err(|e| format!("invalid JSON body: {e}"))
+}
+
+/// A checked `/analyze` body: its document, spec and spec warnings.
+pub(crate) type ParsedAnalyze<'a> = (RequestDoc<'a>, AnalyzeSpec, Vec<String>);
+
+/// An `/analyze` body's checks before its session — the JSON
+/// ([`parse_request_json`]), then the spec ([`parse_spec`]) — under one
+/// `parse` span.
+///
+/// # Errors
+/// `(status, message)` for the error response.
+pub(crate) fn parse_analyze(body: &[u8]) -> Result<ParsedAnalyze<'_>, (u16, String)> {
+    let _span = graphio_obs::span!("parse");
+    let doc = decode_request(body).map_err(|m| (400, m))?;
+    let (spec, warnings) = parse_spec(&doc.rest)?;
+    Ok((doc, spec, warnings))
 }
 
 /// Builds the graph carried by an analyze/register document (wrapped or

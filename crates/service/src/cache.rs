@@ -21,7 +21,14 @@
 //! without size-summing work on the per-hit fast path. Evicting a
 //! session that requests still hold is safe — the `Arc` keeps it alive
 //! until the last request drops it.
+//!
+//! Each entry also keeps one served-document slot: the last
+//! `(AnalyzeSpec, body)` an `/analyze` on the session answered
+//! ([`SessionCache::document`]). A repeat of that spec sends the stored
+//! bytes instead of rebuilding them; the slot's bytes count against the
+//! byte budget like the session's own caches.
 
+use crate::analysis::AnalyzeSpec;
 use graphio_graph::Fingerprint;
 use graphio_spectral::{EngineStats, OwnedAnalyzer};
 use std::collections::HashMap;
@@ -52,6 +59,28 @@ impl Default for CacheConfig {
 struct Entry {
     analyzer: Arc<OwnedAnalyzer>,
     last_used: u64,
+    /// The last document served from this session, and its spec.
+    served: Option<(AnalyzeSpec, Arc<str>)>,
+}
+
+impl Entry {
+    fn new(analyzer: Arc<OwnedAnalyzer>, last_used: u64) -> Entry {
+        Entry {
+            analyzer,
+            last_used,
+            served: None,
+        }
+    }
+
+    /// The session's bytes plus its served-document slot's.
+    fn bytes(&self) -> usize {
+        let served = self.served.as_ref().map_or(0, |(spec, body)| {
+            std::mem::size_of::<(AnalyzeSpec, Arc<str>)>()
+                + spec.memories.len() * std::mem::size_of::<usize>()
+                + body.len()
+        });
+        self.analyzer.approx_bytes() + served
+    }
 }
 
 type Shard = HashMap<u128, Entry>;
@@ -162,13 +191,7 @@ impl SessionCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         let analyzer = Arc::new(make());
         let last_used = self.tick.fetch_add(1, Ordering::Relaxed);
-        shard.insert(
-            fp.0,
-            Entry {
-                analyzer: Arc::clone(&analyzer),
-                last_used,
-            },
-        );
+        shard.insert(fp.0, Entry::new(Arc::clone(&analyzer), last_used));
         self.evict(&mut shard);
         (analyzer, false)
     }
@@ -190,15 +213,42 @@ impl SessionCache {
         }
         let analyzer = Arc::new(analyzer);
         let last_used = self.tick.fetch_add(1, Ordering::Relaxed);
-        shard.insert(
-            fp.0,
-            Entry {
-                analyzer: Arc::clone(&analyzer),
-                last_used,
-            },
-        );
+        shard.insert(fp.0, Entry::new(Arc::clone(&analyzer), last_used));
         self.evict(&mut shard);
         (analyzer, false)
+    }
+
+    /// The document `analyzer` (the session cached under `fp`) serves
+    /// for `spec`: the slot's bytes when it holds `spec`, else `render()`'s,
+    /// which then fill the slot. A session no longer cached under `fp`
+    /// (evicted, or replaced after an eviction) renders without storing.
+    /// Counter-silent, like [`SessionCache::insert_if_absent`].
+    pub fn document(
+        &self,
+        fp: Fingerprint,
+        analyzer: &Arc<OwnedAnalyzer>,
+        spec: &AnalyzeSpec,
+        render: impl FnOnce() -> String,
+    ) -> Arc<str> {
+        let ours = |entry: &Entry| Arc::ptr_eq(&entry.analyzer, analyzer);
+        {
+            let shard = self.shard(fp).lock().expect("cache shard lock");
+            let slot = shard
+                .get(&fp.0)
+                .filter(|e| ours(e))
+                .and_then(|e| e.served.as_ref());
+            if let Some((_, body)) = slot.filter(|(served, _)| served == spec) {
+                return Arc::clone(body);
+            }
+        }
+        // Render outside the lock: a cold session's first document runs
+        // the eigensolves.
+        let body: Arc<str> = render().into();
+        let mut shard = self.shard(fp).lock().expect("cache shard lock");
+        if let Some(entry) = shard.get_mut(&fp.0).filter(|e| ours(e)) {
+            entry.served = Some((spec.clone(), Arc::clone(&body)));
+        }
+        body
     }
 
     /// Evicts least-recently-used entries until the shard fits both its
@@ -208,11 +258,7 @@ impl SessionCache {
         loop {
             let over_count = shard.len() > self.sessions_per_shard;
             let over_bytes = shard.len() > 1
-                && shard
-                    .values()
-                    .map(|e| e.analyzer.approx_bytes())
-                    .sum::<usize>()
-                    > self.bytes_per_shard;
+                && shard.values().map(Entry::bytes).sum::<usize>() > self.bytes_per_shard;
             if !over_count && !over_bytes {
                 return;
             }
@@ -253,7 +299,7 @@ impl SessionCache {
             sessions += shard.len();
             let mut this_shard = 0usize;
             for entry in shard.values() {
-                this_shard += entry.analyzer.approx_bytes();
+                this_shard += entry.bytes();
                 let s = entry.analyzer.stats();
                 engine.spectrum_misses += s.spectrum_misses;
                 engine.spectrum_hits += s.spectrum_hits;
@@ -406,6 +452,42 @@ mod tests {
         let stats = cache.stats();
         // Only the explicit get() moved a counter; the back-fills did not.
         assert_eq!((stats.hits, stats.misses, stats.sessions), (0, 1, 1));
+    }
+
+    #[test]
+    fn document_slot_replays_one_spec_and_is_charged() {
+        let cache = SessionCache::new(&CacheConfig::default());
+        let g = fft_butterfly(3);
+        let fp = fingerprint(&g);
+        let (an, _) = cache.get_or_insert_with(fp, || OwnedAnalyzer::from_graph(g));
+        let idle = cache.stats().bytes;
+        let (two, four) = (AnalyzeSpec::sweep(vec![2]), AnalyzeSpec::sweep(vec![4]));
+        let first = cache.document(fp, &an, &two, || "two\n".to_string());
+        let again = cache.document(fp, &an, &two, || panic!("must replay the slot"));
+        assert!(Arc::ptr_eq(&first, &again));
+        assert!(cache.stats().bytes >= idle + "two\n".len());
+        // Another spec renders and takes the one slot over.
+        assert_eq!(
+            &*cache.document(fp, &an, &four, || "four\n".to_string()),
+            "four\n"
+        );
+        assert_eq!(&*cache.document(fp, &an, &two, || "2\n".to_string()), "2\n");
+        // A session that is not the cached one renders and stores nothing.
+        let stranger = Arc::new(OwnedAnalyzer::from_graph(fft_butterfly(3)));
+        assert_eq!(
+            &*cache.document(fp, &stranger, &two, || "x\n".to_string()),
+            "x\n"
+        );
+        assert_eq!(
+            &*cache.document(fp, &an, &two, || panic!("slot kept")),
+            "2\n"
+        );
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.hits, stats.misses),
+            (0, 1),
+            "the slot moves no counter"
+        );
     }
 
     #[test]

@@ -55,7 +55,7 @@
 //! numbering fidelity for amortization, deliberately.
 
 use crate::analysis::{
-    analysis_body, parse_graph_doc, parse_request_json, parse_spec, AnalyzeSpec,
+    analysis_body, parse_analyze, parse_graph_doc, parse_request_json, parse_spec, AnalyzeSpec,
 };
 use crate::cache::{CacheConfig, SessionCache};
 use crate::http::{ConnectionLimits, IDLE_TIMEOUT, MAX_REQUESTS_PER_CONNECTION};
@@ -63,7 +63,7 @@ use crate::skeleton::{
     Counters, Exchange, HttpServer, Listen, PathMatch, Report, Route, SlowLogConfig, Tier,
 };
 use graphio_graph::json::{JsonValue, RequestDoc};
-use graphio_graph::{CompGraph, Fingerprint, FingerprintMemo};
+use graphio_graph::{CompGraph, Fingerprint, FingerprintMemo, Memo};
 use graphio_linalg::stats::{
     dense_eigensolve_count, scalar_fallback_count, simd_kernel_call_count, sparse_eigensolve_count,
     sparse_matvec_count,
@@ -171,9 +171,22 @@ impl Default for ServiceConfig {
     }
 }
 
+/// What an answered `/analyze` body resolved to: its session's
+/// fingerprint, its validated spec and the spec's warnings. Every part is
+/// a fixed function of the body's bytes.
+#[derive(Debug)]
+pub(crate) struct Resolution {
+    fp: Fingerprint,
+    spec: AnalyzeSpec,
+    warnings: Vec<String>,
+}
+
 /// The service tier's state: the session cache and its store.
 pub struct ServiceState {
     pub(crate) cache: SessionCache,
+    /// `/analyze` body bytes → what they resolved to, so a repeated body
+    /// skips the decode, the graph build and the content key.
+    pub(crate) body_memo: Memo<Arc<Resolution>>,
     /// Labelled graph → fingerprint, so a repeated inline graph skips
     /// Weisfeiler–Leman refinement.
     pub(crate) fp_memo: FingerprintMemo,
@@ -210,6 +223,7 @@ pub fn serve(config: &ServiceConfig) -> io::Result<Server> {
         .map(Arc::new);
     let state = Arc::new(ServiceState {
         cache: SessionCache::new(&config.cache),
+        body_memo: Memo::new(),
         fp_memo: FingerprintMemo::new(),
         store,
         persist_marks: std::sync::Mutex::new(std::collections::HashMap::new()),
@@ -263,7 +277,8 @@ impl Tier for ServiceState {
     }
 
     /// The request counters at the top level, then the `cache`, `store`,
-    /// `engine`, `fingerprint_memo`, `linalg` and `process` sections.
+    /// `engine`, `body_memo`, `fingerprint_memo`, `linalg` and `process`
+    /// sections.
     fn report(&self, counters: &Counters, out: &mut Report) {
         counters.report(out);
         let cache = self.cache.stats();
@@ -304,7 +319,8 @@ impl Tier for ServiceState {
             out.hits_misses("mincut", e.mincut_hits, e.mincut_misses);
             out.hits_misses("sim", e.sim_hits, e.sim_misses);
         });
-        out.fingerprint_memo(&self.fp_memo);
+        out.memo("body_memo", self.body_memo.stats());
+        out.memo("fingerprint_memo", self.fp_memo.stats());
         out.section("linalg", |out| {
             out.counter("dense_eigensolves", dense_eigensolve_count());
             out.counter("sparse_matvecs", sparse_matvec_count());
@@ -454,6 +470,12 @@ fn session_for_graph(state: &Arc<ServiceState>, graph: CompGraph) -> Resolved {
     if let Some((analyzer, source)) = cached_session(state, fp) {
         return (analyzer, fp, source);
     }
+    fresh_session(state, fp, graph)
+}
+
+/// A new session for `graph` under `fp`, which neither RAM nor the store
+/// held when looked up (counter-silent, like the back-fill).
+fn fresh_session(state: &Arc<ServiceState>, fp: Fingerprint, graph: CompGraph) -> Resolved {
     let (analyzer, raced) = state
         .cache
         .insert_if_absent(fp, OwnedAnalyzer::from_graph(graph));
@@ -474,31 +496,42 @@ fn session_for_graph(state: &Arc<ServiceState>, graph: CompGraph) -> Resolved {
 fn lookup_session(hex: &str, state: &Arc<ServiceState>) -> Result<Resolved, (u16, String)> {
     let fp = Fingerprint::from_hex(hex)
         .ok_or_else(|| (400, format!("malformed fingerprint {hex:?}")))?;
-    if let Some((analyzer, source)) = cached_session(state, fp) {
-        return Ok((analyzer, fp, source));
-    }
-    Err((
-        404,
-        format!("no session for fingerprint {hex} (register via POST /graphs)"),
-    ))
+    cached_session(state, fp)
+        .map(|(analyzer, source)| (analyzer, fp, source))
+        .ok_or_else(|| no_session(hex))
+}
+
+/// The 404 for a fingerprint with no session in RAM or the store.
+fn no_session(hex: &str) -> (u16, String) {
+    let msg = format!("no session for fingerprint {hex} (register via POST /graphs)");
+    (404, msg)
 }
 
 /// The session an `/analyze` document names: its inline
-/// `"graph"` (which wins) or its `"fingerprint"`.
+/// `"graph"` (which wins) or its `"fingerprint"`. `absent` is the
+/// fingerprint a body-memo hit already looked up in vain; the document
+/// resolves to it, so neither lookup runs (or counts) twice.
 fn resolve_session(
     doc: RequestDoc<'_>,
     state: &Arc<ServiceState>,
+    absent: Option<Fingerprint>,
 ) -> Result<Resolved, (u16, String)> {
     if doc.graph.is_some() {
         let graph = parse_graph_doc(doc).map_err(|m| (400, m))?;
-        return Ok(session_for_graph(state, graph));
+        return Ok(match absent {
+            Some(fp) => fresh_session(state, fp, graph),
+            None => session_for_graph(state, graph),
+        });
     }
     let hex = doc
         .rest
         .get("fingerprint")
         .and_then(JsonValue::as_str)
         .ok_or_else(|| (400, "need \"graph\" or \"fingerprint\"".to_string()))?;
-    lookup_session(hex, state)
+    match absent {
+        Some(_) => Err(no_session(hex)),
+        None => lookup_session(hex, state),
+    }
 }
 
 /// [`analysis_body`] under the `serialize` span: on a warm session the
@@ -518,29 +551,69 @@ fn persist(state: &ServiceState, fp: Fingerprint, analyzer: &OwnedAnalyzer) {
     state.cache.enforce_budget(fp);
 }
 
+/// `POST /analyze`. A body byte-identical to one answered before has the
+/// same answer, so the body memo maps its bytes straight to its
+/// [`Resolution`]: a hit goes to the session without decoding anything.
+/// Only a body that resolved to a session is memoized, so every error
+/// (and which error wins) comes from the full path below.
 fn handle_analyze(state: &Arc<ServiceState>, ex: &mut Exchange<'_>) {
+    let (key, memoized) = {
+        let _span = graphio_obs::span!("body_memo");
+        let key = state.body_memo.bytes_key(&ex.request.body);
+        (key, state.body_memo.get(key))
+    };
+    let mut absent = None;
+    if let Some(known) = memoized {
+        match cached_session(state, known.fp) {
+            Some((analyzer, source)) => return answer(state, ex, analyzer, source, &known),
+            // Evicted from RAM and absent from the store: the full path
+            // rebuilds the session from the body.
+            None => absent = Some(known.fp),
+        }
+    }
     // Validation order: body JSON, then the spec, then the session.
-    let parsed = parse_request_json(&ex.request.body)
-        .map_err(|m| (400, m))
-        .and_then(|doc| {
-            let (spec, warnings) = parse_spec(&doc.rest)?;
-            Ok((resolve_session(doc, state)?, spec, warnings))
-        });
-    let ((analyzer, fp, source), spec, warnings) = match parsed {
+    let parsed = parse_analyze(&ex.request.body).and_then(|(doc, spec, warnings)| {
+        let (analyzer, fp, source) = resolve_session(doc, state, absent)?;
+        Ok((analyzer, source, Resolution { fp, spec, warnings }))
+    });
+    let (analyzer, source, known) = match parsed {
         Ok(parsed) => parsed,
         Err((status, msg)) => return ex.fail(status, &msg),
     };
+    let known = Arc::new(known);
+    state.body_memo.insert(key, Arc::clone(&known));
+    answer(state, ex, analyzer, source, &known);
+}
+
+/// Answers an `/analyze` resolved to `analyzer`: the session's document
+/// for the spec (stored per session, [`SessionCache::document`]) and the
+/// metadata headers under the `serialize` span, then persist and respond.
+fn answer(
+    state: &Arc<ServiceState>,
+    ex: &mut Exchange<'_>,
+    analyzer: Arc<OwnedAnalyzer>,
+    source: SessionSource,
+    known: &Resolution,
+) {
+    let fp = known.fp;
     annotate_session(fp, source);
-    let body = serialize(&analyzer, &spec);
+    let (body, extra) = {
+        let _span = graphio_obs::span!("serialize");
+        let spec = &known.spec;
+        let body = state
+            .cache
+            .document(fp, &analyzer, spec, || analysis_body(&analyzer, spec));
+        let mut extra = vec![
+            ("X-Graphio-Fingerprint", fp.to_hex()),
+            ("X-Graphio-Session", source.header().to_string()),
+        ];
+        if !known.warnings.is_empty() {
+            extra.push(("X-Graphio-Warnings", known.warnings.join("; ")));
+        }
+        (body, extra)
+    };
     persist(state, fp, &analyzer);
     ex.counters().analyze_ok.fetch_add(1, Ordering::Relaxed);
-    let mut extra = vec![
-        ("X-Graphio-Fingerprint", fp.to_hex()),
-        ("X-Graphio-Session", source.header().to_string()),
-    ];
-    if !warnings.is_empty() {
-        extra.push(("X-Graphio-Warnings", warnings.join("; ")));
-    }
     ex.ok(extra, &body);
 }
 

@@ -46,7 +46,7 @@ use crate::http::{
 };
 use crate::pool::{SubmitError, WorkerPool};
 use graphio_graph::json::JsonValue;
-use graphio_graph::{Fingerprint, FingerprintMemo};
+use graphio_graph::{Fingerprint, MemoStats};
 use graphio_obs::recorder;
 use graphio_obs::MetricsText;
 use graphio_store::{Store, StoreConfig};
@@ -351,11 +351,11 @@ impl Report {
         }
     }
 
-    /// The `fingerprint_memo` section: the labelled-graph → fingerprint
-    /// memo both tiers keep.
-    pub fn fingerprint_memo(&mut self, memo: &FingerprintMemo) {
-        let s = memo.stats();
-        self.section("fingerprint_memo", |out| {
+    /// A [`graphio_graph::Memo`]'s section under `key`: both tiers keep a
+    /// `fingerprint_memo` (labelled graph → fingerprint) and a
+    /// `body_memo` (`/analyze` body → what it resolved to).
+    pub fn memo(&mut self, key: &str, s: MemoStats) {
+        self.section(key, |out| {
             out.gauge("entries", s.entries as f64);
             out.gauge("capacity", s.capacity as f64);
             out.counter("hits", s.hits);

@@ -321,13 +321,39 @@ fn trace_endpoints_serve_recorded_requests() {
     server.shutdown();
 }
 
-/// A traced cache hit names every phase of the warm path, in order:
-/// `parse` (bytes to edge list), `graph_build` (edge list to validated
-/// graph), `fingerprint` (memo lookup, refinement on a miss),
-/// `session_lookup` (RAM, then store), `serialize` (bound rows and the
-/// document), `persist` (store write-through and the cache's byte budget)
-/// and `respond` (the socket write) — and no `simulate`, because a hit
-/// replays the session's memoized simulations.
+/// The span names of one traced `/analyze` of `body`, sent once, in
+/// record order (the root first). Polls `/trace/{id}` because the record
+/// lands only after the response flushes.
+fn traced_span_names(server: &Server, body: &str, trace: &str) -> Vec<String> {
+    let header = [("X-Graphio-Trace", trace.to_string())];
+    let r = client::request_with("POST", &server.url(), "/analyze", Some(body), &header).unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    for _ in 0..50 {
+        let t = client::request("GET", &server.url(), &format!("/trace/{trace}"), None).unwrap();
+        if t.status == 200 {
+            let doc = parse(&t.body).expect("trace record is valid JSON");
+            let spans = doc.get("spans").and_then(JsonValue::as_array);
+            return spans
+                .expect("spans array")
+                .iter()
+                .filter_map(|s| s.get("name").and_then(JsonValue::as_str))
+                .map(str::to_string)
+                .collect();
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    panic!("trace {trace} never became queryable");
+}
+
+/// A traced warm request names every phase it runs, in order. A body
+/// answered before is a body-memo hit: `body_memo` (hash and lookup),
+/// `session_lookup` (RAM, then store), `serialize` (the session's stored
+/// document and the metadata headers), `persist` (store write-through
+/// and the cache's byte budget) and `respond` (the socket write). A new
+/// spelling of the same graph misses the body memo and inserts `parse`
+/// (bytes to edge list, then the spec), `graph_build` (edge list to
+/// validated graph) and `fingerprint` (memo lookup, refinement on a miss)
+/// after `body_memo`. Neither simulates: the session memoizes that.
 #[test]
 fn traced_hits_name_fingerprint_and_session_lookup() {
     let server = test_server();
@@ -335,18 +361,21 @@ fn traced_hits_name_fingerprint_and_session_lookup() {
     let body = format!("{{\"graph\":{},\"memories\":[2,4]}}", graph_json(&g));
     let r = client::request("POST", &server.url(), "/analyze", Some(&body)).unwrap();
     assert_eq!(r.status, 200);
-    let trace = "1f2e3d4c5b6a79880796a5b4c3d2e1f0";
-    let (status, record) = send_until_recorded(&server, "POST", "/analyze", &body, trace);
-    assert_eq!(status, 200);
-    let doc = parse(&record).expect("trace record is valid JSON");
-    let names: Vec<&str> = doc
-        .get("spans")
-        .and_then(JsonValue::as_array)
-        .expect("spans array")
-        .iter()
-        .filter_map(|s| s.get("name").and_then(JsonValue::as_str))
-        .collect();
-    let warm_path = [
+    let hit = traced_span_names(&server, &body, "1f2e3d4c5b6a79880796a5b4c3d2e1f0");
+    let hit_path = [
+        "/analyze",
+        "body_memo",
+        "session_lookup",
+        "serialize",
+        "persist",
+        "respond",
+    ];
+    assert_eq!(hit, hit_path, "body-memo hit phases");
+    let respelled = format!("{{ \"memories\": [2, 4], \"graph\": {} }}", graph_json(&g));
+    let miss = traced_span_names(&server, &respelled, "2f2e3d4c5b6a79880796a5b4c3d2e1f0");
+    let miss_path = [
+        "/analyze",
+        "body_memo",
         "parse",
         "graph_build",
         "fingerprint",
@@ -355,20 +384,7 @@ fn traced_hits_name_fingerprint_and_session_lookup() {
         "persist",
         "respond",
     ];
-    let positions: Vec<usize> = warm_path
-        .iter()
-        .map(|phase| {
-            names
-                .iter()
-                .position(|n| n == phase)
-                .unwrap_or_else(|| panic!("{phase} missing from {names:?}"))
-        })
-        .collect();
-    assert!(
-        positions.windows(2).all(|w| w[0] < w[1]),
-        "warm-path phases out of order: {names:?}"
-    );
-    assert!(!names.contains(&"simulate"), "a hit simulated: {names:?}");
+    assert_eq!(miss, miss_path, "body-memo miss phases");
     server.shutdown();
 }
 
