@@ -238,6 +238,8 @@ pub struct MemoStats {
 #[derive(Debug)]
 pub struct Memo<V> {
     seeds: [u64; 4],
+    /// Secret odd multipliers of [`Memo::bytes_key`]'s four lanes.
+    multipliers: [u64; 4],
     map: Mutex<HashMap<u128, V>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -250,13 +252,23 @@ impl<V: Clone> Default for Memo<V> {
     }
 }
 
-/// Odd multipliers of [`Memo::bytes_key`]'s four lanes.
+/// Tags of [`Memo::bytes_key`]'s four lane multipliers, each hashed
+/// with the memo's secret state.
 const BYTE_LANES: [u64; 4] = [
     0x9E37_79B9_7F4A_7C15,
     0xC2B2_AE3D_27D4_EB4F,
     0x1656_67B1_9E37_79F9,
     0xD6E8_FEB8_6659_FD93,
 ];
+
+/// The folded multiply: the high and low halves of the 128-bit product
+/// `x · c`, XORed. Unlike a wrapping multiply, the output difference of
+/// an input difference depends on `x` and `c`, so with a secret `c` no
+/// input difference has a known output difference.
+fn fold_mul(x: u64, c: u64) -> u64 {
+    let p = x as u128 * c as u128;
+    (p >> 64) as u64 ^ p as u64
+}
 
 impl<V: Clone> Memo<V> {
     /// An empty memo with fresh random seeds.
@@ -269,6 +281,7 @@ impl<V: Clone> Memo<V> {
         };
         Memo {
             seeds: [seed(LANE0), seed(LANE1), seed(LANE0 ^ 1), seed(LANE1 ^ 1)],
+            multipliers: BYTE_LANES.map(|tag| seed(tag) | 1),
             map: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -277,15 +290,17 @@ impl<V: Clone> Memo<V> {
     }
 
     /// The seeded key of a byte string, at near memory speed: four
-    /// independent multiply–rotate lanes over 32-byte blocks (the last
-    /// one zero-padded), finished with the length through SplitMix.
-    /// Equal bytes always share a key within one memo.
+    /// independent lanes over 32-byte blocks (the last one zero-padded),
+    /// each step a folded multiply by a secret multiplier, finished with
+    /// the length through SplitMix. Equal bytes always share a key within
+    /// one memo.
     pub fn bytes_key(&self, bytes: &[u8]) -> u128 {
         let mut lanes = self.seeds;
+        let multipliers = self.multipliers;
         let mut eat = |block: &[u8]| {
             for (k, lane) in lanes.iter_mut().enumerate() {
                 let word = u64::from_le_bytes(block[8 * k..8 * k + 8].try_into().expect("8 bytes"));
-                *lane = (*lane ^ word).wrapping_mul(BYTE_LANES[k]).rotate_left(31);
+                *lane = fold_mul(*lane ^ word, multipliers[k]);
             }
         };
         let mut blocks = bytes.chunks_exact(32);
@@ -582,6 +597,25 @@ mod tests {
             let mut flipped = vec![0u8; 96];
             flipped[len] = 1;
             assert!(keys.insert(a.bytes_key(&flipped)), "flip at {len}");
+        }
+        // A fixed multiply–rotate step maps a top-bit flip in one block's
+        // word to one known bit flip in the lane, which the next block's
+        // word cancels under every seed; a folded multiply by a secret
+        // multiplier leaves no such pair.
+        let body: Vec<u8> = (0..96u8).map(|i| i.wrapping_mul(37)).collect();
+        for memo in [&a, &b, &Memo::<()>::new()] {
+            for i in 0..2 {
+                for k in 0..4 {
+                    let mut twin = body.clone();
+                    twin[32 * i + 8 * k + 7] ^= 0x80;
+                    twin[32 * (i + 1) + 8 * k + 3] ^= 0x40;
+                    assert_ne!(
+                        memo.bytes_key(&body),
+                        memo.bytes_key(&twin),
+                        "block {i} lane {k}"
+                    );
+                }
+            }
         }
     }
 

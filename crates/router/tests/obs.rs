@@ -29,6 +29,16 @@ fn router_over(backends: &[Server], slow_log: Option<SlowLogConfig>) -> RouterSe
     .expect("router")
 }
 
+/// Held by a test that floods the process-wide flight recorder, and by
+/// one that expects its own record to stay among the newest
+/// `GET /traces?n=100` summaries: the two never overlap.
+fn flight_recorder_to_itself() -> std::sync::MutexGuard<'static, ()> {
+    static RECORDER: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    RECORDER
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 fn analyze_body_for(k: usize) -> String {
     format!(
         "{{\"graph\":{},\"memories\":[2,4]}}",
@@ -315,6 +325,7 @@ fn assemble_trace_falls_back_to_the_root_anchor() {
 /// request; garbage queries 400/404.)
 #[test]
 fn router_trace_endpoint_returns_assembled_tree() {
+    let _alone = flight_recorder_to_itself();
     let backends = backends(2, None);
     let router = router_over(&backends, None);
     let g4 = fft_butterfly(4).to_edge_list().to_json();
@@ -460,12 +471,11 @@ fn batch_headers_and_stats_scrape_us_through_the_router() {
 /// query vocabulary still 400s.
 #[test]
 fn router_profile_fans_out_and_merges_under_backend_frames() {
+    let _alone = flight_recorder_to_itself();
     let backends = backends(2, None);
     let router = router_over(&backends, None);
 
     // Keep analysis phases alive on the backends for the whole window.
-    // Each body is new (a `"pad"` no server reads), so none is a
-    // body-memo hit: every request decodes and fingerprints its graph.
     let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
     let url = router.url();
     let load = {
@@ -474,8 +484,7 @@ fn router_profile_fans_out_and_merges_under_backend_frames() {
             let bodies = [analyze_body_for(5), analyze_body_for(6)];
             let mut i = 0usize;
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                let body = bodies[i % 2].replacen('{', &format!("{{\"pad\":{i},"), 1);
-                let _ = client::request("POST", &url, "/analyze", Some(&body));
+                let _ = client::request("POST", &url, "/analyze", Some(&bodies[i % 2]));
                 i += 1;
             }
         })

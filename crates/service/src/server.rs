@@ -181,6 +181,22 @@ pub(crate) struct Resolution {
     warnings: Vec<String>,
 }
 
+/// The most spec bytes (memory sizes plus warning text) a body-memo entry
+/// may hold. A body's memory list has no length limit, and each duplicate
+/// size adds a warning, so a larger resolution is answered by the full
+/// path every time rather than kept: with it the memo's heap stays under
+/// ≈5 MB at [`graphio_graph::MEMO_CAPACITY`] entries (≈1.1 KB each, with
+/// allocation headers).
+const RESOLUTION_BYTES: usize = 512;
+
+impl Resolution {
+    /// Heap bytes of the spec's memories and warnings.
+    fn spec_bytes(&self) -> usize {
+        let warnings: usize = self.warnings.iter().map(String::len).sum();
+        self.spec.memories.len() * std::mem::size_of::<usize>() + warnings
+    }
+}
+
 /// The service tier's state: the session cache and its store.
 pub struct ServiceState {
     pub(crate) cache: SessionCache,
@@ -581,7 +597,9 @@ fn handle_analyze(state: &Arc<ServiceState>, ex: &mut Exchange<'_>) {
         Err((status, msg)) => return ex.fail(status, &msg),
     };
     let known = Arc::new(known);
-    state.body_memo.insert(key, Arc::clone(&known));
+    if known.spec_bytes() <= RESOLUTION_BYTES {
+        state.body_memo.insert(key, Arc::clone(&known));
+    }
     answer(state, ex, analyzer, source, &known);
 }
 

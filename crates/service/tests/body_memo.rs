@@ -102,6 +102,34 @@ fn a_hit_replays_the_warnings_header() {
     server.shutdown();
 }
 
+/// A body whose spec would hold many memories or warnings is answered in
+/// full every time and never kept: memory lists have no length limit, so
+/// memoizing them would let large bodies pin unbounded heap.
+#[test]
+fn a_large_spec_is_not_memoized() {
+    let server = server_with(CacheConfig::default(), None);
+    let url = server.url();
+    let g = fft_butterfly(3);
+    let fp = graphio_graph::fingerprint(&g).to_hex();
+    assert_eq!(post(&url, &analyze_body(&g, "[2]")).status, 200);
+    let ones = vec!["1"; 200].join(",");
+    let body = format!("{{\"fingerprint\":\"{fp}\",\"memories\":[{ones}]}}");
+    let first = post(&url, &body);
+    assert_eq!(first.status, 200, "{}", first.body);
+    let entries = stat(&url, "body_memo", "entries");
+    let hits = stat(&url, "body_memo", "hits");
+    let again = post(&url, &body);
+    assert_eq!(stat(&url, "body_memo", "entries"), entries);
+    assert_eq!(stat(&url, "body_memo", "hits"), hits);
+    assert_eq!(again.body, first.body);
+    assert_eq!(
+        again.header("x-graphio-warnings"),
+        first.header("x-graphio-warnings")
+    );
+    assert_eq!(again.body, offline_body(&g, &[1]));
+    server.shutdown();
+}
+
 /// A one-session cache evicts `g`'s session when `h` arrives. `g`'s
 /// memoized body then finds no session in RAM — nor in the store, when
 /// there is none — and the full path rebuilds it from the body: the same
