@@ -1,40 +1,36 @@
-//! Compressed sparse row (CSR) storage for symmetric matrices.
+//! Sparse symmetric matrices in one interleaved (SELL-8) layout.
 //!
-//! Graph Laplacians are sparse (`nnz = n + 2|E|`), so the Lanczos path
-//! operates on CSR.
-//!
-//! Laplacian rows are a handful of scattered entries — too short for
-//! in-row SIMD lanes to pay — so alongside the CSR arrays the matrix
-//! stores an interleaved (SELL-style) mirror: rows grouped in blocks of
-//! [`crate::simd::SELL_ROWS`] = 8, each block padded to its longest row
-//! and stored step-major, so one vector register sums 8 rows at once with
-//! every row accumulating left to right in column order. The scalar
-//! fallback walks the same layout, so mat-vec results are bit-identical
-//! across SIMD on/off.
+//! Graph Laplacians are sparse (`nnz ≤ n + 2|E|`), so the Lanczos path
+//! runs on sparse mat-vecs. Laplacian rows are a handful of scattered
+//! entries — too short for in-row SIMD lanes to pay — so rows are stored
+//! interleaved: in blocks of [`crate::simd::SELL_ROWS`] = 8, each block
+//! padded to its longest row with `(col 0, 0.0)` slots and stored
+//! step-major, so one vector register sums 8 rows at once with every row
+//! accumulating left to right in column order. The scalar fallback walks
+//! the same layout, so mat-vec results are bit-identical across SIMD
+//! on/off. No stored entry is zero, so a row ends at its first zero value.
 
 use crate::dense::DenseMatrix;
 use crate::error::LinalgError;
+use crate::simd::SELL_ROWS;
 use crate::Result;
 
-/// A square sparse matrix in CSR format.
+/// A square sparse matrix in the interleaved layout above (the type keeps
+/// the name of the compressed-row layout it is assembled from, row by row).
 ///
 /// The structure does not enforce symmetry, but all producers in `graphio`
-/// build symmetric matrices and [`CsrMatrix::is_symmetric`] lets tests
-/// verify it.
+/// build symmetric matrices.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     n: usize,
-    row_ptr: Vec<usize>,
-    col_idx: Vec<u32>,
-    values: Vec<f64>,
-    /// Interleaved-block step offsets: block `b` (rows `b*8 .. b*8+8`)
-    /// owns steps `sell_ptr[b] .. sell_ptr[b+1]`; step `s` stores 8
-    /// columns at `sell_cols[s*8..]` and 8 values at `sell_vals[s*8..]`
-    /// (lane = row within the block, short rows padded with
-    /// `(0, 0.0)`).
-    sell_ptr: Vec<usize>,
-    sell_cols: Vec<u32>,
-    sell_vals: Vec<f64>,
+    /// Stored entries, padding excluded.
+    nnz: usize,
+    /// Block `b` (rows `b*8 .. b*8+8`) owns steps `block_ptr[b] ..
+    /// block_ptr[b+1]`; step `s` stores 8 columns at `cols[s*8..]` and 8
+    /// values at `vals[s*8..]` (lane = row within the block).
+    block_ptr: Vec<usize>,
+    cols: Vec<u32>,
+    vals: Vec<f64>,
 }
 
 impl CsrMatrix {
@@ -44,70 +40,65 @@ impl CsrMatrix {
     /// # Errors
     /// Returns [`LinalgError::InvalidInput`] if an index is out of range.
     pub fn from_triplets(n: usize, triplets: &[(usize, usize, f64)]) -> Result<Self> {
-        for &(r, c, _) in triplets {
-            if r >= n || c >= n {
-                return Err(LinalgError::InvalidInput(format!(
-                    "triplet ({r},{c}) out of range for n={n}"
-                )));
+        if let Some(&(r, c, _)) = triplets.iter().find(|&&(r, c, _)| r >= n || c >= n) {
+            return Err(LinalgError::InvalidInput(format!(
+                "triplet ({r},{c}) out of range for n={n}"
+            )));
+        }
+        // A stable sort: each row keeps its triplets in input order.
+        let mut by_row = triplets.to_vec();
+        by_row.sort_by_key(|&(r, _, _)| r);
+        let mut next = by_row.iter().peekable();
+        Ok(Self::from_rows(n, |r, row| {
+            while let Some(&(_, c, v)) = next.next_if(|t| t.0 == r) {
+                row.push((c as u32, v));
             }
-        }
-        // Counting sort by row, then sort each row's slice by column and
-        // accumulate duplicates.
-        let mut counts = vec![0usize; n + 1];
-        for &(r, _, _) in triplets {
-            counts[r + 1] += 1;
-        }
-        for i in 0..n {
-            counts[i + 1] += counts[i];
-        }
-        let mut cols = vec![0u32; triplets.len()];
-        let mut vals = vec![0.0f64; triplets.len()];
-        let mut cursor = counts.clone();
-        for &(r, c, v) in triplets {
-            let slot = cursor[r];
-            cols[slot] = c as u32;
-            vals[slot] = v;
-            cursor[r] += 1;
-        }
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut out_cols: Vec<u32> = Vec::with_capacity(triplets.len());
-        let mut out_vals: Vec<f64> = Vec::with_capacity(triplets.len());
-        row_ptr.push(0);
-        let mut scratch: Vec<(u32, f64)> = Vec::new();
-        for r in 0..n {
-            scratch.clear();
-            scratch.extend(
-                cols[counts[r]..counts[r + 1]]
-                    .iter()
-                    .copied()
-                    .zip(vals[counts[r]..counts[r + 1]].iter().copied()),
-            );
-            scratch.sort_unstable_by_key(|&(c, _)| c);
-            let mut i = 0;
-            while i < scratch.len() {
-                let c = scratch[i].0;
-                let mut acc = 0.0;
-                while i < scratch.len() && scratch[i].0 == c {
-                    acc += scratch[i].1;
-                    i += 1;
-                }
-                if acc != 0.0 {
-                    out_cols.push(c);
-                    out_vals.push(acc);
+        }))
+    }
+
+    /// Builds an `n × n` matrix row by row: `fill(r, row)`, called for
+    /// `r = 0..n` in order, pushes row `r`'s raw `(column, value)` entries
+    /// (any order, repeats allowed) into the empty `row`. They are sorted
+    /// by column (`sort_unstable_by_key`), each column's run is summed in
+    /// the order the sort leaves it and zero sums are dropped, so a row's
+    /// bits depend on the sequence `fill` pushes.
+    ///
+    /// # Panics
+    /// Panics if a column is not below `n`.
+    pub fn from_rows(n: usize, mut fill: impl FnMut(usize, &mut Vec<(u32, f64)>)) -> Self {
+        let mut block_ptr = Vec::with_capacity(n.div_ceil(SELL_ROWS) + 1);
+        block_ptr.push(0);
+        let (mut cols, mut vals, mut nnz) = (Vec::new(), Vec::new(), 0);
+        let mut rows = vec![Vec::new(); SELL_ROWS];
+        for first in (0..n).step_by(SELL_ROWS) {
+            let block = &mut rows[..SELL_ROWS.min(n - first)];
+            for (lane, row) in block.iter_mut().enumerate() {
+                row.clear();
+                fill(first + lane, row);
+                finalize_row(row, n);
+                nnz += row.len();
+            }
+            let steps = block.iter().map(Vec::len).max().unwrap_or(0);
+            let base = cols.len();
+            cols.resize(base + steps * SELL_ROWS, 0);
+            vals.resize(base + steps * SELL_ROWS, 0.0);
+            for (lane, row) in block.iter().enumerate() {
+                for (k, &(c, v)) in row.iter().enumerate() {
+                    cols[base + k * SELL_ROWS + lane] = c;
+                    vals[base + k * SELL_ROWS + lane] = v;
                 }
             }
-            row_ptr.push(out_cols.len());
+            block_ptr.push(block_ptr[block_ptr.len() - 1] + steps);
         }
-        let (sell_ptr, sell_cols, sell_vals) = build_sell(n, &row_ptr, &out_cols, &out_vals);
-        Ok(CsrMatrix {
+        cols.shrink_to_fit();
+        vals.shrink_to_fit();
+        CsrMatrix {
             n,
-            row_ptr,
-            col_idx: out_cols,
-            values: out_vals,
-            sell_ptr,
-            sell_cols,
-            sell_vals,
-        })
+            nnz,
+            block_ptr,
+            cols,
+            vals,
+        }
     }
 
     /// Matrix dimension.
@@ -115,24 +106,29 @@ impl CsrMatrix {
         self.n
     }
 
-    /// Number of stored (structurally non-zero) entries.
+    /// Number of stored (structurally non-zero) entries, padding excluded.
     pub fn nnz(&self) -> usize {
-        self.values.len()
+        self.nnz
     }
 
-    /// `(columns, values)` of row `i`.
-    pub fn row(&self, i: usize) -> (&[u32], &[f64]) {
-        let range = self.row_ptr[i]..self.row_ptr[i + 1];
-        (&self.col_idx[range.clone()], &self.values[range])
+    /// Heap bytes the matrix holds: the capacities of its three arrays,
+    /// padding included.
+    pub fn heap_bytes(&self) -> usize {
+        self.block_ptr.capacity() * std::mem::size_of::<usize>()
+            + self.cols.capacity() * std::mem::size_of::<u32>()
+            + self.vals.capacity() * std::mem::size_of::<f64>()
     }
 
-    /// Entry `(i, j)`, or `0.0` if not stored.
-    pub fn get(&self, i: usize, j: usize) -> f64 {
-        let (cols, vals) = self.row(i);
-        match cols.binary_search(&(j as u32)) {
-            Ok(pos) => vals[pos],
-            Err(_) => 0.0,
-        }
+    /// Row `r`'s stored `(column, value)` entries in column order; its
+    /// first padding slot ends it.
+    fn row(&self, r: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let (b, lane) = (r / SELL_ROWS, r % SELL_ROWS);
+        (self.block_ptr[b]..self.block_ptr[b + 1])
+            .map(move |s| {
+                let slot = s * SELL_ROWS + lane;
+                (self.cols[slot] as usize, self.vals[slot])
+            })
+            .take_while(|&(_, v)| v != 0.0)
     }
 
     /// Resolves the SIMD route once per mat-vec: the AVX2 row kernel
@@ -146,10 +142,9 @@ impl CsrMatrix {
         crate::simd::route(self.nnz())
     }
 
-    /// Mat-vec `y = A x` from the interleaved mirror. Every row
-    /// accumulates left to right in column order under every SIMD route,
-    /// so the result is bit-identical for every SIMD policy (see
-    /// `simd::sell_matvec_routed`).
+    /// Mat-vec `y = A x`. Every row accumulates left to right in column
+    /// order under every SIMD route, so the result is bit-identical for
+    /// every SIMD policy (see `simd::sell_matvec_routed`).
     ///
     /// # Panics
     /// Panics on dimension mismatch.
@@ -160,9 +155,9 @@ impl CsrMatrix {
         crate::stats::record_sparse_matvec();
         crate::simd::sell_matvec_routed(
             self.matvec_route(),
-            &self.sell_ptr,
-            &self.sell_cols,
-            &self.sell_vals,
+            &self.block_ptr,
+            &self.cols,
+            &self.vals,
             x,
             y,
         );
@@ -174,12 +169,11 @@ impl CsrMatrix {
     pub fn gershgorin_upper_bound(&self) -> f64 {
         let mut bound = 0.0f64;
         for i in 0..self.n {
-            let (cols, vals) = self.row(i);
             let mut center = 0.0;
             let mut radius = 0.0;
-            for (c, v) in cols.iter().zip(vals.iter()) {
-                if *c as usize == i {
-                    center = *v;
+            for (c, v) in self.row(i) {
+                if c == i {
+                    center = v;
                 } else {
                     radius += v.abs();
                 }
@@ -189,92 +183,40 @@ impl CsrMatrix {
         bound
     }
 
-    /// Sum of diagonal entries.
-    pub fn trace(&self) -> f64 {
-        (0..self.n).map(|i| self.get(i, i)).sum()
-    }
-
-    /// Exact symmetry check (structural and numerical, up to `tol`).
-    pub fn is_symmetric(&self, tol: f64) -> bool {
-        for i in 0..self.n {
-            let (cols, vals) = self.row(i);
-            for (c, v) in cols.iter().zip(vals.iter()) {
-                if (self.get(*c as usize, i) - v).abs() > tol {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
-    /// Dense copy (test/diagnostic use; O(n²) memory).
+    /// Dense copy (O(n²) memory): the dense-tier eigensolve's input and
+    /// the tests' oracle.
     pub fn to_dense(&self) -> DenseMatrix {
         let mut m = DenseMatrix::zeros(self.n, self.n);
         for i in 0..self.n {
-            let (cols, vals) = self.row(i);
-            for (c, v) in cols.iter().zip(vals.iter()) {
-                m[(i, *c as usize)] += v;
+            for (c, v) in self.row(i) {
+                m[(i, c)] += v;
             }
         }
         m
     }
-
-    /// Quadratic form `xᵀ A x`.
-    ///
-    /// # Panics
-    /// Panics if `x.len() != n`.
-    pub fn quadratic_form(&self, x: &[f64]) -> f64 {
-        assert_eq!(x.len(), self.n, "quadratic_form: x length mismatch");
-        let mut acc = 0.0;
-        for i in 0..self.n {
-            let (cols, vals) = self.row(i);
-            let mut row_dot = 0.0;
-            for (c, v) in cols.iter().zip(vals.iter()) {
-                row_dot += v * x[*c as usize];
-            }
-            acc += x[i] * row_dot;
-        }
-        acc
-    }
 }
 
-/// Builds the interleaved (SELL-style) mirror of a CSR layout: rows
-/// grouped in blocks of [`crate::simd::SELL_ROWS`], each block padded to
-/// its longest row and stored step-major. Padding entries are
-/// `(col 0, value 0.0)` — their products contribute exact zeros that the
-/// scalar twin replays identically.
-fn build_sell(
-    n: usize,
-    row_ptr: &[usize],
-    col_idx: &[u32],
-    values: &[f64],
-) -> (Vec<usize>, Vec<u32>, Vec<f64>) {
-    const C: usize = crate::simd::SELL_ROWS;
-    let nblocks = n.div_ceil(C);
-    let mut sell_ptr = Vec::with_capacity(nblocks + 1);
-    sell_ptr.push(0usize);
-    let mut total = 0usize;
-    for b in 0..nblocks {
-        let steps = (b * C..n.min(b * C + C))
-            .map(|r| row_ptr[r + 1] - row_ptr[r])
-            .max()
-            .unwrap_or(0);
-        total += steps;
-        sell_ptr.push(total);
+/// Sorts a row's raw entries by column, sums each column's run in the
+/// order the sort leaves it, and drops zero sums — in place.
+fn finalize_row(row: &mut Vec<(u32, f64)>, n: usize) {
+    row.sort_unstable_by_key(|&(c, _)| c);
+    if let Some(&(c, _)) = row.last() {
+        assert!((c as usize) < n, "column {c} out of range for n={n}");
     }
-    let mut sell_cols = vec![0u32; total * C];
-    let mut sell_vals = vec![0.0f64; total * C];
-    for (b, &block_start) in sell_ptr[..nblocks].iter().enumerate() {
-        let base = block_start * C;
-        for (lane, r) in (b * C..n.min(b * C + C)).enumerate() {
-            let (start, end) = (row_ptr[r], row_ptr[r + 1]);
-            for (k, j) in (start..end).enumerate() {
-                sell_cols[base + k * C + lane] = col_idx[j];
-                sell_vals[base + k * C + lane] = values[j];
-            }
+    let (mut kept, mut i) = (0, 0);
+    while i < row.len() {
+        let c = row[i].0;
+        let mut acc = 0.0;
+        while i < row.len() && row[i].0 == c {
+            acc += row[i].1;
+            i += 1;
+        }
+        if acc != 0.0 {
+            row[kept] = (c, acc);
+            kept += 1;
         }
     }
-    (sell_ptr, sell_cols, sell_vals)
+    row.truncate(kept);
 }
 
 #[cfg(test)]
@@ -302,9 +244,10 @@ mod tests {
     fn from_triplets_sorts_and_accumulates() {
         let m = CsrMatrix::from_triplets(2, &[(0, 1, 1.0), (0, 0, 5.0), (0, 1, 2.0)]).unwrap();
         assert_eq!(m.nnz(), 2);
-        assert_eq!(m.get(0, 0), 5.0);
-        assert_eq!(m.get(0, 1), 3.0);
-        assert_eq!(m.get(1, 1), 0.0);
+        let d = m.to_dense();
+        assert_eq!(d[(0, 0)], 5.0);
+        assert_eq!(d[(0, 1)], 3.0);
+        assert_eq!(d[(1, 1)], 0.0);
     }
 
     #[test]
@@ -335,7 +278,7 @@ mod tests {
 
     #[test]
     fn matvec_simd_on_off_bit_identical_on_random_csr() {
-        // Random CSR matrices across sizes that exercise partial final
+        // Random sparse matrices across sizes that exercise partial final
         // interleaved blocks, empty rows, and mixed row lengths; the
         // full dispatch path (policy knob included) must produce the
         // same bits with SIMD on and off. xorshift keeps it seeded.
@@ -390,21 +333,66 @@ mod tests {
 
     #[test]
     fn symmetry_detection() {
-        assert!(small().is_symmetric(0.0));
+        assert!(small().to_dense().is_symmetric(0.0));
         let asym = CsrMatrix::from_triplets(2, &[(0, 1, 1.0)]).unwrap();
-        assert!(!asym.is_symmetric(1e-12));
+        assert!(!asym.to_dense().is_symmetric(1e-12));
     }
 
     #[test]
     fn quadratic_form_matches_dense() {
+        // `xᵀ (A x)` through the sparse mat-vec.
         let m = small();
         let x = [1.0, -1.0, 0.5];
-        assert!((m.quadratic_form(&x) - m.to_dense().quadratic_form(&x)).abs() < 1e-12);
+        let mut ax = [0.0; 3];
+        m.matvec(&x, &mut ax);
+        let sparse: f64 = x.iter().zip(ax).map(|(a, b)| a * b).sum();
+        assert!((sparse - m.to_dense().quadratic_form(&x)).abs() < 1e-12);
     }
 
     #[test]
     fn trace_of_small() {
-        assert_eq!(small().trace(), 6.0);
+        assert_eq!(small().to_dense().trace(), 6.0);
+    }
+
+    /// Row 0 (one entry) is shorter than row 1 (three entries) in their
+    /// block, so row 0's lane carries two `(col 0, 0.0)` padding slots —
+    /// which must not overwrite its diagonal or add to its entries.
+    #[test]
+    fn padding_is_never_an_entry() {
+        let m = CsrMatrix::from_triplets(
+            3,
+            &[
+                (0, 0, 7.0),
+                (1, 0, -1.0),
+                (1, 1, 3.0),
+                (1, 2, -1.0),
+                (2, 2, 1.0),
+            ],
+        )
+        .unwrap();
+        assert_eq!(m.nnz(), 5);
+        assert_eq!(m.vals.len(), 3 * SELL_ROWS, "one block of three steps");
+        // Row 0: 7 + 0; row 1: 3 + 2; row 2: 1 + 0. Reading row 0's
+        // padding as its diagonal would give 5.
+        assert_eq!(m.gershgorin_upper_bound(), 7.0);
+        let d = m.to_dense();
+        let expect: [[f64; 3]; 3] = [[7.0, 0.0, 0.0], [-1.0, 3.0, -1.0], [0.0, 0.0, 1.0]];
+        for (i, row) in expect.iter().enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                assert_eq!(d[(i, j)].to_bits(), v.to_bits(), "({i},{j})");
+            }
+        }
+    }
+
+    /// The matrix charges exactly the capacities of its three arrays.
+    #[test]
+    fn heap_bytes_are_the_array_capacities() {
+        let m = small();
+        // One block of 3 steps: 2 offsets, 24 columns, 24 values.
+        assert_eq!(m.heap_bytes(), 2 * 8 + 24 * 4 + 24 * 8);
+        let capacities = m.block_ptr.capacity() * 8 + m.cols.capacity() * 4 + m.vals.capacity() * 8;
+        assert_eq!(m.heap_bytes(), capacities);
+        assert_eq!(m.clone().heap_bytes(), capacities);
     }
 
     #[test]

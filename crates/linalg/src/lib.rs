@@ -8,8 +8,9 @@
 //! * [`DenseMatrix`] with a Householder-tridiagonalization + implicit-shift
 //!   QL symmetric eigensolver ([`symeig`]) — exact O(n³) reference path used
 //!   for small/medium graphs and as the test oracle.
-//! * [`CsrMatrix`] sparse symmetric storage with an interleaved SIMD
-//!   mat-vec, feeding a full-reorthogonalization, deflation-based
+//! * [`CsrMatrix`] sparse symmetric storage in one interleaved (SELL-8)
+//!   layout, assembled row by row and read by a SIMD mat-vec, feeding a
+//!   full-reorthogonalization, deflation-based
 //!   Lanczos solver ([`lanczos`]) that recovers repeated
 //!   eigenvalues with multiplicity — the O(h·n·nnz) path the paper's §6.5
 //!   scalability claims rely on.

@@ -1,7 +1,7 @@
 //! Abstract symmetric linear operators.
 //!
 //! Lanczos only needs `y = A x`; abstracting over the representation lets
-//! the same solver run on dense matrices (tests), CSR Laplacians
+//! the same solver run on dense matrices (tests), sparse Laplacians
 //! (production), and spectral shifts thereof.
 
 use crate::csr::CsrMatrix;

@@ -1,7 +1,7 @@
 //! Runtime-dispatched AVX2 kernels with an always-compiled scalar fallback.
 //!
 //! Every hot loop in this crate — dot products (single and 4-wide),
-//! `axpy`/`axpby`/`scal` and the fused 4-vector update, the CSR mat-vec,
+//! `axpy`/`axpby`/`scal` and the fused 4-vector update, the sparse mat-vec,
 //! the Householder rank-2 row update and the QL row rotation — funnels
 //! through this module. Dispatch is decided per kernel entry from the
 //! process-global [`SimdPolicy`] knob and cached
@@ -27,10 +27,10 @@
 //!   The 4-wide multi-dot `dot4` shares one pass over `x` between four
 //!   products but gives each its own 4-lane accumulator and tail, so each
 //!   result is `dot(x, q_j)` bit for bit.
-//! * **CSR mat-vec** vectorizes *across* rows, not within them: graph
+//! * **Sparse mat-vec** vectorizes *across* rows, not within them: graph
 //!   Laplacian rows are a handful of scattered entries, far too short for
-//!   in-row lanes to pay. [`crate::CsrMatrix`] stores an interleaved
-//!   (SELL-style) mirror of its rows in blocks of [`SELL_ROWS`] = 8, and
+//!   in-row lanes to pay. [`crate::CsrMatrix`] stores its rows
+//!   interleaved (SELL-style) in blocks of [`SELL_ROWS`] = 8, and
 //!   the kernels assign lane `r` of the accumulator to row `r`, so every
 //!   row's sum accumulates **left to right in column order** — the natural
 //!   scalar loop — in scalar, AVX2, and AVX-512 form alike. Short rows pad
@@ -99,9 +99,9 @@ pub fn avx512_available() -> bool {
     }
 }
 
-/// Rows per interleaved CSR block: the lane count of one AVX-512 `f64`
-/// register (two AVX2 registers). [`crate::CsrMatrix`] builds its
-/// interleaved mirror in blocks of this height.
+/// Rows per interleaved sparse block: the lane count of one AVX-512 `f64`
+/// register (two AVX2 registers). [`crate::CsrMatrix`] stores its rows
+/// in blocks of this height.
 pub const SELL_ROWS: usize = 8;
 
 /// Inputs shorter than this skip SIMD dispatch (and the stats counters)

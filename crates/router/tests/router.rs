@@ -444,6 +444,26 @@ fn repeated_bodies_answer_alike_on_both_tiers() {
     assert_eq!(warned(&c.reference.url()), expected);
 }
 
+/// A sweep of 2 000 duplicates answers on both tiers: its warnings name
+/// the first 16 drops and count the rest, so the header stays under 1 KB
+/// (uncapped, it would pass the client's 64 KB head limit).
+#[test]
+fn a_long_duplicate_sweep_keeps_its_warnings_header_small() {
+    let c = cluster(2);
+    let g = graph_json(&diamond_dag(3, 3));
+    let ones = vec!["2"; 2000].join(",");
+    let body = format!("{{\"graph\":{g},\"memories\":[{ones}]}}");
+    let warned = |url: &str| {
+        let r = client::request("POST", url, "/analyze", Some(&body)).unwrap();
+        assert_eq!(r.status, 200, "{url}: {}", r.body);
+        r.header("x-graphio-warnings").map(str::to_string).unwrap()
+    };
+    let (single, routed) = (warned(&c.reference.url()), warned(&c.router.url()));
+    assert!(single.len() <= 1024, "{} bytes: {single}", single.len());
+    assert!(single.ends_with("; 1983 more duplicate memory sizes dropped"));
+    assert_eq!(routed, single);
+}
+
 /// The router's body memo: the same `/analyze` body twice is one hit, and
 /// `capacity + 1` distinct bodies reset it once.
 #[test]

@@ -68,10 +68,16 @@ impl AnalyzeSpec {
     }
 }
 
+/// Duplicate memory sizes reported one warning each; the rest share one
+/// closing warning, so the `X-Graphio-Warnings` header stays under 1 KB
+/// whatever the sweep's length.
+const MAX_DUPLICATE_WARNINGS: usize = 16;
+
 /// Validates a raw memory sweep: rejects empty sweeps and `0` entries
 /// (an `M = 0` point is degenerate — the bound formulas assume at least
-/// one word of fast memory), and drops duplicate values, reporting each
-/// drop as a warning so callers can surface it.
+/// one word of fast memory), and drops duplicate values, reporting the
+/// first 16 drops as one warning each and the rest as one
+/// `"N more duplicate memory sizes dropped"` warning.
 ///
 /// # Errors
 /// A human-readable message naming the offending input.
@@ -82,15 +88,21 @@ pub fn validate_memories(raw: &[usize]) -> Result<(Vec<usize>, Vec<String>), Str
     let mut seen = std::collections::HashSet::new();
     let mut memories = Vec::with_capacity(raw.len());
     let mut warnings = Vec::new();
+    let mut unreported = 0;
     for &m in raw {
         if m == 0 {
             return Err("memory size 0 is not a valid sweep point".to_string());
         }
         if seen.insert(m) {
             memories.push(m);
-        } else {
+        } else if warnings.len() < MAX_DUPLICATE_WARNINGS {
             warnings.push(format!("duplicate memory size {m} dropped from sweep"));
+        } else {
+            unreported += 1;
         }
+    }
+    if unreported > 0 {
+        warnings.push(format!("{unreported} more duplicate memory sizes dropped"));
     }
     Ok((memories, warnings))
 }
@@ -433,6 +445,17 @@ mod tests {
         assert_eq!(mems, vec![8, 4, 2]);
         assert_eq!(warnings.len(), 2);
         assert!(warnings[0].contains("duplicate memory size 8"));
+    }
+
+    #[test]
+    fn validate_reports_at_most_sixteen_duplicates_word_for_word() {
+        let raw: Vec<usize> = (0..2000).map(|i| 1 + i % 3).collect();
+        let (mems, warnings) = validate_memories(&raw).unwrap();
+        assert_eq!(mems, vec![1, 2, 3]);
+        assert_eq!(warnings.len(), MAX_DUPLICATE_WARNINGS + 1);
+        assert_eq!(warnings[0], "duplicate memory size 1 dropped from sweep");
+        assert_eq!(warnings[15], "duplicate memory size 1 dropped from sweep");
+        assert_eq!(warnings[16], "1981 more duplicate memory sizes dropped");
     }
 
     /// Certification, and with it the served `"method"`, and the min-cut

@@ -567,15 +567,16 @@ impl OwnedAnalyzer {
     }
 
     /// Approximate heap footprint of the session: the graph plus every
-    /// cached Laplacian, spectrum and simulated bound. The service's
-    /// session cache charges this against its byte budget; it grows as
-    /// caches fill, so the cache re-reads it on every touch.
+    /// cached Laplacian (its arrays' capacities, padding included),
+    /// spectrum and simulated bound. The service's session cache charges
+    /// this against its byte budget; it grows as caches fill, so the
+    /// cache re-reads it on every touch.
     pub fn approx_bytes(&self) -> usize {
         let lap_bytes: usize = self
             .laplacians
             .iter()
             .filter_map(OnceLock::get)
-            .map(|m| m.nnz() * (std::mem::size_of::<u32>() + std::mem::size_of::<f64>()))
+            .map(CsrMatrix::heap_bytes)
             .sum();
         let spec_bytes: usize = self
             .spectra
@@ -773,6 +774,26 @@ mod tests {
         let bytes = an.approx_bytes();
         an.sim_uppers(&[32]);
         assert!(an.approx_bytes() > bytes, "the memo is charged");
+    }
+
+    /// A session charges its graph, each built Laplacian's array
+    /// capacities (padding included), its spectra and its simulations.
+    #[test]
+    fn approx_bytes_charges_what_the_session_holds() {
+        let g = bhk_hypercube(4);
+        let an = OwnedAnalyzer::from_graph(g.clone());
+        assert_eq!(an.approx_bytes(), g.approx_bytes());
+        let opts = BoundOptions::default();
+        let h = an.spectrum(LaplacianKind::Normalized, &opts).unwrap().len();
+        an.sim_uppers(&[4, 8]);
+        let lt = an.laplacian(LaplacianKind::Normalized);
+        // 16 rows of 5 entries: two blocks of 5 steps, 8 lanes each.
+        assert_eq!(lt.heap_bytes(), 3 * 8 + 2 * 5 * 8 * (4 + 8));
+        let l = an.laplacian(LaplacianKind::Unnormalized);
+        assert_eq!(
+            an.approx_bytes(),
+            g.approx_bytes() + lt.heap_bytes() + l.heap_bytes() + (h * 8 + 64) + 2 * 64
+        );
     }
 
     #[test]

@@ -16,28 +16,34 @@ use graphio_linalg::CsrMatrix;
 /// Parallel edges accumulate weight, exactly as repeated operands should:
 /// `v = u * u` contributes `2/d_out(u)` between `u` and `v`.
 pub fn normalized_laplacian(g: &CompGraph) -> CsrMatrix {
-    laplacian_with(g, |u, _v| 1.0 / g.out_degree(u) as f64)
+    laplacian_with(g, |u| 1.0 / g.out_degree(u) as f64)
 }
 
 /// Builds the unnormalized Laplacian `L` of Theorem 5 (every directed edge
 /// becomes a unit-weight undirected edge).
 pub fn unnormalized_laplacian(g: &CompGraph) -> CsrMatrix {
-    laplacian_with(g, |_u, _v| 1.0)
+    laplacian_with(g, |_u| 1.0)
 }
 
-/// Shared Laplacian assembly with a per-edge weight function.
-fn laplacian_with(g: &CompGraph, weight: impl Fn(usize, usize) -> f64) -> CsrMatrix {
-    let n = g.n();
-    let mut triplets = Vec::with_capacity(4 * g.num_edges());
-    for (u, v) in g.edges() {
-        let w = weight(u, v);
-        triplets.push((u, v, -w));
-        triplets.push((v, u, -w));
-        triplets.push((u, u, w));
-        triplets.push((v, v, w));
-    }
-    CsrMatrix::from_triplets(n, &triplets)
-        .expect("edge endpoints are validated by CompGraph construction")
+/// Shared Laplacian assembly, row by row from the adjacency, with each
+/// edge weighted by its source vertex. Row `r` gets the entries of the
+/// edge-by-edge sum (edges in ascending source order) in that sum's
+/// order, so duplicates add up as they always have: parents below `r`,
+/// `r`'s children, parents above `r`; each edge `(other, −w)`, `(r, w)`.
+fn laplacian_with(g: &CompGraph, weight: impl Fn(usize) -> f64) -> CsrMatrix {
+    let mut parents = Vec::new();
+    CsrMatrix::from_rows(g.n(), |r, row| {
+        parents.clear();
+        parents.extend_from_slice(g.parents(r));
+        parents.sort_unstable();
+        let (below, above) = parents.split_at(parents.partition_point(|&u| (u as usize) < r));
+        let parent = |&u: &u32| (u, weight(u as usize));
+        let children = g.children(r).iter().map(|&v| (v, weight(r)));
+        let edges = below.iter().map(parent).chain(children);
+        for (other, w) in edges.chain(above.iter().map(parent)) {
+            row.extend([(other, -w), (r as u32, w)]);
+        }
+    })
 }
 
 #[cfg(test)]
@@ -54,9 +60,10 @@ mod tests {
         let lt = normalized_laplacian(&g);
         let l = unnormalized_laplacian(&g);
         assert_eq!(lt.dim(), 7);
+        let (lt, l) = (lt.to_dense(), l.to_dense());
         for i in 0..7 {
             for j in 0..7 {
-                assert!((lt.get(i, j) - l.get(i, j)).abs() < 1e-15);
+                assert!((lt[(i, j)] - l[(i, j)]).abs() < 1e-15);
             }
         }
     }
@@ -65,7 +72,7 @@ mod tests {
     fn laplacians_are_symmetric_psd_with_zero_row_sums() {
         for g in [fft_butterfly(3), bhk_hypercube(4), inner_product(3)] {
             for lap in [normalized_laplacian(&g), unnormalized_laplacian(&g)] {
-                assert!(lap.is_symmetric(1e-12));
+                assert!(lap.to_dense().is_symmetric(1e-12));
                 // Row sums vanish (constant vector in the kernel).
                 let ones = vec![1.0; lap.dim()];
                 let mut out = vec![0.0; lap.dim()];
@@ -91,8 +98,8 @@ mod tests {
         for xi in x.iter_mut().take(4) {
             *xi = 1.0;
         }
-        assert!((lt.quadratic_form(&x) - 4.0).abs() < 1e-12);
-        assert!((l.quadratic_form(&x) - 8.0).abs() < 1e-12);
+        assert!((lt.to_dense().quadratic_form(&x) - 4.0).abs() < 1e-12);
+        assert!((l.to_dense().quadratic_form(&x) - 8.0).abs() < 1e-12);
     }
 
     #[test]
@@ -116,9 +123,9 @@ mod tests {
         b.add_edge(x, sq);
         b.add_edge(x, sq);
         let g = b.build().unwrap();
-        let lt = normalized_laplacian(&g);
+        let lt = normalized_laplacian(&g).to_dense();
         // d_out(x) = 2, two parallel edges of weight 1/2 => off-diagonal -1.
-        assert!((lt.get(0, 1) + 1.0).abs() < 1e-15);
-        assert!((lt.get(0, 0) - 1.0).abs() < 1e-15);
+        assert!((lt[(0, 1)] + 1.0).abs() < 1e-15);
+        assert!((lt[(0, 0)] - 1.0).abs() < 1e-15);
     }
 }

@@ -1,8 +1,12 @@
 //! Property-based tests for the spectral-bound machinery.
 
-use graphio_graph::generators::{erdos_renyi_dag, layered_random_dag};
+use graphio_graph::generators::{
+    bhk_hypercube, diamond_dag, erdos_renyi_dag, fft_butterfly, layered_random_dag, naive_matmul,
+    naive_matmul_binary_tree, strassen_matmul,
+};
 use graphio_graph::topo::random_order;
-use graphio_graph::CompGraph;
+use graphio_graph::{CompGraph, GraphBuilder, OpKind};
+use graphio_linalg::CsrMatrix;
 use graphio_spectral::bound::bound_from_eigenvalues;
 use graphio_spectral::laplacian::{normalized_laplacian, unnormalized_laplacian};
 use graphio_spectral::partition::{edge_partition_cost, rs_ws_partition_cost};
@@ -18,12 +22,98 @@ fn small_random_dag() -> impl Strategy<Value = CompGraph> {
     })
 }
 
+/// A DAG whose vertex ids are not a topological order (so a vertex has
+/// parents above and below it), with parallel edges scattered through
+/// the children lists and a hub whose rows run past 20 entries.
+fn tangled_dag() -> impl Strategy<Value = CompGraph> {
+    (0u64..1000, 2usize..70).prop_map(|(seed, n)| {
+        use rand::seq::SliceRandom;
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rank: Vec<usize> = (0..n).collect();
+        rank.shuffle(&mut rng);
+        let mut b = GraphBuilder::new();
+        for _ in 0..n {
+            b.add_vertex(OpKind::Custom(0));
+        }
+        let hub = rng.gen_range(0..n);
+        for _ in 0..3 * n {
+            let a = rng.gen_range(0..n);
+            let c = if rng.gen_bool(0.3) {
+                hub
+            } else {
+                rng.gen_range(0..n)
+            };
+            if a == c {
+                continue;
+            }
+            let (u, v) = if rank[a] < rank[c] { (a, c) } else { (c, a) };
+            for _ in 0..rng.gen_range(1..=3) {
+                b.add_edge(u as u32, v as u32);
+            }
+        }
+        b.build().expect("edges follow the rank order")
+    })
+}
+
+/// The Laplacian summed edge by edge from `4m` triplets — the assembly
+/// the row-by-row builders replaced, kept as the reference for their
+/// bits.
+fn triplet_laplacian(g: &CompGraph, normalized: bool) -> CsrMatrix {
+    let mut triplets = Vec::with_capacity(4 * g.num_edges());
+    for (u, v) in g.edges() {
+        let w = if normalized {
+            1.0 / g.out_degree(u) as f64
+        } else {
+            1.0
+        };
+        triplets.extend([(u, v, -w), (v, u, -w), (u, u, w), (v, v, w)]);
+    }
+    CsrMatrix::from_triplets(g.n(), &triplets).unwrap()
+}
+
+/// Both Laplacians equal their triplet reference in layout and value.
+/// Stored values are never zero (zero sums are dropped), and `==` on
+/// non-zero finite `f64`s is bit equality.
+fn assert_laplacians_match_triplets(g: &CompGraph) {
+    assert_eq!(normalized_laplacian(g), triplet_laplacian(g, true));
+    assert_eq!(unnormalized_laplacian(g), triplet_laplacian(g, false));
+}
+
+#[test]
+fn laplacians_match_the_triplet_sum_bit_for_bit_on_the_zoo() {
+    for g in [
+        fft_butterfly(6),
+        fft_butterfly(8),
+        bhk_hypercube(10),
+        diamond_dag(24, 24),
+        naive_matmul(8),
+        naive_matmul_binary_tree(8),
+        strassen_matmul(8),
+        erdos_renyi_dag(250, 0.1, 7),
+        erdos_renyi_dag(400, 0.1, 1),
+        erdos_renyi_dag(2000, 0.01, 1),
+    ] {
+        assert_laplacians_match_triplets(&g);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
+    fn laplacians_match_the_triplet_sum_bit_for_bit(
+        g in tangled_dag(),
+        layered in small_random_dag(),
+    ) {
+        assert_laplacians_match_triplets(&g);
+        assert_laplacians_match_triplets(&layered);
+    }
+
+    #[test]
     fn laplacians_are_psd_and_consistent(g in small_random_dag()) {
         for lap in [normalized_laplacian(&g), unnormalized_laplacian(&g)] {
+            let lap = lap.to_dense();
             prop_assert!(lap.is_symmetric(1e-12));
             // Quadratic forms on random +/-1 vectors are nonnegative.
             let mut rng = StdRng::seed_from_u64(1);

@@ -1,9 +1,11 @@
-//! The n-sweep behind `BENCH_linalg.json`: CSR mat-vec SIMD-vs-scalar
-//! timings and end-to-end analyze wall clock from n = 10³ to n = 10⁶,
-//! on two generator families — so later PRs can't regress scale.
+//! The n-sweep behind `BENCH_linalg.json`: Laplacian assembly and sparse
+//! mat-vec SIMD-vs-scalar timings and end-to-end analyze wall clock from
+//! n = 10³ to n = 10⁶, on two generator families — so later PRs can't
+//! regress scale.
 //!
-//! For each (family, size) the example builds the normalized Laplacian,
-//! times one mat-vec under the default `Strict` SIMD policy and again
+//! For each (family, size) the example times building both Laplacians
+//! from the graph (`laplacian_s`), builds the normalized one and times
+//! one mat-vec under the default `Strict` SIMD policy and again
 //! with SIMD forced `Off` (same bits either way — that's the Strict
 //! contract), times the convex min-cut sweep alone (`mincut_s`, on its own
 //! cold session), times both Laplacian spectra alone (`eigensolve_s`,
@@ -15,7 +17,7 @@
 //! `load_session` plus the same document), asserting the restored bytes
 //! equal the cold ones and that the restore ran zero eigensolves.
 //!
-//! Each of those four phases is timed on three fresh sessions and the
+//! Each of those five phases is timed on three fresh sessions and the
 //! median is reported, so one slow run does not move a row. Past
 //! `HUGE_CUTOFF` the analysis runs no eigensolve (tier `"none"`), so those
 //! rows skip the eigensolve phase and write `"eigensolve_s": null`.
@@ -36,7 +38,8 @@ use graphio::linalg::simd::{avx2_available, set_policy};
 use graphio::linalg::SimdPolicy;
 use graphio::service::analysis::{analysis_body, is_certified, AnalyzeSpec};
 use graphio::spectral::{
-    normalized_laplacian, BoundOptions, LaplacianKind, OwnedAnalyzer, ScaleTier,
+    normalized_laplacian, unnormalized_laplacian, BoundOptions, LaplacianKind, OwnedAnalyzer,
+    ScaleTier,
 };
 use graphio::store::{load_session, save_session, Store, StoreConfig};
 use std::time::Instant;
@@ -137,6 +140,14 @@ fn main() {
         if quick && n > 20_000 {
             continue;
         }
+        // Both Laplacians, each pair dropped before the next is built.
+        let laplacian_s = median_of_3(|| {
+            let t = Instant::now();
+            let _pair = (normalized_laplacian(&g), unnormalized_laplacian(&g));
+            t.elapsed().as_secs_f64()
+        });
+        log_peak(name, "Laplacian builds");
+
         let lap = normalized_laplacian(&g);
         let nnz = lap.nnz();
         // Enough repetitions to clear timer noise at small n without
@@ -223,7 +234,8 @@ fn main() {
 
         let eigensolve = eigensolve_s.map_or("null".to_string(), |s| format!("{s:.3}"));
         eprintln!(
-            "{name}: n={n} nnz={nnz} matvec {simd:.1}us vs {scalar:.1}us ({speedup:.2}x), \
+            "{name}: n={n} nnz={nnz} laplacians {laplacian_s:.3}s, \
+             matvec {simd:.1}us vs {scalar:.1}us ({speedup:.2}x), \
              eigensolve_s {eigensolve}, mincut {mincut_s:.2}s, analyze {analyze_s:.1}s, \
              restored {restored_s:.3}s [{tier}]",
             simd = simd_s * 1e6,
@@ -232,6 +244,7 @@ fn main() {
         );
         rows.push(format!(
             "    {{\"graph\": \"{name}\", \"n\": {n}, \"nnz\": {nnz}, \"tier\": \"{tier}\", \
+             \"laplacian_s\": {laplacian_s:.3}, \
              \"matvec_simd_us\": {simd:.2}, \"matvec_scalar_us\": {scalar:.2}, \
              \"matvec_speedup\": {speedup:.2}, \"eigensolve_s\": {eigensolve}, \"mincut_s\": {mincut_s:.3}, \
              \"analyze_s\": {analyze_s:.2}, \"restored_s\": {restored_s:.6}}}",
@@ -244,9 +257,10 @@ fn main() {
     println!("{{");
     println!("  \"bench\": \"linalg_sweep\",");
     println!(
-        "  \"description\": \"CSR mat-vec SIMD (strict) vs forced-scalar, both Laplacian \
-         spectra alone, the convex min-cut sweep alone, and end-to-end analyze (memories \
-         4,16: spectra + min-cut + simulation) across the scale tiers, and the same \
+        "  \"description\": \"both Laplacians built from the graph, the sparse mat-vec \
+         SIMD (strict) vs forced-scalar, both Laplacian spectra alone, the convex min-cut \
+         sweep alone, and end-to-end analyze (memories 4,16: spectra + min-cut + \
+         simulation) across the scale tiers, and the same \
          document from the session restored out of graphio_store (byte-identical, 0 \
          eigensolves); each phase the median of 3 cold sessions, and no eigensolve past \
          the 100000-vertex cutoff (tier none)\","

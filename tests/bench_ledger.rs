@@ -14,11 +14,12 @@ use graphio::service::analysis::is_certified;
 use graphio::spectral::ScaleTier;
 
 /// The columns `linalg_sweep` writes, in order.
-const COLUMNS: [&str; 11] = [
+const COLUMNS: [&str; 12] = [
     "graph",
     "n",
     "nnz",
     "tier",
+    "laplacian_s",
     "matvec_simd_us",
     "matvec_scalar_us",
     "matvec_speedup",
