@@ -10,7 +10,7 @@
 //!   loadgen enable it) a span site costs one relaxed atomic load and no
 //!   clock read. Enabled spans record into per-(family, phase) histograms
 //!   and, inside a [`span::begin_request`] scope, build a parented phase
-//!   tree for the slow log.
+//!   tree for the request's flight-recorder record.
 //! - [`hist`]: fixed-bucket log2 latency histograms — lock-free striped
 //!   atomic recording, mergeable snapshots, p50/p90/p99 at ≤2× relative
 //!   error and the maximum exactly.

@@ -1,13 +1,13 @@
 //! A bounded, lock-free flight recorder: the last N completed requests,
 //! queryable by trace ID.
 //!
-//! PR 7's span layer records *aggregates* (phase histograms) and dumps a
-//! phase tree only when a request trips the slow-log threshold. The
-//! recorder closes the gap between those two: every completed request
-//! leaves one fixed-size [`TraceRecord`] — trace ID, endpoint, status,
-//! fingerprint, cache outcome, total time, and the flattened phase tree —
-//! in a ring buffer that `GET /trace/{id}` and `GET /traces` can read
-//! back after the fact.
+//! The span layer records *aggregates* (phase histograms); the recorder
+//! keeps the per-request view. Every completed request leaves one
+//! fixed-size [`TraceRecord`] — trace ID, endpoint, status, fingerprint,
+//! cache outcome, total time, and the flattened phase tree — in a ring
+//! buffer that `GET /trace/{id}` and `GET /traces` can read back after
+//! the fact. It is the only record of a finished request: the service's
+//! trace store persists pinned records as the same `/trace/{id}` JSON.
 //!
 //! ## Ring layout and the seqlock invariant
 //!
@@ -29,11 +29,11 @@
 //!   because [`TraceRecord`] is `Copy` and owns no heap: phase names are
 //!   `&'static str` and the node list is a fixed inline array.
 //!
-//! That inline array is why [`RECORD_NODES`] is smaller than
-//! [`crate::span::MAX_TRACE_NODES`]: a slot must be memcpy-able, so the
-//! tree is truncated (in span-open order — parents always precede
-//! children, so any prefix is a valid tree) and the overflow is counted
-//! in `dropped_spans`.
+//! That inline array is why a tree holds at most [`RECORD_NODES`] nodes:
+//! a slot must be memcpy-able, so the span layer stops collecting at that
+//! cap (in span-open order — parents always precede children, so the
+//! kept prefix is a valid tree) and counts the overflow in
+//! `dropped_spans`.
 //!
 //! ## Tail-based retention
 //!
@@ -52,8 +52,10 @@ use std::cell::UnsafeCell;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-/// Phase-tree nodes kept inline per record. Trees deeper than this are
-/// truncated in span-open order (a valid tree prefix); see module docs.
+/// Phase-tree nodes kept per request: the span layer's collection cap
+/// and the record's inline array. Larger trees keep their first
+/// `RECORD_NODES` spans in open order (a valid tree prefix); see module
+/// docs.
 pub const RECORD_NODES: usize = 64;
 
 /// Default main-ring capacity (slots) for [`attach`] callers.
@@ -111,7 +113,7 @@ pub struct TraceRecord {
     pub outcome: Option<CacheOutcome>,
     /// Total request wall time in microseconds.
     pub elapsed_us: u64,
-    /// Spans dropped from the tree (span-layer cap plus ring truncation).
+    /// Spans opened past [`RECORD_NODES`] and left out of the tree.
     pub dropped_spans: u64,
     /// Number of valid entries in `nodes`.
     pub len: usize,
@@ -120,8 +122,11 @@ pub struct TraceRecord {
 }
 
 impl TraceRecord {
-    /// Builds a record from a finished request's [`TraceSummary`],
-    /// truncating the tree to [`RECORD_NODES`].
+    /// Builds a record from a finished request's [`TraceSummary`].
+    ///
+    /// # Panics
+    /// If the summary holds more than [`RECORD_NODES`] nodes, which a
+    /// summary from [`crate::span::RequestGuard::finish`] never does.
     #[must_use]
     pub fn from_summary(
         summary: &TraceSummary,
@@ -130,10 +135,9 @@ impl TraceRecord {
         fingerprint: Option<u128>,
         outcome: Option<CacheOutcome>,
     ) -> TraceRecord {
-        let len = summary.nodes.len().min(RECORD_NODES);
-        let truncated = (summary.nodes.len() - len) as u64;
+        let len = summary.nodes.len();
         let mut nodes = [EMPTY_NODE; RECORD_NODES];
-        nodes[..len].copy_from_slice(&summary.nodes[..len]);
+        nodes[..len].copy_from_slice(&summary.nodes);
         TraceRecord {
             seq: 0,
             trace: summary.trace,
@@ -142,7 +146,7 @@ impl TraceRecord {
             fingerprint,
             outcome,
             elapsed_us: summary.elapsed_us,
-            dropped_spans: summary.dropped_spans + truncated,
+            dropped_spans: summary.dropped_spans,
             len,
             nodes,
         }
@@ -161,10 +165,9 @@ impl TraceRecord {
     }
 
     /// The record as one JSON object — the `GET /trace/{id}` body, and
-    /// the bytes `serve --trace-store` persists. A superset of the
-    /// slow-log line schema (DESIGN.md §10): same
-    /// `trace`/`endpoint`/`elapsed_us`/`dropped_spans`/`spans` fields,
-    /// plus `status`, `fingerprint`, `outcome` and `seq`.
+    /// the bytes `serve --trace-store` persists: `trace`, `endpoint`,
+    /// `status`, `fingerprint`, `outcome`, `elapsed_us`, `dropped_spans`,
+    /// `seq` and the `spans` tree (DESIGN.md §11).
     #[must_use]
     pub fn to_json(&self) -> String {
         let spans: Vec<String> = self.nodes().iter().map(TraceNode::to_json).collect();
@@ -333,8 +336,7 @@ pub struct Recorder {
     ring: Ring,
     pinned: Ring,
     /// Sum of `dropped_spans` over every inserted record — the recorder's
-    /// health counter on `/metrics` (trees truncated by the span cap or
-    /// the inline-array cap).
+    /// health counter on `/metrics` (trees cut at [`RECORD_NODES`]).
     dropped_spans: AtomicU64,
 }
 
@@ -401,34 +403,21 @@ impl Recorder {
     }
 
     /// The `n` most recent records matching the filters (minimum elapsed
-    /// microseconds; exact status), newest first. Records present in both
-    /// rings are deduplicated by trace ID.
+    /// microseconds; exact status), newest first. A pinned record sits in
+    /// both rings under one `seq` and is listed once; distinct requests
+    /// that share a trace ID (a client retrying with its
+    /// `X-Graphio-Trace`, or two tiers in one process) are listed apart.
     #[must_use]
     pub fn recent(&self, n: usize, min_us: u64, status: Option<u16>) -> Vec<TraceRecord> {
-        let mut best: std::collections::HashMap<u128, TraceRecord> =
-            std::collections::HashMap::new();
-        for r in self.ring.scan().into_iter().chain(self.pinned.scan()) {
-            if r.elapsed_us < min_us {
-                continue;
-            }
-            if let Some(s) = status {
-                if r.status != s {
-                    continue;
-                }
-            }
-            match best.entry(r.trace) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    if e.get().seq < r.seq {
-                        e.insert(r);
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(r);
-                }
-            }
-        }
-        let mut all: Vec<TraceRecord> = best.into_values().collect();
+        let mut all: Vec<TraceRecord> = self
+            .ring
+            .scan()
+            .into_iter()
+            .chain(self.pinned.scan())
+            .filter(|r| r.elapsed_us >= min_us && status.is_none_or(|s| r.status == s))
+            .collect();
         all.sort_by_key(|r| std::cmp::Reverse(r.seq));
+        all.dedup_by_key(|r| r.seq);
         all.truncate(n);
         all
     }
@@ -668,32 +657,58 @@ mod tests {
         assert_eq!(r.recent(1, 0, None).len(), 1);
     }
 
+    /// A request that opens more than [`RECORD_NODES`] spans keeps the
+    /// first `RECORD_NODES` in open order and counts the rest as dropped,
+    /// in the record and in the recorder's health counter.
     #[test]
     fn oversized_trees_truncate_to_a_valid_prefix() {
-        let nodes: Vec<TraceNode> = (0..RECORD_NODES + 10)
-            .map(|i| TraceNode {
-                name: "deep",
-                parent: i.checked_sub(1),
-                start_us: i as u64,
-                dur_us: 1,
-                alloc_bytes: 0,
-                allocs: 0,
-            })
-            .collect();
-        let summary = TraceSummary {
-            trace: 5,
-            elapsed_us: 100,
-            nodes,
-            dropped_spans: 3,
-        };
-        let rec = TraceRecord::from_summary(&summary, "/analyze", 200, None, None);
-        assert_eq!(rec.len, RECORD_NODES);
-        assert_eq!(rec.dropped_spans, 3 + 10);
-        for (i, node) in rec.nodes().iter().enumerate() {
-            if let Some(p) = node.parent {
-                assert!(p < i, "parents precede children after truncation");
+        const PAIRS: usize = 40;
+        let _flag = crate::span::FLAG_LOCK.lock().unwrap();
+        crate::span::set_enabled(true);
+        let guard = crate::span::begin_request(5);
+        {
+            let _root = crate::span!("obs_test_deep_root");
+            for _ in 0..PAIRS {
+                let _child = crate::span!("obs_test_deep_child");
+                let _leaf = crate::span!("obs_test_deep_leaf");
             }
         }
+        let summary = guard.finish().expect("owner guard yields a summary");
+        crate::span::set_enabled(false);
+        let total = 1 + 2 * PAIRS;
+        assert!(total > RECORD_NODES);
+        let rec = TraceRecord::from_summary(&summary, "/analyze", 200, None, None);
+        assert_eq!(rec.len, RECORD_NODES);
+        assert_eq!(rec.dropped_spans, (total - RECORD_NODES) as u64);
+        // Open order: the root, then (child, leaf) pairs, each leaf under
+        // the child just opened and every child under the root.
+        for (i, node) in rec.nodes().iter().enumerate() {
+            let (name, parent) = match i {
+                0 => ("obs_test_deep_root", None),
+                _ if i % 2 == 1 => ("obs_test_deep_child", Some(0)),
+                _ => ("obs_test_deep_leaf", Some(i - 1)),
+            };
+            assert_eq!((node.name, node.parent), (name, parent), "node {i}");
+        }
+        let r = Recorder::new(16);
+        r.insert(rec, false);
+        assert_eq!(r.dropped_spans_total(), (total - RECORD_NODES) as u64);
+    }
+
+    /// Two requests under one trace ID (a retry reusing its
+    /// `X-Graphio-Trace`) are two entries in `recent`, even when one of
+    /// them is also in the pinned ring.
+    #[test]
+    fn recent_lists_each_request_once_even_when_traces_repeat() {
+        let r = Recorder::new(16);
+        let first = r.insert(record(8, 10, 503), true);
+        let second = r.insert(record(8, 20, 200), false);
+        assert_ne!(first, second);
+        let listed = r.recent(10, 0, None);
+        assert_eq!(
+            listed.iter().map(|x| x.seq).collect::<Vec<_>>(),
+            vec![second, first]
+        );
     }
 
     #[test]

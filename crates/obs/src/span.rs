@@ -24,14 +24,16 @@
 //! [`begin_request`] opens a per-request context on the current thread:
 //! it stamps the request's start instant and trace ID, and — when spans
 //! are enabled — collects every span that opens on this thread into a
-//! parent-linked node list (the phase tree). [`RequestGuard::finish`]
-//! yields the completed [`TraceSummary`]; its JSON form is the slow-log
-//! line schema (DESIGN.md §10). Work scattered to *other* threads (the
-//! batch fan-out) still records phase histograms but does not appear in
-//! the scattering request's tree — the tree is a per-thread causal spine,
-//! not a distributed trace.
+//! parent-linked node list (the phase tree), up to [`RECORD_NODES`]
+//! nodes. [`RequestGuard::finish`] yields the completed [`TraceSummary`],
+//! which the serving tiers store as the request's flight-recorder
+//! [`TraceRecord`](crate::recorder::TraceRecord) (DESIGN.md §11). Work
+//! scattered to *other* threads (the batch fan-out) still records phase
+//! histograms but does not appear in the scattering request's tree — the
+//! tree is a per-thread causal spine, not a distributed trace.
 
 use crate::hist::Histogram;
+use crate::recorder::RECORD_NODES;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -52,12 +54,6 @@ pub fn set_enabled(enabled: bool) {
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
-
-/// Nodes kept per trace tree. A cold large analyze can open thousands of
-/// mat-vec spans; past the cap they still feed phase histograms but are
-/// dropped from the tree (counted in [`TraceSummary::dropped_spans`]) so
-/// a slow-log line stays bounded.
-pub const MAX_TRACE_NODES: usize = 512;
 
 // ---------------------------------------------------------------------
 // Phase histogram registry
@@ -199,7 +195,11 @@ thread_local! {
 }
 
 /// A completed request trace: the ID, total elapsed time, and the phase
-/// tree (empty when spans were disabled).
+/// tree (empty when spans were disabled). A cold large analyze can open
+/// thousands of mat-vec spans; past [`RECORD_NODES`] they still feed
+/// phase histograms but are left out of the tree and counted in
+/// `dropped_spans`. Spans open in order and parents open before their
+/// children, so the kept prefix is itself a valid tree.
 #[derive(Debug, Clone)]
 pub struct TraceSummary {
     /// The request's trace ID (see [`mint_trace_id`]).
@@ -208,37 +208,12 @@ pub struct TraceSummary {
     pub elapsed_us: u64,
     /// The phase tree, in span-open order; `parent` indexes into this.
     pub nodes: Vec<TraceNode>,
-    /// Spans dropped past [`MAX_TRACE_NODES`].
+    /// Spans opened past [`RECORD_NODES`] and left out of `nodes`.
     pub dropped_spans: u64,
 }
 
-impl TraceSummary {
-    /// The slow-log JSON line (no trailing newline): trace ID, endpoint,
-    /// elapsed, and the phase tree. Phase names are `span!` literals and
-    /// the endpoint is a server route — neither needs escaping beyond
-    /// what this emits.
-    #[must_use]
-    pub fn to_json(&self, endpoint: &str) -> String {
-        let mut out = format!(
-            "{{\"trace\":\"{}\",\"endpoint\":\"{}\",\"elapsed_us\":{},\"dropped_spans\":{},\"spans\":[",
-            trace_hex(self.trace),
-            endpoint.replace('\\', "\\\\").replace('"', "\\\""),
-            self.elapsed_us,
-            self.dropped_spans,
-        );
-        for (i, node) in self.nodes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&node.to_json());
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
 impl TraceNode {
-    /// One span object of the slow-log / trace-record schema.
+    /// One span object of the trace-record schema.
     #[must_use]
     pub fn to_json(&self) -> String {
         let parent = match self.parent {
@@ -386,7 +361,7 @@ impl SpanGuard {
         let node = REQUEST.with(|cell| {
             let mut slot = cell.borrow_mut();
             let ctx = slot.as_mut().filter(|c| c.collect)?;
-            if ctx.nodes.len() >= MAX_TRACE_NODES {
+            if ctx.nodes.len() >= RECORD_NODES {
                 ctx.dropped += 1;
                 return None;
             }
@@ -460,7 +435,7 @@ static TRACE_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// Mints a 128-bit trace ID: wall-clock nanoseconds mixed with the
 /// process ID and a process-local counter, diffused through SplitMix64.
-/// Not cryptographic — unique enough to correlate a slow-log line with a
+/// Not cryptographic — unique enough to correlate a trace record with a
 /// response header across a cluster.
 #[must_use]
 pub fn mint_trace_id() -> u128 {
@@ -495,13 +470,14 @@ pub fn parse_trace_hex(s: &str) -> Option<u128> {
     u128::from_str_radix(s, 16).ok()
 }
 
+/// The span flag is process-global; tests that toggle it serialize here
+/// so the parallel test harness cannot interleave them.
+#[cfg(test)]
+pub(crate) static FLAG_LOCK: Mutex<()> = Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The span flag is process-global; tests that toggle it serialize
-    /// here so the parallel test harness cannot interleave them.
-    static FLAG_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn disabled_spans_record_nothing() {
@@ -538,7 +514,8 @@ mod tests {
         assert_eq!(child.parent, Some(0));
         assert!(child.dur_us <= root.dur_us, "{summary:?}");
         assert!(root.dur_us <= summary.elapsed_us, "{summary:?}");
-        let json = summary.to_json("/analyze");
+        let json =
+            crate::TraceRecord::from_summary(&summary, "/analyze", 200, None, None).to_json();
         assert!(json.contains(&trace_hex(summary.trace)));
         assert!(json.contains("\"parent\":0"));
     }

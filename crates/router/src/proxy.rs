@@ -59,7 +59,6 @@ use graphio_service::http::{ConnectionLimits, IDLE_TIMEOUT, MAX_REQUESTS_PER_CON
 use graphio_service::skeleton::{
     sample, Counters, Exchange, HttpServer, Listen, PathMatch, Report, Route, Tier,
 };
-use graphio_service::SlowLogConfig;
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -87,9 +86,6 @@ pub struct RouterConfig {
     pub idle_timeout: Duration,
     /// Requests per client connection before close.
     pub max_requests_per_connection: usize,
-    /// Slow-request logging: any request whose wall time reaches the
-    /// threshold dumps its router-side phase tree as one JSON line.
-    pub slow_log: Option<SlowLogConfig>,
 }
 
 impl RouterConfig {
@@ -105,7 +101,6 @@ impl RouterConfig {
             health_interval: Duration::from_millis(500),
             idle_timeout: IDLE_TIMEOUT,
             max_requests_per_connection: MAX_REQUESTS_PER_CONNECTION,
-            slow_log: None,
         }
     }
 }
@@ -160,9 +155,9 @@ impl RouterState {
         trace: Option<u128>,
     ) -> Result<(Response, usize), (u16, String)> {
         // Propagate the router's trace ID to the backend so its phase
-        // tree (and slow-log line) joins the router's trace. Passed in
-        // explicitly because batch scatter runs on scoped threads, which
-        // do not inherit the request-context thread-local.
+        // tree joins the router's trace. Passed in explicitly because
+        // batch scatter runs on scoped threads, which do not inherit the
+        // request-context thread-local.
         let extra: Vec<(&str, String)> = trace
             .map(|t| vec![("X-Graphio-Trace", graphio_obs::trace_hex(t))])
             .unwrap_or_default();
@@ -283,7 +278,6 @@ pub fn serve_router(config: &RouterConfig) -> io::Result<RouterServer> {
             idle_timeout: config.idle_timeout,
             max_requests: config.max_requests_per_connection,
         },
-        slow_log: config.slow_log.as_ref(),
         trace_store: None,
     };
     let server = HttpServer::start(&listen, Arc::clone(&state))?;

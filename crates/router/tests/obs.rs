@@ -1,37 +1,35 @@
 //! Router observability end-to-end: `/metrics` exposition with
 //! per-backend series, trace-ID propagation client → router → backend
-//! and back, slow-log phase trees at both tiers, and per-backend
+//! and back, flight-recorder phase trees at both tiers, and per-backend
 //! `scrape_us` in `GET /stats`.
 
 use graphio_graph::generators::fft_butterfly;
 use graphio_graph::json::{parse, JsonValue};
 use graphio_router::{serve_router, RouterConfig, RouterServer};
-use graphio_service::{client, serve, Server, ServiceConfig, SlowLogConfig, SlowLogTarget};
+use graphio_service::{client, serve, Server, ServiceConfig};
 use std::time::Duration;
 
-fn backends(n: usize, slow_log: Option<SlowLogConfig>) -> Vec<Server> {
+fn backends(n: usize) -> Vec<Server> {
     let config = ServiceConfig {
         workers: 2,
         queue_capacity: 64,
-        slow_log,
         ..Default::default()
     };
     (0..n).map(|_| serve(&config).expect("backend")).collect()
 }
 
-fn router_over(backends: &[Server], slow_log: Option<SlowLogConfig>) -> RouterServer {
+fn router_over(backends: &[Server]) -> RouterServer {
     let addrs: Vec<String> = backends.iter().map(|b| b.addr().to_string()).collect();
     serve_router(&RouterConfig {
         health_interval: Duration::from_millis(100),
-        slow_log,
         ..RouterConfig::over(addrs)
     })
     .expect("router")
 }
 
 /// Held by a test that floods the process-wide flight recorder, and by
-/// one that expects its own record to stay among the newest
-/// `GET /traces?n=100` summaries: the two never overlap.
+/// those that expect their own records to stay in the ring (among the
+/// newest `GET /traces?n=100` summaries): they never overlap.
 fn flight_recorder_to_itself() -> std::sync::MutexGuard<'static, ()> {
     static RECORDER: std::sync::Mutex<()> = std::sync::Mutex::new(());
     RECORDER
@@ -50,8 +48,8 @@ fn analyze_body_for(k: usize) -> String {
 /// carries router counters plus one labeled series per backend.
 #[test]
 fn router_metrics_exposition_is_valid_with_per_backend_series() {
-    let backends = backends(2, None);
-    let router = router_over(&backends, None);
+    let backends = backends(2);
+    let router = router_over(&backends);
     let body = analyze_body_for(4);
     for _ in 0..3 {
         let r = client::request("POST", &router.url(), "/analyze", Some(&body)).unwrap();
@@ -133,25 +131,16 @@ fn router_metrics_exposition_is_valid_with_per_backend_series() {
 }
 
 /// One trace ID, three observation points: the client-sent trace comes
-/// back in the routed response header, appears in the router's slow log,
-/// and appears in the backend's slow log (the router injects it on the
-/// forwarded request). Both phase trees are structurally consistent.
+/// back in the routed response header, and the flight recorder holds one
+/// record of it per tier — the router's and the backend's (the router
+/// injects the trace on the forwarded request). Both tiers run in this
+/// process, so both write to its one recorder. Both phase trees are
+/// structurally consistent.
 #[test]
 fn trace_id_flows_client_to_router_to_backend_and_back() {
-    let dir = std::env::temp_dir();
-    let backend_log = dir.join(format!("graphio_obs_backend_{}.jsonl", std::process::id()));
-    let router_log = dir.join(format!("graphio_obs_router_{}.jsonl", std::process::id()));
-    let _ = std::fs::remove_file(&backend_log);
-    let _ = std::fs::remove_file(&router_log);
-    let slow = |path: &std::path::Path| {
-        Some(SlowLogConfig {
-            threshold_us: 0,
-            target: SlowLogTarget::File(path.to_path_buf()),
-            rotate_bytes: None,
-        })
-    };
-    let backends = backends(2, slow(&backend_log));
-    let router = router_over(&backends, slow(&router_log));
+    let _alone = flight_recorder_to_itself();
+    let backends = backends(2);
+    let router = router_over(&backends);
 
     let sent_trace = "feedfacecafebeef0123456789abcdef";
     let mut session = client::Client::new(&router.url()).unwrap();
@@ -175,54 +164,43 @@ fn trace_id_flows_client_to_router_to_backend_and_back() {
         "relay names the answering backend"
     );
 
-    let find_line = |path: &std::path::Path| -> String {
-        for _ in 0..50 {
-            let text = std::fs::read_to_string(path).unwrap_or_default();
-            if let Some(line) = text.lines().find(|l| l.contains(sent_trace)) {
-                return line.to_string();
-            }
-            std::thread::sleep(Duration::from_millis(20));
+    // Each tier inserts its record just after its response flushes.
+    let trace = graphio_obs::parse_trace_hex(sent_trace).unwrap();
+    let recorder = graphio_obs::recorder::recorder().expect("serving attaches the recorder");
+    let mut records = recorder.records_for(trace);
+    for _ in 0..50 {
+        if records.len() >= 2 {
+            break;
         }
-        panic!(
-            "no slow-log line with trace {sent_trace} in {}",
-            path.display()
+        std::thread::sleep(Duration::from_millis(20));
+        records = recorder.records_for(trace);
+    }
+    assert_eq!(records.len(), 2, "one record per tier: {records:?}");
+    for (i, record) in records.iter().enumerate() {
+        assert_eq!(record.trace, trace);
+        assert_eq!(record.endpoint, "/analyze", "record {i}");
+        let spans = record.nodes();
+        assert!(!spans.is_empty(), "record {i} has no spans");
+        assert_eq!(spans[0].parent, None, "record {i}: span 0 is the root");
+        let root_dur = spans[0].dur_us;
+        assert!(
+            root_dur <= record.elapsed_us,
+            "record {i}: root span outlasts request"
         );
-    };
-    for (tier, path) in [("router", &router_log), ("backend", &backend_log)] {
-        let doc = parse(&find_line(path)).expect("slow-log line parses");
-        assert_eq!(
-            doc.get("trace").and_then(JsonValue::as_str),
-            Some(sent_trace),
-            "{tier} slow log must carry the end-to-end trace"
-        );
-        assert_eq!(
-            doc.get("endpoint").and_then(JsonValue::as_str),
-            Some("/analyze")
-        );
-        let elapsed = doc.get("elapsed_us").and_then(JsonValue::as_f64).unwrap();
-        let spans = match doc.get("spans") {
-            Some(JsonValue::Array(spans)) => spans,
-            other => panic!("{tier}: spans must be an array, got {other:?}"),
-        };
-        assert!(!spans.is_empty());
-        let root_dur = spans[0].get("dur_us").and_then(JsonValue::as_f64).unwrap();
-        assert!(root_dur <= elapsed, "{tier}: root span outlasts request");
-        let child_sum: f64 = spans[1..]
+        let child_sum: u64 = spans[1..]
             .iter()
-            .filter(|s| s.get("parent").and_then(JsonValue::as_f64) == Some(0.0))
-            .map(|s| s.get("dur_us").and_then(JsonValue::as_f64).unwrap())
+            .filter(|s| s.parent == Some(0))
+            .map(|s| s.dur_us)
             .sum();
         assert!(
             child_sum <= root_dur,
-            "{tier}: children ({child_sum}) exceed root ({root_dur})"
+            "record {i}: children ({child_sum}) exceed root ({root_dur})"
         );
     }
     router.shutdown();
     for b in backends {
         b.shutdown();
     }
-    let _ = std::fs::remove_file(&backend_log);
-    let _ = std::fs::remove_file(&router_log);
 }
 
 /// Trace assembly is a pure function over parsed records. A backend's
@@ -326,8 +304,8 @@ fn assemble_trace_falls_back_to_the_root_anchor() {
 #[test]
 fn router_trace_endpoint_returns_assembled_tree() {
     let _alone = flight_recorder_to_itself();
-    let backends = backends(2, None);
-    let router = router_over(&backends, None);
+    let backends = backends(2);
+    let router = router_over(&backends);
     let g4 = fft_butterfly(4).to_edge_list().to_json();
     let g5 = fft_butterfly(5).to_edge_list().to_json();
     let batch = format!("{{\"graphs\":[{g4},{g5}],\"memories\":[2,4]}}");
@@ -427,8 +405,8 @@ fn router_trace_endpoint_returns_assembled_tree() {
 /// `scrape_us`.
 #[test]
 fn batch_headers_and_stats_scrape_us_through_the_router() {
-    let backends = backends(2, None);
-    let router = router_over(&backends, None);
+    let backends = backends(2);
+    let router = router_over(&backends);
     let g4 = fft_butterfly(4).to_edge_list().to_json();
     let g5 = fft_butterfly(5).to_edge_list().to_json();
     let batch = format!("{{\"graphs\":[{g4},{g5}],\"memories\":[2,4]}}");
@@ -472,8 +450,8 @@ fn batch_headers_and_stats_scrape_us_through_the_router() {
 #[test]
 fn router_profile_fans_out_and_merges_under_backend_frames() {
     let _alone = flight_recorder_to_itself();
-    let backends = backends(2, None);
-    let router = router_over(&backends, None);
+    let backends = backends(2);
+    let router = router_over(&backends);
 
     // Keep analysis phases alive on the backends for the whole window.
     let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));

@@ -66,4 +66,4 @@ pub use client::{Client, ClientError, Response};
 pub use loadgen::{LoadgenConfig, LoadgenReport};
 pub use pool::{PoolSnapshot, SubmitError, WorkerPool};
 pub use server::{serve, PersistenceConfig, Server, ServiceConfig, MAX_BATCH_GRAPHS};
-pub use skeleton::{SlowLogConfig, SlowLogTarget, REQUEST_FAMILY};
+pub use skeleton::REQUEST_FAMILY;

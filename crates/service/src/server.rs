@@ -59,9 +59,7 @@ use crate::analysis::{
 };
 use crate::cache::{CacheConfig, SessionCache};
 use crate::http::{ConnectionLimits, IDLE_TIMEOUT, MAX_REQUESTS_PER_CONNECTION};
-use crate::skeleton::{
-    Counters, Exchange, HttpServer, Listen, PathMatch, Report, Route, SlowLogConfig, Tier,
-};
+use crate::skeleton::{Counters, Exchange, HttpServer, Listen, PathMatch, Report, Route, Tier};
 use graphio_graph::json::{JsonValue, RequestDoc};
 use graphio_graph::{CompGraph, Fingerprint, FingerprintMemo, Memo};
 use graphio_linalg::stats::{
@@ -145,8 +143,6 @@ pub struct ServiceConfig {
     pub cache: CacheConfig,
     /// Persistent session store (`None` keeps the cache RAM-only).
     pub store: Option<PersistenceConfig>,
-    /// Slow-request logging (`None` disables it).
-    pub slow_log: Option<SlowLogConfig>,
     /// Persistent trace store (`--trace-store DIR`): pinned flight-
     /// recorder records (slow and error traces) write through here so the
     /// last interesting traces survive a crash or restart. `None` keeps
@@ -165,7 +161,6 @@ impl Default for ServiceConfig {
             max_requests_per_connection: MAX_REQUESTS_PER_CONNECTION,
             cache: CacheConfig::default(),
             store: None,
-            slow_log: None,
             trace_store: None,
         }
     }
@@ -255,7 +250,6 @@ pub fn serve(config: &ServiceConfig) -> io::Result<Server> {
             idle_timeout: config.idle_timeout,
             max_requests: config.max_requests_per_connection,
         },
-        slow_log: config.slow_log.as_ref(),
         trace_store: config.trace_store.as_deref(),
     };
     HttpServer::start(&listen, state)

@@ -21,7 +21,7 @@
 //!   ([`serve_connection`]); each request runs inside the observability
 //!   envelope — trace ID, a root span named by endpoint, the request
 //!   histogram, the flight recorder (pinning slow and error traces, and
-//!   writing them through to the trace store), the slow log.
+//!   writing them through to the trace store).
 //! * **Routes.** One table per tier: the admin routes below, then the
 //!   tier's [`Tier::ROUTES`]; a miss answers 404 for `GET`/`POST` and 405
 //!   for any other method. A request's endpoint label (histograms, trace
@@ -50,9 +50,9 @@ use graphio_graph::{Fingerprint, MemoStats};
 use graphio_obs::recorder;
 use graphio_obs::MetricsText;
 use graphio_store::{Store, StoreConfig};
-use std::io::{self, Write as _};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -398,106 +398,6 @@ impl Report {
     }
 }
 
-/// Where slow-log lines go.
-#[derive(Debug, Clone)]
-pub enum SlowLogTarget {
-    /// One JSON line per slow request on the server's stderr.
-    Stderr,
-    /// Appended to a file (created if missing) — what the tests and CI
-    /// use, so the lines can be parsed back.
-    File(PathBuf),
-}
-
-/// Slow-request logging (`--slow-log-us N`): any request whose total
-/// wall time reaches the threshold dumps its phase tree as one JSON
-/// line ([`graphio_obs::TraceSummary::to_json`]). Threshold 0 logs every
-/// request — the e2e tests use that to assert tree structure.
-#[derive(Debug, Clone)]
-pub struct SlowLogConfig {
-    /// Log requests taking at least this many microseconds.
-    pub threshold_us: u64,
-    /// Where the lines go.
-    pub target: SlowLogTarget,
-    /// Size-based rotation (`--slow-log-rotate-mb N`): when a write would
-    /// push a [`SlowLogTarget::File`] past this many bytes, the file is
-    /// renamed to `<path>.1` (replacing any previous `.1`) and a fresh
-    /// file opened — one generation of history, bounded disk. `None`
-    /// (and the stderr target) never rotates.
-    pub rotate_bytes: Option<u64>,
-}
-
-/// The opened slow-log sink: threshold plus a serialized writer.
-struct SlowLog {
-    threshold_us: u64,
-    sink: Mutex<SlowSink>,
-    /// `(path, limit)` when file rotation is configured.
-    rotate: Option<(PathBuf, u64)>,
-}
-
-struct SlowSink {
-    writer: Box<dyn io::Write + Send>,
-    /// Bytes in the current file (seeded from its length at open so
-    /// rotation carries across restarts); meaningless for stderr.
-    written: u64,
-}
-
-impl SlowLog {
-    fn open(config: &SlowLogConfig) -> io::Result<SlowLog> {
-        let sink = match &config.target {
-            SlowLogTarget::Stderr => SlowSink {
-                writer: Box::new(io::stderr()),
-                written: 0,
-            },
-            SlowLogTarget::File(path) => {
-                let file = std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(path)?;
-                let written = file.metadata().map(|m| m.len()).unwrap_or(0);
-                SlowSink {
-                    writer: Box::new(file),
-                    written,
-                }
-            }
-        };
-        let rotate = match (&config.target, config.rotate_bytes) {
-            (SlowLogTarget::File(path), Some(limit)) => Some((path.clone(), limit.max(1))),
-            _ => None,
-        };
-        Ok(SlowLog {
-            threshold_us: config.threshold_us,
-            sink: Mutex::new(sink),
-            rotate,
-        })
-    }
-
-    /// Writes one line. Best-effort: a full disk must not fail requests,
-    /// and neither may a failed rotation (the line goes to the old file).
-    fn log(&self, line: &str) {
-        let mut sink = self.sink.lock().expect("slow log lock");
-        let incoming = line.len() as u64 + 1;
-        if let Some((path, limit)) = &self.rotate {
-            if sink.written > 0 && sink.written + incoming > *limit {
-                let mut rotated = path.as_os_str().to_owned();
-                rotated.push(".1");
-                if std::fs::rename(path, &rotated).is_ok() {
-                    if let Ok(file) = std::fs::OpenOptions::new()
-                        .create(true)
-                        .append(true)
-                        .open(path)
-                    {
-                        sink.writer = Box::new(file);
-                        sink.written = 0;
-                    }
-                }
-            }
-        }
-        let _ = writeln!(sink.writer, "{line}");
-        let _ = sink.writer.flush();
-        sink.written += incoming;
-    }
-}
-
 /// Binding and sizing knobs the skeleton takes from a tier's config.
 #[derive(Debug, Clone, Copy)]
 pub struct Listen<'a> {
@@ -511,8 +411,6 @@ pub struct Listen<'a> {
     pub queue_capacity: usize,
     /// Keep-alive idle deadline and per-connection request cap.
     pub limits: ConnectionLimits,
-    /// Slow-request logging (`None` disables it).
-    pub slow_log: Option<&'a SlowLogConfig>,
     /// Persistent trace store directory: pinned flight-recorder records
     /// write through here so the last interesting traces survive a
     /// restart. `None` keeps the recorder RAM-only.
@@ -525,7 +423,6 @@ struct Core {
     pool: WorkerPool,
     counters: Counters,
     limits: ConnectionLimits,
-    slow_log: Option<SlowLog>,
     trace_store: Option<Store>,
     started: Instant,
 }
@@ -546,7 +443,7 @@ impl<T: Tier> HttpServer<T> {
     /// immediately.
     ///
     /// # Errors
-    /// Propagates bind, slow-log and trace-store open failures.
+    /// Propagates bind and trace-store open failures.
     pub fn start(listen: &Listen<'_>, tier: Arc<T>) -> io::Result<HttpServer<T>> {
         // Serving is the long-lived mode that wants phase histograms and
         // request traces; the offline CLI keeps spans at their free
@@ -572,7 +469,6 @@ impl<T: Tier> HttpServer<T> {
             pool: WorkerPool::new(listen.workers, listen.queue_capacity),
             counters: Counters::default(),
             limits: listen.limits,
-            slow_log: listen.slow_log.map(SlowLog::open).transpose()?,
             trace_store,
             started: Instant::now(),
         });
@@ -728,8 +624,7 @@ fn dispatch<T: Tier>(tier: &Arc<T>, ex: &mut Exchange<'_>) {
 /// exemplar), insert the completed request into the flight recorder —
 /// pinning slow (≥ the endpoint's running p99) and error traces, and
 /// writing pinned records through to the trace store when one is
-/// configured — and emit a slow-log line when the request met the
-/// threshold.
+/// configured.
 fn traced_request<T: Tier>(core: &Core, request: &Request, handler: impl FnOnce()) {
     let trace = request
         .header("x-graphio-trace")
@@ -774,11 +669,6 @@ fn traced_request<T: Tier>(core: &Core, request: &Request, handler: impl FnOnce(
         }
     }
     hist.record_with_exemplar(elapsed, trace);
-    if let Some(slow) = &core.slow_log {
-        if summary.elapsed_us >= slow.threshold_us {
-            slow.log(&summary.to_json(endpoint));
-        }
-    }
 }
 
 /// One request being answered: the stream to answer on, the request, and
@@ -827,7 +717,7 @@ impl Exchange<'_> {
 
     /// A 200 with `extra` headers plus the observability headers every
     /// 200 carries: the trace ID (echoed end-to-end so a response can be
-    /// correlated with its slow-log line) and server-side elapsed
+    /// correlated with its `/trace/{id}` record) and server-side elapsed
     /// microseconds (clamped to ≥ 1, so "present and positive" is a
     /// testable contract).
     pub fn ok(&mut self, extra: Vec<(&str, String)>, body: &str) {

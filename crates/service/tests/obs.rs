@@ -1,12 +1,12 @@
 //! Observability end-to-end: `/metrics` exposition validity, the
-//! per-request trace/elapsed headers, slow-log phase trees, and the
+//! per-request trace/elapsed headers, flight-recorder phase trees, and the
 //! bit-identity guarantee that spans never perturb analysis bodies.
 
 use graphio_graph::generators::{fft_butterfly, naive_matmul};
 use graphio_graph::json::{parse, JsonValue};
 use graphio_graph::CompGraph;
 use graphio_service::analysis::{analysis_body, AnalyzeSpec};
-use graphio_service::{client, serve, Server, ServiceConfig, SlowLogConfig, SlowLogTarget};
+use graphio_service::{client, serve, Server, ServiceConfig};
 use std::time::Duration;
 
 fn test_server() -> Server {
@@ -522,26 +522,13 @@ fn unreadable_trace_store_records_answer_404() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `--slow-log-us 0` logs every request as a JSON phase tree whose trace
-/// matches the response's `X-Graphio-Trace`, whose root span covers its
-/// children, and whose children's durations sum to no more than the
+/// Every request's flight-recorder record is a JSON phase tree whose
+/// trace matches the response's `X-Graphio-Trace`, whose root span covers
+/// its children, and whose children's durations sum to no more than the
 /// root's.
 #[test]
-fn slow_log_phase_tree_is_consistent_and_trace_matches_response() {
-    let log_path =
-        std::env::temp_dir().join(format!("graphio_slowlog_{}.jsonl", std::process::id()));
-    let _ = std::fs::remove_file(&log_path);
-    let server = serve(&ServiceConfig {
-        workers: 2,
-        queue_capacity: 32,
-        slow_log: Some(SlowLogConfig {
-            threshold_us: 0,
-            target: SlowLogTarget::File(log_path.clone()),
-            rotate_bytes: None,
-        }),
-        ..ServiceConfig::default()
-    })
-    .expect("bind slow-log server");
+fn phase_tree_is_consistent_and_trace_matches_response() {
+    let server = test_server();
 
     let g = fft_butterfly(4);
     let body = format!("{{\"graph\":{},\"memories\":[2,4]}}", graph_json(&g));
@@ -561,20 +548,18 @@ fn slow_log_phase_tree_is_consistent_and_trace_matches_response() {
         Some(sent_trace),
         "the response must echo the client-supplied trace ID"
     );
-    // The line is flushed per request; poll briefly for the writer.
-    let mut lines = String::new();
+    // The recorder inserts just after the response flushes; poll briefly.
+    let path = format!("/trace/{sent_trace}");
+    let mut record = client::request("GET", &server.url(), &path, None).unwrap();
     for _ in 0..50 {
-        lines = std::fs::read_to_string(&log_path).unwrap_or_default();
-        if lines.lines().any(|l| l.contains(sent_trace)) {
+        if record.status == 200 {
             break;
         }
         std::thread::sleep(Duration::from_millis(20));
+        record = client::request("GET", &server.url(), &path, None).unwrap();
     }
-    let line = lines
-        .lines()
-        .find(|l| l.contains(sent_trace))
-        .unwrap_or_else(|| panic!("no slow-log line for trace {sent_trace} in {lines:?}"));
-    let doc = parse(line).expect("slow-log line is valid JSON");
+    assert_eq!(record.status, 200, "no record for trace {sent_trace}");
+    let doc = parse(&record.body).expect("trace record is valid JSON");
     assert_eq!(
         doc.get("trace").and_then(JsonValue::as_str),
         Some(sent_trace)
@@ -620,76 +605,4 @@ fn slow_log_phase_tree_is_consistent_and_trace_matches_response() {
         "child span durations ({child_sum}) must sum to <= root ({root_dur})"
     );
     server.shutdown();
-    let _ = std::fs::remove_file(&log_path);
-}
-
-/// Satellite: `--slow-log-rotate-mb` bounds the slow-log file. With a
-/// deliberately tiny limit and threshold 0, enough requests overflow the
-/// file: the old generation lands at `<path>.1`, the live file restarts
-/// small, and every line in both files is still intact JSON (rotation
-/// must never tear a line).
-#[test]
-fn slow_log_rotates_at_the_size_limit() {
-    let log_path = std::env::temp_dir().join(format!(
-        "graphio_slowlog_rotate_{}.jsonl",
-        std::process::id()
-    ));
-    let rotated_path = {
-        let mut p = log_path.as_os_str().to_owned();
-        p.push(".1");
-        std::path::PathBuf::from(p)
-    };
-    let _ = std::fs::remove_file(&log_path);
-    let _ = std::fs::remove_file(&rotated_path);
-    const LIMIT: u64 = 4096;
-    let server = serve(&ServiceConfig {
-        workers: 2,
-        queue_capacity: 32,
-        slow_log: Some(SlowLogConfig {
-            threshold_us: 0,
-            target: SlowLogTarget::File(log_path.clone()),
-            rotate_bytes: Some(LIMIT),
-        }),
-        ..ServiceConfig::default()
-    })
-    .expect("bind rotating slow-log server");
-
-    let g = fft_butterfly(4);
-    let body = format!("{{\"graph\":{},\"memories\":[2,4]}}", graph_json(&g));
-    // Each /analyze line is a few hundred bytes of phase tree; 40
-    // requests comfortably overflow a 4KiB limit at least once.
-    for _ in 0..40 {
-        let r = client::request("POST", &server.url(), "/analyze", Some(&body)).unwrap();
-        assert_eq!(r.status, 200);
-    }
-    server.shutdown();
-
-    assert!(
-        rotated_path.exists(),
-        "overflow must have rotated {log_path:?} to {rotated_path:?}"
-    );
-    let live = std::fs::read_to_string(&log_path).expect("live slow log");
-    let old = std::fs::read_to_string(&rotated_path).expect("rotated slow log");
-    assert!(
-        live.len() as u64 <= LIMIT,
-        "live file must restart under the limit, got {} bytes",
-        live.len()
-    );
-    // The limit is honored within one line's slack on the rotated
-    // generation too (a line is never split across files).
-    for (name, content) in [("live", &live), ("rotated", &old)] {
-        for line in content.lines() {
-            parse(line).unwrap_or_else(|e| panic!("torn {name} slow-log line ({e}): {line:?}"));
-        }
-    }
-    // The trigger line goes to the fresh file, so the rotated generation
-    // also sits within the limit.
-    assert!(
-        old.len() as u64 <= LIMIT,
-        "rotated file exceeds the limit: {} bytes",
-        old.len()
-    );
-    assert!(!old.is_empty() && !live.is_empty());
-    let _ = std::fs::remove_file(&log_path);
-    let _ = std::fs::remove_file(&rotated_path);
 }

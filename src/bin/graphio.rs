@@ -47,9 +47,7 @@ use graphio::service::analysis::{
     analysis_body, analyze_rows, is_certified, validate_memories, AnalyzeSpec,
 };
 use graphio::service::cache::CacheConfig;
-use graphio::service::{
-    client, loadgen, serve, PersistenceConfig, ServiceConfig, SlowLogConfig, SlowLogTarget,
-};
+use graphio::service::{client, loadgen, serve, PersistenceConfig, ServiceConfig};
 use graphio::spectral::{BoundOptions, OwnedAnalyzer, HUGE_CUTOFF};
 use graphio::store::{
     canonical_edge_list, decode_session, load_session, save_session, warm_session, Store,
@@ -73,12 +71,12 @@ fn usage() -> ! {
          graphio analyze --memory-sweep <M1,M2,...> [--processors <p>] [--threads <N>] [--no-sim] [--json] < graph.json\n  \
          graphio simulate --memory <M> [--policy lru|fifo|belady|random] [--order natural|dfs|bfs] < graph.json\n  \
          graphio dot < graph.json\n  \
-         graphio serve [--host <H>] [--port <P>] [--workers <W>] [--queue <Q>] [--cache-mb <B>] [--shards <S>] [--max-sessions <K>] [--threads <N>] [--idle-ms <T>] [--max-requests <R>] [--store <DIR>] [--store-mb <B>] [--slow-log-us <T>] [--slow-log-file <F>] [--slow-log-rotate-mb <M>] [--trace-store <DIR>]\n  \
+         graphio serve [--host <H>] [--port <P>] [--workers <W>] [--queue <Q>] [--cache-mb <B>] [--shards <S>] [--max-sessions <K>] [--threads <N>] [--idle-ms <T>] [--max-requests <R>] [--store <DIR>] [--store-mb <B>] [--trace-store <DIR>]\n  \
          graphio client analyze --url <http://host:port> --memory-sweep <M1,...> [--processors <p>] [--no-sim] [--keep-alive] [--repeat <N>] [--json] < graph.json\n  \
          graphio client batch --url <http://host:port> --memory-sweep <M1,...> [--processors <p>] [--no-sim] < graphs.ndjson\n  \
          graphio client register --url <http://host:port> < graph.json\n  \
          graphio client stats|health --url <http://host:port>\n  \
-         graphio router --backends <host:port,host:port,...> [--listen <H:P>] [--replicas <K>] [--workers <W>] [--queue <Q>] [--health-ms <T>] [--slow-log-us <T>] [--slow-log-file <F>] [--slow-log-rotate-mb <M>]\n  \
+         graphio router --backends <host:port,host:port,...> [--listen <H:P>] [--replicas <K>] [--workers <W>] [--queue <Q>] [--health-ms <T>]\n  \
          graphio cluster [--backends <N>] [--listen <H:P>] [--replicas <K>] [--workers <W>]\n  \
          graphio loadgen --url <http://host:port> [--rps <R>] [--duration <S>] [--conns <C>] [--path <P>] [--body <FILE.ndjson: one body per line, cycled>] [--json]\n  \
          graphio trace <id> [--server <http://host:port>]\n  \
@@ -452,9 +450,6 @@ fn cmd_serve(args: &[String]) {
             "--max-requests",
             "--store",
             "--store-mb",
-            "--slow-log-us",
-            "--slow-log-file",
-            "--slow-log-rotate-mb",
             "--trace-store",
         ],
         &[],
@@ -495,7 +490,6 @@ fn cmd_serve(args: &[String]) {
             dir: dir.into(),
             store: store_config(&parsed),
         }),
-        slow_log: slow_log_config(&parsed),
         trace_store: parsed.flag("--trace-store").map(Into::into),
     };
     if parsed.has("--store-mb") && config.store.is_none() {
@@ -518,39 +512,6 @@ fn cmd_serve(args: &[String]) {
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
     server.join();
-}
-
-/// `--slow-log-us N [--slow-log-file F] [--slow-log-rotate-mb M]`, shared
-/// by `serve`, `router` and `cluster`: any request whose wall time reaches
-/// N microseconds dumps its phase tree as one JSON line (stderr by
-/// default; threshold 0 logs every request). With a file target, M caps
-/// the file size: on overflow it rotates to `<file>.1` and starts fresh.
-fn slow_log_config(parsed: &Parsed) -> Option<SlowLogConfig> {
-    let threshold = parsed.parse_flag::<u64>("--slow-log-us");
-    if threshold.is_none() && parsed.has("--slow-log-file") {
-        eprintln!(
-            "error: --slow-log-file requires --slow-log-us in `graphio {}`",
-            parsed.cmd
-        );
-        usage();
-    }
-    let rotate_bytes = parsed
-        .parse_flag::<u64>("--slow-log-rotate-mb")
-        .map(|mb| mb.saturating_mul(1 << 20));
-    if rotate_bytes.is_some() && !parsed.has("--slow-log-file") {
-        eprintln!(
-            "error: --slow-log-rotate-mb requires --slow-log-file in `graphio {}`",
-            parsed.cmd
-        );
-        usage();
-    }
-    threshold.map(|threshold_us| SlowLogConfig {
-        threshold_us,
-        target: parsed
-            .flag("--slow-log-file")
-            .map_or(SlowLogTarget::Stderr, |f| SlowLogTarget::File(f.into())),
-        rotate_bytes,
-    })
 }
 
 /// Store sizing shared by every subcommand that opens one
@@ -895,7 +856,6 @@ fn router_config(parsed: &Parsed, backends: Vec<String>) -> RouterConfig {
         health_interval: parsed
             .parse_flag::<u64>("--health-ms")
             .map_or(defaults.health_interval, std::time::Duration::from_millis),
-        slow_log: slow_log_config(parsed),
         ..defaults
     }
 }
@@ -914,9 +874,6 @@ fn cmd_router(args: &[String]) {
             "--workers",
             "--queue",
             "--health-ms",
-            "--slow-log-us",
-            "--slow-log-file",
-            "--slow-log-rotate-mb",
         ],
         &[],
     );
@@ -956,15 +913,7 @@ fn cmd_cluster(args: &[String]) {
     let parsed = parse_args(
         "cluster",
         args,
-        &[
-            "--backends",
-            "--listen",
-            "--replicas",
-            "--workers",
-            "--slow-log-us",
-            "--slow-log-file",
-            "--slow-log-rotate-mb",
-        ],
+        &["--backends", "--listen", "--replicas", "--workers"],
         &[],
     );
     if !parsed.positional.is_empty() {

@@ -255,7 +255,9 @@ fn malformed_threads_flag_names_flag_and_subcommand() {
 /// Bad flags follow one contract: the process exits 2 (usage) and the
 /// error names both the flag and the subcommand. The kernel knobs
 /// `--simd` and `--scale-tier` are gone (the solver tier follows from n,
-/// and the SIMD policy changes no byte), so they are unknown flags.
+/// and the SIMD policy changes no byte), so they are unknown flags; so is
+/// the retired per-request log threshold on `serve`, `router` and
+/// `cluster` (the flight recorder keeps every request's tree).
 /// Out-of-range numbers are rejected before any work runs:
 /// `--processors 0` (Theorem 6 needs a processor, and `POST /analyze`
 /// refuses it), a negative or non-finite `--duration`, and `generate`'s
@@ -290,6 +292,18 @@ fn malformed_simd_and_scale_tier_flags_name_flag_and_subcommand() {
         (
             &["serve", "--port", "0", "--scale-tier", "dense"],
             "unknown flag --scale-tier for `graphio serve`",
+        ),
+        (
+            &["serve", "--port", "0", "--slow-log-us", "0"],
+            "unknown flag --slow-log-us for `graphio serve`",
+        ),
+        (
+            &["router", "--backends", "127.0.0.1:9", "--slow-log-us", "0"],
+            "unknown flag --slow-log-us for `graphio router`",
+        ),
+        (
+            &["cluster", "--backends", "1", "--slow-log-us", "0"],
+            "unknown flag --slow-log-us for `graphio cluster`",
         ),
         (
             &["bound", "--memory", "4", "--processors", "0"],
@@ -551,6 +565,20 @@ fn spawn_serve(extra: &[&str]) -> (std::process::Child, String, Vec<String>) {
         &[&["serve", "--port", "0"][..], extra].concat(),
         "graphio service listening on ",
     )
+}
+
+/// `GET {url}/trace/{trace}` until it answers 200 (each process records
+/// a request just after its response flushes), returning the body.
+fn poll_trace(url: &str, trace: &str) -> String {
+    let path = format!("/trace/{trace}");
+    for _ in 0..50 {
+        let r = graphio::service::client::request("GET", url, &path, None).unwrap();
+        if r.status == 200 {
+            return r.body;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(100));
+    }
+    panic!("trace {trace} never became queryable at {url}");
 }
 
 /// `kill -9 pid`: a crash, as the rest of the fleet sees it.
@@ -1009,9 +1037,79 @@ fn assert_valid_exposition(exposition: &str) {
     }
 }
 
+/// A slow request survives a crash through its p99 pin, with no error to
+/// pin it. Hundreds of body-memo hits pull `/analyze`'s running p99 down
+/// to a hit's bucket; one cold, larger graph then lands above it, is
+/// pinned and written through to `--trace-store`. After `kill -9` and a
+/// restart on the same store, whose ring starts empty, `GET /trace/{id}`
+/// serves that request's record from disk. A process of its own keeps the
+/// histogram and the recorder to this test.
+#[test]
+fn p99_pinned_slow_traces_persist_across_kill_9() {
+    use graphio::graph::json::{parse, JsonValue};
+    use graphio::service::client;
+
+    let dir = std::env::temp_dir().join(format!("graphio_cli_p99_pin_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = dir.join("trace-store");
+    let serve = || spawn_serve(&["--workers", "2", "--trace-store", store.to_str().unwrap()]);
+    let (child, url, _) = serve();
+    let mut procs = Reaper::of(child);
+
+    let body = |family: &str, size: usize| {
+        format!(
+            "{{\"graph\": {}, \"memories\": [2, 4, 8]}}",
+            generate(family, size).trim_end()
+        )
+    };
+    let mut conn = client::Client::new(&url).unwrap();
+    let hit = body("fft", 3);
+    for _ in 0..=300 {
+        let r = conn.request("POST", "/analyze", Some(&hit)).unwrap();
+        assert_eq!(r.status, 200, "{}", r.body);
+    }
+    let trace = "5ca1ab1e5ca1ab1e5ca1ab1e5ca1ab1e";
+    let traced = [("X-Graphio-Trace", trace.to_string())];
+    let mut conn = client::Client::new(&url).unwrap();
+    let r = conn
+        .request_with("POST", "/analyze", Some(&body("fft", 6)), &traced)
+        .unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    assert_eq!(r.header("x-graphio-session"), Some("miss"));
+    // The write-through runs before the worker reads the connection's
+    // next request, so this answer orders it before the kill.
+    assert_eq!(conn.request("GET", "/healthz", None).unwrap().status, 200);
+    assert_eq!(conn.connects(), 1, "the cold request kept the connection");
+
+    // `Child::kill` is SIGKILL.
+    let _ = procs.children[0].kill();
+    let _ = procs.children[0].wait();
+    let (child, url, _) = serve();
+    procs.children.push(child);
+    let r = client::request("GET", &url, &format!("/trace/{trace}"), None).unwrap();
+    assert_eq!(r.status, 200, "the pinned slow trace is gone: {}", r.body);
+    let doc = parse(&r.body).expect("stored trace is JSON");
+    assert_eq!(doc.get("trace").and_then(JsonValue::as_str), Some(trace));
+    assert_eq!(doc.get("status").and_then(JsonValue::as_f64), Some(200.0));
+    assert_eq!(
+        doc.get("endpoint").and_then(JsonValue::as_str),
+        Some("/analyze")
+    );
+    let spans = doc.get("spans").and_then(JsonValue::as_array);
+    let names: Vec<&str> = spans
+        .expect("spans array")
+        .iter()
+        .filter_map(|s| s.get("name").and_then(JsonValue::as_str))
+        .collect();
+    assert_eq!(names.first(), Some(&"/analyze"), "{names:?}");
+    assert!(names.contains(&"eigensolve"), "a cold request: {names:?}");
+    drop(procs);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Open-loop load against a live `graphio serve` moves `/metrics` by
 /// exactly the load. Through the real binary: the trace-ID echo and
-/// elapsed header, the slow-log record with its spans, `graphio loadgen`
+/// elapsed header, the `/trace/{id}` record with its spans, `graphio loadgen`
 /// at 200 rps for 0.5 s (exactly 100 arrivals), a valid text exposition
 /// with an exemplar and `+Inf` = `_count`, the solver phase series, and
 /// counter deltas of exactly the load (+1 for the second scrape itself).
@@ -1020,15 +1118,7 @@ fn loadgen_moves_metrics_by_exactly_the_load() {
     let dir = std::env::temp_dir().join(format!("graphio_cli_metrics_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let slow_log = dir.join("slow.jsonl");
-    let (server, url, _) = spawn_serve(&[
-        "--workers",
-        "4",
-        "--slow-log-us",
-        "0",
-        "--slow-log-file",
-        slow_log.to_str().unwrap(),
-    ]);
+    let (server, url, _) = spawn_serve(&["--workers", "4"]);
     let _server = Reaper::of(server);
     let req = format!(
         "{{\"graph\": {}, \"memories\": [2,4,8]}}",
@@ -1038,7 +1128,8 @@ fn loadgen_moves_metrics_by_exactly_the_load() {
     std::fs::write(&req_file, format!("{req}\n")).unwrap();
 
     // Warm-up: the trace ID is echoed, the elapsed header is a
-    // number, and the slow log (threshold 0) records the same trace.
+    // number, and `GET /trace/{id}` serves the same trace. These reads
+    // land before the first scrape, so the counter deltas stay exact.
     let trace = "00112233445566778899aabbccddeeff";
     let r = graphio::service::client::request_with(
         "POST",
@@ -1053,18 +1144,8 @@ fn loadgen_moves_metrics_by_exactly_the_load() {
     let elapsed = r.header("x-graphio-elapsed-us").unwrap_or("");
     assert!(elapsed.parse::<u64>().is_ok(), "elapsed header {elapsed:?}");
     let needle = format!("\"trace\":\"{trace}\"");
-    let mut logged = String::new();
-    for _ in 0..50 {
-        logged = std::fs::read_to_string(&slow_log).unwrap_or_default();
-        if logged.contains(&needle) {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(100));
-    }
-    let record = logged
-        .lines()
-        .find(|l| l.contains(&needle))
-        .unwrap_or_else(|| panic!("trace {trace} not in the slow log: {logged}"));
+    let record = poll_trace(&url, trace);
+    assert!(record.contains(&needle), "{record}");
     assert!(record.contains("\"spans\":["), "{record}");
 
     // The request histogram records just after the response flushes;
