@@ -1,5 +1,6 @@
-//! Bit-level goldens for the two kernels the Lanczos tier spends its time
-//! in — the QL eigenvector iteration and the CGS re-orthogonalization.
+//! Bit-level goldens for the kernels the eigensolvers spend their time
+//! in — the QL eigenvector iteration and the CGS re-orthogonalization of
+//! the Lanczos tier, and the dense tier's Householder tridiagonalization.
 //!
 //! Each case hashes the `f64::to_bits` of every output value, so any
 //! rewrite of these kernels (blocking, transposition, vector bodies) must
@@ -7,6 +8,7 @@
 //! so the scalar fallback is pinned on every machine that runs the suite.
 
 use graphio_linalg::dense::DenseMatrix;
+use graphio_linalg::householder::tridiagonalize_in_place;
 use graphio_linalg::simd::{policy, set_policy, SimdPolicy};
 use graphio_linalg::tridiag::{tql_in_place, tql_row_in_place};
 use graphio_linalg::vecops::orthogonalize_against_cgs;
@@ -175,4 +177,137 @@ fn cgs2_on_the_threaded_path_is_pinned_at_every_thread_count() {
     // A vector six times longer, with the same 3-element tail.
     let basis = orthonormal_basis(6007, 11);
     under_each_policy(|p| assert_eq!(cgs2_hash(6007, &basis), 0x31785ab620e08ad7, "{p:?}"));
+}
+
+/// `(d, e)` of `tridiagonalize_in_place(false)`, then `(d, e, Q)` of
+/// `tridiagonalize_in_place(true)`, each hashed.
+fn householder_hashes(a: &DenseMatrix) -> (u64, u64) {
+    let mut work = a.clone();
+    let t = tridiagonalize_in_place(&mut work, false);
+    let values = bit_hash(t.d.iter().chain(&t.e));
+    let mut q = a.clone();
+    let t = tridiagonalize_in_place(&mut q, true);
+    let vectors = bit_hash(t.d.iter().chain(&t.e).chain(q.data()));
+    (values, vectors)
+}
+
+/// The Laplacian of `edges` on `n` vertices, each directed edge `(u, w)`
+/// adding weight `weight(u)` between `u` and `w`, accumulated edge by edge.
+fn laplacian(n: usize, edges: &[(usize, usize)], weight: impl Fn(usize) -> f64) -> DenseMatrix {
+    let mut a = DenseMatrix::zeros(n, n);
+    for &(u, w) in edges {
+        let x = weight(u);
+        a[(u, w)] -= x;
+        a[(w, u)] -= x;
+        a[(u, u)] += x;
+        a[(w, w)] += x;
+    }
+    a
+}
+
+/// A deterministic xorshift stream of uniforms in `[0, 1)`.
+fn uniforms(seed: u64) -> impl FnMut() -> f64 {
+    let mut s = seed;
+    move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        (s >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// The out-degree-weighted Laplacian `L̃` of an Erdős–Rényi DAG on 60
+/// vertices with edge probability 0.1 (edges run from lower to higher id).
+fn er60_normalized_laplacian() -> DenseMatrix {
+    let n = 60;
+    let mut next = uniforms(0x9e37_79b9_7f4a_7c15);
+    let mut edges = Vec::new();
+    for u in 0..n {
+        for w in u + 1..n {
+            if next() < 0.1 {
+                edges.push((u, w));
+            }
+        }
+    }
+    let mut out_degree = vec![0usize; n];
+    for &(u, _) in &edges {
+        out_degree[u] += 1;
+    }
+    laplacian(n, &edges, |u| 1.0 / out_degree[u] as f64)
+}
+
+/// The unit Laplacian `L` of the 4-level FFT butterfly (5 levels of 16).
+fn fft4_laplacian() -> DenseMatrix {
+    let (levels, width) = (4, 16);
+    let mut edges = Vec::new();
+    for t in 0..levels {
+        for r in 0..width {
+            let from = t * width + r;
+            edges.push((from, (t + 1) * width + r));
+            edges.push((from, (t + 1) * width + (r ^ (1 << t))));
+        }
+    }
+    laplacian((levels + 1) * width, &edges, |_| 1.0)
+}
+
+/// A dense random symmetric 97×97 matrix: the odd size leaves every
+/// remainder of the 4-lane kernels somewhere in the reduction.
+fn random_symmetric_97() -> DenseMatrix {
+    let n = 97;
+    let mut next = uniforms(0x2545_f491_4f6c_dd1d);
+    let mut a = DenseMatrix::zeros(n, n);
+    for i in 0..n {
+        for j in 0..=i {
+            let x = 2.0 * next() - 1.0;
+            a[(i, j)] = x;
+            a[(j, i)] = x;
+        }
+    }
+    a
+}
+
+/// `diag(a, b)`.
+fn block_diagonal(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
+    let (m, n) = (a.nrows(), a.nrows() + b.nrows());
+    let mut out = DenseMatrix::zeros(n, n);
+    for i in 0..m {
+        out.row_mut(i)[..m].copy_from_slice(a.row(i));
+    }
+    for i in m..n {
+        out.row_mut(i)[m..].copy_from_slice(b.row(i - m));
+    }
+    out
+}
+
+#[test]
+fn householder_tridiagonalization_is_pinned() {
+    let cases = [
+        (
+            "er60 L~",
+            er60_normalized_laplacian(),
+            (0x151852bc5f28874f, 0x4946442c728b080f),
+        ),
+        (
+            "fft4 L",
+            fft4_laplacian(),
+            (0xd333669a7841e004, 0xee64bc065696fc25),
+        ),
+        (
+            "random 97",
+            random_symmetric_97(),
+            (0x6f9adc5c4c577fa6, 0x1978f848da494f9e),
+        ),
+        // Two components: the first row of the second block has nothing
+        // left of its diagonal, so its reflector is skipped.
+        (
+            "er60 L~ + fft4 L",
+            block_diagonal(&er60_normalized_laplacian(), &fft4_laplacian()),
+            (0xd845df4089cfde16, 0xba71a7940043aeaf),
+        ),
+    ];
+    for (name, a, pinned) in cases {
+        under_each_policy(|p| {
+            assert_eq!(householder_hashes(&a), pinned, "{name} {p:?}");
+        });
+    }
 }
