@@ -30,6 +30,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// analyze, switching where the analysis stops eigensolving.
 pub const HUGE_FLOW_CAP: u64 = 32;
 
+/// Swept vertices per min-cut worker: a sweep of `k` vertices starts at
+/// most `⌈k / 64⌉` workers, whatever [`ConvexMinCutOptions::threads`] asks.
+const VERTICES_PER_WORKER: usize = 64;
+
 /// Vertex-sweep strategy for the per-vertex min cuts.
 #[derive(Debug, Clone)]
 pub enum VertexSweep {
@@ -52,7 +56,8 @@ pub enum VertexSweep {
 pub struct ConvexMinCutOptions {
     /// Which vertices to sweep.
     pub sweep: VertexSweep,
-    /// Worker threads for the per-vertex sweep (1 = serial).
+    /// Worker threads for the per-vertex sweep (1 = serial); at most one
+    /// per 64 swept vertices is started.
     pub threads: usize,
 }
 
@@ -134,20 +139,20 @@ pub fn convex_min_cut_bound(
         }
     };
 
-    // Branch and bound. Each worker takes a contiguous chunk, computes an
-    // upper bound `ub(v) ≥ C(v)` for each of its vertices (see
-    // `Wavefronts::upper_bound`), then runs exact cuts in descending-`ub`
-    // order until its next `ub` is ≤ the best cut any worker has found.
-    // Every vertex left uncut has `C(v) ≤ ub(v) ≤ max_cut`, so the maximum
-    // is exact at every thread count; only the amount of work varies. The
-    // shared best publishes no other data, hence `Relaxed`: a stale read
-    // only prunes less. The span charges each worker's allocations to a
-    // named phase, since spawned workers start with an empty span stack.
+    // Branch and bound. Every vertex first gets an upper bound
+    // `ub(v) ≥ C(v)` (see `upper_bounds`), computed once for the whole
+    // sweep. Each worker then takes a contiguous chunk and runs exact cuts
+    // in descending-`ub` order until its next `ub` is ≤ the best cut any
+    // worker has found. Every vertex left uncut has
+    // `C(v) ≤ ub(v) ≤ max_cut`, so the maximum is exact at every thread
+    // count; only the amount of work varies. The shared best publishes no
+    // other data, hence `Relaxed`: a stale read only prunes less. The span
+    // charges each worker's allocations to a named phase, since spawned
+    // workers start with an empty span stack.
+    let ubs = upper_bounds(g, &vertices);
     let best = AtomicU64::new(0);
-    let worker = |vs: &[usize]| -> Vec<(u64, Option<u64>)> {
+    let worker = |vs: &[usize], ubs: &[u64]| -> Vec<Option<u64>> {
         let _span = graphio_obs::span!("mincut_worker");
-        let mut wavefronts = Wavefronts::new(g);
-        let ubs: Vec<u64> = vs.iter().map(|&v| wavefronts.upper_bound(v)).collect();
         let mut cuts = vec![None; vs.len()];
         let mut order: Vec<usize> = (0..vs.len()).collect();
         order.sort_by_key(|&i| std::cmp::Reverse(ubs[i]));
@@ -160,18 +165,25 @@ pub fn convex_min_cut_bound(
             cuts[i] = Some(c);
             best.fetch_max(c, Ordering::Relaxed);
         }
-        ubs.into_iter().zip(cuts).collect()
+        cuts
     };
-    let threads = opts.threads.max(1).min(vertices.len());
-    let swept: Vec<(u64, Option<u64>)> = if threads == 1 {
-        worker(&vertices)
+    // Each worker builds its own `2n + 2`-node network, so a worker is
+    // started only per `VERTICES_PER_WORKER` swept vertices: the 4-vertex
+    // sample past the huge cutoff runs on one network.
+    let threads = opts
+        .threads
+        .max(1)
+        .min(vertices.len().div_ceil(VERTICES_PER_WORKER));
+    let cuts: Vec<Option<u64>> = if threads == 1 {
+        worker(&vertices, &ubs)
     } else {
         let chunk = vertices.len().div_ceil(threads);
         let worker = &worker;
         std::thread::scope(|s| {
             let handles: Vec<_> = vertices
                 .chunks(chunk)
-                .map(|vs| s.spawn(move || worker(vs)))
+                .zip(ubs.chunks(chunk))
+                .map(|(vs, ubs)| s.spawn(move || worker(vs, ubs)))
                 .collect();
             handles
                 .into_iter()
@@ -189,10 +201,11 @@ pub fn convex_min_cut_bound(
         vertices[0]
     } else {
         let mut net = None;
-        let pos = swept
+        let pos = ubs
             .iter()
+            .zip(&cuts)
             .zip(&vertices)
-            .position(|(&(ub, cut), &v)| {
+            .position(|((&ub, &cut), &v)| {
                 ub >= max_cut
                     && cut.unwrap_or_else(|| net.get_or_insert_with(|| CutNetwork::new(g)).cut(v))
                         == max_cut
@@ -357,92 +370,196 @@ impl Reach {
     }
 }
 
-/// Wavefront sizes of the two convex prefixes every vertex's traversals
-/// give for free: `Anc(v) ∪ {v}` and `V ∖ Desc(v)`. Both are down-closed,
-/// contain `Anc(v) ∪ {v}` and miss `Desc(v)`, so each wavefront is one
-/// the min cut `C(v)` minimizes over — the smaller is an upper bound on
-/// `C(v)` that costs two traversals and no max-flow.
-struct Wavefronts<'g> {
-    g: &'g CompGraph,
-    reach: Reach,
-    anc: Vec<u32>,
-    desc: Vec<u32>,
-    /// Membership of the prefix being measured; all `false` between calls.
-    inside: Vec<bool>,
-    /// Wavefront vertices already counted; all `false` between calls.
-    counted: Vec<bool>,
-}
-
-impl<'g> Wavefronts<'g> {
-    fn new(g: &'g CompGraph) -> Self {
-        let n = g.n();
-        Wavefronts {
-            g,
-            reach: Reach::new(n),
-            anc: Vec::new(),
-            desc: Vec::new(),
-            inside: vec![false; n],
-            counted: vec![false; n],
-        }
-    }
-
-    /// `min(|W(Anc(v) ∪ {v})|, |W(V ∖ Desc(v))|) ≥ C(v)`, where `W(S)` is
-    /// the members of `S` with a child outside it; `0` when `v` has no
-    /// descendants (as [`wavefront_cut`] returns then).
-    fn upper_bound(&mut self, v: usize) -> u64 {
-        let g = self.g;
-        self.reach.run(g, v, false, &mut self.desc);
-        if self.desc.is_empty() {
-            return 0;
-        }
-        self.reach.run(g, v, true, &mut self.anc);
-
-        // W(Anc(v) ∪ {v}): members with a child outside the set.
-        let prefix = || std::iter::once(v).chain(self.anc.iter().map(|&a| a as usize));
-        for u in prefix() {
-            self.inside[u] = true;
-        }
-        let mut down = 0u64;
-        for u in prefix() {
-            if g.children(u).iter().any(|&w| !self.inside[w as usize]) {
-                down += 1;
+/// Upper bounds `ub(v) ≥ C(v)` for `vertices`, in order, from the
+/// wavefronts of the two convex prefixes every vertex has for free:
+/// `ub(v) = min(|W(Anc(v) ∪ {v})|, |W(V ∖ Desc(v))|)`, where `W(S)` is the
+/// members of `S` with a child outside it. Both prefixes are down-closed,
+/// contain `Anc(v) ∪ {v}` and miss `Desc(v)`, so each wavefront is one the
+/// min cut `C(v)` minimizes over. `ub(v) = 0` when `v` has no descendants
+/// (as [`wavefront_cut`] returns then).
+///
+/// The sets are bit-parallel: 64 sweep vertices at a time, one `u64` lane
+/// each, so a batch costs O(m) word operations instead of three
+/// traversals per vertex. `prefix[x]` holds the lanes whose
+/// `Anc(v) ∪ {v}` contains `x` (ORed up from the children, in reverse
+/// topological order) and `desc[x]` the lanes whose strict `Desc(v)`
+/// contains `x` (pushed down to the children, in topological order). An
+/// edge `(u, w)` then puts `u` in lane `v`'s first wavefront where
+/// `prefix[u] & !prefix[w]` has the lane, and in its second where
+/// `desc[w] & !desc[u]` has it; each vertex is counted once per lane.
+fn upper_bounds(g: &CompGraph, vertices: &[usize]) -> Vec<u64> {
+    const LANES: usize = u64::BITS as usize;
+    let n = g.n();
+    let order = graphio_graph::topo::bfs_order(g);
+    let mut prefix = vec![0u64; n];
+    let mut desc = vec![0u64; n];
+    let mut ubs = Vec::with_capacity(vertices.len());
+    for batch in vertices.chunks(LANES) {
+        prefix.fill(0);
+        desc.fill(0);
+        for (lane, &v) in batch.iter().enumerate() {
+            prefix[v] |= 1 << lane;
+            for &w in g.children(v) {
+                desc[w as usize] |= 1 << lane;
             }
         }
-        for u in prefix() {
-            self.inside[u] = false;
-        }
-
-        // W(V ∖ Desc(v)): the distinct parents of `Desc(v)` outside it.
-        for &d in &self.desc {
-            self.inside[d as usize] = true;
-        }
-        let mut up = 0u64;
-        for &d in &self.desc {
-            for &p in g.parents(d as usize) {
-                let p = p as usize;
-                if !self.inside[p] && !self.counted[p] {
-                    self.counted[p] = true;
-                    up += 1;
+        for &x in &order {
+            let lanes = desc[x];
+            if lanes != 0 {
+                for &w in g.children(x) {
+                    desc[w as usize] |= lanes;
                 }
             }
         }
-        for &d in &self.desc {
-            self.inside[d as usize] = false;
-            for &p in g.parents(d as usize) {
-                self.counted[p as usize] = false;
+        for &x in order.iter().rev() {
+            let lanes = g
+                .children(x)
+                .iter()
+                .fold(prefix[x], |acc, &w| acc | prefix[w as usize]);
+            prefix[x] = lanes;
+        }
+        let mut down = [0u64; LANES];
+        let mut up = [0u64; LANES];
+        for u in 0..n {
+            let (mut leaves_prefix, mut enters_desc) = (0u64, 0u64);
+            for &w in g.children(u) {
+                let w = w as usize;
+                leaves_prefix |= prefix[u] & !prefix[w];
+                enters_desc |= desc[w] & !desc[u];
+            }
+            for (lanes, counts) in [(leaves_prefix, &mut down), (enters_desc, &mut up)] {
+                let mut lanes = lanes;
+                while lanes != 0 {
+                    counts[lanes.trailing_zeros() as usize] += 1;
+                    lanes &= lanes - 1;
+                }
             }
         }
-        down.min(up)
+        ubs.extend(batch.iter().enumerate().map(|(lane, &v)| {
+            if g.out_degree(v) == 0 {
+                0
+            } else {
+                down[lane].min(up[lane])
+            }
+        }));
     }
+    ubs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use graphio_graph::generators::{
-        bhk_hypercube, diamond_dag, erdos_renyi_dag, fft_butterfly, inner_product, naive_matmul,
-        path_dag,
+        bhk_hypercube, binary_reduction_tree, diamond_dag, erdos_renyi_dag, fft_butterfly,
+        inner_product, layered_random_dag, naive_matmul, naive_matmul_binary_tree, path_dag,
+        strassen_matmul,
     };
+    use graphio_graph::{GraphBuilder, OpKind};
+    use rand::Rng;
+
+    /// The per-vertex reference for [`upper_bounds`]: both wavefronts
+    /// counted from plain traversals of `Anc(v)` and `Desc(v)`.
+    fn reference_upper_bound(g: &CompGraph, v: usize) -> u64 {
+        let desc = g.descendants(v);
+        if desc.is_empty() {
+            return 0;
+        }
+        let mut in_prefix = vec![false; g.n()];
+        in_prefix[v] = true;
+        for a in g.ancestors(v) {
+            in_prefix[a] = true;
+        }
+        let mut in_desc = vec![false; g.n()];
+        for &d in &desc {
+            in_desc[d] = true;
+        }
+        let has_child = |u: usize, pred: &dyn Fn(usize) -> bool| {
+            g.children(u).iter().any(|&w| pred(w as usize))
+        };
+        let down = (0..g.n())
+            .filter(|&u| in_prefix[u] && has_child(u, &|w| !in_prefix[w]))
+            .count();
+        let up = (0..g.n())
+            .filter(|&u| !in_desc[u] && has_child(u, &|w| in_desc[w]))
+            .count();
+        down.min(up) as u64
+    }
+
+    /// Asserts that the batched bounds of `vertices` equal the reference.
+    fn assert_bounds_match_reference(g: &CompGraph, vertices: &[usize], what: &str) {
+        let got = upper_bounds(g, vertices);
+        let want: Vec<u64> = vertices
+            .iter()
+            .map(|&v| reference_upper_bound(g, v))
+            .collect();
+        assert_eq!(got, want, "{what}: n={}", g.n());
+    }
+
+    /// A random DAG on `n` vertices whose ids are a random permutation of
+    /// a topological order, with about `n·degree` edges, some of them
+    /// repeated (`v = u·u`), and with every fifth vertex left isolated.
+    fn scrambled_dag(n: usize, degree: f64, seed: u64) -> CompGraph {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut id: Vec<u32> = (0..n as u32).collect();
+        id.shuffle(&mut rng);
+        let mut b = GraphBuilder::new();
+        for _ in 0..n {
+            b.add_vertex(OpKind::Custom(0));
+        }
+        let p = degree / n as f64;
+        for i in 0..n {
+            for j in i + 1..n {
+                if i % 5 == 4 || j % 5 == 4 || rng.gen::<f64>() >= p {
+                    continue;
+                }
+                b.add_edge(id[i], id[j]);
+                if rng.gen::<f64>() < 0.2 {
+                    b.add_edge(id[i], id[j]);
+                }
+            }
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn batched_bounds_equal_the_per_vertex_reference() {
+        let zoo = [
+            fft_butterfly(4),
+            fft_butterfly(5),
+            bhk_hypercube(6),
+            diamond_dag(6, 9),
+            diamond_dag(12, 12),
+            naive_matmul(3),
+            naive_matmul_binary_tree(3),
+            strassen_matmul(4),
+            inner_product(8),
+            binary_reduction_tree(6),
+            path_dag(70),
+            layered_random_dag(6, 30, 0.2, 5),
+            erdos_renyi_dag(50, 0.1, 3),
+            erdos_renyi_dag(150, 0.05, 4),
+        ];
+        for g in &zoo {
+            // Every vertex: batches of 64, then a partial one (n > 128 on
+            // most of the zoo).
+            let all: Vec<usize> = (0..g.n()).collect();
+            assert_bounds_match_reference(g, &all, "all");
+        }
+        for seed in 0..8 {
+            // n = 200 and 70 cover three full-and-partial batches and one
+            // batch of more than 64; ids are not in topological order.
+            for (n, degree) in [(200, 3.0), (70, 8.0), (9, 2.0)] {
+                let g = scrambled_dag(n, degree, seed);
+                let all: Vec<usize> = (0..n).collect();
+                assert_bounds_match_reference(&g, &all, "scrambled");
+                // A sample in shuffled order, as `VertexSweep::Sample` draws.
+                let mut sample = all.clone();
+                sample.shuffle(&mut StdRng::seed_from_u64(seed + 100));
+                sample.truncate(n * 3 / 4);
+                assert_bounds_match_reference(&g, &sample, "sample");
+            }
+        }
+    }
 
     #[test]
     fn paths_have_unit_cuts() {
@@ -540,21 +657,23 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_sweeps_agree() {
-        // n = 35 and a 13-vertex sample split unevenly over 2 and 3
-        // workers, each reusing one network across its chunk.
-        let g = diamond_dag(5, 7);
-        for sweep in [VertexSweep::All, VertexSweep::Sample { count: 13, seed: 5 }] {
-            let run = |threads| {
-                let opts = ConvexMinCutOptions {
-                    threads,
-                    sweep: sweep.clone(),
+        // n = 35 and a 13-vertex sample run on one worker whatever the
+        // thread count; n = 210 and a 150-vertex sample split unevenly
+        // over 2 and 3 workers, each reusing one network across its chunk.
+        for (g, count) in [(diamond_dag(5, 7), 13), (diamond_dag(14, 15), 150)] {
+            for sweep in [VertexSweep::All, VertexSweep::Sample { count, seed: 5 }] {
+                let run = |threads| {
+                    let opts = ConvexMinCutOptions {
+                        threads,
+                        sweep: sweep.clone(),
+                    };
+                    convex_min_cut_bound(&g, 1, &opts)
                 };
-                convex_min_cut_bound(&g, 1, &opts)
-            };
-            let serial = run(1);
-            assert!(serial.max_cut > 1, "{sweep:?}: {serial:?}");
-            for threads in [2, 3] {
-                assert_eq!(run(threads), serial, "{sweep:?}, {threads} threads");
+                let serial = run(1);
+                assert!(serial.max_cut > 1, "{sweep:?}: {serial:?}");
+                for threads in [2, 3] {
+                    assert_eq!(run(threads), serial, "{sweep:?}, {threads} threads");
+                }
             }
         }
     }
@@ -569,13 +688,16 @@ mod tests {
             inner_product(8),
             erdos_renyi_dag(50, 0.1, 3),
             erdos_renyi_dag(50, 0.3, 4),
+            // Past 128 vertices, so 2 and 3 workers engage.
+            diamond_dag(14, 15),
+            erdos_renyi_dag(200, 0.05, 5),
         ];
         for g in &graphs {
             let n = g.n();
             let cuts: Vec<u64> = (0..n).map(|v| wavefront_cut(g, v)).collect();
-            let mut w = Wavefronts::new(g);
-            for (v, &c) in cuts.iter().enumerate() {
-                assert!(w.upper_bound(v) >= c, "n={n} v={v}");
+            let ubs = upper_bounds(g, &(0..n).collect::<Vec<_>>());
+            for (v, (&ub, &c)) in ubs.iter().zip(&cuts).enumerate() {
+                assert!(ub >= c, "n={n} v={v}");
             }
             // The exhaustive sweep's answer: the maximum cut and the first
             // vertex attaining it.

@@ -5,11 +5,13 @@
 //! QL iteration in [`crate::tridiag`] it yields the dense O(n³) symmetric
 //! eigensolver used as the exact reference path for spectral bounds.
 //!
-//! The two O(l²) panel phases of each reflector — the symmetric
-//! matrix–vector product `p = A·u/h` and the rank-2 update
-//! `A ← A − u·qᵀ − q·uᵀ` — run on the SIMD kernels, row-wise and unit
-//! stride. Both compute every output element with the same in-order
-//! reduction as the classical formulation.
+//! Each reflector reads the lower triangle once. Its O(l²) work — the
+//! symmetric matrix–vector product `p = A·u/h` — shares one row-wise,
+//! unit-stride pass with the previous reflector's rank-2 update
+//! `A ← A − u·qᵀ − q·uᵀ`, which is deferred until the rows are next read
+//! (see [`tridiagonalize_in_place`]). Every element still gets the
+//! classical formulation's operations in its order, so the bits are
+//! those of the three-pass form.
 
 use crate::dense::DenseMatrix;
 
@@ -40,11 +42,26 @@ pub fn tridiagonalize_in_place(a: &mut DenseMatrix, accumulate_q: bool) -> Tridi
         return Tridiagonal { d, e };
     }
     // Scratch copy of the current reflector (row i of `a`), so the panel
-    // kernels can borrow the matrix without aliasing it.
+    // kernel can borrow the matrix without aliasing it; and the previous
+    // reflector's `u` and `q`, whose rank-2 update every row `j` still
+    // owing it takes just before it is next read (all zero: nothing owed,
+    // and an exact no-op).
     let mut u = vec![0.0; n];
+    let mut owed_u = vec![0.0; n];
+    let mut owed_q = vec![0.0; n];
+    let cols = a.ncols();
 
     for i in (1..n).rev() {
         let l = i - 1;
+        // Bring row i up to date: the reflector is formed from it.
+        crate::simd::rank2_row_routed(
+            crate::simd::route(i + 1),
+            &mut a.row_mut(i)[..=i],
+            owed_u[i],
+            owed_q[i],
+            &owed_q[..=i],
+            &owed_u[..=i],
+        );
         let mut h = 0.0;
         if l > 0 {
             let mut scale = 0.0;
@@ -52,7 +69,8 @@ pub fn tridiagonalize_in_place(a: &mut DenseMatrix, accumulate_q: bool) -> Tridi
                 scale += a[(i, k)].abs();
             }
             if scale == 0.0 {
-                // Row already tridiagonal at this step.
+                // Row already tridiagonal at this step; rows 0..=l keep
+                // owing the previous update.
                 e[i] = a[(i, l)];
             } else {
                 for k in 0..=l {
@@ -65,8 +83,26 @@ pub fn tridiagonalize_in_place(a: &mut DenseMatrix, accumulate_q: bool) -> Tridi
                 h -= f * g;
                 a[(i, l)] = f - g;
                 u[..=l].copy_from_slice(&a.row(i)[..=l]);
-                // Panel phase 1: e[j] = (A u)[j] / h over the lower triangle.
-                lower_sym_matvec(a, l, &u[..=l], &mut e[..=l], h);
+                // One pass over rows 0..=l: row j takes the owed update,
+                // then gives its dot `p[j] = Σ_{k≤j} a[j][k]·u[k]` and its
+                // column terms `p[k] += a[j][k]·u[j]` (k < j). So every
+                // `p[k]` sums its row dot first, then rows k+1..=l
+                // ascending, as the classical column walk does.
+                let route = crate::simd::route(l + 1);
+                for (j, row) in a.data_mut()[..(l + 1) * cols].chunks_mut(cols).enumerate() {
+                    // `p[j]` takes a discarded term here, then its dot.
+                    e[j] = crate::simd::householder_row_routed(
+                        route,
+                        &mut row[..=j],
+                        [owed_u[j], owed_q[j]],
+                        [&owed_q[..=j], &owed_u[..=j]],
+                        (u[j], &u[..=j]),
+                        &mut e[..=j],
+                    );
+                }
+                for p in &mut e[..=l] {
+                    *p /= h;
+                }
                 if accumulate_q {
                     for j in 0..=l {
                         a[(j, i)] = a[(i, j)] / h;
@@ -74,17 +110,27 @@ pub fn tridiagonalize_in_place(a: &mut DenseMatrix, accumulate_q: bool) -> Tridi
                 }
                 f = crate::vecops::dot(&e[..=l], &u[..=l]);
                 let hh = f / (h + h);
+                // Rows 0..=l now owe this reflector's update, with
+                // q = p − hh·u.
                 for j in 0..=l {
-                    e[j] -= hh * u[j];
+                    owed_q[j] = e[j] - hh * u[j];
                 }
-                // Panel phase 2: A[0..=l, 0..=l] -= u eᵀ + e uᵀ (lower part).
-                rank2_update_lower(a, l, &u[..=l], &e[..=l]);
+                std::mem::swap(&mut u, &mut owed_u);
             }
         } else {
             e[i] = a[(i, l)];
         }
         d[i] = h;
     }
+    // Row 0 is the last to take the owed update.
+    crate::simd::rank2_row_routed(
+        crate::simd::route(1),
+        &mut a.row_mut(0)[..1],
+        owed_u[0],
+        owed_q[0],
+        &owed_q[..1],
+        &owed_u[..1],
+    );
     d[0] = 0.0;
     e[0] = 0.0;
 
@@ -119,42 +165,6 @@ pub fn tridiagonalize_in_place(a: &mut DenseMatrix, accumulate_q: bool) -> Tridi
     }
 
     Tridiagonal { d, e }
-}
-
-/// Fills `out[j] = (Σ_{k≤j} a[j][k]·u[k] + Σ_{j<k≤l} a[k][j]·u[k]) / h`
-/// for `j ∈ 0..=l` — the symmetric mat-vec over the packed lower triangle.
-///
-/// Cache blocking: the classical formulation walks column `j` of the
-/// lower triangle for the second sum — an `n`-strided sweep that goes
-/// memory-bound around `n ≈ 1000`. Instead, all outputs first take their
-/// row dots (`k ≤ j`, unit stride), then accumulate the column
-/// contributions row-wise: for `k` ascending, `out[j] += a[k][j]·u[k]`
-/// over `j < k` at once — a unit-stride `axpy` on `a.row(k)`. Per element
-/// the additions land in exactly the classical order (row dot first,
-/// then `k` ascending); both phases run on the SIMD kernels, whose
-/// `Strict` shape is bit-identical to the scalar bodies.
-fn lower_sym_matvec(a: &DenseMatrix, l: usize, u: &[f64], out: &mut [f64], h: f64) {
-    let route = crate::simd::route(l + 1);
-    for (j, g_out) in out.iter_mut().enumerate() {
-        *g_out = crate::vecops::dot(&a.row(j)[..=j], &u[..=j]);
-    }
-    for (k, &u_k) in u.iter().enumerate().skip(1) {
-        crate::simd::axpy_routed(route, u_k, &a.row(k)[..k], &mut out[..k]);
-    }
-    for g_out in out.iter_mut() {
-        *g_out /= h;
-    }
-}
-
-/// Applies the symmetric rank-2 update `a[j][k] -= u[j]·e[k] + e[j]·u[k]`
-/// for `k ≤ j ≤ l` (lower triangle only, as the classical algorithm does).
-fn rank2_update_lower(a: &mut DenseMatrix, l: usize, u: &[f64], e: &[f64]) {
-    let cols = a.ncols();
-    let rows = l + 1;
-    let route = crate::simd::route(rows);
-    for (j, row) in a.data_mut()[..rows * cols].chunks_mut(cols).enumerate() {
-        crate::simd::rank2_row_routed(route, &mut row[..=j], u[j], e[j], e, u);
-    }
 }
 
 #[cfg(test)]

@@ -47,7 +47,7 @@ pub use linop::{LinOp, ShiftedNegated};
 pub use orthogonal::random_orthogonal;
 pub use power::{power_iteration, PowerResult};
 pub use simd::SimdPolicy;
-pub use symeig::{eigenvalues_symmetric, eigh};
+pub use symeig::{eigenvalues_symmetric, eigenvalues_symmetric_in_place, eigh};
 pub use threads::set_threads;
 pub use tridiag::{tridiagonal_eigenvalues, tridiagonal_eigenvalues_bisect};
 

@@ -2,7 +2,8 @@
 //!
 //! Every hot loop in this crate — dot products (single and 4-wide),
 //! `axpy`/`axpby`/`scal` and the fused 4-vector update, the sparse mat-vec,
-//! the Householder rank-2 row update and the QL row rotation — funnels
+//! the Householder rank-2 row update and its fused one-pass row (update,
+//! axpy and dot), and the QL row rotation — funnels
 //! through this module. Dispatch is decided per kernel entry from the
 //! process-global [`SimdPolicy`] knob and cached
 //! `is_x86_feature_detected!` probes (AVX2, plus AVX-512F where the
@@ -17,7 +18,9 @@
 //!   perform exactly the same multiply/add sequence per element in
 //!   scalar and vector form — no FMA contraction (a fused multiply-add
 //!   rounds once where `mul` + `add` round twice, so `Strict` never emits
-//!   it). These are bit-identical under every policy.
+//!   it). These are bit-identical under every policy. The fused
+//!   Householder row is element-wise in its update and axpy, and its dot
+//!   takes the canonical shape below.
 //! * **Dot products** use one canonical shape in both implementations:
 //!   four accumulator lanes striped over the input
 //!   (`lane j ← elements j, j+4, j+8, …`), combined as
@@ -250,6 +253,40 @@ fn rank2_row_scalar(row: &mut [f64], uj: f64, ej: f64, e: &[f64], u: &[f64]) {
     for ((rk, ek), uk) in row.iter_mut().zip(e.iter()).zip(u.iter()) {
         *rk -= uj * ek + ej * uk;
     }
+}
+
+/// One row of the fused Householder pass: the pending rank-2 update
+/// `row[k] -= c_0·x_0[k] + c_1·x_1[k]` (exactly [`rank2_row_scalar`]),
+/// then, from the updated row, the axpy `p[k] += vj·row[k]` and the
+/// canonical dot `⟨row, v⟩` ([`dot_scalar`]'s lanes, combine and tail),
+/// which it returns.
+fn householder_row_scalar(
+    row: &mut [f64],
+    c: [f64; 2],
+    x: [&[f64]; 2],
+    (vj, v): (f64, &[f64]),
+    p: &mut [f64],
+) -> f64 {
+    let n = row.len();
+    let quads = n - n % 4;
+    let mut update = |k: usize| {
+        row[k] -= c[0] * x[0][k] + c[1] * x[1][k];
+        p[k] += vj * row[k];
+        row[k] * v[k]
+    };
+    let mut l = [0.0f64; 4];
+    let mut i = 0;
+    while i < quads {
+        for (lane, acc) in l.iter_mut().enumerate() {
+            *acc += update(i + lane);
+        }
+        i += 4;
+    }
+    let mut tail = 0.0;
+    for k in quads..n {
+        tail += update(k);
+    }
+    ((l[0] + l[1]) + (l[2] + l[3])) + tail
 }
 
 /// The QL Givens rotation on two rows: `hi ← s·lo + c·hi`,
@@ -511,6 +548,55 @@ mod avx2 {
         }
     }
 
+    /// One row of the fused Householder pass: per quad, the rank-2
+    /// update of the row, the axpy into `p` and the `Strict` dot lanes,
+    /// each with [`super::householder_row_scalar`]'s operations, so the
+    /// row, `p` and the returned dot are bit-identical to it.
+    ///
+    /// # Safety
+    /// Caller must ensure AVX2 is available and that `x[0]`, `x[1]`, `v`
+    /// and `p` are at least `row.len()` long.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn householder_row(
+        row: &mut [f64],
+        c: [f64; 2],
+        x: [&[f64]; 2],
+        (vj, v): (f64, &[f64]),
+        p: &mut [f64],
+    ) -> f64 {
+        let n = row.len();
+        let quads = n - n % 4;
+        let c0 = _mm256_set1_pd(c[0]);
+        let c1 = _mm256_set1_pd(c[1]);
+        let vjv = _mm256_set1_pd(vj);
+        let mut acc = _mm256_setzero_pd();
+        let mut i = 0;
+        while i < quads {
+            let x0 = _mm256_loadu_pd(x[0].as_ptr().add(i));
+            let x1 = _mm256_loadu_pd(x[1].as_ptr().add(i));
+            let upd = _mm256_add_pd(_mm256_mul_pd(c0, x0), _mm256_mul_pd(c1, x1));
+            let r = _mm256_sub_pd(_mm256_loadu_pd(row.as_ptr().add(i)), upd);
+            _mm256_storeu_pd(row.as_mut_ptr().add(i), r);
+            let pv = _mm256_loadu_pd(p.as_ptr().add(i));
+            _mm256_storeu_pd(
+                p.as_mut_ptr().add(i),
+                _mm256_add_pd(pv, _mm256_mul_pd(vjv, r)),
+            );
+            let vv = _mm256_loadu_pd(v.as_ptr().add(i));
+            acc = _mm256_add_pd(acc, _mm256_mul_pd(r, vv));
+            i += 4;
+        }
+        let mut l = [0.0f64; 4];
+        _mm256_storeu_pd(l.as_mut_ptr(), acc);
+        let mut tail = 0.0;
+        for k in quads..n {
+            row[k] -= c[0] * x[0][k] + c[1] * x[1][k];
+            p[k] += vj * row[k];
+            tail += row[k] * v[k];
+        }
+        ((l[0] + l[1]) + (l[2] + l[3])) + tail
+    }
+
     /// The QL row rotation `hi ← s·lo + c·hi`, `lo ← c·lo − s·hi`
     /// (element-wise; bit-identical to [`super::rotate_rows_scalar`]).
     ///
@@ -721,15 +807,32 @@ pub(crate) fn rotate_rows_routed(route: Route, s: f64, c: f64, lo: &mut [f64], h
     }
 }
 
-/// `y ← y + alpha·x` under a pre-resolved route.
-pub(crate) fn axpy_routed(route: Route, alpha: f64, x: &[f64], y: &mut [f64]) {
+/// One row of the fused Householder pass under a pre-resolved route:
+/// `row[k] -= c_0·x_0[k] + c_1·x_1[k]`, then `p[k] += vj·row[k]`, and the
+/// canonical dot `⟨row, v⟩` of the updated row is returned.
+///
+/// # Panics
+/// Panics if `x[0]`, `x[1]`, `v` or `p` is shorter than `row`.
+pub(crate) fn householder_row_routed(
+    route: Route,
+    row: &mut [f64],
+    c: [f64; 2],
+    x: [&[f64]; 2],
+    (vj, v): (f64, &[f64]),
+    p: &mut [f64],
+) -> f64 {
+    let n = row.len();
+    assert!(
+        x[0].len() >= n && x[1].len() >= n && v.len() >= n && p.len() >= n,
+        "householder_row: length mismatch"
+    );
     match route {
-        Route::Scalar => axpy_scalar(alpha, x, y),
+        Route::Scalar => householder_row_scalar(row, c, x, (vj, v), p),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `rank2_row_routed`.
-        _ => unsafe { avx2::axpy(alpha, x, y) },
+        // SAFETY: as in `rank2_row_routed`; lengths checked above.
+        _ => unsafe { avx2::householder_row(row, c, x, (vj, v), p) },
         #[cfg(not(target_arch = "x86_64"))]
-        _ => axpy_scalar(alpha, x, y),
+        _ => householder_row_scalar(row, c, x, (vj, v), p),
     }
 }
 
@@ -843,6 +946,35 @@ mod tests {
                     avx2::axpy4(a, qs, &mut fused);
                     assert_eq!(fused, sequential, "avx2 axpy4 n={n}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_householder_row_equals_its_three_kernels() {
+        // Every remainder class: the fused row must equal the rank-2
+        // update, then an axpy into `p` and a canonical dot of the updated
+        // row, bit for bit, in scalar and (where AVX2 runs) vector form.
+        for n in 0..40usize {
+            let (x, v) = vecs(n);
+            let row0: Vec<f64> = (0..n).map(|i| (i as f64 * 0.53).cos()).collect();
+            let q: Vec<f64> = (0..n).map(|i| (i as f64 * 0.31).sin()).collect();
+            let p0: Vec<f64> = (0..n).map(|i| (i as f64 * 0.19).sin() - 0.5).collect();
+            let (c, vj) = ([0.9, -1.1], -0.7);
+            let (mut want_row, mut want_p) = (row0.clone(), p0.clone());
+            rank2_row_scalar(&mut want_row, c[0], c[1], &q, &x);
+            axpy_scalar(vj, &want_row, &mut want_p);
+            let want_dot = dot_scalar(&want_row, &v);
+            let want = (want_row, want_p, want_dot);
+            let (mut row, mut p) = (row0.clone(), p0.clone());
+            let dot = householder_row_scalar(&mut row, c, [&q, &x], (vj, &v), &mut p);
+            assert_eq!((row, p, dot), want, "scalar n={n}");
+            #[cfg(target_arch = "x86_64")]
+            if avx2_available() {
+                let (mut row, mut p) = (row0.clone(), p0.clone());
+                // SAFETY: guarded by avx2_available(); equal lengths.
+                let dot = unsafe { avx2::householder_row(&mut row, c, [&q, &x], (vj, &v), &mut p) };
+                assert_eq!((row, p, dot), want, "avx2 n={n}");
             }
         }
     }

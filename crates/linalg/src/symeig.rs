@@ -14,17 +14,28 @@ fn symmetry_scale(a: &DenseMatrix) -> f64 {
     1.0 + a.data().iter().fold(0.0f64, |m, v| m.max(v.abs()))
 }
 
-/// All eigenvalues of a symmetric matrix, sorted ascending.
+/// All eigenvalues of a symmetric matrix, sorted ascending. Factorizes a
+/// copy of `a` with [`eigenvalues_symmetric_in_place`].
 ///
 /// # Errors
 /// Returns an error if `a` is not square/symmetric or the QL iteration
 /// fails to converge.
 pub fn eigenvalues_symmetric(a: &DenseMatrix) -> Result<Vec<f64>> {
+    eigenvalues_symmetric_in_place(&mut a.clone())
+}
+
+/// All eigenvalues of a symmetric matrix, sorted ascending, factorizing
+/// `a` itself: on success its contents are destroyed. For a matrix built
+/// only to be solved, this saves [`eigenvalues_symmetric`]'s `n²` copy.
+///
+/// # Errors
+/// Same failure modes as [`eigenvalues_symmetric`]; a matrix that is not
+/// square/symmetric is left untouched.
+pub fn eigenvalues_symmetric_in_place(a: &mut DenseMatrix) -> Result<Vec<f64>> {
     let _span = graphio_obs::span!("dense_eig");
     a.require_symmetric(SYMMETRY_TOL * symmetry_scale(a))?;
     crate::stats::record_dense_eigensolve();
-    let mut work = a.clone();
-    let mut t = tridiagonalize_in_place(&mut work, false);
+    let mut t = tridiagonalize_in_place(a, false);
     tql_in_place(&mut t.d, &mut t.e, None)?;
     Ok(t.d)
 }

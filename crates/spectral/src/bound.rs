@@ -10,7 +10,9 @@
 
 use crate::engine::LaplacianKind;
 use graphio_graph::CompGraph;
-use graphio_linalg::{eigenvalues_symmetric, lanczos, CsrMatrix, LanczosOptions, LinalgError};
+use graphio_linalg::{
+    eigenvalues_symmetric_in_place, lanczos, CsrMatrix, LanczosOptions, LinalgError,
+};
 
 /// Up to this vertex count [`ScaleTier::of`] solves densely — the O(n³)
 /// solver beats Lanczos there and is exact. (Lowered from the original
@@ -271,7 +273,7 @@ pub fn smallest_eigenvalues(lap: &CsrMatrix, opts: &BoundOptions) -> Result<Vec<
     }
     match opts.resolved_method(n) {
         EigenMethod::Dense => {
-            let mut vals = eigenvalues_symmetric(&lap.to_dense())?;
+            let mut vals = eigenvalues_symmetric_in_place(&mut lap.to_dense())?;
             vals.truncate(h);
             Ok(vals)
         }
