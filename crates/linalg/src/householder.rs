@@ -41,7 +41,7 @@ pub fn tridiagonalize_in_place(a: &mut DenseMatrix, accumulate_q: bool) -> Tridi
     if n == 0 {
         return Tridiagonal { d, e };
     }
-    // Scratch copy of the current reflector (row i of `a`), so the panel
+    // Scratch copy of the current reflector (row i of `a`), so the row
     // kernel can borrow the matrix without aliasing it; and the previous
     // reflector's `u` and `q`, whose rank-2 update every row `j` still
     // owing it takes just before it is next read (all zero: nothing owed,
@@ -54,8 +54,7 @@ pub fn tridiagonalize_in_place(a: &mut DenseMatrix, accumulate_q: bool) -> Tridi
     for i in (1..n).rev() {
         let l = i - 1;
         // Bring row i up to date: the reflector is formed from it.
-        crate::simd::rank2_row_routed(
-            crate::simd::route(i + 1),
+        crate::simd::rank2_row(
             &mut a.row_mut(i)[..=i],
             owed_u[i],
             owed_q[i],
@@ -123,8 +122,7 @@ pub fn tridiagonalize_in_place(a: &mut DenseMatrix, accumulate_q: bool) -> Tridi
         d[i] = h;
     }
     // Row 0 is the last to take the owed update.
-    crate::simd::rank2_row_routed(
-        crate::simd::route(1),
+    crate::simd::rank2_row(
         &mut a.row_mut(0)[..1],
         owed_u[0],
         owed_q[0],

@@ -768,21 +768,12 @@ pub(crate) fn scal(alpha: f64, x: &mut [f64]) {
     }
 }
 
-/// `row[k] -= uj·e[k] + ej·u[k]` under a pre-resolved route (the
-/// Householder panel kernels resolve once per panel, not once per row).
-pub(crate) fn rank2_row_routed(
-    route: Route,
-    row: &mut [f64],
-    uj: f64,
-    ej: f64,
-    e: &[f64],
-    u: &[f64],
-) {
-    match route {
+/// `row[k] -= uj·e[k] + ej·u[k]` under the active policy.
+pub(crate) fn rank2_row(row: &mut [f64], uj: f64, ej: f64, e: &[f64], u: &[f64]) {
+    match route(row.len()) {
         Route::Scalar => rank2_row_scalar(row, uj, ej, e, u),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: the caller resolved the route via `route()`, which only
-        // returns a SIMD lane after the AVX2 probe.
+        // SAFETY: as in `dot`.
         _ => unsafe { avx2::rank2_row(row, uj, ej, e, u) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => rank2_row_scalar(row, uj, ej, e, u),
@@ -829,7 +820,8 @@ pub(crate) fn householder_row_routed(
     match route {
         Route::Scalar => householder_row_scalar(row, c, x, (vj, v), p),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `rank2_row_routed`; lengths checked above.
+        // SAFETY: the caller resolved the route via `route()`, which only
+        // returns a SIMD lane after the AVX2 probe; lengths checked above.
         _ => unsafe { avx2::householder_row(row, c, x, (vj, v), p) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => householder_row_scalar(row, c, x, (vj, v), p),

@@ -1,7 +1,7 @@
 //! The n-sweep behind `BENCH_linalg.json`: Laplacian assembly and sparse
 //! mat-vec SIMD-vs-scalar timings and end-to-end analyze wall clock from
-//! n = 10³ to n = 10⁶, on two generator families — so later PRs can't
-//! regress scale.
+//! n = 10³ to n = 10⁶, on two generator families, plus one dense-tier row
+//! (an Erdős–Rényi DAG, n = 400) — so later PRs can't regress scale.
 //!
 //! For each (family, size) the example times building both Laplacians
 //! from the graph (`laplacian_s`), builds the normalized one and times
@@ -32,7 +32,7 @@
 //! ```
 
 use graphio::baselines::ConvexMinCutOptions;
-use graphio::graph::generators::{bhk_hypercube, fft_butterfly};
+use graphio::graph::generators::{bhk_hypercube, erdos_renyi_dag, fft_butterfly};
 use graphio::graph::{fingerprint, CompGraph};
 use graphio::linalg::simd::{avx2_available, set_policy};
 use graphio::linalg::SimdPolicy;
@@ -117,6 +117,10 @@ type GraphBuilder = Box<dyn Fn() -> CompGraph>;
 fn main() {
     let quick = std::env::args().nth(1).as_deref() == Some("quick");
     let sweep: Vec<(&str, GraphBuilder)> = vec![
+        (
+            "erdos_renyi_dag(400, 0.1, 1)",
+            Box::new(|| erdos_renyi_dag(400, 0.1, 1)),
+        ), // n = 400, dense tier
         ("fft_butterfly(7)", Box::new(|| fft_butterfly(7))), // n = 1,024
         ("fft_butterfly(10)", Box::new(|| fft_butterfly(10))), // n = 11,264
         ("fft_butterfly(13)", Box::new(|| fft_butterfly(13))), // n = 114,688
