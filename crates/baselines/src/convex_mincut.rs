@@ -427,8 +427,7 @@ fn upper_bounds(g: &CompGraph, vertices: &[usize]) -> Vec<u64> {
                 leaves_prefix |= prefix[u] & !prefix[w];
                 enters_desc |= desc[w] & !desc[u];
             }
-            for (lanes, counts) in [(leaves_prefix, &mut down), (enters_desc, &mut up)] {
-                let mut lanes = lanes;
+            for (mut lanes, counts) in [(leaves_prefix, &mut down), (enters_desc, &mut up)] {
                 while lanes != 0 {
                     counts[lanes.trailing_zeros() as usize] += 1;
                     lanes &= lanes - 1;

@@ -769,11 +769,19 @@ pub(crate) fn scal(alpha: f64, x: &mut [f64]) {
 }
 
 /// `row[k] -= uj·e[k] + ej·u[k]` under the active policy.
+///
+/// # Panics
+/// Panics if `e` or `u` is shorter than `row`.
 pub(crate) fn rank2_row(row: &mut [f64], uj: f64, ej: f64, e: &[f64], u: &[f64]) {
+    assert!(
+        e.len() >= row.len() && u.len() >= row.len(),
+        "rank2_row: length mismatch"
+    );
     match route(row.len()) {
         Route::Scalar => rank2_row_scalar(row, uj, ej, e, u),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `dot`.
+        // SAFETY: route() returned a SIMD lane only after the AVX2 probe,
+        // and the lengths were checked above.
         _ => unsafe { avx2::rank2_row(row, uj, ej, e, u) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => rank2_row_scalar(row, uj, ej, e, u),

@@ -25,8 +25,9 @@ pub fn eigenvalues_symmetric(a: &DenseMatrix) -> Result<Vec<f64>> {
 }
 
 /// All eigenvalues of a symmetric matrix, sorted ascending, factorizing
-/// `a` itself: on success its contents are destroyed. For a matrix built
-/// only to be solved, this saves [`eigenvalues_symmetric`]'s `n²` copy.
+/// `a` itself, whose contents are destroyed once it passes the symmetry
+/// check. For a matrix built only to be solved, this saves
+/// [`eigenvalues_symmetric`]'s `n²` copy.
 ///
 /// # Errors
 /// Same failure modes as [`eigenvalues_symmetric`]; a matrix that is not
