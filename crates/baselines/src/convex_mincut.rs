@@ -539,14 +539,16 @@ mod tests {
             erdos_renyi_dag(150, 0.05, 4),
         ];
         for g in &zoo {
-            // Every vertex: batches of 64, then a partial one (n > 128 on
-            // most of the zoo).
+            // Every vertex: batches of 64, then a partial one (past 128
+            // vertices on fft(5), diamond(12,12), the layered DAG and
+            // ER(150)).
             let all: Vec<usize> = (0..g.n()).collect();
             assert_bounds_match_reference(g, &all, "all");
         }
         for seed in 0..8 {
-            // n = 200 and 70 cover three full-and-partial batches and one
-            // batch of more than 64; ids are not in topological order.
+            // n = 200: three full batches and a partial one; n = 70: one
+            // and a partial one; n = 9: a partial one. Ids are not in
+            // topological order.
             for (n, degree) in [(200, 3.0), (70, 8.0), (9, 2.0)] {
                 let g = scrambled_dag(n, degree, seed);
                 let all: Vec<usize> = (0..n).collect();
