@@ -24,7 +24,9 @@ use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-vertex flow cap above [`HUGE_CUTOFF`] vertices (see
-/// [`wavefront_cut`]). Past that size [`ConvexMinCutOptions::for_graph_size`]
+/// [`wavefront_cut`]): each flow stops after the first Dinic phase that
+/// reaches it, so a served cut is at least the cap (when the true cut is)
+/// and still a lower bound. Past that size [`ConvexMinCutOptions::for_graph_size`]
 /// also samples only a handful of vertices: the baseline becomes a coarse
 /// (still valid) lower bound whose job is to not stall a million-vertex
 /// analyze, switching where the analysis stops eigensolving.
@@ -242,10 +244,13 @@ pub fn convex_min_cut_bound(
 /// ancestor-to-descendant path runs through `v` itself, collapsing the cut
 /// to 1. Down-closedness is what forces wide wavefronts.
 ///
-/// Above [`HUGE_CUTOFF`] vertices each max-flow is capped at
-/// [`HUGE_FLOW_CAP`]: a capped Dinic run still yields a valid flow, and
-/// any flow value lower-bounds the true wavefront, so the baseline stays
-/// a certified lower bound — it just stops tightening past the cap (the
+/// Above [`HUGE_CUTOFF`] vertices each max-flow stops after the first
+/// Dinic phase that reaches [`HUGE_FLOW_CAP`]. The phase that crosses the
+/// cap is finished, so the flow is at least the cap (when the true cut is)
+/// and can exceed it: `bhk_hypercube(17)` serves a cut of 50. A stopped
+/// Dinic run still yields a valid flow, and any flow value lower-bounds
+/// the true wavefront, so the baseline stays a certified lower bound — it
+/// just stops tightening once a phase reaches the cap (the
 /// huge-scale analog of the paper's §6.5 wall-clock cutoffs). The cap is
 /// a pure function of the graph size, so results stay deterministic per
 /// graph and cache keys need no new fields.

@@ -2,13 +2,15 @@
 //!
 //! [`CountingAlloc`] forwards every call to the system allocator and —
 //! when attribution is enabled — charges the allocation to the innermost
-//! active span on the allocating thread (read from the thread's published
-//! profile stack, [`crate::profile::current_frame`]). Two sinks receive
-//! the charge:
+//! open span on the allocating thread. Two sinks receive the charge:
 //!
-//! * a fixed-size global table of per-phase counters, rendered on
-//!   `/metrics` as `graphio_phase_alloc_bytes_total{phase=...}` and
-//!   `graphio_phase_allocs_total{phase=...}`;
+//! * per-phase counters, rendered on `/metrics` as
+//!   `graphio_phase_alloc_bytes_total{phase=...}` and
+//!   `graphio_phase_allocs_total{phase=...}`. Each phase name owns one
+//!   leaked counter pair, registered by name (call sites sharing a
+//!   literal share the pair). A span resolves its pair when it opens —
+//!   once per `span!` site, like its histogram — and swaps it into the
+//!   thread's current-phase cell until it closes;
 //! * per-thread cumulative counters ([`thread_totals`]) that the span
 //!   layer snapshots at span open/close, giving every trace node an
 //!   *inclusive* `alloc_bytes`/`allocs` (like `dur_us`, a node's figure
@@ -20,21 +22,22 @@
 //! want attribution; it is **default-off** and costs one relaxed atomic
 //! load per allocation while off — the same contract as
 //! [`crate::span!`]. While on, it performs only `Cell` and atomic
-//! operations: the hook never allocates, never locks, and never touches
-//! lazily-initialized TLS (const-init `Cell`s read through `try_with`, so
-//! allocation during TLS teardown degrades to the `unattributed` phase
-//! instead of recursing or aborting).
+//! operations: the hook never allocates, never locks, never probes, and
+//! never touches lazily-initialized TLS (const-init `Cell`s read through
+//! `try_with`, so allocation during TLS teardown degrades to the
+//! `unattributed` phase instead of recursing or aborting).
 //!
-//! Attribution to the *innermost* phase means the global table is an
-//! exclusive accounting (a parent phase is charged only for bytes
+//! Attribution to the *innermost* phase means the per-phase counters are
+//! an exclusive accounting (a parent phase is charged only for bytes
 //! allocated outside any child span), while trace nodes are inclusive —
 //! both are stated on the metrics and trace docs they feed.
 
 use crate::expo::MetricsText;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Global attribution switch. Off by default: see the module contract.
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -55,41 +58,50 @@ pub fn enabled() -> bool {
 /// Phase charged when no span is active on the allocating thread.
 pub const UNATTRIBUTED: &str = "unattributed";
 
-/// Phase charged when the table is full (more distinct phase-name call
-/// sites than `TABLE_SIZE` — far beyond this codebase's span count).
-pub const OVERFLOW: &str = "other";
-
-/// Slots in the phase table. Power of two; keyed by phase-name pointer
-/// identity (a `span!` literal has one address per call site), so the
-/// hook's lookup is a short linear probe over atomics.
-const TABLE_SIZE: usize = 512;
-
-struct PhaseCell {
-    /// The phase name's data pointer (0 = empty slot) and length. Two
-    /// words because `&'static str` is a fat pointer; `name_len` is
-    /// published with release ordering after the claiming CAS.
-    name_ptr: AtomicUsize,
-    name_len: AtomicUsize,
+/// One phase's exclusive allocation counters.
+pub(crate) struct PhaseAllocs {
     bytes: AtomicU64,
     allocs: AtomicU64,
 }
 
-impl PhaseCell {
-    const fn new() -> PhaseCell {
-        PhaseCell {
-            name_ptr: AtomicUsize::new(0),
-            name_len: AtomicUsize::new(0),
+impl PhaseAllocs {
+    const fn new() -> PhaseAllocs {
+        PhaseAllocs {
             bytes: AtomicU64::new(0),
             allocs: AtomicU64::new(0),
         }
     }
 }
 
-static TABLE: [PhaseCell; TABLE_SIZE] = [const { PhaseCell::new() }; TABLE_SIZE];
+static UNATTRIBUTED_ALLOCS: PhaseAllocs = PhaseAllocs::new();
+
+/// Every named phase's counters, keyed by name. Entries are leaked, like
+/// the phase histograms, so a span holds a `&'static` with no lock.
+static PHASES: Mutex<BTreeMap<&'static str, &'static PhaseAllocs>> = Mutex::new(BTreeMap::new());
+
+/// The counters of phase `name`, registered on first use. Allocates and
+/// locks: spans call it when they resolve their phase, never the hook.
+pub(crate) fn phase_allocs(name: &'static str) -> &'static PhaseAllocs {
+    if name == UNATTRIBUTED {
+        return &UNATTRIBUTED_ALLOCS;
+    }
+    let mut phases = PHASES.lock().expect("alloc phase registry lock");
+    phases
+        .entry(name)
+        .or_insert_with(|| Box::leak(Box::new(PhaseAllocs::new())))
+}
 
 thread_local! {
     static THREAD_BYTES: Cell<u64> = const { Cell::new(0) };
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// The innermost open span's counters; `None` outside every span.
+    static CURRENT: Cell<Option<&'static PhaseAllocs>> = const { Cell::new(None) };
+}
+
+/// Makes `phase` the current thread's innermost phase and returns the
+/// one it replaces; a closing span passes that back to restore it.
+pub(crate) fn swap_current(phase: Option<&'static PhaseAllocs>) -> Option<&'static PhaseAllocs> {
+    CURRENT.try_with(|c| c.replace(phase)).ok().flatten()
 }
 
 /// The calling thread's cumulative attributed `(bytes, allocs)`. The span
@@ -102,52 +114,20 @@ pub fn thread_totals() -> (u64, u64) {
     )
 }
 
-fn bump(name: &'static str, bytes: u64) {
-    let ptr = name.as_ptr() as usize;
-    // Fibonacci hash of the pointer; literals are word-aligned so the low
-    // bits alone would collide.
-    let mut i = ptr.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (usize::BITS - 9);
-    for _ in 0..16 {
-        i &= TABLE_SIZE - 1;
-        let cell = &TABLE[i];
-        let cur = cell.name_ptr.load(Ordering::Relaxed);
-        let claimed = cur == ptr
-            || (cur == 0
-                && match cell
-                    .name_ptr
-                    .compare_exchange(0, ptr, Ordering::AcqRel, Ordering::Relaxed)
-                {
-                    Ok(_) => {
-                        cell.name_len.store(name.len(), Ordering::Release);
-                        true
-                    }
-                    Err(raced) => raced == ptr,
-                });
-        if claimed {
-            cell.bytes.fetch_add(bytes, Ordering::Relaxed);
-            cell.allocs.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        i += 1;
-    }
-    // Probe exhausted: charge the shared overflow phase. Its slot is
-    // claimed through the same path, and OVERFLOW's probe window can only
-    // exhaust if the table truly has no room anywhere near its hash —
-    // accept losing the sample then rather than looping.
-    if !std::ptr::eq(name, OVERFLOW) {
-        bump(OVERFLOW, bytes);
-    }
-}
-
 #[inline]
 fn record(size: usize) {
     if !enabled() {
         return;
     }
-    let name = crate::profile::current_frame().unwrap_or(UNATTRIBUTED);
     let _ = THREAD_BYTES.try_with(|c| c.set(c.get() + size as u64));
     let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
-    bump(name, size as u64);
+    let phase = CURRENT
+        .try_with(Cell::get)
+        .ok()
+        .flatten()
+        .unwrap_or(&UNATTRIBUTED_ALLOCS);
+    phase.bytes.fetch_add(size as u64, Ordering::Relaxed);
+    phase.allocs.fetch_add(1, Ordering::Relaxed);
 }
 
 /// The instrumenting allocator. Install in a binary with
@@ -191,33 +171,19 @@ unsafe impl GlobalAlloc for CountingAlloc {
 }
 
 /// Every phase with attributed allocations, as `(phase, bytes, allocs)`,
-/// duplicate names merged (two call sites may intern the same literal
-/// separately) and sorted by phase name.
+/// sorted by phase name.
 #[must_use]
 pub fn snapshot() -> Vec<(String, u64, u64)> {
-    let mut merged: HashMap<&'static str, (u64, u64)> = HashMap::new();
-    for cell in &TABLE {
-        let ptr = cell.name_ptr.load(Ordering::Acquire);
-        if ptr == 0 {
-            continue;
-        }
-        let len = cell.name_len.load(Ordering::Acquire);
-        if len == 0 {
-            // Claimed but the length store has not landed yet; the next
-            // scrape will see it.
-            continue;
-        }
-        // SAFETY: (ptr, len) were published from a live `&'static str`.
-        let name: &'static str = unsafe {
-            std::str::from_utf8_unchecked(std::slice::from_raw_parts(ptr as *const u8, len))
-        };
-        let entry = merged.entry(name).or_insert((0, 0));
-        entry.0 += cell.bytes.load(Ordering::Relaxed);
-        entry.1 += cell.allocs.load(Ordering::Relaxed);
-    }
-    let mut all: Vec<(String, u64, u64)> = merged
-        .into_iter()
-        .map(|(name, (bytes, allocs))| (name.to_string(), bytes, allocs))
+    let phases = PHASES.lock().expect("alloc phase registry lock");
+    let mut all: Vec<(String, u64, u64)> = phases
+        .iter()
+        .map(|(&name, &phase)| (name, phase))
+        .chain([(UNATTRIBUTED, &UNATTRIBUTED_ALLOCS)])
+        .filter_map(|(name, phase)| {
+            let allocs = phase.allocs.load(Ordering::Relaxed);
+            let bytes = phase.bytes.load(Ordering::Relaxed);
+            (allocs > 0).then(|| (name.to_string(), bytes, allocs))
+        })
         .collect();
     all.sort();
     all
@@ -242,26 +208,8 @@ mod tests {
     use super::*;
 
     // The obs unit-test binary does not install CountingAlloc, so drive
-    // `record`/`bump` directly; the end-to-end path (hook + span layer)
-    // is covered by the crate's integration test, which does install it.
-    #[test]
-    fn bump_attributes_by_phase_and_snapshot_merges() {
-        bump("alloc_test_phase_a", 100);
-        bump("alloc_test_phase_a", 28);
-        bump("alloc_test_phase_b", 7);
-        let snap = snapshot();
-        let a = snap
-            .iter()
-            .find(|(n, _, _)| n == "alloc_test_phase_a")
-            .expect("phase a present");
-        assert_eq!((a.1, a.2), (128, 2));
-        let b = snap
-            .iter()
-            .find(|(n, _, _)| n == "alloc_test_phase_b")
-            .expect("phase b present");
-        assert_eq!((b.1, b.2), (7, 1));
-    }
-
+    // `record` directly; the end-to-end path (hook + span layer) is
+    // covered by the crate's integration test, which does install it.
     #[test]
     fn record_respects_the_switch_and_charges_thread_totals() {
         set_enabled(false);
@@ -277,26 +225,5 @@ mod tests {
         assert_eq!(after.1 - before.1, 2);
         // No span active on this thread: charged to the fallback phase.
         assert!(snapshot().iter().any(|(n, _, _)| n == UNATTRIBUTED));
-    }
-
-    #[test]
-    fn render_emits_both_families() {
-        bump("alloc_test_render", 42);
-        let mut m = MetricsText::new();
-        render(&mut m);
-        let text = m.into_string();
-        let expo = crate::expo::parse(&text).expect("alloc metrics parse");
-        assert!(expo
-            .value(
-                "graphio_phase_alloc_bytes_total",
-                &[("phase", "alloc_test_render")]
-            )
-            .is_some_and(|v| v >= 42.0));
-        assert!(expo
-            .value(
-                "graphio_phase_allocs_total",
-                &[("phase", "alloc_test_render")]
-            )
-            .is_some_and(|v| v >= 1.0));
     }
 }

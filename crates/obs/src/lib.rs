@@ -23,12 +23,13 @@
 //!   pinned ring for tail-based retention of slow and error traces.
 //!   `GET /trace/{id}` and `GET /traces` read it back.
 //! - [`profile`]: a sampling profiler over per-thread published span
-//!   stacks (single-writer seqlocks). `GET /debug/profile?seconds=S`
+//!   stacks (one seqlock cell per thread, the recorder's cell type). `GET /debug/profile?seconds=S`
 //!   samples the registered threads and renders collapsed-stack
 //!   flamegraph text; the router merges backend profiles under
 //!   `backend <addr>` frames.
 //! - [`alloc`]: a `GlobalAlloc` wrapper attributing allocation bytes and
-//!   counts to the innermost active span — per-phase counters on
+//!   counts to the innermost open span, whose counters the span swaps
+//!   into a thread-local current-phase cell — per-phase counters on
 //!   `/metrics`, per-node `alloc_bytes`/`allocs` in trace records.
 //! - [`procfs`]: std-only `/proc` readers (RSS, per-thread CPU, fd and
 //!   thread counts) behind golden-tested parsers, exposed as
@@ -44,6 +45,7 @@ pub mod hist;
 pub mod procfs;
 pub mod profile;
 pub mod recorder;
+mod seqlock;
 pub mod span;
 
 pub use alloc::CountingAlloc;

@@ -1,9 +1,9 @@
 //! Sampling profiler over published span stacks.
 //!
 //! Every thread that opens spans publishes its current span-stack through
-//! a per-thread seqlock slot (the same even/odd version protocol the
-//! flight recorder uses for trace records, single-writer here because
-//! only the owning thread mutates its own stack). A sampler walks the
+//! a per-thread seqlock cell (`crate::seqlock`, the same cell the flight
+//! recorder's ring is made of; only the owning thread writes its own
+//! stack, so its CAS never contends). A sampler walks the
 //! registered slots at a fixed rate and aggregates the snapshots into
 //! stack-path sample counts — the collapsed-stack format `flamegraph.pl`
 //! and speedscope consume (`frame;frame;frame count` per line).
@@ -13,10 +13,10 @@
 //! Publication rides the span switch: when spans are disabled (the
 //! offline CLI, the test suite) nothing is published and nothing is
 //! registered — the same one-relaxed-load contract as [`crate::span!`].
-//! When spans are enabled, each span open/close additionally performs two
-//! version stores and one array write into the thread's slot; there is no
-//! lock and no allocation on the span path (the slot itself is created
-//! once per thread). Sampling costs nothing until somebody asks: the
+//! When spans are enabled, each span open/close additionally performs one
+//! version CAS, one version store and one array write into the thread's
+//! slot; there is no lock and no allocation on the span path (the slot
+//! itself is created once per thread). Sampling costs nothing until somebody asks: the
 //! `GET /debug/profile?seconds=S` handler *is* the sampler — it loops for
 //! its window, snapshotting every registered slot, and renders the
 //! aggregate. No background thread runs between requests.
@@ -30,10 +30,9 @@
 //! concurrent push/pop are discarded and counted in
 //! [`Profile::torn`], never rendered as an `unknown` frame.
 
+use crate::seqlock::SeqCell;
 use std::cell::Cell;
-use std::cell::UnsafeCell;
 use std::collections::HashMap;
-use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -67,133 +66,52 @@ const EMPTY_STACK: PublishedStack = PublishedStack {
     frames: [""; MAX_STACK],
 };
 
-/// One thread's published stack: a single-writer seqlock. The owning
-/// thread is the only writer (span open/close); samplers on other threads
-/// take validated bitwise copies.
-pub struct StackSlot {
-    version: AtomicU64,
-    stack: UnsafeCell<PublishedStack>,
-}
-
-/// SAFETY: concurrent access to `stack` is mediated by the seqlock
-/// protocol on `version`: the owner brackets every mutation with odd/even
-/// version stores, and readers discard copies whose version moved (see
-/// `crate::recorder` module docs for the torn-copy argument — the payload
-/// is `Copy` and heap-free, so a torn copy is safe to make and is never
-/// used before validation).
-unsafe impl Sync for StackSlot {}
-
-impl StackSlot {
-    const fn new() -> StackSlot {
-        StackSlot {
-            version: AtomicU64::new(0),
-            stack: UnsafeCell::new(EMPTY_STACK),
-        }
-    }
-
-    /// Owner-thread mutation under the seqlock: odd store, release fence
-    /// (orders the version bump before the data writes), plain writes,
-    /// even release store.
-    fn write(&self, f: impl FnOnce(&mut PublishedStack)) {
-        let v = self.version.load(Ordering::Relaxed);
-        self.version.store(v + 1, Ordering::Relaxed);
-        fence(Ordering::Release);
-        // SAFETY: only the owning thread writes, and the odd version
-        // above tells readers the payload is unstable.
-        unsafe { f(&mut *self.stack.get()) };
-        self.version.store(v + 2, Ordering::Release);
-    }
-
-    /// A validated copy, or `None` when the owner is mid-update (the
-    /// sampler just skips the thread this tick).
-    fn snapshot(&self) -> Option<PublishedStack> {
-        for _ in 0..4 {
-            let v1 = self.version.load(Ordering::Acquire);
-            if v1 & 1 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            // SAFETY: bitwise copy of a heap-free `Copy` payload, used
-            // only after the version check below proves it was not torn.
-            let copy = unsafe { std::ptr::read(self.stack.get()) };
-            fence(Ordering::Acquire);
-            if self.version.load(Ordering::Relaxed) == v1 {
-                return Some(copy);
-            }
-            std::hint::spin_loop();
-        }
-        None
-    }
-}
+/// One thread's published stack. The owning thread is the only writer
+/// (span open/close); samplers on other threads take validated copies.
+type StackSlot = SeqCell<PublishedStack>;
 
 /// Every thread that ever published a stack. Slots are leaked (a thread's
 /// slot outlives the thread; an exited thread's guards all dropped, so
 /// its slot reads as idle forever) — bounded by the process's worker-pool
-/// size, not by request count.
+/// size, not by request count. A slot is registered after its first
+/// write, so a sampler never meets a never-written one.
 static REGISTRY: Mutex<Vec<&'static StackSlot>> = Mutex::new(Vec::new());
 
 thread_local! {
-    /// The current thread's slot, null until its first published span.
-    /// Const-init raw pointer so the allocator hook may read it without
-    /// ever triggering lazy TLS initialization.
-    static SLOT: Cell<*const StackSlot> = const { Cell::new(std::ptr::null()) };
+    /// The current thread's slot, `None` until its first published span.
+    static SLOT: Cell<Option<&'static StackSlot>> = const { Cell::new(None) };
 }
 
 /// Publishes a frame push on the current thread's slot, registering the
 /// slot on first use. Returns false when TLS is tearing down (the caller
 /// must then skip the matching pop).
 pub(crate) fn push_frame(name: &'static str) -> bool {
-    let Ok(ptr) = SLOT.try_with(Cell::get) else {
+    let Ok(slot) = SLOT.try_with(Cell::get) else {
         return false;
     };
-    let slot: &'static StackSlot = if ptr.is_null() {
-        let slot = Box::leak(Box::new(StackSlot::new()));
-        REGISTRY.lock().expect("profile registry lock").push(slot);
-        if SLOT.try_with(|c| c.set(slot)).is_err() {
-            return false;
-        }
-        slot
-    } else {
-        // SAFETY: non-null values stored in SLOT are leaked 'static slots.
-        unsafe { &*ptr }
-    };
-    slot.write(|s| {
+    let push = |s: &mut PublishedStack| {
         if s.depth < MAX_STACK {
             s.frames[s.depth] = name;
         }
         s.depth += 1;
-    });
+    };
+    if let Some(slot) = slot {
+        slot.write(push);
+        return true;
+    }
+    let slot: &'static StackSlot = Box::leak(Box::new(SeqCell::new(EMPTY_STACK)));
+    if SLOT.try_with(|c| c.set(Some(slot))).is_err() {
+        return false;
+    }
+    slot.write(push);
+    REGISTRY.lock().expect("profile registry lock").push(slot);
     true
 }
 
 /// Publishes the matching frame pop.
 pub(crate) fn pop_frame() {
-    let Ok(ptr) = SLOT.try_with(Cell::get) else {
-        return;
-    };
-    if ptr.is_null() {
-        return;
-    }
-    // SAFETY: as in `push_frame`.
-    unsafe { &*ptr }.write(|s| s.depth = s.depth.saturating_sub(1));
-}
-
-/// The innermost published frame on the current thread, if any. Owner
-/// reads need no seqlock (the owner is the only writer). This is the
-/// allocator hook's phase source: const-init TLS only, no allocation.
-#[must_use]
-pub fn current_frame() -> Option<&'static str> {
-    let ptr = SLOT.try_with(Cell::get).ok()?;
-    if ptr.is_null() {
-        return None;
-    }
-    // SAFETY: owner-thread plain read of its own slot; samplers only read.
-    let stack = unsafe { &*(*ptr).stack.get() };
-    let depth = stack.depth.min(MAX_STACK);
-    if depth == 0 {
-        None
-    } else {
-        Some(stack.frames[depth - 1])
+    if let Ok(Some(slot)) = SLOT.try_with(Cell::get) {
+        slot.write(|s| s.depth = s.depth.saturating_sub(1));
     }
 }
 
@@ -222,7 +140,7 @@ pub struct Profile {
 pub fn sample_for(duration: Duration, hz: u64) -> Profile {
     let interval = Duration::from_nanos(1_000_000_000 / hz.max(1));
     let deadline = Instant::now() + duration;
-    let own = SLOT.try_with(Cell::get).unwrap_or(std::ptr::null());
+    let own = SLOT.try_with(Cell::get).ok().flatten();
     let mut counts: HashMap<Vec<&'static str>, u64> = HashMap::new();
     let mut profile = Profile::default();
     loop {
@@ -232,10 +150,10 @@ pub fn sample_for(duration: Duration, hz: u64) -> Profile {
             REGISTRY.lock().expect("profile registry lock").clone();
         profile.threads = slots.len();
         for slot in slots {
-            if std::ptr::eq(slot, own) {
+            if own.is_some_and(|own| std::ptr::eq(slot, own)) {
                 continue;
             }
-            match slot.snapshot() {
+            match slot.read() {
                 None => profile.torn += 1,
                 Some(s) if s.depth == 0 => {}
                 Some(s) => {
@@ -345,6 +263,14 @@ pub fn parse_profile_query(query: &str) -> Result<u64, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
+
+    /// The innermost frame this thread has published, if any.
+    fn own_top() -> Option<&'static str> {
+        let stack = SLOT.with(Cell::get)?.read()?;
+        let depth = stack.depth.min(MAX_STACK);
+        (depth > 0).then(|| stack.frames[depth - 1])
+    }
 
     #[test]
     fn collapsed_roundtrips_and_prefixes() {
@@ -386,14 +312,14 @@ mod tests {
             std::thread::spawn(move || {
                 assert!(push_frame("profile_test_outer"));
                 assert!(push_frame("profile_test_inner"));
-                assert_eq!(current_frame(), Some("profile_test_inner"));
+                assert_eq!(own_top(), Some("profile_test_inner"));
                 while !stop.load(Ordering::Relaxed) {
                     std::hint::spin_loop();
                 }
                 pop_frame();
-                assert_eq!(current_frame(), Some("profile_test_outer"));
+                assert_eq!(own_top(), Some("profile_test_outer"));
                 pop_frame();
-                assert_eq!(current_frame(), None);
+                assert_eq!(own_top(), None);
             })
         };
         // Sample until the worker's two-frame stack shows up.
@@ -422,14 +348,14 @@ mod tests {
                 for _ in 0..MAX_STACK + 4 {
                     assert!(push_frame("profile_test_deep"));
                 }
-                assert_eq!(current_frame(), Some("profile_test_deep"));
+                assert_eq!(own_top(), Some("profile_test_deep"));
                 while !stop.load(Ordering::Relaxed) {
                     std::hint::spin_loop();
                 }
                 for _ in 0..MAX_STACK + 4 {
                     pop_frame();
                 }
-                assert_eq!(current_frame(), None);
+                assert_eq!(own_top(), None);
             })
         };
         let mut truncated = false;

@@ -11,23 +11,17 @@
 //!
 //! ## Ring layout and the seqlock invariant
 //!
-//! The ring is a power-of-two array of slots. Each slot pairs an
-//! `AtomicU64` version counter with a plain [`TraceRecord`] payload:
-//!
-//! * a **writer** claims a slot by `head.fetch_add(1)` (distinct writers
-//!   claim distinct sequence numbers, hence — until the ring wraps —
-//!   distinct slots), CASes the slot's version from even to odd, writes
-//!   the payload, then stores version+2 (even again). The CAS only
-//!   contends when the ring wraps a full lap within one write's duration;
-//!   the loser spins for the few instructions the winner needs. There is
-//!   **no mutex anywhere on this path** — recording can never block a
-//!   request thread on another thread's descheduling.
-//! * a **reader** loads the version (odd or zero means mid-write or
-//!   never written: skip), bitwise-copies the payload, then re-loads the
-//!   version; a change means the copy may be torn and is discarded. Torn
-//!   copies are safe to *make* (never dereferenced before validation)
-//!   because [`TraceRecord`] is `Copy` and owns no heap: phase names are
-//!   `&'static str` and the node list is a fixed inline array.
+//! The ring is a power-of-two array of seqlock cells (`crate::seqlock`),
+//! each holding one plain [`TraceRecord`]. A **writer** claims a slot by
+//! `head.fetch_add(1)` (distinct writers claim distinct sequence numbers,
+//! hence — until the ring wraps — distinct slots) and writes it under the
+//! cell's even→odd CAS, which only contends when the ring wraps a full
+//! lap within one write's duration. There is **no mutex anywhere on this
+//! path** — recording can never block a request thread on another
+//! thread's descheduling. A **reader** takes a validated bitwise copy and
+//! skips slots that are empty or mid-write. Torn copies are safe to
+//! *make* because [`TraceRecord`] is `Copy` and owns no heap: phase names
+//! are `&'static str` and the node list is a fixed inline array.
 //!
 //! That inline array is why a tree holds at most [`RECORD_NODES`] nodes:
 //! a slot must be memcpy-able, so the span layer stops collecting at that
@@ -46,10 +40,10 @@
 //! records across process death is layered on top by the service tier
 //! (`serve --trace-store DIR`), not here.
 
+use crate::seqlock::SeqCell;
 use crate::span::{TraceNode, TraceSummary};
 use std::cell::Cell;
-use std::cell::UnsafeCell;
-use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// Phase-tree nodes kept per request: the span layer's collection cap
@@ -158,12 +152,6 @@ impl TraceRecord {
         &self.nodes[..self.len]
     }
 
-    /// Whether the request answered with an error status.
-    #[must_use]
-    pub fn is_error(&self) -> bool {
-        self.status >= 400
-    }
-
     /// The record as one JSON object — the `GET /trace/{id}` body, and
     /// the bytes `serve --trace-store` persists: `trace`, `endpoint`,
     /// `status`, `fingerprint`, `outcome`, `elapsed_us`, `dropped_spans`,
@@ -206,42 +194,22 @@ impl TraceRecord {
     }
 }
 
-/// One seqlock slot: version counter plus plain payload. Even version =
-/// stable, odd = mid-write, zero = never written.
-struct Slot {
-    version: AtomicU64,
-    record: UnsafeCell<TraceRecord>,
-}
-
-/// SAFETY: concurrent access to `record` is mediated by the seqlock
-/// protocol on `version` (see module docs): writers gain exclusivity via
-/// the even→odd CAS, and readers validate their bitwise copy against an
-/// unchanged version before using it.
-unsafe impl Sync for Slot {}
-
-impl Slot {
-    fn empty() -> Slot {
-        Slot {
-            version: AtomicU64::new(0),
-            record: UnsafeCell::new(TraceRecord {
-                seq: 0,
-                trace: 0,
-                endpoint: "",
-                status: 0,
-                fingerprint: None,
-                outcome: None,
-                elapsed_us: 0,
-                dropped_spans: 0,
-                len: 0,
-                nodes: [EMPTY_NODE; RECORD_NODES],
-            }),
-        }
-    }
-}
+const EMPTY_RECORD: TraceRecord = TraceRecord {
+    seq: 0,
+    trace: 0,
+    endpoint: "",
+    status: 0,
+    fingerprint: None,
+    outcome: None,
+    elapsed_us: 0,
+    dropped_spans: 0,
+    len: 0,
+    nodes: [EMPTY_NODE; RECORD_NODES],
+};
 
 /// A power-of-two seqlock ring.
 struct Ring {
-    slots: Box<[Slot]>,
+    slots: Box<[SeqCell<TraceRecord>]>,
     mask: u64,
     head: AtomicU64,
 }
@@ -249,9 +217,8 @@ struct Ring {
 impl Ring {
     fn new(capacity: usize) -> Ring {
         let capacity = capacity.next_power_of_two().max(8);
-        let slots: Vec<Slot> = (0..capacity).map(|_| Slot::empty()).collect();
         Ring {
-            slots: slots.into_boxed_slice(),
+            slots: (0..capacity).map(|_| SeqCell::new(EMPTY_RECORD)).collect(),
             mask: capacity as u64 - 1,
             head: AtomicU64::new(0),
         }
@@ -266,66 +233,20 @@ impl Ring {
         if stamp {
             record.seq = seq;
         }
-        let slot = &self.slots[(seq & self.mask) as usize];
-        loop {
-            let v = slot.version.load(Ordering::Relaxed);
-            if v & 1 == 1 {
-                // Another writer lapped the ring onto this slot and is
-                // mid-write; it finishes in a bounded number of steps.
-                std::hint::spin_loop();
-                continue;
-            }
-            if slot
-                .version
-                .compare_exchange_weak(v, v + 1, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-            {
-                // SAFETY: the successful even→odd CAS above grants this
-                // thread exclusive write access until the release store.
-                unsafe { std::ptr::write(slot.record.get(), record) };
-                slot.version.store(v + 2, Ordering::Release);
-                return seq;
-            }
-        }
+        self.slots[(seq & self.mask) as usize].write(|slot| *slot = record);
+        seq
     }
 
-    /// A validated copy of one slot, or `None` if empty or under
-    /// concurrent rewrite (bounded retries; callers treat a persistently
-    /// torn slot as absent — it is being overwritten with newer data).
-    fn read(&self, index: usize) -> Option<TraceRecord> {
-        let slot = &self.slots[index];
-        for _ in 0..4 {
-            let v1 = slot.version.load(Ordering::Acquire);
-            if v1 == 0 || v1 & 1 == 1 {
-                return None;
-            }
-            // SAFETY: the copy may race a writer, which is why it is a
-            // plain bitwise copy of a heap-free `Copy` payload, used only
-            // after the version check below proves it was not torn.
-            let copy = unsafe { std::ptr::read(slot.record.get()) };
-            fence(Ordering::Acquire);
-            if slot.version.load(Ordering::Relaxed) == v1 {
-                return Some(copy);
-            }
-            std::hint::spin_loop();
-        }
-        None
-    }
-
-    /// Every currently readable record, in no particular order.
+    /// Every currently readable record, in no particular order. A slot
+    /// that stays torn over the read's retries is being overwritten with
+    /// newer data and is skipped.
     fn scan(&self) -> Vec<TraceRecord> {
-        (0..self.slots.len()).filter_map(|i| self.read(i)).collect()
+        self.slots.iter().filter_map(SeqCell::read).collect()
     }
 
     /// Slots holding a stable record right now (written, not mid-write).
     fn occupancy(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| {
-                let v = s.version.load(Ordering::Relaxed);
-                v != 0 && v & 1 == 0
-            })
-            .count()
+        self.slots.iter().filter(|s| s.is_written()).count()
     }
 }
 

@@ -16,8 +16,8 @@
 //! on; an enabled span costs two `Instant::now()` calls, one lock-free
 //! histogram record, a seqlock frame push/pop on the thread's published
 //! profiler stack (`crate::profile`), two thread-local allocation-total
-//! reads (`crate::alloc`), and (inside a traced request only) one `Vec`
-//! push.
+//! reads and two swaps of the thread's current-phase cell
+//! (`crate::alloc`), and (inside a traced request only) one `Vec` push.
 //!
 //! ## Trace trees
 //!
@@ -32,6 +32,7 @@
 //! histograms but does not appear in the scattering request's tree — the
 //! tree is a per-thread causal spine, not a distributed trace.
 
+use crate::alloc::PhaseAllocs;
 use crate::hist::Histogram;
 use crate::recorder::RECORD_NODES;
 use std::cell::RefCell;
@@ -121,10 +122,10 @@ pub fn registered() -> Vec<RegisteredHist> {
     all
 }
 
-/// Per-call-site cache of a phase's histogram, so an enabled span does a
-/// single relaxed pointer load instead of a registry lookup.
+/// Per-call-site cache of a phase's histogram and allocation counters,
+/// so an enabled span does a single load instead of two registry lookups.
 pub struct PhaseSite {
-    hist: OnceLock<&'static Histogram>,
+    phase: OnceLock<(&'static Histogram, &'static PhaseAllocs)>,
 }
 
 impl PhaseSite {
@@ -132,7 +133,7 @@ impl PhaseSite {
     #[must_use]
     pub const fn new() -> PhaseSite {
         PhaseSite {
-            hist: OnceLock::new(),
+            phase: OnceLock::new(),
         }
     }
 }
@@ -325,6 +326,8 @@ struct LiveSpan {
     /// Whether this span's frame was published to the profiler stack
     /// (false only during TLS teardown); guards the matching pop.
     published: bool,
+    /// The enclosing span's allocation counters, restored on close.
+    outer: Option<&'static PhaseAllocs>,
 }
 
 impl SpanGuard {
@@ -335,25 +338,37 @@ impl SpanGuard {
         if !enabled() {
             return SpanGuard { live: None };
         }
-        let hist = *site
-            .hist
-            .get_or_init(|| histogram(PHASE_FAMILY, "phase", name));
-        SpanGuard::open(name, hist)
+        let (hist, allocs) = *site.phase.get_or_init(|| {
+            (
+                histogram(PHASE_FAMILY, "phase", name),
+                crate::alloc::phase_allocs(name),
+            )
+        });
+        SpanGuard::open(name, hist, allocs)
     }
 
     /// Opens a span whose name is picked at runtime from a fixed set (the
     /// per-request root span, named by endpoint). Resolves the phase
-    /// histogram through the registry on every call — fine at per-request
-    /// frequency; hot inner loops should use [`span!`](crate::span!) instead.
+    /// histogram and allocation counters through their registries on
+    /// every call — fine at per-request frequency; hot inner loops should
+    /// use [`span!`](crate::span!) instead.
     #[must_use]
     pub fn enter_dynamic(name: &'static str) -> SpanGuard {
         if !enabled() {
             return SpanGuard { live: None };
         }
-        SpanGuard::open(name, histogram(PHASE_FAMILY, "phase", name))
+        SpanGuard::open(
+            name,
+            histogram(PHASE_FAMILY, "phase", name),
+            crate::alloc::phase_allocs(name),
+        )
     }
 
-    fn open(name: &'static str, hist: &'static Histogram) -> SpanGuard {
+    fn open(
+        name: &'static str,
+        hist: &'static Histogram,
+        allocs: &'static PhaseAllocs,
+    ) -> SpanGuard {
         let start = Instant::now();
         // Snapshot allocation totals before the node push below, so the
         // tree's own bookkeeping is charged to the parent phase.
@@ -380,6 +395,7 @@ impl SpanGuard {
             Some(index)
         });
         let published = crate::profile::push_frame(name);
+        let outer = crate::alloc::swap_current(Some(allocs));
         SpanGuard {
             live: Some(LiveSpan {
                 start,
@@ -387,6 +403,7 @@ impl SpanGuard {
                 node,
                 alloc0,
                 published,
+                outer,
             }),
         }
     }
@@ -398,9 +415,8 @@ impl Drop for SpanGuard {
             return;
         };
         let dur_us = live.start.elapsed().as_micros() as u64;
-        // Difference the allocation totals before unpublishing, so a
-        // concurrent allocator hook still sees this span as innermost.
         let (bytes_now, allocs_now) = crate::alloc::thread_totals();
+        crate::alloc::swap_current(live.outer);
         if live.published {
             crate::profile::pop_frame();
         }

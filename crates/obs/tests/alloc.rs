@@ -156,3 +156,123 @@ fn disabled_attribution_records_nothing() {
     assert_eq!(phase_bytes("alloc_disabled_phase"), 0);
     graphio_obs::alloc::set_enabled(true);
 }
+
+/// `(bytes, allocs)` the per-phase counters currently hold for `name`.
+fn phase_totals(name: &str) -> (u64, u64) {
+    graphio_obs::alloc::snapshot()
+        .iter()
+        .find(|(n, _, _)| n == name)
+        .map_or((0, 0), |&(_, bytes, allocs)| (bytes, allocs))
+}
+
+#[test]
+fn call_sites_sharing_a_literal_share_one_sample() {
+    let _guard = FLAG_LOCK.lock().unwrap();
+    graphio_obs::set_enabled(true);
+    graphio_obs::alloc::set_enabled(true);
+
+    let (bytes, allocs) = phase_totals("alloc_shared_literal");
+    let (first, second);
+    {
+        let _s = graphio_obs::span!("alloc_shared_literal");
+        first = vec![1u8; 3000];
+    }
+    {
+        let _s = graphio_obs::span!("alloc_shared_literal");
+        second = vec![2u8; 5000];
+    }
+    drop((first, second));
+    let mut m = graphio_obs::MetricsText::new();
+    graphio_obs::alloc::render(&mut m);
+    let text = m.into_string();
+    graphio_obs::parse_metrics(&text).expect("alloc metrics parse");
+    // Both families, one sample each, holding both call sites' charges.
+    let samples: Vec<&str> = text
+        .lines()
+        .filter(|l| l.contains("{phase=\"alloc_shared_literal\"} "))
+        .collect();
+    assert_eq!(
+        samples,
+        [
+            format!(
+                "graphio_phase_alloc_bytes_total{{phase=\"alloc_shared_literal\"}} {}",
+                bytes + 8000
+            ),
+            format!(
+                "graphio_phase_allocs_total{{phase=\"alloc_shared_literal\"}} {}",
+                allocs + 2
+            ),
+        ]
+    );
+}
+
+/// More distinct nested spans than the profiler publishes frames for
+/// (`profile::MAX_STACK` = 32): the innermost still owns its bytes.
+const NESTED: [&str; 34] = [
+    "alloc_nest_00",
+    "alloc_nest_01",
+    "alloc_nest_02",
+    "alloc_nest_03",
+    "alloc_nest_04",
+    "alloc_nest_05",
+    "alloc_nest_06",
+    "alloc_nest_07",
+    "alloc_nest_08",
+    "alloc_nest_09",
+    "alloc_nest_10",
+    "alloc_nest_11",
+    "alloc_nest_12",
+    "alloc_nest_13",
+    "alloc_nest_14",
+    "alloc_nest_15",
+    "alloc_nest_16",
+    "alloc_nest_17",
+    "alloc_nest_18",
+    "alloc_nest_19",
+    "alloc_nest_20",
+    "alloc_nest_21",
+    "alloc_nest_22",
+    "alloc_nest_23",
+    "alloc_nest_24",
+    "alloc_nest_25",
+    "alloc_nest_26",
+    "alloc_nest_27",
+    "alloc_nest_28",
+    "alloc_nest_29",
+    "alloc_nest_30",
+    "alloc_nest_31",
+    "alloc_nest_32",
+    "alloc_nest_33",
+];
+
+/// Opens `NESTED[depth..]` inside one another and allocates `payload`
+/// bytes in the innermost span.
+fn nest(depth: usize, payload: usize) -> Vec<u8> {
+    let _s = SpanGuard::enter_dynamic(NESTED[depth]);
+    if depth + 1 < NESTED.len() {
+        nest(depth + 1, payload)
+    } else {
+        vec![7u8; payload]
+    }
+}
+
+#[test]
+fn allocations_in_deep_stacks_land_on_the_innermost_span() {
+    let _guard = FLAG_LOCK.lock().unwrap();
+    graphio_obs::set_enabled(true);
+    graphio_obs::alloc::set_enabled(true);
+
+    assert!(NESTED.len() > graphio_obs::profile::MAX_STACK);
+    let buf = nest(0, 16 * 1024);
+    assert!(buf.iter().all(|&b| b == 7));
+    assert!(
+        phase_bytes(NESTED[33]) >= 16 * 1024,
+        "the innermost span owns its payload"
+    );
+    for outer in &NESTED[..33] {
+        assert!(
+            phase_bytes(outer) < 16 * 1024,
+            "{outer} must not absorb the innermost span's bytes"
+        );
+    }
+}

@@ -175,27 +175,6 @@ impl SessionCache {
         self.evict(&mut shard);
     }
 
-    /// The session for `fp`, creating it with `make` under the shard lock
-    /// on a miss (session construction is cheap — no analysis runs until
-    /// the first bound request). Returns `(session, was_cached)`.
-    pub fn get_or_insert_with(
-        &self,
-        fp: Fingerprint,
-        make: impl FnOnce() -> OwnedAnalyzer,
-    ) -> (Arc<OwnedAnalyzer>, bool) {
-        let mut shard = self.shard(fp).lock().expect("cache shard lock");
-        if let Some(entry) = shard.get_mut(&fp.0) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return (self.touch(entry), true);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let analyzer = Arc::new(make());
-        let last_used = self.tick.fetch_add(1, Ordering::Relaxed);
-        shard.insert(fp.0, Entry::new(Arc::clone(&analyzer), last_used));
-        self.evict(&mut shard);
-        (analyzer, false)
-    }
-
     /// Inserts a ready-made session for `fp` unless one is already
     /// cached, returning the cached-or-inserted session and whether a
     /// concurrent insert won the race. **No hit/miss counter moves**: this
@@ -333,14 +312,27 @@ mod tests {
         OwnedAnalyzer::from_graph(diamond_dag(k, k))
     }
 
+    /// The server's lookup: a counted `get`, then on a miss the
+    /// counter-silent `insert_if_absent`. Returns `(session, was_cached)`.
+    fn lookup(
+        cache: &SessionCache,
+        fp: Fingerprint,
+        make: impl FnOnce() -> OwnedAnalyzer,
+    ) -> (Arc<OwnedAnalyzer>, bool) {
+        match cache.get(fp) {
+            Some(analyzer) => (analyzer, true),
+            None => cache.insert_if_absent(fp, make()),
+        }
+    }
+
     #[test]
     fn caches_and_reuses_sessions() {
         let cache = SessionCache::new(&CacheConfig::default());
         let g = fft_butterfly(3);
         let fp = fingerprint(&g);
-        let (a, hit) = cache.get_or_insert_with(fp, || OwnedAnalyzer::from_graph(g.clone()));
+        let (a, hit) = lookup(&cache, fp, || OwnedAnalyzer::from_graph(g.clone()));
         assert!(!hit);
-        let (b, hit) = cache.get_or_insert_with(fp, || panic!("must reuse the session"));
+        let (b, hit) = lookup(&cache, fp, || panic!("must reuse the session"));
         assert!(hit);
         assert!(Arc::ptr_eq(&a, &b));
         assert!(Arc::ptr_eq(&cache.get(fp).unwrap(), &a));
@@ -359,7 +351,7 @@ mod tests {
             .map(|k| {
                 let g = diamond_dag(k, k);
                 let fp = fingerprint(&g);
-                cache.get_or_insert_with(fp, || session(k));
+                lookup(&cache, fp, || session(k));
                 fp
             })
             .collect();
@@ -377,7 +369,7 @@ mod tests {
             max_bytes: 1, // everything is over budget
         });
         for k in 2..6 {
-            cache.get_or_insert_with(fingerprint(&diamond_dag(k, k)), || session(k));
+            lookup(&cache, fingerprint(&diamond_dag(k, k)), || session(k));
         }
         assert_eq!(cache.len(), 1, "budget evicts down to a single session");
         assert!(cache.stats().bytes > 1);
@@ -404,8 +396,8 @@ mod tests {
             max_sessions: 16,
             max_bytes: budget,
         });
-        cache.get_or_insert_with(fp_a, || OwnedAnalyzer::from_graph(a));
-        cache.get_or_insert_with(fp_b, || OwnedAnalyzer::from_graph(b));
+        lookup(&cache, fp_a, || OwnedAnalyzer::from_graph(a));
+        lookup(&cache, fp_b, || OwnedAnalyzer::from_graph(b));
         assert_eq!(cache.len(), 2, "both idle sessions fit the budget");
 
         // Repeated queries against the cached session grow it past the
@@ -459,7 +451,7 @@ mod tests {
         let cache = SessionCache::new(&CacheConfig::default());
         let g = fft_butterfly(3);
         let fp = fingerprint(&g);
-        let (an, _) = cache.get_or_insert_with(fp, || OwnedAnalyzer::from_graph(g));
+        let (an, _) = lookup(&cache, fp, || OwnedAnalyzer::from_graph(g));
         let idle = cache.stats().bytes;
         let (two, four) = (AnalyzeSpec::sweep(vec![2]), AnalyzeSpec::sweep(vec![4]));
         let first = cache.document(fp, &an, &two, || "two\n".to_string());
@@ -499,7 +491,9 @@ mod tests {
         });
         for k in 2..8 {
             let g = diamond_dag(k, k);
-            cache.get_or_insert_with(fingerprint(&g), || OwnedAnalyzer::from_graph(g.clone()));
+            lookup(&cache, fingerprint(&g), || {
+                OwnedAnalyzer::from_graph(g.clone())
+            });
         }
         let stats = cache.stats();
         assert_eq!(stats.shard_bytes.len(), 4);
@@ -518,7 +512,7 @@ mod tests {
             .map(|k| {
                 let g = diamond_dag(k, 2);
                 let fp = fingerprint(&g);
-                cache.get_or_insert_with(fp, || OwnedAnalyzer::from_graph(g));
+                lookup(&cache, fp, || OwnedAnalyzer::from_graph(g));
                 fp
             })
             .collect();

@@ -11,10 +11,10 @@
 //! | [`spectral`] | the paper's contribution: Theorems 4/5/6 bounds, §5 closed forms (hypercube, butterfly spectrum of Theorem 7, Erdős–Rényi) |
 //! | [`pebble`] | the §3 two-level-memory execution simulator (upper bounds) |
 //! | [`baselines`] | the §6.3 convex min-cut baseline and an exact tiny-graph optimum oracle |
-//! | [`service`] | the HTTP analysis server: sharded session cache + worker pool, `graphio serve` / `graphio client` |
+//! | [`service`] | the HTTP analysis server: sharded session cache + worker pool, `graphio serve` / `graphio client` / `graphio loadgen` |
 //! | [`store`] | persistent content-addressed session store: CRC32-framed segment log + binary codec, `graphio store` / `graphio precompute`, `serve --store` |
 //! | [`router`] | the fingerprint-affine cluster tier: consistent-hash reverse proxy with scatter/gather batching and failover, `graphio router` / `graphio cluster` |
-//! | [`obs`] | observability: phase-tracing spans, lock-free log₂ latency histograms, Prometheus text exposition (`GET /metrics`), slow-request logs, `graphio loadgen` |
+//! | [`obs`] | observability: phase-tracing spans, lock-free log₂ latency histograms, Prometheus text exposition (`GET /metrics`), the flight recorder (`GET /trace/{id}`), a sampling profiler (`GET /debug/profile`), per-phase allocation counters, `/proc` gauges |
 //!
 //! ## Quickstart
 //!
