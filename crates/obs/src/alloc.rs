@@ -210,8 +210,53 @@ mod tests {
     // The obs unit-test binary does not install CountingAlloc, so drive
     // `record` directly; the end-to-end path (hook + span layer) is
     // covered by the crate's integration test, which does install it.
+
+    /// Serializes the tests that flip the process-wide switch.
+    static SWITCH: Mutex<()> = Mutex::new(());
+
+    /// Records one allocation per entry of `sizes` with `name` as the
+    /// thread's innermost phase, as an open span of that name would.
+    fn record_in(name: &'static str, sizes: &[usize]) {
+        let outer = swap_current(Some(phase_allocs(name)));
+        for &size in sizes {
+            record(size);
+        }
+        swap_current(outer);
+    }
+
+    #[test]
+    fn bump_attributes_by_phase_and_snapshot_merges() {
+        // A second copy of the name at another address: registration is
+        // by name, so it shares the first copy's counters.
+        let copy: &'static str = Box::leak(String::from("alloc_test_phase_a").into_boxed_str());
+        let _switch = SWITCH.lock().unwrap();
+        set_enabled(true);
+        record_in("alloc_test_phase_a", &[100]);
+        record_in(copy, &[28]);
+        record_in("alloc_test_phase_b", &[7]);
+        set_enabled(false);
+        let snap = snapshot();
+        let a = snap
+            .iter()
+            .find(|(n, _, _)| n == "alloc_test_phase_a")
+            .expect("phase a present");
+        assert_eq!((a.1, a.2), (128, 2));
+        let b = snap
+            .iter()
+            .find(|(n, _, _)| n == "alloc_test_phase_b")
+            .expect("phase b present");
+        assert_eq!((b.1, b.2), (7, 1));
+        assert_eq!(
+            snap.iter()
+                .filter(|(n, _, _)| n == "alloc_test_phase_a")
+                .count(),
+            1
+        );
+    }
+
     #[test]
     fn record_respects_the_switch_and_charges_thread_totals() {
+        let _switch = SWITCH.lock().unwrap();
         set_enabled(false);
         let before = thread_totals();
         record(64);
@@ -225,5 +270,31 @@ mod tests {
         assert_eq!(after.1 - before.1, 2);
         // No span active on this thread: charged to the fallback phase.
         assert!(snapshot().iter().any(|(n, _, _)| n == UNATTRIBUTED));
+    }
+
+    #[test]
+    fn render_emits_both_families() {
+        let _switch = SWITCH.lock().unwrap();
+        set_enabled(true);
+        record_in("alloc_test_render", &[42]);
+        set_enabled(false);
+        let mut m = MetricsText::new();
+        render(&mut m);
+        let text = m.into_string();
+        let expo = crate::expo::parse(&text).expect("alloc metrics parse");
+        assert_eq!(
+            expo.value(
+                "graphio_phase_alloc_bytes_total",
+                &[("phase", "alloc_test_render")]
+            ),
+            Some(42.0)
+        );
+        assert_eq!(
+            expo.value(
+                "graphio_phase_allocs_total",
+                &[("phase", "alloc_test_render")]
+            ),
+            Some(1.0)
+        );
     }
 }
