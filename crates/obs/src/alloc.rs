@@ -6,11 +6,11 @@
 //!
 //! * per-phase counters, rendered on `/metrics` as
 //!   `graphio_phase_alloc_bytes_total{phase=...}` and
-//!   `graphio_phase_allocs_total{phase=...}`. Each phase name owns one
-//!   leaked counter pair, registered by name (call sites sharing a
-//!   literal share the pair). A span resolves its pair when it opens —
-//!   once per `span!` site, like its histogram — and swaps it into the
-//!   thread's current-phase cell until it closes;
+//!   `graphio_phase_allocs_total{phase=...}`. A phase's counter pair
+//!   lives in its series of the span registry ([`mod@crate::span`]), beside
+//!   its histogram, so call sites sharing a name share the pair. A span
+//!   resolves that series once per [`crate::span::PhaseSite`] and swaps
+//!   the pair into the thread's current-phase cell until it closes;
 //! * per-thread cumulative counters ([`thread_totals`]) that the span
 //!   layer snapshots at span open/close, giving every trace node an
 //!   *inclusive* `alloc_bytes`/`allocs` (like `dur_us`, a node's figure
@@ -33,11 +33,10 @@
 //! both are stated on the metrics and trace docs they feed.
 
 use crate::expo::MetricsText;
+use crate::span::PHASE_FAMILY;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Global attribution switch. Off by default: see the module contract.
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -58,14 +57,15 @@ pub fn enabled() -> bool {
 /// Phase charged when no span is active on the allocating thread.
 pub const UNATTRIBUTED: &str = "unattributed";
 
-/// One phase's exclusive allocation counters.
+/// One phase's exclusive allocation counters. Each phase's pair lives in
+/// its series in the span registry ([`crate::span::Series`]).
 pub(crate) struct PhaseAllocs {
     bytes: AtomicU64,
     allocs: AtomicU64,
 }
 
 impl PhaseAllocs {
-    const fn new() -> PhaseAllocs {
+    pub(crate) const fn new() -> PhaseAllocs {
         PhaseAllocs {
             bytes: AtomicU64::new(0),
             allocs: AtomicU64::new(0),
@@ -74,22 +74,6 @@ impl PhaseAllocs {
 }
 
 static UNATTRIBUTED_ALLOCS: PhaseAllocs = PhaseAllocs::new();
-
-/// Every named phase's counters, keyed by name. Entries are leaked, like
-/// the phase histograms, so a span holds a `&'static` with no lock.
-static PHASES: Mutex<BTreeMap<&'static str, &'static PhaseAllocs>> = Mutex::new(BTreeMap::new());
-
-/// The counters of phase `name`, registered on first use. Allocates and
-/// locks: spans call it when they resolve their phase, never the hook.
-pub(crate) fn phase_allocs(name: &'static str) -> &'static PhaseAllocs {
-    if name == UNATTRIBUTED {
-        return &UNATTRIBUTED_ALLOCS;
-    }
-    let mut phases = PHASES.lock().expect("alloc phase registry lock");
-    phases
-        .entry(name)
-        .or_insert_with(|| Box::leak(Box::new(PhaseAllocs::new())))
-}
 
 thread_local! {
     static THREAD_BYTES: Cell<u64> = const { Cell::new(0) };
@@ -171,13 +155,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 }
 
 /// Every phase with attributed allocations, as `(phase, bytes, allocs)`,
-/// sorted by phase name.
+/// sorted by phase name: the phase series of the span registry, plus the
+/// `unattributed` pair.
 #[must_use]
 pub fn snapshot() -> Vec<(String, u64, u64)> {
-    let phases = PHASES.lock().expect("alloc phase registry lock");
-    let mut all: Vec<(String, u64, u64)> = phases
-        .iter()
-        .map(|(&name, &phase)| (name, phase))
+    let mut all: Vec<(String, u64, u64)> = crate::span::registered()
+        .into_iter()
+        .filter(|r| r.family == PHASE_FAMILY)
+        .map(|r| (r.label_value, &r.series.allocs))
         .chain([(UNATTRIBUTED, &UNATTRIBUTED_ALLOCS)])
         .filter_map(|(name, phase)| {
             let allocs = phase.allocs.load(Ordering::Relaxed);
@@ -212,12 +197,12 @@ mod tests {
     // covered by the crate's integration test, which does install it.
 
     /// Serializes the tests that flip the process-wide switch.
-    static SWITCH: Mutex<()> = Mutex::new(());
+    static SWITCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     /// Records one allocation per entry of `sizes` with `name` as the
     /// thread's innermost phase, as an open span of that name would.
     fn record_in(name: &'static str, sizes: &[usize]) {
-        let outer = swap_current(Some(phase_allocs(name)));
+        let outer = swap_current(Some(&crate::span::phase(name).allocs));
         for &size in sizes {
             record(size);
         }
@@ -226,8 +211,8 @@ mod tests {
 
     #[test]
     fn bump_attributes_by_phase_and_snapshot_merges() {
-        // A second copy of the name at another address: registration is
-        // by name, so it shares the first copy's counters.
+        // A second copy of the name at another address: the registry keys
+        // by content, so it shares the first copy's counters.
         let copy: &'static str = Box::leak(String::from("alloc_test_phase_a").into_boxed_str());
         let _switch = SWITCH.lock().unwrap();
         set_enabled(true);

@@ -165,9 +165,9 @@ pub fn render_registered(out: &mut MetricsText) {
     for reg in registered() {
         out.histogram_with_exemplars(
             reg.family,
-            &[(reg.label_key, reg.label_value.as_str())],
-            &reg.hist.snapshot(),
-            &reg.hist.exemplars(),
+            &[(reg.label_key, reg.label_value)],
+            &reg.series.hist.snapshot(),
+            &reg.series.hist.exemplars(),
         );
     }
 }

@@ -8,7 +8,8 @@
 //!   stack. `span!("eigensolve")` returns an RAII guard; when tracing is
 //!   disabled (the default — only the long-running servers and the
 //!   loadgen enable it) a span site costs one relaxed atomic load and no
-//!   clock read. Enabled spans record into per-(family, phase) histograms
+//!   clock read. Enabled spans record into their phase's one registered
+//!   series (histogram and allocation counters, cached per call site)
 //!   and, inside a [`span::begin_request`] scope, build a parented phase
 //!   tree for the request's flight-recorder record.
 //! - [`hist`]: fixed-bucket log2 latency histograms — lock-free striped
@@ -28,8 +29,8 @@
 //!   flamegraph text; the router merges backend profiles under
 //!   `backend <addr>` frames.
 //! - [`alloc`]: a `GlobalAlloc` wrapper attributing allocation bytes and
-//!   counts to the innermost open span, whose counters the span swaps
-//!   into a thread-local current-phase cell — per-phase counters on
+//!   counts to the innermost open span, which swaps its series' counter
+//!   pair into a thread-local current-phase cell — per-phase counters on
 //!   `/metrics`, per-node `alloc_bytes`/`allocs` in trace records.
 //! - [`procfs`]: std-only `/proc` readers (RSS, per-thread CPU, fd and
 //!   thread counts) behind golden-tested parsers, exposed as

@@ -2,10 +2,12 @@
 //!
 //! A span is an RAII guard over one named phase of work
 //! (`let _s = span!("eigensolve");`). On drop it records the phase's
-//! duration into that phase's global [`Histogram`] (one histogram per
-//! distinct phase name, resolved once per call site) and, when the
-//! current thread is inside a traced request, appends a node to the
-//! request's phase tree.
+//! duration into that phase's [`Series`] and, when the current thread is
+//! inside a traced request, appends a node to the request's phase tree.
+//! The process keeps one registry of series: one per distinct
+//! `(family, label key, label value)`, holding the histogram and, for a
+//! phase, its allocation counters (`crate::alloc`). A [`PhaseSite`]
+//! resolves its phase's series once and caches the reference.
 //!
 //! ## Cost model
 //!
@@ -36,7 +38,7 @@ use crate::alloc::PhaseAllocs;
 use crate::hist::Histogram;
 use crate::recorder::RECORD_NODES;
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -57,83 +59,103 @@ pub fn enabled() -> bool {
 }
 
 // ---------------------------------------------------------------------
-// Phase histogram registry
+// Series registry
 // ---------------------------------------------------------------------
 
-/// One registered histogram family member: `family{label_key="label"}`.
+/// One registered series, `family{label_key="label_value"}`: its
+/// histogram and, for a phase, that phase's exclusive allocation
+/// counters (unused by other families). Entries are leaked — a series,
+/// once minted, lives for the process — so the record path and the
+/// allocation hook hold a `&'static` with no lock.
+pub struct Series {
+    /// The live histogram.
+    pub hist: Histogram,
+    pub(crate) allocs: PhaseAllocs,
+}
+
+/// One registered series with its key, as [`registered`] lists it.
 pub struct RegisteredHist {
     /// Metric family name, e.g. `graphio_phase_duration_microseconds`.
     pub family: &'static str,
     /// Label key, e.g. `phase` or `endpoint`.
     pub label_key: &'static str,
     /// Label value, e.g. `eigensolve` or `/analyze`.
-    pub label_value: String,
-    /// The live histogram.
-    pub hist: &'static Histogram,
+    pub label_value: &'static str,
+    /// The series.
+    pub series: &'static Series,
 }
 
-/// Registry of every histogram the process exposes on `/metrics`, keyed
-/// by `(family, label_key, label_value)`. Entries are leaked — a metric,
-/// once minted, lives for the process — so the record path holds a
-/// `&'static` with no lock.
-type HistKey = (&'static str, &'static str, String);
-static REGISTRY: OnceLock<Mutex<HashMap<HistKey, &'static Histogram>>> = OnceLock::new();
+/// Every series the process exposes on `/metrics`, keyed (and so
+/// ordered) by `(family, label_key, label_value)`. Keys compare by
+/// content, so a heap copy of a name finds the literal's series.
+type SeriesKey = (&'static str, &'static str, &'static str);
+static REGISTRY: Mutex<BTreeMap<SeriesKey, &'static Series>> = Mutex::new(BTreeMap::new());
 
 /// The metric family every `span!` phase records into.
 pub const PHASE_FAMILY: &str = "graphio_phase_duration_microseconds";
 
-/// Looks up (or creates) the histogram `family{label_key="label_value"}`.
-/// The returned reference is `'static`; call sites should cache it.
+/// Looks up (or registers) the series `family{label_key="label_value"}`.
+/// Locks the registry, so call sites resolve once and cache the result.
+fn series(
+    family: &'static str,
+    label_key: &'static str,
+    label_value: &'static str,
+) -> &'static Series {
+    let mut map = REGISTRY.lock().expect("obs registry lock");
+    map.entry((family, label_key, label_value))
+        .or_insert_with(|| {
+            Box::leak(Box::new(Series {
+                hist: Histogram::new(),
+                allocs: PhaseAllocs::new(),
+            }))
+        })
+}
+
+/// The series of the `span!` phase `name`.
+pub(crate) fn phase(name: &'static str) -> &'static Series {
+    series(PHASE_FAMILY, "phase", name)
+}
+
+/// The histogram of the series `family{label_key="label_value"}`,
+/// registered on first use. Locks the registry; callers cache it.
 pub fn histogram(
     family: &'static str,
     label_key: &'static str,
-    label_value: &str,
+    label_value: &'static str,
 ) -> &'static Histogram {
-    let registry = REGISTRY.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut map = registry.lock().expect("obs registry lock");
-    if let Some(h) = map.get(&(family, label_key, label_value.to_string())) {
-        return h;
-    }
-    let h: &'static Histogram = Box::leak(Box::new(Histogram::new()));
-    map.insert((family, label_key, label_value.to_string()), h);
-    h
+    &series(family, label_key, label_value).hist
 }
 
-/// Every registered histogram, sorted by (family, label key, label value)
-/// so exposition output is deterministic.
+/// Every registered series, in key order, so exposition output is
+/// deterministic.
 #[must_use]
 pub fn registered() -> Vec<RegisteredHist> {
-    let Some(registry) = REGISTRY.get() else {
-        return Vec::new();
-    };
-    let map = registry.lock().expect("obs registry lock");
-    let mut all: Vec<RegisteredHist> = map
-        .iter()
-        .map(|((family, label_key, label_value), hist)| RegisteredHist {
-            family,
-            label_key,
-            label_value: label_value.clone(),
-            hist,
-        })
-        .collect();
-    all.sort_by(|a, b| {
-        (a.family, a.label_key, &a.label_value).cmp(&(b.family, b.label_key, &b.label_value))
-    });
-    all
+    let map = REGISTRY.lock().expect("obs registry lock");
+    map.iter()
+        .map(
+            |(&(family, label_key, label_value), &series)| RegisteredHist {
+                family,
+                label_key,
+                label_value,
+                series,
+            },
+        )
+        .collect()
 }
 
-/// Per-call-site cache of a phase's histogram and allocation counters,
-/// so an enabled span does a single load instead of two registry lookups.
+/// A phase's series, resolved on the first enabled span that names it
+/// and cached: one per `span!` site, or one per name a caller picks at
+/// runtime from a fixed set (the skeleton's per-endpoint request roots).
 pub struct PhaseSite {
-    phase: OnceLock<(&'static Histogram, &'static PhaseAllocs)>,
+    series: OnceLock<&'static Series>,
 }
 
 impl PhaseSite {
-    /// A new, unresolved site (used by the `span!` expansion).
+    /// A new, unresolved site.
     #[must_use]
     pub const fn new() -> PhaseSite {
         PhaseSite {
-            phase: OnceLock::new(),
+            series: OnceLock::new(),
         }
     }
 }
@@ -331,44 +353,18 @@ struct LiveSpan {
 }
 
 impl SpanGuard {
-    /// Opens the span (the [`span!`](crate::span!) macro body). Disabled: one relaxed
-    /// load, no clock read.
+    /// Opens the span named `name`, whose series `site` caches (the
+    /// [`span!`](crate::span!) macro body). Disabled: one relaxed load,
+    /// no clock read. `site` must only ever open spans of one name.
     #[inline]
     pub fn enter(name: &'static str, site: &PhaseSite) -> SpanGuard {
         if !enabled() {
             return SpanGuard { live: None };
         }
-        let (hist, allocs) = *site.phase.get_or_init(|| {
-            (
-                histogram(PHASE_FAMILY, "phase", name),
-                crate::alloc::phase_allocs(name),
-            )
-        });
-        SpanGuard::open(name, hist, allocs)
+        SpanGuard::open(name, site.series.get_or_init(|| phase(name)))
     }
 
-    /// Opens a span whose name is picked at runtime from a fixed set (the
-    /// per-request root span, named by endpoint). Resolves the phase
-    /// histogram and allocation counters through their registries on
-    /// every call — fine at per-request frequency; hot inner loops should
-    /// use [`span!`](crate::span!) instead.
-    #[must_use]
-    pub fn enter_dynamic(name: &'static str) -> SpanGuard {
-        if !enabled() {
-            return SpanGuard { live: None };
-        }
-        SpanGuard::open(
-            name,
-            histogram(PHASE_FAMILY, "phase", name),
-            crate::alloc::phase_allocs(name),
-        )
-    }
-
-    fn open(
-        name: &'static str,
-        hist: &'static Histogram,
-        allocs: &'static PhaseAllocs,
-    ) -> SpanGuard {
+    fn open(name: &'static str, series: &'static Series) -> SpanGuard {
         let start = Instant::now();
         // Snapshot allocation totals before the node push below, so the
         // tree's own bookkeeping is charged to the parent phase.
@@ -395,11 +391,11 @@ impl SpanGuard {
             Some(index)
         });
         let published = crate::profile::push_frame(name);
-        let outer = crate::alloc::swap_current(Some(allocs));
+        let outer = crate::alloc::swap_current(Some(&series.allocs));
         SpanGuard {
             live: Some(LiveSpan {
                 start,
-                hist,
+                hist: &series.hist,
                 node,
                 alloc0,
                 published,

@@ -5,7 +5,7 @@
 //! deltas must isolate each request — bytes from request 1 must never
 //! leak into request 2's nodes or phases.
 
-use graphio_obs::span::SpanGuard;
+use graphio_obs::span::{PhaseSite, SpanGuard};
 use std::sync::Mutex;
 
 #[global_allocator]
@@ -14,6 +14,11 @@ static COUNTING: graphio_obs::CountingAlloc = graphio_obs::CountingAlloc;
 /// Tests in this binary share the process-global span/alloc switches and
 /// the global phase table, so they serialize.
 static FLAG_LOCK: Mutex<()> = Mutex::new(());
+
+/// Opens a span of `name` through a fresh, unresolved site.
+fn enter(name: &'static str) -> SpanGuard {
+    SpanGuard::enter(name, &PhaseSite::new())
+}
 
 /// The bytes the global table currently attributes to `name`.
 fn phase_bytes(name: &str) -> u64 {
@@ -31,9 +36,9 @@ fn run_request(trace: u128, phase: &'static str, payload: usize) -> (u64, u64) {
     let guard = graphio_obs::begin_request(trace);
     let buf;
     {
-        let _root = SpanGuard::enter_dynamic("request_root");
+        let _root = enter("request_root");
         {
-            let _span = SpanGuard::enter_dynamic(phase);
+            let _span = enter(phase);
             buf = vec![0xA5u8; payload];
         }
     }
@@ -103,11 +108,11 @@ fn nodes_are_inclusive_and_table_is_exclusive() {
     let guard = graphio_obs::begin_request(0x2001);
     let (outer_buf, inner_buf);
     {
-        let _root = SpanGuard::enter_dynamic("alloc_incl_outer");
+        let _root = enter("alloc_incl_outer");
         outer_buf = vec![1u8; 16 * 1024];
         let inner_table_before = phase_bytes("alloc_incl_inner");
         {
-            let _inner = SpanGuard::enter_dynamic("alloc_incl_inner");
+            let _inner = enter("alloc_incl_inner");
             inner_buf = vec![2u8; 8 * 1024];
         }
         assert!(
@@ -141,7 +146,7 @@ fn disabled_attribution_records_nothing() {
     let guard = graphio_obs::begin_request(0x3001);
     let buf;
     {
-        let _span = SpanGuard::enter_dynamic("alloc_disabled_phase");
+        let _span = enter("alloc_disabled_phase");
         buf = vec![3u8; 4 * 1024];
     }
     let summary = guard.finish().expect("summary");
@@ -248,7 +253,7 @@ const NESTED: [&str; 34] = [
 /// Opens `NESTED[depth..]` inside one another and allocates `payload`
 /// bytes in the innermost span.
 fn nest(depth: usize, payload: usize) -> Vec<u8> {
-    let _s = SpanGuard::enter_dynamic(NESTED[depth]);
+    let _s = enter(NESTED[depth]);
     if depth + 1 < NESTED.len() {
         nest(depth + 1, payload)
     } else {
@@ -275,4 +280,39 @@ fn allocations_in_deep_stacks_land_on_the_innermost_span() {
             "{outer} must not absorb the innermost span's bytes"
         );
     }
+}
+
+/// Request roots as the server skeleton opens them: one site per name of
+/// a fixed set, the name picked at runtime.
+const ROOTS: [&str; 3] = ["alloc_root_/a", "alloc_root_/b", "alloc_root_other"];
+
+#[test]
+fn a_resolved_root_span_opens_without_allocating() {
+    let _guard = FLAG_LOCK.lock().unwrap();
+    graphio_obs::set_enabled(true);
+    graphio_obs::alloc::set_enabled(true);
+
+    let sites: [PhaseSite; 3] = Default::default();
+    let requested = String::from("alloc_root_/b");
+    let row = ROOTS.iter().position(|&r| r == requested).expect("a root");
+    let (name, site) = (ROOTS[row], &sites[row]);
+    {
+        let _first = SpanGuard::enter(name, site);
+    }
+    let before = graphio_obs::alloc::thread_totals();
+    for _ in 0..100 {
+        let _root = SpanGuard::enter(name, site);
+    }
+    assert_eq!(
+        graphio_obs::alloc::thread_totals(),
+        before,
+        "a resolved site opens and closes its span without allocating"
+    );
+
+    // Resolving a registered series by name allocates nothing either:
+    // no registry key holds an owned string.
+    graphio_obs::histogram("alloc_test_request_family", "endpoint", name);
+    let before = graphio_obs::alloc::thread_totals();
+    graphio_obs::histogram("alloc_test_request_family", "endpoint", name).record(1);
+    assert_eq!(graphio_obs::alloc::thread_totals(), before);
 }

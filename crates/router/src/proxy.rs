@@ -633,7 +633,7 @@ fn handle_batch(state: &Arc<RouterState>, ex: &mut Exchange<'_>) {
         // opens one span around the whole fan-out. That span is where
         // `GET /trace/{id}` splices each backend's phase tree when it
         // assembles the distributed trace.
-        let _scatter = graphio_obs::span::SpanGuard::enter_dynamic("batch_scatter");
+        let _scatter = graphio_obs::span!("batch_scatter");
         std::thread::scope(|scope| {
             let handles: Vec<_> = groups
                 .iter()

@@ -14,13 +14,13 @@
 //! contend only inside the engine's per-key single-flight slots, which is
 //! exactly the contention that deduplicates work). Eviction is LRU per
 //! shard under both a session-count cap and a byte budget; session sizes
-//! are re-read on every eviction pass because a session's caches grow
-//! after insertion, and the server re-runs the pass via
-//! [`SessionCache::enforce_budget`] after each analysis completes — a
-//! shard serving only cache hits still converges back under its budget,
-//! without size-summing work on the per-hit fast path. Evicting a
-//! session that requests still hold is safe — the `Arc` keeps it alive
-//! until the last request drops it.
+//! are re-read on every eviction pass. The pass runs where a shard can
+//! grow: on insert, and in [`SessionCache::document`] when it stores a
+//! freshly rendered body — after insertion a session grows only inside
+//! that render (its eigensolves, min-cut sweeps and simulations). A hit
+//! answered from the stored document sums no sizes. Evicting a session
+//! that requests still hold is safe — the `Arc` keeps it alive until the
+//! last request drops it.
 //!
 //! Each entry also keeps one served-document slot: the last
 //! `(AnalyzeSpec, body)` an `/analyze` on the session answered
@@ -161,15 +161,11 @@ impl SessionCache {
         }
     }
 
-    /// Re-runs eviction on the shard holding `fp`. The server calls this
-    /// after each analysis completes: sessions grow *after* insertion
-    /// (every first-time eigensolve or min-cut sweep adds to the
-    /// session's caches), so insert-time eviction alone would let a
-    /// shard whose entries only ever get hit exceed its byte budget
-    /// indefinitely. Running the check here — once the growth is
-    /// actually visible in `approx_bytes`, off the per-hit fast path —
-    /// keeps the budget honest without adding size-summing work under
-    /// the shard lock on every lookup.
+    /// Re-runs eviction on the shard holding `fp`, for a caller that grew
+    /// a cached session outside [`SessionCache::document`] (which
+    /// re-checks the budget itself): sessions grow *after* insertion, so
+    /// insert-time eviction alone would let a shard whose entries only
+    /// ever get hit exceed its byte budget indefinitely.
     pub fn enforce_budget(&self, fp: Fingerprint) {
         let mut shard = self.shard(fp).lock().expect("cache shard lock");
         self.evict(&mut shard);
@@ -199,9 +195,11 @@ impl SessionCache {
 
     /// The document `analyzer` (the session cached under `fp`) serves
     /// for `spec`: the slot's bytes when it holds `spec`, else `render()`'s,
-    /// which then fill the slot. A session no longer cached under `fp`
-    /// (evicted, or replaced after an eviction) renders without storing.
-    /// Counter-silent, like [`SessionCache::insert_if_absent`].
+    /// which then fill the slot. Storing re-checks the shard's budget, since
+    /// the render is where a cached session grows. A session no longer
+    /// cached under `fp` (evicted, or replaced after an eviction) renders
+    /// without storing. Counter-silent, like
+    /// [`SessionCache::insert_if_absent`].
     pub fn document(
         &self,
         fp: Fingerprint,
@@ -226,6 +224,7 @@ impl SessionCache {
         let mut shard = self.shard(fp).lock().expect("cache shard lock");
         if let Some(entry) = shard.get_mut(&fp.0).filter(|e| ours(e)) {
             entry.served = Some((spec.clone(), Arc::clone(&body)));
+            self.evict(&mut shard);
         }
         body
     }
@@ -379,8 +378,8 @@ mod tests {
     /// on every *hit* that triggers a new eigensolve or min-cut sweep,
     /// and historically eviction only ran on insert — so a shard whose
     /// sessions only ever got hit could exceed `max_bytes` forever.
-    /// `enforce_budget` (run by the server after every analysis) must
-    /// re-check the budget once the growth is visible.
+    /// `enforce_budget` (for callers that grow a session outside
+    /// `document`) must re-check the budget once the growth is visible.
     #[test]
     fn byte_budget_is_reenforced_when_cached_sessions_grow() {
         let a = diamond_dag(4, 4);
@@ -428,6 +427,42 @@ mod tests {
         assert!(cache.get(fp_b).is_none(), "LRU session b was evicted");
         cache.enforce_budget(fp_a); // idempotent at one session
         assert_eq!(cache.len(), 1);
+    }
+
+    /// The server grows a cached session only inside a document render,
+    /// so storing the rendered body re-checks the budget: an over-budget
+    /// shard evicts with no `enforce_budget` call.
+    #[test]
+    fn document_render_that_outgrows_the_budget_evicts() {
+        let a = diamond_dag(4, 4);
+        let b = diamond_dag(5, 5);
+        let (fp_a, fp_b) = (fingerprint(&a), fingerprint(&b));
+        let budget = OwnedAnalyzer::from_graph(a.clone()).approx_bytes()
+            + OwnedAnalyzer::from_graph(b.clone()).approx_bytes();
+        let cache = SessionCache::new(&CacheConfig {
+            shards: 1,
+            max_sessions: 16,
+            max_bytes: budget,
+        });
+        lookup(&cache, fp_a, || OwnedAnalyzer::from_graph(a));
+        lookup(&cache, fp_b, || OwnedAnalyzer::from_graph(b));
+        assert_eq!(cache.len(), 2, "both idle sessions fit the budget");
+
+        let grown = cache.get(fp_a).expect("session a is cached");
+        let spec = AnalyzeSpec::sweep(vec![2, 4, 8]);
+        let render = || crate::analysis::analysis_body(&grown, &spec);
+        let body = cache.document(fp_a, &grown, &spec, render);
+        let stats = cache.stats();
+        assert!(
+            stats.evictions == 1 && stats.sessions == 1,
+            "storing the render must evict the over-budget shard: {stats:?}"
+        );
+        assert!(cache.get(fp_b).is_none(), "LRU session b was evicted");
+        let again = cache.document(fp_a, &grown, &spec, || panic!("slot kept"));
+        assert!(
+            Arc::ptr_eq(&body, &again),
+            "the grown session keeps its slot"
+        );
     }
 
     #[test]

@@ -544,21 +544,11 @@ fn resolve_session(
     }
 }
 
-/// [`analysis_body`] under the `serialize` span: on a warm session the
-/// bound arithmetic and the document bytes, on a cold one the solver
-/// phases too, nested beneath it.
-fn serialize(analyzer: &OwnedAnalyzer, spec: &AnalyzeSpec) -> String {
-    let _span = graphio_obs::span!("serialize");
-    analysis_body(analyzer, spec)
-}
-
 /// Persists what an analysis grew in the session (fresh spectra/min-cut
-/// sweeps, simulations), then re-checks the shard's byte
-/// budget now that the growth is visible, under one `persist` span.
+/// sweeps, simulations) under one `persist` span.
 fn persist(state: &ServiceState, fp: Fingerprint, analyzer: &OwnedAnalyzer) {
     let _span = graphio_obs::span!("persist");
     write_through(state, fp, analyzer);
-    state.cache.enforce_budget(fp);
 }
 
 /// `POST /analyze`. A body byte-identical to one answered before has the
@@ -674,7 +664,11 @@ fn handle_batch(state: &Arc<ServiceState>, ex: &mut Exchange<'_>) {
     let bodies = ex.pool().scatter(
         items,
         move |(analyzer, fp): (Arc<OwnedAnalyzer>, Fingerprint)| {
-            let body = serialize(&analyzer, &spec);
+            let body = {
+                let _span = graphio_obs::span!("serialize");
+                let cache = &scatter_state.cache;
+                cache.document(fp, &analyzer, &spec, || analysis_body(&analyzer, &spec))
+            };
             persist(&scatter_state, fp, &analyzer);
             body
         },
