@@ -144,8 +144,9 @@ pub fn registered() -> Vec<RegisteredHist> {
 }
 
 /// A phase's series, resolved on the first enabled span that names it
-/// and cached: one per `span!` site, or one per name a caller picks at
-/// runtime from a fixed set (the skeleton's per-endpoint request roots).
+/// and cached: one per `span!` site. A caller that picks the name at
+/// runtime (the skeleton's request roots) opens through a fresh site,
+/// which resolves by name, without allocating, on that one call.
 pub struct PhaseSite {
     series: OnceLock<&'static Series>,
 }

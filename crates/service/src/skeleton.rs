@@ -49,13 +49,13 @@ use graphio_graph::json::JsonValue;
 use graphio_graph::{Fingerprint, MemoStats};
 use graphio_obs::recorder;
 use graphio_obs::span::{PhaseSite, SpanGuard};
-use graphio_obs::{histogram, Histogram, MetricsText};
+use graphio_obs::{histogram, MetricsText};
 use graphio_store::{Store, StoreConfig};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -165,33 +165,18 @@ impl<T: Tier> Admin<T> {
         Route::new("GET", PathMatch::Query("/debug/profile"), handle_profile),
     ];
 
-    /// Rows in [`Admin::table`]; `"other"` takes the index past them.
-    const ROWS: usize = Self::ROUTES.len() + T::ROUTES.len();
-
     fn table() -> impl Iterator<Item = &'static Route<T>> {
         Self::ROUTES.iter().chain(T::ROUTES)
     }
 }
 
-/// The static endpoint label a request records under, with its index in
-/// [`Core::endpoints`]: the first route row whose path matches, with
-/// everything else folded into `"other"` so an attacker probing random
-/// paths cannot mint unbounded histogram label values.
-fn endpoint_label<T: Tier>(path: &str) -> (usize, &'static str) {
+/// The static endpoint label a request records under: the matching route
+/// row's path, with everything else folded into `"other"` so an attacker
+/// probing random paths cannot mint unbounded histogram label values.
+fn endpoint_label<T: Tier>(path: &str) -> &'static str {
     Admin::<T>::table()
-        .enumerate()
-        .find(|(_, r)| r.path.matches(path))
-        .map_or((Admin::<T>::ROWS, "other"), |(row, r)| {
-            (row, r.path.label())
-        })
-}
-
-/// One endpoint's root-span phase and request histogram, registered on
-/// its first request (so `/metrics` lists only served endpoints).
-#[derive(Default)]
-struct EndpointSeries {
-    root: PhaseSite,
-    latency: OnceLock<&'static Histogram>,
+        .find(|r| r.path.matches(path))
+        .map_or("other", |r| r.path.label())
 }
 
 /// The request counters both tiers keep, keyed on `/stats` by field name.
@@ -441,8 +426,6 @@ struct Core {
     limits: ConnectionLimits,
     trace_store: Option<Store>,
     started: Instant,
-    /// Indexed by [`endpoint_label`]: one per route row, then `"other"`.
-    endpoints: Box<[EndpointSeries]>,
 }
 
 /// A running tier. Dropping the handle shuts it down; it derefs to the
@@ -489,9 +472,6 @@ impl<T: Tier> HttpServer<T> {
             limits: listen.limits,
             trace_store,
             started: Instant::now(),
-            endpoints: (0..=Admin::<T>::ROWS)
-                .map(|_| EndpointSeries::default())
-                .collect(),
         });
         let acceptor = {
             let (core, tier) = (Arc::clone(&core), Arc::clone(&tier));
@@ -651,23 +631,22 @@ fn traced_request<T: Tier>(core: &Core, request: &Request, handler: impl FnOnce(
         .header("x-graphio-trace")
         .and_then(graphio_obs::parse_trace_hex)
         .unwrap_or_else(graphio_obs::mint_trace_id);
-    let (row, endpoint) = endpoint_label::<T>(&request.path);
-    let series = &core.endpoints[row];
+    let endpoint = endpoint_label::<T>(&request.path);
     // Clear any annotations a previous request on this worker thread left
     // behind (e.g. a response written outside a traced scope).
     let _ = recorder::take_annotations();
     let guard = graphio_obs::begin_request(trace);
     {
-        let _root = SpanGuard::enter(endpoint, &series.root);
+        // The root phase and the request histogram resolve by name per
+        // request: one registry lookup each, by `&'static str`, no allocation.
+        let _root = SpanGuard::enter(endpoint, &PhaseSite::new());
         handler();
     }
     let Some(summary) = guard.finish() else {
         return;
     };
     let elapsed = summary.elapsed_us.max(1);
-    let hist = *series
-        .latency
-        .get_or_init(|| histogram(REQUEST_FAMILY, "endpoint", endpoint));
+    let hist = histogram(REQUEST_FAMILY, "endpoint", endpoint);
     let (status, fingerprint, outcome) = recorder::take_annotations();
     if let Some(rec) = recorder::recorder() {
         // Tail-based retention: pin errors and requests at or above the

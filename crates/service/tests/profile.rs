@@ -224,34 +224,3 @@ fn trace_records_carry_allocation_attribution() {
     assert!(endpoint_bytes > 0.0);
     server.shutdown();
 }
-
-/// Endpoint series register on an endpoint's first request, as a `span!`
-/// site's do: no test in this binary serves `/batch`, so `/metrics`
-/// lists no `/batch` request histogram or root phase.
-#[test]
-fn metrics_list_only_served_endpoints() {
-    let _guard = SERVER_LOCK.lock().unwrap();
-    let server = test_server();
-    let r = client::request("POST", &server.url(), "/analyze", Some(&analyze_body())).unwrap();
-    assert_eq!(r.status, 200);
-    let count = |body: &str, endpoint: &str| {
-        let expo = graphio_obs::parse_metrics(body).expect("valid exposition");
-        let family = "graphio_request_duration_microseconds_count";
-        expo.value(family, &[("endpoint", endpoint)])
-    };
-    // The request histogram records just after the response flushes.
-    let mut body = String::new();
-    for _ in 0..50 {
-        body = client::request("GET", &server.url(), "/metrics", None)
-            .unwrap()
-            .body;
-        if count(&body, "/analyze").is_some() {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    assert!(count(&body, "/analyze").is_some(), "{body}");
-    assert_eq!(count(&body, "/batch"), None, "{body}");
-    assert!(!body.contains("\"/batch\""), "{body}");
-    server.shutdown();
-}
