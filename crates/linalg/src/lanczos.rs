@@ -16,6 +16,20 @@
 //! h-th smallest locked value.
 //!
 //! The sweep policy spends no work on vectors the answer cannot use:
+//! * **A sweep that reaches its step budget thick-restarts** (Wu & Simon,
+//!   2000). It locks its converged pairs, then the next sweep starts from
+//!   its ⌊m/2⌋ lowest unlocked Ritz vectors `yᵢ = V zᵢ` and its residual
+//!   vector `q_{m+1}`, instead of a random vector: since
+//!   `A yᵢ = θᵢ yᵢ + β_m z_{m,i} q_{m+1}`, the kept space carries on the
+//!   Krylov space it came from exactly. The projected arrowhead
+//!   `[diag θ, s; sᵀ, ·]` (`sᵢ = β_m z_{m,i}`) is Householder-tridiagonalized
+//!   with `q_{m+1}` in its last row, which the reduction leaves fixed, so the
+//!   rotated kept vectors and `q_{m+1}` form a chain the three-term
+//!   recurrence simply continues, and the Ritz pairs, the stop checks and
+//!   the residual test `|β_m·z_{m,i}|` read one tridiagonal as before. A
+//!   verification sweep still starts from a fresh random vector (a new start
+//!   is what finds missed copies of an eigenvalue) and thick-restarts only
+//!   within its own Krylov space.
 //! * **A sweep ends at numerical invariance.** On a high-multiplicity
 //!   spectrum the Krylov space of one start vector is small, and `β_j`
 //!   collapses once it is exhausted. The sweep stops at the first step
@@ -50,6 +64,7 @@
 
 use crate::dense::DenseMatrix;
 use crate::error::LinalgError;
+use crate::householder::tridiagonalize_in_place;
 use crate::linop::{LinOp, ShiftedNegated};
 use crate::power::power_iteration;
 use crate::tridiag::{tql_in_place, tql_row_in_place};
@@ -63,9 +78,9 @@ use rand::{Rng, SeedableRng};
 /// Tuning knobs for [`smallest_eigenvalues`].
 #[derive(Debug, Clone)]
 pub struct LanczosOptions {
-    /// Lanczos steps per sweep (the Krylov subspace dimension). Doubled
-    /// automatically (up to the operator dimension) when a sweep locks
-    /// nothing.
+    /// Lanczos basis vectors per sweep (the Krylov subspace dimension, at
+    /// least 2). A sweep that reaches it without ending at invariance or
+    /// certifying thick-restarts: the next sweep keeps half of it.
     pub subspace: usize,
     /// Relative residual tolerance for accepting a Ritz pair
     /// (`‖Av − θv‖ ≤ tol · scale`).
@@ -100,6 +115,11 @@ const DGKS_RATIO: f64 = std::f64::consts::FRAC_1_SQRT_2;
 /// the `O(VERIFY_EVERY·(j + h)·n)` of the steps between checks.
 const VERIFY_EVERY: usize = 8;
 
+/// The fraction of a budget-limited sweep's `m` basis vectors that its
+/// thick restart keeps as Ritz vectors (⌊m/2⌋): the rest of the next
+/// sweep's budget goes to new steps. A constant, never an option.
+const THICK_RESTART_KEEP: f64 = 0.5;
+
 /// Bumped whenever a change to [`smallest_eigenvalues`]' sweep policy can
 /// move the values it returns for the same options, so stored spectra
 /// keyed by those options are told apart from the current ones.
@@ -107,8 +127,10 @@ const VERIFY_EVERY: usize = 8;
 /// Revision 0 ran every sweep to its step budget and never dropped a
 /// locked vector; revision 1 ends sweeps at numerical invariance, evicts
 /// locked vectors above the h-th value and ends verification once it
-/// certifies.
-pub const SWEEP_POLICY_REVISION: u8 = 1;
+/// certifies; revision 2 thick-restarts a sweep that reaches its budget,
+/// where revision 1 restarted it from a random vector and doubled the
+/// budget of a sweep that locked nothing.
+pub const SWEEP_POLICY_REVISION: u8 = 2;
 
 /// Outcome of [`smallest_eigenvalues`].
 #[derive(Debug, Clone)]
@@ -128,6 +150,9 @@ pub struct LanczosResult {
     /// Sweeps ended before their step budget because their Krylov space
     /// became numerically invariant.
     pub invariant_stops: usize,
+    /// Sweeps that started from the previous sweep's thick restart rather
+    /// than from a random vector.
+    pub restarts: usize,
 }
 
 /// Computes the `h` smallest eigenvalues (ascending, with multiplicity) of
@@ -158,6 +183,7 @@ pub fn smallest_eigenvalues<A: LinOp + ?Sized>(
             converged: true,
             peak_locked: 0,
             invariant_stops: 0,
+            restarts: 0,
         });
     }
 
@@ -180,7 +206,7 @@ pub fn smallest_eigenvalues<A: LinOp + ?Sized>(
     let mut locked_vecs: Vec<Vec<f64>> = Vec::with_capacity(h);
     let mut locked_vals: Vec<f64> = Vec::with_capacity(h);
     let mut sweeps = 0usize;
-    let mut subspace = opts.subspace.clamp(2, n);
+    let subspace = opts.subspace.clamp(2, n);
     // `locked.len() >= h` alone is NOT a sound stop: each sweep locks at
     // most one copy of each distinct eigenvalue, so with high-multiplicity
     // spectra the locked set can contain deep eigenvalues while copies of
@@ -195,6 +221,9 @@ pub fn smallest_eigenvalues<A: LinOp + ?Sized>(
     let invariant_beta = opts.tol.sqrt() * scale;
     let mut peak_locked = 0usize;
     let mut invariant_stops = 0usize;
+    let mut restarts = 0usize;
+    // The next sweep's start when the last one reached its budget.
+    let mut restart: Option<Start> = None;
 
     while sweeps < opts.max_sweeps {
         if locked_vecs.len() == n {
@@ -205,10 +234,20 @@ pub fn smallest_eigenvalues<A: LinOp + ?Sized>(
         }
         sweeps += 1;
         let budget = subspace.min(n - locked_vecs.len());
-        let Some(v0) = random_orthogonal_start(n, &locked_vecs, &mut rng) else {
-            // The complement of the locked space is numerically exhausted.
-            verified = true;
-            break;
+        let start = match restart.take() {
+            Some(start) => {
+                restarts += 1;
+                start
+            }
+            None => {
+                let Some(v0) = random_orthogonal_start(n, &locked_vecs, &mut rng) else {
+                    // The complement of the locked space is numerically
+                    // exhausted.
+                    verified = true;
+                    break;
+                };
+                Start::fresh(v0)
+            }
         };
         // With `h` values locked this is a verification sweep.
         let kth = (locked_vecs.len() >= h).then(|| kth_smallest(&locked_vals, h));
@@ -234,7 +273,7 @@ pub fn smallest_eigenvalues<A: LinOp + ?Sized>(
         };
         let sweep = lanczos_sweep(
             &shifted,
-            v0,
+            start,
             budget,
             &locked_vecs,
             &mut matvecs,
@@ -252,7 +291,7 @@ pub fn smallest_eigenvalues<A: LinOp + ?Sized>(
                 }
             }
         }
-        let newly = lock_converged(
+        let unlocked = lock_converged(
             &sweep,
             &analysis,
             tol,
@@ -263,9 +302,15 @@ pub fn smallest_eigenvalues<A: LinOp + ?Sized>(
         );
         evict_above_kth(h, &mut locked_vecs, &mut locked_vals);
         peak_locked = peak_locked.max(locked_vecs.len());
-        if newly == 0 {
-            // Stagnation: widen the Krylov subspace (up to n) and try again.
-            subspace = (subspace * 2).min(n);
+        // A sweep that reached its budget carries its Krylov space on,
+        // unless the next sweep verifies and this one did not: that one
+        // needs a fresh start.
+        let next_budget = subspace.min(n - locked_vecs.len());
+        if sweep.next.is_some() && next_budget > 0 && (kth.is_some() || locked_vecs.len() < h) {
+            let kept = ((sweep.alphas.len() as f64 * THICK_RESTART_KEEP) as usize)
+                .min(unlocked)
+                .min(next_budget - 1);
+            restart = Some(thick_restart(sweep, &analysis, unlocked, kept));
         }
     }
 
@@ -285,6 +330,7 @@ pub fn smallest_eigenvalues<A: LinOp + ?Sized>(
         converged,
         peak_locked,
         invariant_stops,
+        restarts,
     })
 }
 
@@ -330,6 +376,9 @@ struct Sweep {
     /// Whether the caller's stop rule ended the sweep before its budget
     /// (its Ritz pairs still carry their residuals `|β_m·z_{m,i}|`).
     ended_early: bool,
+    /// The unit residual vector `q_{m+1}` of a sweep that ran to its
+    /// budget (`None` when it ended at invariance or by its stop rule).
+    next: Option<Vec<f64>>,
     /// Steps whose DGKS test ran the second CGS pass (read by the tests).
     #[cfg_attr(not(test), allow(dead_code))]
     second_passes: usize,
@@ -339,7 +388,83 @@ struct Sweep {
 /// far, `(α_0..α_j, β_0..β_j)`, and returns whether the sweep ends there.
 type SweepStop<'a> = &'a dyn Fn(&[f64], &[f64]) -> bool;
 
-/// One Lanczos sweep of at most `budget` steps from the unit vector `v0`,
+/// Where a sweep starts: an orthonormal prefix of its basis with its part
+/// of the tridiagonal (empty for a fresh start), and the unit vector the
+/// recurrence applies the operator to next.
+struct Start {
+    /// `u_0..u_{k-1}`.
+    basis: Vec<Vec<f64>>,
+    /// `u_jᵀ A u_j` for `j < k`.
+    alphas: Vec<f64>,
+    /// `betas[j] = u_jᵀ A u_{j+1}` for `j < k`, with `u_k = v`.
+    betas: Vec<f64>,
+    /// `u_k`.
+    v: Vec<f64>,
+}
+
+impl Start {
+    fn fresh(v0: Vec<f64>) -> Self {
+        Start {
+            basis: Vec::new(),
+            alphas: Vec::new(),
+            betas: Vec::new(),
+            v: v0,
+        }
+    }
+}
+
+/// The thick restart of a sweep that ran to its budget: the Ritz vectors
+/// of `analysis.theta[unlocked - kept..unlocked]` (the highest of the
+/// shifted operator that the sweep did not lock) and its residual vector
+/// `q_{m+1}`, rotated into a chain that ends in `q_{m+1}`.
+///
+/// On the kept space the operator is the arrowhead `[diag θ, s; sᵀ, ·]`
+/// with `sᵢ = β_m z_{m,i}`. Householder tridiagonalization leaves its last
+/// row, `q_{m+1}`'s, in place, so `QᵀBQ` is the chain's tridiagonal and
+/// column `j` of `Q` rotates the kept Ritz vectors into `u_j`. The
+/// rotation is composed with the Ritz coefficients first, so each `u_j` is
+/// one [`axpy_many`] pass over the sweep's basis. `q_{m+1}`'s own diagonal
+/// entry is computed by the next step's mat-vec.
+fn thick_restart(sweep: Sweep, analysis: &RitzAnalysis, unlocked: usize, kept: usize) -> Start {
+    let next = sweep
+        .next
+        .expect("only a sweep that ran to its budget restarts");
+    let m = analysis.theta.len();
+    let ritz = unlocked - kept..unlocked;
+    let mut arrow = DenseMatrix::zeros(kept + 1, kept + 1);
+    for (i, idx) in ritz.clone().enumerate() {
+        let s = analysis.beta_last * analysis.z[(m - 1, idx)];
+        arrow[(i, i)] = analysis.theta[idx];
+        arrow[(i, kept)] = s;
+        arrow[(kept, i)] = s;
+    }
+    let chain = tridiagonalize_in_place(&mut arrow, true);
+    let q = arrow;
+    let n = next.len();
+    let mut coeffs = vec![0.0; m];
+    let basis = (0..kept)
+        .map(|j| {
+            for (r, c) in coeffs.iter_mut().enumerate() {
+                *c = ritz
+                    .clone()
+                    .enumerate()
+                    .map(|(i, idx)| analysis.z[(r, idx)] * q[(i, j)])
+                    .sum();
+            }
+            let mut u = vec![0.0; n];
+            axpy_many(&coeffs, &sweep.basis, &mut u);
+            u
+        })
+        .collect();
+    Start {
+        basis,
+        alphas: chain.d[..kept].to_vec(),
+        betas: chain.e[1..=kept].to_vec(),
+        v: next,
+    }
+}
+
+/// One Lanczos sweep from `start` until its basis holds `budget` vectors,
 /// kept orthogonal to `locked` and to its own basis.
 ///
 /// Each step's residual `w` is re-orthogonalized by one CGS pass against
@@ -351,23 +476,30 @@ type SweepStop<'a> = &'a dyn Fn(&[f64], &[f64]) -> bool;
 /// the sweep.
 fn lanczos_sweep<A: LinOp + ?Sized>(
     op: &A,
-    v0: Vec<f64>,
+    start: Start,
     budget: usize,
     locked: &[Vec<f64>],
     matvecs: &mut usize,
     stop: Option<SweepStop<'_>>,
 ) -> Sweep {
-    let n = v0.len();
-    let mut basis: Vec<Vec<f64>> = Vec::with_capacity(budget);
-    let mut alphas: Vec<f64> = Vec::with_capacity(budget);
-    let mut betas: Vec<f64> = Vec::with_capacity(budget);
-    let mut v = v0;
+    let Start {
+        mut basis,
+        mut alphas,
+        mut betas,
+        mut v,
+    } = start;
+    let n = v.len();
+    let first = basis.len();
+    debug_assert!(first < budget, "a sweep takes at least one step");
+    basis.reserve(budget - first);
+    alphas.reserve(budget - first);
+    betas.reserve(budget - first);
     let mut w = vec![0.0; n];
     let mut invariant = false;
     let mut ended_early = false;
     let mut second_passes = 0usize;
 
-    for j in 0..budget {
+    for j in first..budget {
         basis.push(v.clone());
         op.apply(&v, &mut w);
         *matvecs += 1;
@@ -404,12 +536,14 @@ fn lanczos_sweep<A: LinOp + ?Sized>(
         scal(1.0 / beta, &mut w);
         std::mem::swap(&mut v, &mut w);
     }
+    let ran_to_budget = !invariant && !ended_early;
     Sweep {
         basis,
         alphas,
         betas,
         invariant,
         ended_early,
+        next: ran_to_budget.then_some(v),
         second_passes,
     }
 }
@@ -502,7 +636,9 @@ fn top_ritz_pair(alphas: &[f64], betas: &[f64]) -> Result<(f64, f64)> {
 
 /// Locks converged Ritz pairs from the *top* of the shifted spectrum (the
 /// bottom of the original), stopping at the first unconverged pair so the
-/// locked set never skips an eigenvalue. Returns the number locked.
+/// locked set never skips an eigenvalue. Returns how many pairs lie below
+/// the last one it locked or skipped: `theta[..unlocked]` are the pairs a
+/// thick restart may keep.
 ///
 /// Locking is capped by what the answer can use: once `h` values are
 /// locked, it also stops at the first candidate at or above the current
@@ -524,14 +660,13 @@ fn lock_converged<A: LinOp + ?Sized>(
     }
     let z = &analysis.z;
     let n = sweep.basis[0].len();
-    let mut newly = 0usize;
     for idx in (0..m).rev() {
         if analysis.residual(idx) > tol && !analysis.invariant {
-            break;
+            return idx + 1;
         }
         let value = shifted.unshift(analysis.theta[idx]);
         if locked_vals.len() >= h && value >= kth_smallest(locked_vals, h) {
-            break;
+            return idx + 1;
         }
         // Assemble the Ritz vector y = V z_idx.
         let coeffs: Vec<f64> = (0..m).map(|jj| z[(jj, idx)]).collect();
@@ -544,9 +679,8 @@ fn lock_converged<A: LinOp + ?Sized>(
         }
         locked_vecs.push(y);
         locked_vals.push(value);
-        newly += 1;
     }
-    newly
+    0
 }
 
 /// Draws a random unit vector orthogonal to `locked`. Returns `None` when
@@ -633,7 +767,7 @@ mod tests {
     ) -> Vec<Vec<f64>> {
         let n = shifted.dim();
         let v0 = random_orthogonal_start(n, &[], rng).unwrap();
-        let sweep = lanczos_sweep(shifted, v0, 96.min(n), &[], &mut 0, None);
+        let sweep = lanczos_sweep(shifted, Start::fresh(v0), 96.min(n), &[], &mut 0, None);
         let analysis = RitzAnalysis::of(&sweep).unwrap();
         let (mut vecs, mut vals) = (Vec::new(), Vec::new());
         lock_converged(&sweep, &analysis, 1e-9, 8, shifted, &mut vecs, &mut vals);
@@ -673,7 +807,7 @@ mod tests {
             let shifted = ShiftedNegated::new(&a, a.eigen_upper_bound().unwrap());
             let locked = locked_after_first_sweep(&shifted, &mut rng);
             let v0 = random_orthogonal_start(a.dim(), &locked, &mut rng).unwrap();
-            let sweep = lanczos_sweep(&shifted, v0, 96, &locked, &mut 0, None);
+            let sweep = lanczos_sweep(&shifted, Start::fresh(v0), 96, &locked, &mut 0, None);
             let (self_dev, locked_dev) = orthogonality(&sweep, &locked);
             assert!(self_dev <= 1e-12, "{name}: |VᵀV − I| = {self_dev:e}");
             assert!(locked_dev <= 1e-12, "{name}: |Vᵀ·locked| = {locked_dev:e}");
@@ -727,7 +861,7 @@ mod tests {
         }
         normalize(&mut v0);
         let shifted = ShiftedNegated::new(&a, a.eigen_upper_bound().unwrap());
-        let sweep = lanczos_sweep(&shifted, v0, 96, &locked, &mut 0, None);
+        let sweep = lanczos_sweep(&shifted, Start::fresh(v0), 96, &locked, &mut 0, None);
         assert!(
             sweep.betas[1] < 1e-8,
             "not near breakdown: {:?}",
@@ -863,8 +997,51 @@ mod tests {
         assert_eq!(r1.matvecs, r2.matvecs);
     }
 
+    /// A thick-restarted sweep is a Lanczos decomposition of its own:
+    /// with `U` its basis (the rotated kept Ritz vectors, then the new
+    /// steps), `T` its tridiagonal and `q` its residual vector,
+    /// `A U = U T + β_m q e_mᵀ` holds to rounding in every column, and `U`
+    /// stays orthonormal and orthogonal to the pairs the first sweep locked.
     #[test]
-    fn small_subspace_still_converges_via_doubling() {
+    fn thick_restart_continues_the_lanczos_relation() {
+        let a = random_laplacian(300, 9);
+        let n = a.dim();
+        let sigma = a.eigen_upper_bound().unwrap();
+        let shifted = ShiftedNegated::new(&a, sigma);
+        let mut rng = StdRng::seed_from_u64(3);
+        let v0 = random_orthogonal_start(n, &[], &mut rng).unwrap();
+        let first = lanczos_sweep(&shifted, Start::fresh(v0), 40, &[], &mut 0, None);
+        assert!(first.next.is_some(), "the first sweep ended early");
+        let analysis = RitzAnalysis::of(&first).unwrap();
+        let (mut locked, mut vals) = (Vec::new(), Vec::new());
+        let unlocked = lock_converged(&first, &analysis, 1e-9, 8, &shifted, &mut locked, &mut vals);
+        let kept = 20.min(unlocked);
+        assert!(kept > 0);
+        let start = thick_restart(first, &analysis, unlocked, kept);
+        let mut matvecs = 0;
+        let sweep = lanczos_sweep(&shifted, start, 40, &locked, &mut matvecs, None);
+        assert_eq!(matvecs, 40 - kept, "the kept vectors cost no mat-vec");
+        let (self_dev, locked_dev) = orthogonality(&sweep, &locked);
+        assert!(self_dev <= 1e-12, "|UᵀU − I| = {self_dev:e}");
+        assert!(locked_dev <= 1e-12, "|Uᵀ·locked| = {locked_dev:e}");
+        let (u, alphas, betas) = (&sweep.basis, &sweep.alphas, &sweep.betas);
+        let q = sweep.next.as_ref().expect("ran to its budget");
+        let m = alphas.len();
+        let mut r = vec![0.0; n];
+        for j in 0..m {
+            shifted.apply(&u[j], &mut r);
+            axpy(-alphas[j], &u[j], &mut r);
+            if j > 0 {
+                axpy(-betas[j - 1], &u[j - 1], &mut r);
+            }
+            axpy(-betas[j], if j + 1 < m { &u[j + 1] } else { q }, &mut r);
+            let dev = norm2(&r);
+            assert!(dev <= 1e-10 * sigma, "column {j}: |A u − U T e| = {dev:e}");
+        }
+    }
+
+    #[test]
+    fn small_subspace_still_converges_via_thick_restarts() {
         let a = hypercube_laplacian(4);
         let opts = LanczosOptions {
             subspace: 2,

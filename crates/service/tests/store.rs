@@ -304,56 +304,61 @@ fn version_2_records_restore_and_recompute_simulations() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A record whose Lanczos spectra were stored under sweep policy 0 (codec
-/// tag 1, written before the policy had revisions) still restores, but
-/// its spectra miss: both are recomputed under the current policy and the
-/// bytes equal offline `analyze`, even though the stored values were
-/// tampered with to make any reuse visible. The old spectra are not
-/// carried into the session, so its next save holds only current ones.
+/// A record whose Lanczos spectra were stored under an older sweep policy
+/// still restores, but its spectra miss: both are recomputed under the
+/// current policy and the bytes equal offline `analyze`, even though the
+/// stored values were tampered with to make any reuse visible. The old
+/// spectra are not carried into the session, so its next save holds only
+/// current ones. Revision 0 (codec tag 1, written before the policy had
+/// revisions) ran every sweep to its budget; revision 1 restarted a sweep
+/// at its budget from a random vector instead of thick-restarting it.
 #[test]
 fn old_sweep_policy_spectra_are_recomputed() {
     use graphio_spectral::MethodKey;
     use graphio_store::{decode_session, encode_session, load_session, Store, StoreConfig};
-    let dir = tmp_dir("old_policy");
     let g = bhk_hypercube(9);
     let fp = graphio_graph::fingerprint(&g);
     let memories = [4usize, 16];
-    let store = Store::open(&dir, StoreConfig::default()).unwrap();
-    {
-        let warm = OwnedAnalyzer::from_graph(g.clone());
-        analysis_body(&warm, &AnalyzeSpec::sweep(memories.to_vec()));
-        let mut export = warm.export();
-        assert_eq!(export.spectra.len(), 2);
-        for (key, values) in &mut export.spectra {
-            let MethodKey::Lanczos { revision, .. } = &mut key.method else {
-                panic!("bhk(9) is on the Lanczos tier: {key:?}");
-            };
-            *revision = 0;
-            values.iter_mut().for_each(|v| *v *= 0.5);
+    for old_revision in [0, 1] {
+        assert!(old_revision < graphio_linalg::lanczos::SWEEP_POLICY_REVISION);
+        let dir = tmp_dir(&format!("old_policy_{old_revision}"));
+        let store = Store::open(&dir, StoreConfig::default()).unwrap();
+        {
+            let warm = OwnedAnalyzer::from_graph(g.clone());
+            analysis_body(&warm, &AnalyzeSpec::sweep(memories.to_vec()));
+            let mut export = warm.export();
+            assert_eq!(export.spectra.len(), 2);
+            for (key, values) in &mut export.spectra {
+                let MethodKey::Lanczos { revision, .. } = &mut key.method else {
+                    panic!("bhk(9) is on the Lanczos tier: {key:?}");
+                };
+                *revision = old_revision;
+                values.iter_mut().for_each(|v| *v *= 0.5);
+            }
+            let doc = encode_session(&g, &export);
+            assert_eq!(decode_session(&doc).unwrap().export, export);
+            store.put(fp, &doc).unwrap();
         }
-        let doc = encode_session(&g, &export);
-        assert_eq!(decode_session(&doc).unwrap().export, export);
-        store.put(fp, &doc).unwrap();
+        let restored = load_session(&store, fp).unwrap().expect("record present");
+        let body = analysis_body(&restored, &AnalyzeSpec::sweep(memories.to_vec()));
+        assert_eq!(body, offline_body(&g, &memories), "revision {old_revision}");
+        assert_eq!(
+            restored.stats().spectrum_misses,
+            2,
+            "revision {old_revision}: both spectra recomputed"
+        );
+        let kept = restored.export().spectra;
+        assert_eq!(kept.len(), 2);
+        for (key, _) in &kept {
+            assert!(matches!(
+                key.method,
+                MethodKey::Lanczos { revision, .. }
+                    if revision == graphio_linalg::lanczos::SWEEP_POLICY_REVISION
+            ));
+        }
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
-    let restored = load_session(&store, fp).unwrap().expect("record present");
-    let body = analysis_body(&restored, &AnalyzeSpec::sweep(memories.to_vec()));
-    assert_eq!(body, offline_body(&g, &memories));
-    assert_eq!(
-        restored.stats().spectrum_misses,
-        2,
-        "both spectra recomputed"
-    );
-    let kept = restored.export().spectra;
-    assert_eq!(kept.len(), 2);
-    for (key, _) in &kept {
-        assert!(matches!(
-            key.method,
-            MethodKey::Lanczos { revision, .. }
-                if revision == graphio_linalg::lanczos::SWEEP_POLICY_REVISION
-        ));
-    }
-    drop(store);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A record written while the single-sweep estimate existed holds its
