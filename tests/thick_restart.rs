@@ -65,7 +65,9 @@ fn restarted_sparse_tier_values_match_dense() {
 /// The served Theorem 4, 5 and 6 bounds (the sparse tier's, at h = 48)
 /// equal a dense-tier session's (h = 100) to 1e-9 relative: on these
 /// graphs the best `k` stays below 48, so the tiers differ only in their
-/// eigensolver.
+/// eigensolver. bhk(10) joins them: its `L̃` solve thick-restarts between
+/// sweeps that end at invariance, and it is the `offline_cold` graph
+/// whose served bytes the restart moved.
 #[test]
 fn served_bounds_match_the_dense_tier() {
     let memories = [2usize, 4, 8, 16];
@@ -75,7 +77,8 @@ fn served_bounds_match_the_dense_tier() {
         processors,
         no_sim: true,
     };
-    for (name, g) in graphs() {
+    let bhk10 = [("bhk(10)", bhk_hypercube(10))];
+    for (name, g) in graphs().into_iter().chain(bhk10) {
         let n = g.n();
         let dense = BoundOptions::for_graph_size_in_tier(n, ScaleTier::Dense);
         let doc = analysis_doc(&OwnedAnalyzer::from_graph(g.clone()), &spec);
