@@ -12,8 +12,9 @@
 //! locked; repeated eigenvalues re-appear in later sweeps until their
 //! eigenspaces are exhausted. A pair is locked only if it passes the
 //! residual test `|β_m·z_{m,i}| ≤ tol·scale`, and the solve ends only after
-//! a verification sweep from a fresh random start finds nothing below the
-//! h-th smallest locked value.
+//! a verification sweep from a fresh random start (or a thick restart of
+//! such sweeps that locked nothing) finds nothing below the h-th smallest
+//! locked value.
 //!
 //! The sweep policy spends no work on vectors the answer cannot use:
 //! * **A sweep that reaches its step budget thick-restarts** (Wu & Simon,
@@ -29,7 +30,9 @@
 //!   the residual test `|β_m·z_{m,i}|` read one tridiagonal as before. A
 //!   verification sweep still starts from a fresh random vector (a new start
 //!   is what finds missed copies of an eigenvalue) and thick-restarts only
-//!   within its own Krylov space.
+//!   within its own Krylov space, and only while it has locked nothing: one
+//!   start's Krylov space meets each eigenspace in one direction, so after
+//!   a verification sweep locks a missed copy the next sweep starts fresh.
 //! * **A sweep ends at numerical invariance.** On a high-multiplicity
 //!   spectrum the Krylov space of one start vector is small, and `β_j`
 //!   collapses once it is exhausted. The sweep stops at the first step
@@ -78,9 +81,10 @@ use rand::{Rng, SeedableRng};
 /// Tuning knobs for [`smallest_eigenvalues`].
 #[derive(Debug, Clone)]
 pub struct LanczosOptions {
-    /// Lanczos basis vectors per sweep (the Krylov subspace dimension, at
-    /// least 2). A sweep that reaches it without ending at invariance or
-    /// certifying thick-restarts: the next sweep keeps half of it.
+    /// Lanczos basis vectors per sweep (the Krylov subspace dimension; a
+    /// value below 16 is raised to 16, or to the dimension if smaller). A
+    /// sweep that reaches it without ending at invariance or certifying
+    /// thick-restarts: the next sweep keeps half of it.
     pub subspace: usize,
     /// Relative residual tolerance for accepting a Ritz pair
     /// (`‖Av − θv‖ ≤ tol · scale`).
@@ -115,10 +119,18 @@ const DGKS_RATIO: f64 = std::f64::consts::FRAC_1_SQRT_2;
 /// the `O(VERIFY_EVERY·(j + h)·n)` of the steps between checks.
 const VERIFY_EVERY: usize = 8;
 
-/// The fraction of a budget-limited sweep's `m` basis vectors that its
-/// thick restart keeps as Ritz vectors (⌊m/2⌋): the rest of the next
-/// sweep's budget goes to new steps. A constant, never an option.
-const THICK_RESTART_KEEP: f64 = 0.5;
+/// The fewest basis vectors a sweep may hold; a smaller
+/// [`LanczosOptions::subspace`] is raised to it (or to the dimension, if
+/// smaller). A thick restart keeps half of a sweep, and a sweep of 2
+/// keeps one Ritz vector and takes one new step: on a spectrum that never
+/// turns invariant that converges too slowly to lock 8 pairs in 512
+/// sweeps. At this size a verification sweep checks twice.
+const MIN_SUBSPACE: usize = 2 * VERIFY_EVERY;
+
+/// A budget-limited sweep's thick restart keeps ⌊m / 2⌋ of its `m` basis
+/// vectors as Ritz vectors; the rest of the next sweep's budget goes to
+/// new steps. A constant, never an option.
+const THICK_RESTART_DIVISOR: usize = 2;
 
 /// Bumped whenever a change to [`smallest_eigenvalues`]' sweep policy can
 /// move the values it returns for the same options, so stored spectra
@@ -206,7 +218,7 @@ pub fn smallest_eigenvalues<A: LinOp + ?Sized>(
     let mut locked_vecs: Vec<Vec<f64>> = Vec::with_capacity(h);
     let mut locked_vals: Vec<f64> = Vec::with_capacity(h);
     let mut sweeps = 0usize;
-    let subspace = opts.subspace.clamp(2, n);
+    let subspace = opts.subspace.max(MIN_SUBSPACE).min(n);
     // `locked.len() >= h` alone is NOT a sound stop: each sweep locks at
     // most one copy of each distinct eigenvalue, so with high-multiplicity
     // spectra the locked set can contain deep eigenvalues while copies of
@@ -291,6 +303,7 @@ pub fn smallest_eigenvalues<A: LinOp + ?Sized>(
                 }
             }
         }
+        let before = locked_vals.len();
         let unlocked = lock_converged(
             &sweep,
             &analysis,
@@ -300,14 +313,22 @@ pub fn smallest_eigenvalues<A: LinOp + ?Sized>(
             &mut locked_vecs,
             &mut locked_vals,
         );
+        let found = locked_vals.len() > before;
         evict_above_kth(h, &mut locked_vecs, &mut locked_vals);
         peak_locked = peak_locked.max(locked_vecs.len());
         // A sweep that reached its budget carries its Krylov space on,
-        // unless the next sweep verifies and this one did not: that one
-        // needs a fresh start.
+        // except into a sweep that needs a fresh start: the first
+        // verification sweep, and the one after a verification sweep that
+        // locked a missed copy. One start's Krylov space meets each
+        // eigenspace in one direction, and locking removed it, so a
+        // restart within it could certify with a further copy missing.
         let next_budget = subspace.min(n - locked_vecs.len());
-        if sweep.next.is_some() && next_budget > 0 && (kth.is_some() || locked_vecs.len() < h) {
-            let kept = ((sweep.alphas.len() as f64 * THICK_RESTART_KEEP) as usize)
+        let carries_on = match kth {
+            Some(_) => !found,
+            None => locked_vecs.len() < h,
+        };
+        if sweep.next.is_some() && next_budget > 0 && carries_on {
+            let kept = (sweep.alphas.len() / THICK_RESTART_DIVISOR)
                 .min(unlocked)
                 .min(next_budget - 1);
             restart = Some(thick_restart(sweep, &analysis, unlocked, kept));
@@ -742,6 +763,24 @@ mod tests {
         CsrMatrix::from_triplets(n, &trips).unwrap()
     }
 
+    /// Laplacian of `copies` disjoint paths on `len` vertices each:
+    /// eigenvalue `2 − 2·cos(πk/len)` with multiplicity `copies`.
+    fn paths_laplacian(len: usize, copies: usize) -> CsrMatrix {
+        let mut trips = Vec::new();
+        for c in 0..copies {
+            for i in 0..len {
+                let u = c * len + i;
+                let ends = usize::from(i == 0) + usize::from(i + 1 == len);
+                trips.push((u, u, 2.0 - ends as f64));
+                if i + 1 < len {
+                    trips.push((u, u + 1, -1.0));
+                    trips.push((u + 1, u, -1.0));
+                }
+            }
+        }
+        CsrMatrix::from_triplets(len * copies, &trips).unwrap()
+    }
+
     /// `max |VᵀV − I|` over a sweep's basis and `max |Vᵀ·locked|`.
     fn orthogonality(sweep: &Sweep, locked: &[Vec<f64>]) -> (f64, f64) {
         let mut self_dev = 0.0f64;
@@ -1052,6 +1091,63 @@ mod tests {
         let dense_vals = eigenvalues_symmetric(&a.to_dense()).unwrap();
         for i in 0..8 {
             assert!((r.values[i] - dense_vals[i]).abs() < 1e-6);
+        }
+    }
+
+    /// A subspace below [`MIN_SUBSPACE`] is raised to it. Kept at 2, a
+    /// thick restart would carry one Ritz vector and take one new step per
+    /// sweep, and on a spectrum that never turns invariant 512 such sweeps
+    /// do not lock 8 pairs.
+    #[test]
+    fn small_subspace_converges_on_a_spectrum_that_never_turns_invariant() {
+        let a = random_laplacian(200, 4);
+        let opts = LanczosOptions {
+            subspace: 2,
+            tol: 1e-8,
+            ..Default::default()
+        };
+        let r = smallest_eigenvalues(&a, 8, &opts).unwrap();
+        assert!(r.restarts > 0, "no sweep thick-restarted");
+        assert_eq!(r.invariant_stops, 0, "a sweep ended at invariance");
+        let dense_vals = eigenvalues_symmetric(&a.to_dense()).unwrap();
+        for i in 0..8 {
+            assert!(
+                (r.values[i] - dense_vals[i]).abs() < 1e-6,
+                "λ_{i}: {} vs {}",
+                r.values[i],
+                dense_vals[i]
+            );
+        }
+    }
+
+    /// Three disjoint paths of 200 vertices: every eigenvalue has three
+    /// copies and the bottom of the spectrum is packed so tightly that
+    /// verification sweeps run to their budget, and one of them locks
+    /// copies the earlier sweeps missed. The sweep after it starts fresh,
+    /// so the solve certifies only once a new start finds nothing below
+    /// the h-th value, and every copy is there.
+    #[test]
+    fn threefold_copies_survive_verification_sweeps_at_their_budget() {
+        let (len, h) = (200, 48);
+        let a = paths_laplacian(len, 3);
+        let opts = LanczosOptions {
+            tol: 1e-8,
+            ..Default::default()
+        };
+        let r = smallest_eigenvalues(&a, h, &opts).unwrap();
+        assert!(r.restarts > 0, "no sweep thick-restarted");
+        let want: Vec<f64> = (0..h / 3)
+            .flat_map(|k| {
+                let theta = std::f64::consts::PI * k as f64 / len as f64;
+                std::iter::repeat_n(2.0 - 2.0 * theta.cos(), 3)
+            })
+            .collect();
+        let scale = a.eigen_upper_bound().unwrap();
+        for (i, (got, want)) in r.values.iter().zip(&want).enumerate() {
+            assert!(
+                (got - want).abs() <= 1e-9 * scale,
+                "λ_{i}: lanczos {got} vs {want}"
+            );
         }
     }
 }

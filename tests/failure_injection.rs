@@ -40,8 +40,9 @@ fn deserializing_corrupt_edge_lists_fails_typed() {
 
 #[test]
 fn lanczos_budget_exhaustion_is_reported_not_wrong() {
-    // One sweep of size 2 cannot resolve 6 eigenvalues of a 64-dim
-    // operator: must error, never return a short/garbage spectrum.
+    // One sweep (subspace 2, which the solver raises to 16) cannot both
+    // lock 6 eigenvalues of a 64-dim operator and verify them: must
+    // error, never return a short/garbage spectrum.
     let g = bhk_hypercube(6);
     let lap = graphio::spectral::laplacian::normalized_laplacian(&g);
     let opts = LanczosOptions {

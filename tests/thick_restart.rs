@@ -150,3 +150,80 @@ fn diamond24_solves_pay_for_the_restart_in_matvecs() {
         );
     }
 }
+
+/// `copies` disjoint copies of `lap` as one block-diagonal matrix: the
+/// Laplacian of a union of identical components.
+fn block_diagonal(lap: &CsrMatrix, copies: usize) -> CsrMatrix {
+    let n = lap.dim();
+    let dense = lap.to_dense();
+    let mut trips = Vec::new();
+    for c in 0..copies {
+        for i in 0..n {
+            for j in 0..n {
+                let v = dense[(i, j)];
+                if v != 0.0 {
+                    trips.push((c * n + i, c * n + j, v));
+                }
+            }
+        }
+    }
+    CsrMatrix::from_triplets(copies * n, &trips).unwrap()
+}
+
+/// Three disjoint diamond(14)s (n = 588) give every eigenvalue three
+/// copies, and no component turns invariant within a sweep's budget, so
+/// verification sweeps run to their budget. One start vector's Krylov
+/// space meets each eigenspace in one direction: a verification sweep
+/// that finds a missed copy must hand over to a fresh start, not to its
+/// own thick restart, or a third copy goes missing and the values come
+/// back too large.
+#[test]
+fn threefold_eigenvalues_keep_every_copy_through_restarts() {
+    let g = diamond_dag(14, 14);
+    for (kind, lap) in laplacians(&g) {
+        let union = block_diagonal(&lap, 3);
+        let r = sparse_tier_solve(&union, union.dim());
+        assert!(r.restarts > 0, "{kind}: no sweep thick-restarted");
+        let scale = union.eigen_upper_bound().unwrap().max(1.0);
+        let dense = eigenvalues_symmetric(&union.to_dense()).unwrap();
+        for (i, (got, want)) in r.values.iter().zip(&dense).enumerate() {
+            assert!(
+                (got - want).abs() <= 1e-9 * scale,
+                "3 × diamond(14) {kind} λ_{i}: lanczos {got} vs dense {want}"
+            );
+        }
+    }
+}
+
+/// bhk(12)'s `L̃` (n = 4 096) has an eigenvalue 0.5910… with at least 23
+/// copies, and h = 48 cuts through it. Its sweeps run to their budget, and
+/// a verification sweep locks copies that the earlier sweeps missed. When
+/// that sweep thick-restarted within its own Krylov space, the restart
+/// certified with 7 of those copies missing and returned values up to
+/// 0.854 in their place. The profile below is the one the solver returned
+/// before thick restart, when every sweep started from random.
+#[test]
+fn bhk12_normalized_solve_keeps_every_copy() {
+    let g = bhk_hypercube(12);
+    let lap = normalized_laplacian(&g);
+    let r = sparse_tier_solve(&lap, g.n());
+    let profile = [
+        (0.0, 1),
+        (0.289995062949, 1),
+        (0.309640827666, 11),
+        (0.561796002797, 1),
+        (0.581228281524, 11),
+        (0.591037485173, 23),
+    ];
+    let want: Vec<f64> = profile
+        .iter()
+        .flat_map(|&(value, copies)| std::iter::repeat_n(value, copies))
+        .collect();
+    assert_eq!(r.values.len(), want.len());
+    for (i, (got, want)) in r.values.iter().zip(&want).enumerate() {
+        assert!(
+            (got - want).abs() <= 1e-9,
+            "bhk(12) L~ λ_{i}: lanczos {got} vs {want}"
+        );
+    }
+}
